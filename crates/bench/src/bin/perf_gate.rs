@@ -259,6 +259,11 @@ mod seed {
 /// monolithic inference per request with a freshly built MEM module (and
 /// exp LUT) each time, f32 memory rows converted to fixed point on every
 /// access, and the host-stream codec round-trip on the CONTROL path.
+///
+/// READ and OUTPUT reuse the production `ReadModule` and `OutputModule`,
+/// which hold their weights as quantized words, so those two paths are not
+/// seed-era: the serve gates measure only the MEM, INPUT & WRITE, CONTROL
+/// and cache gains.
 mod seed_serve {
     use mann_babi::EncodedSample;
     use mann_hw::adder_tree::AdderTree;

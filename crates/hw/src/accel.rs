@@ -307,8 +307,11 @@ impl Accelerator {
         let mut load_status = NumericStatus::default();
         let q = quantize_params_tracked(&model.params, config.datapath.frac_bits, &mut load_status);
         // The module constructors below re-quantize already-quantized
-        // weights, which is lossless — the load register counts each clip
-        // once, at the quantization boundary above.
+        // weights into their BRAM words — the load register counts each
+        // clip once, at the quantization boundary above. A weight the
+        // re-quantization clips again (the positive rail) is charged per
+        // access, as a per-access datapath would: the READ and OUTPUT
+        // stores replay it into the controller and output registers.
         let input_write = InputWriteModule::new(q.w_emb_a.clone(), q.content_embedding().clone());
         let read = match &q.gru {
             Some(gru) => ReadModule::new_gru(gru.clone(), &config.datapath),

@@ -50,6 +50,7 @@ pub mod pcie;
 pub mod resource;
 pub mod sigmoid_unit;
 pub mod trace;
+pub mod weight_store;
 pub mod write_path;
 
 pub mod index;

@@ -1,16 +1,17 @@
 //! The OUTPUT module: sequential maximum inner-product search (Eq 6),
 //! optionally with inference thresholding.
 //!
-//! The output weight rows stream out of BRAM one per issue; a compare
-//! register tracks the running maximum. With thresholding enabled, each
-//! logit is additionally compared against its class threshold (in the
-//! silhouette probe order) and the search retires early on the first hit —
-//! Fig 2(b).
+//! The output weight rows, held as quantized BRAM words, stream out one per
+//! issue; a compare register tracks the running maximum. With thresholding
+//! enabled, each logit is additionally compared against its class threshold
+//! (in the silhouette probe order) and the search retires early on the
+//! first hit — Fig 2(b).
 
 use mann_ith::{ExitGuard, ThresholdingModel};
 use mann_linalg::{Fixed, Matrix, NumericStatus};
 
 use crate::adder_tree::AdderTree;
+use crate::weight_store::{Operand, WeightStore};
 use crate::{Cycles, DatapathConfig};
 
 /// Result of the output-layer search.
@@ -33,7 +34,7 @@ pub struct OutputResult {
 /// The sequential output layer.
 #[derive(Debug, Clone)]
 pub struct OutputModule {
-    w_o: Matrix,
+    w_o: WeightStore,
     tree: AdderTree,
     /// Cycles per evaluated output row: `ceil(E / output_lanes)` MAC issues
     /// plus the compare.
@@ -52,7 +53,7 @@ impl OutputModule {
         dp.validate().expect("valid datapath");
         let row_cycles = w_o.cols().div_ceil(dp.output_lanes) as u64 + 1;
         Self {
-            w_o,
+            w_o: WeightStore::new(&w_o),
             tree: AdderTree::new(dp.output_lanes),
             row_cycles,
             plan: None,
@@ -122,6 +123,7 @@ impl OutputModule {
         let per_dot = self.row_cycles;
         let epilogue = self.tree.depth() + 2;
         let band = Fixed::from_f32(self.guard.band.max(0.0));
+        let h_q = Operand::new(h);
 
         let mut best = 0usize;
         let mut best_z = Fixed::MIN;
@@ -136,9 +138,7 @@ impl OutputModule {
             Some(plan) => {
                 for &(class, theta) in plan {
                     let mut logit_st = NumericStatus::default();
-                    let (z, _) = self
-                        .tree
-                        .fixed_dot_tracked(self.w_o.row(class), h, &mut logit_st);
+                    let z = self.w_o.dot_tracked(class, &h_q, &mut logit_st);
                     comparisons += 1;
                     numeric.merge(&logit_st);
                     if let Some(t) = theta {
@@ -170,9 +170,7 @@ impl OutputModule {
             }
             None => {
                 for class in 0..self.w_o.rows() {
-                    let (z, _) = self
-                        .tree
-                        .fixed_dot_tracked(self.w_o.row(class), h, &mut numeric);
+                    let z = self.w_o.dot_tracked(class, &h_q, &mut numeric);
                     comparisons += 1;
                     if z > best_z {
                         best_z = z;
@@ -208,18 +206,21 @@ impl OutputModule {
         if self.plan.is_some() {
             return hs.iter().map(|h| self.search(h)).collect();
         }
-        for h in hs {
-            assert_eq!(h.len(), self.w_o.cols(), "hidden width");
-        }
+        let ops: Vec<Operand> = hs
+            .iter()
+            .map(|h| {
+                assert_eq!(h.len(), self.w_o.cols(), "hidden width");
+                Operand::new(h)
+            })
+            .collect();
         let per_dot = self.row_cycles;
         let epilogue = self.tree.depth() + 2;
         let mut best = vec![0usize; hs.len()];
         let mut best_z = vec![Fixed::MIN; hs.len()];
         let mut numeric = vec![NumericStatus::default(); hs.len()];
         for class in 0..self.w_o.rows() {
-            let row = self.w_o.row(class);
-            for (q, h) in hs.iter().enumerate() {
-                let (z, _) = self.tree.fixed_dot_tracked(row, h, &mut numeric[q]);
+            for (q, h_q) in ops.iter().enumerate() {
+                let z = self.w_o.dot_tracked(class, h_q, &mut numeric[q]);
                 if z > best_z[q] {
                     best_z[q] = z;
                     best[q] = class;

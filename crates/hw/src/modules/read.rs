@@ -10,16 +10,19 @@ use memn2n::GruParams;
 
 use crate::adder_tree::AdderTree;
 use crate::sigmoid_unit::SigmoidUnit;
+use crate::weight_store::{Operand, WeightStore};
 use crate::{Cycles, DatapathConfig};
 
-/// The controller datapath variant loaded into the READ module.
+/// The controller datapath variant loaded into the READ module. Weights are
+/// held as quantized BRAM words.
 #[derive(Debug, Clone)]
 enum ControllerHw {
     /// Eq 4: one `E x E` weight, one matvec per hop.
-    Linear { w_r: Matrix },
-    /// Gated: six `E x E` weights plus the σ/tanh unit.
+    Linear { w_r: WeightStore },
+    /// Gated: six `E x E` weights (Wz, Uz, Wg, Ug, Wh, Uh) plus the σ/tanh
+    /// unit.
     Gru {
-        weights: Box<GruParams>,
+        gates: Box<[WeightStore; 6]>,
         sigmoid: SigmoidUnit,
     },
 }
@@ -44,7 +47,9 @@ impl ReadModule {
         dp.validate().expect("valid datapath");
         let embed_dim = w_r.rows();
         Self {
-            controller: ControllerHw::Linear { w_r },
+            controller: ControllerHw::Linear {
+                w_r: WeightStore::new(&w_r),
+            },
             embed_dim,
             tree: AdderTree::new(dp.tree_width),
         }
@@ -64,7 +69,7 @@ impl ReadModule {
         }
         Self {
             controller: ControllerHw::Gru {
-                weights: Box::new(weights),
+                gates: Box::new(weights.matrices().map(WeightStore::new)),
                 sigmoid: SigmoidUnit::new(dp),
             },
             embed_dim: e,
@@ -99,10 +104,12 @@ impl ReadModule {
     }
 
     /// [`ReadModule::step`] with the output written into a caller-owned
-    /// buffer whose capacity is reused across hops. The linear controller —
-    /// the paper's datapath — allocates nothing after warm-up; the GRU
-    /// variant still builds its gate temporaries internally. Values and
-    /// cycle counts are identical to [`ReadModule::step`].
+    /// buffer whose capacity is reused across hops. After warm-up the
+    /// linear controller — the paper's datapath — allocates one buffer per
+    /// step, the quantized key, whatever `E` is. The GRU variant also
+    /// builds its quantized operands and gate temporaries, and its σ/tanh
+    /// unit allocates per element. Values and cycle counts are identical to
+    /// [`ReadModule::step`].
     ///
     /// # Panics
     ///
@@ -134,15 +141,16 @@ impl ReadModule {
         match &self.controller {
             ControllerHw::Linear { w_r } => {
                 let per_dot = (e.div_ceil(self.tree.width())) as u64;
-                for (row, &rv) in w_r.iter_rows().zip(r) {
-                    let (wk, _) = self.tree.fixed_dot_tracked(row, k, st);
+                let k_q = Operand::new(k);
+                for (row, &rv) in r.iter().enumerate() {
+                    let wk = w_r.dot_tracked(row, &k_q, st);
                     let sum = Fixed::from_f32_tracked(rv, st).add_tracked(wk, st);
                     h.push(sum.to_f32());
                 }
                 Cycles::new(e as u64 * per_dot + self.tree.depth() + 2)
             }
-            ControllerHw::Gru { weights, sigmoid } => {
-                let (out, cycles) = self.gru_step(weights, sigmoid, r, k, st);
+            ControllerHw::Gru { gates, sigmoid } => {
+                let (out, cycles) = self.gru_step(gates, sigmoid, r, k, st);
                 h.extend_from_slice(&out);
                 cycles
             }
@@ -152,7 +160,7 @@ impl ReadModule {
     /// Fixed-point GRU step.
     fn gru_step(
         &self,
-        w: &GruParams,
+        gates: &[WeightStore; 6],
         sigmoid: &SigmoidUnit,
         r: &[f32],
         k: &[f32],
@@ -162,28 +170,24 @@ impl ReadModule {
         let per_dot = (e.div_ceil(self.tree.width())) as u64;
         let matvec_cycles = Cycles::new(e as u64 * per_dot + self.tree.depth() + 1);
         let mut total = Cycles::ZERO;
+        let [w_z, u_z, w_g, u_g, w_h, u_h] = gates;
+        let (r_q, k_q) = (Operand::new(r), Operand::new(k));
 
-        fn matvec(
-            tree: &AdderTree,
-            e: usize,
-            m: &Matrix,
-            x: &[f32],
-            st: &mut NumericStatus,
-        ) -> Vec<f32> {
-            (0..e)
-                .map(|row| tree.fixed_dot_tracked(m.row(row), x, st).0.to_f32())
+        fn matvec(m: &WeightStore, x: &Operand, st: &mut NumericStatus) -> Vec<f32> {
+            (0..m.rows())
+                .map(|row| m.dot_tracked(row, x, st).to_f32())
                 .collect()
         }
         // Gate pre-activations: a = W r + U k (the add overlaps the tree).
-        let az: Vec<f32> = matvec(&self.tree, e, &w.w_z, r, st)
+        let az: Vec<f32> = matvec(w_z, &r_q, st)
             .iter()
-            .zip(matvec(&self.tree, e, &w.u_z, k, st))
+            .zip(matvec(u_z, &k_q, st))
             .map(|(a, b)| a + b)
             .collect();
         total += matvec_cycles * 2;
-        let ag: Vec<f32> = matvec(&self.tree, e, &w.w_g, r, st)
+        let ag: Vec<f32> = matvec(w_g, &r_q, st)
             .iter()
-            .zip(matvec(&self.tree, e, &w.u_g, k, st))
+            .zip(matvec(u_g, &k_q, st))
             .map(|(a, b)| a + b)
             .collect();
         total += matvec_cycles * 2;
@@ -197,9 +201,9 @@ impl ReadModule {
             .map(|(gv, &kv)| gv.mul_tracked(Fixed::from_f32_tracked(kv, st), st).to_f32())
             .collect();
         total += Cycles::new(1); // elementwise, E parallel lanes
-        let ah: Vec<f32> = matvec(&self.tree, e, &w.w_h, r, st)
+        let ah: Vec<f32> = matvec(w_h, &r_q, st)
             .iter()
-            .zip(matvec(&self.tree, e, &w.u_h, &gk, st))
+            .zip(matvec(u_h, &Operand::new(&gk), st))
             .map(|(a, b)| a + b)
             .collect();
         total += matvec_cycles * 2;

@@ -1,0 +1,138 @@
+//! BRAM-resident weight matrices held as fixed-point words.
+//!
+//! The accelerator loads the trained weights into BRAM once, as Q16.16
+//! words, and streams them through the adder trees (Fig 1). A
+//! [`WeightStore`] is that BRAM image: the READ controller weights and the
+//! OUTPUT rows multiply stored words directly instead of re-quantizing the
+//! `f32` weights on every access, and an [`Operand`] quantizes the vector
+//! side once per pass instead of once per row.
+//!
+//! Results are bit-identical to [`AdderTree::fixed_dot_tracked`] over the
+//! original `f32` rows, numeric counters included. Re-quantizing a stored
+//! weight is a pure function of that weight, so the events it would raise
+//! on every access (for example the `quant_clamp` of a weight on the
+//! positive rail) are latched per row at load and replayed, together with
+//! the operand's events, each time the row is evaluated.
+//! [`NumericStatus::merge`] is a field-wise sum, so replaying a latched
+//! register equals recording its events one by one.
+//!
+//! [`AdderTree::fixed_dot_tracked`]: crate::adder_tree::AdderTree::fixed_dot_tracked
+
+use mann_linalg::{Fixed, Matrix, NumericStatus};
+
+/// A row-major weight matrix stored as Q16.16 words, with the numeric
+/// events re-quantizing each row would record.
+#[derive(Debug, Clone)]
+pub struct WeightStore {
+    words: Vec<Fixed>,
+    row_status: Vec<NumericStatus>,
+    cols: usize,
+}
+
+impl WeightStore {
+    /// Quantizes `m` into the store, one [`Fixed::from_f32_tracked`] call
+    /// per weight — the conversion a per-access datapath repeats on every
+    /// MAC.
+    pub fn new(m: &Matrix) -> Self {
+        let mut words = Vec::with_capacity(m.rows() * m.cols());
+        let mut row_status = Vec::with_capacity(m.rows());
+        for row in m.iter_rows() {
+            let mut st = NumericStatus::default();
+            words.extend(row.iter().map(|&x| Fixed::from_f32_tracked(x, &mut st)));
+            row_status.push(st);
+        }
+        Self {
+            words,
+            row_status,
+            cols: m.cols(),
+        }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.row_status.len()
+    }
+
+    /// Number of columns (the operand width).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Dot product of row `r` with operand `x`, accumulated in order
+    /// exactly as [`AdderTree::fixed_dot_tracked`] accumulates it. The
+    /// row's latched re-quantization events and the operand's quantizer
+    /// events are merged into `st`, then the MAC chain records its own
+    /// product and accumulator saturations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of range or the operand width differs from
+    /// [`WeightStore::cols`].
+    ///
+    /// [`AdderTree::fixed_dot_tracked`]: crate::adder_tree::AdderTree::fixed_dot_tracked
+    pub fn dot_tracked(&self, r: usize, x: &Operand, st: &mut NumericStatus) -> Fixed {
+        assert_eq!(x.words.len(), self.cols, "dot operand length mismatch");
+        st.merge(&self.row_status[r]);
+        st.merge(&x.status);
+        self.words[r * self.cols..(r + 1) * self.cols]
+            .iter()
+            .zip(&x.words)
+            .fold(Fixed::ZERO, |acc, (w, v)| {
+                acc.add_tracked(w.mul_tracked(*v, st), st)
+            })
+    }
+}
+
+/// A vector operand quantized once per pass, with the events its
+/// quantization records.
+#[derive(Debug)]
+pub struct Operand {
+    words: Vec<Fixed>,
+    status: NumericStatus,
+}
+
+impl Operand {
+    /// Quantizes `x` through [`Fixed::from_f32_tracked`].
+    pub fn new(x: &[f32]) -> Self {
+        let mut status = NumericStatus::default();
+        let words = x
+            .iter()
+            .map(|&v| Fixed::from_f32_tracked(v, &mut status))
+            .collect();
+        Self { words, status }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adder_tree::AdderTree;
+
+    #[test]
+    fn rail_weight_replays_its_clamp_on_every_access() {
+        // `Fixed::MAX.to_f32()` rounds up to 32768.0, which clips again
+        // each time it is re-quantized.
+        let rail = Fixed::MAX.to_f32();
+        let m = Matrix::from_rows(vec![vec![rail, 1.0], vec![0.5, -0.25]]).unwrap();
+        let store = WeightStore::new(&m);
+        let x = Operand::new(&[f32::NAN, 2.0]);
+        let tree = AdderTree::default();
+        for r in 0..2 {
+            let mut got = NumericStatus::default();
+            let mut want = NumericStatus::default();
+            let z = store.dot_tracked(r, &x, &mut got);
+            let (expect, _) = tree.fixed_dot_tracked(m.row(r), &[f32::NAN, 2.0], &mut want);
+            assert_eq!(z, expect);
+            assert_eq!(got, want);
+            assert_eq!(got.quant_clamp, u64::from(r == 0));
+            assert_eq!(got.nan_boundary, 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn operand_width_is_checked() {
+        let store = WeightStore::new(&Matrix::zeros(2, 3));
+        store.dot_tracked(0, &Operand::new(&[1.0; 2]), &mut NumericStatus::default());
+    }
+}

@@ -1,0 +1,119 @@
+//! Allocation budget of the query hot path.
+//!
+//! After warm-up, `Accelerator::answer_query` allocates a fixed number of
+//! buffers per query, independent of the embedding width `E` and of the
+//! class count: no per-row or per-dot-product temporaries. Unlike host
+//! time, an allocation count is deterministic, so it guards the hot path
+//! exactly.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+use mann_babi::EncodedSample;
+use mann_hw::{AccelConfig, Accelerator};
+use mann_ith::threshold::ClassThreshold;
+use mann_ith::{Kernel, ThresholdingModel};
+use memn2n::{ModelConfig, Params, TrainedModel};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+thread_local! {
+    /// Allocations made by this thread; tests run on parallel threads and
+    /// must not see each other's.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting allocations per thread. The default
+/// `alloc_zeroed` and `realloc` go through `alloc`, so they count too.
+struct CountingAlloc;
+
+fn count_one() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: both methods forward their arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a thread-local
+// `Cell` that never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator (hence from `System`) with
+        // `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Allocations of one warmed-up hit-form query on an `E`-wide model with
+/// `classes` output rows, optionally behind a thresholding plan that never
+/// fires (so every class row is still evaluated).
+fn query_allocations(embed_dim: usize, classes: usize, thresholded: bool) -> u64 {
+    let params = Params::init(
+        ModelConfig {
+            embed_dim,
+            hops: 3,
+            tie_embeddings: false,
+            ..ModelConfig::default()
+        },
+        classes,
+        &mut StdRng::seed_from_u64(3),
+    );
+    let model = TrainedModel {
+        task: mann_babi::TaskId::SingleSupportingFact,
+        params,
+        encoder: mann_babi::Encoder::with_time_tokens(mann_babi::Vocab::new(), 0),
+    };
+    let ith = thresholded.then(|| ThresholdingModel {
+        thresholds: vec![ClassThreshold { theta: None }; classes],
+        order: (0..classes).collect(),
+        silhouettes: vec![0.0; classes],
+        rho: 1.0,
+        kernel: Kernel::Epanechnikov,
+    });
+    let accel = Accelerator::new(
+        model,
+        AccelConfig {
+            ith,
+            ..AccelConfig::default()
+        },
+    );
+    let sample = EncodedSample {
+        sentences: vec![vec![1, 2, 3], vec![0, 3], vec![2, 1, 1, 0]],
+        question: vec![3, 1],
+        answer: 0,
+    };
+    let story = accel.write_story(&sample);
+    black_box(accel.answer_query(&story, &sample));
+    allocations_during(|| {
+        black_box(accel.answer_query(black_box(&story), black_box(&sample)));
+    })
+}
+
+#[test]
+fn answer_query_allocations_do_not_grow_with_width_or_classes() {
+    for thresholded in [false, true] {
+        let base = query_allocations(4, 8, thresholded);
+        for (embed_dim, classes) in [(32, 8), (4, 64), (48, 96)] {
+            assert_eq!(
+                query_allocations(embed_dim, classes, thresholded),
+                base,
+                "E = {embed_dim}, classes = {classes}, thresholded = {thresholded}"
+            );
+        }
+    }
+}

@@ -2,12 +2,17 @@
 //! functional equivalence with the reference model, timing monotonicity.
 
 use mann_babi::EncodedSample;
-use mann_hw::modules::{decode_stream, encode_sample_stream, OutputModule};
-use mann_hw::{AccelConfig, Accelerator, ClockDomain, DatapathConfig, MemIndexConfig};
+use mann_hw::adder_tree::AdderTree;
+use mann_hw::modules::{decode_stream, encode_sample_stream, OutputModule, ReadModule};
+use mann_hw::sigmoid_unit::SigmoidUnit;
+use mann_hw::weight_store::{Operand, WeightStore};
+use mann_hw::{
+    quantize_params_tracked, AccelConfig, Accelerator, ClockDomain, DatapathConfig, MemIndexConfig,
+};
 use mann_ith::threshold::ClassThreshold;
 use mann_ith::{ExitGuard, HopPrune, Kernel, ThresholdingModel};
-use mann_linalg::Matrix;
-use memn2n::{ModelConfig, Params, TrainedModel};
+use mann_linalg::{Fixed, Matrix, NumericStatus};
+use memn2n::{ControllerKind, GruParams, ModelConfig, Params, TrainedModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -353,6 +358,237 @@ proptest! {
         prop_assert_eq!(runs.len(), batch.len());
         for (run, s) in runs.iter().zip(batch) {
             prop_assert_eq!(run, &accel.answer_query(&story, s));
+        }
+    }
+}
+
+/// Weights and operands for the quantized-store equivalence tests: mostly
+/// ordinary values, plus non-finite and out-of-range ones. Through the load
+/// quantizer, +∞, `f32::MAX` and large finite weights land on the positive
+/// rail, which clips again on every re-quantization.
+fn stress_value() -> impl Strategy<Value = f32> {
+    const SPECIAL: [f32; 7] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MAX,
+        -f32::MAX,
+        32768.0,
+        -32768.0,
+    ];
+    (0usize..18, -4.0f32..4.0, -1.0e6f32..1.0e6).prop_map(|(pick, small, large)| match pick {
+        0..=8 => small,
+        9..=10 => large,
+        _ => SPECIAL[pick - 11],
+    })
+}
+
+/// The datapath widths the load quantizer is exercised at.
+fn frac_bits() -> impl Strategy<Value = u32> {
+    (0usize..3).prop_map(|i| [8, 12, 16][i])
+}
+
+/// A model whose READ and OUTPUT weights are overwritten with `values`
+/// (cycled), then pushed through the BRAM load quantizer at `frac_bits`.
+fn stressed_params(
+    controller: ControllerKind,
+    e: usize,
+    classes: usize,
+    values: &[f32],
+    frac_bits: u32,
+) -> Params {
+    let mut p = Params::init(
+        ModelConfig {
+            embed_dim: e,
+            hops: 1,
+            tie_embeddings: false,
+            controller,
+        },
+        classes,
+        &mut StdRng::seed_from_u64(7),
+    );
+    let mut fill = values.iter().cycle();
+    let mut weights = vec![&mut p.w_r, &mut p.w_o];
+    if let Some(g) = &mut p.gru {
+        weights.extend(g.matrices_mut());
+    }
+    for m in weights {
+        for x in m.as_mut_slice() {
+            *x = *fill.next().expect("non-empty values");
+        }
+    }
+    quantize_params_tracked(&p, frac_bits, &mut NumericStatus::default())
+}
+
+/// The linear READ step with every dot product through
+/// `AdderTree::fixed_dot_tracked`, which re-quantizes per access.
+fn oracle_linear_step(w_r: &Matrix, r: &[f32], k: &[f32], st: &mut NumericStatus) -> Vec<f32> {
+    let tree = AdderTree::default();
+    w_r.iter_rows()
+        .zip(r)
+        .map(|(row, &rv)| {
+            let (wk, _) = tree.fixed_dot_tracked(row, k, st);
+            Fixed::from_f32_tracked(rv, st).add_tracked(wk, st).to_f32()
+        })
+        .collect()
+}
+
+/// The GRU READ step with every dot product through
+/// `AdderTree::fixed_dot_tracked`.
+fn oracle_gru_step(g: &GruParams, r: &[f32], k: &[f32], st: &mut NumericStatus) -> Vec<f32> {
+    let tree = AdderTree::default();
+    let sigmoid = SigmoidUnit::new(&DatapathConfig::default());
+    let gate = |w: &Matrix, u: &Matrix, x_u: &[f32], st: &mut NumericStatus| -> Vec<f32> {
+        let wr: Vec<f32> = w
+            .iter_rows()
+            .map(|row| tree.fixed_dot_tracked(row, r, st).0.to_f32())
+            .collect();
+        let ux: Vec<f32> = u
+            .iter_rows()
+            .map(|row| tree.fixed_dot_tracked(row, x_u, st).0.to_f32())
+            .collect();
+        wr.iter().zip(ux).map(|(a, b)| a + b).collect()
+    };
+    let az = gate(&g.w_z, &g.u_z, k, st);
+    let ag = gate(&g.w_g, &g.u_g, k, st);
+    let (z, _) = sigmoid.sigmoid_batch_tracked(&az, st);
+    let (reset, _) = sigmoid.sigmoid_batch_tracked(&ag, st);
+    let gk: Vec<f32> = reset
+        .iter()
+        .zip(k)
+        .map(|(gv, &kv)| gv.mul_tracked(Fixed::from_f32_tracked(kv, st), st).to_f32())
+        .collect();
+    let ah = gate(&g.w_h, &g.u_h, &gk, st);
+    let (ht, _) = sigmoid.tanh_batch_tracked(&ah, st);
+    z.iter()
+        .zip(k)
+        .zip(ht)
+        .map(|((zv, &kv), hv)| {
+            Fixed::ONE
+                .sub_tracked(*zv, st)
+                .mul_tracked(Fixed::from_f32_tracked(kv, st), st)
+                .add_tracked(zv.mul_tracked(hv, st), st)
+                .to_f32()
+        })
+        .collect()
+}
+
+/// The exhaustive OUTPUT search over `fixed_dot_tracked`: argmax label and
+/// the merged status of every logit.
+fn oracle_search(w_o: &Matrix, h: &[f32]) -> (usize, NumericStatus) {
+    let tree = AdderTree::default();
+    let mut st = NumericStatus::default();
+    let (mut best, mut best_z) = (0, Fixed::MIN);
+    for (class, row) in w_o.iter_rows().enumerate() {
+        let (z, _) = tree.fixed_dot_tracked(row, h, &mut st);
+        if z > best_z {
+            best_z = z;
+            best = class;
+        }
+    }
+    (best, st)
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every row of a quantized store dots to the value and numeric status
+    /// of the per-access `fixed_dot_tracked` over the stored `f32` row.
+    #[test]
+    fn weight_store_dot_matches_fixed_dot(
+        e in 1usize..7,
+        classes in 1usize..9,
+        frac_bits in frac_bits(),
+        values in proptest::collection::vec(stress_value(), 1..48),
+        x in proptest::collection::vec(stress_value(), 6),
+    ) {
+        let q = stressed_params(ControllerKind::Linear, e, classes, &values, frac_bits);
+        let x = &x[..e];
+        let operand = Operand::new(x);
+        for m in [&q.w_r, &q.w_o] {
+            let store = WeightStore::new(m);
+            for (r, row) in m.iter_rows().enumerate() {
+                let mut got = NumericStatus::default();
+                let mut want = NumericStatus::default();
+                let z = store.dot_tracked(r, &operand, &mut got);
+                let (expect, _) = AdderTree::default().fixed_dot_tracked(row, x, &mut want);
+                prop_assert_eq!(z, expect);
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    /// Linear and GRU controller steps equal the per-access dot-product
+    /// loop in every output bit and every numeric counter.
+    #[test]
+    fn read_step_matches_fixed_dot_loop(
+        gru in any::<bool>(),
+        e in 1usize..7,
+        frac_bits in frac_bits(),
+        values in proptest::collection::vec(stress_value(), 1..48),
+        r in proptest::collection::vec(stress_value(), 6),
+        k in proptest::collection::vec(stress_value(), 6),
+    ) {
+        let controller = if gru { ControllerKind::Gru } else { ControllerKind::Linear };
+        let q = stressed_params(controller, e, 3, &values, frac_bits);
+        let (r, k) = (&r[..e], &k[..e]);
+        let dp = DatapathConfig::default();
+        let mut want = NumericStatus::default();
+        let (module, expect) = match &q.gru {
+            Some(g) => (
+                ReadModule::new_gru(g.clone(), &dp),
+                oracle_gru_step(g, r, k, &mut want),
+            ),
+            None => (
+                ReadModule::new(q.w_r.clone(), &dp),
+                oracle_linear_step(&q.w_r, r, k, &mut want),
+            ),
+        };
+        let mut h = Vec::new();
+        let mut got = NumericStatus::default();
+        module.step_into_tracked(r, k, &mut h, &mut got);
+        prop_assert_eq!(bits(&h), bits(&expect));
+        prop_assert_eq!(got, want);
+    }
+
+    /// The exhaustive OUTPUT search, alone and batched, equals an argmax
+    /// over per-access dot products, numeric status included. So does a
+    /// thresholded search whose plan never fires, which accumulates through
+    /// the per-logit registers the exit guard reads.
+    #[test]
+    fn output_search_matches_fixed_dot_loop(
+        e in 1usize..7,
+        classes in 1usize..9,
+        frac_bits in frac_bits(),
+        values in proptest::collection::vec(stress_value(), 1..48),
+        hs in proptest::collection::vec(proptest::collection::vec(stress_value(), 6), 1..4),
+    ) {
+        let q = stressed_params(ControllerKind::Linear, e, classes, &values, frac_bits);
+        let dp = DatapathConfig::default();
+        let module = OutputModule::new(q.w_o.clone(), &dp);
+        let never_fires = ThresholdingModel {
+            thresholds: vec![ClassThreshold { theta: None }; classes],
+            order: (0..classes).collect(),
+            silhouettes: vec![0.0; classes],
+            rho: 1.0,
+            kernel: Kernel::Epanechnikov,
+        };
+        let probed = OutputModule::new(q.w_o.clone(), &dp).with_thresholding(&never_fires, true);
+        let hs: Vec<&[f32]> = hs.iter().map(|h| &h[..e]).collect();
+        let batch = module.search_batch(&hs);
+        for (h, batched) in hs.iter().zip(&batch) {
+            let (label, numeric) = oracle_search(&q.w_o, h);
+            let single = module.search(h);
+            prop_assert_eq!(single.label, label);
+            prop_assert_eq!(single.comparisons, classes);
+            prop_assert_eq!(single.numeric, numeric);
+            prop_assert_eq!(batched, &single);
+            let via_plan = probed.search(h);
+            prop_assert_eq!((via_plan.label, via_plan.numeric), (label, numeric));
         }
     }
 }
