@@ -32,7 +32,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use mann_linalg::{Fixed, NumericStatus};
+use mann_linalg::{fixed, Fixed, NumericStatus};
 
 use crate::adder_tree::AdderTree;
 use crate::Cycles;
@@ -350,6 +350,10 @@ impl MemIndex {
     /// selected members in ascending slot order, the walk's cycle cost,
     /// and whether the centroid arithmetic recorded any numeric event
     /// (which the caller must treat as a fallback signal).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key width differs from the centroid width.
     pub fn probe(&self, key_q: &[Fixed], st: &mut NumericStatus) -> (Vec<usize>, Cycles, bool) {
         let k_eff = self.centroids.len();
         if k_eff == 0 {
@@ -358,11 +362,7 @@ impl MemIndex {
         let mut probe_st = NumericStatus::default();
         let mut scores: Vec<Fixed> = Vec::with_capacity(k_eff);
         for cent in &self.centroids {
-            let mut acc = Fixed::ZERO;
-            for (x, y) in cent.iter().zip(key_q) {
-                acc = acc.add_tracked(x.mul_tracked(*y, &mut probe_st), &mut probe_st);
-            }
-            scores.push(acc);
+            scores.push(fixed::dot_tracked(cent, key_q, &mut probe_st));
         }
         let nprobe = self.config.nprobe.min(k_eff);
         let mut order: Vec<usize> = (0..k_eff).collect();
@@ -551,5 +551,57 @@ mod tests {
     fn building_from_a_disabled_config_panics() {
         let mut st = NumericStatus::default();
         let _ = MemIndex::build(&rows(4, 8), MemIndexConfig::default(), &tree(), 8, &mut st);
+    }
+
+    use crate::test_support::stress_vec;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    fn quantized(v: &[f32]) -> Vec<Fixed> {
+        v.iter().map(|&x| Fixed::from_f32(x)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The probe equals the in-order chain over each stored centroid
+        /// followed by the top-`nprobe` selection, in candidates, cycles,
+        /// stress flag and status, on centroids and keys from the stress
+        /// mix.
+        #[test]
+        fn probe_matches_the_in_order_chain(
+            (e, rows, key, (k, nprobe)) in (1usize..=6, 0usize..=10).prop_flat_map(|(e, l)| {
+                (Just(e), vec(stress_vec(e), l), stress_vec(e), (1usize..=5, 0usize..5))
+            })
+        ) {
+            let rows: Vec<Vec<Fixed>> = rows.iter().map(|r| quantized(r)).collect();
+            let key = quantized(&key);
+            let cfg = MemIndexConfig::with_params(k, nprobe % k + 1, 0.0);
+            let idx = MemIndex::build(&rows, cfg, &tree(), e, &mut NumericStatus::default());
+            let mut want_st = NumericStatus::default();
+            let scores: Vec<Fixed> = idx
+                .centroids
+                .iter()
+                .map(|c| fixed::dot_tracked(c, &key, &mut want_st))
+                .collect();
+            let mut order: Vec<usize> = (0..scores.len()).collect();
+            order.sort_by(|&a, &b| scores[b].cmp(&scores[a]).then(a.cmp(&b)));
+            let mut want: Vec<usize> = order[..cfg.nprobe.min(scores.len())]
+                .iter()
+                .flat_map(|&c| idx.members[c].iter().copied())
+                .collect();
+            want.sort_unstable();
+            let k_eff = scores.len() as u64;
+            let want_cycles = if k_eff == 0 {
+                Cycles::ZERO
+            } else {
+                let depth = tree().depth();
+                Cycles::new(k_eff * idx.per_dot + depth + 1 + k_eff + want.len() as u64)
+            };
+            let mut st = NumericStatus::default();
+            let got = idx.probe(&key, &mut st);
+            prop_assert_eq!(got, (want, want_cycles, want_st.stressed()));
+            prop_assert_eq!(st, want_st);
+        }
     }
 }

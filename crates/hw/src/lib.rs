@@ -59,6 +59,8 @@ pub mod story;
 mod accel;
 mod datapath;
 mod quantize;
+#[cfg(test)]
+mod test_support;
 
 pub use accel::{
     double_buffered_time_s, AccelConfig, Accelerator, InferenceRun, NumericReport, PhaseCycles,

@@ -9,13 +9,14 @@
 //!
 //! Rows are stored already quantized (`Fixed`), mirroring the BRAM contents:
 //! the write path converts each embedded row once, so addressing and reads
-//! multiply stored words directly instead of re-quantizing per access. The
-//! products and their accumulation order are exactly those of
+//! multiply stored words directly instead of re-quantizing per access.
+//! Every score and soft-read element goes through the MAC kernel
+//! [`fixed::dot_tracked`], which equals the in-order chain of
 //! [`AdderTree::fixed_dot`] over the original `f32` rows, so results are
 //! bit-identical to the unquantized-storage formulation.
 
 use mann_linalg::activation::ExpLut;
-use mann_linalg::{Fixed, NumericStatus};
+use mann_linalg::{fixed, Fixed, NumericStatus};
 
 use crate::adder_tree::AdderTree;
 use crate::div_unit::DivUnit;
@@ -126,6 +127,10 @@ impl MemModule {
 
     /// Content-based addressing (Eq 1): returns the attention weights and
     /// the cycles of the score/softmax pipeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key width differs from the stored rows' width.
     pub fn address(&self, key: &[f32]) -> (Vec<f32>, Cycles) {
         let mut attention = Vec::new();
         let cycles = self.address_into(key, &mut attention);
@@ -135,6 +140,10 @@ impl MemModule {
     /// [`MemModule::address`] with the attention written into a caller-owned
     /// buffer whose capacity is reused across hops. Values and cycle counts
     /// are identical to [`MemModule::address`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key width differs from the stored rows' width.
     pub fn address_into(&self, key: &[f32], attention: &mut Vec<f32>) -> Cycles {
         self.address_into_tracked(key, attention, &mut NumericStatus::default())
     }
@@ -143,6 +152,10 @@ impl MemModule {
     /// key quantizer, the score MACs, the max-shift subtractor, the exp
     /// pipeline, the denominator tree and the divider. Attention values and
     /// cycle counts are identical to the untracked pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key width differs from the stored rows' width.
     pub fn address_into_tracked(
         &self,
         key: &[f32],
@@ -165,10 +178,7 @@ impl MemModule {
         let mut score_cycles = Cycles::ZERO;
         let per_dot = (self.embed_dim.div_ceil(self.tree.width())) as u64;
         for row in &self.rows_a {
-            let mut acc = Fixed::ZERO;
-            for (x, y) in row.iter().zip(&key_q) {
-                acc = acc.add_tracked(x.mul_tracked(*y, st), st);
-            }
+            let acc = fixed::dot_tracked(row, &key_q, st);
             scores.push(acc.to_f32());
             scores_fx.push(acc);
             // II = issues-per-dot; latency amortized below.
@@ -190,6 +200,10 @@ impl MemModule {
     ///
     /// The hop-prune veto consults `flags[argmax]`: a converged-looking
     /// maximum that rode saturated arithmetic must not end the hop loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key width differs from the stored rows' width.
     pub fn address_flagged_into_tracked(
         &self,
         key: &[f32],
@@ -215,10 +229,7 @@ impl MemModule {
         let per_dot = (self.embed_dim.div_ceil(self.tree.width())) as u64;
         for row in &self.rows_a {
             let mut row_st = NumericStatus::default();
-            let mut acc = Fixed::ZERO;
-            for (x, y) in row.iter().zip(&key_q) {
-                acc = acc.add_tracked(x.mul_tracked(*y, &mut row_st), &mut row_st);
-            }
+            let acc = fixed::dot_tracked(row, &key_q, &mut row_st);
             flags.push(key_st.stressed() || row_st.stressed());
             rows_st.merge(&row_st);
             scores.push(acc.to_f32());
@@ -252,7 +263,8 @@ impl MemModule {
     ///
     /// # Panics
     ///
-    /// Panics if `keys` and `sts` lengths differ.
+    /// Panics if `keys` and `sts` lengths differ, or a key's width differs
+    /// from the stored rows' width.
     pub fn address_batch_into_tracked(
         &self,
         keys: &[Vec<f32>],
@@ -271,7 +283,8 @@ impl MemModule {
     ///
     /// # Panics
     ///
-    /// Panics if `keys` and `sts` lengths differ.
+    /// Panics if `keys` and `sts` lengths differ, or a key's width differs
+    /// from the stored rows' width.
     pub fn address_batch_flagged_into_tracked(
         &self,
         keys: &[Vec<f32>],
@@ -306,10 +319,7 @@ impl MemModule {
         for row in &self.rows_a {
             for (q, key_q) in keys_q.iter().enumerate() {
                 let mut row_st = NumericStatus::default();
-                let mut acc = Fixed::ZERO;
-                for (x, y) in row.iter().zip(key_q) {
-                    acc = acc.add_tracked(x.mul_tracked(*y, &mut row_st), &mut row_st);
-                }
+                let acc = fixed::dot_tracked(row, key_q, &mut row_st);
                 flags[q].push(key_sts[q].stressed() || row_st.stressed());
                 rows_sts[q].merge(&row_st);
                 scores[q].push(acc.to_f32());
@@ -411,11 +421,7 @@ impl MemModule {
             .map(|&a| Fixed::from_f32_tracked(a, st))
             .collect();
         for j in 0..self.embed_dim {
-            let mut acc = Fixed::ZERO;
-            for (a, row) in att_q.iter().zip(&self.rows_c) {
-                acc = acc.add_tracked(a.mul_tracked(row[j], st), st);
-            }
-            out.push(acc.to_f32());
+            out.push(self.column_dot(&att_q, j, st).to_f32());
         }
         let per_row = (self.embed_dim.div_ceil(self.tree.width())) as u64;
         Cycles::new(self.rows_c.len() as u64 * per_row + self.tree.depth() + 1)
@@ -460,16 +466,21 @@ impl MemModule {
         }
         for j in 0..self.embed_dim {
             for (q, att_q) in atts_q.iter().enumerate() {
-                let mut acc = Fixed::ZERO;
-                for (a, row) in att_q.iter().zip(&self.rows_c) {
-                    acc = acc.add_tracked(a.mul_tracked(row[j], &mut sts[q]), &mut sts[q]);
-                }
-                outs[q].push(acc.to_f32());
+                outs[q].push(self.column_dot(att_q, j, &mut sts[q]).to_f32());
             }
         }
         let per_row = (self.embed_dim.div_ceil(self.tree.width())) as u64;
         let cycles = Cycles::new(self.rows_c.len() as u64 * per_row + self.tree.depth() + 1);
         vec![cycles; attentions.len()]
+    }
+
+    /// Output element `j` of a soft read: the weighted sum of content
+    /// column `j` over the stored rows, in row order, through the MAC
+    /// kernel. The rows stay row-major, as [`MemModule::raw_words`]
+    /// persists them.
+    fn column_dot(&self, att_q: &[Fixed], j: usize, st: &mut NumericStatus) -> Fixed {
+        let column = att_q.iter().zip(&self.rows_c).map(|(a, row)| (*a, row[j]));
+        fixed::dot_tracked_pairs(column, st)
     }
 
     /// Per-hop row-stream issue slots a fused same-story query shares with
@@ -571,10 +582,7 @@ impl MemModule {
         let mut scores_fx = Vec::with_capacity(c);
         for &slot in &candidates {
             let mut row_st = NumericStatus::default();
-            let mut acc = Fixed::ZERO;
-            for (x, y) in self.rows_a[slot].iter().zip(&key_q) {
-                acc = acc.add_tracked(x.mul_tracked(*y, &mut row_st), &mut row_st);
-            }
+            let acc = fixed::dot_tracked(&self.rows_a[slot], &key_q, &mut row_st);
             cand_flags.push(key_st.stressed() || row_st.stressed());
             rows_st.merge(&row_st);
             scores.push(acc.to_f32());
@@ -639,7 +647,8 @@ impl MemModule {
     ///
     /// # Panics
     ///
-    /// Panics if no index is built.
+    /// Panics if no index is built, or the key width differs from the
+    /// stored rows' width.
     pub fn address_indexed_flagged_into_tracked(
         &self,
         key: &[f32],
@@ -662,7 +671,8 @@ impl MemModule {
     ///
     /// # Panics
     ///
-    /// Panics if `keys` and `sts` lengths differ, or no index is built.
+    /// Panics if `keys` and `sts` lengths differ, no index is built, or a
+    /// key's width differs from the stored rows' width.
     pub fn address_indexed_batch_flagged_into_tracked(
         &self,
         keys: &[Vec<f32>],
@@ -1032,5 +1042,233 @@ mod tests {
         assert_eq!(m.stream_cycles_per_hop(), 2 * 10 * 4);
         let empty = MemModule::new(8, &DatapathConfig::default());
         assert_eq!(empty.stream_cycles_per_hop(), 0);
+    }
+
+    use crate::test_support::stress_vec;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// One addressing pass: attention bits, flags, status and cycles.
+    #[derive(Debug, PartialEq)]
+    struct Pass {
+        attention: Vec<u32>,
+        flags: Vec<bool>,
+        st: NumericStatus,
+        cycles: Cycles,
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn quantize(v: &[f32], st: &mut NumericStatus) -> Vec<Fixed> {
+        v.iter().map(|&x| Fixed::from_f32_tracked(x, st)).collect()
+    }
+
+    fn empty_pass() -> Pass {
+        Pass {
+            attention: Vec::new(),
+            flags: Vec::new(),
+            st: NumericStatus::default(),
+            cycles: Cycles::ZERO,
+        }
+    }
+
+    /// Scores of the address rows `slots`, each the in-order chain over
+    /// the stored words, with each row's flag and the rows' merged
+    /// register.
+    fn chain_scores(
+        m: &MemModule,
+        key_q: &[Fixed],
+        key_st: &NumericStatus,
+        slots: &[usize],
+    ) -> (Vec<Fixed>, Vec<bool>, NumericStatus) {
+        let mut rows_st = NumericStatus::default();
+        let mut flags = Vec::new();
+        let mut scores = Vec::new();
+        for &i in slots {
+            let mut row_st = NumericStatus::default();
+            scores.push(fixed::dot_tracked(&m.rows_a[i], key_q, &mut row_st));
+            flags.push(key_st.stressed() || row_st.stressed());
+            rows_st.merge(&row_st);
+        }
+        (scores, flags, rows_st)
+    }
+
+    /// The shared softmax tail over `scores`; an event in it flags every
+    /// weight.
+    fn tail(
+        m: &MemModule,
+        scores: &[Fixed],
+        flags: &mut [bool],
+    ) -> (Vec<f32>, NumericStatus, Cycles) {
+        let scores_f: Vec<f32> = scores.iter().map(|s| s.to_f32()).collect();
+        let mut st = NumericStatus::default();
+        let mut attention = Vec::new();
+        let cycles = m.softmax_tail(&scores_f, scores, &mut attention, &mut st);
+        if st.stressed() {
+            flags.iter_mut().for_each(|f| *f = true);
+        }
+        (attention, st, cycles)
+    }
+
+    fn score_stream(m: &MemModule, rows: usize) -> Cycles {
+        Cycles::new(rows as u64 * m.slots_per_row() + m.tree.depth() + 1)
+    }
+
+    /// The exact flagged addressing pass, from the chain.
+    fn chain_address(m: &MemModule, key: &[f32]) -> Pass {
+        if m.is_empty() {
+            return empty_pass();
+        }
+        let mut key_st = NumericStatus::default();
+        let key_q = quantize(key, &mut key_st);
+        let all: Vec<usize> = (0..m.len()).collect();
+        let (scores, mut flags, rows_st) = chain_scores(m, &key_q, &key_st, &all);
+        let (attention, tail_st, tail_cycles) = tail(m, &scores, &mut flags);
+        Pass {
+            attention: bits(&attention),
+            flags,
+            st: key_st.merged(&rows_st).merged(&tail_st),
+            cycles: score_stream(m, m.len()) + tail_cycles,
+        }
+    }
+
+    /// One indexed hop, from the chain: the probe's candidates scored,
+    /// then either the candidate softmax scattered over the slots or the
+    /// exact pass on fallback.
+    fn chain_indexed(m: &MemModule, key: &[f32]) -> Pass {
+        if m.is_empty() {
+            return empty_pass();
+        }
+        let mut key_st = NumericStatus::default();
+        let key_q = quantize(key, &mut key_st);
+        let mut probe_st = NumericStatus::default();
+        let idx = m.index().expect("built");
+        let (cands, probe_cycles, probe_stressed) = idx.probe(&key_q, &mut probe_st);
+        let (scores, mut cand_flags, rows_st) = chain_scores(m, &key_q, &key_st, &cands);
+        let scores_f: Vec<f32> = scores.iter().map(|s| s.to_f32()).collect();
+        let best = scores_f.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let worst = scores_f.iter().copied().fold(f32::INFINITY, f32::min);
+        let st = key_st.merged(&probe_st).merged(&rows_st);
+        let front = probe_cycles + score_stream(m, cands.len());
+        if probe_stressed || cands.is_empty() || best - worst <= idx.config().band {
+            let exact = chain_address(m, key);
+            return Pass {
+                st: st.merged(&exact.st),
+                cycles: front + exact.cycles,
+                ..exact
+            };
+        }
+        let (cand_att, tail_st, tail_cycles) = tail(m, &scores, &mut cand_flags);
+        let mut attention = vec![0.0; m.len()];
+        let mut flags = vec![false; m.len()];
+        for ((&slot, &w), &f) in cands.iter().zip(&cand_att).zip(&cand_flags) {
+            attention[slot] = w;
+            flags[slot] = f;
+        }
+        Pass {
+            attention: bits(&attention),
+            flags,
+            st: st.merged(&tail_st),
+            cycles: front + tail_cycles,
+        }
+    }
+
+    /// A soft read, from the chain over each stored content column.
+    fn chain_read(m: &MemModule, attention: &[f32]) -> (Vec<u32>, NumericStatus, Cycles) {
+        let mut st = NumericStatus::default();
+        let att_q = quantize(attention, &mut st);
+        let out: Vec<f32> = (0..m.embed_dim)
+            .map(|j| {
+                let column = att_q.iter().zip(&m.rows_c).map(|(a, row)| (*a, row[j]));
+                fixed::dot_tracked_pairs(column, &mut st).to_f32()
+            })
+            .collect();
+        (bits(&out), st, score_stream(m, m.len()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The four addressing passes and both soft reads equal the
+        /// in-order chain over the stored words, pushed through the same
+        /// softmax tail, in attention bits, flags, cycles and status, on
+        /// rows that saturate and rows that do not.
+        #[test]
+        fn mem_passes_match_the_in_order_chain(
+            (e, rows, (keys, atts), (k, nprobe, band)) in (1usize..=6, 0usize..=8)
+                .prop_flat_map(|(e, l)| {
+                    (
+                        Just(e),
+                        vec((stress_vec(e), stress_vec(e)), l),
+                        (vec(stress_vec(e), 1..=3), vec(stress_vec(l), 1..=3)),
+                        (1usize..=4, 0usize..4, 0usize..3),
+                    )
+                })
+        ) {
+            let mut m = MemModule::new(e, &DatapathConfig::default());
+            for (a, c) in rows {
+                m.write(a, c);
+            }
+            let want: Vec<Pass> = keys.iter().map(|key| chain_address(&m, key)).collect();
+            for (key, want) in keys.iter().zip(&want) {
+                let mut att = Vec::new();
+                let mut st = NumericStatus::default();
+                let cycles = m.address_into_tracked(key, &mut att, &mut st);
+                prop_assert_eq!(
+                    (bits(&att), st, cycles),
+                    (want.attention.clone(), want.st, want.cycles)
+                );
+                let mut flags = Vec::new();
+                let mut st = NumericStatus::default();
+                let cycles = m.address_flagged_into_tracked(key, &mut att, &mut st, &mut flags);
+                let got = Pass { attention: bits(&att), flags, st, cycles };
+                prop_assert_eq!(&got, want);
+            }
+            let mut batch_att = Vec::new();
+            let mut batch_st = vec![NumericStatus::default(); keys.len()];
+            let mut batch_flags = Vec::new();
+            let batch_cycles = m.address_batch_flagged_into_tracked(
+                &keys,
+                &mut batch_att,
+                &mut batch_st,
+                &mut batch_flags,
+            );
+            for (q, want) in want.iter().enumerate() {
+                let got = Pass {
+                    attention: bits(&batch_att[q]),
+                    flags: batch_flags[q].clone(),
+                    st: batch_st[q],
+                    cycles: batch_cycles[q],
+                };
+                prop_assert_eq!(&got, want);
+            }
+
+            let mut mi = m.clone();
+            let cfg = MemIndexConfig::with_params(k, nprobe % k + 1, [0.0, 0.5, 1.0e9][band]);
+            mi.build_index(cfg, &mut NumericStatus::default());
+            for key in &keys {
+                let mut att = Vec::new();
+                let mut st = NumericStatus::default();
+                let mut flags = Vec::new();
+                let (cycles, _) =
+                    mi.address_indexed_flagged_into_tracked(key, &mut att, &mut st, &mut flags);
+                let got = Pass { attention: bits(&att), flags, st, cycles };
+                prop_assert_eq!(got, chain_indexed(&mi, key));
+            }
+
+            let mut reads = Vec::new();
+            let mut read_sts = vec![NumericStatus::default(); atts.len()];
+            let read_cycles = m.read_batch_into_tracked(&atts, &mut reads, &mut read_sts);
+            for (q, attention) in atts.iter().enumerate() {
+                let want = chain_read(&m, attention);
+                let mut out = Vec::new();
+                let mut st = NumericStatus::default();
+                let cycles = m.read_into_tracked(attention, &mut out, &mut st);
+                prop_assert_eq!(&(bits(&out), st, cycles), &want);
+                prop_assert_eq!((bits(&reads[q]), read_sts[q], read_cycles[q]), want);
+            }
+        }
     }
 }

@@ -18,7 +18,7 @@
 //!
 //! [`AdderTree::fixed_dot_tracked`]: crate::adder_tree::AdderTree::fixed_dot_tracked
 
-use mann_linalg::{Fixed, Matrix, NumericStatus};
+use mann_linalg::{fixed, Fixed, Matrix, NumericStatus};
 
 /// A row-major weight matrix stored as Q16.16 words, with the numeric
 /// events re-quantizing each row would record.
@@ -58,11 +58,11 @@ impl WeightStore {
         self.cols
     }
 
-    /// Dot product of row `r` with operand `x`, accumulated in order
-    /// exactly as [`AdderTree::fixed_dot_tracked`] accumulates it. The
-    /// row's latched re-quantization events and the operand's quantizer
-    /// events are merged into `st`, then the MAC chain records its own
-    /// product and accumulator saturations.
+    /// Dot product of row `r` with operand `x`, equal to the in-order
+    /// chain [`AdderTree::fixed_dot_tracked`] accumulates. The row's
+    /// latched re-quantization events and the operand's quantizer events
+    /// are merged into `st`, then the MAC kernel [`fixed::dot_tracked`]
+    /// records the chain's product and accumulator saturations.
     ///
     /// # Panics
     ///
@@ -71,15 +71,10 @@ impl WeightStore {
     ///
     /// [`AdderTree::fixed_dot_tracked`]: crate::adder_tree::AdderTree::fixed_dot_tracked
     pub fn dot_tracked(&self, r: usize, x: &Operand, st: &mut NumericStatus) -> Fixed {
-        assert_eq!(x.words.len(), self.cols, "dot operand length mismatch");
         st.merge(&self.row_status[r]);
         st.merge(&x.status);
-        self.words[r * self.cols..(r + 1) * self.cols]
-            .iter()
-            .zip(&x.words)
-            .fold(Fixed::ZERO, |acc, (w, v)| {
-                acc.add_tracked(w.mul_tracked(*v, st), st)
-            })
+        let row = &self.words[r * self.cols..(r + 1) * self.cols];
+        fixed::dot_tracked(row, &x.words, st)
     }
 }
 

@@ -1,10 +1,10 @@
 //! Allocation budget of the query hot path.
 //!
 //! After warm-up, `Accelerator::answer_query` allocates a fixed number of
-//! buffers per query, independent of the embedding width `E` and of the
-//! class count: no per-row or per-dot-product temporaries. Unlike host
-//! time, an allocation count is deterministic, so it guards the hot path
-//! exactly.
+//! buffers per query, independent of the embedding width `E`, of the
+//! class count and of the story length: no per-row, per-column or
+//! per-dot-product temporaries. Unlike host time, an allocation count is
+//! deterministic, so it guards the hot path exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -60,9 +60,10 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 }
 
 /// Allocations of one warmed-up hit-form query on an `E`-wide model with
-/// `classes` output rows, optionally behind a thresholding plan that never
-/// fires (so every class row is still evaluated).
-fn query_allocations(embed_dim: usize, classes: usize, thresholded: bool) -> u64 {
+/// `classes` output rows over a story of `sentences` sentences, optionally
+/// behind a thresholding plan that never fires (so every class row is
+/// still evaluated).
+fn query_allocations(embed_dim: usize, classes: usize, sentences: usize, thresholded: bool) -> u64 {
     let params = Params::init(
         ModelConfig {
             embed_dim,
@@ -92,8 +93,9 @@ fn query_allocations(embed_dim: usize, classes: usize, thresholded: bool) -> u64
             ..AccelConfig::default()
         },
     );
+    let pattern = [vec![1, 2, 3], vec![0, 3], vec![2, 1, 1, 0]];
     let sample = EncodedSample {
-        sentences: vec![vec![1, 2, 3], vec![0, 3], vec![2, 1, 1, 0]],
+        sentences: pattern.iter().cycle().take(sentences).cloned().collect(),
         question: vec![3, 1],
         answer: 0,
     };
@@ -105,15 +107,18 @@ fn query_allocations(embed_dim: usize, classes: usize, thresholded: bool) -> u64
 }
 
 #[test]
-fn answer_query_allocations_do_not_grow_with_width_or_classes() {
+fn answer_query_allocations_do_not_grow_with_width_classes_or_story() {
     for thresholded in [false, true] {
-        let base = query_allocations(4, 8, thresholded);
-        for (embed_dim, classes) in [(32, 8), (4, 64), (48, 96)] {
-            assert_eq!(
-                query_allocations(embed_dim, classes, thresholded),
-                base,
-                "E = {embed_dim}, classes = {classes}, thresholded = {thresholded}"
-            );
+        let base = query_allocations(4, 8, 3, thresholded);
+        for sentences in [1, 3, 40] {
+            for (embed_dim, classes) in [(4, 8), (32, 8), (4, 64), (48, 96)] {
+                assert_eq!(
+                    query_allocations(embed_dim, classes, sentences, thresholded),
+                    base,
+                    "E = {embed_dim}, classes = {classes}, sentences = {sentences}, \
+                     thresholded = {thresholded}"
+                );
+            }
         }
     }
 }

@@ -17,6 +17,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+// Only `stress_value` is used here; the MEM unit tests use the rest.
+#[allow(dead_code)]
+#[path = "../src/test_support.rs"]
+mod test_support;
+use test_support::stress_value;
+
 /// A random tiny model + sample pair (untrained weights — equivalence must
 /// hold regardless of training).
 fn random_case(seed: u64, vocab: usize, e: usize, hops: usize) -> (TrainedModel, EncodedSample) {
@@ -360,27 +366,6 @@ proptest! {
             prop_assert_eq!(run, &accel.answer_query(&story, s));
         }
     }
-}
-
-/// Weights and operands for the quantized-store equivalence tests: mostly
-/// ordinary values, plus non-finite and out-of-range ones. Through the load
-/// quantizer, +∞, `f32::MAX` and large finite weights land on the positive
-/// rail, which clips again on every re-quantization.
-fn stress_value() -> impl Strategy<Value = f32> {
-    const SPECIAL: [f32; 7] = [
-        f32::NAN,
-        f32::INFINITY,
-        f32::NEG_INFINITY,
-        f32::MAX,
-        -f32::MAX,
-        32768.0,
-        -32768.0,
-    ];
-    (0usize..18, -4.0f32..4.0, -1.0e6f32..1.0e6).prop_map(|(pick, small, large)| match pick {
-        0..=8 => small,
-        9..=10 => large,
-        _ => SPECIAL[pick - 11],
-    })
 }
 
 /// The datapath widths the load quantizer is exercised at.

@@ -49,17 +49,20 @@ impl Fixed {
     pub const MIN: Fixed = Fixed { raw: i32::MIN };
 
     /// Constructs from a raw Q16.16 bit pattern.
+    #[inline]
     pub fn from_raw(raw: i32) -> Self {
         Self { raw }
     }
 
     /// The raw Q16.16 bit pattern.
+    #[inline]
     pub fn raw(self) -> i32 {
         self.raw
     }
 
     /// Converts an `f32` into Q16.16, saturating at the representable range
     /// and mapping NaN to zero (hardware has no NaN).
+    #[inline]
     pub fn from_f32(x: f32) -> Self {
         Self::from_f32_q(x, DEFAULT_FRAC_BITS)
     }
@@ -74,6 +77,7 @@ impl Fixed {
     /// # Panics
     ///
     /// Panics if `frac_bits > 30`.
+    #[inline]
     pub fn from_f32_q(x: f32, frac_bits: u32) -> Self {
         assert!(frac_bits <= 30, "frac_bits {frac_bits} too large");
         if x.is_nan() {
@@ -90,17 +94,20 @@ impl Fixed {
     }
 
     /// Converts back to `f32`.
+    #[inline]
     pub fn to_f32(self) -> f32 {
         self.raw as f32 / (1u32 << DEFAULT_FRAC_BITS) as f32
     }
 
     /// Quantizes `x` through `frac_bits` fractional bits and back to `f32` —
     /// convenience for datapath-precision sweeps.
+    #[inline]
     pub fn quantize_f32(x: f32, frac_bits: u32) -> f32 {
         Self::from_f32_q(x, frac_bits).to_f32()
     }
 
     /// Saturating addition.
+    #[inline]
     pub fn saturating_add(self, rhs: Self) -> Self {
         Self {
             raw: self.raw.saturating_add(rhs.raw),
@@ -108,6 +115,7 @@ impl Fixed {
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, rhs: Self) -> Self {
         Self {
             raw: self.raw.saturating_sub(rhs.raw),
@@ -116,6 +124,7 @@ impl Fixed {
 
     /// Saturating multiplication with a 64-bit intermediate and arithmetic
     /// right shift (truncation toward negative infinity).
+    #[inline]
     pub fn saturating_mul(self, rhs: Self) -> Self {
         let wide = i64::from(self.raw) * i64::from(rhs.raw);
         let shifted = wide >> DEFAULT_FRAC_BITS;
@@ -126,6 +135,7 @@ impl Fixed {
 
     /// Fixed-point division, saturating; division by zero saturates to the
     /// sign of the numerator (hardware dividers flag-and-clamp).
+    #[inline]
     pub fn saturating_div(self, rhs: Self) -> Self {
         if rhs.raw == 0 {
             return if self.raw >= 0 { Self::MAX } else { Self::MIN };
@@ -144,6 +154,7 @@ impl Fixed {
     /// # Panics
     ///
     /// Panics if `frac_bits > 30`.
+    #[inline]
     pub fn from_f32_q_tracked(x: f32, frac_bits: u32, st: &mut NumericStatus) -> Self {
         assert!(frac_bits <= 30, "frac_bits {frac_bits} too large");
         if x.is_nan() {
@@ -169,11 +180,13 @@ impl Fixed {
     }
 
     /// [`Fixed::from_f32`] with numeric-event accounting.
+    #[inline]
     pub fn from_f32_tracked(x: f32, st: &mut NumericStatus) -> Self {
         Self::from_f32_q_tracked(x, DEFAULT_FRAC_BITS, st)
     }
 
     /// [`Fixed::saturating_add`] with numeric-event accounting.
+    #[inline]
     pub fn add_tracked(self, rhs: Self, st: &mut NumericStatus) -> Self {
         match self.raw.checked_add(rhs.raw) {
             Some(raw) => Self { raw },
@@ -185,6 +198,7 @@ impl Fixed {
     }
 
     /// [`Fixed::saturating_sub`] with numeric-event accounting.
+    #[inline]
     pub fn sub_tracked(self, rhs: Self, st: &mut NumericStatus) -> Self {
         match self.raw.checked_sub(rhs.raw) {
             Some(raw) => Self { raw },
@@ -197,6 +211,7 @@ impl Fixed {
 
     /// [`Fixed::saturating_mul`] with numeric-event accounting: `mul_sat`
     /// counts intermediate products that clipped at the 32-bit boundary.
+    #[inline]
     pub fn mul_tracked(self, rhs: Self, st: &mut NumericStatus) -> Self {
         let wide = i64::from(self.raw) * i64::from(rhs.raw);
         let shifted = wide >> DEFAULT_FRAC_BITS;
@@ -210,6 +225,7 @@ impl Fixed {
     /// [`Fixed::saturating_div`] with numeric-event accounting: `div_zero`
     /// counts exactly-zero divisors; a clipped wide quotient (nonzero
     /// divisor) counts under the shared wide-result class `mul_sat`.
+    #[inline]
     pub fn div_tracked(self, rhs: Self, st: &mut NumericStatus) -> Self {
         if rhs.raw == 0 {
             st.div_zero += 1;
@@ -224,6 +240,7 @@ impl Fixed {
     }
 
     /// Absolute value, saturating at `MAX` for `MIN`.
+    #[inline]
     pub fn abs(self) -> Self {
         Self {
             raw: self.raw.saturating_abs(),
@@ -231,11 +248,13 @@ impl Fixed {
     }
 
     /// True when the value is exactly zero.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.raw == 0
     }
 
     /// The smallest positive representable increment (1 ULP).
+    #[inline]
     pub fn epsilon() -> Self {
         Self { raw: 1 }
     }
@@ -243,6 +262,7 @@ impl Fixed {
 
 impl std::ops::Add for Fixed {
     type Output = Fixed;
+    #[inline]
     fn add(self, rhs: Fixed) -> Fixed {
         self.saturating_add(rhs)
     }
@@ -250,6 +270,7 @@ impl std::ops::Add for Fixed {
 
 impl std::ops::Sub for Fixed {
     type Output = Fixed;
+    #[inline]
     fn sub(self, rhs: Fixed) -> Fixed {
         self.saturating_sub(rhs)
     }
@@ -257,6 +278,7 @@ impl std::ops::Sub for Fixed {
 
 impl std::ops::Mul for Fixed {
     type Output = Fixed;
+    #[inline]
     fn mul(self, rhs: Fixed) -> Fixed {
         self.saturating_mul(rhs)
     }
@@ -264,6 +286,7 @@ impl std::ops::Mul for Fixed {
 
 impl std::ops::Div for Fixed {
     type Output = Fixed;
+    #[inline]
     fn div(self, rhs: Fixed) -> Fixed {
         self.saturating_div(rhs)
     }
@@ -271,6 +294,7 @@ impl std::ops::Div for Fixed {
 
 impl std::ops::Neg for Fixed {
     type Output = Fixed;
+    #[inline]
     fn neg(self) -> Fixed {
         Fixed {
             raw: self.raw.saturating_neg(),
@@ -279,12 +303,14 @@ impl std::ops::Neg for Fixed {
 }
 
 impl std::ops::AddAssign for Fixed {
+    #[inline]
     fn add_assign(&mut self, rhs: Fixed) {
         *self = *self + rhs;
     }
 }
 
 impl From<Fixed> for f32 {
+    #[inline]
     fn from(x: Fixed) -> f32 {
         x.to_f32()
     }
@@ -312,6 +338,31 @@ pub fn fixed_dot(a: &[f32], b: &[f32]) -> Fixed {
         acc += Fixed::from_f32(x) * Fixed::from_f32(y);
     }
     acc
+}
+
+/// The multiply-accumulate chain behind every stored-word dot product:
+/// `acc = acc.add_tracked(a[i].mul_tracked(b[i], st), st)` from
+/// [`Fixed::ZERO`], in order, recording each product and accumulator
+/// saturation in `st`.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+#[inline]
+pub fn dot_tracked(a: &[Fixed], b: &[Fixed], st: &mut NumericStatus) -> Fixed {
+    assert_eq!(a.len(), b.len(), "dot operand length mismatch");
+    dot_tracked_pairs(a.iter().copied().zip(b.iter().copied()), st)
+}
+
+/// [`dot_tracked`] over any sequence of operand pairs, such as a column of
+/// row-major storage.
+pub fn dot_tracked_pairs(
+    pairs: impl IntoIterator<Item = (Fixed, Fixed)>,
+    st: &mut NumericStatus,
+) -> Fixed {
+    pairs.into_iter().fold(Fixed::ZERO, |acc, (x, y)| {
+        acc.add_tracked(x.mul_tracked(y, st), st)
+    })
 }
 
 #[cfg(test)]

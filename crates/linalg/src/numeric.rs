@@ -56,6 +56,7 @@ impl NumericStatus {
 
     /// Folds another status register into this one (field-wise saturating
     /// sum). Merging is associative and commutative.
+    #[inline]
     pub fn merge(&mut self, other: &NumericStatus) {
         self.add_sat = self.add_sat.saturating_add(other.add_sat);
         self.sub_sat = self.sub_sat.saturating_add(other.sub_sat);
@@ -66,12 +67,14 @@ impl NumericStatus {
     }
 
     /// The merged form of two registers, by value.
+    #[inline]
     pub fn merged(mut self, other: &NumericStatus) -> NumericStatus {
         self.merge(other);
         self
     }
 
     /// Total events across every class.
+    #[inline]
     pub fn total(&self) -> u64 {
         self.add_sat
             .saturating_add(self.sub_sat)
@@ -82,11 +85,13 @@ impl NumericStatus {
     }
 
     /// True when any event of any class was recorded.
+    #[inline]
     pub fn stressed(&self) -> bool {
         self.total() > 0
     }
 
     /// True when no event was recorded.
+    #[inline]
     pub fn is_clean(&self) -> bool {
         !self.stressed()
     }

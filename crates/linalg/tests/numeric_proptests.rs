@@ -1,8 +1,10 @@
 //! Property tests for the numeric-health layer: tracked fixed-point ops are
 //! bit-identical to the untracked ops on every input, the status register
 //! merge is associative and commutative, and the event counters fire exactly
-//! when the untracked op would have saturated or clamped.
+//! when the untracked op would have saturated or clamped. The MAC kernel
+//! equals the in-order tracked chain in value and in every counter.
 
+use mann_linalg::fixed::{dot_tracked, dot_tracked_pairs};
 use mann_linalg::{Fixed, NumericStatus};
 use proptest::prelude::*;
 
@@ -23,8 +25,63 @@ fn any_status() -> impl Strategy<Value = NumericStatus> {
         )
 }
 
+/// A raw word from `band`: `|raw| < 2^16`, `|raw| < 2^24`, or any `i32`
+/// with `MIN` and `MAX` drawn often. Chains of the first band never
+/// saturate; chains of the last nearly always do.
+fn banded_raw(band: usize) -> impl Strategy<Value = i32> {
+    (any::<i32>(), 0u32..8).prop_map(move |(raw, pick)| match (band, pick) {
+        (0, _) => raw % (1 << 16),
+        (1, _) => raw % (1 << 24),
+        (_, 0) => i32::MIN,
+        (_, 1) => i32::MAX,
+        _ => raw,
+    })
+}
+
+/// Two equal-length word vectors of 0 to 80 terms from one band.
+fn banded_operands() -> impl Strategy<Value = (Vec<Fixed>, Vec<Fixed>)> {
+    (0usize..3, 0usize..=80).prop_flat_map(|(band, len)| {
+        let words = move || {
+            proptest::collection::vec(banded_raw(band), len)
+                .prop_map(|raw| raw.into_iter().map(Fixed::from_raw).collect::<Vec<_>>())
+        };
+        (words(), words())
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The MAC kernel is the in-order saturating chain: its value is the
+    /// untracked chain's, and it adds one `mul_sat` per product and one
+    /// `add_sat` per partial sum that leaves `i32` to a register that
+    /// already holds events. The pair form, fed the operands swapped,
+    /// agrees.
+    #[test]
+    fn dot_kernel_is_the_saturating_chain((a, b) in banded_operands()) {
+        let dirty = NumericStatus {
+            add_sat: 3,
+            mul_sat: 5,
+            quant_clamp: 7,
+            ..NumericStatus::default()
+        };
+        let mut want = dirty;
+        let mut expect = Fixed::ZERO;
+        for (x, y) in a.iter().zip(&b) {
+            let wide = (i64::from(x.raw()) * i64::from(y.raw())) >> 16;
+            want.mul_sat += u64::from(i32::try_from(wide).is_err());
+            let p = *x * *y;
+            want.add_sat += u64::from(expect.raw().checked_add(p.raw()).is_none());
+            expect += p;
+        }
+        let mut got = dirty;
+        prop_assert_eq!(dot_tracked(&a, &b, &mut got), expect);
+        prop_assert_eq!(got, want);
+        let mut got = dirty;
+        let pairs = b.iter().copied().zip(a.iter().copied());
+        prop_assert_eq!(dot_tracked_pairs(pairs, &mut got), expect);
+        prop_assert_eq!(got, want);
+    }
 
     /// Tracked add/sub/mul/div return exactly the untracked values on
     /// arbitrary raw bit patterns.
