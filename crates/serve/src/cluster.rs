@@ -45,11 +45,11 @@ use crate::membership::{
 };
 use crate::numeric::NumericHealth;
 use crate::report::{
-    answers_digest, BatchReport, CacheReport, HopPruneReport, IndexReport, LatencySummary,
-    LinkReport, ServeReport,
+    answers_digest, mean, push_sections, render_sections, BatchReport, CacheReport, HopPruneReport,
+    IndexReport, LatencySummary, LinkReport, ReportSection, ServeReport,
 };
 use crate::request::{Completion, Rejection, Request};
-use crate::server::{ServeConfig, ServeOutcome, Server};
+use crate::server::{ServeConfig, ServeOutcome, Server, ShardRole};
 use crate::store::{never, DurabilityReport};
 use crate::trace::ArrivalTrace;
 
@@ -378,33 +378,26 @@ impl Serialize for ClusterReport {
             ("setup_s".into(), self.setup_s.to_value()),
             ("answers_digest".into(), self.answers_digest.to_value()),
         ];
-        if self.fault.enabled {
-            pairs.push(("fault".into(), self.fault.to_value()));
-        }
-        if self.numeric.enabled {
-            pairs.push(("numeric".into(), self.numeric.to_value()));
-        }
-        if self.batch.enabled {
-            pairs.push(("batch".into(), self.batch.to_value()));
-        }
-        if self.prune.enabled {
-            pairs.push(("prune".into(), self.prune.to_value()));
-        }
-        if self.index.enabled {
-            pairs.push(("index".into(), self.index.to_value()));
-        }
-        if self.durability.enabled {
-            pairs.push(("durability".into(), self.durability.to_value()));
-        }
-        if self.membership.enabled {
-            pairs.push(("membership".into(), self.membership.to_value()));
-        }
+        push_sections(&mut pairs, &self.sections());
         pairs.push(("per_shard".into(), self.per_shard.to_value()));
         serde_json::Value::Object(pairs)
     }
 }
 
 impl ClusterReport {
+    /// The optional sections, in JSON and render order.
+    fn sections(&self) -> [&dyn ReportSection; 7] {
+        [
+            &self.fault,
+            &self.numeric,
+            &self.batch,
+            &self.prune,
+            &self.index,
+            &self.durability,
+            &self.membership,
+        ]
+    }
+
     /// A copy with every durability section (cluster-level and per-shard)
     /// reset to the disabled default: with the WAL on but no kills, this
     /// must be byte-identical to the same campaign served without a WAL —
@@ -495,34 +488,7 @@ impl ClusterReport {
         t.row(vec!["answers digest".into(), self.answers_digest.clone()]);
         out.push_str(&t.render());
         out.push('\n');
-        if self.fault.enabled {
-            out.push_str(&self.fault.render());
-            out.push('\n');
-        }
-        if self.numeric.enabled {
-            out.push_str(&self.numeric.render());
-            out.push('\n');
-        }
-        if self.batch.enabled {
-            out.push_str(&self.batch.render());
-            out.push('\n');
-        }
-        if self.prune.enabled {
-            out.push_str(&self.prune.render());
-            out.push('\n');
-        }
-        if self.index.enabled {
-            out.push_str(&self.index.render());
-            out.push('\n');
-        }
-        if self.durability.enabled {
-            out.push_str(&self.durability.render());
-            out.push('\n');
-        }
-        if self.membership.enabled {
-            out.push_str(&self.membership.render());
-            out.push('\n');
-        }
+        render_sections(&mut out, &self.sections());
         let mut st = TextTable::new(vec![
             "shard".into(),
             "requests".into(),
@@ -627,7 +593,7 @@ impl<'a> Cluster<'a> {
     }
 
     /// The [`ServeConfig`] shard `shard` runs on failover pass `pass`.
-    fn shard_config(&self, shard: usize, pass: usize, export: bool) -> ServeConfig {
+    fn shard_config(&self, shard: usize, pass: usize) -> ServeConfig {
         let mut cfg = self.config.base.clone();
         if self.config.shards > 1 {
             if let Some(Some(f)) = self.config.shard_faults.get(shard) {
@@ -639,16 +605,19 @@ impl<'a> Cluster<'a> {
             cfg.faults.seed =
                 shard_fault_seed(cfg.faults.seed, ((pass as u64) << 32) | shard as u64);
         }
-        cfg.failover_export = export;
-        // A membership fail-stop cuts this shard at T on every pass: it
-        // can still be holding re-dispatched work when it dies, and the
-        // stranded requests must come back as exports regardless of the
-        // pass-level export flag.
-        if let Some(t) = self.config.membership.fail_time(shard) {
-            cfg.fail_stop = Some(t);
-            cfg.failover_export = true;
-        }
         cfg
+    }
+
+    /// How shard `shard` is deployed on a pass that does (`export`) or
+    /// does not hand stranded requests back. A membership fail-stop cuts
+    /// the shard at T on every pass: it can still be holding re-dispatched
+    /// work when it dies, and what it strands comes back as exports
+    /// whatever the pass.
+    fn shard_role(&self, shard: usize, export: bool) -> ShardRole {
+        ShardRole {
+            failover_export: export,
+            fail_stop: self.config.membership.fail_time(shard),
+        }
     }
 
     /// The base weight vector the membership view starts from.
@@ -666,26 +635,24 @@ impl<'a> Cluster<'a> {
     /// fanned round-robin (by per-key arrival rank) across their full
     /// live replica chain. Returns the per-shard pass-0 sub-traces, the
     /// requests with no live replica at all, and the hot-split request
-    /// count. Pure in `(trace, view, hot)`.
+    /// count. Pure in `(trace, routing)`.
     fn assign_pass0(
         &self,
         trace: &ArrivalTrace,
-        keys: &HashMap<u64, u64>,
-        view: &MembershipView,
-        hot: &[u64],
+        routing: &Routing,
     ) -> (Vec<Vec<Request>>, Vec<Request>, u64) {
         let mut pending: Vec<Vec<Request>> = vec![Vec::new(); self.config.shards];
         let mut unroutable: Vec<Request> = Vec::new();
         let mut split_requests = 0u64;
         let mut hot_rank: HashMap<u64, usize> = HashMap::new();
         for r in &trace.requests {
-            let key = keys[&r.id];
-            let chain = view.resolve(key, r.arrival);
+            let key = routing.keys[&r.id];
+            let chain = routing.view.resolve(key, r.arrival);
             if chain.is_empty() {
                 unroutable.push(*r);
                 continue;
             }
-            let target = if hot.binary_search(&key).is_ok() {
+            let target = if routing.hot.binary_search(&key).is_ok() {
                 split_requests += 1;
                 let rank = hot_rank.entry(key).or_insert(0);
                 let t = chain[*rank % chain.len()];
@@ -697,6 +664,48 @@ impl<'a> Cluster<'a> {
             pending[target].push(*r);
         }
         (pending, unroutable, split_requests)
+    }
+
+    /// Weight re-tuning: probe-serve each shard's provisional pass-0
+    /// sub-trace (a *pure* serve, never the caller's `run` hook, so the
+    /// durable path journals nothing twice) and find the first instant its
+    /// host-queue depth crosses the threshold; that shard's weight is
+    /// divided from then on. The probe runs on the pre-retune assignment,
+    /// so the re-tune instants are a pure function of `(plan, trace,
+    /// config)` — no fixed-point iteration, no event-loop feedback.
+    fn retunes(&self, trace: &ArrivalTrace, routing: &Routing) -> Vec<(SimTime, usize)> {
+        let plan = &self.config.membership;
+        let (provisional, _, _) = self.assign_pass0(trace, routing);
+        let limit =
+            ((plan.retune_threshold * self.config.base.queue_capacity as f64).ceil() as i64).max(1);
+        let mut retunes = Vec::new();
+        for (shard, reqs) in provisional.into_iter().enumerate() {
+            if reqs.is_empty() {
+                continue;
+            }
+            let server = Server::new(self.suite, self.shard_config(shard, 0));
+            let sub = ArrivalTrace {
+                requests: reqs,
+                config: trace.config.clone(),
+            };
+            let probe = server.serve_as(&sub, self.shard_role(shard, self.config.replication > 1));
+            // Occupancy deltas: +1 at enqueue, -1 at dispatch; a rejection
+            // means the queue sat at full capacity, which is >= any valid
+            // threshold.
+            let mut deltas: Vec<(SimTime, i32)> = Vec::new();
+            for c in &probe.completions {
+                deltas.push((c.timestamps.enqueue, 1));
+                deltas.push((c.timestamps.dispatch, -1));
+            }
+            let mut crossing = crate::scheduler::first_depth_crossing(deltas, limit);
+            if let Some(rej) = probe.rejections.iter().map(|r| r.request.arrival).min() {
+                crossing = Some(crossing.map_or(rej, |c| c.min(rej)));
+            }
+            if let Some(t) = crossing {
+                retunes.push((t, shard));
+            }
+        }
+        retunes
     }
 
     /// Serves a trace across the cluster.
@@ -715,20 +724,29 @@ impl<'a> Cluster<'a> {
     ///
     /// Panics when `order` is not a permutation of `0..shards`.
     pub fn serve_in_order(&self, trace: &ArrivalTrace, order: &[usize]) -> ClusterOutcome {
-        never(self.serve_in_order_with(trace, order, |_, _, server, sub| {
-            Ok::<_, Infallible>(server.serve(sub))
-        }))
+        never(
+            self.serve_in_order_with(trace, order, |_, _, server, sub, role| {
+                Ok::<_, Infallible>(server.serve_as(sub, role))
+            }),
+        )
     }
 
     /// The generic pass loop under [`Cluster::serve_in_order`]: `run`
-    /// serves each `(pass, shard)` sub-trace, so the plain path (pure,
-    /// infallible) and the durable path (journaling, fallible) share one
-    /// routing/failover/aggregation skeleton and cannot drift apart.
+    /// serves each `(pass, shard)` sub-trace in the given role, so the
+    /// plain path (pure, infallible) and the durable path (journaling,
+    /// fallible) share one routing/failover/aggregation skeleton and
+    /// cannot drift apart.
     pub(crate) fn serve_in_order_with<E>(
         &self,
         trace: &ArrivalTrace,
         order: &[usize],
-        mut run: impl FnMut(usize, usize, &Server<'_>, &ArrivalTrace) -> Result<ServeOutcome, E>,
+        mut run: impl FnMut(
+            usize,
+            usize,
+            &Server<'_>,
+            &ArrivalTrace,
+            ShardRole,
+        ) -> Result<ServeOutcome, E>,
     ) -> Result<ClusterOutcome, E> {
         let k = self.config.shards;
         {
@@ -742,75 +760,36 @@ impl<'a> Cluster<'a> {
         let replicas = self.config.replication;
         let plan = &self.config.membership;
 
-        // Every request's routing key and original arrival, keyed by id.
-        let keys: HashMap<u64, u64> = trace
-            .requests
-            .iter()
-            .map(|r| (r.id, self.route_key(r)))
-            .collect();
-        let arrival_of: HashMap<u64, SimTime> =
-            trace.requests.iter().map(|r| (r.id, r.arrival)).collect();
-
         // The live membership view: with an empty plan every shard is
         // alive forever on the base weights, and resolving a key at any
         // instant equals the frozen `ShardRouter::route` — the whole
         // membership layer reduces to the pre-membership routing, byte
         // for byte (pinned by the golden suite).
-        let mut view = MembershipView::new(plan, self.effective_weights(), replicas);
-        let hot = plan.hot_keys(trace.requests.iter().map(|r| keys[&r.id]));
-
-        // Weight re-tuning: probe-serve each shard's provisional pass-0
-        // sub-trace (a *pure* serve, never the caller's `run` hook, so
-        // the durable path journals nothing twice), find the first
-        // instant its host-queue depth crosses the threshold, and divide
-        // the crossing shard's weight from that instant on. The probe
-        // runs on the pre-retune assignment, so the re-tune instants are
-        // a pure function of `(plan, trace, config)` — no fixed-point
-        // iteration, no event-loop feedback.
-        let mut retunes: Vec<(SimTime, usize)> = Vec::new();
+        let keys: HashMap<u64, u64> = trace
+            .requests
+            .iter()
+            .map(|r| (r.id, self.route_key(r)))
+            .collect();
+        let mut routing = Routing {
+            hot: plan.hot_keys(trace.requests.iter().map(|r| keys[&r.id])),
+            keys,
+            view: MembershipView::new(plan, self.effective_weights(), replicas),
+            retunes: Vec::new(),
+        };
         if plan.retune_threshold > 0.0 {
-            let (provisional, _, _) = self.assign_pass0(trace, &keys, &view, &hot);
-            let limit = ((plan.retune_threshold * self.config.base.queue_capacity as f64).ceil()
-                as i64)
-                .max(1);
-            for (shard, reqs) in provisional.into_iter().enumerate() {
-                if reqs.is_empty() {
-                    continue;
-                }
-                let server = Server::new(self.suite, self.shard_config(shard, 0, replicas > 1));
-                let sub = ArrivalTrace {
-                    requests: reqs,
-                    config: trace.config.clone(),
-                };
-                let probe = server.serve(&sub);
-                // Occupancy deltas: +1 at enqueue, -1 at dispatch; a
-                // rejection means the queue sat at full capacity, which
-                // is >= any valid threshold.
-                let mut deltas: Vec<(SimTime, i32)> = Vec::new();
-                for c in &probe.completions {
-                    deltas.push((c.timestamps.enqueue, 1));
-                    deltas.push((c.timestamps.dispatch, -1));
-                }
-                let mut crossing = crate::scheduler::first_depth_crossing(deltas, limit);
-                if let Some(rej) = probe.rejections.iter().map(|r| r.request.arrival).min() {
-                    crossing = Some(crossing.map_or(rej, |c| c.min(rej)));
-                }
-                if let Some(t) = crossing {
-                    retunes.push((t, shard));
-                }
-            }
-            view.apply_retunes(&retunes, plan.retune_factor);
+            routing.retunes = self.retunes(trace, &routing);
+            routing
+                .view
+                .apply_retunes(&routing.retunes, plan.retune_factor);
         }
 
         // Pass 0: sub-traces routed against the live view at each
         // request's arrival, arrival order preserved.
-        let (mut pending, mut unroutable, split_requests) =
-            self.assign_pass0(trace, &keys, &view, &hot);
+        let (mut pending, mut unroutable, split_requests) = self.assign_pass0(trace, &routing);
 
         // Outcomes keyed by (pass, shard); folded in that canonical order
         // below, so the caller's `order` can never leak into the report.
         let mut passes: Vec<(usize, usize, ServeOutcome)> = Vec::new();
-        let mut stranded_exports = 0u64;
         let mut pass = 0usize;
         while pending.iter().any(|p| !p.is_empty()) || pass == 0 {
             let mut next_pending: Vec<Vec<Request>> = vec![Vec::new(); k];
@@ -825,15 +804,12 @@ impl<'a> Cluster<'a> {
                 // Canonical replay order: exports were collected in the
                 // caller's shard order, which must not be observable.
                 reqs.sort_by_key(|r| (r.arrival, r.id));
-                let server = Server::new(self.suite, self.shard_config(shard, pass, export));
+                let server = Server::new(self.suite, self.shard_config(shard, pass));
                 let sub = ArrivalTrace {
                     requests: reqs,
                     config: trace.config.clone(),
                 };
-                let out = run(pass, shard, &server, &sub)?;
-                if plan.fail_time(shard).is_some() {
-                    stranded_exports += out.exports.len() as u64;
-                }
+                let out = run(pass, shard, &server, &sub, self.shard_role(shard, export))?;
                 for ex in &out.exports {
                     // Re-dispatch against the live view *at the handoff
                     // instant*, skipping the exporting shard: the
@@ -845,8 +821,9 @@ impl<'a> Cluster<'a> {
                     // byte-identity preserved. A request with no
                     // surviving candidate is shed as unroutable, never
                     // dropped or panicked on.
-                    let cands: Vec<usize> = view
-                        .resolve(keys[&ex.request.id], ex.at)
+                    let cands: Vec<usize> = routing
+                        .view
+                        .resolve(routing.keys[&ex.request.id], ex.at)
                         .into_iter()
                         .filter(|&s| s != shard)
                         .collect();
@@ -865,32 +842,19 @@ impl<'a> Cluster<'a> {
         }
         passes.sort_by_key(|&(p, s, _)| (p, s));
 
-        let membership = self.membership_report(
-            &keys,
-            &view,
-            &retunes,
-            &hot,
-            split_requests,
-            stranded_exports,
-            unroutable.len() as u64,
-            &passes,
-        );
-        Ok(self.aggregate(trace, &keys, &arrival_of, passes, membership, unroutable))
+        let membership =
+            self.membership_report(&routing, split_requests, unroutable.len() as u64, &passes);
+        Ok(self.aggregate(trace, passes, membership, unroutable))
     }
 
     /// Builds the [`MembershipReport`] for a non-empty plan: lifecycle
     /// counters, drain hand-off accounting through the link model, and
     /// the moved-key epoch timeline measured on the live router. An empty
     /// plan returns the disabled default (key omitted from JSON).
-    #[allow(clippy::too_many_arguments)]
     fn membership_report(
         &self,
-        keys: &HashMap<u64, u64>,
-        view: &MembershipView,
-        retunes: &[(SimTime, usize)],
-        hot: &[u64],
+        routing: &Routing,
         split_requests: u64,
-        stranded_exports: u64,
         unroutable_shed: u64,
         passes: &[(usize, usize, ServeOutcome)],
     ) -> MembershipReport {
@@ -898,28 +862,20 @@ impl<'a> Cluster<'a> {
         if plan.is_empty() {
             return MembershipReport::default();
         }
-        let base = &self.config.base;
+        let count = |kind| plan.events.iter().filter(|e| e.kind == kind).count() as u64;
         let mut m = MembershipReport {
             enabled: true,
-            drains: plan
-                .events
-                .iter()
-                .filter(|e| e.kind == MembershipEventKind::Drain)
-                .count() as u64,
-            failures: plan
-                .events
-                .iter()
-                .filter(|e| e.kind == MembershipEventKind::Fail)
-                .count() as u64,
-            joins: plan
-                .events
-                .iter()
-                .filter(|e| e.kind == MembershipEventKind::Join)
-                .count() as u64,
-            retunes: retunes.len() as u64,
-            hot_keys: hot.len() as u64,
+            drains: count(MembershipEventKind::Drain),
+            failures: count(MembershipEventKind::Fail),
+            joins: count(MembershipEventKind::Join),
+            retunes: routing.retunes.len() as u64,
+            hot_keys: routing.hot.len() as u64,
             split_requests,
-            stranded_exports,
+            stranded_exports: passes
+                .iter()
+                .filter(|&&(_, s, _)| plan.fail_time(s).is_some())
+                .map(|(_, _, out)| out.exports.len() as u64)
+                .sum(),
             unroutable_shed,
             ..MembershipReport::default()
         };
@@ -931,6 +887,7 @@ impl<'a> Cluster<'a> {
         // same precedent as fault-retry link time). The hand-off is a
         // background copy: it costs bytes/cycles/energy but never blocks
         // the destination's serve timeline.
+        let base = &self.config.base;
         let cache_slots = base.instances * base.story_cache;
         for e in plan
             .events
@@ -944,7 +901,7 @@ impl<'a> Cluster<'a> {
             // representative request for sizing the re-upload.
             let mut last_drained: HashMap<u64, (SimTime, Request)> = HashMap::new();
             for c in &out.completions {
-                let key = keys[&c.request.id];
+                let key = routing.keys[&c.request.id];
                 let entry = last_drained
                     .entry(key)
                     .or_insert((c.timestamps.drain_end, c.request));
@@ -961,7 +918,7 @@ impl<'a> Cluster<'a> {
             resident.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             resident.truncate(cache_slots);
             for (key, _, r) in resident {
-                if view.resolve(key, e.at()).is_empty() {
+                if routing.view.resolve(key, e.at()).is_empty() {
                     continue; // nowhere live to hand the story to
                 }
                 let sample = &self.suite.tasks[r.task_idx].test_set[r.sample_idx];
@@ -981,7 +938,7 @@ impl<'a> Cluster<'a> {
         // router, the same measurement the moved-key-bound proptest
         // makes. The per-leave mean fraction is the live form of the
         // rendezvous bound: each removal relocates <= 1/K + eps of keys.
-        let mut tracked: Vec<u64> = keys.values().copied().collect();
+        let mut tracked: Vec<u64> = routing.keys.values().copied().collect();
         tracked.sort_unstable();
         tracked.dedup();
         m.tracked_keys = tracked.len() as u64;
@@ -990,7 +947,8 @@ impl<'a> Cluster<'a> {
             .iter()
             .map(|e| (e.at(), e.kind.to_string(), e.shard, e.kind.is_leave()))
             .chain(
-                retunes
+                routing
+                    .retunes
                     .iter()
                     .map(|&(t, s)| (t, "retune".to_owned(), s, false)),
             )
@@ -1000,6 +958,7 @@ impl<'a> Cluster<'a> {
         let mut leaves = 0u64;
         for (at, kind, shard, is_leave) in boundaries {
             let before = SimTime::from_ps(at.ps() - 1);
+            let view = &routing.view;
             let moved = tracked
                 .iter()
                 .filter(|&&key| view.primary(key, before) != view.primary(key, at))
@@ -1026,19 +985,27 @@ impl<'a> Cluster<'a> {
     }
 
     /// Folds per-pass outcomes (already in canonical `(pass, shard)`
-    /// order) into the cluster outcome.
-    #[allow(clippy::too_many_lines)]
+    /// order) into the cluster outcome: request-level results pooled,
+    /// latency percentiles ranked over the pooled samples, and every
+    /// report section merged by its own type.
     fn aggregate(
         &self,
         trace: &ArrivalTrace,
-        keys: &HashMap<u64, u64>,
-        arrival_of: &HashMap<u64, SimTime>,
         passes: Vec<(usize, usize, ServeOutcome)>,
         membership: MembershipReport,
         unroutable: Vec<Request>,
     ) -> ClusterOutcome {
         let k = self.config.shards;
-        let base = &self.config.base;
+        let arrival_of: HashMap<u64, SimTime> =
+            trace.requests.iter().map(|r| (r.id, r.arrival)).collect();
+        // End-to-end latency from the *original* arrival (a failover's
+        // replay enqueue is its handoff time, not its arrival).
+        let latency = |c: &Completion| {
+            c.timestamps
+                .drain_end
+                .saturating_sub(arrival_of[&c.request.id])
+                .as_s()
+        };
 
         // ----- pool the request-level results ---------------------------
         let mut completions: Vec<Completion> = Vec::new();
@@ -1051,7 +1018,6 @@ impl<'a> Cluster<'a> {
         let mut sheds: Vec<Request> = unroutable;
         let mut failover_ids: Vec<u64> = Vec::new();
         let mut failover = ClusterFailover::default();
-        let mut replay_completed: u64 = 0;
         let mut replay_latency_sum = 0.0;
         for &(pass, _, ref out) in &passes {
             completions.extend(out.completions.iter().cloned());
@@ -1060,231 +1026,18 @@ impl<'a> Cluster<'a> {
             failover.exports += out.exports.len() as u64;
             failover_ids.extend(out.exports.iter().map(|e| e.request.id));
             if pass > 0 {
-                replay_completed += out.completions.len() as u64;
+                failover.completed += out.completions.len() as u64;
                 failover.lost += (out.rejections.len() + out.sheds.len()) as u64;
                 failover.replay_link_bytes += out.report.link.bytes;
-                replay_latency_sum += out
-                    .completions
-                    .iter()
-                    .map(|c| {
-                        c.timestamps
-                            .drain_end
-                            .saturating_sub(arrival_of[&c.request.id])
-                            .as_s()
-                    })
-                    .sum::<f64>();
+                replay_latency_sum += out.completions.iter().map(latency).sum::<f64>();
             }
         }
-        failover.completed = replay_completed;
-        failover.mean_failover_latency_s = if replay_completed > 0 {
-            replay_latency_sum / replay_completed as f64
-        } else {
-            0.0
-        };
+        failover.mean_failover_latency_s = mean(replay_latency_sum, failover.completed);
         completions.sort_by_key(|c| c.request.id);
         rejections.sort_by_key(|r| r.request.id);
         sheds.sort_by_key(|r| r.id);
         failover_ids.sort_unstable();
         failover_ids.dedup();
-
-        // End-to-end latencies from the *original* arrival (a failover's
-        // replay enqueue is its handoff time, not its arrival), pooled
-        // across shards and ranked once — never averaged per shard.
-        let latencies: Vec<f64> = completions
-            .iter()
-            .map(|c| {
-                c.timestamps
-                    .drain_end
-                    .saturating_sub(arrival_of[&c.request.id])
-                    .as_s()
-            })
-            .collect();
-        let mean_queue_wait_s = if completions.is_empty() {
-            0.0
-        } else {
-            completions
-                .iter()
-                .map(|c| c.timestamps.queue_wait().as_s())
-                .sum::<f64>()
-                / completions.len() as f64
-        };
-        let correct = completions.iter().filter(|c| c.correct).count();
-
-        // ----- merge the report sections --------------------------------
-        let makespan_s = passes
-            .iter()
-            .map(|(_, _, o)| o.report.makespan_s)
-            .fold(0.0f64, f64::max);
-        let mut cache = CacheReport {
-            capacity: base.story_cache,
-            ..CacheReport::default()
-        };
-        let mut link = LinkReport::default();
-        let mut fault = FaultReport::default();
-        let mut numeric = NumericHealth::default();
-        let mut batch = BatchReport {
-            enabled: base.batch_window > 1,
-            window: base.batch_window,
-            ..BatchReport::default()
-        };
-        let mut prune = HopPruneReport {
-            enabled: base.hop_prune.enabled,
-            threshold: base.hop_prune.threshold,
-            ..HopPruneReport::default()
-        };
-        let mut durability = DurabilityReport::default();
-        // MTTR means re-weight by kill count, like the fault MTTRs below.
-        let mut mttr_kill = 0.0f64;
-        // Like the single-node report, a disabled section stays the
-        // default rather than echoing config.
-        let mut index = IndexReport::default();
-        if base.mem_index.enabled {
-            index.enabled = true;
-            index.k = base.mem_index.k;
-            index.nprobe = base.mem_index.nprobe;
-            index.band = base.mem_index.band;
-        }
-        let mut phase_totals = PhaseCycles::default();
-        let mut speculated = 0usize;
-        let mut total_energy_j = 0.0;
-        let mut max_queue_depth = 0usize;
-        // MTTR means are re-weighted by their event counts so the merged
-        // figure is the fleet mean, not a mean of shard means.
-        let (mut mttr_l, mut mttr_i, mut mttr_s) = (0.0f64, 0.0f64, 0.0f64);
-        for (_, _, out) in &passes {
-            let r = &out.report;
-            cache.unique_stories += r.cache.unique_stories;
-            cache.hits += r.cache.hits;
-            cache.misses += r.cache.misses;
-            cache.evictions += r.cache.evictions;
-            cache.write_cycles_saved += r.cache.write_cycles_saved;
-            cache.upload_bytes_saved += r.cache.upload_bytes_saved;
-            cache.write_energy_saved_j += r.cache.write_energy_saved_j;
-            link.grants += r.link.grants;
-            link.bytes += r.link.bytes;
-            link.busy_s += r.link.busy_s;
-            phase_totals += r.phase_totals;
-            speculated += r.speculated;
-            total_energy_j += r.total_energy_j;
-            max_queue_depth = max_queue_depth.max(r.max_queue_depth);
-            if r.fault.enabled {
-                fault.enabled = true;
-                fault.link_corruptions += r.fault.link_corruptions;
-                fault.retransmits += r.fault.retransmits;
-                fault.retry_exhausted += r.fault.retry_exhausted;
-                fault.retry_link_s += r.fault.retry_link_s;
-                fault.retry_energy_j += r.fault.retry_energy_j;
-                fault.crashes += r.fault.crashes;
-                fault.watchdog_fires += r.fault.watchdog_fires;
-                fault.failovers += r.fault.failovers;
-                fault.shed_link += r.fault.shed_link;
-                fault.shed_overload += r.fault.shed_overload;
-                fault.degraded += r.fault.degraded;
-                fault.seu_events += r.fault.seu_events;
-                fault.scrubs += r.fault.scrubs;
-                fault.scrub_cycles += r.fault.scrub_cycles;
-                fault.scrub_energy_j += r.fault.scrub_energy_j;
-                mttr_l += r.fault.mttr_link_s * r.fault.retransmits as f64;
-                mttr_i += r.fault.mttr_instance_s * r.fault.failovers as f64;
-                mttr_s += r.fault.mttr_seu_s * r.fault.scrubs as f64;
-            }
-            if r.numeric.enabled {
-                numeric.enabled = true;
-                numeric.policy.clone_from(&r.numeric.policy);
-                numeric.flagged += r.numeric.flagged;
-                numeric.vetoed += r.numeric.vetoed;
-                numeric.failed_over += r.numeric.failed_over;
-                numeric.failover_cycles += r.numeric.failover_cycles;
-                numeric.failover_energy_j += r.numeric.failover_energy_j;
-                numeric.histogram.merge(&r.numeric.histogram);
-            }
-            if r.batch.enabled {
-                batch.groups += r.batch.groups;
-                batch.fused_groups += r.batch.fused_groups;
-                batch.batched_requests += r.batch.batched_requests;
-                if batch.size_histogram.len() < r.batch.size_histogram.len() {
-                    batch.size_histogram.resize(r.batch.size_histogram.len(), 0);
-                }
-                for (acc, &v) in batch.size_histogram.iter_mut().zip(&r.batch.size_histogram) {
-                    *acc += v;
-                }
-                batch.cycles_saved += r.batch.cycles_saved;
-                batch.energy_saved_j += r.batch.energy_saved_j;
-            }
-            if r.prune.enabled {
-                prune.pruned_completions += r.prune.pruned_completions;
-                prune.hops_executed += r.prune.hops_executed;
-                prune.hops_saved += r.prune.hops_saved;
-                prune.vetoes += r.prune.vetoes;
-                prune.cycles_saved += r.prune.cycles_saved;
-                prune.energy_saved_j += r.prune.energy_saved_j;
-            }
-            if r.index.enabled {
-                index.scanned_slots += r.index.scanned_slots;
-                index.skipped_slots += r.index.skipped_slots;
-                index.fallbacks += r.index.fallbacks;
-                index.build_cycles += r.index.build_cycles;
-                index.cycles_saved += r.index.cycles_saved;
-                index.energy_saved_j += r.index.energy_saved_j;
-            }
-            if r.durability.enabled {
-                let d = &r.durability;
-                durability.enabled = true;
-                durability.records += d.records;
-                durability.story_records += d.story_records;
-                durability.completion_records += d.completion_records;
-                durability.evict_records += d.evict_records;
-                durability.wal_bytes += d.wal_bytes;
-                durability.segments += d.segments;
-                durability.fsyncs += d.fsyncs;
-                durability.fsync_s += d.fsync_s;
-                durability.snapshots += d.snapshots;
-                durability.snapshot_bytes += d.snapshot_bytes;
-                durability.gc_segments += d.gc_segments;
-                durability.gc_snapshots += d.gc_snapshots;
-                durability.gc_bytes += d.gc_bytes;
-                durability.gc_stories += d.gc_stories;
-                durability.node_kills += d.node_kills;
-                durability.torn_tails += d.torn_tails;
-                durability.dropped_bytes += d.dropped_bytes;
-                durability.replayed_records += d.replayed_records;
-                durability.recovered_completions += d.recovered_completions;
-                durability.redispatched += d.redispatched;
-                mttr_kill += d.recovery_mttr_s * d.node_kills as f64;
-            }
-        }
-        cache.hit_rate = if cache.hits + cache.misses > 0 {
-            cache.hits as f64 / (cache.hits + cache.misses) as f64
-        } else {
-            0.0
-        };
-        link.utilization = if makespan_s > 0.0 {
-            (link.busy_s / (k as f64 * makespan_s)).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        if fault.enabled {
-            fault.plan_seed = base.faults.seed;
-            let mean = |sum: f64, n: u64| if n > 0 { sum / n as f64 } else { 0.0 };
-            fault.mttr_link_s = mean(mttr_l, fault.retransmits);
-            fault.mttr_instance_s = mean(mttr_i, fault.failovers);
-            fault.mttr_seu_s = mean(mttr_s, fault.scrubs);
-        }
-        if durability.node_kills > 0 {
-            durability.recovery_mttr_s = mttr_kill / durability.node_kills as f64;
-        }
-
-        // Per-shard breakdown = each shard's primary pass; setup (model
-        // upload) is paid once per shard — replica passes reuse the loaded
-        // shard and add none.
-        let per_shard: Vec<ServeReport> = passes
-            .iter()
-            .filter(|&&(p, _, _)| p == 0)
-            .map(|(_, _, o)| o.report.clone())
-            .collect();
-        debug_assert_eq!(per_shard.len(), k);
-        let setup_s: f64 = per_shard.iter().map(|r| r.setup_s).sum();
-
         debug_assert!(
             {
                 let mut seen: Vec<u64> = completions
@@ -1294,50 +1047,87 @@ impl<'a> Cluster<'a> {
                     .chain(sheds.iter().map(|r| r.id))
                     .collect();
                 seen.sort_unstable();
-                let mut all: Vec<u64> = keys.keys().copied().collect();
+                let mut all: Vec<u64> = trace.requests.iter().map(|r| r.id).collect();
                 all.sort_unstable();
                 seen == all
             },
             "completions + rejections + sheds must partition the trace"
         );
 
+        // ----- merge the report sections --------------------------------
+        let reports: Vec<&ServeReport> = passes.iter().map(|(_, _, o)| &o.report).collect();
+        let makespan_s = reports.iter().map(|r| r.makespan_s).fold(0.0f64, f64::max);
+        let mut link = LinkReport::default();
+        for r in &reports {
+            link.grants += r.link.grants;
+            link.bytes += r.link.bytes;
+            link.busy_s += r.link.busy_s;
+        }
+        // Each shard has its own link: utilization is fleet busy time over
+        // `shards x makespan`.
+        link.utilization = if makespan_s > 0.0 {
+            (link.busy_s / (k as f64 * makespan_s)).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        let mut fault = FaultReport::merge(reports.iter().map(|r| &r.fault));
+        if fault.enabled {
+            fault.plan_seed = self.config.base.faults.seed;
+        }
+        // Per-shard breakdown = each shard's primary pass; setup (model
+        // upload) is paid once per shard — replica passes reuse the loaded
+        // shard and add none.
+        let per_shard: Vec<ServeReport> = passes
+            .iter()
+            .filter(|&&(p, _, _)| p == 0)
+            .map(|(_, _, o)| o.report.clone())
+            .collect();
+        debug_assert_eq!(per_shard.len(), k);
+        let done = completions.len();
+        let correct = completions.iter().filter(|c| c.correct).count();
         let report = ClusterReport {
             shards: k,
             replication: self.config.replication,
             requests: trace.requests.len(),
-            completed: completions.len(),
+            completed: done,
             rejected: rejections.len(),
             shed: sheds.len(),
-            accuracy: if completions.is_empty() {
-                0.0
-            } else {
-                correct as f64 / completions.len() as f64
-            },
+            accuracy: mean(correct as f64, done as u64),
             makespan_s,
             throughput_rps: if makespan_s > 0.0 {
-                completions.len() as f64 / makespan_s
+                done as f64 / makespan_s
             } else {
                 0.0
             },
-            latency: LatencySummary::from_latencies(&latencies),
-            mean_queue_wait_s,
-            max_queue_depth,
+            // Pooled across shards and ranked once — never averaged per
+            // shard.
+            latency: LatencySummary::from_latencies(
+                &completions.iter().map(latency).collect::<Vec<_>>(),
+            ),
+            mean_queue_wait_s: mean(
+                completions
+                    .iter()
+                    .map(|c| c.timestamps.queue_wait().as_s())
+                    .sum(),
+                done as u64,
+            ),
+            max_queue_depth: reports.iter().map(|r| r.max_queue_depth).max().unwrap_or(0),
             failover,
-            cache,
+            cache: CacheReport::merge(reports.iter().map(|r| &r.cache)),
             link,
-            phase_totals,
-            speculated,
-            total_energy_j,
-            setup_s,
+            phase_totals: reports.iter().map(|r| r.phase_totals).sum(),
+            speculated: reports.iter().map(|r| r.speculated).sum(),
+            total_energy_j: reports.iter().map(|r| r.total_energy_j).sum(),
+            setup_s: per_shard.iter().map(|r| r.setup_s).sum(),
             answers_digest: answers_digest(
                 completions.iter().map(|c| (c.request.id, c.run.answer)),
             ),
             fault,
-            numeric,
-            batch,
-            prune,
-            index,
-            durability,
+            numeric: NumericHealth::merge(reports.iter().map(|r| &r.numeric)),
+            batch: BatchReport::merge(reports.iter().map(|r| &r.batch)),
+            prune: HopPruneReport::merge(reports.iter().map(|r| &r.prune)),
+            index: IndexReport::merge(reports.iter().map(|r| &r.index)),
+            durability: DurabilityReport::merge(reports.iter().map(|r| &r.durability)),
             membership,
             per_shard,
         };
@@ -1350,6 +1140,19 @@ impl<'a> Cluster<'a> {
             report,
         }
     }
+}
+
+/// The routing state of one cluster serve, shared by the pass loop and
+/// the membership report.
+struct Routing {
+    /// Every request's routing key, by id.
+    keys: HashMap<u64, u64>,
+    /// The live membership view, re-tunes applied.
+    view: MembershipView,
+    /// Routing keys the hot-key detector split, ascending.
+    hot: Vec<u64>,
+    /// Weight re-tunes as `(instant, shard)`.
+    retunes: Vec<(SimTime, usize)>,
 }
 
 #[cfg(test)]

@@ -25,6 +25,8 @@ use serde::{Deserialize, Serialize};
 
 use mann_core::report::{fnum, TextTable};
 
+use crate::report::{mean, ReportSection};
+
 /// Everything that can go wrong reading or validating a fault plan.
 #[derive(Debug, thiserror::Error)]
 pub enum FaultPlanError {
@@ -489,8 +491,51 @@ impl FaultReport {
         self.shed_link + self.shed_overload
     }
 
-    /// Renders the campaign summary as a text table.
-    pub fn render(&self) -> String {
+    /// Folds per-shard sections: the enabled ones' counters add, and each
+    /// MTTR is re-weighted by its event count, so the merged figure is the
+    /// fleet mean rather than a mean of shard means. `plan_seed` is left
+    /// for the caller: shards run re-mixed seeds of one base seed.
+    pub(crate) fn merge<'a>(parts: impl IntoIterator<Item = &'a Self>) -> Self {
+        let mut m = Self::default();
+        let (mut link, mut instance, mut seu) = (0.0, 0.0, 0.0);
+        for p in parts.into_iter().filter(|p| p.enabled) {
+            m.enabled = true;
+            m.link_corruptions += p.link_corruptions;
+            m.retransmits += p.retransmits;
+            m.retry_exhausted += p.retry_exhausted;
+            m.retry_link_s += p.retry_link_s;
+            m.retry_energy_j += p.retry_energy_j;
+            m.crashes += p.crashes;
+            m.watchdog_fires += p.watchdog_fires;
+            m.failovers += p.failovers;
+            m.shed_link += p.shed_link;
+            m.shed_overload += p.shed_overload;
+            m.degraded += p.degraded;
+            m.seu_events += p.seu_events;
+            m.scrubs += p.scrubs;
+            m.scrub_cycles += p.scrub_cycles;
+            m.scrub_energy_j += p.scrub_energy_j;
+            link += p.mttr_link_s * p.retransmits as f64;
+            instance += p.mttr_instance_s * p.failovers as f64;
+            seu += p.mttr_seu_s * p.scrubs as f64;
+        }
+        m.mttr_link_s = mean(link, m.retransmits);
+        m.mttr_instance_s = mean(instance, m.failovers);
+        m.mttr_seu_s = mean(seu, m.scrubs);
+        m
+    }
+}
+
+impl ReportSection for FaultReport {
+    fn key(&self) -> &'static str {
+        "fault"
+    }
+
+    fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    fn render(&self) -> String {
         let mut t = TextTable::new(vec!["fault metric".into(), "value".into()]);
         t.row(vec!["plan seed".into(), self.plan_seed.to_string()]);
         t.row(vec![

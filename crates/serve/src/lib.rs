@@ -75,7 +75,7 @@ pub use membership::{
 pub use numeric::{NumericHealth, NumericPolicy, NumericPolicyError};
 pub use report::{
     answers_digest, BatchReport, CacheReport, HopPruneReport, InstanceReport, LatencySummary,
-    LinkReport, ServeReport,
+    LinkReport, ReportSection, ServeReport,
 };
 pub use request::{Completion, Export, Rejection, Request, RequestTimestamps};
 pub use scheduler::{InstanceView, SchedulePolicy, Scheduler};

@@ -43,6 +43,7 @@ use serde::{Deserialize, Serialize};
 use mann_core::report::{fnum, TextTable};
 
 use crate::cluster::ShardRouter;
+use crate::report::ReportSection;
 
 /// Everything that can go wrong reading or validating a membership plan.
 #[derive(Debug, thiserror::Error)]
@@ -620,9 +621,16 @@ pub struct MembershipReport {
     pub timeline: Vec<MembershipEpoch>,
 }
 
-impl MembershipReport {
-    /// Renders the membership section as a text table.
-    pub fn render(&self) -> String {
+impl ReportSection for MembershipReport {
+    fn key(&self) -> &'static str {
+        "membership"
+    }
+
+    fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    fn render(&self) -> String {
         let mut t = TextTable::new(vec!["membership".into(), "value".into()]);
         t.row(vec!["epochs".into(), self.epochs.to_string()]);
         t.row(vec![

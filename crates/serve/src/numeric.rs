@@ -24,6 +24,8 @@ use mann_core::report::TextTable;
 use mann_linalg::NumericStatus;
 use serde::{Deserialize, Serialize};
 
+use crate::report::ReportSection;
+
 /// What the serving layer does with numeric-event flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum NumericPolicy {
@@ -124,8 +126,34 @@ pub struct NumericHealth {
 }
 
 impl NumericHealth {
-    /// Renders the numeric-health summary as a text table.
-    pub fn render(&self) -> String {
+    /// Folds per-shard sections: the enabled ones' counters add and their
+    /// histograms merge; every shard runs the same policy.
+    pub(crate) fn merge<'a>(parts: impl IntoIterator<Item = &'a Self>) -> Self {
+        let mut m = Self::default();
+        for p in parts.into_iter().filter(|p| p.enabled) {
+            m.enabled = true;
+            m.policy.clone_from(&p.policy);
+            m.flagged += p.flagged;
+            m.vetoed += p.vetoed;
+            m.failed_over += p.failed_over;
+            m.failover_cycles += p.failover_cycles;
+            m.failover_energy_j += p.failover_energy_j;
+            m.histogram.merge(&p.histogram);
+        }
+        m
+    }
+}
+
+impl ReportSection for NumericHealth {
+    fn key(&self) -> &'static str {
+        "numeric"
+    }
+
+    fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    fn render(&self) -> String {
         let mut t = TextTable::new(vec!["numeric metric".into(), "value".into()]);
         t.row(vec!["policy".into(), self.policy.clone()]);
         t.row(vec!["flagged completions".into(), self.flagged.to_string()]);

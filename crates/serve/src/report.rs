@@ -4,10 +4,53 @@
 use mann_core::report::{fnum, percent, percentile, TextTable};
 use mann_hw::PhaseCycles;
 use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
 use crate::faults::FaultReport;
 use crate::numeric::NumericHealth;
 use crate::store::DurabilityReport;
+
+/// An optional report section (fault, numeric, batch, prune, index,
+/// durability, membership). A disabled section is absent from both the
+/// JSON and the text rendering, so a layer that is off leaves every
+/// report byte-identical to one from before the layer existed.
+///
+/// [`ServeReport`] and [`ClusterReport`](crate::ClusterReport) each list
+/// their sections once; serialization and rendering walk that list.
+pub trait ReportSection: Serialize {
+    /// The section's JSON key.
+    fn key(&self) -> &'static str;
+    /// Whether the section is published.
+    fn enabled(&self) -> bool;
+    /// The section as a text table.
+    fn render(&self) -> String;
+}
+
+/// Appends every enabled section to a report's JSON fields, in list order.
+pub(crate) fn push_sections(pairs: &mut Vec<(String, Value)>, sections: &[&dyn ReportSection]) {
+    for s in sections.iter().filter(|s| s.enabled()) {
+        pairs.push((s.key().into(), s.to_value()));
+    }
+}
+
+/// Renders every enabled section, in list order, each followed by a blank
+/// line.
+pub(crate) fn render_sections(out: &mut String, sections: &[&dyn ReportSection]) {
+    for s in sections.iter().filter(|s| s.enabled()) {
+        out.push_str(&s.render());
+        out.push('\n');
+    }
+}
+
+/// `sum / count`, or 0 when nothing was counted. Merged sections
+/// re-weight per-shard means through it: `mean(Σ mean_i · n_i, Σ n_i)`.
+pub(crate) fn mean(sum: f64, count: u64) -> f64 {
+    if count > 0 {
+        sum / count as f64
+    } else {
+        0.0
+    }
+}
 
 /// Latency summary over completed requests (simulated seconds).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -101,6 +144,26 @@ pub struct CacheReport {
     pub write_energy_saved_j: f64,
 }
 
+impl CacheReport {
+    /// Folds per-shard sections: counters add and the hit rate is
+    /// recomputed over the fleet.
+    pub(crate) fn merge<'a>(parts: impl IntoIterator<Item = &'a Self>) -> Self {
+        let mut m = Self::default();
+        for p in parts {
+            m.capacity = p.capacity;
+            m.unique_stories += p.unique_stories;
+            m.hits += p.hits;
+            m.misses += p.misses;
+            m.evictions += p.evictions;
+            m.write_cycles_saved += p.write_cycles_saved;
+            m.upload_bytes_saved += p.upload_bytes_saved;
+            m.write_energy_saved_j += p.write_energy_saved_j;
+        }
+        m.hit_rate = mean(m.hits as f64, m.hits + m.misses);
+        m
+    }
+}
+
 /// Shared-story compute batching effectiveness: queries queued behind the
 /// same resident story drained into one fused compute group, sharing the
 /// per-hop story stream and the OUTPUT weight stream.
@@ -128,8 +191,41 @@ pub struct BatchReport {
 }
 
 impl BatchReport {
-    /// Renders the batching section as a text table.
-    pub fn render(&self) -> String {
+    /// Folds per-shard sections: every shard runs the same window, and
+    /// the enabled ones' counters and histograms add element-wise.
+    pub(crate) fn merge<'a>(parts: impl IntoIterator<Item = &'a Self>) -> Self {
+        let mut m = Self::default();
+        for p in parts {
+            (m.enabled, m.window) = (p.enabled, p.window);
+            if !p.enabled {
+                continue;
+            }
+            m.groups += p.groups;
+            m.fused_groups += p.fused_groups;
+            m.batched_requests += p.batched_requests;
+            if m.size_histogram.len() < p.size_histogram.len() {
+                m.size_histogram.resize(p.size_histogram.len(), 0);
+            }
+            for (acc, &v) in m.size_histogram.iter_mut().zip(&p.size_histogram) {
+                *acc += v;
+            }
+            m.cycles_saved += p.cycles_saved;
+            m.energy_saved_j += p.energy_saved_j;
+        }
+        m
+    }
+}
+
+impl ReportSection for BatchReport {
+    fn key(&self) -> &'static str {
+        "batch"
+    }
+
+    fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    fn render(&self) -> String {
         let mut t = TextTable::new(vec!["batch metric".into(), "value".into()]);
         t.row(vec!["window".into(), self.window.to_string()]);
         t.row(vec![
@@ -182,8 +278,36 @@ pub struct HopPruneReport {
 }
 
 impl HopPruneReport {
-    /// Renders the pruning section as a text table.
-    pub fn render(&self) -> String {
+    /// Folds per-shard sections: every shard runs the same threshold, and
+    /// the enabled ones' counters add.
+    pub(crate) fn merge<'a>(parts: impl IntoIterator<Item = &'a Self>) -> Self {
+        let mut m = Self::default();
+        for p in parts {
+            (m.enabled, m.threshold) = (p.enabled, p.threshold);
+            if !p.enabled {
+                continue;
+            }
+            m.pruned_completions += p.pruned_completions;
+            m.hops_executed += p.hops_executed;
+            m.hops_saved += p.hops_saved;
+            m.vetoes += p.vetoes;
+            m.cycles_saved += p.cycles_saved;
+            m.energy_saved_j += p.energy_saved_j;
+        }
+        m
+    }
+}
+
+impl ReportSection for HopPruneReport {
+    fn key(&self) -> &'static str {
+        "prune"
+    }
+
+    fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    fn render(&self) -> String {
         let mut t = TextTable::new(vec!["prune metric".into(), "value".into()]);
         t.row(vec!["threshold".into(), self.threshold.to_string()]);
         t.row(vec![
@@ -235,8 +359,33 @@ pub struct IndexReport {
 }
 
 impl IndexReport {
-    /// Renders the index section as a text table.
-    pub fn render(&self) -> String {
+    /// Folds per-shard sections: the enabled ones carry the (shared)
+    /// index configuration, and their counters add.
+    pub(crate) fn merge<'a>(parts: impl IntoIterator<Item = &'a Self>) -> Self {
+        let mut m = Self::default();
+        for p in parts.into_iter().filter(|p| p.enabled) {
+            (m.enabled, m.k, m.nprobe, m.band) = (true, p.k, p.nprobe, p.band);
+            m.scanned_slots += p.scanned_slots;
+            m.skipped_slots += p.skipped_slots;
+            m.fallbacks += p.fallbacks;
+            m.build_cycles += p.build_cycles;
+            m.cycles_saved += p.cycles_saved;
+            m.energy_saved_j += p.energy_saved_j;
+        }
+        m
+    }
+}
+
+impl ReportSection for IndexReport {
+    fn key(&self) -> &'static str {
+        "index"
+    }
+
+    fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    fn render(&self) -> String {
         let mut t = TextTable::new(vec!["index metric".into(), "value".into()]);
         t.row(vec![
             "config (k,nprobe,band)".into(),
@@ -271,10 +420,10 @@ pub struct LinkReport {
 
 /// Aggregate report of one served trace.
 ///
-/// Serialization is hand-written (not derived) for one reason: the
-/// `fault` key is emitted only when a campaign was active, so fault-free
-/// reports stay byte-identical to reports from before the fault layer
-/// existed (the golden suite pins this).
+/// Serialization is hand-written (not derived) for one reason: each
+/// optional [`ReportSection`] is emitted only when enabled, so a report
+/// with a layer off stays byte-identical to reports from before that
+/// layer existed (the golden suite pins this).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Requests in the trace.
@@ -332,15 +481,15 @@ pub struct ServeReport {
     /// Durable-store summary; `durability.enabled == false` (and the key
     /// absent from JSON) when the write-ahead log is off.
     pub durability: DurabilityReport,
-    /// Whether this serve was cut short by a membership fail-stop
-    /// (`ServeConfig::fail_stop`); the key is absent from JSON when
-    /// false, so every pre-membership report stays byte-identical.
+    /// Whether this serve was cut short by a membership fail-stop; the
+    /// key is absent from JSON when false, so every pre-membership report
+    /// stays byte-identical.
     pub fail_stopped: bool,
 }
 
 impl Serialize for ServeReport {
-    fn to_value(&self) -> serde_json::Value {
-        let mut pairs: Vec<(String, serde_json::Value)> = vec![
+    fn to_value(&self) -> Value {
+        let mut pairs: Vec<(String, Value)> = vec![
             ("requests".into(), self.requests.to_value()),
             ("completed".into(), self.completed.to_value()),
             ("rejected".into(), self.rejected.to_value()),
@@ -362,84 +511,27 @@ impl Serialize for ServeReport {
             ("setup_s".into(), self.setup_s.to_value()),
             ("answers_digest".into(), self.answers_digest.to_value()),
         ];
-        if self.fault.enabled {
-            pairs.push(("fault".into(), self.fault.to_value()));
-        }
-        if self.numeric.enabled {
-            pairs.push(("numeric".into(), self.numeric.to_value()));
-        }
-        if self.batch.enabled {
-            pairs.push(("batch".into(), self.batch.to_value()));
-        }
-        if self.prune.enabled {
-            pairs.push(("prune".into(), self.prune.to_value()));
-        }
-        if self.index.enabled {
-            pairs.push(("index".into(), self.index.to_value()));
-        }
-        if self.durability.enabled {
-            pairs.push(("durability".into(), self.durability.to_value()));
-        }
+        push_sections(&mut pairs, &self.sections());
         if self.fail_stopped {
             pairs.push(("fail_stopped".into(), self.fail_stopped.to_value()));
         }
-        serde_json::Value::Object(pairs)
-    }
-}
-
-impl Deserialize for ServeReport {
-    fn from_value(v: &serde_json::Value) -> Result<Self, serde_json::Error> {
-        Ok(Self {
-            requests: Deserialize::from_value(v.field("requests")?)?,
-            completed: Deserialize::from_value(v.field("completed")?)?,
-            rejected: Deserialize::from_value(v.field("rejected")?)?,
-            accuracy: Deserialize::from_value(v.field("accuracy")?)?,
-            makespan_s: Deserialize::from_value(v.field("makespan_s")?)?,
-            throughput_rps: Deserialize::from_value(v.field("throughput_rps")?)?,
-            latency: Deserialize::from_value(v.field("latency")?)?,
-            mean_queue_wait_s: Deserialize::from_value(v.field("mean_queue_wait_s")?)?,
-            max_queue_depth: Deserialize::from_value(v.field("max_queue_depth")?)?,
-            instances: Deserialize::from_value(v.field("instances")?)?,
-            link: Deserialize::from_value(v.field("link")?)?,
-            cache: Deserialize::from_value(v.field("cache")?)?,
-            phase_totals: Deserialize::from_value(v.field("phase_totals")?)?,
-            speculated: Deserialize::from_value(v.field("speculated")?)?,
-            total_energy_j: Deserialize::from_value(v.field("total_energy_j")?)?,
-            setup_s: Deserialize::from_value(v.field("setup_s")?)?,
-            answers_digest: Deserialize::from_value(v.field("answers_digest")?)?,
-            fault: match v.field("fault") {
-                Ok(fv) => Deserialize::from_value(fv)?,
-                Err(_) => FaultReport::default(),
-            },
-            numeric: match v.field("numeric") {
-                Ok(nv) => Deserialize::from_value(nv)?,
-                Err(_) => NumericHealth::default(),
-            },
-            batch: match v.field("batch") {
-                Ok(bv) => Deserialize::from_value(bv)?,
-                Err(_) => BatchReport::default(),
-            },
-            prune: match v.field("prune") {
-                Ok(pv) => Deserialize::from_value(pv)?,
-                Err(_) => HopPruneReport::default(),
-            },
-            index: match v.field("index") {
-                Ok(iv) => Deserialize::from_value(iv)?,
-                Err(_) => IndexReport::default(),
-            },
-            durability: match v.field("durability") {
-                Ok(dv) => Deserialize::from_value(dv)?,
-                Err(_) => DurabilityReport::default(),
-            },
-            fail_stopped: match v.field("fail_stopped") {
-                Ok(fv) => Deserialize::from_value(fv)?,
-                Err(_) => false,
-            },
-        })
+        Value::Object(pairs)
     }
 }
 
 impl ServeReport {
+    /// The optional sections, in JSON and render order.
+    fn sections(&self) -> [&dyn ReportSection; 6] {
+        [
+            &self.fault,
+            &self.numeric,
+            &self.batch,
+            &self.prune,
+            &self.index,
+            &self.durability,
+        ]
+    }
+
     /// Sum of per-instance busy seconds.
     pub fn total_busy_s(&self) -> f64 {
         self.instances.iter().map(|i| i.busy_s).sum()
@@ -532,30 +624,7 @@ impl ServeReport {
         t.row(vec!["answers digest".into(), self.answers_digest.clone()]);
         out.push_str(&t.render());
         out.push('\n');
-        if self.fault.enabled {
-            out.push_str(&self.fault.render());
-            out.push('\n');
-        }
-        if self.numeric.enabled {
-            out.push_str(&self.numeric.render());
-            out.push('\n');
-        }
-        if self.batch.enabled {
-            out.push_str(&self.batch.render());
-            out.push('\n');
-        }
-        if self.prune.enabled {
-            out.push_str(&self.prune.render());
-            out.push('\n');
-        }
-        if self.index.enabled {
-            out.push_str(&self.index.render());
-            out.push('\n');
-        }
-        if self.durability.enabled {
-            out.push_str(&self.durability.render());
-            out.push('\n');
-        }
+        render_sections(&mut out, &self.sections());
         let mut inst = TextTable::new(vec![
             "instance".into(),
             "completed".into(),

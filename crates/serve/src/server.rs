@@ -10,15 +10,23 @@
 //!    distinct story is written into memory exactly once
 //!    ([`Accelerator::write_story`]), however many questions the trace asks
 //!    about it.
-//! 2. **Query simulation.** Every request's query pipeline runs against its
-//!    resident story ([`Accelerator::answer_query`]) — on the worker pool
-//!    in the parallel engine, inline in the serial engine. Results are
-//!    accumulated in request order either way.
+//! 2. **Query simulation.** Every distinct query's pipeline runs against
+//!    its resident story ([`Accelerator::answer_query`]) — on the worker
+//!    pool in the parallel engine, inline in the serial engine. Results
+//!    are accumulated in request order either way.
 //! 3. **Event loop.** A sequential merge on integer-picosecond
 //!    [`SimTime`] with a submission-order tie-break replays arrivals,
 //!    link grants and completions. Each instance models its story cache as
 //!    an LRU of digests; whether a dispatch hits is decided here, because
 //!    it depends on which instance the scheduler picked.
+//!
+//! The event loop is one `ServeState` with one handler per event kind
+//! (`on_arrival`, `on_link_done`, `on_compute_done`, `on_crash`,
+//! `on_instance_up`, `on_watchdog`, `on_seu`, `on_fail_stop`). Optional
+//! layers hook in as `Option` state that is `None` when off: the fault
+//! campaign and the WAL journal. How a cluster deploys the node — export
+//! stranded requests, fail-stop at a cut — is a crate-private
+//! `ShardRole`, not configuration.
 //!
 //! # Determinism
 //!
@@ -35,20 +43,22 @@
 //!   never what the inference computes.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::Hash;
 
-use mann_core::TaskSuite;
+use mann_core::{TaskSuite, TrainedTask};
 use mann_hw::{
-    story_digest, AccelConfig, Accelerator, ClockDomain, Cycles, InferenceRun, LinkArbiter, LruSet,
-    MemIndexConfig, PcieLink, PowerModel, ResidentStory, SimTime, DEFAULT_STORY_CACHE,
+    story_digest, AccelConfig, Accelerator, Admission, ClockDomain, Cycles, InferenceRun,
+    LinkArbiter, LruSet, MemIndexConfig, PcieLink, PowerModel, ResidentStory, SimTime,
+    DEFAULT_STORY_CACHE,
 };
-use mann_ith::HopPrune;
+use mann_ith::{HopPrune, ThresholdingModel};
 use mann_store::WalRecord;
 use serde::{Deserialize, Serialize};
 
 use crate::faults::{FaultConfig, FaultPlan, FaultReport};
 use crate::numeric::{NumericHealth, NumericPolicy};
 use crate::report::{
-    answers_digest, BatchReport, CacheReport, HopPruneReport, IndexReport, InstanceReport,
+    answers_digest, mean, BatchReport, CacheReport, HopPruneReport, IndexReport, InstanceReport,
     LatencySummary, LinkReport, ServeReport,
 };
 use crate::request::{Completion, Export, Rejection, Request, RequestTimestamps};
@@ -167,28 +177,12 @@ pub struct ServeConfig {
     /// Candidate-generation index in front of every instance's MEM
     /// module; the default (off) leaves the serve path byte-identical.
     pub mem_index: MemIndexConfig,
-    /// Cluster hook: when set, a watchdog-detected stranded request is
-    /// handed back to the caller in [`ServeOutcome::exports`] (with its
-    /// handoff time) instead of being re-queued locally, so a cluster can
-    /// re-dispatch it on the story's replica shard. Off by default —
-    /// standalone recovery stays local and byte-identical to before the
-    /// cluster layer existed.
-    pub failover_export: bool,
     /// Write-ahead-log configuration. When enabled, the serve collects
     /// the durable journal ([`ServeOutcome::wal_records`]) for the store
     /// driver to persist; the event loop itself stays I/O-free and
     /// byte-identical, and the default (off) leaves even the collection
     /// path untouched.
     pub wal: WalConfig,
-    /// Cluster hook: fail-stop the whole node at this instant. The event
-    /// loop halts at the cut, unfinished busy time is rolled back, and
-    /// every request not fully drained by then is handed back in
-    /// [`ServeOutcome::exports`] for the cluster to re-route via
-    /// `route_live` (requires `failover_export`). The WAL cut is
-    /// naturally consistent: a completion that never drained is never
-    /// journaled. `None` (the default) schedules nothing and consumes no
-    /// event sequence numbers, so the serve path stays byte-identical.
-    pub fail_stop: Option<SimTime>,
 }
 
 impl Default for ServeConfig {
@@ -211,9 +205,7 @@ impl Default for ServeConfig {
             batch_window: 0,
             hop_prune: HopPrune::default(),
             mem_index: MemIndexConfig::default(),
-            failover_export: false,
             wal: WalConfig::default(),
-            fail_stop: None,
         }
     }
 }
@@ -239,18 +231,6 @@ impl ServeConfig {
         }
         self.faults.validate().map_err(|e| e.to_string())?;
         self.wal.validate()?;
-        if let Some(t) = self.fail_stop {
-            if t == SimTime::ZERO {
-                return Err("fail_stop at time zero would serve nothing".into());
-            }
-            if !self.failover_export {
-                return Err(
-                    "fail_stop requires failover_export: a fail-stopped node's stranded \
-                     requests only survive by being handed back to the cluster"
-                        .into(),
-                );
-            }
-        }
         if self.faults.node_kills > 0 && !self.wal.enabled {
             return Err(
                 "node_kills require the write-ahead log (set `wal`, --wal-dir, or MANN_WAL): \
@@ -260,10 +240,19 @@ impl ServeConfig {
         }
         Ok(())
     }
+
+    /// Activity-dependent fabric energy of `cycles` at the configured
+    /// clock, joules (static and clock power are drawn regardless).
+    pub(crate) fn active_energy_j(&self, cycles: u64) -> f64 {
+        self.power.active_energy_j(
+            self.clock.freq_mhz(),
+            self.clock.seconds(Cycles::new(cycles)),
+        )
+    }
 }
 
 /// Everything a served trace produces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServeOutcome {
     /// Completed requests, in request-id order.
     pub completions: Vec<Completion>,
@@ -273,7 +262,7 @@ pub struct ServeOutcome {
     /// exhaustion); empty without an active campaign.
     pub sheds: Vec<Request>,
     /// Stranded requests handed off for cross-shard failover, in
-    /// request-id order; always empty unless `failover_export` is set.
+    /// request-id order; always empty for a standalone [`Server::serve`].
     pub exports: Vec<Export>,
     /// The durable journal of this serve (story admissions, evictions,
     /// completions) in canonical `(stamp, kind, id)` order; always empty
@@ -284,12 +273,36 @@ pub struct ServeOutcome {
     pub report: ServeReport,
 }
 
+/// How a cluster deploys one node. [`Server::serve`] serves as the
+/// default role: a standalone node that recovers stranded requests
+/// locally and never halts early.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ShardRole {
+    /// Hand a watchdog-detected stranded request back in
+    /// [`ServeOutcome::exports`] (with its handoff time) instead of
+    /// re-queueing it locally, so the cluster can re-dispatch it on the
+    /// story's replica shard.
+    pub(crate) failover_export: bool,
+    /// Fail-stop the whole node at this instant. The event loop halts at
+    /// the cut, unfinished busy time is rolled back, and every request not
+    /// fully drained by then is exported for the cluster to re-route. The
+    /// WAL cut is naturally consistent: a completion that never drained is
+    /// never journaled. A fail-stopped node always exports.
+    pub(crate) fail_stop: Option<SimTime>,
+}
+
+impl ShardRole {
+    fn exports(self) -> bool {
+        self.failover_export || self.fail_stop.is_some()
+    }
+}
+
 /// A multi-tenant server over a trained suite.
 ///
 /// One [`Accelerator`] is loaded per task (the tenant's bitstream +
 /// weights); the configured number of *instances* are scheduling replicas
 /// of that loadout. Because replicas are numerically identical, the server
-/// computes each distinct story and each request's query once, and lets the
+/// computes each distinct story and each distinct query once, and lets the
 /// event loop treat instances as timing resources with story residency.
 #[derive(Debug)]
 pub struct Server<'a> {
@@ -323,8 +336,8 @@ enum Event {
     InstanceUp(usize),
     Watchdog(usize),
     Seu(usize),
-    /// Whole-node fail-stop (never scheduled without `fail_stop` set):
-    /// halts the event loop at the cut.
+    /// Whole-node fail-stop (never scheduled outside a fail-stopping
+    /// [`ShardRole`]): halts the event loop at the cut.
     FailStop,
 }
 
@@ -359,6 +372,15 @@ enum LinkJob {
     },
 }
 
+/// A link transfer and its retry state.
+struct Job {
+    payload: LinkJob,
+    /// Corrupted attempts retransmitted so far.
+    attempts: u32,
+    /// The first corrupted attempt, until the transfer lands (link MTTR).
+    first_fail: Option<SimTime>,
+}
+
 #[derive(Debug, Default, Clone)]
 struct Inst {
     inflight: usize,
@@ -372,11 +394,47 @@ struct Inst {
     cache_hits: u64,
     /// Crashed and cooling down; invisible to the scheduler (0 credits).
     down: bool,
-    /// Bumped on every crash; stale events carry the old value.
+    /// Bumped on every halt; stale events carry the old value.
     epoch: u64,
 }
 
-/// Per-request numeric results, shared by both engines.
+impl Inst {
+    /// Halts the instance at `now`, by crash or node fail-stop: the busy
+    /// time of the killed (never finished) compute is rolled back, FIFO'd
+    /// work is dropped, and the epoch bump voids every event in flight.
+    fn halt(&mut self, now: SimTime) {
+        let unfinished = self.free_at.saturating_sub(now);
+        self.busy = self.busy.saturating_sub(unfinished);
+        self.free_at = now;
+        self.computing.clear();
+        self.ready.clear();
+        self.inflight = 0;
+        self.down = true;
+        self.epoch += 1;
+    }
+}
+
+/// One simulated form of a query: its run and fabric compute time.
+struct Form {
+    run: InferenceRun,
+    time: SimTime,
+}
+
+/// Every form of one distinct `(task, sample)` query, each pair indexed
+/// `[miss, hit]`. The miss form also writes the story and equals
+/// `Accelerator::run`.
+struct QueryForms {
+    exact: [Form; 2],
+    /// Aggressive-ITH forms; `None` unless the campaign enables overload
+    /// degradation.
+    degraded: Option<[Form; 2]>,
+    /// Link payload: story and question on a miss, the question alone on
+    /// a hit.
+    bytes: [u64; 2],
+}
+
+/// The numeric work of a serve, shared by both engines: every distinct
+/// story and every distinct query simulated once, indexed per request.
 struct NumericPhase {
     /// One entry per distinct `(task, story)` pair, in first-seen order.
     stories: Vec<ResidentStory>,
@@ -384,20 +442,190 @@ struct NumericPhase {
     story_of: Vec<usize>,
     /// Scheduling key of each request (task-mixed story digest).
     keys: Vec<u64>,
-    /// Hit-form query run of each request.
-    queries: Vec<InferenceRun>,
-    /// Miss-form (full) run of each request; equals `Accelerator::run`.
-    miss_runs: Vec<InferenceRun>,
-    hit_durations: Vec<SimTime>,
-    miss_durations: Vec<SimTime>,
-    hit_bytes: Vec<u64>,
-    miss_bytes: Vec<u64>,
-    /// Aggressive-ITH forms of `queries`/`miss_runs` and their compute
-    /// times; empty unless the campaign enables overload degradation.
-    deg_queries: Vec<InferenceRun>,
-    deg_miss_runs: Vec<InferenceRun>,
-    deg_hit_durations: Vec<SimTime>,
-    deg_miss_durations: Vec<SimTime>,
+    /// One entry per distinct `(task, sample)` pair, in first-seen order.
+    queries: Vec<QueryForms>,
+    /// Query index of each request.
+    query_of: Vec<usize>,
+}
+
+impl NumericPhase {
+    fn story(&self, r: usize) -> &ResidentStory {
+        &self.stories[self.story_of[r]]
+    }
+
+    /// The form request `r` computes in, given its latest dispatch.
+    fn form(&self, r: usize, f: &Flight) -> &Form {
+        let q = &self.queries[self.query_of[r]];
+        let forms = if f.degraded {
+            q.degraded
+                .as_ref()
+                .expect("degraded forms exist when degradation is armed")
+        } else {
+            &q.exact
+        };
+        &forms[usize::from(f.hit)]
+    }
+
+    fn bytes(&self, r: usize, hit: bool) -> u64 {
+        self.queries[self.query_of[r]].bytes[usize::from(hit)]
+    }
+}
+
+/// Index of `key` among the distinct keys seen so far; a new key records
+/// `i` as its first request.
+fn first_seen<K: Hash + Eq>(
+    ids: &mut HashMap<K, usize>,
+    firsts: &mut Vec<usize>,
+    key: K,
+    i: usize,
+) -> usize {
+    let next = firsts.len();
+    *ids.entry(key).or_insert_with(|| {
+        firsts.push(i);
+        next
+    })
+}
+
+/// How a request left the node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    /// Bounced by the full host queue at arrival.
+    Rejected,
+    /// Answer landed on the host.
+    Drained,
+    /// Dropped by the fault campaign (link retries exhausted).
+    Shed,
+    /// Handed back to the cluster at this instant.
+    Exported(SimTime),
+}
+
+/// Event-loop state of one request.
+#[derive(Debug, Clone, Copy, Default)]
+struct Flight {
+    ts: RequestTimestamps,
+    /// Instance of the latest dispatch and its epoch then; `None` until
+    /// dispatched and after a local failover re-queue.
+    assigned: Option<(usize, u64)>,
+    /// Whether the latest dispatch found the story resident.
+    hit: bool,
+    /// Admitted past the degrade depth: answered in aggressive-ITH mode.
+    degraded: bool,
+    /// Compute finished; only the answer drain is left.
+    computed: bool,
+    watchdog_armed: bool,
+    /// When a dispatch scrubbed this request's poisoned story, until the
+    /// repaired story lands (SEU MTTR).
+    seu_pending: Option<SimTime>,
+    /// `None` while the request is still on the node.
+    fate: Option<Fate>,
+}
+
+/// Summed repair time and repair count of one MTTR class.
+#[derive(Debug, Default)]
+struct Repairs(SimTime, u64);
+
+impl Repairs {
+    fn record(&mut self, since: SimTime, now: SimTime) {
+        self.0 += now.saturating_sub(since);
+        self.1 += 1;
+    }
+
+    fn mean_s(&self) -> f64 {
+        mean(self.0.as_s(), self.1)
+    }
+}
+
+/// Fault-campaign state; built only with an active plan.
+struct Campaign {
+    plan: FaultPlan,
+    report: FaultReport,
+    /// Crash instants by (instance, pre-crash epoch), for MTTR.
+    crash_at: HashMap<(usize, u64), SimTime>,
+    link: Repairs,
+    instance: Repairs,
+    seu: Repairs,
+}
+
+impl Campaign {
+    fn finish(self, config: &ServeConfig, arb: &LinkArbiter) -> FaultReport {
+        let mut fr = self.report;
+        fr.enabled = true;
+        fr.plan_seed = self.plan.config().seed;
+        fr.retry_link_s = arb.retry_busy_time().as_s();
+        fr.retry_energy_j = config
+            .power
+            .retry_energy_j(config.clock.freq_mhz(), fr.retry_link_s);
+        fr.scrub_energy_j = config.active_energy_j(fr.scrub_cycles);
+        fr.mttr_link_s = self.link.mean_s();
+        fr.mttr_instance_s = self.instance.mean_s();
+        fr.mttr_seu_s = self.seu.mean_s();
+        fr
+    }
+}
+
+/// Durable-journal collection; built only when the WAL is armed.
+struct Journal {
+    records: Vec<WalRecord>,
+    /// Evictions come back from the LRU as cache keys; this maps each key
+    /// to its (digest, task) pair. The key is digest ^ task·MIX, so the
+    /// map is total over everything this trace can admit.
+    key_meta: HashMap<u64, (u64, u32)>,
+    /// Quantized rows are identical for every request of a story —
+    /// extracted once per story id, lazily, only for journaled misses.
+    rows: Vec<Option<Vec<i32>>>,
+}
+
+impl Journal {
+    fn new(trace: &ArrivalTrace, num: &NumericPhase) -> Self {
+        let key_meta = trace
+            .requests
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (num.keys[i], (num.story(i).digest(), r.task_idx as u32)))
+            .collect();
+        Self {
+            records: Vec::new(),
+            key_meta,
+            rows: vec![None; num.stories.len()],
+        }
+    }
+
+    /// Journals a dispatch's eviction and, on a miss, its story write.
+    fn admit(&mut self, num: &NumericPhase, r: usize, task: usize, a: Admission, now: SimTime) {
+        if let Some(k) = a.evicted {
+            let (d, t) = self.key_meta[&k];
+            self.records.push(WalRecord::evict(d, t, now.ps()));
+        }
+        if !a.hit {
+            let sid = num.story_of[r];
+            let rows = self.rows[sid]
+                .get_or_insert_with(|| num.stories[sid].quantized_rows())
+                .clone();
+            let digest = num.stories[sid].digest();
+            self.records
+                .push(WalRecord::story(digest, task as u32, now.ps(), rows));
+        }
+    }
+
+    /// The journal with `completions` appended — after the numeric policy
+    /// has settled the final answers, so replaying the WAL reproduces
+    /// exactly what was served — in canonical order, which makes it a
+    /// pure function of (suite, trace, config), independent of engine and
+    /// threads.
+    fn finish(mut self, completions: &[Completion]) -> Vec<WalRecord> {
+        for c in completions {
+            self.records.push(WalRecord::completion(
+                c.request.id,
+                c.run.answer as u32,
+                c.timestamps.drain_end.ps(),
+            ));
+        }
+        self.records.sort_by(|a, b| {
+            (a.stamp_ps, a.kind, a.id, a.task, a.digest)
+                .cmp(&(b.stamp_ps, b.kind, b.id, b.task, b.digest))
+        });
+        self.records
+    }
 }
 
 impl<'a> Server<'a> {
@@ -411,28 +639,7 @@ impl<'a> Server<'a> {
             .validate()
             .unwrap_or_else(|e| panic!("invalid serve config: {e}"));
         assert!(!suite.tasks.is_empty(), "server needs at least one task");
-        let accels = suite
-            .tasks
-            .iter()
-            .map(|t| {
-                Accelerator::new(
-                    t.model.clone(),
-                    AccelConfig {
-                        clock: config.clock,
-                        pcie: config.pcie,
-                        power: config.power,
-                        ith: config.use_ith.then(|| t.ith.clone()),
-                        use_ordering: config.use_ordering,
-                        hop_prune: config.hop_prune,
-                        mem_index: config.mem_index,
-                        ..AccelConfig::default()
-                    },
-                )
-            })
-            .collect();
-        // Degraded mode forces ITH on with every threshold lowered by the
-        // configured margin — earlier early-exit, cheaper, less accurate.
-        let deg_accels = if config.faults.degrade_depth > 0 {
+        let loadout = |ith: &dyn Fn(&TrainedTask) -> Option<ThresholdingModel>| -> Vec<_> {
             suite
                 .tasks
                 .iter()
@@ -443,7 +650,7 @@ impl<'a> Server<'a> {
                             clock: config.clock,
                             pcie: config.pcie,
                             power: config.power,
-                            ith: Some(t.ith.degraded(config.faults.degrade_margin)),
+                            ith: ith(t),
                             use_ordering: config.use_ordering,
                             hop_prune: config.hop_prune,
                             mem_index: config.mem_index,
@@ -452,6 +659,12 @@ impl<'a> Server<'a> {
                     )
                 })
                 .collect()
+        };
+        let accels = loadout(&|t| config.use_ith.then(|| t.ith.clone()));
+        // Degraded mode forces ITH on with every threshold lowered by the
+        // configured margin — earlier early-exit, cheaper, less accurate.
+        let deg_accels = if config.faults.degrade_depth > 0 {
+            loadout(&|t| Some(t.ith.degraded(config.faults.degrade_margin)))
         } else {
             Vec::new()
         };
@@ -485,167 +698,107 @@ impl<'a> Server<'a> {
         per_instance * self.config.instances as f64
     }
 
-    fn sample_of(&self, req: &crate::Request) -> &mann_babi::EncodedSample {
+    fn sample_of(&self, req: &Request) -> &mann_babi::EncodedSample {
         &self.suite.tasks[req.task_idx].test_set[req.sample_idx]
     }
 
-    /// Simulates every distinct story once and every query once, per the
-    /// configured engine. Output is index-ordered and engine-invariant.
+    /// Simulates every distinct story once and every distinct query once,
+    /// per the configured engine. Output is index-ordered and
+    /// engine-invariant.
     fn numeric_phase(&self, trace: &ArrivalTrace) -> NumericPhase {
         let n = trace.requests.len();
-
-        // Group requests by (task, story digest), first-seen order.
-        let mut story_ids: HashMap<(usize, u64), usize> = HashMap::new();
-        let mut story_req: Vec<usize> = Vec::new();
-        let mut story_of = Vec::with_capacity(n);
-        let mut keys = Vec::with_capacity(n);
+        // Group requests by (task, story digest) and by (task, sample),
+        // first-seen order. Identical requests — same (task, sample) — are
+        // bit-identical inferences, so each distinct pair is simulated once
+        // and shared: repeated-story traces collapse to a handful of runs.
+        let (mut story_ids, mut story_req) = (HashMap::new(), Vec::new());
+        let (mut query_ids, mut query_req) = (HashMap::new(), Vec::new());
+        let (mut story_of, mut query_of, mut keys) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
         for (i, r) in trace.requests.iter().enumerate() {
             let digest = story_digest(self.sample_of(r));
             // Mix the tenant index in so equal digests of different tasks
             // (different embeddings!) never alias in the residency model.
             keys.push(digest ^ (r.task_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let next = story_req.len();
-            let sid = *story_ids.entry((r.task_idx, digest)).or_insert_with(|| {
-                story_req.push(i);
-                next
-            });
-            story_of.push(sid);
+            let (story, query) = ((r.task_idx, digest), (r.task_idx, r.sample_idx));
+            story_of.push(first_seen(&mut story_ids, &mut story_req, story, i));
+            query_of.push(first_seen(&mut query_ids, &mut query_req, query, i));
         }
 
         let workers = match self.config.engine {
             EngineMode::Serial => 1,
-            EngineMode::Parallel => mann_core::parallel::worker_threads(n.max(story_req.len())),
+            EngineMode::Parallel => mann_core::parallel::worker_threads(n),
         };
         let stories: Vec<ResidentStory> =
             mann_core::parallel::parallel_map_indexed(story_req.len(), workers, |s| {
                 let r = &trace.requests[story_req[s]];
                 self.accels[r.task_idx].write_story(self.sample_of(r))
             });
-        // Identical requests — same (task, sample) — are bit-identical
-        // inferences, so each distinct pair is simulated once and shared.
-        // Repeated-story traces collapse to a handful of query runs.
-        let mut query_ids: HashMap<(usize, usize), usize> = HashMap::new();
-        let mut query_req: Vec<usize> = Vec::new();
-        let mut query_of: Vec<usize> = Vec::with_capacity(n);
-        for (i, r) in trace.requests.iter().enumerate() {
-            let next = query_req.len();
-            let qid = *query_ids
-                .entry((r.task_idx, r.sample_idx))
-                .or_insert_with(|| {
-                    query_req.push(i);
-                    next
-                });
-            query_of.push(qid);
-        }
-        let unique_queries: Vec<InferenceRun> =
-            mann_core::parallel::parallel_map_indexed(query_req.len(), workers, |u| {
+        let form = |run: InferenceRun| Form {
+            time: run.compute_time(self.config.clock),
+            run,
+        };
+        // The `[miss, hit]` forms of every distinct query on a loadout.
+        let simulate = |accels: &[Accelerator]| -> Vec<[Form; 2]> {
+            let hits = mann_core::parallel::parallel_map_indexed(query_req.len(), workers, |u| {
                 let i = query_req[u];
                 let r = &trace.requests[i];
-                self.accels[r.task_idx].answer_query(&stories[story_of[i]], self.sample_of(r))
+                accels[r.task_idx].answer_query(&stories[story_of[i]], self.sample_of(r))
             });
-        let unique_misses: Vec<InferenceRun> = query_req
-            .iter()
-            .enumerate()
-            .map(|(u, &i)| {
-                let r = &trace.requests[i];
-                self.accels[r.task_idx].compose_uncached(
-                    &stories[story_of[i]],
-                    &unique_queries[u],
-                    self.sample_of(r),
-                )
-            })
-            .collect();
-        let queries: Vec<InferenceRun> = query_of
-            .iter()
-            .map(|&q| unique_queries[q].clone())
-            .collect();
-        let miss_runs: Vec<InferenceRun> =
-            query_of.iter().map(|&q| unique_misses[q].clone()).collect();
-
-        // Degraded (aggressive-ITH) forms, simulated through the same
-        // dedup so the phase stays engine- and thread-invariant.
-        let (deg_queries, deg_miss_runs) = if self.deg_accels.is_empty() {
-            (Vec::new(), Vec::new())
-        } else {
-            let unique_deg: Vec<InferenceRun> =
-                mann_core::parallel::parallel_map_indexed(query_req.len(), workers, |u| {
-                    let i = query_req[u];
+            hits.into_iter()
+                .zip(&query_req)
+                .map(|(hit, &i)| {
                     let r = &trace.requests[i];
-                    self.deg_accels[r.task_idx]
-                        .answer_query(&stories[story_of[i]], self.sample_of(r))
-                });
-            let unique_deg_misses: Vec<InferenceRun> = query_req
-                .iter()
-                .enumerate()
-                .map(|(u, &i)| {
-                    let r = &trace.requests[i];
-                    self.deg_accels[r.task_idx].compose_uncached(
-                        &stories[story_of[i]],
-                        &unique_deg[u],
-                        self.sample_of(r),
-                    )
+                    let accel = &accels[r.task_idx];
+                    let miss =
+                        accel.compose_uncached(&stories[story_of[i]], &hit, self.sample_of(r));
+                    [form(miss), form(hit)]
                 })
-                .collect();
-            (
-                query_of.iter().map(|&q| unique_deg[q].clone()).collect(),
-                query_of
-                    .iter()
-                    .map(|&q| unique_deg_misses[q].clone())
-                    .collect(),
-            )
+                .collect()
         };
-
-        let hit_durations = queries
-            .iter()
-            .map(|q| q.compute_time(self.config.clock))
-            .collect();
-        let miss_durations = miss_runs
-            .iter()
-            .map(|m| m.compute_time(self.config.clock))
-            .collect();
-        let deg_hit_durations = deg_queries
-            .iter()
-            .map(|q| q.compute_time(self.config.clock))
-            .collect();
-        let deg_miss_durations = deg_miss_runs
-            .iter()
-            .map(|m| m.compute_time(self.config.clock))
-            .collect();
-        let hit_bytes = trace
-            .requests
-            .iter()
-            .map(|r| PcieLink::input_bytes(Accelerator::query_words(self.sample_of(r))))
-            .collect();
-        let miss_bytes = trace
-            .requests
-            .iter()
-            .map(|r| PcieLink::input_bytes(Accelerator::input_words(self.sample_of(r))))
+        // Degraded (aggressive-ITH) forms go through the same dedup, so
+        // the phase stays engine- and thread-invariant.
+        let mut degraded =
+            (!self.deg_accels.is_empty()).then(|| simulate(&self.deg_accels).into_iter());
+        let queries = simulate(&self.accels)
+            .into_iter()
+            .zip(&query_req)
+            .map(|(exact, &i)| {
+                let sample = self.sample_of(&trace.requests[i]);
+                QueryForms {
+                    exact,
+                    degraded: degraded.as_mut().and_then(Iterator::next),
+                    bytes: [
+                        PcieLink::input_bytes(Accelerator::input_words(sample)),
+                        PcieLink::input_bytes(Accelerator::query_words(sample)),
+                    ],
+                }
+            })
             .collect();
         NumericPhase {
             stories,
             story_of,
             keys,
             queries,
-            miss_runs,
-            hit_durations,
-            miss_durations,
-            hit_bytes,
-            miss_bytes,
-            deg_queries,
-            deg_miss_runs,
-            deg_hit_durations,
-            deg_miss_durations,
+            query_of,
         }
     }
 
-    /// Serves `trace`, returning per-request completions, rejections and
-    /// the aggregate report.
+    /// Serves `trace` as a standalone node, returning per-request
+    /// completions, rejections and the aggregate report.
     ///
     /// # Panics
     ///
     /// Panics if a request references a task or sample outside the suite.
     pub fn serve(&self, trace: &ArrivalTrace) -> ServeOutcome {
-        let n = trace.requests.len();
+        self.serve_as(trace, ShardRole::default())
+    }
+
+    /// Serves `trace` in the role a cluster assigned this node.
+    pub(crate) fn serve_as(&self, trace: &ArrivalTrace, role: ShardRole) -> ServeOutcome {
         for r in &trace.requests {
             assert!(
                 r.task_idx < self.suite.tasks.len(),
@@ -658,786 +811,10 @@ impl<'a> Server<'a> {
                 r.id
             );
         }
-
-        // ----- numeric phase (engine-dependent, order-preserving) --------
         let num = self.numeric_phase(trace);
-
-        // ----- fault plan (None = untouched serve path) ------------------
-        let plan: Option<FaultPlan> = self.config.faults.is_active().then(|| {
-            FaultPlan::materialize(&self.config.faults, trace.span(), self.config.instances)
-                .unwrap_or_else(|e| panic!("invalid fault plan: {e}"))
-        });
-
-        // ----- event loop (sequential, integer time) --------------------
-        let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
-        let mut seq = 0u64;
-        for (i, r) in trace.requests.iter().enumerate() {
-            heap.push(Entry {
-                time: r.arrival,
-                seq,
-                event: Event::Arrival(i),
-            });
-            seq += 1;
-        }
-        // Fault events go on the heap after the arrivals so a zero-fault
-        // campaign consumes exactly the same sequence numbers as no
-        // campaign at all (byte-identity with the fault layer compiled in).
-        if let Some(p) = &plan {
-            for (k, &(t, _)) in p.crash_events().iter().enumerate() {
-                heap.push(Entry {
-                    time: t,
-                    seq,
-                    event: Event::Crash(k),
-                });
-                seq += 1;
-            }
-            for (k, &(t, _, _)) in p.seu_events().iter().enumerate() {
-                heap.push(Entry {
-                    time: t,
-                    seq,
-                    event: Event::Seu(k),
-                });
-                seq += 1;
-            }
-        }
-        // The membership fail-stop goes on last for the same reason: a
-        // `None` cut consumes no sequence numbers at all. Arrivals at the
-        // cut instant still carry earlier seqs, so they are admitted (and
-        // then stranded) deterministically.
-        if let Some(t) = self.config.fail_stop {
-            heap.push(Entry {
-                time: t,
-                seq,
-                event: Event::FailStop,
-            });
-            seq += 1;
-        }
-
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut insts = vec![Inst::default(); self.config.instances];
-        let mut residency = vec![LruSet::new(self.config.story_cache); self.config.instances];
-        let mut arb = LinkArbiter::new(self.config.pcie);
-        let mut jobs: Vec<LinkJob> = Vec::new();
-        let mut scheduler = Scheduler::new(self.config.policy);
-        let mut ts = vec![RequestTimestamps::default(); n];
-        let mut assigned = vec![usize::MAX; n];
-        let mut hit = vec![false; n];
-        let mut durations = vec![SimTime::ZERO; n];
-        let mut rejections: Vec<Rejection> = Vec::new();
-        let mut max_queue_depth = 0usize;
-        let mut last_drain = SimTime::ZERO;
-        let mut write_cycles_saved = 0u64;
-        let mut upload_bytes_saved = 0u64;
-
-        // ----- batched-compute accounting (inert with window 0/1) --------
-        let batch_window = self.config.batch_window.max(1);
-        let mut batch_groups = 0u64;
-        let mut batch_fused = 0u64;
-        let mut batched_requests = 0u64;
-        let mut batch_hist: Vec<u64> = Vec::new();
-        let mut batch_cycles_saved = 0u64;
-
-        // ----- fault-campaign state (inert without a plan) ---------------
-        let mut fr = FaultReport::default();
-        // Per-request lifecycle flags.
-        let mut done = vec![false; n];
-        let mut shed = vec![false; n];
-        let mut computed = vec![false; n];
-        let mut deg = vec![false; n];
-        let mut wd_armed = vec![false; n];
-        let mut exported: Vec<Option<SimTime>> = vec![None; n];
-        let mut dispatch_epoch = vec![0u64; n];
-        let mut seu_pending: Vec<Option<SimTime>> = vec![None; n];
-        // Per-link-job retry state (parallel to `jobs`).
-        let mut attempts: Vec<u32> = Vec::new();
-        let mut first_fail: Vec<Option<SimTime>> = Vec::new();
-        // Crash instants by (instance, pre-crash epoch), for MTTR.
-        let mut crash_at: HashMap<(usize, u64), SimTime> = HashMap::new();
-        let mut mttr_link = (SimTime::ZERO, 0u64);
-        let mut mttr_inst = (SimTime::ZERO, 0u64);
-        let mut mttr_seu = (SimTime::ZERO, 0u64);
-
-        // ----- durable journal (inert unless wal.enabled) ----------------
-        let journal_on = self.config.wal.enabled;
-        let mut wal_records: Vec<WalRecord> = Vec::new();
-        // Evictions come back from the LRU as cache keys; map each key to
-        // its (digest, task) pair for the journal. The key is
-        // digest ^ task·MIX, so the map is total over everything this
-        // trace can admit.
-        let mut key_meta: HashMap<u64, (u64, u32)> = HashMap::new();
-        // Quantized rows are identical for every request of a story —
-        // extract once per story id, lazily, only for journaled misses.
-        let mut wal_rows: Vec<Option<Vec<i32>>> = Vec::new();
-        if journal_on {
-            wal_rows.resize(num.stories.len(), None);
-            for (i, r) in trace.requests.iter().enumerate() {
-                key_meta.insert(
-                    num.keys[i],
-                    (num.stories[num.story_of[i]].digest(), r.task_idx as u32),
-                );
-            }
-        }
-
-        // Moves as many queued requests as credits allow onto the link.
-        // Residency (hit or miss) is decided here, per dispatched request,
-        // because it depends on the chosen instance's cache state.
-        macro_rules! dispatch {
-            ($now:expr) => {
-                loop {
-                    let Some(&head) = queue.front() else {
-                        break;
-                    };
-                    let views: Vec<InstanceView> = insts
-                        .iter()
-                        .zip(&residency)
-                        .map(|(inst, res)| InstanceView {
-                            inflight: inst.inflight,
-                            // A crashed instance advertises no credits, so
-                            // the (unchanged) scheduler never picks it.
-                            credits: if inst.down {
-                                0
-                            } else {
-                                self.config.inflight_limit - inst.inflight
-                            },
-                            free_at: inst.free_at,
-                            resident: res.contains(num.keys[head]),
-                        })
-                        .collect();
-                    let Some(target) = scheduler.pick(&views) else {
-                        break;
-                    };
-                    let credits = self.config.inflight_limit - insts[target].inflight;
-                    let take = credits.min(self.config.upload_batch).min(queue.len());
-                    let reqs: Vec<usize> = queue.drain(..take).collect();
-                    let mut bytes = 0u64;
-                    for &r in &reqs {
-                        let admission = residency[target].admit(num.keys[r]);
-                        hit[r] = admission.hit;
-                        if journal_on {
-                            if let Some(k) = admission.evicted {
-                                let (d, t) = key_meta[&k];
-                                wal_records.push(WalRecord::evict(d, t, $now.ps()));
-                            }
-                            if !admission.hit {
-                                let sid = num.story_of[r];
-                                let rows = wal_rows[sid]
-                                    .get_or_insert_with(|| num.stories[sid].quantized_rows())
-                                    .clone();
-                                wal_records.push(WalRecord::story(
-                                    num.stories[sid].digest(),
-                                    trace.requests[r].task_idx as u32,
-                                    $now.ps(),
-                                    rows,
-                                ));
-                            }
-                        }
-                        if admission.scrubbed {
-                            // A poisoned resident story: the digest check
-                            // caught it, so this dispatch pays a full
-                            // re-write (miss form) to repair it.
-                            fr.scrubs += 1;
-                            fr.scrub_cycles += num.stories[num.story_of[r]].phases().total().get();
-                            seu_pending[r] = Some($now);
-                        }
-                        if admission.hit {
-                            insts[target].cache_hits += 1;
-                            write_cycles_saved +=
-                                num.stories[num.story_of[r]].phases().total().get();
-                            upload_bytes_saved += num.miss_bytes[r] - num.hit_bytes[r];
-                            bytes += num.hit_bytes[r];
-                            durations[r] = if deg[r] {
-                                num.deg_hit_durations[r]
-                            } else {
-                                num.hit_durations[r]
-                            };
-                        } else {
-                            bytes += num.miss_bytes[r];
-                            durations[r] = if deg[r] {
-                                num.deg_miss_durations[r]
-                            } else {
-                                num.miss_durations[r]
-                            };
-                        }
-                        ts[r].dispatch = $now;
-                        assigned[r] = target;
-                        dispatch_epoch[r] = insts[target].epoch;
-                        if let Some(p) = &plan {
-                            let wd = p.config().watchdog_s;
-                            if wd > 0.0 && !wd_armed[r] {
-                                wd_armed[r] = true;
-                                heap.push(Entry {
-                                    time: $now + SimTime::from_s(wd),
-                                    seq,
-                                    event: Event::Watchdog(r),
-                                });
-                                seq += 1;
-                            }
-                        }
-                    }
-                    insts[target].inflight += take;
-                    let id = jobs.len() as u64;
-                    jobs.push(LinkJob::Upload {
-                        instance: target,
-                        reqs,
-                        epoch: insts[target].epoch,
-                    });
-                    attempts.push(0);
-                    first_fail.push(None);
-                    arb.submit(id, bytes, take);
-                }
-            };
-        }
-
-        // Grants the head link job if the link is idle.
-        macro_rules! grant {
-            ($now:expr) => {
-                if let Some(g) = arb.try_grant($now) {
-                    match &jobs[g.id as usize] {
-                        LinkJob::Upload { reqs, .. } => {
-                            for &r in reqs {
-                                ts[r].upload_start = g.start;
-                            }
-                        }
-                        LinkJob::Drain { req } => ts[*req].drain_start = g.start,
-                    }
-                    heap.push(Entry {
-                        time: g.end,
-                        seq,
-                        event: Event::LinkDone(g.id),
-                    });
-                    seq += 1;
-                }
-            };
-        }
-
-        // The numeric-phase run a request resolves to at compute time.
-        // A macro (not a closure) so it can borrow `num` alongside the
-        // mutable lifecycle state held by the enclosing loop.
-        macro_rules! run_of {
-            ($r:expr) => {
-                match (hit[$r], deg[$r]) {
-                    (true, false) => &num.queries[$r],
-                    (false, false) => &num.miss_runs[$r],
-                    (true, true) => &num.deg_queries[$r],
-                    (false, true) => &num.deg_miss_runs[$r],
-                }
-            };
-        }
-
-        // Starts the next ready request if the instance's fabric is idle.
-        // With a batch window > 1, the head request additionally drains
-        // every FIFO'd request on the *same resident story* (up to the
-        // window) into one fused compute group: the shared per-hop memory
-        // stream and the shared output-search stream are paid once instead
-        // of once per query, so the fused duration is the sum of the
-        // per-query durations minus the deduplicated stream cycles.
-        macro_rules! start_compute {
-            ($i:expr, $now:expr) => {
-                if insts[$i].computing.is_empty() {
-                    if let Some(r) = insts[$i].ready.pop_front() {
-                        let mut group = vec![r];
-                        if batch_window > 1 {
-                            let mut rest = VecDeque::new();
-                            while let Some(q) = insts[$i].ready.pop_front() {
-                                if group.len() < batch_window && num.keys[q] == num.keys[r] {
-                                    group.push(q);
-                                } else {
-                                    rest.push_back(q);
-                                }
-                            }
-                            insts[$i].ready = rest;
-                            batch_groups += 1;
-                            batched_requests += group.len() as u64;
-                            if batch_hist.len() < group.len() {
-                                batch_hist.resize(group.len(), 0);
-                            }
-                            batch_hist[group.len() - 1] += 1;
-                        }
-                        let mut total = SimTime::ZERO;
-                        for &q in &group {
-                            ts[q].compute_start = $now;
-                            total += durations[q];
-                        }
-                        let fused = if group.len() > 1 {
-                            batch_fused += 1;
-                            // Same story => same per-hop stream cost; the
-                            // batch pays max(hops) streams instead of
-                            // sum(hops), and one output row stream instead
-                            // of one per query.
-                            let stream = run_of!(r).mem_stream_per_hop;
-                            let hops: u64 =
-                                group.iter().map(|&q| run_of!(q).hops_executed as u64).sum();
-                            let max_hops = group
-                                .iter()
-                                .map(|&q| run_of!(q).hops_executed as u64)
-                                .max()
-                                .unwrap_or(0);
-                            let outs: u64 =
-                                group.iter().map(|&q| run_of!(q).out_stream_cycles).sum();
-                            let max_out = group
-                                .iter()
-                                .map(|&q| run_of!(q).out_stream_cycles)
-                                .max()
-                                .unwrap_or(0);
-                            let saved = stream * (hops - max_hops) + (outs - max_out);
-                            batch_cycles_saved += saved;
-                            total.saturating_sub(self.config.clock.sim_time(Cycles::new(saved)))
-                        } else {
-                            total
-                        };
-                        let end = $now + fused;
-                        insts[$i].free_at = end;
-                        insts[$i].busy += fused;
-                        insts[$i].computing = group;
-                        heap.push(Entry {
-                            time: end,
-                            seq,
-                            event: Event::ComputeDone {
-                                instance: $i,
-                                req: r,
-                                epoch: insts[$i].epoch,
-                            },
-                        });
-                        seq += 1;
-                    }
-                }
-            };
-        }
-
-        let mut halted_at: Option<SimTime> = None;
-        while let Some(Entry {
-            time: now, event, ..
-        }) = heap.pop()
-        {
-            match event {
-                Event::FailStop => {
-                    // Whole-node fail-stop: the fabric, caches and host
-                    // queue vanish at the cut. Roll back every instance's
-                    // unfinished busy time (the killed compute never
-                    // happened, same rule as a crash), then halt — the
-                    // post-loop pass hands everything unfinished back to
-                    // the cluster as exports.
-                    for inst in insts.iter_mut() {
-                        let unfinished = inst.free_at.saturating_sub(now);
-                        inst.busy = inst.busy.saturating_sub(unfinished);
-                        inst.free_at = now;
-                        inst.computing.clear();
-                        inst.ready.clear();
-                        inst.inflight = 0;
-                        inst.down = true;
-                        inst.epoch += 1;
-                    }
-                    halted_at = Some(now);
-                    break;
-                }
-                Event::Arrival(i) => {
-                    if queue.len() >= self.config.queue_capacity {
-                        rejections.push(Rejection {
-                            request: trace.requests[i],
-                            queue_depth: queue.len(),
-                        });
-                        if plan.is_some() {
-                            fr.shed_overload += 1;
-                        }
-                    } else {
-                        ts[i].enqueue = now;
-                        queue.push_back(i);
-                        max_queue_depth = max_queue_depth.max(queue.len());
-                        if let Some(p) = &plan {
-                            // Overload response: past the degrade depth,
-                            // survivors are answered in aggressive-ITH
-                            // degraded mode instead of being shed.
-                            let depth = p.config().degrade_depth;
-                            if depth > 0 && queue.len() >= depth {
-                                deg[i] = true;
-                                fr.degraded += 1;
-                            }
-                        }
-                        dispatch!(now);
-                        grant!(now);
-                    }
-                }
-                Event::LinkDone(id) => {
-                    let idx = id as usize;
-                    let corrupted = plan.as_ref().is_some_and(|p| p.corrupts(id, attempts[idx]));
-                    if corrupted {
-                        let p = plan.as_ref().expect("corruption implies a campaign");
-                        fr.link_corruptions += 1;
-                        if first_fail[idx].is_none() {
-                            first_fail[idx] = Some(now);
-                        }
-                        let attempt = attempts[idx];
-                        if attempt < p.config().max_retries {
-                            // CRC failure: hold the link through backoff and
-                            // replay the whole transfer. Holding (rather than
-                            // completing and resubmitting) keeps the FIFO
-                            // order of every other pending transfer intact.
-                            attempts[idx] += 1;
-                            fr.retransmits += 1;
-                            let g = arb.retransmit(id, now + p.backoff(attempt));
-                            heap.push(Entry {
-                                time: g.end,
-                                seq,
-                                event: Event::LinkDone(id),
-                            });
-                            seq += 1;
-                        } else {
-                            // Retry budget exhausted: payload undeliverable.
-                            fr.retry_exhausted += 1;
-                            arb.complete(id);
-                            match &jobs[idx] {
-                                LinkJob::Upload {
-                                    instance,
-                                    reqs,
-                                    epoch,
-                                } => {
-                                    let (instance, epoch) = (*instance, *epoch);
-                                    let reqs = reqs.clone();
-                                    if insts[instance].epoch == epoch {
-                                        // Target alive since dispatch: these
-                                        // requests have no other copy in
-                                        // flight, so they are shed.
-                                        insts[instance].inflight -= reqs.len();
-                                        for &r in &reqs {
-                                            done[r] = true;
-                                            shed[r] = true;
-                                            fr.shed_link += 1;
-                                        }
-                                    }
-                                    // Epoch mismatch: the instance crashed
-                                    // while this payload was on the wire; its
-                                    // requests are already stranded and the
-                                    // watchdog re-dispatches them.
-                                }
-                                LinkJob::Drain { req } => {
-                                    done[*req] = true;
-                                    shed[*req] = true;
-                                    fr.shed_link += 1;
-                                }
-                            }
-                            dispatch!(now);
-                            grant!(now);
-                        }
-                    } else {
-                        if let Some(t0) = first_fail[idx].take() {
-                            mttr_link.0 += now.saturating_sub(t0);
-                            mttr_link.1 += 1;
-                        }
-                        arb.complete(id);
-                        match &jobs[idx] {
-                            LinkJob::Upload {
-                                instance,
-                                reqs,
-                                epoch,
-                            } => {
-                                let (instance, epoch) = (*instance, *epoch);
-                                let reqs = reqs.clone();
-                                if insts[instance].epoch == epoch {
-                                    debug_assert!(!insts[instance].down);
-                                    for &r in &reqs {
-                                        ts[r].upload_end = now;
-                                        if let Some(t0) = seu_pending[r].take() {
-                                            mttr_seu.0 += now.saturating_sub(t0);
-                                            mttr_seu.1 += 1;
-                                        }
-                                    }
-                                    insts[instance].ready.extend(reqs);
-                                    start_compute!(instance, now);
-                                }
-                                // Stale epoch: the payload arrived at an
-                                // instance that crashed after dispatch —
-                                // delivery is void, the watchdog recovers
-                                // the stranded requests.
-                            }
-                            LinkJob::Drain { req } => {
-                                ts[*req].drain_end = now;
-                                done[*req] = true;
-                                last_drain = last_drain.max(now);
-                            }
-                        }
-                        grant!(now);
-                    }
-                }
-                Event::ComputeDone {
-                    instance,
-                    req,
-                    epoch,
-                } => {
-                    if insts[instance].epoch == epoch {
-                        debug_assert_eq!(insts[instance].computing.first(), Some(&req));
-                        let group = std::mem::take(&mut insts[instance].computing);
-                        insts[instance].inflight -= group.len();
-                        for q in group {
-                            ts[q].compute_end = now;
-                            computed[q] = true;
-                            insts[instance].completed += 1;
-                            let id = jobs.len() as u64;
-                            jobs.push(LinkJob::Drain { req: q });
-                            attempts.push(0);
-                            first_fail.push(None);
-                            arb.submit(id, PcieLink::answer_bytes(), 1);
-                        }
-                        start_compute!(instance, now);
-                        dispatch!(now);
-                        grant!(now);
-                    }
-                    // Stale epoch: the instance crashed mid-compute; the
-                    // result never materialized.
-                }
-                Event::Crash(k) => {
-                    let p = plan.as_ref().expect("crash implies a campaign");
-                    let (_, i) = p.crash_events()[k];
-                    if !insts[i].down {
-                        fr.crashes += 1;
-                        crash_at.insert((i, insts[i].epoch), now);
-                        insts[i].epoch += 1;
-                        insts[i].down = true;
-                        // Roll back the busy time of the killed (never
-                        // finished) compute, drop FIFO'd work, and lose
-                        // all resident stories (BRAM state is gone).
-                        let unfinished = insts[i].free_at.saturating_sub(now);
-                        insts[i].busy = insts[i].busy.saturating_sub(unfinished);
-                        insts[i].free_at = now;
-                        insts[i].computing.clear();
-                        insts[i].ready.clear();
-                        insts[i].inflight = 0;
-                        residency[i].clear_resident();
-                        heap.push(Entry {
-                            time: now + SimTime::from_s(p.config().crash_cooldown_s),
-                            seq,
-                            event: Event::InstanceUp(i),
-                        });
-                        seq += 1;
-                    }
-                }
-                Event::InstanceUp(i) => {
-                    insts[i].down = false;
-                    dispatch!(now);
-                    grant!(now);
-                }
-                Event::Watchdog(r) => {
-                    if !done[r] {
-                        fr.watchdog_fires += 1;
-                        let stranded = assigned[r] != usize::MAX
-                            && !computed[r]
-                            && insts[assigned[r]].epoch != dispatch_epoch[r];
-                        if stranded {
-                            // The instance crashed under this request:
-                            // fail over to whatever replica the scheduler
-                            // picks next (re-admission is capacity-exempt;
-                            // the request was already admitted once).
-                            fr.failovers += 1;
-                            if let Some(&t0) = crash_at.get(&(assigned[r], dispatch_epoch[r])) {
-                                mttr_inst.0 += now.saturating_sub(t0);
-                                mttr_inst.1 += 1;
-                            }
-                            if self.config.failover_export {
-                                // Cross-shard failover: hand the request
-                                // back to the cluster, which re-dispatches
-                                // it on the story's replica shard; this
-                                // node is done with it.
-                                done[r] = true;
-                                exported[r] = Some(now);
-                            } else {
-                                assigned[r] = usize::MAX;
-                                queue.push_front(r);
-                                max_queue_depth = max_queue_depth.max(queue.len());
-                                dispatch!(now);
-                                grant!(now);
-                            }
-                        }
-                        // Re-arm while the request is alive; the chain dies
-                        // with `done` (which an export just set).
-                        if !done[r] {
-                            let p = plan.as_ref().expect("watchdog implies a campaign");
-                            heap.push(Entry {
-                                time: now + SimTime::from_s(p.config().watchdog_s),
-                                seq,
-                                event: Event::Watchdog(r),
-                            });
-                            seq += 1;
-                        }
-                    }
-                }
-                Event::Seu(k) => {
-                    let p = plan.as_ref().expect("SEU implies a campaign");
-                    let (_, i, pick) = p.seu_events()[k];
-                    fr.seu_events += 1;
-                    if !insts[i].down {
-                        let keys = residency[i].keys();
-                        if !keys.is_empty() {
-                            let key = keys[(pick % keys.len() as u64) as usize];
-                            residency[i].poison(key);
-                        }
-                    }
-                }
-            }
-        }
-        debug_assert!(
-            halted_at.is_some() || queue.is_empty(),
-            "event loop left work queued"
-        );
-        debug_assert!(
-            halted_at.is_some() || (!arb.is_busy() && arb.pending_len() == 0),
-            "link work stranded"
-        );
-
-        // ----- assemble outcome ----------------------------------------
-        let rejected_ids: std::collections::HashSet<u64> =
-            rejections.iter().map(|r| r.request.id).collect();
-        if let Some(cut) = halted_at {
-            // Fail-stop stranding: every request not fully drained by the
-            // cut — queued, on the wire, computing, or not yet arrived —
-            // is exported for the cluster to re-route. Rejections stay
-            // rejections (they were bounced before the node died), so no
-            // request is ever double-counted.
-            queue.clear();
-            for (i, r) in trace.requests.iter().enumerate() {
-                if !done[i] && !shed[i] && exported[i].is_none() && !rejected_ids.contains(&r.id) {
-                    done[i] = true;
-                    exported[i] = Some(cut.max(r.arrival));
-                }
-            }
-        }
-        let sheds: Vec<Request> = trace
-            .requests
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| shed[i])
-            .map(|(_, r)| *r)
-            .collect();
-        let exports: Vec<Export> = trace
-            .requests
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| exported[i].map(|at| Export { request: *r, at }))
-            .collect();
-        let mut completions: Vec<Completion> = trace
-            .requests
-            .iter()
-            .enumerate()
-            .filter(|&(i, r)| !rejected_ids.contains(&r.id) && !shed[i] && exported[i].is_none())
-            .map(|(i, r)| {
-                debug_assert!(ts[i].is_monotone(), "request {} timeline broken", r.id);
-                let run = match (hit[i], deg[i]) {
-                    (true, false) => num.queries[i].clone(),
-                    (false, false) => num.miss_runs[i].clone(),
-                    (true, true) => num.deg_queries[i].clone(),
-                    (false, true) => num.deg_miss_runs[i].clone(),
-                };
-                let correct = run.answer == self.sample_of(r).answer;
-                Completion {
-                    request: *r,
-                    instance: assigned[i],
-                    run,
-                    timestamps: ts[i],
-                    correct,
-                    degraded: deg[i],
-                    numeric_flagged: false,
-                    failed_over: false,
-                }
-            })
-            .collect();
-        let numeric = self.apply_numeric_policy(&mut completions);
-
-        // Journal completions only after the numeric policy has settled
-        // the final answers, so replaying the WAL reproduces exactly what
-        // was served. Canonical order makes the journal a pure function
-        // of (suite, trace, config), independent of engine and threads.
-        if journal_on {
-            for c in &completions {
-                wal_records.push(WalRecord::completion(
-                    c.request.id,
-                    c.run.answer as u32,
-                    c.timestamps.drain_end.ps(),
-                ));
-            }
-            wal_records.sort_by(|a, b| {
-                (a.stamp_ps, a.kind, a.id, a.task, a.digest)
-                    .cmp(&(b.stamp_ps, b.kind, b.id, b.task, b.digest))
-            });
-        }
-
-        let cache_stats = residency.iter().map(|r| r.stats()).fold(
-            mann_hw::CacheStats::default(),
-            |mut acc, s| {
-                acc += s;
-                acc
-            },
-        );
-        let cache = CacheReport {
-            capacity: self.config.story_cache,
-            unique_stories: num.stories.len(),
-            hits: cache_stats.hits,
-            misses: cache_stats.misses,
-            evictions: cache_stats.evictions,
-            hit_rate: cache_stats.hit_rate(),
-            write_cycles_saved,
-            upload_bytes_saved,
-            write_energy_saved_j: self.config.power.active_energy_j(
-                self.config.clock.freq_mhz(),
-                self.config.clock.seconds(Cycles::new(write_cycles_saved)),
-            ),
-        };
-        let batch = BatchReport {
-            enabled: self.config.batch_window > 1,
-            window: self.config.batch_window,
-            groups: batch_groups,
-            fused_groups: batch_fused,
-            batched_requests,
-            size_histogram: batch_hist,
-            cycles_saved: batch_cycles_saved,
-            energy_saved_j: self.config.power.active_energy_j(
-                self.config.clock.freq_mhz(),
-                self.config.clock.seconds(Cycles::new(batch_cycles_saved)),
-            ),
-        };
-
-        if let Some(p) = &plan {
-            fr.enabled = true;
-            fr.plan_seed = p.config().seed;
-            fr.retry_link_s = arb.retry_busy_time().as_s();
-            fr.retry_energy_j = self
-                .config
-                .power
-                .retry_energy_j(self.config.clock.freq_mhz(), fr.retry_link_s);
-            fr.scrub_energy_j = self.config.power.active_energy_j(
-                self.config.clock.freq_mhz(),
-                self.config.clock.seconds(Cycles::new(fr.scrub_cycles)),
-            );
-            let mean = |(sum, count): (SimTime, u64)| {
-                if count > 0 {
-                    sum.as_s() / count as f64
-                } else {
-                    0.0
-                }
-            };
-            fr.mttr_link_s = mean(mttr_link);
-            fr.mttr_instance_s = mean(mttr_inst);
-            fr.mttr_seu_s = mean(mttr_seu);
-        }
-
-        let report = self.build_report(
-            trace,
-            &completions,
-            &rejections,
-            &insts,
-            &arb,
-            cache,
-            batch,
-            last_drain,
-            max_queue_depth,
-            fr,
-            numeric,
-        );
-        ServeOutcome {
-            completions,
-            rejections,
-            sheds,
-            exports,
-            wal_records,
-            report,
-        }
+        let mut state = ServeState::new(self, trace, &num, role);
+        state.run();
+        state.finish()
     }
 
     /// Applies the configured [`NumericPolicy`] to the assembled
@@ -1479,72 +856,15 @@ impl<'a> Server<'a> {
                 nh.failover_cycles += c.run.cycles.get();
             }
         }
-        nh.failover_energy_j = self.config.power.active_energy_j(
-            self.config.clock.freq_mhz(),
-            self.config.clock.seconds(Cycles::new(nh.failover_cycles)),
-        );
+        nh.failover_energy_j = self.config.active_energy_j(nh.failover_cycles);
         nh
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_report(
-        &self,
-        trace: &ArrivalTrace,
-        completions: &[Completion],
-        rejections: &[Rejection],
-        insts: &[Inst],
-        arb: &LinkArbiter,
-        cache: CacheReport,
-        batch: BatchReport,
-        last_drain: SimTime,
-        max_queue_depth: usize,
-        fault: FaultReport,
-        numeric: NumericHealth,
-    ) -> ServeReport {
-        let makespan_s = last_drain.as_s();
-        let latencies: Vec<f64> = completions
-            .iter()
-            .map(|c| c.timestamps.latency().as_s())
-            .collect();
-        let mean_queue_wait_s = if completions.is_empty() {
-            0.0
-        } else {
-            completions
-                .iter()
-                .map(|c| c.timestamps.queue_wait().as_s())
-                .sum::<f64>()
-                / completions.len() as f64
-        };
-        let instances: Vec<InstanceReport> = insts
-            .iter()
-            .enumerate()
-            .map(|(i, inst)| {
-                let busy_s = inst.busy.as_s();
-                InstanceReport {
-                    instance: i,
-                    completed: inst.completed,
-                    cache_hits: inst.cache_hits,
-                    busy_s,
-                    occupancy: if makespan_s > 0.0 {
-                        (busy_s / makespan_s).clamp(0.0, 1.0)
-                    } else {
-                        0.0
-                    },
-                    energy_j: self.config.power.interval_energy_j(
-                        self.config.clock.freq_mhz(),
-                        busy_s,
-                        makespan_s,
-                        self.config.use_ith,
-                    ),
-                }
-            })
-            .collect();
-        let total_energy_j = instances.iter().map(|i| i.energy_j).sum();
-        let correct = completions.iter().filter(|c| c.correct).count();
-        // Per-completion hop accounting: for a fixed story every hop of a
-        // run spends the same addressing/read/controller cycles, so the
-        // per-hop cost divides exactly and the saved-cycle figure is an
-        // exact count, not an estimate.
+    /// Hop-pruning accounting over the completions. For a fixed story
+    /// every hop of a run spends the same addressing/read/controller
+    /// cycles, so the per-hop cost divides exactly and the saved-cycle
+    /// figure is an exact count, not an estimate.
+    fn prune_report(&self, completions: &[Completion]) -> HopPruneReport {
         let mut prune = HopPruneReport {
             enabled: self.config.hop_prune.enabled,
             threshold: self.config.hop_prune.threshold,
@@ -1568,78 +888,769 @@ impl<'a> Server<'a> {
                     hop_cycles / c.run.hops_executed as u64 * c.run.hops_saved as u64;
             }
         }
-        prune.energy_saved_j = self.config.power.active_energy_j(
-            self.config.clock.freq_mhz(),
-            self.config.clock.seconds(Cycles::new(prune.cycles_saved)),
-        );
-        // A disabled report stays `IndexReport::default()` (not a config
-        // echo), so structs parsed from pre-index golden JSON — where the
-        // key is absent and deserialization falls back to the default —
-        // compare equal to freshly built ones.
-        let mut index = IndexReport::default();
-        if self.config.mem_index.enabled {
-            index.enabled = true;
-            index.k = self.config.mem_index.k;
-            index.nprobe = self.config.mem_index.nprobe;
-            index.band = self.config.mem_index.band;
-            for c in completions {
-                index.scanned_slots += c.run.index.scanned_slots;
-                index.skipped_slots += c.run.index.skipped_slots;
-                index.fallbacks += c.run.index.fallbacks;
-                index.build_cycles += c.run.index.build_cycles;
-                index.cycles_saved += c.run.index.cycles_saved;
-            }
-            index.energy_saved_j = self.config.power.active_energy_j(
-                self.config.clock.freq_mhz(),
-                self.config.clock.seconds(Cycles::new(index.cycles_saved)),
-            );
+        prune.energy_saved_j = self.config.active_energy_j(prune.cycles_saved);
+        prune
+    }
+
+    /// Candidate-index counters summed over the completions. A disabled
+    /// report stays `IndexReport::default()`, not a config echo.
+    fn index_report(&self, completions: &[Completion]) -> IndexReport {
+        let cfg = self.config.mem_index;
+        if !cfg.enabled {
+            return IndexReport::default();
         }
-        ServeReport {
-            requests: trace.requests.len(),
-            completed: completions.len(),
-            rejected: rejections.len(),
-            accuracy: if completions.is_empty() {
-                0.0
-            } else {
-                correct as f64 / completions.len() as f64
+        let mut index = IndexReport {
+            enabled: true,
+            k: cfg.k,
+            nprobe: cfg.nprobe,
+            band: cfg.band,
+            ..IndexReport::default()
+        };
+        for c in completions {
+            index.scanned_slots += c.run.index.scanned_slots;
+            index.skipped_slots += c.run.index.skipped_slots;
+            index.fallbacks += c.run.index.fallbacks;
+            index.build_cycles += c.run.index.build_cycles;
+            index.cycles_saved += c.run.index.cycles_saved;
+        }
+        index.energy_saved_j = self.config.active_energy_j(index.cycles_saved);
+        index
+    }
+}
+
+/// The event loop of one serve. Each [`Event`] variant has one handler;
+/// `dispatch`, `grant` and `start_compute` are the moves they share.
+struct ServeState<'s, 'a> {
+    server: &'s Server<'a>,
+    trace: &'s ArrivalTrace,
+    num: &'s NumericPhase,
+    role: ShardRole,
+    heap: BinaryHeap<Entry>,
+    seq: u64,
+    queue: VecDeque<usize>,
+    insts: Vec<Inst>,
+    residency: Vec<LruSet>,
+    arb: LinkArbiter,
+    jobs: Vec<Job>,
+    scheduler: Scheduler,
+    flights: Vec<Flight>,
+    rejections: Vec<Rejection>,
+    max_queue_depth: usize,
+    last_drain: SimTime,
+    write_cycles_saved: u64,
+    upload_bytes_saved: u64,
+    /// Batching counters; inert with a window of 0 or 1.
+    batch: BatchReport,
+    campaign: Option<Campaign>,
+    journal: Option<Journal>,
+    /// The fail-stop cut, once the loop halted at it.
+    halted_at: Option<SimTime>,
+}
+
+impl<'s, 'a> ServeState<'s, 'a> {
+    fn new(
+        server: &'s Server<'a>,
+        trace: &'s ArrivalTrace,
+        num: &'s NumericPhase,
+        role: ShardRole,
+    ) -> Self {
+        let config = &server.config;
+        let instances = config.instances;
+        let mut state = Self {
+            server,
+            trace,
+            num,
+            role,
+            heap: BinaryHeap::new(),
+            seq: 0,
+            queue: VecDeque::new(),
+            insts: vec![Inst::default(); instances],
+            residency: vec![LruSet::new(config.story_cache); instances],
+            arb: LinkArbiter::new(config.pcie),
+            jobs: Vec::new(),
+            scheduler: Scheduler::new(config.policy),
+            flights: vec![Flight::default(); trace.requests.len()],
+            rejections: Vec::new(),
+            max_queue_depth: 0,
+            last_drain: SimTime::ZERO,
+            write_cycles_saved: 0,
+            upload_bytes_saved: 0,
+            batch: BatchReport {
+                enabled: config.batch_window > 1,
+                window: config.batch_window,
+                ..BatchReport::default()
             },
+            campaign: None,
+            journal: config.wal.enabled.then(|| Journal::new(trace, num)),
+            halted_at: None,
+        };
+        for (i, r) in trace.requests.iter().enumerate() {
+            state.schedule(r.arrival, Event::Arrival(i));
+        }
+        // Fault events go on the heap after the arrivals so a zero-fault
+        // campaign consumes exactly the same sequence numbers as no
+        // campaign at all (byte-identity with the fault layer compiled in).
+        if config.faults.is_active() {
+            let plan = FaultPlan::materialize(&config.faults, trace.span(), instances)
+                .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
+            for (k, &(t, _)) in plan.crash_events().iter().enumerate() {
+                state.schedule(t, Event::Crash(k));
+            }
+            for (k, &(t, _, _)) in plan.seu_events().iter().enumerate() {
+                state.schedule(t, Event::Seu(k));
+            }
+            state.campaign = Some(Campaign {
+                plan,
+                report: FaultReport::default(),
+                crash_at: HashMap::new(),
+                link: Repairs::default(),
+                instance: Repairs::default(),
+                seu: Repairs::default(),
+            });
+        }
+        // The fail-stop goes on last for the same reason: a standalone
+        // node consumes no sequence numbers for it. Arrivals at the cut
+        // instant still carry earlier seqs, so they are admitted (and then
+        // stranded) deterministically.
+        if let Some(t) = role.fail_stop {
+            state.schedule(t, Event::FailStop);
+        }
+        state
+    }
+
+    fn schedule(&mut self, time: SimTime, event: Event) {
+        self.heap.push(Entry {
+            time,
+            seq: self.seq,
+            event,
+        });
+        self.seq += 1;
+    }
+
+    /// Replays events in `(time, seq)` order until none are left.
+    fn run(&mut self) {
+        while let Some(Entry {
+            time: now, event, ..
+        }) = self.heap.pop()
+        {
+            match event {
+                Event::Arrival(i) => self.on_arrival(now, i),
+                Event::LinkDone(id) => self.on_link_done(now, id),
+                Event::ComputeDone {
+                    instance,
+                    req,
+                    epoch,
+                } => self.on_compute_done(now, instance, req, epoch),
+                Event::Crash(k) => self.on_crash(now, k),
+                Event::InstanceUp(i) => self.on_instance_up(now, i),
+                Event::Watchdog(r) => self.on_watchdog(now, r),
+                Event::Seu(k) => self.on_seu(k),
+                Event::FailStop => self.on_fail_stop(now),
+            }
+        }
+    }
+
+    fn on_arrival(&mut self, now: SimTime, i: usize) {
+        if self.queue.len() >= self.server.config.queue_capacity {
+            self.rejections.push(Rejection {
+                request: self.trace.requests[i],
+                queue_depth: self.queue.len(),
+            });
+            self.flights[i].fate = Some(Fate::Rejected);
+            if let Some(c) = &mut self.campaign {
+                c.report.shed_overload += 1;
+            }
+            return;
+        }
+        self.flights[i].ts.enqueue = now;
+        self.queue.push_back(i);
+        self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
+        if let Some(c) = &mut self.campaign {
+            // Overload response: past the degrade depth, survivors are
+            // answered in aggressive-ITH degraded mode instead of being
+            // shed.
+            let depth = c.plan.config().degrade_depth;
+            if depth > 0 && self.queue.len() >= depth {
+                self.flights[i].degraded = true;
+                c.report.degraded += 1;
+            }
+        }
+        self.dispatch(now);
+        self.grant(now);
+    }
+
+    fn on_link_done(&mut self, now: SimTime, id: u64) {
+        let attempt = self.jobs[id as usize].attempts;
+        let corrupted = self
+            .campaign
+            .as_ref()
+            .is_some_and(|c| c.plan.corrupts(id, attempt));
+        if corrupted {
+            self.on_corruption(now, id);
+        } else {
+            self.on_delivery(now, id);
+        }
+    }
+
+    /// A transfer arrived corrupted (CRC failure): replay it within the
+    /// retry budget, else the payload is undeliverable.
+    fn on_corruption(&mut self, now: SimTime, id: u64) {
+        let c = self
+            .campaign
+            .as_mut()
+            .expect("corruption implies a campaign");
+        let job = &mut self.jobs[id as usize];
+        c.report.link_corruptions += 1;
+        job.first_fail.get_or_insert(now);
+        let attempt = job.attempts;
+        if attempt < c.plan.config().max_retries {
+            // Hold the link through backoff and replay the whole transfer.
+            // Holding (rather than completing and resubmitting) keeps the
+            // FIFO order of every other pending transfer intact.
+            job.attempts += 1;
+            c.report.retransmits += 1;
+            let g = self.arb.retransmit(id, now + c.plan.backoff(attempt));
+            self.schedule(g.end, Event::LinkDone(id));
+            return;
+        }
+        c.report.retry_exhausted += 1;
+        self.arb.complete(id);
+        let shed = match &job.payload {
+            // Target alive since dispatch: these requests have no other
+            // copy in flight, so they are shed.
+            LinkJob::Upload {
+                instance,
+                reqs,
+                epoch,
+            } if self.insts[*instance].epoch == *epoch => {
+                self.insts[*instance].inflight -= reqs.len();
+                reqs.clone()
+            }
+            // Epoch mismatch: the instance crashed while this payload was
+            // on the wire; its requests are already stranded and the
+            // watchdog re-dispatches them.
+            LinkJob::Upload { .. } => Vec::new(),
+            LinkJob::Drain { req } => vec![*req],
+        };
+        c.report.shed_link += shed.len() as u64;
+        for r in shed {
+            self.flights[r].fate = Some(Fate::Shed);
+        }
+        self.dispatch(now);
+        self.grant(now);
+    }
+
+    /// A transfer landed intact: an upload joins its instance's FIFO, a
+    /// drain completes its request.
+    fn on_delivery(&mut self, now: SimTime, id: u64) {
+        let job = &mut self.jobs[id as usize];
+        if let Some(t0) = job.first_fail.take() {
+            let c = self.campaign.as_mut().expect("a retry implies a campaign");
+            c.link.record(t0, now);
+        }
+        self.arb.complete(id);
+        let mut ready = None;
+        match &job.payload {
+            LinkJob::Upload {
+                instance,
+                reqs,
+                epoch,
+            } => {
+                // A stale epoch means the payload arrived at an instance
+                // that crashed after dispatch — delivery is void, the
+                // watchdog recovers the stranded requests.
+                if self.insts[*instance].epoch == *epoch {
+                    debug_assert!(!self.insts[*instance].down);
+                    for &r in reqs {
+                        let f = &mut self.flights[r];
+                        f.ts.upload_end = now;
+                        if let Some(t0) = f.seu_pending.take() {
+                            let c = self.campaign.as_mut().expect("a scrub implies a campaign");
+                            c.seu.record(t0, now);
+                        }
+                    }
+                    self.insts[*instance].ready.extend(reqs);
+                    ready = Some(*instance);
+                }
+            }
+            LinkJob::Drain { req } => {
+                let f = &mut self.flights[*req];
+                f.ts.drain_end = now;
+                f.fate = Some(Fate::Drained);
+                self.last_drain = self.last_drain.max(now);
+            }
+        }
+        if let Some(i) = ready {
+            self.start_compute(i, now);
+        }
+        self.grant(now);
+    }
+
+    fn on_compute_done(&mut self, now: SimTime, instance: usize, req: usize, epoch: u64) {
+        // A stale epoch means the instance crashed mid-compute; the result
+        // never materialized.
+        if self.insts[instance].epoch != epoch {
+            return;
+        }
+        debug_assert_eq!(self.insts[instance].computing.first(), Some(&req));
+        let group = std::mem::take(&mut self.insts[instance].computing);
+        self.insts[instance].inflight -= group.len();
+        for q in group {
+            self.flights[q].ts.compute_end = now;
+            self.flights[q].computed = true;
+            self.insts[instance].completed += 1;
+            self.submit(LinkJob::Drain { req: q }, PcieLink::answer_bytes(), 1);
+        }
+        self.start_compute(instance, now);
+        self.dispatch(now);
+        self.grant(now);
+    }
+
+    fn on_crash(&mut self, now: SimTime, k: usize) {
+        let c = self.campaign.as_mut().expect("crash implies a campaign");
+        let (_, i) = c.plan.crash_events()[k];
+        if self.insts[i].down {
+            return;
+        }
+        c.report.crashes += 1;
+        c.crash_at.insert((i, self.insts[i].epoch), now);
+        let up = now + SimTime::from_s(c.plan.config().crash_cooldown_s);
+        // The killed compute never happened, and all resident stories are
+        // lost (BRAM state is gone).
+        self.insts[i].halt(now);
+        self.residency[i].clear_resident();
+        self.schedule(up, Event::InstanceUp(i));
+    }
+
+    fn on_instance_up(&mut self, now: SimTime, i: usize) {
+        self.insts[i].down = false;
+        self.dispatch(now);
+        self.grant(now);
+    }
+
+    fn on_watchdog(&mut self, now: SimTime, r: usize) {
+        let f = self.flights[r];
+        if f.fate.is_some() {
+            return;
+        }
+        let c = self.campaign.as_mut().expect("watchdog implies a campaign");
+        c.report.watchdog_fires += 1;
+        let period = SimTime::from_s(c.plan.config().watchdog_s);
+        let stranded = f
+            .assigned
+            .filter(|&(i, epoch)| !f.computed && self.insts[i].epoch != epoch);
+        if let Some(at) = stranded {
+            // The instance crashed under this request: fail over to
+            // whatever replica the scheduler picks next (re-admission is
+            // capacity-exempt; the request was already admitted once).
+            c.report.failovers += 1;
+            if let Some(&t0) = c.crash_at.get(&at) {
+                c.instance.record(t0, now);
+            }
+            if self.role.exports() {
+                // Cross-shard failover: hand the request back to the
+                // cluster, which re-dispatches it on the story's replica
+                // shard; this node is done with it.
+                self.flights[r].fate = Some(Fate::Exported(now));
+            } else {
+                self.flights[r].assigned = None;
+                self.queue.push_front(r);
+                self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
+                self.dispatch(now);
+                self.grant(now);
+            }
+        }
+        // Re-arm while the request is alive; the chain dies with its fate
+        // (which an export just set).
+        if self.flights[r].fate.is_none() {
+            self.schedule(now + period, Event::Watchdog(r));
+        }
+    }
+
+    fn on_seu(&mut self, k: usize) {
+        let c = self.campaign.as_mut().expect("SEU implies a campaign");
+        let (_, i, pick) = c.plan.seu_events()[k];
+        c.report.seu_events += 1;
+        if self.insts[i].down {
+            return;
+        }
+        let keys = self.residency[i].keys();
+        if !keys.is_empty() {
+            let key = keys[(pick % keys.len() as u64) as usize];
+            self.residency[i].poison(key);
+        }
+    }
+
+    /// Whole-node fail-stop: the fabric, caches and host queue vanish at
+    /// the cut. Every instance halts (the killed compute never happened,
+    /// the same rule as a crash) and the loop ends; `finish` hands
+    /// everything unfinished back to the cluster as exports.
+    fn on_fail_stop(&mut self, now: SimTime) {
+        for inst in &mut self.insts {
+            inst.halt(now);
+        }
+        self.halted_at = Some(now);
+        self.heap.clear();
+    }
+
+    /// Moves as many queued requests as credits allow onto the link.
+    fn dispatch(&mut self, now: SimTime) {
+        let limit = self.server.config.inflight_limit;
+        while let Some(&head) = self.queue.front() {
+            let key = self.num.keys[head];
+            let views: Vec<InstanceView> = self
+                .insts
+                .iter()
+                .zip(&self.residency)
+                .map(|(inst, res)| InstanceView {
+                    inflight: inst.inflight,
+                    // A crashed instance advertises no credits, so the
+                    // (unchanged) scheduler never picks it.
+                    credits: if inst.down { 0 } else { limit - inst.inflight },
+                    free_at: inst.free_at,
+                    resident: res.contains(key),
+                })
+                .collect();
+            let Some(target) = self.scheduler.pick(&views) else {
+                break;
+            };
+            let credits = limit - self.insts[target].inflight;
+            let take = credits
+                .min(self.server.config.upload_batch)
+                .min(self.queue.len());
+            let reqs: Vec<usize> = self.queue.drain(..take).collect();
+            let bytes = reqs.iter().map(|&r| self.admit(now, target, r)).sum();
+            self.insts[target].inflight += take;
+            let epoch = self.insts[target].epoch;
+            let upload = LinkJob::Upload {
+                instance: target,
+                reqs,
+                epoch,
+            };
+            self.submit(upload, bytes, take);
+        }
+    }
+
+    /// Dispatches request `r` to instance `target`, returning its upload
+    /// bytes. Residency (hit or miss) is decided here, per request,
+    /// because it depends on the chosen instance's cache state.
+    fn admit(&mut self, now: SimTime, target: usize, r: usize) -> u64 {
+        let num = self.num;
+        let admission = self.residency[target].admit(num.keys[r]);
+        if let Some(j) = &mut self.journal {
+            j.admit(num, r, self.trace.requests[r].task_idx, admission, now);
+        }
+        let story_cycles = num.story(r).phases().total().get();
+        if admission.scrubbed {
+            // A poisoned resident story: the digest check caught it, so
+            // this dispatch pays a full re-write (miss form) to repair it.
+            let c = self.campaign.as_mut().expect("only an SEU poisons a story");
+            c.report.scrubs += 1;
+            c.report.scrub_cycles += story_cycles;
+            self.flights[r].seu_pending = Some(now);
+        }
+        if admission.hit {
+            self.insts[target].cache_hits += 1;
+            self.write_cycles_saved += story_cycles;
+            self.upload_bytes_saved += num.bytes(r, false) - num.bytes(r, true);
+        }
+        let f = &mut self.flights[r];
+        f.hit = admission.hit;
+        f.ts.dispatch = now;
+        f.assigned = Some((target, self.insts[target].epoch));
+        let watchdog = self
+            .campaign
+            .as_ref()
+            .map_or(0.0, |c| c.plan.config().watchdog_s);
+        if watchdog > 0.0 && !f.watchdog_armed {
+            f.watchdog_armed = true;
+            self.schedule(now + SimTime::from_s(watchdog), Event::Watchdog(r));
+        }
+        num.bytes(r, admission.hit)
+    }
+
+    fn submit(&mut self, payload: LinkJob, bytes: u64, requests: usize) {
+        let id = self.jobs.len() as u64;
+        self.jobs.push(Job {
+            payload,
+            attempts: 0,
+            first_fail: None,
+        });
+        self.arb.submit(id, bytes, requests);
+    }
+
+    /// Grants the head link job if the link is idle.
+    fn grant(&mut self, now: SimTime) {
+        let Some(g) = self.arb.try_grant(now) else {
+            return;
+        };
+        match &self.jobs[g.id as usize].payload {
+            LinkJob::Upload { reqs, .. } => {
+                for &r in reqs {
+                    self.flights[r].ts.upload_start = g.start;
+                }
+            }
+            LinkJob::Drain { req } => self.flights[*req].ts.drain_start = g.start,
+        }
+        self.schedule(g.end, Event::LinkDone(g.id));
+    }
+
+    /// Starts the next ready request if instance `i`'s fabric is idle.
+    /// With a batch window > 1, the head request additionally drains
+    /// every FIFO'd request on the *same resident story* (up to the
+    /// window) into one fused compute group: the shared per-hop memory
+    /// stream and the shared output-search stream are paid once instead
+    /// of once per query, so the fused duration is the sum of the
+    /// per-query durations minus the deduplicated stream cycles.
+    fn start_compute(&mut self, i: usize, now: SimTime) {
+        let num = self.num;
+        let inst = &mut self.insts[i];
+        if !inst.computing.is_empty() {
+            return;
+        }
+        let Some(r) = inst.ready.pop_front() else {
+            return;
+        };
+        let mut group = vec![r];
+        let window = self.batch.window;
+        if window > 1 {
+            let mut rest = VecDeque::new();
+            while let Some(q) = inst.ready.pop_front() {
+                if group.len() < window && num.keys[q] == num.keys[r] {
+                    group.push(q);
+                } else {
+                    rest.push_back(q);
+                }
+            }
+            inst.ready = rest;
+            let b = &mut self.batch;
+            b.groups += 1;
+            b.batched_requests += group.len() as u64;
+            if b.size_histogram.len() < group.len() {
+                b.size_histogram.resize(group.len(), 0);
+            }
+            b.size_histogram[group.len() - 1] += 1;
+        }
+        let mut total = SimTime::ZERO;
+        for &q in &group {
+            self.flights[q].ts.compute_start = now;
+            total += num.form(q, &self.flights[q]).time;
+        }
+        let fused = if group.len() > 1 {
+            self.batch.fused_groups += 1;
+            // Same story => same per-hop stream cost; the batch pays
+            // max(hops) streams instead of sum(hops), and one output row
+            // stream instead of one per query.
+            let run = |q: usize| &num.form(q, &self.flights[q]).run;
+            let stream = run(r).mem_stream_per_hop;
+            let hops: u64 = group.iter().map(|&q| run(q).hops_executed as u64).sum();
+            let max_hops = group
+                .iter()
+                .map(|&q| run(q).hops_executed as u64)
+                .max()
+                .unwrap_or(0);
+            let outs: u64 = group.iter().map(|&q| run(q).out_stream_cycles).sum();
+            let max_out = group
+                .iter()
+                .map(|&q| run(q).out_stream_cycles)
+                .max()
+                .unwrap_or(0);
+            let saved = stream * (hops - max_hops) + (outs - max_out);
+            self.batch.cycles_saved += saved;
+            let clock = self.server.config.clock;
+            total.saturating_sub(clock.sim_time(Cycles::new(saved)))
+        } else {
+            total
+        };
+        let end = now + fused;
+        inst.free_at = end;
+        inst.busy += fused;
+        inst.computing = group;
+        let epoch = inst.epoch;
+        self.schedule(
+            end,
+            Event::ComputeDone {
+                instance: i,
+                req: r,
+                epoch,
+            },
+        );
+    }
+
+    /// Settles the fate of every request and assembles the outcome.
+    fn finish(mut self) -> ServeOutcome {
+        debug_assert!(
+            self.halted_at.is_some() || self.queue.is_empty(),
+            "event loop left work queued"
+        );
+        debug_assert!(
+            self.halted_at.is_some() || (!self.arb.is_busy() && self.arb.pending_len() == 0),
+            "link work stranded"
+        );
+        let trace = self.trace;
+        if let Some(cut) = self.halted_at {
+            // Fail-stop stranding: every request not fully drained by the
+            // cut — queued, on the wire, computing, or not yet arrived —
+            // is exported for the cluster to re-route. Rejections stay
+            // rejections (they were bounced before the node died), so no
+            // request is ever double-counted.
+            for (f, r) in self.flights.iter_mut().zip(&trace.requests) {
+                f.fate.get_or_insert(Fate::Exported(cut.max(r.arrival)));
+            }
+        }
+        let (mut completions, mut sheds, mut exports) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, (f, r)) in self.flights.iter().zip(&trace.requests).enumerate() {
+            match f.fate.expect("every request leaves the node") {
+                Fate::Drained => completions.push(self.completion(i, f)),
+                Fate::Shed => sheds.push(*r),
+                Fate::Exported(at) => exports.push(Export { request: *r, at }),
+                Fate::Rejected => {}
+            }
+        }
+        let server = self.server;
+        let numeric = server.apply_numeric_policy(&mut completions);
+        let wal_records = self
+            .journal
+            .take()
+            .map_or_else(Vec::new, |j| j.finish(&completions));
+        let fault = self.campaign.take().map_or_else(FaultReport::default, |c| {
+            c.finish(&server.config, &self.arb)
+        });
+        let report = self.report(&completions, fault, numeric);
+        ServeOutcome {
+            completions,
+            rejections: self.rejections,
+            sheds,
+            exports,
+            wal_records,
+            report,
+        }
+    }
+
+    fn completion(&self, i: usize, f: &Flight) -> Completion {
+        let r = &self.trace.requests[i];
+        debug_assert!(f.ts.is_monotone(), "request {} timeline broken", r.id);
+        let run = self.num.form(i, f).run.clone();
+        let correct = run.answer == self.server.sample_of(r).answer;
+        Completion {
+            request: *r,
+            instance: f.assigned.expect("a drained request was dispatched").0,
+            run,
+            timestamps: f.ts,
+            correct,
+            degraded: f.degraded,
+            numeric_flagged: false,
+            failed_over: false,
+        }
+    }
+
+    fn report(
+        &self,
+        completions: &[Completion],
+        fault: FaultReport,
+        numeric: NumericHealth,
+    ) -> ServeReport {
+        let server = self.server;
+        let config = &server.config;
+        let makespan_s = self.last_drain.as_s();
+        let share = |busy_s: f64| {
+            if makespan_s > 0.0 {
+                (busy_s / makespan_s).clamp(0.0, 1.0)
+            } else {
+                0.0
+            }
+        };
+        let instances: Vec<InstanceReport> = self
+            .insts
+            .iter()
+            .enumerate()
+            .map(|(i, inst)| {
+                let busy_s = inst.busy.as_s();
+                InstanceReport {
+                    instance: i,
+                    completed: inst.completed,
+                    cache_hits: inst.cache_hits,
+                    busy_s,
+                    occupancy: share(busy_s),
+                    energy_j: config.power.interval_energy_j(
+                        config.clock.freq_mhz(),
+                        busy_s,
+                        makespan_s,
+                        config.use_ith,
+                    ),
+                }
+            })
+            .collect();
+        let stats = self.residency.iter().map(LruSet::stats).fold(
+            mann_hw::CacheStats::default(),
+            |mut acc, s| {
+                acc += s;
+                acc
+            },
+        );
+        let mut batch = self.batch.clone();
+        batch.energy_saved_j = config.active_energy_j(batch.cycles_saved);
+        let correct = completions.iter().filter(|c| c.correct).count();
+        let done = completions.len();
+        ServeReport {
+            requests: self.trace.requests.len(),
+            completed: done,
+            rejected: self.rejections.len(),
+            accuracy: mean(correct as f64, done as u64),
             makespan_s,
             throughput_rps: if makespan_s > 0.0 {
-                completions.len() as f64 / makespan_s
+                done as f64 / makespan_s
             } else {
                 0.0
             },
-            latency: LatencySummary::from_latencies(&latencies),
-            mean_queue_wait_s,
-            max_queue_depth,
+            latency: LatencySummary::from_latencies(
+                &completions
+                    .iter()
+                    .map(|c| c.timestamps.latency().as_s())
+                    .collect::<Vec<_>>(),
+            ),
+            mean_queue_wait_s: mean(
+                completions
+                    .iter()
+                    .map(|c| c.timestamps.queue_wait().as_s())
+                    .sum(),
+                done as u64,
+            ),
+            max_queue_depth: self.max_queue_depth,
+            total_energy_j: instances.iter().map(|i| i.energy_j).sum(),
             instances,
             link: LinkReport {
-                grants: arb.grants(),
-                bytes: arb.bytes_moved(),
-                busy_s: arb.busy_time().as_s(),
-                utilization: if makespan_s > 0.0 {
-                    (arb.busy_time().as_s() / makespan_s).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                },
+                grants: self.arb.grants(),
+                bytes: self.arb.bytes_moved(),
+                busy_s: self.arb.busy_time().as_s(),
+                utilization: share(self.arb.busy_time().as_s()),
             },
-            cache,
+            cache: CacheReport {
+                capacity: config.story_cache,
+                unique_stories: self.num.stories.len(),
+                hits: stats.hits,
+                misses: stats.misses,
+                evictions: stats.evictions,
+                hit_rate: stats.hit_rate(),
+                write_cycles_saved: self.write_cycles_saved,
+                upload_bytes_saved: self.upload_bytes_saved,
+                write_energy_saved_j: config.active_energy_j(self.write_cycles_saved),
+            },
             phase_totals: completions.iter().map(|c| c.run.phases).sum(),
             speculated: completions.iter().filter(|c| c.run.speculated).count(),
-            total_energy_j,
-            setup_s: self.setup_time_s(),
+            setup_s: server.setup_time_s(),
             answers_digest: answers_digest(
                 completions.iter().map(|c| (c.request.id, c.run.answer)),
             ),
             fault,
             numeric,
             batch,
-            prune,
-            index,
+            prune: server.prune_report(completions),
+            index: server.index_report(completions),
             // The durable driver (`crate::store`) patches this section in
             // after persisting the journal; the pure serve never fills it.
             durability: DurabilityReport::default(),
-            fail_stopped: self.config.fail_stop.is_some(),
+            fail_stopped: self.role.fail_stop.is_some(),
         }
     }
 }

@@ -49,7 +49,8 @@ use mann_store::{
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{Cluster, ClusterOutcome};
-use crate::server::{ServeOutcome, Server};
+use crate::report::{mean, ReportSection};
+use crate::server::{ServeOutcome, Server, ShardRole};
 use crate::trace::ArrivalTrace;
 
 /// Domain-separation stream for node-kill selection (ASCII "kill"):
@@ -308,8 +309,50 @@ pub struct DurabilityReport {
 }
 
 impl DurabilityReport {
-    /// Renders the durability section as a text table.
-    pub fn render(&self) -> String {
+    /// Folds per-shard sections: the enabled ones' counters add, and the
+    /// recovery MTTR is re-weighted by kill count.
+    pub(crate) fn merge<'a>(parts: impl IntoIterator<Item = &'a Self>) -> Self {
+        let mut m = Self::default();
+        let mut mttr = 0.0;
+        for p in parts.into_iter().filter(|p| p.enabled) {
+            m.enabled = true;
+            m.records += p.records;
+            m.story_records += p.story_records;
+            m.completion_records += p.completion_records;
+            m.evict_records += p.evict_records;
+            m.wal_bytes += p.wal_bytes;
+            m.segments += p.segments;
+            m.fsyncs += p.fsyncs;
+            m.fsync_s += p.fsync_s;
+            m.snapshots += p.snapshots;
+            m.snapshot_bytes += p.snapshot_bytes;
+            m.gc_segments += p.gc_segments;
+            m.gc_snapshots += p.gc_snapshots;
+            m.gc_bytes += p.gc_bytes;
+            m.gc_stories += p.gc_stories;
+            m.node_kills += p.node_kills;
+            m.torn_tails += p.torn_tails;
+            m.dropped_bytes += p.dropped_bytes;
+            m.replayed_records += p.replayed_records;
+            m.recovered_completions += p.recovered_completions;
+            m.redispatched += p.redispatched;
+            mttr += p.recovery_mttr_s * p.node_kills as f64;
+        }
+        m.recovery_mttr_s = mean(mttr, m.node_kills);
+        m
+    }
+}
+
+impl ReportSection for DurabilityReport {
+    fn key(&self) -> &'static str {
+        "durability"
+    }
+
+    fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    fn render(&self) -> String {
         let mut t = TextTable::new(vec!["durability metric".into(), "value".into()]);
         t.row(vec![
             "journal records (story/compl/evict)".into(),
@@ -545,10 +588,11 @@ fn run_journal(
 fn run_shard_durable(
     server: &Server<'_>,
     trace: &ArrivalTrace,
+    role: ShardRole,
     dir: &Path,
     plan: KillPlan,
 ) -> Result<ServeOutcome, PersistError> {
-    let mut out = server.serve(trace);
+    let mut out = server.serve_as(trace, role);
     let cfg = &server.config().wal;
     let mut dr = DurabilityReport {
         enabled: true,
@@ -560,7 +604,7 @@ fn run_shard_durable(
         // serve stack. The serve is a pure function, so the re-run is
         // byte-identical to the killed run — assert it rather than
         // assume it.
-        let re = server.serve(trace);
+        let re = server.serve_as(trace, role);
         if re.report.answers_digest != out.report.answers_digest {
             return Err(StoreError::Recovery(format!(
                 "re-served answers digest {} diverges from the killed run's {}",
@@ -596,6 +640,7 @@ pub fn serve_durable(
     run_shard_durable(
         server,
         trace,
+        ShardRole::default(),
         &PathBuf::from(&cfg.wal.dir),
         KillPlan {
             node_kills: cfg.faults.node_kills,
@@ -629,10 +674,11 @@ pub fn serve_cluster_durable(
     let (node_kills, seed) = (config.base.faults.node_kills, config.base.faults.seed);
     let shards = config.shards as u64;
     let order: Vec<usize> = (0..config.shards).collect();
-    cluster.serve_in_order_with(trace, &order, |pass, shard, server, sub| {
+    cluster.serve_in_order_with(trace, &order, |pass, shard, server, sub, role| {
         run_shard_durable(
             server,
             sub,
+            role,
             &root
                 .join(format!("shard-{shard}"))
                 .join(format!("pass-{pass}")),
