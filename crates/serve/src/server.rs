@@ -390,6 +390,7 @@ struct Inst {
     /// a single entry without batching).
     computing: Vec<usize>,
     busy: SimTime,
+    /// Answers drained from this instance.
     completed: u64,
     cache_hits: u64,
     /// Crashed and cooling down; invisible to the scheduler (0 credits).
@@ -1177,6 +1178,10 @@ impl<'s, 'a> ServeState<'s, 'a> {
                 let f = &mut self.flights[*req];
                 f.ts.drain_end = now;
                 f.fate = Some(Fate::Drained);
+                // Credit the instance only now: an answer shed on the
+                // drain link, or stranded by a fail-stop, never completed.
+                let (i, _) = f.assigned.expect("a drained request was dispatched");
+                self.insts[i].completed += 1;
                 self.last_drain = self.last_drain.max(now);
             }
         }
@@ -1198,7 +1203,6 @@ impl<'s, 'a> ServeState<'s, 'a> {
         for q in group {
             self.flights[q].ts.compute_end = now;
             self.flights[q].computed = true;
-            self.insts[instance].completed += 1;
             self.submit(LinkJob::Drain { req: q }, PcieLink::answer_bytes(), 1);
         }
         self.start_compute(instance, now);

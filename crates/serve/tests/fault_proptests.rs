@@ -1,4 +1,5 @@
-//! Property tests for the fault-injection and recovery layer.
+//! Property tests for the fault-injection and recovery layer, and for
+//! every serving lever in combination.
 //!
 //! Three invariants hold for *any* trace and fault campaign:
 //!
@@ -13,17 +14,21 @@
 //! 3. Inertness: a fault plan with nothing to inject is invisible — the
 //!    outcome is byte-identical to a serve with no campaign at all.
 //!
-//! The conservation test also re-serves every campaign on the serial
-//! engine and asserts byte-identical reports: engine invariance must
-//! survive arbitrary fault interleavings, not just the pinned golden one.
+//! The conservation tests sample the other levers alongside the campaign
+//! — batch window, hop pruning, the IVF index, WAL collection, the engine,
+//! and a fail-stopped cluster shard — because each was proven alone when
+//! it landed. Every case is re-served on the other engine and with WAL
+//! collection toggled, and must reproduce the same bytes.
 
 use std::sync::OnceLock;
 
 use mann_babi::TaskId;
 use mann_core::{SuiteConfig, TaskSuite};
+use mann_hw::MemIndexConfig;
 use mann_serve::{
-    ArrivalTrace, EngineMode, FaultConfig, SchedulePolicy, ServeConfig, ServeOutcome, Server,
-    TraceConfig,
+    ArrivalTrace, Cluster, ClusterConfig, Completion, EngineMode, FaultConfig, HopPrune,
+    MembershipPlan, Rejection, Request, SchedulePolicy, ServeConfig, ServeOutcome, ServeReport,
+    Server, TraceConfig, WalConfig,
 };
 use proptest::prelude::*;
 
@@ -40,6 +45,18 @@ fn suite() -> &'static TaskSuite {
     })
 }
 
+fn trace(seed: u64, requests: usize, rate_us: u64, pool: usize) -> ArrivalTrace {
+    ArrivalTrace::generate(
+        &TraceConfig {
+            requests,
+            seed,
+            mean_interarrival_s: rate_us as f64 * 1e-6,
+            story_pool: pool,
+        },
+        suite(),
+    )
+}
+
 fn policy(pick: u8) -> SchedulePolicy {
     match pick % 3 {
         0 => SchedulePolicy::RoundRobin,
@@ -48,17 +65,127 @@ fn policy(pick: u8) -> SchedulePolicy {
     }
 }
 
+fn engine(serial: bool) -> EngineMode {
+    if serial {
+        EngineMode::Serial
+    } else {
+        EngineMode::Parallel
+    }
+}
+
+fn hop_prune(on: bool) -> HopPrune {
+    if on {
+        HopPrune::with_threshold(0.8)
+    } else {
+        HopPrune::default()
+    }
+}
+
+/// A small index for bAbI-length stories; its band trips full-scan
+/// fallbacks on some hops and not on others.
+fn mem_index(on: bool) -> MemIndexConfig {
+    if on {
+        MemIndexConfig::with_params(4, 2, 0.1)
+    } else {
+        MemIndexConfig::default()
+    }
+}
+
+/// WAL collection only: the pure serve gathers the journal and never
+/// touches the directory.
+fn wal_collection(on: bool) -> WalConfig {
+    if on {
+        WalConfig {
+            enabled: true,
+            dir: "unused-by-the-pure-serve".into(),
+            ..WalConfig::default()
+        }
+    } else {
+        WalConfig::default()
+    }
+}
+
 fn serve(trace: &ArrivalTrace, config: ServeConfig) -> ServeOutcome {
     Server::new(suite(), config).serve(trace)
+}
+
+fn report_bytes(report: &impl serde::Serialize) -> String {
+    serde_json::to_string(report).expect("serializable report")
+}
+
+/// Every trace id lands in exactly one of the three outcome vectors, and
+/// every completion's timeline is causally ordered.
+fn check_partition(
+    trace: &ArrivalTrace,
+    completions: &[Completion],
+    rejections: &[Rejection],
+    sheds: &[Request],
+) {
+    let mut seen = vec![0u32; trace.len()];
+    for c in completions {
+        seen[c.request.id as usize] += 1;
+        assert!(
+            c.timestamps.is_monotone(),
+            "request {} timeline broken: {:?}",
+            c.request.id,
+            c.timestamps
+        );
+    }
+    for s in sheds {
+        seen[s.id as usize] += 1;
+    }
+    for r in rejections {
+        seen[r.request.id as usize] += 1;
+    }
+    for (id, count) in seen.iter().enumerate() {
+        assert_eq!(
+            *count, 1,
+            "request {id} appears {count} times across completions/sheds/rejections"
+        );
+    }
+}
+
+/// The instances' completions sum to the report's.
+fn check_instances(report: &ServeReport) {
+    let credited: u64 = report.instances.iter().map(|i| i.completed).sum();
+    assert_eq!(credited, report.completed as u64, "instance completions");
+}
+
+/// Every answer equals a standalone `Accelerator::run` of its sample.
+fn check_answers(completions: &[Completion]) {
+    static ANSWERS: OnceLock<Vec<Vec<usize>>> = OnceLock::new();
+    let answers = ANSWERS.get_or_init(|| {
+        let server = Server::new(suite(), ServeConfig::default());
+        suite()
+            .tasks
+            .iter()
+            .enumerate()
+            .map(|(t, task)| {
+                let accel = server.accelerator(t);
+                task.test_set.iter().map(|s| accel.run(s).answer).collect()
+            })
+            .collect()
+    });
+    for c in completions {
+        assert_eq!(
+            c.run.answer, answers[c.request.task_idx][c.request.sample_idx],
+            "request {} answered off the standalone accelerator",
+            c.request.id
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Under an arbitrary campaign (corruption + crashes + SEUs +
-    /// overload degradation), completions, sheds and rejections partition
-    /// the trace by id; the fault ledger matches the outcome vectors; and
-    /// the serial engine reproduces the parallel engine's bytes.
+    /// Under an arbitrary combination of levers — a fault campaign
+    /// (corruption + crashes + SEUs + overload degradation), a batch
+    /// window, hop pruning, the IVF index, WAL collection and either
+    /// engine — completions, sheds and rejections partition the trace by
+    /// id; the fault ledger matches the outcome vectors; every timeline is
+    /// monotone; the instances' completions sum to the report's; neither
+    /// WAL collection nor the engine changes a byte; and with no lossy
+    /// lever armed every answer is the standalone accelerator's.
     #[test]
     fn every_request_is_answered_once_or_shed(
         trace_seed in 0u64..1000,
@@ -77,21 +204,19 @@ proptest! {
         seus in 0u32..8,
         depth in 0usize..10,
         margin_q in 0u32..6,
+        batch_window in 0usize..5,
+        prune in any::<bool>(),
+        index in any::<bool>(),
+        wal in any::<bool>(),
+        serial in any::<bool>(),
     ) {
-        let t = ArrivalTrace::generate(
-            &TraceConfig {
-                requests,
-                seed: trace_seed,
-                mean_interarrival_s: rate_us as f64 * 1e-6,
-                story_pool: pool,
-            },
-            suite(),
-        );
+        let t = trace(trace_seed, requests, rate_us, pool);
         let config = ServeConfig {
             instances,
             queue_capacity: queue,
             story_cache: cache,
             policy: policy(pick),
+            engine: engine(serial),
             faults: FaultConfig {
                 seed: fault_seed,
                 link_corrupt_prob: f64::from(corrupt_pct) / 100.0,
@@ -105,36 +230,20 @@ proptest! {
                 degrade_margin: margin_q as f32 * 0.25,
                 node_kills: 0,
             },
+            batch_window,
+            hop_prune: hop_prune(prune),
+            mem_index: mem_index(index),
+            wal: wal_collection(wal),
             ..ServeConfig::default()
         };
         let out = serve(&t, config.clone());
 
-        // Partition: every trace id lands in exactly one of the three
-        // outcome vectors.
-        let n = t.len();
-        let mut seen = vec![0u32; n];
-        for c in &out.completions {
-            seen[c.request.id as usize] += 1;
-        }
-        for s in &out.sheds {
-            seen[s.id as usize] += 1;
-        }
-        for r in &out.rejections {
-            seen[r.request.id as usize] += 1;
-        }
-        for (id, count) in seen.iter().enumerate() {
-            prop_assert_eq!(
-                *count, 1,
-                "request {} appears {} times across completions/sheds/rejections",
-                id, count
-            );
-        }
-        prop_assert_eq!(
-            out.completions.len() + out.sheds.len() + out.rejections.len(),
-            n
-        );
+        check_partition(&t, &out.completions, &out.rejections, &out.sheds);
+        prop_assert!(out.exports.is_empty(), "a standalone node never exports");
         prop_assert_eq!(out.report.completed, out.completions.len());
         prop_assert_eq!(out.report.rejected, out.rejections.len());
+        prop_assert_eq!(out.wal_records.is_empty(), !wal);
+        check_instances(&out.report);
 
         // The fault ledger agrees with the outcome vectors.
         let fr = &out.report.fault;
@@ -156,14 +265,94 @@ proptest! {
             .filter(|c| c.degraded)
             .count() as u64;
         prop_assert!(degraded <= fr.degraded, "flagged {degraded} > ledger {}", fr.degraded);
+        if !prune && !index && depth == 0 {
+            check_answers(&out.completions);
+        }
 
-        // Engine invariance survives the campaign.
-        let serial = serve(&t, ServeConfig { engine: EngineMode::Serial, ..config });
-        prop_assert_eq!(&serial, &out);
-        prop_assert_eq!(
-            serde_json::to_string(&serial.report).expect("serializable report"),
-            serde_json::to_string(&out.report).expect("serializable report"),
-        );
+        // The engine changes nothing, WAL collection only adds records.
+        let other = serve(&t, ServeConfig { engine: engine(!serial), ..config.clone() });
+        prop_assert_eq!(&other, &out);
+        prop_assert_eq!(report_bytes(&other.report), report_bytes(&out.report));
+        let toggled = serve(&t, ServeConfig { wal: wal_collection(!wal), ..config });
+        prop_assert_eq!(&toggled.completions, &out.completions);
+        prop_assert_eq!(report_bytes(&toggled.report), report_bytes(&out.report));
+    }
+
+    /// The same laws on a K=2/R=2 cluster whose shard 1 fail-stops at a
+    /// sampled instant, with instance crashes, a batch window, WAL
+    /// collection and either engine on top: the stranded requests are
+    /// exported and re-served by the replica, and the outcome still
+    /// partitions the trace with every answer the accelerator's.
+    #[test]
+    fn fail_stopped_cluster_answers_every_request_once_or_sheds(
+        trace_seed in 0u64..1000,
+        requests in 24usize..72,
+        rate_us in 40u64..200,
+        pool in 0usize..5,
+        cache in 0usize..5,
+        pick in any::<u8>(),
+        fault_seed in 0u64..1000,
+        crashes in 0u32..3,
+        fail_us in 100u64..4000,
+        batch_window in 0usize..5,
+        wal in any::<bool>(),
+        serial in any::<bool>(),
+    ) {
+        let t = trace(trace_seed, requests, rate_us, pool);
+        let config = ClusterConfig {
+            shards: 2,
+            replication: 2,
+            membership: MembershipPlan::parse_spec(&format!("fail=1@{fail_us}"))
+                .expect("valid fail-stop plan"),
+            base: ServeConfig {
+                instances: 2,
+                queue_capacity: 64,
+                story_cache: cache,
+                policy: policy(pick),
+                engine: engine(serial),
+                faults: FaultConfig {
+                    seed: fault_seed,
+                    crashes,
+                    crash_cooldown_s: 300e-6,
+                    watchdog_s: 250e-6,
+                    ..FaultConfig::none()
+                },
+                batch_window,
+                wal: wal_collection(wal),
+                ..ServeConfig::default()
+            },
+            ..ClusterConfig::default()
+        };
+        let out = Cluster::new(suite(), config.clone()).serve(&t);
+
+        check_partition(&t, &out.completions, &out.rejections, &out.sheds);
+        let r = &out.report;
+        prop_assert_eq!(r.completed + r.rejected + r.shed, t.len());
+        prop_assert_eq!(r.membership.failures, 1);
+        for shard in &r.per_shard {
+            check_instances(shard);
+        }
+        check_answers(&out.completions);
+
+        let other = Cluster::new(
+            suite(),
+            ClusterConfig {
+                base: ServeConfig { engine: engine(!serial), ..config.base.clone() },
+                ..config.clone()
+            },
+        )
+        .serve(&t);
+        prop_assert_eq!(&other, &out);
+        prop_assert_eq!(report_bytes(&other.report), report_bytes(&out.report));
+        let toggled = Cluster::new(
+            suite(),
+            ClusterConfig {
+                base: ServeConfig { wal: wal_collection(!wal), ..config.base.clone() },
+                ..config
+            },
+        )
+        .serve(&t);
+        prop_assert_eq!(report_bytes(&toggled.report), report_bytes(&out.report));
     }
 
     /// Corruption-only campaign (no crashes, so each request dispatches
@@ -183,15 +372,7 @@ proptest! {
         corrupt_pct in 5u32..40,
         retries in 0u32..4,
     ) {
-        let t = ArrivalTrace::generate(
-            &TraceConfig {
-                requests,
-                seed: trace_seed,
-                mean_interarrival_s: rate_us as f64 * 1e-6,
-                story_pool: pool,
-            },
-            suite(),
-        );
+        let t = trace(trace_seed, requests, rate_us, pool);
         let out = serve(&t, ServeConfig {
             instances,
             queue_capacity: 256,
@@ -272,15 +453,7 @@ proptest! {
         fault_seed in any::<u64>(),
         watchdog_us in 0u64..900,
     ) {
-        let t = ArrivalTrace::generate(
-            &TraceConfig {
-                requests,
-                seed: trace_seed,
-                mean_interarrival_s: rate_us as f64 * 1e-6,
-                story_pool: pool,
-            },
-            suite(),
-        );
+        let t = trace(trace_seed, requests, rate_us, pool);
         let base = ServeConfig {
             instances,
             queue_capacity: 64,
