@@ -268,11 +268,13 @@ impl MembershipPlan {
             Err(MembershipPlanError::Invalid { field, reason })
         };
         for e in &self.events {
-            if !(e.at_s.is_finite() && e.at_s > 0.0) {
+            // An instant that rounds to 0 ps would fail-stop a shard
+            // before it serves anything.
+            if !(e.at_s.is_finite() && e.at_s > 0.0) || e.at() == SimTime::ZERO {
                 return bad(
                     "events",
                     format!(
-                        "{} of shard {} must be at a finite positive instant, got {}",
+                        "{} of shard {} must be at a finite instant of at least 1 ps, got {} s",
                         e.kind, e.shard, e.at_s
                     ),
                 );
@@ -762,6 +764,27 @@ mod tests {
             MembershipPlan::parse_spec("retune-threshold=1.5"),
             Err(MembershipPlanError::Invalid { .. })
         ));
+    }
+
+    #[test]
+    fn instants_that_round_to_zero_ps_are_hard_errors() {
+        // 1e-7 us is 0.1 ps: positive, but zero on the simulation clock.
+        for spec in ["fail=1@0.0000001", "drain=0@0.0000001", "join=1@0.0000004"] {
+            assert!(
+                matches!(
+                    MembershipPlan::parse_spec(spec),
+                    Err(MembershipPlanError::Invalid { .. })
+                ),
+                "{spec} must be rejected"
+            );
+        }
+        let p: MembershipPlan =
+            serde_json::from_str(r#"{"events": [{"kind": "fail", "shard": 1, "at_s": 1e-13}]}"#)
+                .expect("shape-valid JSON");
+        assert!(p.validate().is_err());
+        // One picosecond is the first servable instant.
+        let p = MembershipPlan::parse_spec("fail=1@0.000001").expect("1 ps is valid");
+        assert_eq!(p.events[0].at(), SimTime::from_ps(1));
     }
 
     #[test]
