@@ -146,6 +146,14 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
+/// The value column of the rendered table row labelled `label`.
+fn row<'a>(text: &'a str, label: &str) -> &'a str {
+    text.lines()
+        .find_map(|l| l.strip_prefix(label))
+        .unwrap_or_else(|| panic!("no {label:?} row in:\n{text}"))
+        .trim()
+}
+
 #[test]
 fn table1_numbers_are_pinned() {
     let t = table1::run(suite(), &table1::Table1Config::default());
@@ -258,17 +266,30 @@ fn serve_affinity_report_is_pinned() {
         },
         s,
     );
-    let server = Server::new(
+    let config = ServeConfig {
+        instances: 3,
+        queue_capacity: 128,
+        story_cache: 2,
+        policy: SchedulePolicy::StoryAffinity,
+        ..ServeConfig::default()
+    };
+    let out = Server::new(s, config.clone()).serve(&trace);
+
+    // The serial engine reproduces the parallel engine's cache decisions.
+    let serial = Server::new(
         s,
         ServeConfig {
-            instances: 3,
-            queue_capacity: 128,
-            story_cache: 2,
-            policy: SchedulePolicy::StoryAffinity,
-            ..ServeConfig::default()
+            engine: EngineMode::Serial,
+            ..config
         },
+    )
+    .serve(&trace);
+    assert_eq!(
+        serial.report.to_value().print(),
+        out.report.to_value().print()
     );
-    let out = server.serve(&trace);
+    assert_eq!(serial.report.render(), out.report.render());
+
     check_golden("serve_affinity.json", &out.report.to_value());
 }
 
@@ -335,6 +356,12 @@ fn serve_fault_campaign_is_pinned() {
         serial.report.to_value().print(),
         out.report.to_value().print(),
         "serial and parallel engines diverged under faults"
+    );
+    let text = out.report.render();
+    assert_eq!(serial.report.render(), text);
+    assert_eq!(
+        row(&text, "crashes / failovers"),
+        format!("{} / {}", fault.crashes, fault.failovers)
     );
 
     check_golden("serve_faults.json", &out.report.to_value());
@@ -407,6 +434,12 @@ fn serve_cluster_campaign_is_pinned() {
         out.report.to_value().print(),
         "serial and parallel engines diverged on the cluster report"
     );
+    let text = out.report.render();
+    assert_eq!(serial.report.render(), text);
+    assert!(row(&text, "cross-shard failovers").starts_with(&format!(
+        "{} exported, {} completed",
+        out.report.failover.exports, out.report.failover.completed
+    )));
 
     // Reduction law: at K=1/R=1 the cluster layer is inert and its report
     // bytes are the single-node report's bytes.
@@ -426,6 +459,7 @@ fn serve_cluster_campaign_is_pinned() {
         single.report.to_value().print(),
         "K=1/R=1 cluster must reduce to the single-node report"
     );
+    assert_eq!(inert.report.render(), single.report.render());
 
     check_golden("serve_cluster.json", &out.report.to_value());
 }
@@ -513,6 +547,12 @@ fn serve_membership_campaign_is_pinned() {
         out.report.to_value().print(),
         "serial and parallel engines diverged on the membership report"
     );
+    let text = out.report.render();
+    assert_eq!(serial.report.render(), text);
+    assert_eq!(row(&text, "drains / failures / joins"), "1 / 1 / 1");
+    assert_ne!(row(&text, "hot keys (split requests)"), "0 (0)");
+    assert!(!row(&text, "stories handed off").starts_with("0 "));
+    assert!(!row(&text, "moved keys").starts_with("0 "));
 
     check_golden("serve_membership.json", &out.report.to_value());
 }
@@ -593,6 +633,9 @@ fn serve_recovery_campaign_is_pinned() {
         out.report.to_value().print(),
         "serial and parallel engines diverged on the recovered cluster report"
     );
+    let text = out.report.render();
+    assert_eq!(serial.report.render(), text);
+    assert_eq!(row(&text, "node kills (torn tails)"), "1 (1)");
 
     // Determinism law 2: the crash campaign is journal-level — stripped
     // of its durability section, the recovered report is byte-identical
@@ -605,6 +648,11 @@ fn serve_recovery_campaign_is_pinned() {
         out.report.sans_durability().to_value().print(),
         plain.report.to_value().print(),
         "recovery must reproduce the no-crash report bytes"
+    );
+    assert_eq!(out.report.sans_durability().render(), plain.report.render());
+    assert!(
+        !plain.report.to_value().print().contains("durability"),
+        "a no-WAL report must not publish durability"
     );
 
     check_golden("serve_recovery.json", &out.report.to_value());
@@ -682,6 +730,9 @@ fn serve_numeric_campaign_is_pinned() {
         out.report.to_value().print(),
         "serial and parallel engines diverged under numeric stress"
     );
+    let text = out.report.render();
+    assert_eq!(serial.report.render(), text);
+    assert!(row(&text, "precision failovers").starts_with(&format!("{} (", nh.failed_over)));
 
     check_golden("serve_numeric.json", &out.report.to_value());
 }
@@ -742,6 +793,16 @@ fn serve_batched_pruned_campaign_is_pinned() {
         serial.report.to_value().print(),
         out.report.to_value().print(),
         "serial and parallel engines diverged with batching + pruning"
+    );
+    let text = out.report.render();
+    assert_eq!(serial.report.render(), text);
+    assert_eq!(
+        row(&text, "groups (fused)"),
+        format!("{} ({})", batch.groups, batch.fused_groups)
+    );
+    assert_eq!(
+        row(&text, "hops executed / saved"),
+        format!("{} / {}", prune.hops_executed, prune.hops_saved)
     );
 
     // Pruning is an approximation; the oracle run answers every question
@@ -845,6 +906,10 @@ fn serve_index_campaign_is_pinned() {
         out.report.to_value().print(),
         "serial and parallel engines diverged with the index armed"
     );
+    let text = out.report.render();
+    assert_eq!(serial.report.render(), text);
+    assert_eq!(row(&text, "fallback scans"), index.fallbacks.to_string());
+    assert!(row(&text, "addressing cycles saved").starts_with(&index.cycles_saved.to_string()));
 
     // Candidate generation is an approximation; the oracle server scans
     // every slot exactly. At this operating point at least 99% of the
