@@ -1085,6 +1085,10 @@ impl<'a> Cluster<'a> {
         debug_assert_eq!(per_shard.len(), k);
         let done = completions.len();
         let correct = completions.iter().filter(|c| c.correct).count();
+        let wait: f64 = completions
+            .iter()
+            .map(|c| c.timestamps.queue_wait().as_s())
+            .sum();
         let report = ClusterReport {
             shards: k,
             replication: self.config.replication,
@@ -1104,13 +1108,7 @@ impl<'a> Cluster<'a> {
             latency: LatencySummary::from_latencies(
                 &completions.iter().map(latency).collect::<Vec<_>>(),
             ),
-            mean_queue_wait_s: mean(
-                completions
-                    .iter()
-                    .map(|c| c.timestamps.queue_wait().as_s())
-                    .sum(),
-                done as u64,
-            ),
+            mean_queue_wait_s: mean(wait, done as u64),
             max_queue_depth: reports.iter().map(|r| r.max_queue_depth).max().unwrap_or(0),
             failover,
             cache: CacheReport::merge(reports.iter().map(|r| &r.cache)),

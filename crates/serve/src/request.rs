@@ -93,10 +93,10 @@ pub struct Completion {
     pub failed_over: bool,
 }
 
-/// A stranded request handed back to the caller for cross-shard failover
-/// (see [`crate::ServeConfig`]'s `failover_export`): its instance crashed
-/// mid-flight and, instead of re-queueing locally, the watchdog exported it
-/// so a cluster can re-dispatch it on the story's replica shard.
+/// A stranded request a cluster shard handed back for cross-shard
+/// failover: its instance crashed mid-flight, or its node fail-stopped,
+/// and instead of re-queueing it locally the shard exported it so the
+/// cluster can re-dispatch it on the story's replica shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Export {
     /// The stranded request (original id and arrival preserved).

@@ -20,13 +20,9 @@
 //!    an LRU of digests; whether a dispatch hits is decided here, because
 //!    it depends on which instance the scheduler picked.
 //!
-//! The event loop is one `ServeState` with one handler per event kind
-//! (`on_arrival`, `on_link_done`, `on_compute_done`, `on_crash`,
-//! `on_instance_up`, `on_watchdog`, `on_seu`, `on_fail_stop`). Optional
-//! layers hook in as `Option` state that is `None` when off: the fault
-//! campaign and the WAL journal. How a cluster deploys the node — export
-//! stranded requests, fail-stop at a cut — is a crate-private
-//! `ShardRole`, not configuration.
+//! The event loop is one `ServeState` with one handler per event kind;
+//! the fault campaign and the WAL journal are `Option` state, `None` when
+//! off (DESIGN.md §9).
 //!
 //! # Determinism
 //!
@@ -415,20 +411,14 @@ impl Inst {
     }
 }
 
-/// One simulated form of a query: its run and fabric compute time.
-struct Form {
-    run: InferenceRun,
-    time: SimTime,
-}
-
-/// Every form of one distinct `(task, sample)` query, each pair indexed
-/// `[miss, hit]`. The miss form also writes the story and equals
+/// The runs of one distinct `(task, sample)` query, each pair indexed
+/// `[miss, hit]`. The miss run also writes the story and equals
 /// `Accelerator::run`.
-struct QueryForms {
-    exact: [Form; 2],
-    /// Aggressive-ITH forms; `None` unless the campaign enables overload
+struct QueryRuns {
+    exact: [InferenceRun; 2],
+    /// Aggressive-ITH runs; `None` unless the campaign enables overload
     /// degradation.
-    degraded: Option<[Form; 2]>,
+    degraded: Option<[InferenceRun; 2]>,
     /// Link payload: story and question on a miss, the question alone on
     /// a hit.
     bytes: [u64; 2],
@@ -444,7 +434,7 @@ struct NumericPhase {
     /// Scheduling key of each request (task-mixed story digest).
     keys: Vec<u64>,
     /// One entry per distinct `(task, sample)` pair, in first-seen order.
-    queries: Vec<QueryForms>,
+    queries: Vec<QueryRuns>,
     /// Query index of each request.
     query_of: Vec<usize>,
 }
@@ -454,13 +444,13 @@ impl NumericPhase {
         &self.stories[self.story_of[r]]
     }
 
-    /// The form request `r` computes in, given its latest dispatch.
-    fn form(&self, r: usize, f: &Flight) -> &Form {
+    /// The run request `r` computes, given its latest dispatch.
+    fn run(&self, r: usize, f: &Flight) -> &InferenceRun {
         let q = &self.queries[self.query_of[r]];
         let forms = if f.degraded {
             q.degraded
                 .as_ref()
-                .expect("degraded forms exist when degradation is armed")
+                .expect("degraded runs exist when degradation is armed")
         } else {
             &q.exact
         };
@@ -530,10 +520,6 @@ impl Repairs {
         self.0 += now.saturating_sub(since);
         self.1 += 1;
     }
-
-    fn mean_s(&self) -> f64 {
-        mean(self.0.as_s(), self.1)
-    }
 }
 
 /// Fault-campaign state; built only with an active plan.
@@ -557,9 +543,9 @@ impl Campaign {
             .power
             .retry_energy_j(config.clock.freq_mhz(), fr.retry_link_s);
         fr.scrub_energy_j = config.active_energy_j(fr.scrub_cycles);
-        fr.mttr_link_s = self.link.mean_s();
-        fr.mttr_instance_s = self.instance.mean_s();
-        fr.mttr_seu_s = self.seu.mean_s();
+        fr.mttr_link_s = mean(self.link.0.as_s(), self.link.1);
+        fr.mttr_instance_s = mean(self.instance.0.as_s(), self.instance.1);
+        fr.mttr_seu_s = mean(self.seu.0.as_s(), self.seu.1);
         fr
     }
 }
@@ -738,12 +724,8 @@ impl<'a> Server<'a> {
                 let r = &trace.requests[story_req[s]];
                 self.accels[r.task_idx].write_story(self.sample_of(r))
             });
-        let form = |run: InferenceRun| Form {
-            time: run.compute_time(self.config.clock),
-            run,
-        };
-        // The `[miss, hit]` forms of every distinct query on a loadout.
-        let simulate = |accels: &[Accelerator]| -> Vec<[Form; 2]> {
+        // The `[miss, hit]` runs of every distinct query on a loadout.
+        let simulate = |accels: &[Accelerator]| -> Vec<[InferenceRun; 2]> {
             let hits = mann_core::parallel::parallel_map_indexed(query_req.len(), workers, |u| {
                 let i = query_req[u];
                 let r = &trace.requests[i];
@@ -756,11 +738,11 @@ impl<'a> Server<'a> {
                     let accel = &accels[r.task_idx];
                     let miss =
                         accel.compose_uncached(&stories[story_of[i]], &hit, self.sample_of(r));
-                    [form(miss), form(hit)]
+                    [miss, hit]
                 })
                 .collect()
         };
-        // Degraded (aggressive-ITH) forms go through the same dedup, so
+        // Degraded (aggressive-ITH) runs go through the same dedup, so
         // the phase stays engine- and thread-invariant.
         let mut degraded =
             (!self.deg_accels.is_empty()).then(|| simulate(&self.deg_accels).into_iter());
@@ -769,7 +751,7 @@ impl<'a> Server<'a> {
             .zip(&query_req)
             .map(|(exact, &i)| {
                 let sample = self.sample_of(&trace.requests[i]);
-                QueryForms {
+                QueryRuns {
                     exact,
                     degraded: degraded.as_mut().and_then(Iterator::next),
                     bytes: [
@@ -1435,17 +1417,18 @@ impl<'s, 'a> ServeState<'s, 'a> {
             }
             b.size_histogram[group.len() - 1] += 1;
         }
+        let clock = self.server.config.clock;
         let mut total = SimTime::ZERO;
         for &q in &group {
             self.flights[q].ts.compute_start = now;
-            total += num.form(q, &self.flights[q]).time;
+            total += num.run(q, &self.flights[q]).compute_time(clock);
         }
         let fused = if group.len() > 1 {
             self.batch.fused_groups += 1;
             // Same story => same per-hop stream cost; the batch pays
             // max(hops) streams instead of sum(hops), and one output row
             // stream instead of one per query.
-            let run = |q: usize| &num.form(q, &self.flights[q]).run;
+            let run = |q: usize| num.run(q, &self.flights[q]);
             let stream = run(r).mem_stream_per_hop;
             let hops: u64 = group.iter().map(|&q| run(q).hops_executed as u64).sum();
             let max_hops = group
@@ -1461,7 +1444,6 @@ impl<'s, 'a> ServeState<'s, 'a> {
                 .unwrap_or(0);
             let saved = stream * (hops - max_hops) + (outs - max_out);
             self.batch.cycles_saved += saved;
-            let clock = self.server.config.clock;
             total.saturating_sub(clock.sim_time(Cycles::new(saved)))
         } else {
             total
@@ -1534,7 +1516,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
     fn completion(&self, i: usize, f: &Flight) -> Completion {
         let r = &self.trace.requests[i];
         debug_assert!(f.ts.is_monotone(), "request {} timeline broken", r.id);
-        let run = self.num.form(i, f).run.clone();
+        let run = self.num.run(i, f).clone();
         let correct = run.answer == self.server.sample_of(r).answer;
         Completion {
             request: *r,
@@ -1595,6 +1577,10 @@ impl<'s, 'a> ServeState<'s, 'a> {
         let mut batch = self.batch.clone();
         batch.energy_saved_j = config.active_energy_j(batch.cycles_saved);
         let correct = completions.iter().filter(|c| c.correct).count();
+        let wait: f64 = completions
+            .iter()
+            .map(|c| c.timestamps.queue_wait().as_s())
+            .sum();
         let done = completions.len();
         ServeReport {
             requests: self.trace.requests.len(),
@@ -1613,13 +1599,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
                     .map(|c| c.timestamps.latency().as_s())
                     .collect::<Vec<_>>(),
             ),
-            mean_queue_wait_s: mean(
-                completions
-                    .iter()
-                    .map(|c| c.timestamps.queue_wait().as_s())
-                    .sum(),
-                done as u64,
-            ),
+            mean_queue_wait_s: mean(wait, done as u64),
             max_queue_depth: self.max_queue_depth,
             total_energy_j: instances.iter().map(|i| i.energy_j).sum(),
             instances,
