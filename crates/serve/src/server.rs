@@ -411,17 +411,13 @@ impl Inst {
     }
 }
 
-/// The runs of one distinct `(task, sample)` query, each pair indexed
-/// `[miss, hit]`. The miss run also writes the story and equals
-/// `Accelerator::run`.
+/// The runs of every distinct `(task, sample)` query on one loadout, in
+/// first-seen order.
 struct QueryRuns {
-    exact: [InferenceRun; 2],
-    /// Aggressive-ITH runs; `None` unless the campaign enables overload
-    /// degradation.
-    degraded: Option<[InferenceRun; 2]>,
-    /// Link payload: story and question on a miss, the question alone on
-    /// a hit.
-    bytes: [u64; 2],
+    /// The story is written too; equals `Accelerator::run`.
+    miss: Vec<InferenceRun>,
+    /// The story is already resident.
+    hit: Vec<InferenceRun>,
 }
 
 /// The numeric work of a serve, shared by both engines: every distinct
@@ -433,10 +429,16 @@ struct NumericPhase {
     story_of: Vec<usize>,
     /// Scheduling key of each request (task-mixed story digest).
     keys: Vec<u64>,
-    /// One entry per distinct `(task, sample)` pair, in first-seen order.
-    queries: Vec<QueryRuns>,
     /// Query index of each request.
     query_of: Vec<usize>,
+    /// Runs at the configured ITH setting.
+    exact: QueryRuns,
+    /// Aggressive-ITH runs; `None` unless the campaign enables overload
+    /// degradation.
+    degraded: Option<QueryRuns>,
+    /// Link payload per query, `[miss, hit]`: story and question, or the
+    /// question alone.
+    bytes: Vec<[u64; 2]>,
 }
 
 impl NumericPhase {
@@ -446,19 +448,23 @@ impl NumericPhase {
 
     /// The run request `r` computes, given its latest dispatch.
     fn run(&self, r: usize, f: &Flight) -> &InferenceRun {
-        let q = &self.queries[self.query_of[r]];
-        let forms = if f.degraded {
-            q.degraded
+        let runs = if f.degraded {
+            self.degraded
                 .as_ref()
                 .expect("degraded runs exist when degradation is armed")
         } else {
-            &q.exact
+            &self.exact
         };
-        &forms[usize::from(f.hit)]
+        let q = self.query_of[r];
+        if f.hit {
+            &runs.hit[q]
+        } else {
+            &runs.miss[q]
+        }
     }
 
     fn bytes(&self, r: usize, hit: bool) -> u64 {
-        self.queries[self.query_of[r]].bytes[usize::from(hit)]
+        self.bytes[self.query_of[r]][usize::from(hit)]
     }
 }
 
@@ -724,49 +730,43 @@ impl<'a> Server<'a> {
                 let r = &trace.requests[story_req[s]];
                 self.accels[r.task_idx].write_story(self.sample_of(r))
             });
-        // The `[miss, hit]` runs of every distinct query on a loadout.
-        let simulate = |accels: &[Accelerator]| -> Vec<[InferenceRun; 2]> {
-            let hits = mann_core::parallel::parallel_map_indexed(query_req.len(), workers, |u| {
-                let i = query_req[u];
-                let r = &trace.requests[i];
-                accels[r.task_idx].answer_query(&stories[story_of[i]], self.sample_of(r))
-            });
-            hits.into_iter()
-                .zip(&query_req)
-                .map(|(hit, &i)| {
+        let simulate = |accels: &[Accelerator]| {
+            let hit: Vec<InferenceRun> =
+                mann_core::parallel::parallel_map_indexed(query_req.len(), workers, |u| {
+                    let i = query_req[u];
                     let r = &trace.requests[i];
-                    let accel = &accels[r.task_idx];
-                    let miss =
-                        accel.compose_uncached(&stories[story_of[i]], &hit, self.sample_of(r));
-                    [miss, hit]
+                    accels[r.task_idx].answer_query(&stories[story_of[i]], self.sample_of(r))
+                });
+            let miss = hit
+                .iter()
+                .zip(&query_req)
+                .map(|(h, &i)| {
+                    let r = &trace.requests[i];
+                    accels[r.task_idx].compose_uncached(&stories[story_of[i]], h, self.sample_of(r))
                 })
-                .collect()
+                .collect();
+            QueryRuns { miss, hit }
         };
-        // Degraded (aggressive-ITH) runs go through the same dedup, so
-        // the phase stays engine- and thread-invariant.
-        let mut degraded =
-            (!self.deg_accels.is_empty()).then(|| simulate(&self.deg_accels).into_iter());
-        let queries = simulate(&self.accels)
-            .into_iter()
-            .zip(&query_req)
-            .map(|(exact, &i)| {
+        let bytes = query_req
+            .iter()
+            .map(|&i| {
                 let sample = self.sample_of(&trace.requests[i]);
-                QueryRuns {
-                    exact,
-                    degraded: degraded.as_mut().and_then(Iterator::next),
-                    bytes: [
-                        PcieLink::input_bytes(Accelerator::input_words(sample)),
-                        PcieLink::input_bytes(Accelerator::query_words(sample)),
-                    ],
-                }
+                [
+                    PcieLink::input_bytes(Accelerator::input_words(sample)),
+                    PcieLink::input_bytes(Accelerator::query_words(sample)),
+                ]
             })
             .collect();
         NumericPhase {
+            exact: simulate(&self.accels),
+            // Degraded (aggressive-ITH) runs go through the same dedup, so
+            // the phase stays engine- and thread-invariant.
+            degraded: (!self.deg_accels.is_empty()).then(|| simulate(&self.deg_accels)),
             stories,
             story_of,
             keys,
-            queries,
             query_of,
+            bytes,
         }
     }
 

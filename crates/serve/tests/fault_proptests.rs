@@ -81,11 +81,11 @@ fn hop_prune(on: bool) -> HopPrune {
     }
 }
 
-/// A small index for bAbI-length stories; its band trips full-scan
-/// fallbacks on some hops and not on others.
+/// A small index for bAbI-length stories; its band trips a full-scan
+/// fallback on about a quarter of the hops.
 fn mem_index(on: bool) -> MemIndexConfig {
     if on {
-        MemIndexConfig::with_params(4, 2, 0.1)
+        MemIndexConfig::with_params(4, 2, 1.0)
     } else {
         MemIndexConfig::default()
     }
