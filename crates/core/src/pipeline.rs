@@ -147,12 +147,13 @@ impl TaskSuite {
         // Decorrelate per-task initialization while keeping determinism.
         train_cfg.seed = config.train.seed ^ (task.number() as u64) << 17;
         let mut trainer = Trainer::from_task_data(&data, config.model, train_cfg);
-        trainer.train();
+        // The report's test accuracy is this model's on this test set: the
+        // workspace forward pass it ran agrees with a fresh one bit for bit.
+        let test_accuracy = trainer.train().final_test_accuracy;
         let (model, train_set, test_set) = trainer.into_parts();
         let ith = ThresholdingCalibrator::new()
             .rho(config.rho)
             .calibrate(&model, &train_set);
-        let test_accuracy = model.accuracy(&test_set);
         TrainedTask {
             task,
             model,
@@ -316,6 +317,13 @@ mod tests {
             suite.tasks[1].test_accuracy
         );
         assert!(suite.mean_accuracy() > 0.4);
+        // The accuracy the training report carries is a fresh evaluation's.
+        for t in &suite.tasks {
+            assert_eq!(
+                t.test_accuracy.to_bits(),
+                t.model.accuracy(&t.test_set).to_bits()
+            );
+        }
     }
 
     #[test]

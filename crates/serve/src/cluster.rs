@@ -48,7 +48,7 @@ use crate::report::{
     answers_digest, mean, push_sections, render_sections, BatchReport, CacheReport, HopPruneReport,
     IndexReport, LatencySummary, LinkReport, ReportSection, ServeReport,
 };
-use crate::request::{Completion, Rejection, Request};
+use crate::request::{request_key, Completion, Rejection, Request};
 use crate::server::{ServeConfig, ServeOutcome, Server, ShardRole};
 use crate::store::{never, DurabilityReport};
 use crate::trace::ArrivalTrace;
@@ -59,11 +59,6 @@ const ROUTE_SALT: u64 = 0x0000_726f_7574_6572;
 
 /// Virtual nodes per shard are packed into 16 bits of the hash input.
 const MAX_WEIGHT: u32 = 1 << 16;
-
-/// Scheduling keys mix the task index into the story digest exactly like
-/// the single-node scheduler, so "same story, same task" is one routing
-/// unit cluster-wide.
-const TASK_KEY_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Frontend router: weighted rendezvous (highest-random-weight) hashing of
 /// story keys onto shards.
@@ -585,11 +580,12 @@ impl<'a> Cluster<'a> {
         &self.router
     }
 
-    /// A request's routing key: story digest mixed with its task index —
-    /// the same affinity unit the single-node scheduler uses.
+    /// A request's routing key: the [`request_key`] the single-node
+    /// scheduler uses, so "same story, same task" is one routing unit
+    /// cluster-wide.
     fn route_key(&self, r: &Request) -> u64 {
         let sample = &self.suite.tasks[r.task_idx].test_set[r.sample_idx];
-        story_digest(sample) ^ (r.task_idx as u64).wrapping_mul(TASK_KEY_MIX)
+        request_key(story_digest(sample), r.task_idx)
     }
 
     /// The [`ServeConfig`] shard `shard` runs on failover pass `pass`.
@@ -765,10 +761,17 @@ impl<'a> Cluster<'a> {
         // instant equals the frozen `ShardRouter::route` — the whole
         // membership layer reduces to the pre-membership routing, byte
         // for byte (pinned by the golden suite).
+        // Each distinct (task, sample) query digests its story once.
+        let mut query_keys: HashMap<(usize, usize), u64> = HashMap::new();
         let keys: HashMap<u64, u64> = trace
             .requests
             .iter()
-            .map(|r| (r.id, self.route_key(r)))
+            .map(|r| {
+                let key = *query_keys
+                    .entry((r.task_idx, r.sample_idx))
+                    .or_insert_with(|| self.route_key(r));
+                (r.id, key)
+            })
             .collect();
         let mut routing = Routing {
             hot: plan.hot_keys(trace.requests.iter().map(|r| keys[&r.id])),

@@ -43,6 +43,14 @@ pub struct RequestTimestamps {
     pub drain_end: SimTime,
 }
 
+/// A request's scheduling and routing key: its story digest with the task
+/// index mixed in, so equal digests of different tasks (different
+/// embeddings!) never alias. "Same story, same task" is one affinity unit
+/// for the single-node residency model and the cluster router alike.
+pub(crate) fn request_key(story_digest: u64, task_idx: usize) -> u64 {
+    story_digest ^ (task_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
 impl RequestTimestamps {
     /// End-to-end latency: enqueue to answer-on-host.
     pub fn latency(&self) -> SimTime {

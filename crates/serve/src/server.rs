@@ -6,8 +6,9 @@
 //!
 //! A serve separates *numeric* work from *orchestration*:
 //!
-//! 1. **Story dedup.** Requests are grouped by `(task, story digest)`; each
-//!    distinct story is written into memory exactly once
+//! 1. **Story dedup.** Requests are grouped by `(task, sample)` query and
+//!    each distinct query by `(task, story digest)`, so a story is digested
+//!    once per distinct query and written into memory exactly once
 //!    ([`Accelerator::write_story`]), however many questions the trace asks
 //!    about it.
 //! 2. **Query simulation.** Every distinct query's pipeline runs against
@@ -15,10 +16,11 @@
 //!    pool in the parallel engine, inline in the serial engine. Results
 //!    are accumulated in request order either way.
 //! 3. **Event loop.** A sequential merge on integer-picosecond
-//!    [`SimTime`] with a submission-order tie-break replays arrivals,
-//!    link grants and completions. Each instance models its story cache as
-//!    an LRU of digests; whether a dispatch hits is decided here, because
-//!    it depends on which instance the scheduler picked.
+//!    [`SimTime`] with a submission-order tie-break replays the arrival
+//!    stream beside a heap of in-flight link, compute and fault events.
+//!    Each instance models its story cache as an LRU of digests; whether
+//!    a dispatch hits is decided here, because it depends on which
+//!    instance the scheduler picked.
 //!
 //! The event loop is one `ServeState` with one handler per event kind;
 //! the fault campaign and the WAL journal are `Option` state, `None` when
@@ -57,7 +59,7 @@ use crate::report::{
     answers_digest, mean, BatchReport, CacheReport, HopPruneReport, IndexReport, InstanceReport,
     LatencySummary, LinkReport, ServeReport,
 };
-use crate::request::{Completion, Export, Rejection, Request, RequestTimestamps};
+use crate::request::{request_key, Completion, Export, Rejection, Request, RequestTimestamps};
 use crate::scheduler::{InstanceView, Scheduler};
 use crate::store::{DurabilityReport, WalConfig};
 use crate::trace::ArrivalTrace;
@@ -317,8 +319,9 @@ struct Entry {
     event: Event,
 }
 
+/// An in-flight event. Arrivals are not events: they stream from a
+/// cursor beside the heap (`ServeState::run`).
 enum Event {
-    Arrival(usize),
     LinkDone(u64),
     /// `epoch` is the instance's crash epoch at compute start; a crash
     /// bumps the epoch so this event is recognized as stale and dropped.
@@ -421,16 +424,17 @@ struct QueryRuns {
 }
 
 /// The numeric work of a serve, shared by both engines: every distinct
-/// story and every distinct query simulated once, indexed per request.
+/// story and every distinct query simulated once, indexed per request
+/// through its query.
 struct NumericPhase {
     /// One entry per distinct `(task, story)` pair, in first-seen order.
     stories: Vec<ResidentStory>,
-    /// Story index of each request.
-    story_of: Vec<usize>,
-    /// Scheduling key of each request (task-mixed story digest).
-    keys: Vec<u64>,
     /// Query index of each request.
     query_of: Vec<usize>,
+    /// Story index of each query.
+    story_of: Vec<usize>,
+    /// Scheduling key of each query ([`request_key`]).
+    keys: Vec<u64>,
     /// Runs at the configured ITH setting.
     exact: QueryRuns,
     /// Aggressive-ITH runs; `None` unless the campaign enables overload
@@ -442,8 +446,18 @@ struct NumericPhase {
 }
 
 impl NumericPhase {
+    /// Story index of request `r`.
+    fn story_id(&self, r: usize) -> usize {
+        self.story_of[self.query_of[r]]
+    }
+
     fn story(&self, r: usize) -> &ResidentStory {
-        &self.stories[self.story_of[r]]
+        &self.stories[self.story_id(r)]
+    }
+
+    /// Scheduling key of request `r`.
+    fn key(&self, r: usize) -> u64 {
+        self.keys[self.query_of[r]]
     }
 
     /// The run request `r` computes, given its latest dispatch.
@@ -560,8 +574,8 @@ impl Campaign {
 struct Journal {
     records: Vec<WalRecord>,
     /// Evictions come back from the LRU as cache keys; this maps each key
-    /// to its (digest, task) pair. The key is digest ^ task·MIX, so the
-    /// map is total over everything this trace can admit.
+    /// to its (digest, task) pair. Every admitted key is a
+    /// [`request_key`] of this trace, so the map is total.
     key_meta: HashMap<u64, (u64, u32)>,
     /// Quantized rows are identical for every request of a story —
     /// extracted once per story id, lazily, only for journaled misses.
@@ -574,7 +588,7 @@ impl Journal {
             .requests
             .iter()
             .enumerate()
-            .map(|(i, r)| (num.keys[i], (num.story(i).digest(), r.task_idx as u32)))
+            .map(|(i, r)| (num.key(i), (num.story(i).digest(), r.task_idx as u32)))
             .collect();
         Self {
             records: Vec::new(),
@@ -590,7 +604,7 @@ impl Journal {
             self.records.push(WalRecord::evict(d, t, now.ps()));
         }
         if !a.hit {
-            let sid = num.story_of[r];
+            let sid = num.story_id(r);
             let rows = self.rows[sid]
                 .get_or_insert_with(|| num.stories[sid].quantized_rows())
                 .clone();
@@ -700,25 +714,26 @@ impl<'a> Server<'a> {
     /// engine-invariant.
     fn numeric_phase(&self, trace: &ArrivalTrace) -> NumericPhase {
         let n = trace.requests.len();
-        // Group requests by (task, story digest) and by (task, sample),
-        // first-seen order. Identical requests — same (task, sample) — are
-        // bit-identical inferences, so each distinct pair is simulated once
-        // and shared: repeated-story traces collapse to a handful of runs.
+        // Group requests by (task, sample), then each distinct query by
+        // (task, story digest), first-seen order. Identical requests —
+        // same (task, sample) — are bit-identical inferences, so each
+        // distinct pair is digested and simulated once and shared:
+        // repeated-story traces collapse to a handful of runs.
         let (mut story_ids, mut story_req) = (HashMap::new(), Vec::new());
         let (mut query_ids, mut query_req) = (HashMap::new(), Vec::new());
-        let (mut story_of, mut query_of, mut keys) = (
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-        );
+        let (mut story_of, mut keys) = (Vec::new(), Vec::new());
+        let mut query_of = Vec::with_capacity(n);
         for (i, r) in trace.requests.iter().enumerate() {
-            let digest = story_digest(self.sample_of(r));
-            // Mix the tenant index in so equal digests of different tasks
-            // (different embeddings!) never alias in the residency model.
-            keys.push(digest ^ (r.task_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let (story, query) = ((r.task_idx, digest), (r.task_idx, r.sample_idx));
-            story_of.push(first_seen(&mut story_ids, &mut story_req, story, i));
-            query_of.push(first_seen(&mut query_ids, &mut query_req, query, i));
+            let task = r.task_idx;
+            let query = first_seen(&mut query_ids, &mut query_req, (task, r.sample_idx), i);
+            if query == keys.len() {
+                // A new query: digest its story once.
+                let digest = story_digest(self.sample_of(r));
+                keys.push(request_key(digest, task));
+                let story = first_seen(&mut story_ids, &mut story_req, (task, digest), i);
+                story_of.push(story);
+            }
+            query_of.push(query);
         }
 
         let workers = match self.config.engine {
@@ -733,16 +748,15 @@ impl<'a> Server<'a> {
         let simulate = |accels: &[Accelerator]| {
             let hit: Vec<InferenceRun> =
                 mann_core::parallel::parallel_map_indexed(query_req.len(), workers, |u| {
-                    let i = query_req[u];
-                    let r = &trace.requests[i];
-                    accels[r.task_idx].answer_query(&stories[story_of[i]], self.sample_of(r))
+                    let r = &trace.requests[query_req[u]];
+                    accels[r.task_idx].answer_query(&stories[story_of[u]], self.sample_of(r))
                 });
             let miss = hit
                 .iter()
-                .zip(&query_req)
-                .map(|(h, &i)| {
-                    let r = &trace.requests[i];
-                    accels[r.task_idx].compose_uncached(&stories[story_of[i]], h, self.sample_of(r))
+                .enumerate()
+                .map(|(u, h)| {
+                    let r = &trace.requests[query_req[u]];
+                    accels[r.task_idx].compose_uncached(&stories[story_of[u]], h, self.sample_of(r))
                 })
                 .collect();
             QueryRuns { miss, hit }
@@ -763,9 +777,9 @@ impl<'a> Server<'a> {
             // the phase stays engine- and thread-invariant.
             degraded: (!self.deg_accels.is_empty()).then(|| simulate(&self.deg_accels)),
             stories,
+            query_of,
             story_of,
             keys,
-            query_of,
             bytes,
         }
     }
@@ -901,14 +915,22 @@ impl<'a> Server<'a> {
     }
 }
 
-/// The event loop of one serve. Each [`Event`] variant has one handler;
-/// `dispatch`, `grant` and `start_compute` are the moves they share.
+/// The event loop of one serve. Arrivals and each [`Event`] variant have
+/// one handler; `dispatch`, `grant` and `start_compute` are the moves they
+/// share.
 struct ServeState<'s, 'a> {
     server: &'s Server<'a>,
     trace: &'s ArrivalTrace,
     num: &'s NumericPhase,
     role: ShardRole,
+    /// Request indices in `(arrival, index)` order; `next_arrival` is the
+    /// cursor `run` merges with the heap.
+    arrivals: Vec<usize>,
+    next_arrival: usize,
+    /// In-flight events only: link, compute, watchdog and fault events.
     heap: BinaryHeap<Entry>,
+    /// The next sequence number. Arrival `i` owns sequence number `i`, so
+    /// heap events are numbered from the request count up.
     seq: u64,
     queue: VecDeque<usize>,
     insts: Vec<Inst>,
@@ -939,13 +961,19 @@ impl<'s, 'a> ServeState<'s, 'a> {
     ) -> Self {
         let config = &server.config;
         let instances = config.instances;
+        // A stable sort: O(n) on an already-sorted trace, and ties keep
+        // index order.
+        let mut arrivals: Vec<usize> = (0..trace.requests.len()).collect();
+        arrivals.sort_by_key(|&i| trace.requests[i].arrival);
         let mut state = Self {
             server,
             trace,
             num,
             role,
+            arrivals,
+            next_arrival: 0,
             heap: BinaryHeap::new(),
-            seq: 0,
+            seq: trace.requests.len() as u64,
             queue: VecDeque::new(),
             insts: vec![Inst::default(); instances],
             residency: vec![LruSet::new(config.story_cache); instances],
@@ -967,12 +995,10 @@ impl<'s, 'a> ServeState<'s, 'a> {
             journal: config.wal.enabled.then(|| Journal::new(trace, num)),
             halted_at: None,
         };
-        for (i, r) in trace.requests.iter().enumerate() {
-            state.schedule(r.arrival, Event::Arrival(i));
-        }
-        // Fault events go on the heap after the arrivals so a zero-fault
-        // campaign consumes exactly the same sequence numbers as no
-        // campaign at all (byte-identity with the fault layer compiled in).
+        // Fault events take their sequence numbers after the arrivals', so
+        // a zero-fault campaign consumes exactly the same sequence numbers
+        // as no campaign at all (byte-identity with the fault layer
+        // compiled in).
         if config.faults.is_active() {
             let plan = FaultPlan::materialize(&config.faults, trace.span(), instances)
                 .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
@@ -1010,26 +1036,39 @@ impl<'s, 'a> ServeState<'s, 'a> {
         self.seq += 1;
     }
 
-    /// Replays events in `(time, seq)` order until none are left.
+    /// Replays arrivals and events in `(time, seq)` order until none are
+    /// left. Arrival `i` owns sequence number `i`, below every event's, so
+    /// the next arrival goes first when its instant is at or before the
+    /// heap top's.
     fn run(&mut self) {
-        while let Some(Entry {
-            time: now, event, ..
-        }) = self.heap.pop()
-        {
-            match event {
-                Event::Arrival(i) => self.on_arrival(now, i),
-                Event::LinkDone(id) => self.on_link_done(now, id),
-                Event::ComputeDone {
-                    instance,
-                    req,
-                    epoch,
-                } => self.on_compute_done(now, instance, req, epoch),
-                Event::Crash(k) => self.on_crash(now, k),
-                Event::InstanceUp(i) => self.on_instance_up(now, i),
-                Event::Watchdog(r) => self.on_watchdog(now, r),
-                Event::Seu(k) => self.on_seu(k),
-                Event::FailStop => self.on_fail_stop(now),
+        loop {
+            let top = self.heap.peek().map(|e| e.time);
+            match self.arrivals.get(self.next_arrival) {
+                Some(&i) if top.is_none_or(|t| self.trace.requests[i].arrival <= t) => {
+                    self.next_arrival += 1;
+                    self.on_arrival(self.trace.requests[i].arrival, i);
+                }
+                _ => match self.heap.pop() {
+                    Some(Entry { time, event, .. }) => self.on_event(time, event),
+                    None => return,
+                },
             }
+        }
+    }
+
+    fn on_event(&mut self, now: SimTime, event: Event) {
+        match event {
+            Event::LinkDone(id) => self.on_link_done(now, id),
+            Event::ComputeDone {
+                instance,
+                req,
+                epoch,
+            } => self.on_compute_done(now, instance, req, epoch),
+            Event::Crash(k) => self.on_crash(now, k),
+            Event::InstanceUp(i) => self.on_instance_up(now, i),
+            Event::Watchdog(r) => self.on_watchdog(now, r),
+            Event::Seu(k) => self.on_seu(k),
+            Event::FailStop => self.on_fail_stop(now),
         }
     }
 
@@ -1269,13 +1308,15 @@ impl<'s, 'a> ServeState<'s, 'a> {
 
     /// Whole-node fail-stop: the fabric, caches and host queue vanish at
     /// the cut. Every instance halts (the killed compute never happened,
-    /// the same rule as a crash) and the loop ends; `finish` hands
-    /// everything unfinished back to the cluster as exports.
+    /// the same rule as a crash) and the loop ends with the arrival stream
+    /// and the heap; `finish` hands everything unfinished, arrived or not,
+    /// back to the cluster as exports.
     fn on_fail_stop(&mut self, now: SimTime) {
         for inst in &mut self.insts {
             inst.halt(now);
         }
         self.halted_at = Some(now);
+        self.next_arrival = self.arrivals.len();
         self.heap.clear();
     }
 
@@ -1283,7 +1324,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
     fn dispatch(&mut self, now: SimTime) {
         let limit = self.server.config.inflight_limit;
         while let Some(&head) = self.queue.front() {
-            let key = self.num.keys[head];
+            let key = self.num.key(head);
             let views: Vec<InstanceView> = self
                 .insts
                 .iter()
@@ -1322,7 +1363,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
     /// because it depends on the chosen instance's cache state.
     fn admit(&mut self, now: SimTime, target: usize, r: usize) -> u64 {
         let num = self.num;
-        let admission = self.residency[target].admit(num.keys[r]);
+        let admission = self.residency[target].admit(num.key(r));
         if let Some(j) = &mut self.journal {
             j.admit(num, r, self.trace.requests[r].task_idx, admission, now);
         }
@@ -1402,7 +1443,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
         if window > 1 {
             let mut rest = VecDeque::new();
             while let Some(q) = inst.ready.pop_front() {
-                if group.len() < window && num.keys[q] == num.keys[r] {
+                if group.len() < window && num.key(q) == num.key(r) {
                     group.push(q);
                 } else {
                     rest.push_back(q);
@@ -2405,6 +2446,106 @@ mod tests {
         assert_eq!(out.report.batch.fused_groups, 0);
         assert_eq!(out.report.batch.cycles_saved, 0);
         let _ = out.report.render();
+    }
+
+    /// Arrival `i` owns sequence number `i`, below every event's: an
+    /// arrival at the instant of a compute completion runs first.
+    #[test]
+    fn an_arrival_runs_before_an_event_at_the_same_instant() {
+        let s = suite();
+        let server = Server::new(
+            &s,
+            ServeConfig {
+                instances: 1,
+                inflight_limit: 1,
+                queue_capacity: 1,
+                ..ServeConfig::default()
+            },
+        );
+        let serve = |arrivals: &[SimTime]| {
+            let requests = arrivals
+                .iter()
+                .enumerate()
+                .map(|(id, &arrival)| Request {
+                    id: id as u64,
+                    task_idx: 0,
+                    sample_idx: 0,
+                    arrival,
+                })
+                .collect();
+            server.serve(&ArrivalTrace {
+                requests,
+                config: TraceConfig::default(),
+            })
+        };
+        let alone = serve(&[SimTime::ZERO]).completions[0].timestamps;
+        let mid = SimTime::from_ps((alone.compute_start.ps() + alone.compute_end.ps()) / 2);
+        // Request 1 arrives during request 0's compute and waits in the
+        // queue's one slot until that compute's completion dispatches it.
+        let two = serve(&[SimTime::ZERO, mid]);
+        let done = two.completions[0].timestamps.compute_end;
+        assert_eq!(done, alone.compute_end);
+        assert_eq!(two.completions[1].timestamps.dispatch, done);
+        // Request 2 arrives at that very instant: it runs before the
+        // completion, finds the slot taken, and is rejected.
+        let tie = serve(&[SimTime::ZERO, mid, done]);
+        let rejected: Vec<u64> = tie.rejections.iter().map(|r| r.request.id).collect();
+        assert_eq!(rejected, [2]);
+        // One picosecond later the slot is free again.
+        let after = serve(&[SimTime::ZERO, mid, done + SimTime::from_ps(1)]);
+        assert!(after.rejections.is_empty());
+        assert_eq!(after.completions.len(), 3);
+    }
+
+    /// Arrivals stream from a cursor beside the heap, so before the first
+    /// event the heap holds only the fault plan, however long the trace.
+    #[test]
+    fn the_heap_starts_with_only_the_fault_plan() {
+        let s = suite();
+        let t = trace(&s, 10_000);
+        let heap_at_start = |faults: FaultConfig| {
+            let server = Server::new(
+                &s,
+                ServeConfig {
+                    faults,
+                    ..ServeConfig::default()
+                },
+            );
+            let num = server.numeric_phase(&t);
+            let state = ServeState::new(&server, &t, &num, ShardRole::default());
+            assert_eq!(state.arrivals.len(), 10_000);
+            let mut events: Vec<(SimTime, &str, usize)> = state
+                .heap
+                .iter()
+                .map(|e| match e.event {
+                    Event::Crash(k) => (e.time, "crash", k),
+                    Event::Seu(k) => (e.time, "seu", k),
+                    _ => panic!("an in-flight event before the loop ran"),
+                })
+                .collect();
+            events.sort_unstable();
+            events
+        };
+        assert!(heap_at_start(FaultConfig::none()).is_empty());
+        let faults = FaultConfig {
+            seed: 4,
+            crashes: 3,
+            watchdog_s: 300e-6,
+            seus: 5,
+            ..FaultConfig::default()
+        };
+        let instances = ServeConfig::default().instances;
+        let plan = FaultPlan::materialize(&faults, t.span(), instances).unwrap();
+        let crashes = plan.crash_events().iter().map(|&(at, _)| (at, "crash"));
+        let seus = plan.seu_events().iter().map(|&(at, _, _)| (at, "seu"));
+        let mut expected: Vec<(SimTime, &str, usize)> = crashes
+            .enumerate()
+            .chain(seus.enumerate())
+            .map(|(k, (at, kind))| (at, kind, k))
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(expected.len(), 8);
+        assert_eq!(heap_at_start(faults), expected);
     }
 
     #[test]

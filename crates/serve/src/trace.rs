@@ -109,11 +109,13 @@ impl ArrivalTrace {
         self.requests.is_empty()
     }
 
-    /// Arrival time of the last request (zero for an empty trace).
+    /// The latest arrival time (zero for an empty trace): the last
+    /// request's in a sorted trace, and the same for any reordering of it.
     pub fn span(&self) -> SimTime {
         self.requests
-            .last()
+            .iter()
             .map(|r| r.arrival)
+            .max()
             .unwrap_or(SimTime::ZERO)
     }
 }

@@ -11,7 +11,10 @@
 use mann_babi::TaskId;
 use mann_core::{SuiteConfig, TaskSuite};
 use mann_hw::{AccelConfig, Accelerator};
-use mann_serve::{ArrivalTrace, EngineMode, SchedulePolicy, ServeConfig, Server, TraceConfig};
+use mann_serve::{
+    ArrivalTrace, EngineMode, FaultConfig, SchedulePolicy, ServeConfig, ServeOutcome, Server,
+    TraceConfig,
+};
 
 fn suite() -> TaskSuite {
     let cfg = SuiteConfig {
@@ -229,4 +232,61 @@ fn policies_and_batching_preserve_the_answer_digest() {
     assert_eq!(digest(SchedulePolicy::RoundRobin, 8, 4), reference);
     assert_eq!(digest(SchedulePolicy::StoryAffinity, 4, 2), reference);
     assert_eq!(digest(SchedulePolicy::StoryAffinity, 8, 4), reference);
+}
+
+/// The event loop replays arrivals in `(arrival, index)` order, so a trace
+/// listed out of order serves like its sorted self, request by request.
+/// The answer digest and float means fold in completion order, which
+/// follows the listing, so only the per-id records are compared.
+#[test]
+fn an_out_of_order_trace_serves_like_its_sorted_self() {
+    let s = suite();
+    let sorted = ArrivalTrace::generate(
+        &TraceConfig {
+            requests: 120,
+            seed: 13,
+            mean_interarrival_s: 40e-6,
+            ..TraceConfig::default()
+        },
+        &s,
+    );
+    // Reversing flips the index order of equal instants, so there are none.
+    assert!(sorted
+        .requests
+        .windows(2)
+        .all(|w| w[0].arrival < w[1].arrival));
+    let mut reversed = sorted.clone();
+    reversed.requests.reverse();
+    let server = Server::new(
+        &s,
+        ServeConfig {
+            queue_capacity: 6,
+            faults: FaultConfig {
+                seed: 3,
+                link_corrupt_prob: 0.2,
+                max_retries: 1,
+                crashes: 2,
+                watchdog_s: 300e-6,
+                seus: 4,
+                ..FaultConfig::default()
+            },
+            ..ServeConfig::default()
+        },
+    );
+    let by_id = |out: ServeOutcome| {
+        let ServeOutcome {
+            mut completions,
+            mut rejections,
+            mut sheds,
+            ..
+        } = out;
+        completions.sort_by_key(|c| c.request.id);
+        rejections.sort_by_key(|r| r.request.id);
+        sheds.sort_by_key(|r| r.id);
+        (completions, rejections, sheds)
+    };
+    let expected = by_id(server.serve(&sorted));
+    assert!(!expected.1.is_empty(), "the campaign rejects nothing");
+    assert!(!expected.2.is_empty(), "the campaign sheds nothing");
+    assert_eq!(by_id(server.serve(&reversed)), expected);
 }
