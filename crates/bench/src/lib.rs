@@ -54,7 +54,8 @@ impl HarnessArgs {
     ///
     /// # Panics
     ///
-    /// Panics with a usage message when a value is missing or unparsable.
+    /// Panics with a usage message when a value is missing or unparsable,
+    /// or when `--tasks` is outside 1–20.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
         let mut out = Self::default();
         let mut it = args.into_iter();
@@ -77,7 +78,11 @@ impl HarnessArgs {
                 _ => {}
             }
         }
-        out.tasks = out.tasks.clamp(1, 20);
+        assert!(
+            (1..=20).contains(&out.tasks),
+            "usage: --tasks <1-20>, got {}",
+            out.tasks
+        );
         out
     }
 
@@ -156,9 +161,15 @@ mod tests {
     }
 
     #[test]
-    fn tasks_are_clamped() {
-        let a = HarnessArgs::parse(["--tasks", "99"].iter().map(|s| (*s).to_owned()));
-        assert_eq!(a.tasks, 20);
+    #[should_panic(expected = "usage: --tasks <1-20>, got 0")]
+    fn zero_tasks_are_rejected() {
+        HarnessArgs::parse(["--tasks", "0"].iter().map(|s| (*s).to_owned()));
+    }
+
+    #[test]
+    #[should_panic(expected = "usage: --tasks <1-20>, got 21")]
+    fn more_than_twenty_tasks_are_rejected() {
+        HarnessArgs::parse(["--tasks", "21"].iter().map(|s| (*s).to_owned()));
     }
 
     #[test]

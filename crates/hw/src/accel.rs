@@ -1387,8 +1387,9 @@ mod tests {
             }
         }
         // Tiny 4-8 sentence stories are the index's worst case (candidate
-        // sets of 2-4 slots); the ≥99% agreement floor is gated in
-        // perf_gate at the large-memory operating point.
+        // sets of 2-4 slots); the ≥99% agreement floor is asserted at the
+        // large-memory operating point by `indexed_addressing_floor` in
+        // crates/serve/tests/sim_floors.rs.
         assert!(agree * 10 >= test.len() * 8, "{agree}/{}", test.len());
     }
 

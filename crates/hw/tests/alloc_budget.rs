@@ -1,20 +1,24 @@
-//! Allocation budget of the query hot path.
+//! Allocation budgets of the query and training hot paths.
 //!
 //! After warm-up, `Accelerator::answer_query` allocates a fixed number of
 //! buffers per query, independent of the embedding width `E`, of the
 //! class count and of the story length: no per-row, per-column or
-//! per-dot-product temporaries. Unlike host time, an allocation count is
-//! deterministic, so it guards the hot path exactly.
+//! per-dot-product temporaries, and no per-query MEM module or exp LUT.
+//! A warm `train_step` allocates nothing at all. Unlike host time, an
+//! allocation count is deterministic, so it guards the hot paths exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
-use mann_babi::EncodedSample;
+use mann_babi::{DatasetBuilder, EncodedSample, TaskId};
 use mann_hw::{AccelConfig, Accelerator};
 use mann_ith::threshold::ClassThreshold;
 use mann_ith::{Kernel, ThresholdingModel};
-use memn2n::{ModelConfig, Params, TrainedModel};
+use memn2n::{
+    train_step, ControllerKind, Gradients, ModelConfig, Params, TrainConfig, TrainedModel, Trainer,
+    Workspace,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -75,7 +79,7 @@ fn query_allocations(embed_dim: usize, classes: usize, sentences: usize, thresho
         &mut StdRng::seed_from_u64(3),
     );
     let model = TrainedModel {
-        task: mann_babi::TaskId::SingleSupportingFact,
+        task: TaskId::SingleSupportingFact,
         params,
         encoder: mann_babi::Encoder::with_time_tokens(mann_babi::Vocab::new(), 0),
     };
@@ -106,10 +110,20 @@ fn query_allocations(embed_dim: usize, classes: usize, sentences: usize, thresho
     })
 }
 
+/// Allocations of one warm query today. The scaling check alone would
+/// pass a constant per-query addition, such as a MEM module and its exp
+/// LUT built for every inference instead of once per loadout.
+const QUERY_ALLOCATION_CEILING: u64 = 29;
+
 #[test]
 fn answer_query_allocations_do_not_grow_with_width_classes_or_story() {
     for thresholded in [false, true] {
         let base = query_allocations(4, 8, 3, thresholded);
+        assert!(
+            base <= QUERY_ALLOCATION_CEILING,
+            "{base} allocations per query, ceiling {QUERY_ALLOCATION_CEILING} \
+             (thresholded = {thresholded})"
+        );
         for sentences in [1, 3, 40] {
             for (embed_dim, classes) in [(4, 8), (32, 8), (4, 64), (48, 96)] {
                 assert_eq!(
@@ -117,6 +131,56 @@ fn answer_query_allocations_do_not_grow_with_width_classes_or_story() {
                     base,
                     "E = {embed_dim}, classes = {classes}, sentences = {sentences}, \
                      thresholded = {thresholded}"
+                );
+            }
+        }
+    }
+}
+
+/// Allocations of one pass of warm SGD steps over task 1's training set
+/// (stories of 4 to 8 sentences) on an `embed_dim`-wide, `hops`-hop model,
+/// with or without a momentum velocity. A first pass grows the workspace
+/// to the longest story.
+fn train_pass_allocations(
+    controller: ControllerKind,
+    embed_dim: usize,
+    hops: usize,
+    momentum: bool,
+) -> u64 {
+    let data = DatasetBuilder::new()
+        .train_samples(150)
+        .test_samples(1)
+        .seed(7)
+        .build_task(TaskId::SingleSupportingFact);
+    let model = ModelConfig {
+        embed_dim,
+        hops,
+        tie_embeddings: false,
+        controller,
+    };
+    let trainer = Trainer::from_task_data(&data, model, TrainConfig::default());
+    let mut params = trainer.as_model().params;
+    let mut ws = Workspace::for_params(&params);
+    let mut velocity = momentum.then(|| Gradients::zeros(&params));
+    let mut pass = |params: &mut Params| {
+        for sample in trainer.train_set() {
+            let v = velocity.as_mut();
+            black_box(train_step(params, sample, &mut ws, v, 0.9, 0.05, 40.0));
+        }
+    };
+    pass(&mut params);
+    allocations_during(|| pass(&mut params))
+}
+
+#[test]
+fn warm_train_steps_do_not_allocate() {
+    for controller in [ControllerKind::Linear, ControllerKind::Gru] {
+        for (embed_dim, hops) in [(20, 1), (50, 3)] {
+            for momentum in [false, true] {
+                assert_eq!(
+                    train_pass_allocations(controller, embed_dim, hops, momentum),
+                    0,
+                    "{controller:?}, E = {embed_dim}, {hops} hops, momentum = {momentum}"
                 );
             }
         }

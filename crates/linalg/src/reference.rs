@@ -1,14 +1,9 @@
 //! Scalar reference kernels — the pre-optimization implementations.
 //!
 //! These are the straightforward loops the optimized [`Matrix`] kernels
-//! replaced. They are kept for two jobs:
-//!
-//! * **Correctness oracle**: property tests check the unrolled/blocked
-//!   kernels against these on random shapes (exact for order-preserving
-//!   kernels, within tolerance otherwise).
-//! * **Perf baseline**: the `perf_gate` binary in `mann-bench` times these
-//!   against the optimized kernels to enforce the speedup floor, so the
-//!   "before" side of the comparison is real code, not a stale number.
+//! replaced. They are kept as the **correctness oracle**: property tests
+//! check the unrolled/blocked kernels against these on random shapes
+//! (exact for order-preserving kernels, within tolerance otherwise).
 //!
 //! Shape checking is the caller's job here; these panic on mismatched
 //! dimensions via slice indexing.

@@ -9,8 +9,8 @@ use serde::{Deserialize, Serialize};
 use crate::{forward, Gradients, ModelConfig, Params, Workspace};
 
 /// One single-sample SGD step (forward, loss, backward, clip, apply),
-/// returning the sample loss. Factored out of [`Trainer::train`] so the
-/// perf regression gate times exactly the production training step.
+/// returning the sample loss. Allocation-free once `ws` is warm; factored
+/// out of [`Trainer::train`] so callers can drive the production step.
 pub fn train_step(
     params: &mut Params,
     sample: &EncodedSample,

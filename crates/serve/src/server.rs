@@ -1682,6 +1682,8 @@ impl<'s, 'a> ServeState<'s, 'a> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
     use crate::TraceConfig;
     use mann_babi::TaskId;
@@ -2546,6 +2548,42 @@ mod tests {
         expected.sort_unstable();
         assert_eq!(expected.len(), 8);
         assert_eq!(heap_at_start(faults), expected);
+    }
+
+    /// A repeated-story trace costs one story write per distinct story and
+    /// one hit and one miss run per distinct query, in both loadouts,
+    /// however many requests repeat them.
+    #[test]
+    fn the_numeric_phase_simulates_each_distinct_story_and_query_once() {
+        let s = suite();
+        let t = trace(&s, 10_000);
+        let server = Server::new(
+            &s,
+            ServeConfig {
+                faults: FaultConfig {
+                    degrade_depth: 8,
+                    ..FaultConfig::default()
+                },
+                ..ServeConfig::default()
+            },
+        );
+        let queries: HashSet<(usize, usize)> = t
+            .requests
+            .iter()
+            .map(|r| (r.task_idx, r.sample_idx))
+            .collect();
+        let stories: HashSet<(usize, u64)> = queries
+            .iter()
+            .map(|&(task, sample)| (task, story_digest(&s.tasks[task].test_set[sample])))
+            .collect();
+        assert_eq!(queries.len(), 24);
+        let num = server.numeric_phase(&t);
+        assert_eq!(num.stories.len(), stories.len());
+        let degraded = num.degraded.as_ref().expect("degradation is armed");
+        for runs in [&num.exact, degraded] {
+            assert_eq!(runs.hit.len(), queries.len());
+            assert_eq!(runs.miss.len(), queries.len());
+        }
     }
 
     #[test]
