@@ -21,8 +21,8 @@
 //! `--fault-plan <path|spec>` runs a deterministic fault campaign: either
 //! a JSON file or an inline `key=value,...` spec such as
 //! `corrupt=0.05,retries=4,crashes=2,cooldown-us=300,watchdog-us=400,seus=3,seed=7`.
-//! `--watchdog <us>` and `--max-retries <n>` override those two knobs of
-//! whatever plan is loaded. The campaign is seeded and simulated-time
+//! `--watchdog <us>` and `--max-retries <n>` (0–20) override those two
+//! knobs of whatever plan is loaded. The campaign is seeded and simulated-time
 //! deterministic: the same plan prints byte-identical reports at any
 //! `MANN_THREADS` and under either engine.
 //!
@@ -63,7 +63,8 @@
 //! and compacting every n records. With `node-kills=1` in the fault
 //! plan, one seeded shard is fail-stopped mid-campaign (torn WAL tail
 //! and all) and recovered by replay — the recovered report is asserted
-//! byte-identical to the no-crash run. Malformed specs, for the flag
+//! byte-identical to the no-crash run. A cluster journals each shard
+//! under `<dir>/shard-<s>/`. Malformed specs, for the flag
 //! and `MANN_WAL` alike, are hard errors; so is `node-kills` without a
 //! WAL or `--snapshot-every` without `--wal-dir`. The WAL only adds a
 //! `durability` report section: all other bytes match the non-durable
@@ -71,10 +72,11 @@
 //!
 //! `--shards K` (default 1) serves the trace on a story-sharded cluster:
 //! a rendezvous-hash router places each story on one of K shard nodes,
-//! each running the full serve stack above. `--replication R` (default 1)
-//! arms cross-shard failover — with a fault plan active, a request
-//! stranded by an instance crash is re-dispatched to its story's replica
-//! shard at real re-upload cost. `--weights w0,w1,...` sets per-shard
+//! each running the full serve stack above, all on one simulated
+//! timeline. `--replication R` (default 1) arms cross-shard failover —
+//! with a fault plan active, a request stranded by an instance crash
+//! arrives on its story's replica shard's own queue, paying the story
+//! upload unless the replica has it resident. `--weights w0,w1,...` sets per-shard
 //! routing weights (one positive integer < 65536 per shard; zero,
 //! negative, fractional or non-finite weights are hard errors, never
 //! silently clamped). At K>1 the report is the merged `ClusterReport`
@@ -87,7 +89,8 @@
 //! (times in microseconds). Drained shards hand resident stories to the
 //! next live replica as real re-uploads, failed shards strand their
 //! in-flight work for `route_live` re-dispatch, joins arrive with a cold
-//! cache, queue-pressure retunes halve a shard's routing weight, and the
+//! cache, a shard's live queue depth reaching the retune threshold halves
+//! its routing weight (a weight-1 shard keeps its keys), and the
 //! hot-key splitter fans one pathological story across its replica set.
 //! `--hot-key-threshold <n>` overrides that one knob of whatever plan is
 //! loaded. Plans that reference a shard index ≥ K, or any membership
@@ -259,7 +262,11 @@ impl ServeArgs {
                     );
                 }
                 "--max-retries" => {
-                    max_retries = Some(num("--max-retries", grab("--max-retries")) as u32);
+                    let v = grab("--max-retries");
+                    max_retries = Some(
+                        v.parse()
+                            .unwrap_or_else(|_| panic!("usage: --max-retries <number>")),
+                    );
                 }
                 "--numeric-policy" => {
                     let v = grab("--numeric-policy");
@@ -556,5 +563,16 @@ fn main() {
     match write_json_report(path, &outcome.report) {
         Ok(()) => eprintln!("[serve] report written to {path}"),
         Err(e) => eprintln!("[serve] could not write {path}: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "usage: --max-retries <number>")]
+    fn a_retry_budget_beyond_u32_is_a_usage_error() {
+        let _ = ServeArgs::parse(["--max-retries", "4294967296"].map(String::from));
     }
 }

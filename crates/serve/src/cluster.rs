@@ -6,37 +6,38 @@
 //! shard nodes (rendezvous hashing with weighted virtual nodes), every
 //! shard runs its own full serve stack (link arbiter, instance pool, story
 //! cache, fault plan), and a replication factor R arms *cross-shard*
-//! failover — a request stranded by an instance crash is re-dispatched to
-//! the story's replica shard, paying the story re-upload at real
-//! cycle/link cost, instead of re-queueing locally.
+//! failover — a request stranded by an instance crash is handed to the
+//! story's replica shard, where it arrives on the replica's own queue and
+//! pays the story upload unless the replica has it resident, instead of
+//! re-queueing locally. All shards run on one simulated timeline, so a
+//! replica's boards are simulated once, with one crash plan and one
+//! idle-power window.
 //!
 //! # Determinism
 //!
 //! A cluster serve is a pure function of `(suite, trace, config)`:
 //!
-//! * routing is pure rendezvous hashing over `story_digest`
-//!   ([`mann_hw::fault_mix`] under a routing salt), so placement never
-//!   depends on arrival interleaving;
+//! * routing is rendezvous hashing over `story_digest`
+//!   ([`mann_hw::fault_mix`] under a routing salt) against the live
+//!   membership view, each request routed when it arrives;
 //! * each shard's fault plan derives from [`mann_hw::shard_fault_seed`],
 //!   so what shard `s` injects is independent of how many shards exist or
-//!   the order they are served in;
-//! * aggregation folds per-shard results in `(pass, shard)` order whatever
-//!   order the shards actually ran in, so [`ClusterReport`] bytes are
-//!   identical across `MANN_THREADS`, engine modes, and shard-iteration
-//!   order (pinned by tests and a golden).
+//!   the order they are stepped in;
+//! * at one simulated instant the timeline runs arrivals, then shard
+//!   events, then hand-offs in request-id order, so [`ClusterReport`]
+//!   bytes are identical across `MANN_THREADS`, engine modes, and the
+//!   order shards are stepped in (pinned by tests and a golden).
 //!
 //! At K=1/R=1 the layer is *inert*: the report serializes and renders as
 //! the single shard's [`ServeReport`], byte-identical to the single-node
 //! path.
 
 use std::collections::HashMap;
-use std::convert::Infallible;
 
 use mann_core::report::{fnum, percent, TextTable};
 use mann_core::TaskSuite;
-use mann_hw::{
-    fault_mix, shard_fault_seed, story_digest, Accelerator, PcieLink, PhaseCycles, SimTime,
-};
+use mann_hw::{fault_mix, shard_fault_seed, Accelerator, PcieLink, PhaseCycles, SimTime};
+use mann_store::WalRecord;
 use serde::Serialize;
 
 use crate::faults::{FaultConfig, FaultReport};
@@ -48,9 +49,9 @@ use crate::report::{
     answers_digest, mean, push_sections, render_sections, BatchReport, CacheReport, HopPruneReport,
     IndexReport, LatencySummary, LinkReport, ReportSection, ServeReport,
 };
-use crate::request::{request_key, Completion, Rejection, Request};
-use crate::server::{ServeConfig, ServeOutcome, Server, ShardRole};
-use crate::store::{never, DurabilityReport};
+use crate::request::{Completion, Rejection, Request};
+use crate::server::{Handoff, NumericPhase, ServeConfig, ServeOutcome, ServeState, Server};
+use crate::store::DurabilityReport;
 use crate::trace::ArrivalTrace;
 
 /// Domain-separation salt for routing hashes (ASCII "router"): routing
@@ -247,16 +248,17 @@ impl ClusterConfig {
 /// Cross-shard failover accounting (zeros at R = 1 or without crashes).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct ClusterFailover {
-    /// Watchdog handoffs: requests a shard exported after its instance
-    /// crashed under them.
+    /// Hand-offs: requests a shard exported after its instance crashed
+    /// under them or the shard fail-stopped.
     pub exports: u64,
-    /// Exported requests that completed on a replica shard.
+    /// Handed-off requests that completed on a replica shard.
     pub completed: u64,
-    /// Exported requests lost anyway (replica queue full or replica-side
+    /// Handed-off requests lost anyway (replica queue full or replica-side
     /// shed); still accounted in the cluster partition.
     pub lost: u64,
-    /// Link bytes the replica passes moved — the re-uploaded stories plus
-    /// their answer drains, paid at real link cost.
+    /// Link bytes of the hand-offs' dispatches on their replicas — each
+    /// upload (question only when the story is resident) plus each answer
+    /// drain, paid at real link cost.
     pub replay_link_bytes: u64,
     /// Mean end-to-end latency of failed-over completions, measured from
     /// the *original* arrival, seconds.
@@ -310,7 +312,8 @@ pub struct ClusterReport {
     pub phase_totals: PhaseCycles,
     /// Completions that exited the output search early (ITH).
     pub speculated: usize,
-    /// Sum of per-shard energies, joules.
+    /// Sum of per-shard energies, joules: each board charged once, over
+    /// its shard's one idle-power window.
     pub total_energy_j: f64,
     /// One-time model-upload cost, paid once per shard, seconds.
     pub setup_s: f64,
@@ -337,8 +340,9 @@ pub struct ClusterReport {
     /// moved-key fraction); key omitted when the plan is empty, so every
     /// pre-membership report stays byte-identical.
     pub membership: MembershipReport,
-    /// Each shard's primary-pass report, in shard-index order (replica
-    /// passes are folded into the merged sections above).
+    /// Each shard's report, in shard-index order: everything the shard
+    /// served, hand-offs included, on its one timeline. The merged
+    /// sections above fold exactly these.
     pub per_shard: Vec<ServeReport>,
 }
 
@@ -516,9 +520,12 @@ impl ClusterReport {
 /// Everything a cluster serve produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterOutcome {
-    /// Every completed request across all shards and failover passes, in
-    /// request-id order. `Completion::instance` is shard-local.
+    /// Every completed request across all shards, in request-id order.
+    /// `Completion::instance` is shard-local; a handed-over request keeps
+    /// its original arrival, and its enqueue is the hand-off instant.
     pub completions: Vec<Completion>,
+    /// The shard each completion ran on, parallel to `completions`.
+    pub completion_shards: Vec<usize>,
     /// Rejected requests (primary or replica queue full), in id order.
     pub rejections: Vec<Rejection>,
     /// Requests shed by a fault campaign on any shard, in id order.
@@ -538,9 +545,8 @@ pub struct ClusterOutcome {
 /// A sharded cluster over one trained suite.
 ///
 /// Construction is cheap; each [`Cluster::serve`] builds its shard
-/// [`Server`]s on the fly (they borrow the suite), runs the primary pass
-/// on every shard, then drains the cross-shard failover chain until every
-/// request is completed, rejected, or shed.
+/// [`Server`]s on the fly (they borrow the suite) and advances them on one
+/// timeline until every request is completed, rejected, or shed.
 #[derive(Debug)]
 pub struct Cluster<'a> {
     suite: &'a TaskSuite,
@@ -580,128 +586,18 @@ impl<'a> Cluster<'a> {
         &self.router
     }
 
-    /// A request's routing key: the [`request_key`] the single-node
-    /// scheduler uses, so "same story, same task" is one routing unit
-    /// cluster-wide.
-    fn route_key(&self, r: &Request) -> u64 {
-        let sample = &self.suite.tasks[r.task_idx].test_set[r.sample_idx];
-        request_key(story_digest(sample), r.task_idx)
-    }
-
-    /// The [`ServeConfig`] shard `shard` runs on failover pass `pass`.
-    fn shard_config(&self, shard: usize, pass: usize) -> ServeConfig {
+    /// The [`ServeConfig`] shard `shard` runs.
+    fn shard_config(&self, shard: usize) -> ServeConfig {
         let mut cfg = self.config.base.clone();
         if self.config.shards > 1 {
             if let Some(Some(f)) = self.config.shard_faults.get(shard) {
                 cfg.faults = f.clone();
             }
-            // Seed-pure per shard and per pass: the plan a shard injects
-            // never depends on shard count, iteration order, or what the
-            // other shards did.
-            cfg.faults.seed =
-                shard_fault_seed(cfg.faults.seed, ((pass as u64) << 32) | shard as u64);
+            // Seed-pure per shard: the plan a shard injects never depends
+            // on shard count, stepping order, or what the other shards did.
+            cfg.faults.seed = shard_fault_seed(cfg.faults.seed, shard as u64);
         }
         cfg
-    }
-
-    /// How shard `shard` is deployed on a pass that does (`export`) or
-    /// does not hand stranded requests back. A membership fail-stop cuts
-    /// the shard at T on every pass: it can still be holding re-dispatched
-    /// work when it dies, and what it strands comes back as exports
-    /// whatever the pass.
-    fn shard_role(&self, shard: usize, export: bool) -> ShardRole {
-        ShardRole {
-            failover_export: export,
-            fail_stop: self.config.membership.fail_time(shard),
-        }
-    }
-
-    /// The base weight vector the membership view starts from.
-    fn effective_weights(&self) -> Vec<u32> {
-        if self.config.weights.is_empty() {
-            vec![1; self.config.shards]
-        } else {
-            self.config.weights.clone()
-        }
-    }
-
-    /// Routes every request against the live membership view *as of its
-    /// arrival* — a drained/failed shard attracts nothing after its exit,
-    /// a joining shard attracts nothing before its entry — with hot keys
-    /// fanned round-robin (by per-key arrival rank) across their full
-    /// live replica chain. Returns the per-shard pass-0 sub-traces, the
-    /// requests with no live replica at all, and the hot-split request
-    /// count. Pure in `(trace, routing)`.
-    fn assign_pass0(
-        &self,
-        trace: &ArrivalTrace,
-        routing: &Routing,
-    ) -> (Vec<Vec<Request>>, Vec<Request>, u64) {
-        let mut pending: Vec<Vec<Request>> = vec![Vec::new(); self.config.shards];
-        let mut unroutable: Vec<Request> = Vec::new();
-        let mut split_requests = 0u64;
-        let mut hot_rank: HashMap<u64, usize> = HashMap::new();
-        for r in &trace.requests {
-            let key = routing.keys[&r.id];
-            let chain = routing.view.resolve(key, r.arrival);
-            if chain.is_empty() {
-                unroutable.push(*r);
-                continue;
-            }
-            let target = if routing.hot.binary_search(&key).is_ok() {
-                split_requests += 1;
-                let rank = hot_rank.entry(key).or_insert(0);
-                let t = chain[*rank % chain.len()];
-                *rank += 1;
-                t
-            } else {
-                chain[0]
-            };
-            pending[target].push(*r);
-        }
-        (pending, unroutable, split_requests)
-    }
-
-    /// Weight re-tuning: probe-serve each shard's provisional pass-0
-    /// sub-trace (a *pure* serve, never the caller's `run` hook, so the
-    /// durable path journals nothing twice) and find the first instant its
-    /// host-queue depth crosses the threshold; that shard's weight is
-    /// divided from then on. The probe runs on the pre-retune assignment,
-    /// so the re-tune instants are a pure function of `(plan, trace,
-    /// config)` — no fixed-point iteration, no event-loop feedback.
-    fn retunes(&self, trace: &ArrivalTrace, routing: &Routing) -> Vec<(SimTime, usize)> {
-        let plan = &self.config.membership;
-        let (provisional, _, _) = self.assign_pass0(trace, routing);
-        let limit =
-            ((plan.retune_threshold * self.config.base.queue_capacity as f64).ceil() as i64).max(1);
-        let mut retunes = Vec::new();
-        for (shard, reqs) in provisional.into_iter().enumerate() {
-            if reqs.is_empty() {
-                continue;
-            }
-            let server = Server::new(self.suite, self.shard_config(shard, 0));
-            let sub = ArrivalTrace {
-                requests: reqs,
-                config: trace.config.clone(),
-            };
-            let probe = server.serve_as(&sub, self.shard_role(shard, self.config.replication > 1));
-            // Occupancy deltas: +1 at enqueue, -1 at dispatch; a rejection
-            // means the queue sat at full capacity, which is >= any valid
-            // threshold.
-            let mut deltas: Vec<(SimTime, i32)> = Vec::new();
-            for c in &probe.completions {
-                deltas.push((c.timestamps.enqueue, 1));
-                deltas.push((c.timestamps.dispatch, -1));
-            }
-            let mut crossing = crate::scheduler::first_depth_crossing(deltas, limit);
-            if let Some(rej) = probe.rejections.iter().map(|r| r.request.arrival).min() {
-                crossing = Some(crossing.map_or(rej, |c| c.min(rej)));
-            }
-            if let Some(t) = crossing {
-                retunes.push((t, shard));
-            }
-        }
-        retunes
     }
 
     /// Serves a trace across the cluster.
@@ -710,9 +606,11 @@ impl<'a> Cluster<'a> {
         self.serve_in_order(trace, &order)
     }
 
-    /// Serves with an explicit shard-iteration order. The outcome must be
-    /// identical for every permutation — shards share no state and the
-    /// aggregation folds in canonical `(pass, shard)` order — which the
+    /// Serves with an explicit shard-stepping order: of the shard events
+    /// due at one instant, those of shards earlier in `order` run first.
+    /// The outcome must be identical for every permutation — shards share
+    /// no state, and what one hands another is delivered after every
+    /// shard event at its instant, in request-id order — which the
     /// determinism tests assert byte-for-byte. [`Cluster::serve`] uses the
     /// identity order.
     ///
@@ -720,134 +618,148 @@ impl<'a> Cluster<'a> {
     ///
     /// Panics when `order` is not a permutation of `0..shards`.
     pub fn serve_in_order(&self, trace: &ArrivalTrace, order: &[usize]) -> ClusterOutcome {
-        never(
-            self.serve_in_order_with(trace, order, |_, _, server, sub, role| {
-                Ok::<_, Infallible>(server.serve_as(sub, role))
-            }),
-        )
+        self.serve_journaled(trace, order).0
     }
 
-    /// The generic pass loop under [`Cluster::serve_in_order`]: `run`
-    /// serves each `(pass, shard)` sub-trace in the given role, so the
-    /// plain path (pure, infallible) and the durable path (journaling,
-    /// fallible) share one routing/failover/aggregation skeleton and
-    /// cannot drift apart.
-    pub(crate) fn serve_in_order_with<E>(
+    /// The one cluster timeline under [`Cluster::serve_in_order`], with
+    /// each shard's journal (empty unless the WAL is armed). At each
+    /// instant, arrivals go first, each routed against the live membership
+    /// view and the retunes fired so far; then every shard event due; then
+    /// the hand-offs, each an arrival on the next link of its chain.
+    pub(crate) fn serve_journaled(
         &self,
         trace: &ArrivalTrace,
         order: &[usize],
-        mut run: impl FnMut(
-            usize,
-            usize,
-            &Server<'_>,
-            &ArrivalTrace,
-            ShardRole,
-        ) -> Result<ServeOutcome, E>,
-    ) -> Result<ClusterOutcome, E> {
+    ) -> (ClusterOutcome, Vec<Vec<WalRecord>>) {
         let k = self.config.shards;
-        {
-            let mut sorted = order.to_vec();
-            sorted.sort_unstable();
-            assert!(
-                sorted == (0..k).collect::<Vec<_>>(),
-                "order must be a permutation of 0..{k}"
-            );
-        }
-        let replicas = self.config.replication;
+        let mut sorted = order.to_vec();
+        sorted.sort_unstable();
+        assert!(
+            sorted.iter().copied().eq(0..k),
+            "order must be a permutation of 0..{k}"
+        );
         let plan = &self.config.membership;
-
-        // The live membership view: with an empty plan every shard is
-        // alive forever on the base weights, and resolving a key at any
-        // instant equals the frozen `ShardRouter::route` — the whole
-        // membership layer reduces to the pre-membership routing, byte
-        // for byte (pinned by the golden suite).
-        // Each distinct (task, sample) query digests its story once.
-        let mut query_keys: HashMap<(usize, usize), u64> = HashMap::new();
-        let keys: HashMap<u64, u64> = trace
-            .requests
+        let servers: Vec<Server<'_>> = (0..k)
+            .map(|s| Server::new(self.suite, self.shard_config(s)))
+            .collect();
+        // Shard configs differ only in their fault campaigns, so the
+        // shards share one numeric phase; only aggressive-ITH runs differ,
+        // by degrade margin, so a shard overriding it with a margin of its
+        // own gets a phase of its own.
+        let margin = |server: &Server<'_>| {
+            let f = &server.config().faults;
+            (f.degrade_depth > 0).then_some(f.degrade_margin.to_bits())
+        };
+        let mut nums: Vec<(Option<u32>, NumericPhase)> = Vec::new();
+        for server in &servers {
+            let m = margin(server);
+            if m.is_some() && nums.iter().all(|n| n.0 != m) {
+                nums.push((m, server.numeric_phase(trace)));
+            }
+        }
+        if nums.is_empty() {
+            nums.push((None, servers[0].numeric_phase(trace)));
+        }
+        let num = &nums[0].1;
+        let span = trace.span();
+        let mut states: Vec<ServeState<'_, '_>> = servers
             .iter()
-            .map(|r| {
-                let key = *query_keys
-                    .entry((r.task_idx, r.sample_idx))
-                    .or_insert_with(|| self.route_key(r));
-                (r.id, key)
+            .enumerate()
+            .map(|(s, server)| {
+                let own = nums.iter().find(|n| n.0 == margin(server));
+                // A shard's crash and SEU plan spans its time in the
+                // fleet: up to its drain or fail-stop, else the trace.
+                let leave = plan.fail_time(s).or_else(|| plan.drain_time(s));
+                ServeState::new(
+                    server,
+                    trace,
+                    own.map_or(num, |n| &n.1),
+                    leave.unwrap_or(span),
+                    plan.fail_time(s),
+                    self.config.replication,
+                )
             })
             .collect();
+
         let mut routing = Routing {
-            hot: plan.hot_keys(trace.requests.iter().map(|r| keys[&r.id])),
-            keys,
-            view: MembershipView::new(plan, self.effective_weights(), replicas),
+            view: MembershipView::new(
+                plan,
+                self.router.weights().to_vec(),
+                self.config.replication,
+            ),
+            hot: plan.hot_keys((0..trace.len()).map(|g| num.key(g))),
+            hot_rank: HashMap::new(),
+            split_requests: 0,
+            retune_depth: (plan.retune_threshold > 0.0).then(|| {
+                let capacity = self.config.base.queue_capacity as f64;
+                ((plan.retune_threshold * capacity).ceil() as usize).max(1)
+            }),
+            retune_factor: plan.retune_factor,
             retunes: Vec::new(),
+            unroutable: Vec::new(),
+            exports: vec![0; k],
+            failovers: Vec::new(),
+            num,
         };
-        if plan.retune_threshold > 0.0 {
-            routing.retunes = self.retunes(trace, &routing);
-            routing
-                .view
-                .apply_retunes(&routing.retunes, plan.retune_factor);
-        }
-
-        // Pass 0: sub-traces routed against the live view at each
-        // request's arrival, arrival order preserved.
-        let (mut pending, mut unroutable, split_requests) = self.assign_pass0(trace, &routing);
-
-        // Outcomes keyed by (pass, shard); folded in that canonical order
-        // below, so the caller's `order` can never leak into the report.
-        let mut passes: Vec<(usize, usize, ServeOutcome)> = Vec::new();
-        let mut pass = 0usize;
-        while pending.iter().any(|p| !p.is_empty()) || pass == 0 {
-            let mut next_pending: Vec<Vec<Request>> = vec![Vec::new(); k];
-            // The last link of every replica chain resolves locally (the
-            // stock watchdog re-queue), so the chain always terminates.
-            let export = pass + 1 < replicas;
-            for &shard in order {
-                let mut reqs = std::mem::take(&mut pending[shard]);
-                if reqs.is_empty() && pass > 0 {
-                    continue;
+        // A stable sort: ties keep trace order.
+        let mut arrivals: Vec<usize> = (0..trace.len()).collect();
+        arrivals.sort_by_key(|&g| trace.requests[g].arrival);
+        let mut next = 0;
+        // Hand-offs awaiting delivery, all due at the current instant.
+        let mut handoffs: Vec<(usize, Handoff)> = Vec::new();
+        loop {
+            let arrival = arrivals.get(next).map(|&g| trace.requests[g].arrival);
+            // `min_by_key` keeps the first minimum: ties go by `order`.
+            let event = order
+                .iter()
+                .filter_map(|&s| states[s].next_event().map(|t| (t, s)))
+                .min_by_key(|&(t, _)| t);
+            let handoff = handoffs.first().map(|(_, h)| h.at);
+            if let Some(t) = arrival
+                .filter(|&t| event.is_none_or(|(e, _)| t <= e) && handoff.is_none_or(|h| t <= h))
+            {
+                let g = arrivals[next];
+                next += 1;
+                if let Some(s) = routing.route(g, t) {
+                    states[s].arrive(t, g, 0);
+                    routing.observe(s, t, states[s].max_queue_depth);
                 }
-                // Canonical replay order: exports were collected in the
-                // caller's shard order, which must not be observable.
-                reqs.sort_by_key(|r| (r.arrival, r.id));
-                let server = Server::new(self.suite, self.shard_config(shard, pass));
-                let sub = ArrivalTrace {
-                    requests: reqs,
-                    config: trace.config.clone(),
-                };
-                let out = run(pass, shard, &server, &sub, self.shard_role(shard, export))?;
-                for ex in &out.exports {
-                    // Re-dispatch against the live view *at the handoff
-                    // instant*, skipping the exporting shard: the
-                    // request arrives at its `pass`-th surviving
-                    // candidate and pays its story upload like any other
-                    // arrival. With an empty plan the exporter at pass p
-                    // is the chain's p-th entry, so the p-th survivor is
-                    // exactly the old frozen-chain `routes[id][p + 1]` —
-                    // byte-identity preserved. A request with no
-                    // surviving candidate is shed as unroutable, never
-                    // dropped or panicked on.
-                    let cands: Vec<usize> = routing
-                        .view
-                        .resolve(routing.keys[&ex.request.id], ex.at)
-                        .into_iter()
-                        .filter(|&s| s != shard)
-                        .collect();
-                    match cands.get(pass) {
-                        Some(&target) => next_pending[target].push(Request {
-                            arrival: ex.at,
-                            ..ex.request
-                        }),
-                        None => unroutable.push(ex.request),
+            } else if let Some((t, s)) = event.filter(|&(e, _)| handoff.is_none_or(|h| e <= h)) {
+                states[s].step();
+                for h in states[s].exports.drain(..) {
+                    routing.exports[s] += 1;
+                    routing.failovers.push(trace.requests[h.req].id);
+                    handoffs.push((s, h));
+                }
+                routing.observe(s, t, states[s].max_queue_depth);
+            } else if !handoffs.is_empty() {
+                // After every shard event at their instant, in id order:
+                // the order the shards stepped in never shows.
+                handoffs.sort_by_key(|(_, h)| trace.requests[h.req].id);
+                for (from, h) in handoffs.drain(..) {
+                    if let Some(s) = routing.hand_off(h, from) {
+                        states[s].arrive(h.at, h.req, h.hop + 1);
+                        routing.observe(s, h.at, states[s].max_queue_depth);
                     }
                 }
-                passes.push((pass, shard, out));
+            } else {
+                break;
             }
-            pending = next_pending;
-            pass += 1;
         }
-        passes.sort_by_key(|&(p, s, _)| (p, s));
 
-        let membership =
-            self.membership_report(&routing, split_requests, unroutable.len() as u64, &passes);
-        Ok(self.aggregate(trace, passes, membership, unroutable))
+        let membership = self.membership_report(trace, &routing, &states);
+        let replay_link_bytes = states.iter().map(|s| s.handoff_bytes).sum();
+        let mut journals = Vec::with_capacity(k);
+        let outcomes: Vec<ServeOutcome> = states
+            .into_iter()
+            .map(|state| {
+                let mut out = state.finish();
+                journals.push(std::mem::take(&mut out.wal_records));
+                out
+            })
+            .collect();
+        let out = self.aggregate(trace, outcomes, routing, replay_link_bytes, membership);
+        (out, journals)
     }
 
     /// Builds the [`MembershipReport`] for a non-empty plan: lifecycle
@@ -856,10 +768,9 @@ impl<'a> Cluster<'a> {
     /// plan returns the disabled default (key omitted from JSON).
     fn membership_report(
         &self,
-        routing: &Routing,
-        split_requests: u64,
-        unroutable_shed: u64,
-        passes: &[(usize, usize, ServeOutcome)],
+        trace: &ArrivalTrace,
+        routing: &Routing<'_>,
+        states: &[ServeState<'_, '_>],
     ) -> MembershipReport {
         let plan = &self.config.membership;
         if plan.is_empty() {
@@ -873,13 +784,12 @@ impl<'a> Cluster<'a> {
             joins: count(MembershipEventKind::Join),
             retunes: routing.retunes.len() as u64,
             hot_keys: routing.hot.len() as u64,
-            split_requests,
-            stranded_exports: passes
-                .iter()
-                .filter(|&&(_, s, _)| plan.fail_time(s).is_some())
-                .map(|(_, _, out)| out.exports.len() as u64)
+            split_requests: routing.split_requests,
+            stranded_exports: (0..routing.exports.len())
+                .filter(|&s| plan.fail_time(s).is_some())
+                .map(|s| routing.exports[s])
                 .sum(),
-            unroutable_shed,
+            unroutable_shed: routing.unroutable.len() as u64,
             ..MembershipReport::default()
         };
 
@@ -897,33 +807,28 @@ impl<'a> Cluster<'a> {
             .iter()
             .filter(|e| e.kind == MembershipEventKind::Drain)
         {
-            let Some((_, _, out)) = passes.iter().find(|&&(p, s, _)| p == 0 && s == e.shard) else {
-                continue;
-            };
             // Last drain instant per distinct story, with a
             // representative request for sizing the re-upload.
-            let mut last_drained: HashMap<u64, (SimTime, Request)> = HashMap::new();
-            for c in &out.completions {
-                let key = routing.keys[&c.request.id];
-                let entry = last_drained
-                    .entry(key)
-                    .or_insert((c.timestamps.drain_end, c.request));
-                if c.timestamps.drain_end > entry.0 {
-                    *entry = (c.timestamps.drain_end, c.request);
+            let mut last_drained: HashMap<u64, (SimTime, usize)> = HashMap::new();
+            for (g, end) in states[e.shard].drained() {
+                let entry = last_drained.entry(routing.num.key(g)).or_insert((end, g));
+                if end > entry.0 {
+                    *entry = (end, g);
                 }
             }
-            let mut resident: Vec<(u64, SimTime, Request)> = last_drained
+            let mut resident: Vec<(u64, SimTime, usize)> = last_drained
                 .into_iter()
-                .map(|(k, (t, r))| (k, t, r))
+                .map(|(k, (t, g))| (k, t, g))
                 .collect();
             // Most recently used first (the LRU survivors), key ascending
             // on ties so the hand-off set is deterministic.
             resident.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             resident.truncate(cache_slots);
-            for (key, _, r) in resident {
+            for (key, _, g) in resident {
                 if routing.view.resolve(key, e.at()).is_empty() {
                     continue; // nowhere live to hand the story to
                 }
+                let r = &trace.requests[g];
                 let sample = &self.suite.tasks[r.task_idx].test_set[r.sample_idx];
                 let bytes = PcieLink::input_bytes(Accelerator::input_words(sample));
                 let s = base.pcie.transfer_time_s(bytes);
@@ -941,9 +846,7 @@ impl<'a> Cluster<'a> {
         // router, the same measurement the moved-key-bound proptest
         // makes. The per-leave mean fraction is the live form of the
         // rendezvous bound: each removal relocates <= 1/K + eps of keys.
-        let mut tracked: Vec<u64> = routing.keys.values().copied().collect();
-        tracked.sort_unstable();
-        tracked.dedup();
+        let tracked = routing.num.distinct_keys();
         m.tracked_keys = tracked.len() as u64;
         let mut boundaries: Vec<(SimTime, String, usize, bool)> = plan
             .events
@@ -987,60 +890,77 @@ impl<'a> Cluster<'a> {
         m
     }
 
-    /// Folds per-pass outcomes (already in canonical `(pass, shard)`
-    /// order) into the cluster outcome: request-level results pooled,
-    /// latency percentiles ranked over the pooled samples, and every
-    /// report section merged by its own type.
+    /// Folds the shards' outcomes, in shard order, into the cluster
+    /// outcome: request-level results pooled, latency percentiles ranked
+    /// over the pooled samples, and every report section merged by its
+    /// own type.
     fn aggregate(
         &self,
         trace: &ArrivalTrace,
-        passes: Vec<(usize, usize, ServeOutcome)>,
+        shards: Vec<ServeOutcome>,
+        routing: Routing<'_>,
+        replay_link_bytes: u64,
         membership: MembershipReport,
-        unroutable: Vec<Request>,
     ) -> ClusterOutcome {
         let k = self.config.shards;
-        let arrival_of: HashMap<u64, SimTime> =
-            trace.requests.iter().map(|r| (r.id, r.arrival)).collect();
-        // End-to-end latency from the *original* arrival (a failover's
-        // replay enqueue is its handoff time, not its arrival).
+        let (mut failover_ids, unroutable) = (routing.failovers, routing.unroutable);
+        let mut failover = ClusterFailover {
+            exports: failover_ids.len() as u64,
+            replay_link_bytes,
+            ..ClusterFailover::default()
+        };
+        failover_ids.sort_unstable();
+        failover_ids.dedup();
+        let failed_over = |id: u64| failover_ids.binary_search(&id).is_ok();
+        // End-to-end latency from the *original* arrival (a hand-off's
+        // enqueue is its hand-off instant).
         let latency = |c: &Completion| {
             c.timestamps
                 .drain_end
-                .saturating_sub(arrival_of[&c.request.id])
+                .saturating_sub(c.request.arrival)
                 .as_s()
         };
 
         // ----- pool the request-level results ---------------------------
-        let mut completions: Vec<Completion> = Vec::new();
+        let total = shards.iter().map(|o| o.completions.len()).sum();
+        let mut completions: Vec<(Completion, usize)> = Vec::with_capacity(total);
         let mut rejections: Vec<Rejection> = Vec::new();
         // Unroutable requests (no live replica) are shed — counted in the
         // cluster partition like every other shed, plus their own counter
         // in the membership section and `ClusterOutcome::unroutable`.
-        let mut unroutable_ids: Vec<u64> = unroutable.iter().map(|r| r.id).collect();
+        let mut sheds: Vec<Request> = unroutable.iter().map(|&g| trace.requests[g]).collect();
+        let mut unroutable_ids: Vec<u64> = sheds.iter().map(|r| r.id).collect();
         unroutable_ids.sort_unstable();
-        let mut sheds: Vec<Request> = unroutable;
-        let mut failover_ids: Vec<u64> = Vec::new();
-        let mut failover = ClusterFailover::default();
-        let mut replay_latency_sum = 0.0;
-        for &(pass, _, ref out) in &passes {
-            completions.extend(out.completions.iter().cloned());
-            rejections.extend(out.rejections.iter().copied());
-            sheds.extend(out.sheds.iter().copied());
-            failover.exports += out.exports.len() as u64;
-            failover_ids.extend(out.exports.iter().map(|e| e.request.id));
-            if pass > 0 {
-                failover.completed += out.completions.len() as u64;
-                failover.lost += (out.rejections.len() + out.sheds.len()) as u64;
-                failover.replay_link_bytes += out.report.link.bytes;
-                replay_latency_sum += out.completions.iter().map(latency).sum::<f64>();
-            }
+        let mut per_shard: Vec<ServeReport> = Vec::with_capacity(k);
+        for (s, out) in shards.into_iter().enumerate() {
+            // A handed-over request that a replica rejected or shed.
+            failover.lost += out
+                .rejections
+                .iter()
+                .map(|r| r.request.id)
+                .chain(out.sheds.iter().map(|r| r.id))
+                .filter(|&id| failed_over(id))
+                .count() as u64;
+            completions.extend(out.completions.into_iter().map(|c| (c, s)));
+            rejections.extend(out.rejections);
+            sheds.extend(out.sheds);
+            per_shard.push(out.report);
         }
-        failover.mean_failover_latency_s = mean(replay_latency_sum, failover.completed);
-        completions.sort_by_key(|c| c.request.id);
+        completions.sort_by_key(|(c, _)| c.request.id);
         rejections.sort_by_key(|r| r.request.id);
         sheds.sort_by_key(|r| r.id);
-        failover_ids.sort_unstable();
-        failover_ids.dedup();
+        let mut replay_latency_sum = 0.0;
+        for (c, _) in completions
+            .iter()
+            .filter(|(c, _)| failed_over(c.request.id))
+        {
+            failover.completed += 1;
+            replay_latency_sum += latency(c);
+        }
+        failover.mean_failover_latency_s = mean(replay_latency_sum, failover.completed);
+        let completion_shards = completions.iter().map(|&(_, s)| s).collect();
+        // Reuses the pooled buffer: no second copy of the completions.
+        let completions: Vec<Completion> = completions.into_iter().map(|(c, _)| c).collect();
         debug_assert!(
             {
                 let mut seen: Vec<u64> = completions
@@ -1058,10 +978,12 @@ impl<'a> Cluster<'a> {
         );
 
         // ----- merge the report sections --------------------------------
-        let reports: Vec<&ServeReport> = passes.iter().map(|(_, _, o)| &o.report).collect();
-        let makespan_s = reports.iter().map(|r| r.makespan_s).fold(0.0f64, f64::max);
+        let makespan_s = per_shard
+            .iter()
+            .map(|r| r.makespan_s)
+            .fold(0.0f64, f64::max);
         let mut link = LinkReport::default();
-        for r in &reports {
+        for r in &per_shard {
             link.grants += r.link.grants;
             link.bytes += r.link.bytes;
             link.busy_s += r.link.busy_s;
@@ -1073,19 +995,10 @@ impl<'a> Cluster<'a> {
         } else {
             0.0
         };
-        let mut fault = FaultReport::merge(reports.iter().map(|r| &r.fault));
+        let mut fault = FaultReport::merge(per_shard.iter().map(|r| &r.fault));
         if fault.enabled {
             fault.plan_seed = self.config.base.faults.seed;
         }
-        // Per-shard breakdown = each shard's primary pass; setup (model
-        // upload) is paid once per shard — replica passes reuse the loaded
-        // shard and add none.
-        let per_shard: Vec<ServeReport> = passes
-            .iter()
-            .filter(|&&(p, _, _)| p == 0)
-            .map(|(_, _, o)| o.report.clone())
-            .collect();
-        debug_assert_eq!(per_shard.len(), k);
         let done = completions.len();
         let correct = completions.iter().filter(|c| c.correct).count();
         let wait: f64 = completions
@@ -1112,28 +1025,33 @@ impl<'a> Cluster<'a> {
                 &completions.iter().map(latency).collect::<Vec<_>>(),
             ),
             mean_queue_wait_s: mean(wait, done as u64),
-            max_queue_depth: reports.iter().map(|r| r.max_queue_depth).max().unwrap_or(0),
+            max_queue_depth: per_shard
+                .iter()
+                .map(|r| r.max_queue_depth)
+                .max()
+                .unwrap_or(0),
             failover,
-            cache: CacheReport::merge(reports.iter().map(|r| &r.cache)),
+            cache: CacheReport::merge(per_shard.iter().map(|r| &r.cache)),
             link,
-            phase_totals: reports.iter().map(|r| r.phase_totals).sum(),
-            speculated: reports.iter().map(|r| r.speculated).sum(),
-            total_energy_j: reports.iter().map(|r| r.total_energy_j).sum(),
+            phase_totals: per_shard.iter().map(|r| r.phase_totals).sum(),
+            speculated: per_shard.iter().map(|r| r.speculated).sum(),
+            total_energy_j: per_shard.iter().map(|r| r.total_energy_j).sum(),
             setup_s: per_shard.iter().map(|r| r.setup_s).sum(),
             answers_digest: answers_digest(
                 completions.iter().map(|c| (c.request.id, c.run.answer)),
             ),
             fault,
-            numeric: NumericHealth::merge(reports.iter().map(|r| &r.numeric)),
-            batch: BatchReport::merge(reports.iter().map(|r| &r.batch)),
-            prune: HopPruneReport::merge(reports.iter().map(|r| &r.prune)),
-            index: IndexReport::merge(reports.iter().map(|r| &r.index)),
-            durability: DurabilityReport::merge(reports.iter().map(|r| &r.durability)),
+            numeric: NumericHealth::merge(per_shard.iter().map(|r| &r.numeric)),
+            batch: BatchReport::merge(per_shard.iter().map(|r| &r.batch)),
+            prune: HopPruneReport::merge(per_shard.iter().map(|r| &r.prune)),
+            index: IndexReport::merge(per_shard.iter().map(|r| &r.index)),
+            durability: DurabilityReport::merge(per_shard.iter().map(|r| &r.durability)),
             membership,
             per_shard,
         };
         ClusterOutcome {
             completions,
+            completion_shards,
             rejections,
             sheds,
             failovers: failover_ids,
@@ -1143,17 +1061,78 @@ impl<'a> Cluster<'a> {
     }
 }
 
-/// The routing state of one cluster serve, shared by the pass loop and
-/// the membership report.
-struct Routing {
-    /// Every request's routing key, by id.
-    keys: HashMap<u64, u64>,
-    /// The live membership view, re-tunes applied.
+/// The routing state of one cluster serve: the live membership view, the
+/// hot-key splitter and the online retune trigger.
+struct Routing<'n> {
+    /// Every request's routing key, by trace index.
+    num: &'n NumericPhase,
+    /// The live membership view, retunes fired so far applied.
     view: MembershipView,
     /// Routing keys the hot-key detector split, ascending.
     hot: Vec<u64>,
-    /// Weight re-tunes as `(instant, shard)`.
+    /// Each hot key's requests routed so far.
+    hot_rank: HashMap<u64, usize>,
+    split_requests: u64,
+    /// Host-queue depth at which a shard's weight is retuned; `None` when
+    /// retuning is off.
+    retune_depth: Option<usize>,
+    retune_factor: u32,
+    /// Weight retunes as `(instant, shard)`, in firing order.
     retunes: Vec<(SimTime, usize)>,
+    /// Trace indices of requests with no live shard to go to.
+    unroutable: Vec<usize>,
+    /// Requests each shard handed back.
+    exports: Vec<u64>,
+    /// Ids of the requests handed back, once per hand-off.
+    failovers: Vec<u64>,
+}
+
+impl Routing<'_> {
+    /// The shard that request `g`, arriving at `t`, goes to: its live
+    /// primary, or for a hot key the next link of its live replica chain
+    /// by per-key arrival rank. `None` when no shard of its chain is live.
+    fn route(&mut self, g: usize, t: SimTime) -> Option<usize> {
+        let key = self.num.key(g);
+        let chain = self.view.resolve(key, t);
+        if chain.is_empty() {
+            self.unroutable.push(g);
+            return None;
+        }
+        if self.hot.binary_search(&key).is_err() {
+            return Some(chain[0]);
+        }
+        self.split_requests += 1;
+        let rank = self.hot_rank.entry(key).or_insert(0);
+        *rank += 1;
+        Some(chain[(*rank - 1) % chain.len()])
+    }
+
+    /// The shard a request handed back by `from` goes to: the `hop`-th
+    /// live candidate of its replica chain at the hand-off instant,
+    /// skipping `from`; `None` (an unroutable shed) when none is left.
+    fn hand_off(&mut self, h: Handoff, from: usize) -> Option<usize> {
+        let target = self
+            .view
+            .resolve(self.num.key(h.req), h.at)
+            .into_iter()
+            .filter(|&s| s != from)
+            .nth(h.hop);
+        if target.is_none() {
+            self.unroutable.push(h.req);
+        }
+        target
+    }
+
+    /// Fires `shard`'s weight retune at `now` the first time its host
+    /// queue reaches the retune depth.
+    fn observe(&mut self, shard: usize, now: SimTime, depth: usize) {
+        if self.retune_depth.is_some_and(|d| depth >= d)
+            && self.retunes.iter().all(|&(_, s)| s != shard)
+        {
+            self.retunes.push((now, shard));
+            self.view.retune(now, shard, self.retune_factor);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -88,7 +88,7 @@ pub struct FaultConfig {
     /// (detected by CRC at the receiver, answered by retransmission).
     pub link_corrupt_prob: f64,
     /// Retransmissions allowed per link job before the payload is
-    /// declared undeliverable and its requests are shed.
+    /// declared undeliverable and its requests are shed; at most 20.
     pub max_retries: u32,
     /// Backoff before the first retransmission, seconds; doubles per
     /// subsequent attempt on the same job.
@@ -208,6 +208,13 @@ impl FaultConfig {
             return bad(
                 "link_corrupt_prob",
                 "of 1.0 corrupts every attempt forever; no transfer can succeed".into(),
+            );
+        }
+        // The backoff doubles per attempt: retry 20 already waits 2^19 bases.
+        if self.max_retries > 20 {
+            return bad(
+                "max_retries",
+                format!("must be at most 20, got {}", self.max_retries),
             );
         }
         if !(self.backoff_base_s.is_finite() && self.backoff_base_s >= 0.0) {
@@ -416,7 +423,7 @@ impl FaultPlan {
     /// Backoff before retransmitting after `attempt` failures of one job:
     /// `backoff_base_s * 2^attempt`, exponential per job.
     pub fn backoff(&self, attempt: u32) -> SimTime {
-        SimTime::from_s(self.config.backoff_base_s * f64::from(1u32 << attempt.min(20)))
+        SimTime::from_s(self.config.backoff_base_s * f64::from(1u32 << attempt))
     }
 
     /// Scheduled `(time, instance)` crash events, time-ordered.
@@ -617,6 +624,13 @@ mod tests {
         ));
         c.watchdog_s = 100e-6;
         c.validate().expect("crashes with watchdog valid");
+        c.max_retries = 20;
+        c.validate().expect("the full retry budget is valid");
+        c.max_retries = 21;
+        assert!(matches!(
+            c.validate(),
+            Err(FaultPlanError::Invalid { field, .. }) if field == "max_retries"
+        ));
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub use report::{
     answers_digest, BatchReport, CacheReport, HopPruneReport, InstanceReport, LatencySummary,
     LinkReport, ReportSection, ServeReport,
 };
-pub use request::{Completion, Export, Rejection, Request, RequestTimestamps};
+pub use request::{Completion, Rejection, Request, RequestTimestamps};
 pub use scheduler::{InstanceView, SchedulePolicy, Scheduler};
 pub use server::{EngineMode, EngineModeError, ServeConfig, ServeOutcome, Server};
 pub use store::{serve_cluster_durable, serve_durable, DurabilityReport, WalConfig, WalSpecError};

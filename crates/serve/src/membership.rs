@@ -15,23 +15,23 @@
 //!   recovered by replay;
 //! * **joins** — a cold shard enters the rendezvous at T with an empty
 //!   story cache and pays its own warm-up;
-//! * **weight re-tunes** — when a shard's measured host-queue occupancy
-//!   crosses a threshold, its routing weight is divided down so the
+//! * **weight re-tunes** — the first time a shard's live host-queue depth
+//!   reaches a threshold, its routing weight is divided down so the
 //!   rendezvous sheds keys to its peers;
 //! * **hot-key splits** — a pathological story whose request count crosses
 //!   a threshold has its traffic fanned deterministically across its full
 //!   replica chain instead of hammering the primary.
 //!
-//! The cluster event loop re-resolves routing against the live
-//! [`MembershipView`] at dispatch time, so a request is placed by the
+//! The cluster timeline routes each request against the live
+//! [`MembershipView`] when it arrives, so a request is placed by the
 //! membership *as of its arrival*, not as of campaign start. Everything is
 //! a pure function of `(plan, trace, config)`: liveness windows come from
-//! the plan, re-tune instants from a deterministic probe serve, and the
-//! hot-key fan-out from request order — never from wall-clock state. An
-//! empty plan leaves the cluster path byte-identical to before this module
-//! existed (pinned by the golden suite), and the [`MembershipReport`] key
-//! is omitted from the serialized [`ClusterReport`](crate::ClusterReport)
-//! entirely.
+//! the plan, re-tune instants from the simulated queue depth on the one
+//! cluster timeline, and the hot-key fan-out from request order — never
+//! from wall-clock state. An empty plan leaves the cluster path
+//! byte-identical to before this module existed (pinned by the golden
+//! suite), and the [`MembershipReport`] key is omitted from the serialized
+//! [`ClusterReport`](crate::ClusterReport) entirely.
 //!
 //! Rendezvous hashing is what keeps churn cheap: removing one of K shards
 //! relocates only the keys that ranked it first — a ≤ 1/K + ε fraction,
@@ -191,12 +191,14 @@ pub struct MembershipPlan {
     /// Scheduled drains, failures and joins — at most one per shard.
     pub events: Vec<MembershipEvent>,
     /// Queue-occupancy fraction (of `queue_capacity`) at which a shard's
-    /// routing weight is re-tuned down; 0 disables re-tuning. The
-    /// crossing instant is measured on a deterministic probe serve of the
-    /// pass-0 assignment, so it is a pure function of `(plan, trace,
-    /// config)`.
+    /// routing weight is re-tuned down; 0 disables re-tuning. The retune
+    /// fires online, the first time the shard's simulated host-queue depth
+    /// reaches `ceil(threshold × queue_capacity)`, at most once per shard,
+    /// and applies to every request arriving after that instant.
     pub retune_threshold: f64,
-    /// Divisor applied to a crossing shard's weight (floored at 1).
+    /// Divisor applied to a crossing shard's weight, floored at 1: a
+    /// weight-1 shard cannot be retuned, and a retune moves keys only
+    /// from a shard whose weight is at least twice the factor.
     pub retune_factor: u32,
     /// Request count at which a single routing key is declared hot and
     /// its traffic split round-robin across its full replica chain; 0
@@ -473,9 +475,10 @@ impl MembershipPlan {
 /// liveness windows from the plan plus a weight-epoch timeline (the base
 /// router, then one re-built router per weight re-tune).
 ///
-/// Pure in `(plan, weights, retunes)` — resolving a key at a time never
-/// consults event-loop state, which is what keeps dispatch-time routing
-/// byte-identical across engines, thread counts and shard iteration
+/// Pure in `(plan, weights, retunes so far)`. The cluster timeline appends
+/// a retune epoch at the instant it fires and resolves each request when
+/// it arrives, in an order fixed at every instant, which keeps routing
+/// byte-identical across engines, thread counts and shard stepping
 /// order.
 #[derive(Debug, Clone)]
 pub(crate) struct MembershipView {
@@ -539,20 +542,16 @@ impl MembershipView {
             .copied()
     }
 
-    /// Applies weight re-tunes: at each `(instant, shard)` the shard's
-    /// weight is divided by `factor` (floored at 1) and a new router
-    /// epoch begins. Instants are applied in time order so later epochs
-    /// compound earlier ones.
-    pub fn apply_retunes(&mut self, retunes: &[(SimTime, usize)], factor: u32) {
-        let mut retunes = retunes.to_vec();
-        retunes.sort_unstable_by_key(|&(t, s)| (t, s));
+    /// A weight retune: from `at` on, `shard`'s weight is divided by
+    /// `factor` (floored at 1, so a weight-1 shard keeps its keys) in a
+    /// new router epoch that compounds the earlier ones. Retunes arrive
+    /// in time order.
+    pub fn retune(&mut self, at: SimTime, shard: usize, factor: u32) {
+        debug_assert!(self.starts.last().is_none_or(|&s| s <= at));
         let mut weights = self.routers.last().expect("base epoch").weights().to_vec();
-        for (t, shard) in retunes {
-            weights[shard] = (weights[shard] / factor.max(1)).max(1);
-            self.starts.push(t);
-            self.routers
-                .push(ShardRouter::with_weights(weights.clone()));
-        }
+        weights[shard] = (weights[shard] / factor.max(1)).max(1);
+        self.starts.push(at);
+        self.routers.push(ShardRouter::with_weights(weights));
     }
 }
 
@@ -838,7 +837,7 @@ mod tests {
         let mut view = MembershipView::new(&plan, vec![8, 8], 1);
         let t = SimTime::from_s(100e-6);
         let before: Vec<_> = (0..512u64).map(|k| view.primary(k, t).unwrap()).collect();
-        view.apply_retunes(&[(SimTime::from_s(50e-6), 0)], 8);
+        view.retune(SimTime::from_s(50e-6), 0, 8);
         let after: Vec<_> = (0..512u64).map(|k| view.primary(k, t).unwrap()).collect();
         let shed = before
             .iter()

@@ -101,19 +101,6 @@ pub struct Completion {
     pub failed_over: bool,
 }
 
-/// A stranded request a cluster shard handed back for cross-shard
-/// failover: its instance crashed mid-flight, or its node fail-stopped,
-/// and instead of re-queueing it locally the shard exported it so the
-/// cluster can re-dispatch it on the story's replica shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Export {
-    /// The stranded request (original id and arrival preserved).
-    pub request: Request,
-    /// Simulated time of the watchdog handoff; the replica shard sees the
-    /// request arrive at this instant.
-    pub at: SimTime,
-}
-
 /// A request refused at the door: the bounded host queue was full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Rejection {

@@ -117,41 +117,9 @@ impl Scheduler {
     }
 }
 
-/// First instant a running depth counter reaches `limit`, given signed
-/// depth deltas at simulated instants (`+1` enqueue, `-1` dequeue).
-///
-/// Deltas are applied in `(time, delta)` order with negatives first at a
-/// tie — a slot freed at T is free *before* the arrival at T claims it —
-/// matching the host-queue admission rule in the event loop. Used by the
-/// membership layer to find a shard's queue-occupancy crossing on a pure
-/// probe serve, so re-tune instants are a function of the trace, not of
-/// event-loop state.
-pub(crate) fn first_depth_crossing(mut deltas: Vec<(SimTime, i32)>, limit: i64) -> Option<SimTime> {
-    deltas.sort_unstable_by_key(|&(t, d)| (t, d));
-    let mut depth = 0i64;
-    for (t, d) in deltas {
-        depth += i64::from(d);
-        if depth >= limit {
-            return Some(t);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn depth_crossing_orders_frees_before_claims() {
-        let t = |ps: u64| SimTime::from_ps(ps);
-        // Two ups at 10, one down + one up at 20: depth peaks at 2.
-        let deltas = vec![(t(10), 1), (t(10), 1), (t(20), -1), (t(20), 1)];
-        assert_eq!(first_depth_crossing(deltas.clone(), 2), Some(t(10)));
-        // The tie at 20 applies the -1 first, so depth never reaches 3.
-        assert_eq!(first_depth_crossing(deltas, 3), None);
-        assert_eq!(first_depth_crossing(Vec::new(), 1), None);
-    }
 
     fn view(inflight: usize, credits: usize, free_ps: u64) -> InstanceView {
         InstanceView {

@@ -59,7 +59,7 @@ use crate::report::{
     answers_digest, mean, BatchReport, CacheReport, HopPruneReport, IndexReport, InstanceReport,
     LatencySummary, LinkReport, ServeReport,
 };
-use crate::request::{request_key, Completion, Export, Rejection, Request, RequestTimestamps};
+use crate::request::{request_key, Completion, Rejection, Request, RequestTimestamps};
 use crate::scheduler::{InstanceView, Scheduler};
 use crate::store::{DurabilityReport, WalConfig};
 use crate::trace::ArrivalTrace;
@@ -259,9 +259,6 @@ pub struct ServeOutcome {
     /// Requests admitted but later dropped by the fault campaign (retry
     /// exhaustion); empty without an active campaign.
     pub sheds: Vec<Request>,
-    /// Stranded requests handed off for cross-shard failover, in
-    /// request-id order; always empty for a standalone [`Server::serve`].
-    pub exports: Vec<Export>,
     /// The durable journal of this serve (story admissions, evictions,
     /// completions) in canonical `(stamp, kind, id)` order; always empty
     /// unless `wal.enabled` is set. The store driver persists these — the
@@ -269,30 +266,6 @@ pub struct ServeOutcome {
     pub wal_records: Vec<WalRecord>,
     /// The aggregate report.
     pub report: ServeReport,
-}
-
-/// How a cluster deploys one node. [`Server::serve`] serves as the
-/// default role: a standalone node that recovers stranded requests
-/// locally and never halts early.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct ShardRole {
-    /// Hand a watchdog-detected stranded request back in
-    /// [`ServeOutcome::exports`] (with its handoff time) instead of
-    /// re-queueing it locally, so the cluster can re-dispatch it on the
-    /// story's replica shard.
-    pub(crate) failover_export: bool,
-    /// Fail-stop the whole node at this instant. The event loop halts at
-    /// the cut, unfinished busy time is rolled back, and every request not
-    /// fully drained by then is exported for the cluster to re-route. The
-    /// WAL cut is naturally consistent: a completion that never drained is
-    /// never journaled. A fail-stopped node always exports.
-    pub(crate) fail_stop: Option<SimTime>,
-}
-
-impl ShardRole {
-    fn exports(self) -> bool {
-        self.failover_export || self.fail_stop.is_some()
-    }
 }
 
 /// A multi-tenant server over a trained suite.
@@ -335,8 +308,8 @@ enum Event {
     InstanceUp(usize),
     Watchdog(usize),
     Seu(usize),
-    /// Whole-node fail-stop (never scheduled outside a fail-stopping
-    /// [`ShardRole`]): halts the event loop at the cut.
+    /// Whole-node fail-stop (only a cluster shard the membership plan
+    /// fails has one): halts the event loop at the cut.
     FailStop,
 }
 
@@ -423,10 +396,11 @@ struct QueryRuns {
     hit: Vec<InferenceRun>,
 }
 
-/// The numeric work of a serve, shared by both engines: every distinct
-/// story and every distinct query simulated once, indexed per request
-/// through its query.
-struct NumericPhase {
+/// The numeric work of a serve, shared by both engines and by the shards
+/// of a cluster: every distinct story and every distinct query simulated
+/// once, indexed per request (its position in the trace) through its
+/// query.
+pub(crate) struct NumericPhase {
     /// One entry per distinct `(task, story)` pair, in first-seen order.
     stories: Vec<ResidentStory>,
     /// Query index of each request.
@@ -455,13 +429,21 @@ impl NumericPhase {
         &self.stories[self.story_id(r)]
     }
 
-    /// Scheduling key of request `r`.
-    fn key(&self, r: usize) -> u64 {
+    /// Scheduling and routing key of request `r`.
+    pub(crate) fn key(&self, r: usize) -> u64 {
         self.keys[self.query_of[r]]
     }
 
-    /// The run request `r` computes, given its latest dispatch.
-    fn run(&self, r: usize, f: &Flight) -> &InferenceRun {
+    /// Every distinct key of the trace, ascending.
+    pub(crate) fn distinct_keys(&self) -> Vec<u64> {
+        let mut keys = self.keys.clone();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    /// The run a flight computes, given its latest dispatch.
+    fn run(&self, f: &Flight) -> &InferenceRun {
         let runs = if f.degraded {
             self.degraded
                 .as_ref()
@@ -469,7 +451,7 @@ impl NumericPhase {
         } else {
             &self.exact
         };
-        let q = self.query_of[r];
+        let q = self.query_of[f.req];
         if f.hit {
             &runs.hit[q]
         } else {
@@ -506,13 +488,27 @@ enum Fate {
     Drained,
     /// Dropped by the fault campaign (link retries exhausted).
     Shed,
-    /// Handed back to the cluster at this instant.
-    Exported(SimTime),
+    /// Handed back to the cluster for failover.
+    Exported,
 }
 
-/// Event-loop state of one request.
+/// A request a cluster shard hands back for failover.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Handoff {
+    pub(crate) at: SimTime,
+    /// The request's position in the trace.
+    pub(crate) req: usize,
+    /// Replica-chain links the request has crossed so far.
+    pub(crate) hop: usize,
+}
+
+/// Event-loop state of one request on this node.
 #[derive(Debug, Clone, Copy, Default)]
 struct Flight {
+    /// The request's position in the trace.
+    req: usize,
+    /// Replica-chain links the request crossed before it arrived here.
+    hop: usize,
     ts: RequestTimestamps,
     /// Instance of the latest dispatch and its epoch then; `None` until
     /// dispatched and after a local failover re-queue.
@@ -712,7 +708,7 @@ impl<'a> Server<'a> {
     /// Simulates every distinct story once and every distinct query once,
     /// per the configured engine. Output is index-ordered and
     /// engine-invariant.
-    fn numeric_phase(&self, trace: &ArrivalTrace) -> NumericPhase {
+    pub(crate) fn numeric_phase(&self, trace: &ArrivalTrace) -> NumericPhase {
         let n = trace.requests.len();
         // Group requests by (task, sample), then each distinct query by
         // (task, story digest), first-seen order. Identical requests —
@@ -725,6 +721,16 @@ impl<'a> Server<'a> {
         let mut query_of = Vec::with_capacity(n);
         for (i, r) in trace.requests.iter().enumerate() {
             let task = r.task_idx;
+            assert!(
+                task < self.suite.tasks.len(),
+                "request {} task out of range",
+                r.id
+            );
+            assert!(
+                r.sample_idx < self.suite.tasks[task].test_set.len(),
+                "request {} sample out of range",
+                r.id
+            );
             let query = first_seen(&mut query_ids, &mut query_req, (task, r.sample_idx), i);
             if query == keys.len() {
                 // A new query: digest its story once.
@@ -791,27 +797,24 @@ impl<'a> Server<'a> {
     ///
     /// Panics if a request references a task or sample outside the suite.
     pub fn serve(&self, trace: &ArrivalTrace) -> ServeOutcome {
-        self.serve_as(trace, ShardRole::default())
-    }
-
-    /// Serves `trace` in the role a cluster assigned this node.
-    pub(crate) fn serve_as(&self, trace: &ArrivalTrace, role: ShardRole) -> ServeOutcome {
-        for r in &trace.requests {
-            assert!(
-                r.task_idx < self.suite.tasks.len(),
-                "request {} task out of range",
-                r.id
-            );
-            assert!(
-                r.sample_idx < self.suite.tasks[r.task_idx].test_set.len(),
-                "request {} sample out of range",
-                r.id
-            );
-        }
         let num = self.numeric_phase(trace);
-        let mut state = ServeState::new(self, trace, &num, role);
-        state.run();
-        state.finish()
+        let mut node = ServeState::new(self, trace, &num, trace.span(), None, 1);
+        node.flights.reserve_exact(trace.requests.len());
+        // Arrivals stream beside the heap in `(arrival, index)` order (a
+        // stable sort), each before the events at its instant.
+        let mut arrivals: Vec<usize> = (0..trace.requests.len()).collect();
+        arrivals.sort_by_key(|&i| trace.requests[i].arrival);
+        for i in arrivals {
+            let at = trace.requests[i].arrival;
+            while node.next_event().is_some_and(|t| t < at) {
+                node.step();
+            }
+            node.arrive(at, i, 0);
+        }
+        while node.next_event().is_some() {
+            node.step();
+        }
+        node.finish()
     }
 
     /// Applies the configured [`NumericPolicy`] to the assembled
@@ -915,32 +918,38 @@ impl<'a> Server<'a> {
     }
 }
 
-/// The event loop of one serve. Arrivals and each [`Event`] variant have
+/// The event loop of one node. Arrivals and each [`Event`] variant have
 /// one handler; `dispatch`, `grant` and `start_compute` are the moves they
-/// share.
-struct ServeState<'s, 'a> {
+/// share. A driver delivers arrivals (`arrive`) and steps in-flight events
+/// (`step`) in time order: [`Server::serve`] its trace's, a cluster its
+/// one timeline's, which also hands on what a shard exports.
+pub(crate) struct ServeState<'s, 'a> {
     server: &'s Server<'a>,
     trace: &'s ArrivalTrace,
     num: &'s NumericPhase,
-    role: ShardRole,
-    /// Request indices in `(arrival, index)` order; `next_arrival` is the
-    /// cursor `run` merges with the heap.
-    arrivals: Vec<usize>,
-    next_arrival: usize,
+    /// Replica-chain length: a request on hop `h` stranded by a crash is
+    /// exported while `h + 1 < replicas`, else re-queued here.
+    replicas: usize,
+    /// Fail-stop the whole node at this instant, exporting everything not
+    /// yet drained; a completion that never drained is never journaled.
+    fail_stop: Option<SimTime>,
     /// In-flight events only: link, compute, watchdog and fault events.
     heap: BinaryHeap<Entry>,
-    /// The next sequence number. Arrival `i` owns sequence number `i`, so
-    /// heap events are numbered from the request count up.
+    /// The next sequence number. Arrivals take none: they are not events.
     seq: u64,
     queue: VecDeque<usize>,
     insts: Vec<Inst>,
     residency: Vec<LruSet>,
     arb: LinkArbiter,
-    jobs: Vec<Job>,
+    /// Link jobs not yet retired, oldest first: the link is a strict FIFO
+    /// with one job in flight, so the front's id is the retired count.
+    jobs: VecDeque<Job>,
+    retired_jobs: u64,
     scheduler: Scheduler,
+    /// One per arrival on this node, in arrival order.
     flights: Vec<Flight>,
     rejections: Vec<Rejection>,
-    max_queue_depth: usize,
+    pub(crate) max_queue_depth: usize,
     last_drain: SimTime,
     write_cycles_saved: u64,
     upload_bytes_saved: u64,
@@ -948,39 +957,41 @@ struct ServeState<'s, 'a> {
     batch: BatchReport,
     campaign: Option<Campaign>,
     journal: Option<Journal>,
-    /// The fail-stop cut, once the loop halted at it.
-    halted_at: Option<SimTime>,
+    /// Requests exported since the cluster last collected them.
+    pub(crate) exports: Vec<Handoff>,
+    /// Link payload of handed-over requests: their uploads and answers.
+    pub(crate) handoff_bytes: u64,
 }
 
 impl<'s, 'a> ServeState<'s, 'a> {
-    fn new(
+    /// A node with nothing arrived yet. Its crash and SEU plan spans
+    /// `[0, horizon]`; a standalone node has no fail-stop and 1 replica.
+    pub(crate) fn new(
         server: &'s Server<'a>,
         trace: &'s ArrivalTrace,
         num: &'s NumericPhase,
-        role: ShardRole,
+        horizon: SimTime,
+        fail_stop: Option<SimTime>,
+        replicas: usize,
     ) -> Self {
         let config = &server.config;
         let instances = config.instances;
-        // A stable sort: O(n) on an already-sorted trace, and ties keep
-        // index order.
-        let mut arrivals: Vec<usize> = (0..trace.requests.len()).collect();
-        arrivals.sort_by_key(|&i| trace.requests[i].arrival);
         let mut state = Self {
             server,
             trace,
             num,
-            role,
-            arrivals,
-            next_arrival: 0,
+            replicas,
+            fail_stop,
             heap: BinaryHeap::new(),
-            seq: trace.requests.len() as u64,
+            seq: 0,
             queue: VecDeque::new(),
             insts: vec![Inst::default(); instances],
             residency: vec![LruSet::new(config.story_cache); instances],
             arb: LinkArbiter::new(config.pcie),
-            jobs: Vec::new(),
+            jobs: VecDeque::new(),
+            retired_jobs: 0,
             scheduler: Scheduler::new(config.policy),
-            flights: vec![Flight::default(); trace.requests.len()],
+            flights: Vec::new(),
             rejections: Vec::new(),
             max_queue_depth: 0,
             last_drain: SimTime::ZERO,
@@ -993,14 +1004,15 @@ impl<'s, 'a> ServeState<'s, 'a> {
             },
             campaign: None,
             journal: config.wal.enabled.then(|| Journal::new(trace, num)),
-            halted_at: None,
+            exports: Vec::new(),
+            handoff_bytes: 0,
         };
-        // Fault events take their sequence numbers after the arrivals', so
-        // a zero-fault campaign consumes exactly the same sequence numbers
-        // as no campaign at all (byte-identity with the fault layer
-        // compiled in).
+        // Fault events take the first sequence numbers, so a zero-fault
+        // campaign consumes exactly the same sequence numbers as no
+        // campaign at all (byte-identity with the fault layer compiled
+        // in).
         if config.faults.is_active() {
-            let plan = FaultPlan::materialize(&config.faults, trace.span(), instances)
+            let plan = FaultPlan::materialize(&config.faults, horizon, instances)
                 .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
             for (k, &(t, _)) in plan.crash_events().iter().enumerate() {
                 state.schedule(t, Event::Crash(k));
@@ -1017,14 +1029,44 @@ impl<'s, 'a> ServeState<'s, 'a> {
                 seu: Repairs::default(),
             });
         }
-        // The fail-stop goes on last for the same reason: a standalone
-        // node consumes no sequence numbers for it. Arrivals at the cut
-        // instant still carry earlier seqs, so they are admitted (and then
-        // stranded) deterministically.
-        if let Some(t) = role.fail_stop {
+        // The fail-stop goes on last for the same reason: a node that
+        // never fails consumes no sequence number for it.
+        if let Some(t) = fail_stop {
             state.schedule(t, Event::FailStop);
         }
         state
+    }
+
+    /// The instant of this node's next in-flight event.
+    pub(crate) fn next_event(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
+    }
+
+    /// Handles this node's next in-flight event.
+    pub(crate) fn step(&mut self) {
+        if let Some(Entry { time, event, .. }) = self.heap.pop() {
+            self.on_event(time, event);
+        }
+    }
+
+    /// Request `req` of the trace arrives at `now`, having crossed `hop`
+    /// replica-chain links.
+    pub(crate) fn arrive(&mut self, now: SimTime, req: usize, hop: usize) {
+        self.flights.push(Flight {
+            req,
+            hop,
+            ..Flight::default()
+        });
+        self.on_arrival(now, self.flights.len() - 1);
+    }
+
+    /// `(trace index, drain instant)` of every answer drained here, in
+    /// arrival order.
+    pub(crate) fn drained(&self) -> impl Iterator<Item = (usize, SimTime)> + '_ {
+        self.flights
+            .iter()
+            .filter(|f| f.fate == Some(Fate::Drained))
+            .map(|f| (f.req, f.ts.drain_end))
     }
 
     fn schedule(&mut self, time: SimTime, event: Event) {
@@ -1034,26 +1076,6 @@ impl<'s, 'a> ServeState<'s, 'a> {
             event,
         });
         self.seq += 1;
-    }
-
-    /// Replays arrivals and events in `(time, seq)` order until none are
-    /// left. Arrival `i` owns sequence number `i`, below every event's, so
-    /// the next arrival goes first when its instant is at or before the
-    /// heap top's.
-    fn run(&mut self) {
-        loop {
-            let top = self.heap.peek().map(|e| e.time);
-            match self.arrivals.get(self.next_arrival) {
-                Some(&i) if top.is_none_or(|t| self.trace.requests[i].arrival <= t) => {
-                    self.next_arrival += 1;
-                    self.on_arrival(self.trace.requests[i].arrival, i);
-                }
-                _ => match self.heap.pop() {
-                    Some(Entry { time, event, .. }) => self.on_event(time, event),
-                    None => return,
-                },
-            }
-        }
     }
 
     fn on_event(&mut self, now: SimTime, event: Event) {
@@ -1075,7 +1097,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
     fn on_arrival(&mut self, now: SimTime, i: usize) {
         if self.queue.len() >= self.server.config.queue_capacity {
             self.rejections.push(Rejection {
-                request: self.trace.requests[i],
+                request: self.trace.requests[self.flights[i].req],
                 queue_depth: self.queue.len(),
             });
             self.flights[i].fate = Some(Fate::Rejected);
@@ -1102,7 +1124,8 @@ impl<'s, 'a> ServeState<'s, 'a> {
     }
 
     fn on_link_done(&mut self, now: SimTime, id: u64) {
-        let attempt = self.jobs[id as usize].attempts;
+        debug_assert_eq!(id, self.retired_jobs, "the link retires jobs in order");
+        let attempt = self.jobs[0].attempts;
         let corrupted = self
             .campaign
             .as_ref()
@@ -1121,7 +1144,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
             .campaign
             .as_mut()
             .expect("corruption implies a campaign");
-        let job = &mut self.jobs[id as usize];
+        let job = &mut self.jobs[0];
         c.report.link_corruptions += 1;
         job.first_fail.get_or_insert(now);
         let attempt = job.attempts;
@@ -1136,24 +1159,27 @@ impl<'s, 'a> ServeState<'s, 'a> {
             return;
         }
         c.report.retry_exhausted += 1;
-        self.arb.complete(id);
-        let shed = match &job.payload {
+        let shed = match self.retire(id).payload {
             // Target alive since dispatch: these requests have no other
             // copy in flight, so they are shed.
             LinkJob::Upload {
                 instance,
                 reqs,
                 epoch,
-            } if self.insts[*instance].epoch == *epoch => {
-                self.insts[*instance].inflight -= reqs.len();
-                reqs.clone()
+            } if self.insts[instance].epoch == epoch => {
+                self.insts[instance].inflight -= reqs.len();
+                reqs
             }
             // Epoch mismatch: the instance crashed while this payload was
             // on the wire; its requests are already stranded and the
             // watchdog re-dispatches them.
             LinkJob::Upload { .. } => Vec::new(),
-            LinkJob::Drain { req } => vec![*req],
+            LinkJob::Drain { req } => vec![req],
         };
+        let c = self
+            .campaign
+            .as_mut()
+            .expect("corruption implies a campaign");
         c.report.shed_link += shed.len() as u64;
         for r in shed {
             self.flights[r].fate = Some(Fate::Shed);
@@ -1165,14 +1191,13 @@ impl<'s, 'a> ServeState<'s, 'a> {
     /// A transfer landed intact: an upload joins its instance's FIFO, a
     /// drain completes its request.
     fn on_delivery(&mut self, now: SimTime, id: u64) {
-        let job = &mut self.jobs[id as usize];
-        if let Some(t0) = job.first_fail.take() {
+        let job = self.retire(id);
+        if let Some(t0) = job.first_fail {
             let c = self.campaign.as_mut().expect("a retry implies a campaign");
             c.link.record(t0, now);
         }
-        self.arb.complete(id);
         let mut ready = None;
-        match &job.payload {
+        match job.payload {
             LinkJob::Upload {
                 instance,
                 reqs,
@@ -1181,9 +1206,9 @@ impl<'s, 'a> ServeState<'s, 'a> {
                 // A stale epoch means the payload arrived at an instance
                 // that crashed after dispatch — delivery is void, the
                 // watchdog recovers the stranded requests.
-                if self.insts[*instance].epoch == *epoch {
-                    debug_assert!(!self.insts[*instance].down);
-                    for &r in reqs {
+                if self.insts[instance].epoch == epoch {
+                    debug_assert!(!self.insts[instance].down);
+                    for &r in &reqs {
                         let f = &mut self.flights[r];
                         f.ts.upload_end = now;
                         if let Some(t0) = f.seu_pending.take() {
@@ -1191,12 +1216,12 @@ impl<'s, 'a> ServeState<'s, 'a> {
                             c.seu.record(t0, now);
                         }
                     }
-                    self.insts[*instance].ready.extend(reqs);
-                    ready = Some(*instance);
+                    self.insts[instance].ready.extend(reqs);
+                    ready = Some(instance);
                 }
             }
             LinkJob::Drain { req } => {
-                let f = &mut self.flights[*req];
+                let f = &mut self.flights[req];
                 f.ts.drain_end = now;
                 f.fate = Some(Fate::Drained);
                 // Credit the instance only now: an answer shed on the
@@ -1222,8 +1247,12 @@ impl<'s, 'a> ServeState<'s, 'a> {
         let group = std::mem::take(&mut self.insts[instance].computing);
         self.insts[instance].inflight -= group.len();
         for q in group {
-            self.flights[q].ts.compute_end = now;
-            self.flights[q].computed = true;
+            let f = &mut self.flights[q];
+            f.ts.compute_end = now;
+            f.computed = true;
+            if f.hop > 0 {
+                self.handoff_bytes += PcieLink::answer_bytes();
+            }
             self.submit(LinkJob::Drain { req: q }, PcieLink::answer_bytes(), 1);
         }
         self.start_compute(instance, now);
@@ -1272,11 +1301,11 @@ impl<'s, 'a> ServeState<'s, 'a> {
             if let Some(&t0) = c.crash_at.get(&at) {
                 c.instance.record(t0, now);
             }
-            if self.role.exports() {
+            if f.hop + 1 < self.replicas {
                 // Cross-shard failover: hand the request back to the
-                // cluster, which re-dispatches it on the story's replica
-                // shard; this node is done with it.
-                self.flights[r].fate = Some(Fate::Exported(now));
+                // cluster, which delivers it to the next link of its
+                // story's replica chain; this node is done with it.
+                self.export(now, r);
             } else {
                 self.flights[r].assigned = None;
                 self.queue.push_front(r);
@@ -1308,23 +1337,36 @@ impl<'s, 'a> ServeState<'s, 'a> {
 
     /// Whole-node fail-stop: the fabric, caches and host queue vanish at
     /// the cut. Every instance halts (the killed compute never happened,
-    /// the same rule as a crash) and the loop ends with the arrival stream
-    /// and the heap; `finish` hands everything unfinished, arrived or not,
-    /// back to the cluster as exports.
+    /// the same rule as a crash), the heap is dropped, and everything
+    /// unfinished is handed back to the cluster at the cut.
     fn on_fail_stop(&mut self, now: SimTime) {
         for inst in &mut self.insts {
             inst.halt(now);
         }
-        self.halted_at = Some(now);
-        self.next_arrival = self.arrivals.len();
         self.heap.clear();
+        for r in 0..self.flights.len() {
+            if self.flights[r].fate.is_none() {
+                self.export(now, r);
+            }
+        }
+    }
+
+    /// Hands request `r` back to the cluster at `now`.
+    fn export(&mut self, now: SimTime, r: usize) {
+        let f = &mut self.flights[r];
+        f.fate = Some(Fate::Exported);
+        self.exports.push(Handoff {
+            at: now,
+            req: f.req,
+            hop: f.hop,
+        });
     }
 
     /// Moves as many queued requests as credits allow onto the link.
     fn dispatch(&mut self, now: SimTime) {
         let limit = self.server.config.inflight_limit;
         while let Some(&head) = self.queue.front() {
-            let key = self.num.key(head);
+            let key = self.num.key(self.flights[head].req);
             let views: Vec<InstanceView> = self
                 .insts
                 .iter()
@@ -1363,11 +1405,12 @@ impl<'s, 'a> ServeState<'s, 'a> {
     /// because it depends on the chosen instance's cache state.
     fn admit(&mut self, now: SimTime, target: usize, r: usize) -> u64 {
         let num = self.num;
-        let admission = self.residency[target].admit(num.key(r));
+        let g = self.flights[r].req;
+        let admission = self.residency[target].admit(num.key(g));
         if let Some(j) = &mut self.journal {
-            j.admit(num, r, self.trace.requests[r].task_idx, admission, now);
+            j.admit(num, g, self.trace.requests[g].task_idx, admission, now);
         }
-        let story_cycles = num.story(r).phases().total().get();
+        let story_cycles = num.story(g).phases().total().get();
         if admission.scrubbed {
             // A poisoned resident story: the digest check caught it, so
             // this dispatch pays a full re-write (miss form) to repair it.
@@ -1379,7 +1422,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
         if admission.hit {
             self.insts[target].cache_hits += 1;
             self.write_cycles_saved += story_cycles;
-            self.upload_bytes_saved += num.bytes(r, false) - num.bytes(r, true);
+            self.upload_bytes_saved += num.bytes(g, false) - num.bytes(g, true);
         }
         let f = &mut self.flights[r];
         f.hit = admission.hit;
@@ -1393,12 +1436,16 @@ impl<'s, 'a> ServeState<'s, 'a> {
             f.watchdog_armed = true;
             self.schedule(now + SimTime::from_s(watchdog), Event::Watchdog(r));
         }
-        num.bytes(r, admission.hit)
+        let bytes = num.bytes(g, admission.hit);
+        if self.flights[r].hop > 0 {
+            self.handoff_bytes += bytes;
+        }
+        bytes
     }
 
     fn submit(&mut self, payload: LinkJob, bytes: u64, requests: usize) {
-        let id = self.jobs.len() as u64;
-        self.jobs.push(Job {
+        let id = self.retired_jobs + self.jobs.len() as u64;
+        self.jobs.push_back(Job {
             payload,
             attempts: 0,
             first_fail: None,
@@ -1406,12 +1453,20 @@ impl<'s, 'a> ServeState<'s, 'a> {
         self.arb.submit(id, bytes, requests);
     }
 
+    /// Completes the in-flight link job `id`, the oldest one, and hands it
+    /// back.
+    fn retire(&mut self, id: u64) -> Job {
+        self.arb.complete(id);
+        self.retired_jobs += 1;
+        self.jobs.pop_front().expect("a job in flight")
+    }
+
     /// Grants the head link job if the link is idle.
     fn grant(&mut self, now: SimTime) {
         let Some(g) = self.arb.try_grant(now) else {
             return;
         };
-        match &self.jobs[g.id as usize].payload {
+        match &self.jobs[(g.id - self.retired_jobs) as usize].payload {
             LinkJob::Upload { reqs, .. } => {
                 for &r in reqs {
                     self.flights[r].ts.upload_start = g.start;
@@ -1431,6 +1486,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
     /// per-query durations minus the deduplicated stream cycles.
     fn start_compute(&mut self, i: usize, now: SimTime) {
         let num = self.num;
+        let key = |f: &Flight| num.key(f.req);
         let inst = &mut self.insts[i];
         if !inst.computing.is_empty() {
             return;
@@ -1443,7 +1499,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
         if window > 1 {
             let mut rest = VecDeque::new();
             while let Some(q) = inst.ready.pop_front() {
-                if group.len() < window && num.key(q) == num.key(r) {
+                if group.len() < window && key(&self.flights[q]) == key(&self.flights[r]) {
                     group.push(q);
                 } else {
                     rest.push_back(q);
@@ -1462,14 +1518,14 @@ impl<'s, 'a> ServeState<'s, 'a> {
         let mut total = SimTime::ZERO;
         for &q in &group {
             self.flights[q].ts.compute_start = now;
-            total += num.run(q, &self.flights[q]).compute_time(clock);
+            total += num.run(&self.flights[q]).compute_time(clock);
         }
         let fused = if group.len() > 1 {
             self.batch.fused_groups += 1;
             // Same story => same per-hop stream cost; the batch pays
             // max(hops) streams instead of sum(hops), and one output row
             // stream instead of one per query.
-            let run = |q: usize| num.run(q, &self.flights[q]);
+            let run = |q: usize| num.run(&self.flights[q]);
             let stream = run(r).mem_stream_per_hop;
             let hops: u64 = group.iter().map(|&q| run(q).hops_executed as u64).sum();
             let max_hops = group
@@ -1504,34 +1560,26 @@ impl<'s, 'a> ServeState<'s, 'a> {
         );
     }
 
-    /// Settles the fate of every request and assembles the outcome.
-    fn finish(mut self) -> ServeOutcome {
+    /// Assembles the outcome: completions and sheds in trace order.
+    pub(crate) fn finish(mut self) -> ServeOutcome {
         debug_assert!(
-            self.halted_at.is_some() || self.queue.is_empty(),
+            self.fail_stop.is_some() || self.queue.is_empty(),
             "event loop left work queued"
         );
         debug_assert!(
-            self.halted_at.is_some() || (!self.arb.is_busy() && self.arb.pending_len() == 0),
+            self.fail_stop.is_some() || (!self.arb.is_busy() && self.arb.pending_len() == 0),
             "link work stranded"
         );
-        let trace = self.trace;
-        if let Some(cut) = self.halted_at {
-            // Fail-stop stranding: every request not fully drained by the
-            // cut — queued, on the wire, computing, or not yet arrived —
-            // is exported for the cluster to re-route. Rejections stay
-            // rejections (they were bounced before the node died), so no
-            // request is ever double-counted.
-            for (f, r) in self.flights.iter_mut().zip(&trace.requests) {
-                f.fate.get_or_insert(Fate::Exported(cut.max(r.arrival)));
-            }
-        }
-        let (mut completions, mut sheds, mut exports) = (Vec::new(), Vec::new(), Vec::new());
-        for (i, (f, r)) in self.flights.iter().zip(&trace.requests).enumerate() {
+        // Flights are in arrival order; outcomes follow the trace.
+        let mut order: Vec<usize> = (0..self.flights.len()).collect();
+        order.sort_by_key(|&i| self.flights[i].req);
+        let (mut completions, mut sheds) = (Vec::new(), Vec::new());
+        for i in order {
+            let f = &self.flights[i];
             match f.fate.expect("every request leaves the node") {
-                Fate::Drained => completions.push(self.completion(i, f)),
-                Fate::Shed => sheds.push(*r),
-                Fate::Exported(at) => exports.push(Export { request: *r, at }),
-                Fate::Rejected => {}
+                Fate::Drained => completions.push(self.completion(f)),
+                Fate::Shed => sheds.push(self.trace.requests[f.req]),
+                Fate::Exported | Fate::Rejected => {}
             }
         }
         let server = self.server;
@@ -1548,16 +1596,15 @@ impl<'s, 'a> ServeState<'s, 'a> {
             completions,
             rejections: self.rejections,
             sheds,
-            exports,
             wal_records,
             report,
         }
     }
 
-    fn completion(&self, i: usize, f: &Flight) -> Completion {
-        let r = &self.trace.requests[i];
+    fn completion(&self, f: &Flight) -> Completion {
+        let r = &self.trace.requests[f.req];
         debug_assert!(f.ts.is_monotone(), "request {} timeline broken", r.id);
-        let run = self.num.run(i, f).clone();
+        let run = self.num.run(f).clone();
         let correct = run.answer == self.server.sample_of(r).answer;
         Completion {
             request: *r,
@@ -1569,6 +1616,15 @@ impl<'s, 'a> ServeState<'s, 'a> {
             numeric_flagged: false,
             failed_over: false,
         }
+    }
+
+    /// Distinct stories among the requests that arrived here.
+    fn unique_stories(&self) -> usize {
+        let mut seen = vec![false; self.num.stories.len()];
+        self.flights
+            .iter()
+            .filter(|f| !std::mem::replace(&mut seen[self.num.story_id(f.req)], true))
+            .count()
     }
 
     fn report(
@@ -1624,7 +1680,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
             .sum();
         let done = completions.len();
         ServeReport {
-            requests: self.trace.requests.len(),
+            requests: self.flights.len(),
             completed: done,
             rejected: self.rejections.len(),
             accuracy: mean(correct as f64, done as u64),
@@ -1652,7 +1708,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
             },
             cache: CacheReport {
                 capacity: config.story_cache,
-                unique_stories: self.num.stories.len(),
+                unique_stories: self.unique_stories(),
                 hits: stats.hits,
                 misses: stats.misses,
                 evictions: stats.evictions,
@@ -1675,7 +1731,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
             // The durable driver (`crate::store`) patches this section in
             // after persisting the journal; the pure serve never fills it.
             durability: DurabilityReport::default(),
-            fail_stopped: self.role.fail_stop.is_some(),
+            fail_stopped: self.fail_stop.is_some(),
         }
     }
 }
@@ -2450,8 +2506,8 @@ mod tests {
         let _ = out.report.render();
     }
 
-    /// Arrival `i` owns sequence number `i`, below every event's: an
-    /// arrival at the instant of a compute completion runs first.
+    /// An arrival goes before every event at its instant: an arrival at
+    /// the instant of a compute completion runs first.
     #[test]
     fn an_arrival_runs_before_an_event_at_the_same_instant() {
         let s = suite();
@@ -2499,8 +2555,8 @@ mod tests {
         assert_eq!(after.completions.len(), 3);
     }
 
-    /// Arrivals stream from a cursor beside the heap, so before the first
-    /// event the heap holds only the fault plan, however long the trace.
+    /// Arrivals stream beside the heap, so before the first event the heap
+    /// holds only the fault plan, however long the trace.
     #[test]
     fn the_heap_starts_with_only_the_fault_plan() {
         let s = suite();
@@ -2514,8 +2570,7 @@ mod tests {
                 },
             );
             let num = server.numeric_phase(&t);
-            let state = ServeState::new(&server, &t, &num, ShardRole::default());
-            assert_eq!(state.arrivals.len(), 10_000);
+            let state = ServeState::new(&server, &t, &num, t.span(), None, 1);
             let mut events: Vec<(SimTime, &str, usize)> = state
                 .heap
                 .iter()

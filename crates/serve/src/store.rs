@@ -26,17 +26,20 @@
 //! key is omitted from JSON whenever the WAL is off, so all pre-existing
 //! golden reports stay byte-identical.
 //!
+//! A cluster keeps one journal per shard, under `<dir>/shard-<s>/`: the
+//! pure cluster serve runs once, and each shard's collected journal holds
+//! every request the shard served, hand-offs included.
+//!
 //! A membership-plan `fail` event ([`crate::MembershipPlan`]) composes
 //! with the WAL for free: the fail-stopped shard's event loop halts at
 //! the scheduled cut, so its collected journal simply *ends* there —
 //! post-cut completions are never journaled, leaving a naturally
 //! consistent prefix on disk with no torn frame to repair. Requests the
-//! cut stranded are exported and re-dispatched by the cluster layer to a
-//! live replica, whose own pass journals them; nothing is recovered by
-//! replay because nothing past the cut was ever promised durable.
+//! cut stranded are handed to a live replica, whose own journal records
+//! them; nothing is recovered by replay because nothing past the cut was
+//! ever promised durable.
 
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 
 use mann_core::persist::PersistError;
@@ -50,7 +53,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cluster::{Cluster, ClusterOutcome};
 use crate::report::{mean, ReportSection};
-use crate::server::{ServeOutcome, Server, ShardRole};
+use crate::server::{ServeOutcome, Server};
 use crate::trace::ArrivalTrace;
 
 /// Domain-separation stream for node-kill selection (ASCII "kill"):
@@ -65,8 +68,8 @@ const STREAM_KILL: u64 = 0x0000_6b69_6c6c;
 pub struct WalConfig {
     /// Whether the journal is armed.
     pub enabled: bool,
-    /// WAL directory (per shard-pass subdirectories are created under it
-    /// by the cluster driver).
+    /// WAL directory; the cluster driver keeps one journal per shard under
+    /// its `shard-<s>` subdirectories.
     pub dir: String,
     /// Rotate the segment, cut a snapshot, and GC every this many
     /// records; 0 = never snapshot (one segment, sealed at the end).
@@ -413,19 +416,16 @@ struct KillPlan {
     seed: u64,
     /// Shard count the victim is drawn from.
     shards: u64,
-    /// This run's failover pass.
-    pass: usize,
-    /// This run's shard index.
+    /// This journal's shard index.
     shard: usize,
 }
 
 impl KillPlan {
-    /// The journal index at which this shard-pass dies, if it does.
-    /// Kills strike only pass 0 (a failover pass *is* already a recovery
-    /// path) on the one seed-chosen victim shard, landing in the middle
-    /// half of the journal so the campaign is genuinely mid-flight.
+    /// The journal index at which this shard dies, if it does. Kills
+    /// strike only the one seed-chosen victim shard, landing in the middle
+    /// half of its journal so the campaign is genuinely mid-flight.
     fn kill_at(&self, journal_len: usize) -> Option<usize> {
-        if self.node_kills == 0 || self.pass != 0 || journal_len < 2 {
+        if self.node_kills == 0 || journal_len < 2 {
             return None;
         }
         let victim = fault_mix(self.seed ^ STREAM_KILL, 0, 0) % self.shards;
@@ -482,7 +482,7 @@ fn absorb_stats(dr: &mut DurabilityReport, stats: WalStats) {
     dr.segments += stats.segments;
 }
 
-/// Persists one shard-pass journal, optionally killing the node at
+/// Persists one node's journal, optionally killing the node at
 /// `kill_at` and recovering.
 fn run_journal(
     dir: &Path,
@@ -582,40 +582,35 @@ fn run_journal(
     Ok(())
 }
 
-/// Runs one shard-pass durably: pure serve, then journal persistence
-/// (with the kill-and-recover campaign when this shard-pass is the
-/// victim), patching the outcome's report with the durability section.
-fn run_shard_durable(
-    server: &Server<'_>,
-    trace: &ArrivalTrace,
-    role: ShardRole,
+/// Persists one node's journal under `dir`, killing and recovering it
+/// when `plan` makes it the victim; `reserve` re-runs the pure serve and
+/// returns the node's answers digest, which must equal `digest`.
+fn persist(
     dir: &Path,
+    cfg: &WalConfig,
+    records: &[WalRecord],
     plan: KillPlan,
-) -> Result<ServeOutcome, PersistError> {
-    let mut out = server.serve_as(trace, role);
-    let cfg = &server.config().wal;
+    digest: &str,
+    reserve: impl FnOnce() -> String,
+) -> Result<DurabilityReport, PersistError> {
     let mut dr = DurabilityReport {
         enabled: true,
         ..DurabilityReport::default()
     };
-    let kill_at = plan.kill_at(out.wal_records.len());
+    let kill_at = plan.kill_at(records.len());
     if kill_at.is_some() {
-        // The recovered node re-dispatches its trace through the same
-        // serve stack. The serve is a pure function, so the re-run is
-        // byte-identical to the killed run — assert it rather than
-        // assume it.
-        let re = server.serve_as(trace, role);
-        if re.report.answers_digest != out.report.answers_digest {
+        // The serve is a pure function, so the re-run is byte-identical to
+        // the killed run — assert it rather than assume it.
+        let re = reserve();
+        if re != digest {
             return Err(StoreError::Recovery(format!(
-                "re-served answers digest {} diverges from the killed run's {}",
-                re.report.answers_digest, out.report.answers_digest
+                "re-served answers digest {re} diverges from the killed run's {digest}"
             ))
             .into());
         }
     }
-    run_journal(dir, cfg, &out.wal_records, kill_at, &mut dr)?;
-    out.report.durability = dr;
-    Ok(out)
+    run_journal(dir, cfg, records, kill_at, &mut dr)?;
+    Ok(dr)
 }
 
 /// Serves a trace with the write-ahead log armed. With
@@ -634,30 +629,33 @@ pub fn serve_durable(
     trace: &ArrivalTrace,
 ) -> Result<ServeOutcome, PersistError> {
     let cfg = server.config();
+    let mut out = server.serve(trace);
     if !cfg.wal.enabled {
-        return Ok(server.serve(trace));
+        return Ok(out);
     }
-    run_shard_durable(
-        server,
-        trace,
-        ShardRole::default(),
-        &PathBuf::from(&cfg.wal.dir),
-        KillPlan {
-            node_kills: cfg.faults.node_kills,
-            seed: cfg.faults.seed,
-            shards: 1,
-            pass: 0,
-            shard: 0,
-        },
-    )
+    let plan = KillPlan {
+        node_kills: cfg.faults.node_kills,
+        seed: cfg.faults.seed,
+        shards: 1,
+        shard: 0,
+    };
+    out.report.durability = persist(
+        Path::new(&cfg.wal.dir),
+        &cfg.wal,
+        &out.wal_records,
+        plan,
+        &out.report.answers_digest,
+        || server.serve(trace).report.answers_digest,
+    )?;
+    Ok(out)
 }
 
-/// Serves a trace across a cluster with the write-ahead log armed: every
-/// `(shard, pass)` journals into its own `shard-<s>/pass-<p>` directory
-/// under the base [`WalConfig::dir`], and the `node_kills` victim shard
-/// (chosen seed-purely from the *base* fault seed, so per-shard seed
-/// re-mixing never moves it) is killed and recovered on its primary
-/// pass.
+/// Serves a trace across a cluster with the write-ahead log armed: the
+/// pure cluster serve runs once, then every shard's journal is persisted
+/// into its own `shard-<s>` directory under the base [`WalConfig::dir`],
+/// and the `node_kills` victim shard (chosen seed-purely from the *base*
+/// fault seed, so per-shard seed re-mixing never moves it) is killed
+/// mid-journal and recovered.
 ///
 /// # Errors
 ///
@@ -667,36 +665,36 @@ pub fn serve_cluster_durable(
     trace: &ArrivalTrace,
 ) -> Result<ClusterOutcome, PersistError> {
     let config = cluster.config();
-    if !config.base.wal.enabled {
-        return Ok(cluster.serve(trace));
-    }
-    let root = PathBuf::from(&config.base.wal.dir);
-    let (node_kills, seed) = (config.base.faults.node_kills, config.base.faults.seed);
-    let shards = config.shards as u64;
     let order: Vec<usize> = (0..config.shards).collect();
-    cluster.serve_in_order_with(trace, &order, |pass, shard, server, sub, role| {
-        run_shard_durable(
-            server,
-            sub,
-            role,
-            &root
-                .join(format!("shard-{shard}"))
-                .join(format!("pass-{pass}")),
-            KillPlan {
-                node_kills,
-                seed,
-                shards,
-                pass,
-                shard,
+    let (mut out, journals) = cluster.serve_journaled(trace, &order);
+    let wal = &config.base.wal;
+    if !wal.enabled {
+        return Ok(out);
+    }
+    let root = PathBuf::from(&wal.dir);
+    for (shard, records) in journals.iter().enumerate() {
+        let plan = KillPlan {
+            node_kills: config.base.faults.node_kills,
+            seed: config.base.faults.seed,
+            shards: config.shards as u64,
+            shard,
+        };
+        let report = &mut out.report.per_shard[shard];
+        report.durability = persist(
+            &root.join(format!("shard-{shard}")),
+            wal,
+            records,
+            plan,
+            &report.answers_digest,
+            || {
+                let (re, _) = cluster.serve_journaled(trace, &order);
+                re.report.per_shard[shard].answers_digest.clone()
             },
-        )
-    })
-}
-
-/// The plain (non-durable) serve is infallible; this adapter lets it share
-/// the generic pass loop with the durable driver.
-pub(crate) fn never<T>(result: Result<T, Infallible>) -> T {
-    result.unwrap_or_else(|e| match e {})
+        )?;
+    }
+    let r = &mut out.report;
+    r.durability = DurabilityReport::merge(r.per_shard.iter().map(|s| &s.durability));
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -780,12 +778,11 @@ mod tests {
     }
 
     #[test]
-    fn kill_plan_is_seed_pure_and_pass_zero_only() {
+    fn kill_plan_is_seed_pure_and_picks_one_victim() {
         let plan = KillPlan {
             node_kills: 1,
             seed: 7,
             shards: 4,
-            pass: 0,
             shard: 0,
         };
         let victim = (0..4)
@@ -798,15 +795,6 @@ mod tests {
             .expect("kill point");
         assert_eq!(KillPlan { shard: v, ..plan }.kill_at(100), Some(kp));
         assert!((25..100).contains(&kp), "mid-campaign kill point, got {kp}");
-        assert_eq!(
-            KillPlan {
-                pass: 1,
-                shard: v,
-                ..plan
-            }
-            .kill_at(100),
-            None
-        );
         assert_eq!(
             KillPlan {
                 node_kills: 0,

@@ -12,6 +12,9 @@
 //!    rejections still partition the trace — nothing is double-completed.
 //! 4. Fleet latency percentiles are ranked over the pooled raw samples,
 //!    never averaged per shard.
+//! 5. Every shard's boards live on one timeline: a failover is an arrival
+//!    on the replica's own queue, so no board computes two groups at once
+//!    and each board is charged one idle-power window.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
@@ -19,8 +22,8 @@ use std::sync::OnceLock;
 use mann_babi::TaskId;
 use mann_core::{SuiteConfig, TaskSuite};
 use mann_serve::{
-    ArrivalTrace, Cluster, ClusterConfig, EngineMode, FaultConfig, LatencySummary, SchedulePolicy,
-    ServeConfig, Server, TraceConfig,
+    ArrivalTrace, Cluster, ClusterConfig, EngineMode, FaultConfig, LatencySummary, MembershipPlan,
+    SchedulePolicy, ServeConfig, Server, TraceConfig,
 };
 use serde::Serialize;
 
@@ -145,10 +148,14 @@ fn k1_r1_cluster_is_byte_identical_to_single_node() {
     assert!(cluster.failovers.is_empty());
 }
 
+/// The outcome is the same whatever order the shards are stepped in. The
+/// second campaign fail-stops two of three shards at one instant, so both
+/// strand work onto the survivor at once: what they hand over is
+/// delivered after every shard event at that instant, in request-id
+/// order, never in stepping order.
 #[test]
 fn shard_iteration_order_is_immaterial() {
-    let t = trace(96, 31, 5);
-    let cluster = Cluster::new(
+    let crashes = Cluster::new(
         suite(),
         ClusterConfig {
             shards: 4,
@@ -160,14 +167,46 @@ fn shard_iteration_order_is_immaterial() {
             ..ClusterConfig::default()
         },
     );
-    let identity = cluster.serve_in_order(&t, &[0, 1, 2, 3]);
-    for order in [[3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]] {
-        let permuted = cluster.serve_in_order(&t, &order);
-        assert_eq!(permuted, identity, "outcome changed under order {order:?}");
-        assert_eq!(
-            permuted.report.to_value().print(),
-            identity.report.to_value().print(),
-            "report bytes changed under order {order:?}"
+    let simultaneous = Cluster::new(
+        suite(),
+        ClusterConfig {
+            shards: 3,
+            replication: 2,
+            membership: MembershipPlan::parse_spec("fail=1@800,fail=2@800").expect("valid plan"),
+            base: base_config(),
+            ..ClusterConfig::default()
+        },
+    );
+    let campaigns: [(&Cluster<'_>, ArrivalTrace, &[&[usize]]); 2] = [
+        (
+            &crashes,
+            trace(96, 31, 5),
+            &[&[0, 1, 2, 3], &[3, 2, 1, 0], &[2, 0, 3, 1], &[1, 3, 0, 2]],
+        ),
+        (
+            &simultaneous,
+            trace(128, 31, 5),
+            &[&[0, 1, 2], &[2, 1, 0], &[1, 2, 0], &[0, 2, 1]],
+        ),
+    ];
+    for (cluster, t, orders) in campaigns {
+        let identity = cluster.serve_in_order(&t, orders[0]);
+        for order in &orders[1..] {
+            let permuted = cluster.serve_in_order(&t, order);
+            assert_eq!(permuted, identity, "outcome changed under order {order:?}");
+            assert_eq!(
+                permuted.report.to_value().print(),
+                identity.report.to_value().print(),
+                "report bytes changed under order {order:?}"
+            );
+        }
+    }
+    let stranded = simultaneous.serve(&trace(128, 31, 5));
+    for s in [1, 2] {
+        let r = &stranded.report.per_shard[s];
+        assert!(
+            r.requests > r.completed + r.rejected,
+            "shard {s} strands nothing at its fail-stop"
         );
     }
 }
@@ -360,4 +399,94 @@ fn answers_digest_is_invariant_across_shard_counts() {
     let reference = digest(1);
     assert_eq!(digest(2), reference);
     assert_eq!(digest(4), reference);
+}
+
+/// A K=4/R=2 campaign whose instance crashes fail requests over to their
+/// story's replica shard: the `serve_cluster` golden's stack on a longer,
+/// denser trace.
+fn failover_campaign() -> (ClusterConfig, ArrivalTrace) {
+    let config = ClusterConfig {
+        shards: 4,
+        replication: 2,
+        base: ServeConfig {
+            faults: FaultConfig {
+                seed: 9,
+                crashes: 3,
+                crash_cooldown_s: 500e-6,
+                watchdog_s: 250e-6,
+                ..FaultConfig::none()
+            },
+            ..base_config()
+        },
+        ..ClusterConfig::default()
+    };
+    (config, trace(480, 43, 6))
+}
+
+/// No (shard, instance) runs two compute groups over overlapping
+/// `[compute_start, compute_end)` intervals; the members of a fused group
+/// share one interval.
+#[test]
+fn no_board_computes_two_groups_at_once() {
+    let (config, t) = failover_campaign();
+    let out = Cluster::new(suite(), config).serve(&t);
+    assert!(
+        out.report.failover.completed > 0,
+        "campaign failed nothing over — tune the plan"
+    );
+    let mut groups: Vec<_> = out
+        .completions
+        .iter()
+        .zip(&out.completion_shards)
+        .map(|(c, &shard)| {
+            let ts = c.timestamps;
+            (shard, c.instance, ts.compute_start, ts.compute_end)
+        })
+        .collect();
+    groups.sort_unstable();
+    groups.dedup();
+    for w in groups.windows(2) {
+        let ((shard, instance, start, end), next) = (w[0], w[1]);
+        if (next.0, next.1) == (shard, instance) {
+            assert!(
+                end <= next.2,
+                "shard {shard} instance {instance} computes [{start:?}, {end:?}) \
+                 and [{:?}, {:?}) at once",
+                next.2,
+                next.3
+            );
+        }
+    }
+}
+
+/// Fleet energy is the shards' energies, and each board is charged its
+/// busy time inside its shard's one idle-power window.
+#[test]
+fn each_board_is_charged_one_idle_window() {
+    let (config, t) = failover_campaign();
+    let base = config.base.clone();
+    let out = Cluster::new(suite(), config).serve(&t);
+    assert!(out.report.failover.completed > 0);
+    let r = &out.report;
+    let shards: f64 = r.per_shard.iter().map(|s| s.total_energy_j).sum();
+    assert!(
+        (r.total_energy_j - shards).abs() <= 1e-12 * shards,
+        "fleet energy {} J is not the shards' {shards} J",
+        r.total_energy_j
+    );
+    for (s, shard) in r.per_shard.iter().enumerate() {
+        for inst in &shard.instances {
+            let window = base.power.interval_energy_j(
+                base.clock.freq_mhz(),
+                inst.busy_s,
+                shard.makespan_s,
+                base.use_ith,
+            );
+            assert_eq!(
+                inst.energy_j, window,
+                "shard {s} instance {} is not charged one window",
+                inst.instance
+            );
+        }
+    }
 }

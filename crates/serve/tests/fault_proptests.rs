@@ -239,7 +239,6 @@ proptest! {
         let out = serve(&t, config.clone());
 
         check_partition(&t, &out.completions, &out.rejections, &out.sheds);
-        prop_assert!(out.exports.is_empty(), "a standalone node never exports");
         prop_assert_eq!(out.report.completed, out.completions.len());
         prop_assert_eq!(out.report.rejected, out.rejections.len());
         prop_assert_eq!(out.wal_records.is_empty(), !wal);

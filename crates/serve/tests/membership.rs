@@ -20,15 +20,18 @@
 //!    a live shard could reach.
 //! 6. The hot-key splitter fans one pathological story across its full
 //!    replica set without changing a single answer.
+//! 7. A retune fires on the live queue depth and divides the shard's
+//!    weight for every request that arrives after it.
 
 use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use mann_babi::TaskId;
 use mann_core::{SuiteConfig, TaskSuite};
+use mann_hw::SimTime;
 use mann_serve::{
     serve_cluster_durable, ArrivalTrace, Cluster, ClusterConfig, ClusterOutcome, EngineMode,
-    MembershipPlan, SchedulePolicy, ServeConfig, TraceConfig, WalConfig,
+    MembershipPlan, SchedulePolicy, ServeConfig, ShardRouter, TraceConfig, WalConfig,
 };
 use serde::Serialize;
 
@@ -338,4 +341,73 @@ fn hot_key_splitter_spreads_a_pathological_story() {
     assert!(m.hot_keys >= 1);
     assert!(m.split_requests > 0);
     assert_partition(&hot_out, &t);
+}
+
+/// The routing key a request hashes under: its story digest mixed with
+/// the task index.
+fn route_key(r: &mann_serve::Request) -> u64 {
+    let sample = &suite().tasks[r.task_idx].test_set[r.sample_idx];
+    mann_hw::story_digest(sample) ^ (r.task_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// Contract 7: at weight 4 a retune halves a shard's weight to 2, which
+/// moves keys; every request arriving after a retune instant lands on the
+/// primary of the divided weights, and every earlier one on the base
+/// weights' primary.
+#[test]
+fn a_retune_moves_keys_and_routes_later_arrivals_by_the_divided_weights() {
+    let t = trace(192, 41, 12);
+    let base = vec![4; 4];
+    let out = Cluster::new(
+        suite(),
+        ClusterConfig {
+            shards: 4,
+            replication: 1,
+            weights: base.clone(),
+            membership: MembershipPlan::parse_spec("retune-threshold=0.02,retune-factor=2")
+                .expect("valid spec"),
+            base: base_config(),
+            ..ClusterConfig::default()
+        },
+    )
+    .serve(&t);
+    assert_partition(&out, &t);
+    assert!(out.rejections.is_empty() && out.sheds.is_empty());
+    let retunes: Vec<(SimTime, usize)> = out
+        .report
+        .membership
+        .timeline
+        .iter()
+        .filter(|e| e.kind == "retune")
+        .map(|e| (SimTime::from_s(e.at_s), e.shard))
+        .collect();
+    assert!(!retunes.is_empty(), "queue pressure must retune a shard");
+    assert_eq!(out.report.membership.retunes, retunes.len() as u64);
+    assert!(
+        out.report
+            .membership
+            .timeline
+            .iter()
+            .any(|e| e.kind == "retune" && e.moved_keys > 0),
+        "halving a weight-4 shard must move keys"
+    );
+    let mut after = 0;
+    for (c, &shard) in out.completions.iter().zip(&out.completion_shards) {
+        let at = c.request.arrival;
+        if retunes.iter().any(|&(r, _)| r == at) {
+            continue; // routed before or after the retune at its instant
+        }
+        let mut weights = base.clone();
+        for &(_, s) in retunes.iter().filter(|&&(r, _)| r < at) {
+            weights[s] /= 2;
+        }
+        after += usize::from(weights != base);
+        assert_eq!(
+            shard,
+            ShardRouter::with_weights(weights.clone()).primary(route_key(&c.request)),
+            "request {} arriving at {at:?} under weights {weights:?}",
+            c.request.id
+        );
+    }
+    assert!(after > 0, "no request arrived after the first retune");
 }

@@ -465,13 +465,13 @@ fn serve_cluster_campaign_is_pinned() {
 }
 
 /// The serve_cluster campaign with a full membership churn on top: one
-/// cold join, one planned drain, one mid-campaign fail-stop, queue-
-/// pressure weight retuning and the hot-key splitter, all on the same
-/// K=4/R=2 cluster, trace and instance-crash plan. Pins the merged
-/// report — membership section included — byte for byte, asserts every
-/// membership counter is exercised (nonzero), and pins `unroutable_shed`
-/// at exactly zero: with R=2 and only two of four shards leaving, every
-/// key keeps a live replica for the whole campaign.
+/// cold join, one planned drain, one fail-stop while the shard still
+/// holds work, queue-pressure weight retuning and the hot-key splitter,
+/// all on the same K=4/R=2 cluster, trace and instance-crash plan. Pins
+/// the merged report — membership section included — byte for byte,
+/// asserts every membership counter is exercised (nonzero), and pins
+/// `unroutable_shed` at exactly zero: with R=2 and only two of four
+/// shards leaving, every key keeps a live replica for the whole campaign.
 #[test]
 fn serve_membership_campaign_is_pinned() {
     let s = suite();
@@ -488,7 +488,7 @@ fn serve_membership_campaign_is_pinned() {
         shards: 4,
         replication: 2,
         membership: MembershipPlan::parse_spec(
-            "join=3@800,drain=1@2000,fail=2@3000,retune-threshold=0.02,hot-key=9",
+            "join=3@800,drain=1@2000,fail=2@2950,retune-threshold=0.02,hot-key=9",
         )
         .expect("valid churn spec"),
         base: ServeConfig {
