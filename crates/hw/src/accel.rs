@@ -284,7 +284,8 @@ pub struct Accelerator {
     read: ReadModule,
     output: OutputModule,
     /// Empty MEM module cloned per story: the exp LUT and divider setup are
-    /// built once at load time, not per inference.
+    /// built once at load time, not per inference, and every clone shares
+    /// the one LUT.
     mem_proto: MemModule,
     config: AccelConfig,
     hops: usize,
@@ -371,6 +372,7 @@ impl Accelerator {
     /// sentence into a memory row.
     pub fn write_story(&self, sample: &EncodedSample) -> ResidentStory {
         let mut mem = self.mem_proto.clone();
+        mem.reserve(sample.sentences.len());
         let mut phases = PhaseCycles::default();
         let mut numeric = NumericStatus::default();
         for sent in &sample.sentences {

@@ -4,22 +4,30 @@
 //! exponentiation and division are the costly parts), so the MEM module
 //! streams memory scores through one BRAM-LUT exponential pipeline.
 
+use std::sync::Arc;
+
 use mann_linalg::activation::ExpLut;
 use mann_linalg::{Fixed, NumericStatus};
 
 use crate::Cycles;
 
 /// A LUT-based exponential pipeline: initiation interval 1, fixed latency.
+///
+/// Clones share one table: the MEM module is cloned for every story
+/// written, and the table is read-only after load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExpUnit {
-    lut: ExpLut,
+    lut: Arc<ExpLut>,
     latency: u64,
 }
 
 impl ExpUnit {
     /// Creates the unit with an explicit LUT and pipeline latency.
     pub fn new(lut: ExpLut, latency: u64) -> Self {
-        Self { lut, latency }
+        Self {
+            lut: Arc::new(lut),
+            latency,
+        }
     }
 
     /// Pipeline latency in cycles (address decode, BRAM read, interpolation
@@ -60,10 +68,7 @@ impl ExpUnit {
 impl Default for ExpUnit {
     /// 256-entry LUT over `[-16, 0]`, 4-cycle latency.
     fn default() -> Self {
-        Self {
-            lut: ExpLut::default(),
-            latency: 4,
-        }
+        Self::new(ExpLut::default(), 4)
     }
 }
 

@@ -212,14 +212,16 @@ pub struct IndexedHopStats {
 /// The build runs Lloyd's algorithm on the dequantized rows (squared-L2
 /// assignment, deterministic `min_by` ties toward the lower centroid
 /// index) and stores the final centroids re-quantized, as the BRAM would.
-/// Probing scores the key against every centroid with the same tracked
-/// fixed-point MAC chain the exact scan uses, keeps the `nprobe` best by
+/// Probing scores the key against every centroid with the same certified
+/// fixed-point MAC entry the exact scan uses, keeps the `nprobe` best by
 /// dot product, and returns the union of their member lists in ascending
 /// slot order.
 #[derive(Debug, Clone)]
 pub struct MemIndex {
     config: MemIndexConfig,
     centroids: Vec<Vec<Fixed>>,
+    /// `max|w|` over every stored centroid word, taken at build.
+    centroid_abs_max: u64,
     members: Vec<Vec<usize>>,
     build_cycles: u64,
     per_dot: u64,
@@ -252,6 +254,7 @@ impl MemIndex {
             return MemIndex {
                 config,
                 centroids: Vec::new(),
+                centroid_abs_max: 0,
                 members: Vec::new(),
                 build_cycles: 0,
                 per_dot,
@@ -310,6 +313,11 @@ impl MemIndex {
             .iter()
             .map(|c| c.iter().map(|&x| Fixed::from_f32_tracked(x, st)).collect())
             .collect();
+        let centroid_abs_max = centroids
+            .iter()
+            .map(|c| fixed::abs_max(c))
+            .max()
+            .unwrap_or(0);
         // Build cost, charged to the story-upload phase: each of the
         // `BUILD_ROUNDS + 1` assignment sweeps scores every row against
         // every centroid through the adder tree; each update sweep
@@ -321,6 +329,7 @@ impl MemIndex {
         MemIndex {
             config,
             centroids,
+            centroid_abs_max,
             members,
             build_cycles,
             per_dot,
@@ -344,7 +353,8 @@ impl MemIndex {
     }
 
     /// Probes the index with an already-quantized key: scores every
-    /// centroid with the tracked fixed-point MAC chain, keeps the `nprobe`
+    /// centroid with the certified fixed-point MAC entry (the key's `Σ|k|`
+    /// against the centroids' `max|w|`), keeps the `nprobe`
     /// best by dot product (ties toward the lower centroid index), and
     /// returns `(candidates, cycles, probe_stressed)` — the union of the
     /// selected members in ascending slot order, the walk's cycle cost,
@@ -360,9 +370,16 @@ impl MemIndex {
             return (Vec::new(), Cycles::ZERO, false);
         }
         let mut probe_st = NumericStatus::default();
+        let key_sum = fixed::abs_sum(key_q);
         let mut scores: Vec<Fixed> = Vec::with_capacity(k_eff);
         for cent in &self.centroids {
-            scores.push(fixed::dot_tracked(cent, key_q, &mut probe_st));
+            scores.push(fixed::dot_certified(
+                cent,
+                key_q,
+                key_sum,
+                self.centroid_abs_max,
+                &mut probe_st,
+            ));
         }
         let nprobe = self.config.nprobe.min(k_eff);
         let mut order: Vec<usize> = (0..k_eff).collect();

@@ -10,10 +10,13 @@
 //! Rows are stored already quantized (`Fixed`), mirroring the BRAM contents:
 //! the write path converts each embedded row once, so addressing and reads
 //! multiply stored words directly instead of re-quantizing per access.
-//! Every score and soft-read element goes through the MAC kernel
-//! [`fixed::dot_tracked`], which equals the in-order chain of
+//! Every score and soft-read element goes through the certified MAC entry
+//! [`fixed::dot_certified`], which equals the in-order chain of
 //! [`AdderTree::fixed_dot`] over the original `f32` rows, so results are
-//! bit-identical to the unquantized-storage formulation.
+//! bit-identical to the unquantized-storage formulation. The write port
+//! keeps one `max|w|` per memory for the story; each pass takes its key's
+//! or attention's `Σ|x|` once, and the two certify every dot product of
+//! the pass.
 
 use mann_linalg::activation::ExpLut;
 use mann_linalg::{fixed, Fixed, NumericStatus};
@@ -24,11 +27,23 @@ use crate::exp_unit::ExpUnit;
 use crate::index::{IndexedHopStats, MemIndex, MemIndexConfig};
 use crate::{Cycles, DatapathConfig};
 
+/// Quantizes a pass's key or attention vector once, with its `Σ|x|`: the
+/// operand side of the pass's certified dot products.
+fn quantize_operand(x: &[f32], st: &mut NumericStatus) -> (Vec<Fixed>, u64) {
+    let words: Vec<Fixed> = x.iter().map(|&v| Fixed::from_f32_tracked(v, st)).collect();
+    let abs_sum = fixed::abs_sum(&words);
+    (words, abs_sum)
+}
+
 /// Address + content memory with the softmax datapath.
 #[derive(Debug, Clone)]
 pub struct MemModule {
     rows_a: Vec<Vec<Fixed>>,
     rows_c: Vec<Vec<Fixed>>,
+    /// `max|w|` over every stored address word, kept by the write port.
+    addr_abs_max: u64,
+    /// `max|w|` over every stored content word, kept by the write port.
+    content_abs_max: u64,
     tree: AdderTree,
     exp: ExpUnit,
     div: DivUnit,
@@ -48,6 +63,8 @@ impl MemModule {
         Self {
             rows_a: Vec::new(),
             rows_c: Vec::new(),
+            addr_abs_max: 0,
+            content_abs_max: 0,
             tree: AdderTree::new(dp.tree_width),
             exp: ExpUnit::new(ExpLut::new(dp.exp_lut_entries, -16.0), dp.exp_latency),
             div: DivUnit::new(dp.div_latency),
@@ -61,7 +78,16 @@ impl MemModule {
     pub fn reset(&mut self) {
         self.rows_a.clear();
         self.rows_c.clear();
+        self.addr_abs_max = 0;
+        self.content_abs_max = 0;
         self.index = None;
+    }
+
+    /// Reserves row-table room for `rows` more sentences, so a story
+    /// written at once sizes each memory's table once.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        self.rows_a.reserve_exact(rows);
+        self.rows_c.reserve_exact(rows);
     }
 
     /// Number of occupied memory slots `L`.
@@ -98,7 +124,10 @@ impl MemModule {
 
     /// [`MemModule::write`] with numeric-event accounting at the BRAM write
     /// port's quantizer. Stored rows are bit-identical to the untracked
-    /// write.
+    /// write. The port also folds each row's `max|w|` into its memory's
+    /// running maximum, the stored side of every certified score and
+    /// soft-read element ([`fixed::dot_certified`]): one word per memory,
+    /// not one per row or column.
     ///
     /// # Panics
     ///
@@ -111,18 +140,28 @@ impl MemModule {
     ) {
         assert_eq!(addr_row.len(), self.embed_dim, "address row width");
         assert_eq!(content_row.len(), self.embed_dim, "content row width");
-        self.rows_a.push(
-            addr_row
-                .into_iter()
+        let quantize = |row: Vec<f32>, st: &mut NumericStatus| -> Vec<Fixed> {
+            row.into_iter()
                 .map(|x| Fixed::from_f32_tracked(x, st))
-                .collect(),
-        );
-        self.rows_c.push(
-            content_row
-                .into_iter()
-                .map(|x| Fixed::from_f32_tracked(x, st))
-                .collect(),
-        );
+                .collect()
+        };
+        let (row_a, row_c) = (quantize(addr_row, st), quantize(content_row, st));
+        self.addr_abs_max = self.addr_abs_max.max(fixed::abs_max(&row_a));
+        self.content_abs_max = self.content_abs_max.max(fixed::abs_max(&row_c));
+        self.rows_a.push(row_a);
+        self.rows_c.push(row_c);
+    }
+
+    /// Score of address row `row` against a quantized key whose `Σ|k|` is
+    /// `key_abs_sum`: the certified MAC entry over the stored words.
+    fn score(
+        &self,
+        row: &[Fixed],
+        key_q: &[Fixed],
+        key_abs_sum: u64,
+        st: &mut NumericStatus,
+    ) -> Fixed {
+        fixed::dot_certified(row, key_q, key_abs_sum, self.addr_abs_max, st)
     }
 
     /// Content-based addressing (Eq 1): returns the attention weights and
@@ -169,16 +208,13 @@ impl MemModule {
         }
         // The key is quantized once per addressing pass; each score is the
         // in-order product sum `fixed_dot` would produce.
-        let key_q: Vec<Fixed> = key
-            .iter()
-            .map(|&y| Fixed::from_f32_tracked(y, st))
-            .collect();
+        let (key_q, key_sum) = quantize_operand(key, st);
         let mut scores = Vec::with_capacity(l);
         let mut scores_fx = Vec::with_capacity(l);
         let mut score_cycles = Cycles::ZERO;
         let per_dot = (self.embed_dim.div_ceil(self.tree.width())) as u64;
         for row in &self.rows_a {
-            let acc = fixed::dot_tracked(row, &key_q, st);
+            let acc = self.score(row, &key_q, key_sum, st);
             scores.push(acc.to_f32());
             scores_fx.push(acc);
             // II = issues-per-dot; latency amortized below.
@@ -218,10 +254,7 @@ impl MemModule {
             return Cycles::ZERO;
         }
         let mut key_st = NumericStatus::default();
-        let key_q: Vec<Fixed> = key
-            .iter()
-            .map(|&y| Fixed::from_f32_tracked(y, &mut key_st))
-            .collect();
+        let (key_q, key_sum) = quantize_operand(key, &mut key_st);
         let mut rows_st = NumericStatus::default();
         let mut scores = Vec::with_capacity(l);
         let mut scores_fx = Vec::with_capacity(l);
@@ -229,7 +262,7 @@ impl MemModule {
         let per_dot = (self.embed_dim.div_ceil(self.tree.width())) as u64;
         for row in &self.rows_a {
             let mut row_st = NumericStatus::default();
-            let acc = fixed::dot_tracked(row, &key_q, &mut row_st);
+            let acc = self.score(row, &key_q, key_sum, &mut row_st);
             flags.push(key_st.stressed() || row_st.stressed());
             rows_st.merge(&row_st);
             scores.push(acc.to_f32());
@@ -302,14 +335,10 @@ impl MemModule {
             return vec![Cycles::ZERO; keys.len()];
         }
         let mut key_sts = vec![NumericStatus::default(); keys.len()];
-        let keys_q: Vec<Vec<Fixed>> = keys
+        let keys_q: Vec<(Vec<Fixed>, u64)> = keys
             .iter()
             .zip(key_sts.iter_mut())
-            .map(|(key, st)| {
-                key.iter()
-                    .map(|&y| Fixed::from_f32_tracked(y, st))
-                    .collect()
-            })
+            .map(|(key, st)| quantize_operand(key, st))
             .collect();
         let mut rows_sts = vec![NumericStatus::default(); keys.len()];
         let mut scores = vec![Vec::with_capacity(l); keys.len()];
@@ -317,9 +346,9 @@ impl MemModule {
         // Shared story stream: each address row is fetched once and scored
         // against every key while resident.
         for row in &self.rows_a {
-            for (q, key_q) in keys_q.iter().enumerate() {
+            for (q, (key_q, key_sum)) in keys_q.iter().enumerate() {
                 let mut row_st = NumericStatus::default();
-                let acc = fixed::dot_tracked(row, key_q, &mut row_st);
+                let acc = self.score(row, key_q, *key_sum, &mut row_st);
                 flags[q].push(key_sts[q].stressed() || row_st.stressed());
                 rows_sts[q].merge(&row_st);
                 scores[q].push(acc.to_f32());
@@ -416,12 +445,9 @@ impl MemModule {
         out.clear();
         out.reserve(self.embed_dim);
         // Attention weights are quantized once, not once per output element.
-        let att_q: Vec<Fixed> = attention
-            .iter()
-            .map(|&a| Fixed::from_f32_tracked(a, st))
-            .collect();
+        let (att_q, att_sum) = quantize_operand(attention, st);
         for j in 0..self.embed_dim {
-            out.push(self.column_dot(&att_q, j, st).to_f32());
+            out.push(self.column_dot(&att_q, att_sum, j, st).to_f32());
         }
         let per_row = (self.embed_dim.div_ceil(self.tree.width())) as u64;
         Cycles::new(self.rows_c.len() as u64 * per_row + self.tree.depth() + 1)
@@ -450,23 +476,20 @@ impl MemModule {
         assert_eq!(attentions.len(), sts.len(), "one status register per query");
         outs.clear();
         outs.resize(attentions.len(), Vec::new());
-        let atts_q: Vec<Vec<Fixed>> = attentions
+        let atts_q: Vec<(Vec<Fixed>, u64)> = attentions
             .iter()
             .zip(sts.iter_mut())
             .map(|(attention, st)| {
                 assert_eq!(attention.len(), self.rows_c.len(), "attention length");
-                attention
-                    .iter()
-                    .map(|&a| Fixed::from_f32_tracked(a, st))
-                    .collect()
+                quantize_operand(attention, st)
             })
             .collect();
         for out in outs.iter_mut() {
             out.reserve(self.embed_dim);
         }
         for j in 0..self.embed_dim {
-            for (q, att_q) in atts_q.iter().enumerate() {
-                outs[q].push(self.column_dot(att_q, j, &mut sts[q]).to_f32());
+            for (q, (att_q, att_sum)) in atts_q.iter().enumerate() {
+                outs[q].push(self.column_dot(att_q, *att_sum, j, &mut sts[q]).to_f32());
             }
         }
         let per_row = (self.embed_dim.div_ceil(self.tree.width())) as u64;
@@ -475,12 +498,13 @@ impl MemModule {
     }
 
     /// Output element `j` of a soft read: the weighted sum of content
-    /// column `j` over the stored rows, in row order, through the MAC
-    /// kernel. The rows stay row-major, as [`MemModule::raw_words`]
-    /// persists them.
-    fn column_dot(&self, att_q: &[Fixed], j: usize, st: &mut NumericStatus) -> Fixed {
+    /// column `j` over the stored rows, in row order, through the
+    /// certified MAC entry, from the attention's `Σ|a|` and the content
+    /// memory's `max|w|`. The rows stay row-major, as
+    /// [`MemModule::raw_words`] persists them.
+    fn column_dot(&self, att_q: &[Fixed], att_sum: u64, j: usize, st: &mut NumericStatus) -> Fixed {
         let column = att_q.iter().zip(&self.rows_c).map(|(a, row)| (*a, row[j]));
-        fixed::dot_tracked_pairs(column, st)
+        fixed::dot_certified_pairs(column, att_sum, self.content_abs_max, st)
     }
 
     /// Per-hop row-stream issue slots a fused same-story query shares with
@@ -567,10 +591,7 @@ impl MemModule {
         }
         let band = idx.config().band;
         let mut key_st = NumericStatus::default();
-        let key_q: Vec<Fixed> = key
-            .iter()
-            .map(|&y| Fixed::from_f32_tracked(y, &mut key_st))
-            .collect();
+        let (key_q, key_sum) = quantize_operand(key, &mut key_st);
         let mut probe_st = NumericStatus::default();
         let (candidates, probe_cycles, probe_stressed) = idx.probe(&key_q, &mut probe_st);
         // Exact scoring over the surviving candidates: the same per-row MAC
@@ -582,7 +603,7 @@ impl MemModule {
         let mut scores_fx = Vec::with_capacity(c);
         for &slot in &candidates {
             let mut row_st = NumericStatus::default();
-            let acc = fixed::dot_tracked(&self.rows_a[slot], &key_q, &mut row_st);
+            let acc = self.score(&self.rows_a[slot], &key_q, key_sum, &mut row_st);
             cand_flags.push(key_st.stressed() || row_st.stressed());
             rows_st.merge(&row_st);
             scores.push(acc.to_f32());

@@ -16,34 +16,45 @@
 //! [`NumericStatus::merge`] is a field-wise sum, so replaying a latched
 //! register equals recording its events one by one.
 //!
+//! Each row also keeps its `Σ|w|` from load, and each operand its `max|x|`
+//! from quantization, so every dot product is certified before its loop
+//! ([`fixed::dot_certified`]) and runs the saturating chain only when the
+//! certificate fails.
+//!
 //! [`AdderTree::fixed_dot_tracked`]: crate::adder_tree::AdderTree::fixed_dot_tracked
 
 use mann_linalg::{fixed, Fixed, Matrix, NumericStatus};
 
 /// A row-major weight matrix stored as Q16.16 words, with the numeric
-/// events re-quantizing each row would record.
+/// events re-quantizing each row would record and each row's `Σ|w|`, the
+/// stored side's magnitude in the certificate of [`fixed::dot_certified`].
 #[derive(Debug, Clone)]
 pub struct WeightStore {
     words: Vec<Fixed>,
     row_status: Vec<NumericStatus>,
+    row_abs_sum: Vec<u64>,
     cols: usize,
 }
 
 impl WeightStore {
     /// Quantizes `m` into the store, one [`Fixed::from_f32_tracked`] call
     /// per weight — the conversion a per-access datapath repeats on every
-    /// MAC.
+    /// MAC — and takes each stored row's `Σ|w|`.
     pub fn new(m: &Matrix) -> Self {
         let mut words = Vec::with_capacity(m.rows() * m.cols());
         let mut row_status = Vec::with_capacity(m.rows());
+        let mut row_abs_sum = Vec::with_capacity(m.rows());
         for row in m.iter_rows() {
             let mut st = NumericStatus::default();
+            let start = words.len();
             words.extend(row.iter().map(|&x| Fixed::from_f32_tracked(x, &mut st)));
             row_status.push(st);
+            row_abs_sum.push(fixed::abs_sum(&words[start..]));
         }
         Self {
             words,
             row_status,
+            row_abs_sum,
             cols: m.cols(),
         }
     }
@@ -61,8 +72,11 @@ impl WeightStore {
     /// Dot product of row `r` with operand `x`, equal to the in-order
     /// chain [`AdderTree::fixed_dot_tracked`] accumulates. The row's
     /// latched re-quantization events and the operand's quantizer events
-    /// are merged into `st`, then the MAC kernel [`fixed::dot_tracked`]
-    /// records the chain's product and accumulator saturations.
+    /// are merged into `st`. Then [`fixed::dot_certified`] sums the row in
+    /// one integer pass when the row's `Σ|w|` and the operand's `max|x|`
+    /// certify that the chain cannot saturate, and otherwise runs the
+    /// chain [`fixed::dot_tracked`], which records its product and
+    /// accumulator saturations.
     ///
     /// # Panics
     ///
@@ -74,27 +88,35 @@ impl WeightStore {
         st.merge(&self.row_status[r]);
         st.merge(&x.status);
         let row = &self.words[r * self.cols..(r + 1) * self.cols];
-        fixed::dot_tracked(row, &x.words, st)
+        fixed::dot_certified(row, &x.words, self.row_abs_sum[r], x.abs_max, st)
     }
 }
 
 /// A vector operand quantized once per pass, with the events its
-/// quantization records.
+/// quantization records and its `max|x|`, the operand's magnitude in the
+/// certificate of [`fixed::dot_certified`].
 #[derive(Debug)]
 pub struct Operand {
     words: Vec<Fixed>,
     status: NumericStatus,
+    abs_max: u64,
 }
 
 impl Operand {
-    /// Quantizes `x` through [`Fixed::from_f32_tracked`].
+    /// Quantizes `x` through [`Fixed::from_f32_tracked`] and takes the
+    /// words' `max|x|`, once for every row the operand meets.
     pub fn new(x: &[f32]) -> Self {
         let mut status = NumericStatus::default();
-        let words = x
+        let words: Vec<Fixed> = x
             .iter()
             .map(|&v| Fixed::from_f32_tracked(v, &mut status))
             .collect();
-        Self { words, status }
+        let abs_max = fixed::abs_max(&words);
+        Self {
+            words,
+            status,
+            abs_max,
+        }
     }
 }
 

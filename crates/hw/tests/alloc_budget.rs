@@ -1,11 +1,13 @@
-//! Allocation budgets of the query and training hot paths.
+//! Allocation budgets of the story, query and training hot paths.
 //!
 //! After warm-up, `Accelerator::answer_query` allocates a fixed number of
 //! buffers per query, independent of the embedding width `E`, of the
 //! class count and of the story length: no per-row, per-column or
 //! per-dot-product temporaries, and no per-query MEM module or exp LUT.
-//! A warm `train_step` allocates nothing at all. Unlike host time, an
-//! allocation count is deterministic, so it guards the hot paths exactly.
+//! `Accelerator::write_story` allocates two row tables per story and two
+//! embedded rows per sentence, and no exp LUT copy. A warm `train_step`
+//! allocates nothing at all. Unlike host time, an allocation count is
+//! deterministic, so it guards the hot paths exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -63,11 +65,10 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
-/// Allocations of one warmed-up hit-form query on an `E`-wide model with
-/// `classes` output rows over a story of `sentences` sentences, optionally
-/// behind a thresholding plan that never fires (so every class row is
-/// still evaluated).
-fn query_allocations(embed_dim: usize, classes: usize, sentences: usize, thresholded: bool) -> u64 {
+/// An accelerator for an `E`-wide model with `classes` output rows,
+/// optionally behind a thresholding plan that never fires (so every class
+/// row is still evaluated).
+fn accelerator(embed_dim: usize, classes: usize, thresholded: bool) -> Accelerator {
     let params = Params::init(
         ModelConfig {
             embed_dim,
@@ -90,19 +91,31 @@ fn query_allocations(embed_dim: usize, classes: usize, sentences: usize, thresho
         rho: 1.0,
         kernel: Kernel::Epanechnikov,
     });
-    let accel = Accelerator::new(
+    Accelerator::new(
         model,
         AccelConfig {
             ith,
             ..AccelConfig::default()
         },
-    );
+    )
+}
+
+/// A sample whose story has `sentences` sentences.
+fn sample(sentences: usize) -> EncodedSample {
     let pattern = [vec![1, 2, 3], vec![0, 3], vec![2, 1, 1, 0]];
-    let sample = EncodedSample {
+    EncodedSample {
         sentences: pattern.iter().cycle().take(sentences).cloned().collect(),
         question: vec![3, 1],
         answer: 0,
-    };
+    }
+}
+
+/// Allocations of one warmed-up hit-form query on an `E`-wide model with
+/// `classes` output rows over a story of `sentences` sentences, optionally
+/// behind a thresholding plan that never fires.
+fn query_allocations(embed_dim: usize, classes: usize, sentences: usize, thresholded: bool) -> u64 {
+    let accel = accelerator(embed_dim, classes, thresholded);
+    let sample = sample(sentences);
     let story = accel.write_story(&sample);
     black_box(accel.answer_query(&story, &sample));
     allocations_during(|| {
@@ -133,6 +146,39 @@ fn answer_query_allocations_do_not_grow_with_width_classes_or_story() {
                      thresholded = {thresholded}"
                 );
             }
+        }
+    }
+}
+
+/// Allocations of one warm `write_story` of a `sentences`-sentence story
+/// on an `E`-wide model.
+fn story_allocations(embed_dim: usize, sentences: usize) -> u64 {
+    let accel = accelerator(embed_dim, 8, false);
+    let sample = sample(sentences);
+    black_box(accel.write_story(&sample));
+    allocations_during(|| {
+        black_box(accel.write_story(black_box(&sample)));
+    })
+}
+
+/// Allocations of a warm story beyond its sentences: the address and
+/// content row tables, each sized once. A copy of the MEM module's exp
+/// LUT per story would add one.
+const STORY_ALLOCATION_CONSTANT: u64 = 2;
+
+/// Allocations per sentence: the embedded address and content rows,
+/// which the write port quantizes in place.
+const STORY_ALLOCATIONS_PER_SENTENCE: u64 = 2;
+
+#[test]
+fn write_story_allocations_are_two_per_sentence_plus_a_pinned_constant() {
+    for embed_dim in [4, 48] {
+        for sentences in [1, 2, 5, 40] {
+            assert_eq!(
+                story_allocations(embed_dim, sentences),
+                STORY_ALLOCATION_CONSTANT + STORY_ALLOCATIONS_PER_SENTENCE * sentences as u64,
+                "E = {embed_dim}, sentences = {sentences}"
+            );
         }
     }
 }

@@ -84,7 +84,9 @@ impl Fixed {
             return Self::ZERO;
         }
         let scaled = (x as f64) * (1i64 << frac_bits) as f64;
-        let q = scaled.round().clamp(i32::MIN as f64, i32::MAX as f64) as i64;
+        // The saturating cast truncates the biased value, which rounds
+        // `scaled` half away from zero, and clamps it into `i32`.
+        let q = half_away(scaled) as i32 as i64;
         // Renormalize into the Q16.16 carrier, saturating.
         let shift = DEFAULT_FRAC_BITS as i64 - frac_bits as i64;
         let raw = if shift >= 0 { q << shift } else { q >> -shift };
@@ -165,9 +167,11 @@ impl Fixed {
             st.nan_boundary += 1;
         }
         let scaled = (x as f64) * (1i64 << frac_bits) as f64;
-        let rounded = scaled.round();
-        let q = rounded.clamp(i32::MIN as f64, i32::MAX as f64) as i64;
-        let mut clamped = rounded < i32::MIN as f64 || rounded > i32::MAX as f64;
+        let biased = half_away(scaled);
+        let q = biased as i32 as i64;
+        // The rounded value leaves `i32` exactly when the biased one
+        // truncates to `2^31` or beyond, or to `−2^31 − 1` or below.
+        let mut clamped = biased >= I32_SPAN || biased <= -I32_SPAN - 1.0;
         let shift = DEFAULT_FRAC_BITS as i64 - frac_bits as i64;
         let wide = if shift >= 0 { q << shift } else { q >> -shift };
         let raw = wide.clamp(i32::MIN as i64, i32::MAX as i64);
@@ -260,6 +264,25 @@ impl Fixed {
     }
 }
 
+/// `2^31`, the first magnitude past `i32::MAX`.
+const I32_SPAN: f64 = 2_147_483_648.0;
+
+/// `x` moved half a unit away from zero, so that truncating the result
+/// rounds `x` half away from zero as [`f64::round`] does, without the libm
+/// call `f64::round` compiles to on the baseline x86-64 target. The
+/// quantizer truncates with a saturating `as i32` cast, which also clamps.
+///
+/// This holds for the quantizer's operands, an `f32` times a power of two,
+/// which have at most 24 significant bits. In magnitude: from 1 up to
+/// `2^52` the sum is exact. Below 1 it may round, but such an `x` below
+/// `1/2` is at most `1/2 − 2^-25`, so the sum stays below 1, and from `1/2`
+/// the sum is at least 1. From `2^52` up `x` is an even integer and the
+/// sum rounds back to it. Infinities and NaN pass through.
+#[inline]
+fn half_away(x: f64) -> f64 {
+    x + 0.5f64.copysign(x)
+}
+
 impl std::ops::Add for Fixed {
     type Output = Fixed;
     #[inline]
@@ -340,10 +363,14 @@ pub fn fixed_dot(a: &[f32], b: &[f32]) -> Fixed {
     acc
 }
 
-/// The multiply-accumulate chain behind every stored-word dot product:
+/// The multiply-accumulate chain of a stored-word dot product:
 /// `acc = acc.add_tracked(a[i].mul_tracked(b[i], st), st)` from
 /// [`Fixed::ZERO`], in order, recording each product and accumulator
 /// saturation in `st`.
+///
+/// This is the datapath's definition of a dot product. Production code
+/// reaches it through [`dot_certified`], which runs it whenever its
+/// certificate fails; tests use it as the oracle.
 ///
 /// # Panics
 ///
@@ -363,6 +390,93 @@ pub fn dot_tracked_pairs(
     pairs.into_iter().fold(Fixed::ZERO, |acc, (x, y)| {
         acc.add_tracked(x.mul_tracked(y, st), st)
     })
+}
+
+/// `Σ|w|` over the raw words: the magnitude one side of a
+/// [`dot_certified`] product brings. Saturates instead of wrapping.
+#[inline]
+pub fn abs_sum(words: &[Fixed]) -> u64 {
+    // Fewer than 2^32 terms of at most 2^31 each sum below 2^63, so only
+    // the chunk totals need the saturating add.
+    words.chunks(u32::MAX as usize).fold(0u64, |s, chunk| {
+        let chunk_sum: u64 = chunk.iter().map(|w| u64::from(w.raw.unsigned_abs())).sum();
+        s.saturating_add(chunk_sum)
+    })
+}
+
+/// `max|w|` over the raw words (0 when empty): the magnitude the other
+/// side of a [`dot_certified`] product brings.
+#[inline]
+pub fn abs_max(words: &[Fixed]) -> u64 {
+    // The extremes in `i32`, a fold the compiler vectorizes.
+    let (lo, hi) = words
+        .iter()
+        .fold((0i32, 0i32), |(lo, hi), w| (lo.min(w.raw), hi.max(w.raw)));
+    u64::from(lo.unsigned_abs().max(hi.unsigned_abs()))
+}
+
+/// The certificate of [`dot_certified`] for `n` products:
+/// `⌊abs_sum·abs_max / 2^16⌋ + n ≤ i32::MAX`. The product saturates at
+/// `u64::MAX`, which fails the test, so no input wraps it.
+#[inline]
+fn certifies(abs_sum: u64, abs_max: u64, n: usize) -> bool {
+    let bound = (abs_sum.saturating_mul(abs_max) >> DEFAULT_FRAC_BITS).saturating_add(n as u64);
+    bound <= i32::MAX as u64
+}
+
+/// [`dot_tracked`] certified from magnitudes known before the loop:
+/// `abs_sum ≥ Σ|raw|` of one operand and `abs_max ≥ max|raw|` of the
+/// other, either way round (see [`abs_sum`] and [`abs_max`]).
+///
+/// If `⌊abs_sum·abs_max / 2^16⌋ + n ≤ i32::MAX` for `n` products, no
+/// product and no partial sum of the chain leaves `i32`: each floored
+/// product has `|p_i| ≤ ⌊|a_i·b_i| / 2^16⌋ + 1`, so every partial sum is
+/// at most `Σ|p_i| ≤ ⌊Σ|a_i·b_i| / 2^16⌋ + n`, and
+/// `Σ|a_i·b_i| ≤ abs_sum·abs_max`. The chain then records no event, so
+/// the result is the plain `i64` sum of `(a_i·b_i) >> 16` and `st` is
+/// left untouched. Otherwise the chain runs unchanged. Either way the
+/// value and `st` equal [`dot_tracked`]'s, provided the magnitudes really
+/// bound the operands.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+#[inline]
+pub fn dot_certified(
+    a: &[Fixed],
+    b: &[Fixed],
+    abs_sum: u64,
+    abs_max: u64,
+    st: &mut NumericStatus,
+) -> Fixed {
+    assert_eq!(a.len(), b.len(), "dot operand length mismatch");
+    dot_certified_pairs(
+        a.iter().copied().zip(b.iter().copied()),
+        abs_sum,
+        abs_max,
+        st,
+    )
+}
+
+/// [`dot_certified`] over a sequence of operand pairs of known length,
+/// such as a column of row-major storage; the fallback is
+/// [`dot_tracked_pairs`].
+#[inline]
+pub fn dot_certified_pairs(
+    pairs: impl ExactSizeIterator<Item = (Fixed, Fixed)>,
+    abs_sum: u64,
+    abs_max: u64,
+    st: &mut NumericStatus,
+) -> Fixed {
+    if !certifies(abs_sum, abs_max, pairs.len()) {
+        return dot_tracked_pairs(pairs, st);
+    }
+    let sum: i64 = pairs
+        .map(|(x, y)| (i64::from(x.raw) * i64::from(y.raw)) >> DEFAULT_FRAC_BITS)
+        .sum();
+    // The certificate bounds every partial sum, the last included, by
+    // `i32::MAX`.
+    Fixed { raw: sum as i32 }
 }
 
 #[cfg(test)]
@@ -450,5 +564,176 @@ mod tests {
     #[test]
     fn display_shows_decimal() {
         assert_eq!(Fixed::from_f32(1.5).to_string(), "1.500000");
+    }
+
+    /// Truncating the biased value gives `f64::round`'s value (NaN for
+    /// NaN).
+    fn same_rounding(x: f64) -> bool {
+        let (got, want) = (half_away(x).trunc(), x.round());
+        got == want || (got.is_nan() && want.is_nan())
+    }
+
+    /// The tracked conversion through `f64::round`, as it was written
+    /// before the quantizer dropped libm: the reference for value and
+    /// events.
+    fn quantize_with_libm(x: f32, frac_bits: u32, st: &mut NumericStatus) -> Fixed {
+        if x.is_nan() {
+            st.nan_boundary += 1;
+            return Fixed::ZERO;
+        }
+        if x.is_infinite() {
+            st.nan_boundary += 1;
+        }
+        let rounded = ((x as f64) * (1i64 << frac_bits) as f64).round();
+        let q = rounded.clamp(i32::MIN as f64, i32::MAX as f64) as i64;
+        let mut clamped = rounded < i32::MIN as f64 || rounded > i32::MAX as f64;
+        let shift = DEFAULT_FRAC_BITS as i64 - frac_bits as i64;
+        let wide = if shift >= 0 { q << shift } else { q >> -shift };
+        let raw = wide.clamp(i32::MIN as i64, i32::MAX as i64);
+        clamped |= raw != wide;
+        if clamped && x.is_finite() {
+            st.quant_clamp += 1;
+        }
+        Fixed::from_raw(raw as i32)
+    }
+
+    /// The conversion equals the libm reference in value and events, and
+    /// the untracked one in value.
+    fn same_conversion(x: f32, frac_bits: u32) -> bool {
+        let (mut got, mut want) = (NumericStatus::default(), NumericStatus::default());
+        let value = Fixed::from_f32_q_tracked(x, frac_bits, &mut got);
+        value == quantize_with_libm(x, frac_bits, &mut want)
+            && got == want
+            && value == Fixed::from_f32_q(x, frac_bits)
+    }
+
+    #[test]
+    fn rounding_matches_libm_on_pinned_cases() {
+        let below_half = f32::from_bits(0.5f32.to_bits() - 1);
+        let rail = 2_147_483_647.5f64;
+        for x in [
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            f64::from(below_half),
+            -f64::from(below_half),
+            rail,
+            -rail - 1.0,
+            rail - 1.0,
+            -rail,
+            4_503_599_627_370_495.5,
+            f64::from(f32::MAX),
+            f64::from(f32::MIN),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert!(
+                same_rounding(x),
+                "{x}: {} vs {}",
+                half_away(x).trunc(),
+                x.round()
+            );
+        }
+        let rail_f32 = Fixed::MAX.to_f32();
+        for x in [
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            below_half,
+            -below_half,
+            rail_f32,
+            -rail_f32,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ] {
+            for frac_bits in [0, 8, 16, 30] {
+                assert!(same_conversion(x, frac_bits), "{x} at {frac_bits} bits");
+            }
+        }
+        assert_eq!(Fixed::from_f32_q(below_half, 0), Fixed::ZERO);
+        assert_eq!(Fixed::from_f32_q(-0.5, 0), Fixed::from_f32(-1.0));
+    }
+
+    /// Magnitudes of `a` and `b` in the form the certified entry takes.
+    fn certified(a: &[Fixed], b: &[Fixed], st: &mut NumericStatus) -> Fixed {
+        dot_certified(a, b, abs_sum(a), abs_max(b), st)
+    }
+
+    #[test]
+    fn certificate_edge_is_exact() {
+        let dirty = NumericStatus {
+            add_sat: 2,
+            mul_sat: 1,
+            ..NumericStatus::default()
+        };
+        // ⌊1.0 · (2^31 − 2) / 2^16 · 2^16⌋ + 1 = i32::MAX: the integer sum.
+        let one = [Fixed::ONE];
+        let at_edge = [Fixed::from_raw(i32::MAX - 1)];
+        assert!(certifies(abs_sum(&one), abs_max(&at_edge), 1));
+        let (mut got, mut want) = (dirty, dirty);
+        assert_eq!(
+            certified(&one, &at_edge, &mut got),
+            dot_tracked(&one, &at_edge, &mut want)
+        );
+        assert_eq!((got, want), (dirty, dirty));
+        // One past the edge: the chain.
+        let past = [Fixed::MAX];
+        assert!(!certifies(abs_sum(&one), abs_max(&past), 1));
+        let (mut got, mut want) = (dirty, dirty);
+        assert_eq!(certified(&one, &past, &mut got), Fixed::MAX);
+        assert_eq!(dot_tracked(&one, &past, &mut want), Fixed::MAX);
+        assert_eq!(got, want);
+        // A saturating chain records its events through the entry.
+        let rails = [Fixed::MAX, Fixed::MIN];
+        let mut got = dirty;
+        assert_eq!(
+            certified(&rails, &[Fixed::MAX; 2], &mut got),
+            Fixed::from_raw(-1)
+        );
+        assert_eq!(
+            got,
+            NumericStatus {
+                mul_sat: dirty.mul_sat + 2,
+                ..dirty
+            }
+        );
+        let mut got = dirty;
+        assert_eq!(
+            certified(&[Fixed::MAX; 2], &[Fixed::MAX; 2], &mut got),
+            Fixed::MAX
+        );
+        assert_eq!(
+            got,
+            NumericStatus {
+                add_sat: dirty.add_sat + 1,
+                mul_sat: dirty.mul_sat + 2,
+                ..dirty
+            }
+        );
+        // Saturated magnitudes fail the certificate instead of wrapping.
+        assert!(!certifies(u64::MAX, u64::MAX, usize::MAX));
+        assert!(certifies(0, u64::MAX, 0));
+    }
+
+    proptest::proptest! {
+        /// The libm-free rounding equals `f64::round` on every quantizer
+        /// input, an `f32` bit pattern scaled by `2^frac` for each width
+        /// the quantizer accepts, and the conversion equals the libm
+        /// reference in value and events.
+        #[test]
+        fn rounding_matches_libm(bits in proptest::prelude::any::<u32>(), frac in 0u32..=30) {
+            let x = f32::from_bits(bits);
+            let scaled = f64::from(x) * (1i64 << frac) as f64;
+            proptest::prop_assert!(same_rounding(scaled), "{}", scaled);
+            proptest::prop_assert!(same_conversion(x, frac), "{} at {} bits", x, frac);
+        }
     }
 }

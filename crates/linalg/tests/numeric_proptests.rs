@@ -2,9 +2,12 @@
 //! bit-identical to the untracked ops on every input, the status register
 //! merge is associative and commutative, and the event counters fire exactly
 //! when the untracked op would have saturated or clamped. The MAC kernel
-//! equals the in-order tracked chain in value and in every counter.
+//! and its certified entry equal the in-order tracked chain in value and in
+//! every counter.
 
-use mann_linalg::fixed::{dot_tracked, dot_tracked_pairs};
+use mann_linalg::fixed::{
+    abs_max, abs_sum, dot_certified, dot_certified_pairs, dot_tracked, dot_tracked_pairs,
+};
 use mann_linalg::{Fixed, NumericStatus};
 use proptest::prelude::*;
 
@@ -56,7 +59,8 @@ proptest! {
     /// untracked chain's, and it adds one `mul_sat` per product and one
     /// `add_sat` per partial sum that leaves `i32` to a register that
     /// already holds events. The pair form, fed the operands swapped,
-    /// agrees.
+    /// agrees, and so does the certified entry in both forms, with its
+    /// magnitudes taken from either operand.
     #[test]
     fn dot_kernel_is_the_saturating_chain((a, b) in banded_operands()) {
         let dirty = NumericStatus {
@@ -81,6 +85,16 @@ proptest! {
         let pairs = b.iter().copied().zip(a.iter().copied());
         prop_assert_eq!(dot_tracked_pairs(pairs, &mut got), expect);
         prop_assert_eq!(got, want);
+        for (sum_of, max_of) in [(&a, &b), (&b, &a)] {
+            let (sum, max) = (abs_sum(sum_of), abs_max(max_of));
+            let mut got = dirty;
+            prop_assert_eq!(dot_certified(&a, &b, sum, max, &mut got), expect);
+            prop_assert_eq!(got, want);
+            let mut got = dirty;
+            let pairs = b.iter().copied().zip(a.iter().copied());
+            prop_assert_eq!(dot_certified_pairs(pairs, sum, max, &mut got), expect);
+            prop_assert_eq!(got, want);
+        }
     }
 
     /// Tracked add/sub/mul/div return exactly the untracked values on
