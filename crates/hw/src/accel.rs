@@ -12,13 +12,13 @@
 
 use mann_babi::EncodedSample;
 use mann_ith::{ExitGuard, HopPrune, ThresholdingModel};
-use mann_linalg::NumericStatus;
+use mann_linalg::{Fixed, NumericStatus};
 use memn2n::flops::{count_inference_with_output_rows, FlopBreakdown};
 use memn2n::TrainedModel;
 use serde::{Deserialize, Serialize};
 
 use crate::index::{IndexCounters, MemIndexConfig};
-use crate::modules::{InputWriteModule, MemModule, OutputModule, ReadModule};
+use crate::modules::{attention_peak, InputWriteModule, MemModule, OutputModule, ReadModule};
 use crate::quantize::quantize_params_tracked;
 use crate::story::{story_digest, StoryCache};
 use crate::trace::SignalTrace;
@@ -376,9 +376,10 @@ impl Accelerator {
         let mut phases = PhaseCycles::default();
         let mut numeric = NumericStatus::default();
         for sent in &sample.sentences {
-            let (row_a, row_c, c) = self.input_write.embed_sentence_tracked(sent, &mut numeric);
-            mem.write_tracked(row_a, row_c, &mut numeric);
-            phases.write += c;
+            // The sentence sums accumulate in the memory's next slot.
+            phases.write += mem.write_embedded_tracked(&mut numeric, |a, c, st| {
+                self.input_write.embed_sentence_tracked(sent, a, c, st)
+            });
         }
         // With `--mem-index` armed the write path clusters the freshly
         // written address rows into the candidate index; the build rides
@@ -447,16 +448,16 @@ impl Accelerator {
         ];
         // Question embeddings (per query — the write path is not story
         // bound, so there is nothing to share).
-        let mut keys: Vec<Vec<f32>> = Vec::with_capacity(n);
+        let mut keys: Vec<Vec<Fixed>> = vec![Vec::new(); n];
         for (q, sample) in samples.iter().enumerate() {
             phases[q].control += Cycles::new(2 + sample.question.len() as u64);
-            let (q_emb, qc) = self
-                .input_write
-                .embed_question_tracked(&sample.question, &mut numeric[q].write);
-            phases[q].write += qc;
-            keys.push(q_emb);
+            phases[q].write += self.input_write.embed_question_tracked(
+                &sample.question,
+                &mut keys[q],
+                &mut numeric[q].write,
+            );
         }
-        let mut hiddens = vec![vec![0.0f32; self.embed_dim]; n];
+        let mut hiddens = vec![vec![Fixed::ZERO; self.embed_dim]; n];
         let mut hops_executed = vec![0usize; n];
         let mut hops_saved = vec![0usize; n];
         let mut prune_vetoes = vec![0usize; n];
@@ -464,17 +465,15 @@ impl Accelerator {
         let mut index = vec![IndexCounters::default(); n];
         // Queries still running; pruned queries drop out between hops.
         let mut active: Vec<usize> = (0..n).collect();
-        let mut batch_keys: Vec<Vec<f32>> = Vec::new();
-        let mut attentions: Vec<Vec<f32>> = Vec::new();
-        let mut reads: Vec<Vec<f32>> = Vec::new();
+        let mut attentions: Vec<Vec<Fixed>> = Vec::new();
+        let mut reads: Vec<Vec<Fixed>> = Vec::new();
         let mut flags: Vec<Vec<bool>> = Vec::new();
         let mut saved_stream = 0u64;
         for hop in 0..self.hops {
             if active.is_empty() {
                 break;
             }
-            batch_keys.clear();
-            batch_keys.extend(active.iter().map(|&q| keys[q].clone()));
+            let batch_keys: Vec<&[Fixed]> = active.iter().map(|&q| keys[q].as_slice()).collect();
             let mut sts: Vec<NumericStatus> = active.iter().map(|&q| numeric[q].mem).collect();
             let acs = if use_index {
                 let exact = mem.exact_addressing_cycles();
@@ -510,12 +509,13 @@ impl Accelerator {
                     &mut flags,
                 )
             };
-            let rcs = mem.read_batch_into_tracked(&attentions, &mut reads, &mut sts);
+            let weights: Vec<&[Fixed]> = attentions.iter().map(Vec::as_slice).collect();
+            let rcs = mem.read_batch_into_tracked(&weights, &mut reads, &mut sts);
             for (i, &q) in active.iter().enumerate() {
                 numeric[q].mem = sts[i];
                 phases[q].addressing += acs[i];
                 phases[q].read += rcs[i];
-                let cc = self.read.step_into_tracked(
+                let cc = self.read.step_words_tracked(
                     &reads[i],
                     &keys[q],
                     &mut hiddens[q],
@@ -528,12 +528,7 @@ impl Accelerator {
             if prune.enabled && hop + 1 < self.hops {
                 let mut still = Vec::with_capacity(active.len());
                 for (i, &q) in active.iter().enumerate() {
-                    let (argmax, max_w) = attentions[i]
-                        .iter()
-                        .enumerate()
-                        .max_by(|a, b| a.1.total_cmp(b.1))
-                        .map(|(j, &w)| (j, w))
-                        .unwrap_or((0, f32::NEG_INFINITY));
+                    let (argmax, max_w) = attention_peak(&attentions[i]);
                     if prune.fires(max_w) {
                         if flags[i].get(argmax).copied().unwrap_or(false) {
                             prune_vetoes[q] += 1;
@@ -550,7 +545,7 @@ impl Accelerator {
         }
         // OUTPUT search over every final controller state, sharing the
         // weight stream (delegates per query under thresholding).
-        let finals: Vec<&[f32]> = (0..n)
+        let finals: Vec<&[Fixed]> = (0..n)
             .map(|q| {
                 if self.hops == 0 {
                     hiddens[q].as_slice()
@@ -764,19 +759,21 @@ impl Accelerator {
         if let (Some(t), Some(s)) = (trace.as_deref_mut(), sig) {
             t.record(s.0, now, 1);
         }
-        let (q_emb, qc) = self
-            .input_write
-            .embed_question_tracked(&sample.question, &mut numeric.write);
-        phases.write += qc;
+        let mut key = Vec::new();
+        phases.write +=
+            self.input_write
+                .embed_question_tracked(&sample.question, &mut key, &mut numeric.write);
         now += phases.write.get();
         if let (Some(t), Some(s)) = (trace.as_deref_mut(), sig) {
             t.record(s.0, now, 0);
         }
 
-        // Recurrent read path (blue in Fig 1). The per-hop buffers are
-        // hoisted out of the loop and reused: attention and read vector are
-        // rewritten in place, and the controller output swaps with the key
-        // instead of being cloned.
+        // Recurrent read path (blue in Fig 1), on Q16.16 words from the
+        // question embedding to the OUTPUT search; each module re-quantizes
+        // what it takes where the `f32` hand-off quantized it. The per-hop
+        // buffers are hoisted out of the loop and reused: attention and
+        // read vector are rewritten in place, and the controller output
+        // swaps with the key instead of being cloned.
         let mem = &story.mem;
         let prune = self.config.hop_prune;
         let use_index = self.config.mem_index.enabled && mem.index().is_some();
@@ -784,10 +781,9 @@ impl Accelerator {
         if include_story {
             index.build_cycles = story.index_build.get();
         }
-        let mut key = q_emb;
-        let mut hidden = vec![0.0f32; self.embed_dim];
-        let mut attention: Vec<f32> = Vec::new();
-        let mut read_vec: Vec<f32> = Vec::new();
+        let mut hidden = vec![Fixed::ZERO; self.embed_dim];
+        let mut attention = Vec::new();
+        let mut read_vec: Vec<Fixed> = Vec::new();
         let mut flags: Vec<bool> = Vec::new();
         let mut hops_executed = 0usize;
         let mut hops_saved = 0usize;
@@ -817,30 +813,21 @@ impl Accelerator {
             } else if prune.enabled {
                 mem.address_flagged_into_tracked(&key, &mut attention, &mut numeric.mem, &mut flags)
             } else {
-                mem.address_into_tracked(&key, &mut attention, &mut numeric.mem)
+                mem.address_words_tracked(&key, &mut attention, &mut numeric.mem)
             };
             phases.addressing += ac;
             now += ac.get();
             if let (Some(t), Some(s)) = (trace.as_deref_mut(), sig) {
-                // `total_cmp` keeps the argmax total (and NaN-safe) —
-                // `partial_cmp(..).unwrap_or(Equal)` silently broke the
-                // ordering whenever a NaN reached the trace path.
-                let argmax = attention
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, _)| i as u64)
-                    .unwrap_or(0);
-                t.record(s.4, now, argmax);
+                t.record(s.4, now, attention_peak(&attention).0 as u64);
                 t.record(s.1, now, 0);
                 t.record(s.2, now, 1);
             }
-            let rc = mem.read_into_tracked(&attention, &mut read_vec, &mut numeric.mem);
+            let rc = mem.read_words_tracked(&attention, &mut read_vec, &mut numeric.mem);
             phases.read += rc;
             now += rc.get();
             let cc =
                 self.read
-                    .step_into_tracked(&read_vec, &key, &mut hidden, &mut numeric.controller);
+                    .step_words_tracked(&read_vec, &key, &mut hidden, &mut numeric.controller);
             phases.controller += cc;
             now += cc.get();
             if let (Some(t), Some(s)) = (trace.as_deref_mut(), sig) {
@@ -849,12 +836,7 @@ impl Accelerator {
             std::mem::swap(&mut key, &mut hidden);
             hops_executed += 1;
             if prune.enabled && hop + 1 < self.hops {
-                let (argmax, max_w) = attention
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(i, &w)| (i, w))
-                    .unwrap_or((0, f32::NEG_INFINITY));
+                let (argmax, max_w) = attention_peak(&attention);
                 if prune.fires(max_w) {
                     if flags.get(argmax).copied().unwrap_or(false) {
                         // ExitGuard discipline: a saturated winner carries
@@ -876,7 +858,7 @@ impl Accelerator {
         if let (Some(t), Some(s)) = (trace.as_deref_mut(), sig) {
             t.record(s.3, now, 1);
         }
-        let out = self.output.search(hidden);
+        let out = self.output.search_words(hidden);
         phases.output = out.cycles;
         now += out.cycles.get();
         numeric.output = out.numeric;

@@ -45,12 +45,23 @@ impl DivUnit {
         denom: Fixed,
         st: &mut NumericStatus,
     ) -> (Vec<Fixed>, Cycles) {
-        let out: Vec<Fixed> = numerators
-            .iter()
-            .map(|&n| n.div_tracked(denom, st))
-            .collect();
-        let cycles = Cycles::new(numerators.len() as u64 * self.latency);
+        let mut out = numerators.to_vec();
+        let cycles = self.div_in_place_tracked(&mut out, denom, st);
         (out, cycles)
+    }
+
+    /// [`DivUnit::div_batch_tracked`] in place: each numerator becomes its
+    /// quotient.
+    pub fn div_in_place_tracked(
+        &self,
+        numerators: &mut [Fixed],
+        denom: Fixed,
+        st: &mut NumericStatus,
+    ) -> Cycles {
+        for n in numerators.iter_mut() {
+            *n = n.div_tracked(denom, st);
+        }
+        Cycles::new(numerators.len() as u64 * self.latency)
     }
 }
 

@@ -52,16 +52,25 @@ impl ExpUnit {
     /// out-of-range operands at the output quantizer are recorded in `st`.
     /// The results are bit-identical to the untracked batch.
     pub fn eval_batch_tracked(&self, xs: &[f32], st: &mut NumericStatus) -> (Vec<Fixed>, Cycles) {
-        let out = xs
-            .iter()
-            .map(|&x| Fixed::from_f32_tracked(self.lut.eval(x), st))
-            .collect();
-        let cycles = if xs.is_empty() {
+        let out = xs.iter().map(|&x| self.eval_tracked(x, st)).collect();
+        (out, self.batch_cycles(xs.len()))
+    }
+
+    /// One lookup of [`ExpUnit::eval_batch_tracked`]: `exp(x)` through the
+    /// output quantizer, its events in `st`.
+    #[inline]
+    pub fn eval_tracked(&self, x: f32, st: &mut NumericStatus) -> Fixed {
+        Fixed::from_f32_tracked(self.lut.eval(x), st)
+    }
+
+    /// Occupancy of `n` lookups at II = 1: `n + latency` cycles, none for
+    /// an empty batch.
+    pub fn batch_cycles(&self, n: usize) -> Cycles {
+        if n == 0 {
             Cycles::ZERO
         } else {
-            Cycles::new(xs.len() as u64 + self.latency)
-        };
-        (out, cycles)
+            Cycles::new(n as u64 + self.latency)
+        }
     }
 }
 

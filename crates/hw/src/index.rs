@@ -232,15 +232,16 @@ pub struct MemIndex {
 const BUILD_ROUNDS: usize = 2;
 
 impl MemIndex {
-    /// Builds the index over `rows` (the story's quantized address rows).
-    /// Quantizer events from storing the centroids land in `st`, merged
-    /// into the story's write register like every other BRAM write.
+    /// Builds the index over `rows` (the story's quantized address rows,
+    /// in slot order). Quantizer events from storing the centroids land in
+    /// `st`, merged into the story's write register like every other BRAM
+    /// write.
     ///
     /// # Panics
     ///
     /// Panics unless `config.enabled` (a disabled config must never build).
-    pub fn build(
-        rows: &[Vec<Fixed>],
+    pub fn build<'a>(
+        rows: impl ExactSizeIterator<Item = &'a [Fixed]>,
         config: MemIndexConfig,
         tree: &AdderTree,
         embed_dim: usize,
@@ -263,7 +264,6 @@ impl MemIndex {
         }
         let k_eff = config.k.min(l);
         let rows_f: Vec<Vec<f32>> = rows
-            .iter()
             .map(|r| r.iter().map(|x| x.to_f32()).collect())
             .collect();
         // Deterministic init: evenly spaced story rows.
@@ -480,7 +480,7 @@ mod tests {
         let r = rows(50, 8);
         let mut st = NumericStatus::default();
         let idx = MemIndex::build(
-            &r,
+            r.iter().map(Vec::as_slice),
             MemIndexConfig::with_params(8, 2, 0.0),
             &tree(),
             8,
@@ -498,7 +498,7 @@ mod tests {
         let r = rows(3, 8);
         let mut st = NumericStatus::default();
         let idx = MemIndex::build(
-            &r,
+            r.iter().map(Vec::as_slice),
             MemIndexConfig::with_params(64, 8, 0.0),
             &tree(),
             8,
@@ -512,7 +512,7 @@ mod tests {
         let r = rows(40, 8);
         let mut st = NumericStatus::default();
         let idx = MemIndex::build(
-            &r,
+            r.iter().map(Vec::as_slice),
             MemIndexConfig::with_params(8, 3, 0.0),
             &tree(),
             8,
@@ -533,8 +533,8 @@ mod tests {
         let r = rows(30, 8);
         let mut st = NumericStatus::default();
         let cfg = MemIndexConfig::with_params(6, 2, 0.0);
-        let a = MemIndex::build(&r, cfg, &tree(), 8, &mut st);
-        let b = MemIndex::build(&r, cfg, &tree(), 8, &mut st);
+        let a = MemIndex::build(r.iter().map(Vec::as_slice), cfg, &tree(), 8, &mut st);
+        let b = MemIndex::build(r.iter().map(Vec::as_slice), cfg, &tree(), 8, &mut st);
         let key: Vec<Fixed> = (0..8).map(|j| Fixed::from_f32(j as f32 * 0.1)).collect();
         let mut s1 = NumericStatus::default();
         let mut s2 = NumericStatus::default();
@@ -550,7 +550,7 @@ mod tests {
             .collect();
         let mut st = NumericStatus::default();
         let idx = MemIndex::build(
-            &r,
+            r.iter().map(Vec::as_slice),
             MemIndexConfig::with_params(2, 1, 0.0),
             &tree(),
             e,
@@ -567,7 +567,13 @@ mod tests {
     #[should_panic(expected = "disabled")]
     fn building_from_a_disabled_config_panics() {
         let mut st = NumericStatus::default();
-        let _ = MemIndex::build(&rows(4, 8), MemIndexConfig::default(), &tree(), 8, &mut st);
+        let _ = MemIndex::build(
+            rows(4, 8).iter().map(Vec::as_slice),
+            MemIndexConfig::default(),
+            &tree(),
+            8,
+            &mut st,
+        );
     }
 
     use crate::test_support::stress_vec;
@@ -594,7 +600,13 @@ mod tests {
             let rows: Vec<Vec<Fixed>> = rows.iter().map(|r| quantized(r)).collect();
             let key = quantized(&key);
             let cfg = MemIndexConfig::with_params(k, nprobe % k + 1, 0.0);
-            let idx = MemIndex::build(&rows, cfg, &tree(), e, &mut NumericStatus::default());
+            let idx = MemIndex::build(
+                rows.iter().map(Vec::as_slice),
+                cfg,
+                &tree(),
+                e,
+                &mut NumericStatus::default(),
+            );
             let mut want_st = NumericStatus::default();
             let scores: Vec<Fixed> = idx
                 .centroids

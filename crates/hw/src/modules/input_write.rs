@@ -5,7 +5,7 @@
 //! paper's key efficiency point: no dense matrix-vector product, no
 //! multiplications at all for a bag-of-words input.
 
-use mann_linalg::{Fixed, Matrix, NumericStatus};
+use mann_linalg::{fixed, Fixed, Matrix, NumericStatus};
 
 use crate::Cycles;
 
@@ -16,11 +16,16 @@ use crate::Cycles;
 /// Weights are kept column-major in fixed point — the BRAM layout the
 /// hardware reads: embedding word `w` is the contiguous column
 /// `cols[w*E .. (w+1)*E]`, so accumulating a word is one sequential sweep
-/// with no per-access quantization.
+/// with no per-access quantization. The sums stay Q16.16 words: the MEM
+/// write port and the READ path take them as they are.
 #[derive(Debug, Clone)]
 pub struct InputWriteModule {
     cols_a: Vec<Fixed>,
     cols_c: Vec<Fixed>,
+    /// `max|w|` over each column store, taken at load: with the word count,
+    /// the certificate that a sentence's sums cannot saturate.
+    cols_a_abs_max: u64,
+    cols_c_abs_max: u64,
     vocab: usize,
     embed_dim: usize,
 }
@@ -60,6 +65,8 @@ impl InputWriteModule {
         let cols_a = columnize(&w_emb_a);
         let cols_c = columnize(&w_emb_c);
         Self {
+            cols_a_abs_max: fixed::abs_max(&cols_a),
+            cols_c_abs_max: fixed::abs_max(&cols_c),
             cols_a,
             cols_c,
             vocab,
@@ -81,55 +88,84 @@ impl InputWriteModule {
     /// # Panics
     ///
     /// Panics if a word index is out of vocabulary range.
-    pub fn embed_sentence(&self, words: &[usize]) -> (Vec<f32>, Vec<f32>, Cycles) {
-        self.embed_sentence_tracked(words, &mut NumericStatus::default())
+    pub fn embed_sentence(&self, words: &[usize]) -> (Vec<Fixed>, Vec<Fixed>, Cycles) {
+        let mut a = vec![Fixed::ZERO; self.embed_dim];
+        let mut c = vec![Fixed::ZERO; self.embed_dim];
+        let cycles =
+            self.embed_sentence_tracked(words, &mut a, &mut c, &mut NumericStatus::default());
+        (a, c, cycles)
     }
 
-    /// [`InputWriteModule::embed_sentence`] with numeric-event accounting in
-    /// the sentence accumulators. Values are bit-identical to the untracked
-    /// embedding.
+    /// [`InputWriteModule::embed_sentence`] into caller-owned rows, such as
+    /// the next slot of the MEM tables, with numeric-event accounting in
+    /// the sentence accumulators.
     ///
     /// # Panics
     ///
-    /// Panics if a word index is out of vocabulary range.
+    /// Panics if a word index is out of vocabulary range or a row's width
+    /// differs from `E`.
     pub fn embed_sentence_tracked(
         &self,
         words: &[usize],
+        addr: &mut [Fixed],
+        content: &mut [Fixed],
         st: &mut NumericStatus,
-    ) -> (Vec<f32>, Vec<f32>, Cycles) {
-        let a = self.accumulate(&self.cols_a, words, st);
-        let c = self.accumulate(&self.cols_c, words, st);
-        let cycles = Cycles::new(words.len() as u64 + 2);
-        (a, c, cycles)
+    ) -> Cycles {
+        self.accumulate(&self.cols_a, self.cols_a_abs_max, words, addr, st);
+        self.accumulate(&self.cols_c, self.cols_c_abs_max, words, content, st);
+        Cycles::new(words.len() as u64 + 2)
     }
 
     /// Embeds the question through the address embedding (`emb_q` in
     /// Fig 1) — the first read key of Eq 3.
-    pub fn embed_question(&self, words: &[usize]) -> (Vec<f32>, Cycles) {
-        self.embed_question_tracked(words, &mut NumericStatus::default())
+    pub fn embed_question(&self, words: &[usize]) -> (Vec<Fixed>, Cycles) {
+        let mut q = Vec::new();
+        let cycles = self.embed_question_tracked(words, &mut q, &mut NumericStatus::default());
+        (q, cycles)
     }
 
-    /// [`InputWriteModule::embed_question`] with numeric-event accounting.
+    /// [`InputWriteModule::embed_question`] into a caller-owned key whose
+    /// capacity is reused, with numeric-event accounting.
     pub fn embed_question_tracked(
         &self,
         words: &[usize],
+        key: &mut Vec<Fixed>,
         st: &mut NumericStatus,
-    ) -> (Vec<f32>, Cycles) {
-        let q = self.accumulate(&self.cols_a, words, st);
-        (q, Cycles::new(words.len() as u64 + 2))
+    ) -> Cycles {
+        key.clear();
+        key.resize(self.embed_dim, Fixed::ZERO);
+        self.accumulate(&self.cols_a, self.cols_a_abs_max, words, key, st);
+        Cycles::new(words.len() as u64 + 2)
     }
 
-    /// Fixed-point column accumulation.
-    fn accumulate(&self, cols: &[Fixed], words: &[usize], st: &mut NumericStatus) -> Vec<f32> {
-        let mut acc = vec![Fixed::ZERO; self.embed_dim];
+    /// Fixed-point column accumulation into `acc`, from zero: the in-order
+    /// saturating chain. When `words.len() · max|col|` certifies the sum
+    /// ([`fixed::sum_certifies`]) no partial sum can saturate, so plain
+    /// adds give the chain's value and it records no event.
+    fn accumulate(
+        &self,
+        cols: &[Fixed],
+        cols_abs_max: u64,
+        words: &[usize],
+        acc: &mut [Fixed],
+        st: &mut NumericStatus,
+    ) {
+        assert_eq!(acc.len(), self.embed_dim, "embedding row width");
+        acc.fill(Fixed::ZERO);
+        let certified = fixed::sum_certifies(words.len(), cols_abs_max);
         for &w in words {
             assert!(w < self.vocab, "word index {w} out of range");
             let col = &cols[w * self.embed_dim..(w + 1) * self.embed_dim];
-            for (slot, x) in acc.iter_mut().zip(col) {
-                *slot = slot.add_tracked(*x, st);
+            if certified {
+                for (slot, x) in acc.iter_mut().zip(col) {
+                    *slot = Fixed::from_raw(slot.raw() + x.raw());
+                }
+            } else {
+                for (slot, x) in acc.iter_mut().zip(col) {
+                    *slot = slot.add_tracked(*x, st);
+                }
             }
         }
-        acc.into_iter().map(Fixed::to_f32).collect()
     }
 }
 
@@ -156,9 +192,9 @@ mod tests {
         // Column 1 + column 3 of each weight.
         for r in 0..3 {
             let expect_a = (r * 5 + 1) as f32 * 0.25 + (r * 5 + 3) as f32 * 0.25;
-            assert!((a[r] - expect_a).abs() < 1e-3, "row {r}");
+            assert!((a[r].to_f32() - expect_a).abs() < 1e-3, "row {r}");
             let expect_c = -((r * 5 + 1) as f32) * 0.5 - ((r * 5 + 3) as f32) * 0.5;
-            assert!((c[r] - expect_c).abs() < 1e-3, "row {r}");
+            assert!((c[r].to_f32() - expect_c).abs() < 1e-3, "row {r}");
         }
     }
 
@@ -168,7 +204,7 @@ mod tests {
         let (a1, _, _) = m.embed_sentence(&[2]);
         let (a2, _, _) = m.embed_sentence(&[2, 2]);
         for (x1, x2) in a1.iter().zip(&a2) {
-            assert!((x2 - 2.0 * x1).abs() < 1e-3);
+            assert!((x2.to_f32() - 2.0 * x1.to_f32()).abs() < 1e-3);
         }
     }
 

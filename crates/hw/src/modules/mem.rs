@@ -7,9 +7,14 @@
 //! adder tree forms the denominator, and one non-pipelined divider
 //! normalizes score by score.
 //!
-//! Rows are stored already quantized (`Fixed`), mirroring the BRAM contents:
-//! the write path converts each embedded row once, so addressing and reads
-//! multiply stored words directly instead of re-quantizing per access.
+//! Each memory is one flat `L x E` table of Q16.16 words, mirroring the
+//! BRAM contents: the write port takes each sentence's embedding sums as
+//! words, once, so addressing and reads multiply stored words directly.
+//! Keys, attention and read vectors cross the module boundary as words
+//! too; each pass re-quantizes its operand once ([`Fixed::requant`], the
+//! identity below `2^24`) where the `f32` hand-off quantized it. The `f32`
+//! entries ([`MemModule::write`], [`MemModule::address_into_tracked`],
+//! [`MemModule::read_into_tracked`]) quantize and call the same cores.
 //! Every score and soft-read element goes through the certified MAC entry
 //! [`fixed::dot_certified`], which equals the in-order chain of
 //! [`AdderTree::fixed_dot`] over the original `f32` rows, so results are
@@ -17,6 +22,8 @@
 //! keeps one `max|w|` per memory for the story; each pass takes its key's
 //! or attention's `Σ|x|` once, and the two certify every dot product of
 //! the pass.
+
+use std::borrow::Cow;
 
 use mann_linalg::activation::ExpLut;
 use mann_linalg::{fixed, Fixed, NumericStatus};
@@ -27,19 +34,32 @@ use crate::exp_unit::ExpUnit;
 use crate::index::{IndexedHopStats, MemIndex, MemIndexConfig};
 use crate::{Cycles, DatapathConfig};
 
-/// Quantizes a pass's key or attention vector once, with its `Σ|x|`: the
-/// operand side of the pass's certified dot products.
-fn quantize_operand(x: &[f32], st: &mut NumericStatus) -> (Vec<Fixed>, u64) {
-    let words: Vec<Fixed> = x.iter().map(|&v| Fixed::from_f32_tracked(v, st)).collect();
-    let abs_sum = fixed::abs_sum(&words);
-    (words, abs_sum)
+/// Quantizes an `f32` key or attention vector, as the `f32` entries do.
+fn quantize(x: &[f32], st: &mut NumericStatus) -> Vec<Fixed> {
+    x.iter().map(|&v| Fixed::from_f32_tracked(v, st)).collect()
+}
+
+/// The last slot holding the largest attention weight, and that weight as
+/// `f32` (slot 0 and −∞ when empty): what hop pruning tests and the signal
+/// trace record.
+pub(crate) fn attention_peak(attention: &[Fixed]) -> (usize, f32) {
+    attention
+        .iter()
+        .map(|w| w.to_f32())
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .unwrap_or((0, f32::NEG_INFINITY))
 }
 
 /// Address + content memory with the softmax datapath.
 #[derive(Debug, Clone)]
 pub struct MemModule {
-    rows_a: Vec<Vec<Fixed>>,
-    rows_c: Vec<Vec<Fixed>>,
+    /// Address memory: `len` rows of `embed_dim` words, row-major.
+    addr: Vec<Fixed>,
+    /// Content memory, laid out as `addr`.
+    content: Vec<Fixed>,
+    /// Occupied slots `L`.
+    len: usize,
     /// `max|w|` over every stored address word, kept by the write port.
     addr_abs_max: u64,
     /// `max|w|` over every stored content word, kept by the write port.
@@ -61,8 +81,9 @@ impl MemModule {
     pub fn new(embed_dim: usize, dp: &DatapathConfig) -> Self {
         dp.validate().expect("valid datapath");
         Self {
-            rows_a: Vec::new(),
-            rows_c: Vec::new(),
+            addr: Vec::new(),
+            content: Vec::new(),
+            len: 0,
             addr_abs_max: 0,
             content_abs_max: 0,
             tree: AdderTree::new(dp.tree_width),
@@ -76,39 +97,62 @@ impl MemModule {
     /// Clears both memories (the `BEGIN_STORY` control action). Any
     /// candidate index built over the previous story is dropped with it.
     pub fn reset(&mut self) {
-        self.rows_a.clear();
-        self.rows_c.clear();
+        self.addr.clear();
+        self.content.clear();
+        self.len = 0;
         self.addr_abs_max = 0;
         self.content_abs_max = 0;
         self.index = None;
     }
 
-    /// Reserves row-table room for `rows` more sentences, so a story
-    /// written at once sizes each memory's table once.
+    /// Reserves table room for `rows` more sentences, so a story written
+    /// at once sizes each memory's table once.
     pub(crate) fn reserve(&mut self, rows: usize) {
-        self.rows_a.reserve_exact(rows);
-        self.rows_c.reserve_exact(rows);
+        self.addr.reserve_exact(rows * self.embed_dim);
+        self.content.reserve_exact(rows * self.embed_dim);
     }
 
     /// Number of occupied memory slots `L`.
     pub fn len(&self) -> usize {
-        self.rows_a.len()
+        self.len
     }
 
     /// Whether the memory holds no sentences.
     pub fn is_empty(&self) -> bool {
-        self.rows_a.is_empty()
+        self.len == 0
+    }
+
+    fn addr_row(&self, i: usize) -> &[Fixed] {
+        &self.addr[i * self.embed_dim..(i + 1) * self.embed_dim]
     }
 
     /// The raw Q16.16 words of both memories (address rows then content
     /// rows, row-major): the exact bits a durable story journal must
     /// persist to rebuild this memory without re-embedding.
     pub fn raw_words(&self) -> Vec<i32> {
-        self.rows_a
+        self.addr
             .iter()
-            .chain(&self.rows_c)
-            .flat_map(|row| row.iter().map(|x| x.raw()))
+            .chain(&self.content)
+            .map(|x| x.raw())
             .collect()
+    }
+
+    /// The write port's core: appends one zeroed row to each memory, lets
+    /// `fill` write the stored words, and folds them into each memory's
+    /// `max|w|`, the stored side of every certified score and soft-read
+    /// element ([`fixed::dot_certified`]): one word per memory, not one
+    /// per row or column.
+    fn store<R>(&mut self, fill: impl FnOnce(&mut [Fixed], &mut [Fixed]) -> R) -> R {
+        let start = self.addr.len();
+        self.addr.resize(start + self.embed_dim, Fixed::ZERO);
+        self.content.resize(start + self.embed_dim, Fixed::ZERO);
+        let out = fill(&mut self.addr[start..], &mut self.content[start..]);
+        self.addr_abs_max = self.addr_abs_max.max(fixed::abs_max(&self.addr[start..]));
+        self.content_abs_max = self
+            .content_abs_max
+            .max(fixed::abs_max(&self.content[start..]));
+        self.len += 1;
+        out
     }
 
     /// Writes one embedded sentence into the next slot of both memories
@@ -124,10 +168,7 @@ impl MemModule {
 
     /// [`MemModule::write`] with numeric-event accounting at the BRAM write
     /// port's quantizer. Stored rows are bit-identical to the untracked
-    /// write. The port also folds each row's `max|w|` into its memory's
-    /// running maximum, the stored side of every certified score and
-    /// soft-read element ([`fixed::dot_certified`]): one word per memory,
-    /// not one per row or column.
+    /// write.
     ///
     /// # Panics
     ///
@@ -140,28 +181,55 @@ impl MemModule {
     ) {
         assert_eq!(addr_row.len(), self.embed_dim, "address row width");
         assert_eq!(content_row.len(), self.embed_dim, "content row width");
-        let quantize = |row: Vec<f32>, st: &mut NumericStatus| -> Vec<Fixed> {
-            row.into_iter()
-                .map(|x| Fixed::from_f32_tracked(x, st))
-                .collect()
-        };
-        let (row_a, row_c) = (quantize(addr_row, st), quantize(content_row, st));
-        self.addr_abs_max = self.addr_abs_max.max(fixed::abs_max(&row_a));
-        self.content_abs_max = self.content_abs_max.max(fixed::abs_max(&row_c));
-        self.rows_a.push(row_a);
-        self.rows_c.push(row_c);
+        self.store(|a, c| {
+            for (w, &x) in a.iter_mut().zip(&addr_row) {
+                *w = Fixed::from_f32_tracked(x, st);
+            }
+            for (w, &x) in c.iter_mut().zip(&content_row) {
+                *w = Fixed::from_f32_tracked(x, st);
+            }
+        });
+    }
+
+    /// Writes one sentence from its embedding words: `embed` fills the
+    /// zeroed address and content rows of the next slot in place (the
+    /// INPUT & WRITE sums), and the port re-quantizes them
+    /// ([`Fixed::requant`], where the `f32` port quantized). Equal to
+    /// [`MemModule::write_tracked`] of the words' `to_f32`, in stored
+    /// words and events. Returns what `embed` returns.
+    pub fn write_embedded_tracked<R>(
+        &mut self,
+        st: &mut NumericStatus,
+        embed: impl FnOnce(&mut [Fixed], &mut [Fixed], &mut NumericStatus) -> R,
+    ) -> R {
+        self.store(|a, c| {
+            let out = embed(a, c, st);
+            fixed::requant_in_place(a, st);
+            fixed::requant_in_place(c, st);
+            out
+        })
     }
 
     /// Score of address row `row` against a quantized key whose `Σ|k|` is
     /// `key_abs_sum`: the certified MAC entry over the stored words.
     fn score(
         &self,
-        row: &[Fixed],
+        row: usize,
         key_q: &[Fixed],
         key_abs_sum: u64,
         st: &mut NumericStatus,
     ) -> Fixed {
-        fixed::dot_certified(row, key_q, key_abs_sum, self.addr_abs_max, st)
+        fixed::dot_certified(
+            self.addr_row(row),
+            key_q,
+            key_abs_sum,
+            self.addr_abs_max,
+            st,
+        )
+    }
+
+    fn score_cycles(&self, rows: usize) -> Cycles {
+        Cycles::new(rows as u64 * self.slots_per_row() + self.tree.depth() + 1)
     }
 
     /// Content-based addressing (Eq 1): returns the attention weights and
@@ -202,37 +270,62 @@ impl MemModule {
         st: &mut NumericStatus,
     ) -> Cycles {
         attention.clear();
-        let l = self.rows_a.len();
-        if l == 0 {
+        if self.is_empty() {
             return Cycles::ZERO;
         }
-        // The key is quantized once per addressing pass; each score is the
-        // in-order product sum `fixed_dot` would produce.
-        let (key_q, key_sum) = quantize_operand(key, st);
-        let mut scores = Vec::with_capacity(l);
-        let mut scores_fx = Vec::with_capacity(l);
-        let mut score_cycles = Cycles::ZERO;
-        let per_dot = (self.embed_dim.div_ceil(self.tree.width())) as u64;
-        for row in &self.rows_a {
-            let acc = self.score(row, &key_q, key_sum, st);
-            scores.push(acc.to_f32());
-            scores_fx.push(acc);
-            // II = issues-per-dot; latency amortized below.
-            score_cycles += Cycles::new(per_dot);
-        }
-        score_cycles += Cycles::new(self.tree.depth() + 1);
-        score_cycles + self.softmax_tail(&scores, &scores_fx, attention, st)
+        let mut words = Vec::new();
+        let cycles = self.address_core(&quantize(key, st), &mut words, st);
+        attention.extend(words.iter().map(|w| w.to_f32()));
+        cycles
     }
 
-    /// [`MemModule::address_into_tracked`] with per-row numeric provenance:
-    /// `flags[i]` reports whether attention weight `i` was computed through
-    /// flagged arithmetic — the key quantizer or row `i`'s score MACs
-    /// saturated, or the shared softmax tail (shift/exp/denominator/divide,
-    /// which touches every weight) recorded any event. Attention values,
-    /// cycle counts and the merged status in `st` are identical to the
-    /// unflagged pass: [`NumericStatus::merge`] is a field-wise saturating
-    /// sum, so splitting the accounting into per-row registers and merging
-    /// them back cannot change the totals.
+    /// [`MemModule::address_into_tracked`] for a key of words, such as the
+    /// question embedding or the READ output: the key is re-quantized
+    /// once per pass ([`Fixed::requant`]), and the pass equals the `f32`
+    /// entry fed the words' `to_f32`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key width differs from the stored rows' width.
+    pub fn address_words_tracked(
+        &self,
+        key: &[Fixed],
+        attention: &mut Vec<Fixed>,
+        st: &mut NumericStatus,
+    ) -> Cycles {
+        attention.clear();
+        if self.is_empty() {
+            return Cycles::ZERO;
+        }
+        self.address_core(&fixed::requant_all(key, st), attention, st)
+    }
+
+    /// The exact addressing pass over a quantized key, `L > 0`.
+    fn address_core(
+        &self,
+        key_q: &[Fixed],
+        attention: &mut Vec<Fixed>,
+        st: &mut NumericStatus,
+    ) -> Cycles {
+        let key_sum = fixed::abs_sum(key_q);
+        attention.clear();
+        attention.reserve(self.len);
+        for i in 0..self.len {
+            let score = self.score(i, key_q, key_sum, st);
+            attention.push(score);
+        }
+        self.score_cycles(self.len) + self.softmax_tail(attention, st)
+    }
+
+    /// [`MemModule::address_words_tracked`] with per-row numeric
+    /// provenance: `flags[i]` reports whether attention weight `i` was
+    /// computed through flagged arithmetic — the key quantizer or row `i`'s
+    /// score MACs saturated, or the shared softmax tail
+    /// (shift/exp/denominator/divide, which touches every weight) recorded
+    /// any event. Attention values, cycle counts and the merged status in
+    /// `st` are identical to the unflagged pass: [`NumericStatus::merge`]
+    /// is a field-wise saturating sum, so splitting the accounting into
+    /// per-row registers and merging them back cannot change the totals.
     ///
     /// The hop-prune veto consults `flags[argmax]`: a converged-looking
     /// maximum that rode saturated arithmetic must not end the hop loop.
@@ -242,77 +335,52 @@ impl MemModule {
     /// Panics if the key width differs from the stored rows' width.
     pub fn address_flagged_into_tracked(
         &self,
-        key: &[f32],
-        attention: &mut Vec<f32>,
+        key: &[Fixed],
+        attention: &mut Vec<Fixed>,
         st: &mut NumericStatus,
         flags: &mut Vec<bool>,
     ) -> Cycles {
         attention.clear();
         flags.clear();
-        let l = self.rows_a.len();
-        if l == 0 {
+        if self.is_empty() {
             return Cycles::ZERO;
         }
         let mut key_st = NumericStatus::default();
-        let (key_q, key_sum) = quantize_operand(key, &mut key_st);
+        let key_q = fixed::requant_all(key, &mut key_st);
+        let key_sum = fixed::abs_sum(&key_q);
         let mut rows_st = NumericStatus::default();
-        let mut scores = Vec::with_capacity(l);
-        let mut scores_fx = Vec::with_capacity(l);
-        let mut score_cycles = Cycles::ZERO;
-        let per_dot = (self.embed_dim.div_ceil(self.tree.width())) as u64;
-        for row in &self.rows_a {
+        attention.reserve(self.len);
+        flags.reserve(self.len);
+        for i in 0..self.len {
             let mut row_st = NumericStatus::default();
-            let acc = self.score(row, &key_q, key_sum, &mut row_st);
+            let score = self.score(i, &key_q, key_sum, &mut row_st);
             flags.push(key_st.stressed() || row_st.stressed());
             rows_st.merge(&row_st);
-            scores.push(acc.to_f32());
-            scores_fx.push(acc);
-            score_cycles += Cycles::new(per_dot);
+            attention.push(score);
         }
-        score_cycles += Cycles::new(self.tree.depth() + 1);
         let mut tail_st = NumericStatus::default();
-        let tail_cycles = self.softmax_tail(&scores, &scores_fx, attention, &mut tail_st);
+        let tail_cycles = self.softmax_tail(attention, &mut tail_st);
         if tail_st.stressed() {
             // The normalization chain feeds every weight: flag them all.
-            for f in flags.iter_mut() {
-                *f = true;
-            }
+            flags.fill(true);
         }
         st.merge(&key_st);
         st.merge(&rows_st);
         st.merge(&tail_st);
-        score_cycles + tail_cycles
+        self.score_cycles(self.len) + tail_cycles
     }
 
-    /// Batched content-based addressing for queries sharing this story:
-    /// each address row is fetched once and scored against every key while
+    /// Batched content-based addressing for queries sharing this story,
+    /// with the per-row numeric provenance of
+    /// [`MemModule::address_flagged_into_tracked`] for every query: each
+    /// address row is fetched once and scored against every key while
     /// resident, instead of one full row stream per query. Per `(query,
     /// row)` pair the MAC order — and the per-query softmax tail — are
-    /// exactly those of [`MemModule::address_into_tracked`], so every
-    /// attention vector, cycle count and status register is bit-identical
-    /// to the per-query call. Returned cycles are the *standalone*
-    /// per-query counts; the sharing the fused stream saves is accounted by
-    /// the caller (see `Accelerator::query_batch`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` and `sts` lengths differ, or a key's width differs
-    /// from the stored rows' width.
-    pub fn address_batch_into_tracked(
-        &self,
-        keys: &[Vec<f32>],
-        attentions: &mut Vec<Vec<f32>>,
-        sts: &mut [NumericStatus],
-    ) -> Vec<Cycles> {
-        let mut flags = Vec::new();
-        self.address_batch_flagged_into_tracked(keys, attentions, sts, &mut flags)
-    }
-
-    /// [`MemModule::address_batch_into_tracked`] with the per-row numeric
-    /// provenance of [`MemModule::address_flagged_into_tracked`] for every
-    /// query: `flags[q][i]` marks attention weight `i` of query `q` as
-    /// computed through flagged arithmetic. Values, cycles and merged
-    /// statuses remain bit-identical to the per-query calls.
+    /// exactly those of the per-query pass, so every attention vector,
+    /// flag, cycle count and status register is bit-identical to it.
+    /// Returned cycles are the *standalone* per-query counts; the sharing
+    /// the fused stream saves is accounted by the caller (see
+    /// `Accelerator::query_batch`).
     ///
     /// # Panics
     ///
@@ -320,52 +388,52 @@ impl MemModule {
     /// from the stored rows' width.
     pub fn address_batch_flagged_into_tracked(
         &self,
-        keys: &[Vec<f32>],
-        attentions: &mut Vec<Vec<f32>>,
+        keys: &[&[Fixed]],
+        attentions: &mut Vec<Vec<Fixed>>,
         sts: &mut [NumericStatus],
         flags: &mut Vec<Vec<bool>>,
     ) -> Vec<Cycles> {
         assert_eq!(keys.len(), sts.len(), "one status register per query");
-        attentions.clear();
-        attentions.resize(keys.len(), Vec::new());
-        flags.clear();
-        flags.resize(keys.len(), Vec::new());
-        let l = self.rows_a.len();
-        if l == 0 {
+        attentions.resize_with(keys.len(), Vec::new);
+        attentions.iter_mut().for_each(Vec::clear);
+        flags.resize_with(keys.len(), Vec::new);
+        flags.iter_mut().for_each(Vec::clear);
+        if self.is_empty() {
             return vec![Cycles::ZERO; keys.len()];
         }
         let mut key_sts = vec![NumericStatus::default(); keys.len()];
-        let keys_q: Vec<(Vec<Fixed>, u64)> = keys
+        let keys_q: Vec<(Cow<[Fixed]>, u64)> = keys
             .iter()
             .zip(key_sts.iter_mut())
-            .map(|(key, st)| quantize_operand(key, st))
+            .map(|(key, st)| {
+                let key_q = fixed::requant_all(key, st);
+                let key_sum = fixed::abs_sum(&key_q);
+                (key_q, key_sum)
+            })
             .collect();
         let mut rows_sts = vec![NumericStatus::default(); keys.len()];
-        let mut scores = vec![Vec::with_capacity(l); keys.len()];
-        let mut scores_fx = vec![Vec::with_capacity(l); keys.len()];
+        for (attention, flags) in attentions.iter_mut().zip(flags.iter_mut()) {
+            attention.reserve(self.len);
+            flags.reserve(self.len);
+        }
         // Shared story stream: each address row is fetched once and scored
         // against every key while resident.
-        for row in &self.rows_a {
+        for i in 0..self.len {
             for (q, (key_q, key_sum)) in keys_q.iter().enumerate() {
                 let mut row_st = NumericStatus::default();
-                let acc = self.score(row, key_q, *key_sum, &mut row_st);
+                let score = self.score(i, key_q, *key_sum, &mut row_st);
                 flags[q].push(key_sts[q].stressed() || row_st.stressed());
                 rows_sts[q].merge(&row_st);
-                scores[q].push(acc.to_f32());
-                scores_fx[q].push(acc);
+                attentions[q].push(score);
             }
         }
-        let per_dot = (self.embed_dim.div_ceil(self.tree.width())) as u64;
-        let score_cycles = Cycles::new(l as u64 * per_dot + self.tree.depth() + 1);
+        let score_cycles = self.score_cycles(self.len);
         (0..keys.len())
             .map(|q| {
                 let mut tail_st = NumericStatus::default();
-                let tail_cycles =
-                    self.softmax_tail(&scores[q], &scores_fx[q], &mut attentions[q], &mut tail_st);
+                let tail_cycles = self.softmax_tail(&mut attentions[q], &mut tail_st);
                 if tail_st.stressed() {
-                    for f in flags[q].iter_mut() {
-                        *f = true;
-                    }
+                    flags[q].fill(true);
                 }
                 sts[q].merge(&key_sts[q]);
                 sts[q].merge(&rows_sts[q]);
@@ -375,40 +443,37 @@ impl MemModule {
             .collect()
     }
 
-    /// The softmax pipeline tail shared by every addressing variant:
-    /// running max, fixed-point shift shadow, exp LUT, adder-tree
-    /// denominator, sequential divider, and the all-flushed uniform
-    /// fallback.
-    fn softmax_tail(
-        &self,
-        scores: &[f32],
-        scores_fx: &[Fixed],
-        attention: &mut Vec<f32>,
-        st: &mut NumericStatus,
-    ) -> Cycles {
+    /// The softmax pipeline tail shared by every addressing variant, in
+    /// place over the pass's scores in `words`: running max,
+    /// fixed-point shift shadow, exp LUT, adder-tree denominator,
+    /// sequential divider, and the all-flushed uniform fallback. The
+    /// shift and the exp input stay `f32`, as the LUT takes them.
+    fn softmax_tail(&self, words: &mut [Fixed], st: &mut NumericStatus) -> Cycles {
+        let n = words.len();
         // Stable softmax: running max costs nothing extra (register compare
-        // overlapped with the score pass).
-        let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        // overlapped with the score pass). `to_f32` is monotone, so the
+        // word maximum is the `f32` one.
+        let max_fx = words.iter().copied().max().unwrap_or(Fixed::ZERO);
+        let max = max_fx.to_f32();
         // Shadow the shift through the fixed-point score registers so the
         // status register sees what the hardware subtractor would; the
         // functional value below stays the f32 shift, byte-for-byte.
-        let max_fx = scores_fx.iter().copied().max().unwrap_or(Fixed::ZERO);
-        for s_fx in scores_fx {
+        for s_fx in words.iter() {
             let _ = s_fx.sub_tracked(max_fx, st);
         }
-        let shifted: Vec<f32> = scores.iter().map(|s| s - max).collect();
-        let (exps, exp_cycles) = self.exp.eval_batch_tracked(&shifted, st);
+        for w in words.iter_mut() {
+            *w = self.exp.eval_tracked(w.to_f32() - max, st);
+        }
+        let exp_cycles = self.exp.batch_cycles(n);
 
         // Denominator via the adder tree.
-        let (denom, sum_cycles) = self.tree.reduce_tracked(&exps, st);
+        let (denom, sum_cycles) = self.tree.reduce_tracked(words, st);
 
         // Sequential normalization.
-        let (normalized, div_cycles) = self.div.div_batch_tracked(&exps, denom, st);
+        let div_cycles = self.div.div_in_place_tracked(words, denom, st);
         if denom.is_zero() {
             // Divider guard: all-flushed exponents fall back to uniform.
-            attention.resize(scores.len(), 1.0 / scores.len() as f32);
-        } else {
-            attention.extend(normalized.into_iter().map(Fixed::to_f32));
+            words.fill(Fixed::from_f32(1.0 / n as f32));
         }
         exp_cycles + sum_cycles + div_cycles
     }
@@ -441,26 +506,52 @@ impl MemModule {
         out: &mut Vec<f32>,
         st: &mut NumericStatus,
     ) -> Cycles {
-        assert_eq!(attention.len(), self.rows_c.len(), "attention length");
+        assert_eq!(attention.len(), self.len, "attention length");
+        let mut words = Vec::new();
+        let cycles = self.read_core(&quantize(attention, st), &mut words, st);
         out.clear();
-        out.reserve(self.embed_dim);
-        // Attention weights are quantized once, not once per output element.
-        let (att_q, att_sum) = quantize_operand(attention, st);
-        for j in 0..self.embed_dim {
-            out.push(self.column_dot(&att_q, att_sum, j, st).to_f32());
-        }
-        let per_row = (self.embed_dim.div_ceil(self.tree.width())) as u64;
-        Cycles::new(self.rows_c.len() as u64 * per_row + self.tree.depth() + 1)
+        out.extend(words.iter().map(|w| w.to_f32()));
+        cycles
+    }
+
+    /// [`MemModule::read_into_tracked`] for attention words: the weights
+    /// are re-quantized once per read ([`Fixed::requant`]), and the read
+    /// vector stays words for the READ module. Equal to the `f32` entry fed
+    /// the words' `to_f32`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the attention length differs from the occupied slots.
+    pub fn read_words_tracked(
+        &self,
+        attention: &[Fixed],
+        out: &mut Vec<Fixed>,
+        st: &mut NumericStatus,
+    ) -> Cycles {
+        assert_eq!(attention.len(), self.len, "attention length");
+        self.read_core(&fixed::requant_all(attention, st), out, st)
+    }
+
+    /// The soft read of quantized attention weights.
+    fn read_core(&self, att_q: &[Fixed], out: &mut Vec<Fixed>, st: &mut NumericStatus) -> Cycles {
+        let att_sum = fixed::abs_sum(att_q);
+        out.clear();
+        out.extend((0..self.embed_dim).map(|j| self.column_dot(att_q, att_sum, j, st)));
+        self.read_cycles()
+    }
+
+    fn read_cycles(&self) -> Cycles {
+        self.score_cycles(self.len)
     }
 
     /// Batched soft read for queries sharing this story: each content
     /// column is streamed once and accumulated against every query's
     /// attention weights while resident. Per `(query, element)` pair the
     /// accumulation visits the rows in the same order as
-    /// [`MemModule::read_into_tracked`], so outputs, cycles and status
+    /// [`MemModule::read_words_tracked`], so outputs, cycles and status
     /// registers are bit-identical to the per-query call. Returned cycles
     /// are the standalone per-query counts (see
-    /// [`MemModule::address_batch_into_tracked`] for the fusion
+    /// [`MemModule::address_batch_flagged_into_tracked`] for the fusion
     /// accounting).
     ///
     /// # Panics
@@ -469,32 +560,31 @@ impl MemModule {
     /// length differs from the occupied slots.
     pub fn read_batch_into_tracked(
         &self,
-        attentions: &[Vec<f32>],
-        outs: &mut Vec<Vec<f32>>,
+        attentions: &[&[Fixed]],
+        outs: &mut Vec<Vec<Fixed>>,
         sts: &mut [NumericStatus],
     ) -> Vec<Cycles> {
         assert_eq!(attentions.len(), sts.len(), "one status register per query");
-        outs.clear();
-        outs.resize(attentions.len(), Vec::new());
-        let atts_q: Vec<(Vec<Fixed>, u64)> = attentions
+        outs.resize_with(attentions.len(), Vec::new);
+        let atts_q: Vec<(Cow<[Fixed]>, u64)> = attentions
             .iter()
             .zip(sts.iter_mut())
             .map(|(attention, st)| {
-                assert_eq!(attention.len(), self.rows_c.len(), "attention length");
-                quantize_operand(attention, st)
+                assert_eq!(attention.len(), self.len, "attention length");
+                let att_q = fixed::requant_all(attention, st);
+                let att_sum = fixed::abs_sum(&att_q);
+                (att_q, att_sum)
             })
             .collect();
         for out in outs.iter_mut() {
-            out.reserve(self.embed_dim);
+            out.clear();
         }
         for j in 0..self.embed_dim {
             for (q, (att_q, att_sum)) in atts_q.iter().enumerate() {
-                outs[q].push(self.column_dot(att_q, *att_sum, j, &mut sts[q]).to_f32());
+                outs[q].push(self.column_dot(att_q, *att_sum, j, &mut sts[q]));
             }
         }
-        let per_row = (self.embed_dim.div_ceil(self.tree.width())) as u64;
-        let cycles = Cycles::new(self.rows_c.len() as u64 * per_row + self.tree.depth() + 1);
-        vec![cycles; attentions.len()]
+        vec![self.read_cycles(); attentions.len()]
     }
 
     /// Output element `j` of a soft read: the weighted sum of content
@@ -503,7 +593,10 @@ impl MemModule {
     /// memory's `max|w|`. The rows stay row-major, as
     /// [`MemModule::raw_words`] persists them.
     fn column_dot(&self, att_q: &[Fixed], att_sum: u64, j: usize, st: &mut NumericStatus) -> Fixed {
-        let column = att_q.iter().zip(&self.rows_c).map(|(a, row)| (*a, row[j]));
+        let column = att_q
+            .iter()
+            .enumerate()
+            .map(|(i, a)| (*a, self.content[i * self.embed_dim + j]));
         fixed::dot_certified_pairs(column, att_sum, self.content_abs_max, st)
     }
 
@@ -512,8 +605,7 @@ impl MemModule {
     /// stream, `L * ceil(E / width)` slots each. Pipeline latencies (tree
     /// depth, exp, divider) stay per query — they are not shared.
     pub fn stream_cycles_per_hop(&self) -> u64 {
-        let per_dot = self.embed_dim.div_ceil(self.tree.width()) as u64;
-        2 * self.rows_a.len() as u64 * per_dot
+        2 * self.len as u64 * self.slots_per_row()
     }
 
     /// Issue slots one stored row occupies on the score (or read) stream:
@@ -533,7 +625,8 @@ impl MemModule {
     ///
     /// Panics if `config` is disabled.
     pub fn build_index(&mut self, config: MemIndexConfig, st: &mut NumericStatus) -> Cycles {
-        let idx = MemIndex::build(&self.rows_a, config, &self.tree, self.embed_dim, st);
+        let rows = (0..self.len).map(|i| self.addr_row(i));
+        let idx = MemIndex::build(rows, config, &self.tree, self.embed_dim, st);
         let cycles = Cycles::new(idx.build_cycles());
         self.index = Some(idx);
         cycles
@@ -550,11 +643,11 @@ impl MemModule {
     /// count term by term: score stream, exp pipeline occupancy,
     /// denominator reduce, and the sequential divider.
     pub fn exact_addressing_cycles(&self) -> u64 {
-        let l = self.rows_a.len();
+        let l = self.len;
         if l == 0 {
             return 0;
         }
-        let score = l as u64 * self.slots_per_row() + self.tree.depth() + 1;
+        let score = self.score_cycles(l).get();
         let exp = l as u64 + self.exp.latency();
         let reduce = self.tree.reduce_cycles(l).get();
         let div = l as u64 * self.div.latency();
@@ -569,8 +662,8 @@ impl MemModule {
     /// batch union accounting.
     fn indexed_hop_core(
         &self,
-        key: &[f32],
-        attention: &mut Vec<f32>,
+        key: &[Fixed],
+        attention: &mut Vec<Fixed>,
         st: &mut NumericStatus,
         flags: &mut Vec<bool>,
     ) -> (Cycles, IndexedHopStats, Option<Vec<usize>>) {
@@ -580,7 +673,7 @@ impl MemModule {
             .expect("indexed addressing needs a built index");
         attention.clear();
         flags.clear();
-        let l = self.rows_a.len();
+        let l = self.len;
         if l == 0 {
             let stats = IndexedHopStats {
                 scanned: 0,
@@ -591,7 +684,8 @@ impl MemModule {
         }
         let band = idx.config().band;
         let mut key_st = NumericStatus::default();
-        let (key_q, key_sum) = quantize_operand(key, &mut key_st);
+        let key_q = fixed::requant_all(key, &mut key_st);
+        let key_sum = fixed::abs_sum(&key_q);
         let mut probe_st = NumericStatus::default();
         let (candidates, probe_cycles, probe_stressed) = idx.probe(&key_q, &mut probe_st);
         // Exact scoring over the surviving candidates: the same per-row MAC
@@ -599,24 +693,22 @@ impl MemModule {
         let c = candidates.len();
         let mut rows_st = NumericStatus::default();
         let mut cand_flags = Vec::with_capacity(c);
-        let mut scores = Vec::with_capacity(c);
-        let mut scores_fx = Vec::with_capacity(c);
+        let mut cand = Vec::with_capacity(c);
         for &slot in &candidates {
             let mut row_st = NumericStatus::default();
-            let acc = self.score(&self.rows_a[slot], &key_q, key_sum, &mut row_st);
+            let score = self.score(slot, &key_q, key_sum, &mut row_st);
             cand_flags.push(key_st.stressed() || row_st.stressed());
             rows_st.merge(&row_st);
-            scores.push(acc.to_f32());
-            scores_fx.push(acc);
+            cand.push(score);
         }
-        let score_cycles = Cycles::new(c as u64 * self.slots_per_row() + self.tree.depth() + 1);
+        let score_cycles = self.score_cycles(c);
         // ExitGuard-style margin check: when the best candidate score sits
         // within `band` of the worst retained one, the probe carried no
         // usable margin — rerun the exact scan. A single-candidate hop has
         // zero spread and always falls back. Saturated probe arithmetic
         // falls back unconditionally.
-        let best = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let worst = scores.iter().copied().fold(f32::INFINITY, f32::min);
+        let best = cand.iter().max().map_or(f32::NEG_INFINITY, |s| s.to_f32());
+        let worst = cand.iter().min().map_or(f32::INFINITY, |s| s.to_f32());
         let fallback = probe_stressed || c == 0 || best - worst <= band;
         st.merge(&key_st);
         st.merge(&probe_st);
@@ -634,15 +726,14 @@ impl MemModule {
             return (probe_cycles + score_cycles + exact_cycles, stats, None);
         }
         let mut tail_st = NumericStatus::default();
-        let mut cand_att = Vec::with_capacity(c);
-        let tail_cycles = self.softmax_tail(&scores, &scores_fx, &mut cand_att, &mut tail_st);
+        let tail_cycles = self.softmax_tail(&mut cand, &mut tail_st);
         let tail_stressed = tail_st.stressed();
         st.merge(&tail_st);
         // Scatter the candidate softmax into the full slot space: skipped
         // slots carry exactly zero attention and a clean flag.
-        attention.resize(l, 0.0);
+        attention.resize(l, Fixed::ZERO);
         flags.resize(l, false);
-        for ((&slot, &w), &f) in candidates.iter().zip(&cand_att).zip(&cand_flags) {
+        for ((&slot, &w), &f) in candidates.iter().zip(&cand).zip(&cand_flags) {
             attention[slot] = w;
             flags[slot] = f || tail_stressed;
         }
@@ -662,7 +753,7 @@ impl MemModule {
     /// the sub-linear counterpart of
     /// [`MemModule::address_flagged_into_tracked`]. Requires
     /// [`MemModule::build_index`] to have run for the current story.
-    /// Skipped slots get attention exactly `0.0` and a clean flag; a
+    /// Skipped slots get attention exactly zero and a clean flag; a
     /// fallback hop is bit-identical to the exact pass (attention, flags)
     /// with the probe and candidate-scan overhead added to its cycles.
     ///
@@ -672,8 +763,8 @@ impl MemModule {
     /// stored rows' width.
     pub fn address_indexed_flagged_into_tracked(
         &self,
-        key: &[f32],
-        attention: &mut Vec<f32>,
+        key: &[Fixed],
+        attention: &mut Vec<Fixed>,
         st: &mut NumericStatus,
         flags: &mut Vec<bool>,
     ) -> (Cycles, IndexedHopStats) {
@@ -696,17 +787,15 @@ impl MemModule {
     /// key's width differs from the stored rows' width.
     pub fn address_indexed_batch_flagged_into_tracked(
         &self,
-        keys: &[Vec<f32>],
-        attentions: &mut Vec<Vec<f32>>,
+        keys: &[&[Fixed]],
+        attentions: &mut Vec<Vec<Fixed>>,
         sts: &mut [NumericStatus],
         flags: &mut Vec<Vec<bool>>,
     ) -> (Vec<Cycles>, Vec<IndexedHopStats>, u64) {
         assert_eq!(keys.len(), sts.len(), "one status register per query");
-        attentions.clear();
-        attentions.resize(keys.len(), Vec::new());
-        flags.clear();
-        flags.resize(keys.len(), Vec::new());
-        let l = self.rows_a.len();
+        attentions.resize_with(keys.len(), Vec::new);
+        flags.resize_with(keys.len(), Vec::new);
+        let l = self.len;
         let mut scanned_union = vec![false; l];
         let mut any_fallback = false;
         let mut cycles = Vec::with_capacity(keys.len());
@@ -736,12 +825,15 @@ impl MemModule {
     /// The stored (quantized) address row `i`, dequantized — for
     /// cross-checking against reference computations.
     pub fn addr_row_f32(&self, i: usize) -> Vec<f32> {
-        self.rows_a[i].iter().map(|x| x.to_f32()).collect()
+        self.addr_row(i).iter().map(|x| x.to_f32()).collect()
     }
 
     /// The stored (quantized) content row `i`, dequantized.
     pub fn content_row_f32(&self, i: usize) -> Vec<f32> {
-        self.rows_c[i].iter().map(|x| x.to_f32()).collect()
+        self.content[i * self.embed_dim..(i + 1) * self.embed_dim]
+            .iter()
+            .map(|x| x.to_f32())
+            .collect()
     }
 }
 
@@ -757,6 +849,10 @@ mod tests {
             m.write(row_a, row_c);
         }
         m
+    }
+
+    fn words(v: &[f32]) -> Vec<Fixed> {
+        v.iter().map(|&x| Fixed::from_f32(x)).collect()
     }
 
     #[test]
@@ -802,11 +898,11 @@ mod tests {
         }
         let key: Vec<f32> = (0..e).map(|j| (j as f32 * 0.4).cos()).collect();
         let tree = AdderTree::new(DatapathConfig::default().tree_width);
-        let key_q: Vec<Fixed> = key.iter().map(|&y| Fixed::from_f32(y)).collect();
+        let key_q = words(&key);
         for (i, r) in rows.iter().enumerate() {
             let (expect, _) = tree.fixed_dot(r, &key);
             let mut acc = Fixed::ZERO;
-            for (x, y) in m.rows_a[i].iter().zip(&key_q) {
+            for (x, y) in m.addr_row(i).iter().zip(&key_q) {
                 acc += *x * *y;
             }
             assert_eq!(acc, expect, "row {i}");
@@ -829,6 +925,7 @@ mod tests {
         assert_eq!(m.len(), 4);
         m.reset();
         assert!(m.is_empty());
+        assert!(m.raw_words().is_empty());
         let (a, c) = (m.address(&[0.0; 4]).0, m.address(&[0.0; 4]).1);
         assert!(a.is_empty());
         assert_eq!(c, Cycles::ZERO);
@@ -865,10 +962,10 @@ mod tests {
     #[test]
     fn flagged_addressing_matches_plain_addressing() {
         let m = filled(7, 8);
-        let key: Vec<f32> = (0..8).map(|i| (i as f32 * 0.7).sin()).collect();
+        let key = words(&(0..8).map(|i| (i as f32 * 0.7).sin()).collect::<Vec<_>>());
         let mut plain = Vec::new();
         let mut plain_st = NumericStatus::default();
-        let plain_cycles = m.address_into_tracked(&key, &mut plain, &mut plain_st);
+        let plain_cycles = m.address_words_tracked(&key, &mut plain, &mut plain_st);
         let mut flagged = Vec::new();
         let mut flagged_st = NumericStatus::default();
         let mut flags = Vec::new();
@@ -889,7 +986,7 @@ mod tests {
         // Row 0 saturates its score MACs at Q16.16 scale; row 1 stays tame.
         m.write(vec![30000.0; e], vec![0.1; e]);
         m.write(vec![0.1; e], vec![0.1; e]);
-        let key = vec![30000.0; e];
+        let key = words(&[30000.0; 4]);
         let mut att = Vec::new();
         let mut st = NumericStatus::default();
         let mut flags = Vec::new();
@@ -901,26 +998,36 @@ mod tests {
     #[test]
     fn batched_addressing_and_read_match_per_query() {
         let m = filled(6, 8);
-        let keys: Vec<Vec<f32>> = (0..4)
-            .map(|q| (0..8).map(|i| ((q * 8 + i) as f32 * 0.23).sin()).collect())
+        let keys: Vec<Vec<Fixed>> = (0..4)
+            .map(|q| {
+                words(
+                    &(0..8)
+                        .map(|i| ((q * 8 + i) as f32 * 0.23).sin())
+                        .collect::<Vec<_>>(),
+                )
+            })
             .collect();
+        let key_refs: Vec<&[Fixed]> = keys.iter().map(Vec::as_slice).collect();
         let mut atts = Vec::new();
         let mut sts = vec![NumericStatus::default(); keys.len()];
-        let cycles = m.address_batch_into_tracked(&keys, &mut atts, &mut sts);
+        let mut flags = Vec::new();
+        let cycles =
+            m.address_batch_flagged_into_tracked(&key_refs, &mut atts, &mut sts, &mut flags);
         let mut reads = Vec::new();
         let mut read_sts = vec![NumericStatus::default(); keys.len()];
-        let read_cycles = m.read_batch_into_tracked(&atts, &mut reads, &mut read_sts);
+        let weights: Vec<&[Fixed]> = atts.iter().map(Vec::as_slice).collect();
+        let read_cycles = m.read_batch_into_tracked(&weights, &mut reads, &mut read_sts);
         for (q, key) in keys.iter().enumerate() {
             let mut att = Vec::new();
             let mut st = NumericStatus::default();
-            assert_eq!(cycles[q], m.address_into_tracked(key, &mut att, &mut st));
+            assert_eq!(cycles[q], m.address_words_tracked(key, &mut att, &mut st));
             assert_eq!(atts[q], att);
             assert_eq!(sts[q], st);
             let mut out = Vec::new();
             let mut rst = NumericStatus::default();
             assert_eq!(
                 read_cycles[q],
-                m.read_into_tracked(&att, &mut out, &mut rst)
+                m.read_words_tracked(&att, &mut out, &mut rst)
             );
             assert_eq!(reads[q], out);
             assert_eq!(read_sts[q], rst);
@@ -928,7 +1035,7 @@ mod tests {
         // Empty batches are fine.
         let mut none = Vec::new();
         assert!(m
-            .address_batch_into_tracked(&[], &mut none, &mut [])
+            .address_batch_flagged_into_tracked(&[], &mut none, &mut [], &mut flags)
             .is_empty());
         assert!(none.is_empty());
     }
@@ -953,17 +1060,25 @@ mod tests {
         m
     }
 
+    /// The exact flagged pass: attention, flags, status and cycles.
+    fn exact_flagged(
+        m: &MemModule,
+        key: &[Fixed],
+    ) -> (Vec<Fixed>, Vec<bool>, NumericStatus, Cycles) {
+        let mut att = Vec::new();
+        let mut st = NumericStatus::default();
+        let mut flags = Vec::new();
+        let cycles = m.address_flagged_into_tracked(key, &mut att, &mut st, &mut flags);
+        (att, flags, st, cycles)
+    }
+
     #[test]
     fn full_coverage_index_matches_exact_addressing() {
         // k = nprobe = 1: every slot survives the probe, so the candidate
         // softmax sees the same scores in the same order as the full scan.
         let m = indexed(6, 8, 1, 1, 0.0);
-        let key: Vec<f32> = (0..8).map(|i| (i as f32 * 0.3).cos()).collect();
-        let mut exact = Vec::new();
-        let mut exact_st = NumericStatus::default();
-        let mut exact_flags = Vec::new();
-        let exact_cycles =
-            m.address_flagged_into_tracked(&key, &mut exact, &mut exact_st, &mut exact_flags);
+        let key = words(&(0..8).map(|i| (i as f32 * 0.3).cos()).collect::<Vec<_>>());
+        let (exact, exact_flags, _, exact_cycles) = exact_flagged(&m, &key);
         let mut att = Vec::new();
         let mut st = NumericStatus::default();
         let mut flags = Vec::new();
@@ -979,7 +1094,7 @@ mod tests {
     #[test]
     fn indexed_addressing_skips_slots_and_partitions_counters() {
         let m = indexed(24, 8, 8, 1, 0.0);
-        let key: Vec<f32> = (0..8).map(|i| (i as f32 * 0.3).cos()).collect();
+        let key = words(&(0..8).map(|i| (i as f32 * 0.3).cos()).collect::<Vec<_>>());
         let mut att = Vec::new();
         let mut st = NumericStatus::default();
         let mut flags = Vec::new();
@@ -989,11 +1104,11 @@ mod tests {
         assert!(stats.skipped > 0, "nprobe=1 of k=8 must skip slots");
         assert!(!stats.fallback);
         assert_eq!(att.len(), 24);
-        let sum: f32 = att.iter().sum();
+        let sum: f32 = att.iter().map(|w| w.to_f32()).sum();
         assert!((sum - 1.0).abs() < 1e-2, "{sum}");
         // Skipped slots carry exactly zero attention.
         assert_eq!(
-            att.iter().filter(|&&a| a == 0.0).count() as u64,
+            att.iter().filter(|w| w.is_zero()).count() as u64,
             stats.skipped
         );
         assert!(
@@ -1005,12 +1120,8 @@ mod tests {
     #[test]
     fn wide_band_forces_fallback_and_matches_exact() {
         let m = indexed(10, 8, 4, 1, 1.0e9);
-        let key: Vec<f32> = (0..8).map(|i| (i as f32 * 0.5).sin()).collect();
-        let mut exact = Vec::new();
-        let mut exact_st = NumericStatus::default();
-        let mut exact_flags = Vec::new();
-        let exact_cycles =
-            m.address_flagged_into_tracked(&key, &mut exact, &mut exact_st, &mut exact_flags);
+        let key = words(&(0..8).map(|i| (i as f32 * 0.5).sin()).collect::<Vec<_>>());
+        let (exact, exact_flags, _, exact_cycles) = exact_flagged(&m, &key);
         let mut att = Vec::new();
         let mut st = NumericStatus::default();
         let mut flags = Vec::new();
@@ -1026,14 +1137,21 @@ mod tests {
     #[test]
     fn batched_indexed_addressing_matches_solo() {
         let m = indexed(20, 8, 5, 2, 0.0);
-        let keys: Vec<Vec<f32>> = (0..3)
-            .map(|q| (0..8).map(|i| ((q * 8 + i) as f32 * 0.23).sin()).collect())
+        let keys: Vec<Vec<Fixed>> = (0..3)
+            .map(|q| {
+                words(
+                    &(0..8)
+                        .map(|i| ((q * 8 + i) as f32 * 0.23).sin())
+                        .collect::<Vec<_>>(),
+                )
+            })
             .collect();
+        let key_refs: Vec<&[Fixed]> = keys.iter().map(Vec::as_slice).collect();
         let mut atts = Vec::new();
         let mut sts = vec![NumericStatus::default(); keys.len()];
         let mut flags = Vec::new();
-        let (cycles, stats, union) =
-            m.address_indexed_batch_flagged_into_tracked(&keys, &mut atts, &mut sts, &mut flags);
+        let (cycles, stats, union) = m
+            .address_indexed_batch_flagged_into_tracked(&key_refs, &mut atts, &mut sts, &mut flags);
         let mut sum_scanned = 0;
         for (q, key) in keys.iter().enumerate() {
             let mut att = Vec::new();
@@ -1065,25 +1183,21 @@ mod tests {
         assert_eq!(empty.stream_cycles_per_hop(), 0);
     }
 
-    use crate::test_support::stress_vec;
+    use crate::test_support::{stress_vec, stress_words};
     use proptest::collection::vec;
     use proptest::prelude::*;
 
     /// One addressing pass: attention bits, flags, status and cycles.
     #[derive(Debug, PartialEq)]
     struct Pass {
-        attention: Vec<u32>,
+        attention: Vec<Fixed>,
         flags: Vec<bool>,
         st: NumericStatus,
         cycles: Cycles,
     }
 
-    fn bits(v: &[f32]) -> Vec<u32> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    fn quantize(v: &[f32], st: &mut NumericStatus) -> Vec<Fixed> {
-        v.iter().map(|&x| Fixed::from_f32_tracked(x, st)).collect()
+    fn requant(v: &[Fixed], st: &mut NumericStatus) -> Vec<Fixed> {
+        v.iter().map(|w| w.requant(st)).collect()
     }
 
     fn empty_pass() -> Pass {
@@ -1109,7 +1223,7 @@ mod tests {
         let mut scores = Vec::new();
         for &i in slots {
             let mut row_st = NumericStatus::default();
-            scores.push(fixed::dot_tracked(&m.rows_a[i], key_q, &mut row_st));
+            scores.push(fixed::dot_tracked(m.addr_row(i), key_q, &mut row_st));
             flags.push(key_st.stressed() || row_st.stressed());
             rows_st.merge(&row_st);
         }
@@ -1120,50 +1234,45 @@ mod tests {
     /// weight.
     fn tail(
         m: &MemModule,
-        scores: &[Fixed],
+        scores: Vec<Fixed>,
         flags: &mut [bool],
-    ) -> (Vec<f32>, NumericStatus, Cycles) {
-        let scores_f: Vec<f32> = scores.iter().map(|s| s.to_f32()).collect();
+    ) -> (Vec<Fixed>, NumericStatus, Cycles) {
         let mut st = NumericStatus::default();
-        let mut attention = Vec::new();
-        let cycles = m.softmax_tail(&scores_f, scores, &mut attention, &mut st);
+        let mut attention = scores;
+        let cycles = m.softmax_tail(&mut attention, &mut st);
         if st.stressed() {
             flags.iter_mut().for_each(|f| *f = true);
         }
         (attention, st, cycles)
     }
 
-    fn score_stream(m: &MemModule, rows: usize) -> Cycles {
-        Cycles::new(rows as u64 * m.slots_per_row() + m.tree.depth() + 1)
-    }
-
     /// The exact flagged addressing pass, from the chain.
-    fn chain_address(m: &MemModule, key: &[f32]) -> Pass {
+    fn chain_address(m: &MemModule, key: &[Fixed]) -> Pass {
         if m.is_empty() {
             return empty_pass();
         }
         let mut key_st = NumericStatus::default();
-        let key_q = quantize(key, &mut key_st);
+        let key_q = requant(key, &mut key_st);
         let all: Vec<usize> = (0..m.len()).collect();
         let (scores, mut flags, rows_st) = chain_scores(m, &key_q, &key_st, &all);
-        let (attention, tail_st, tail_cycles) = tail(m, &scores, &mut flags);
+        let (attention, tail_st, tail_cycles) = tail(m, scores, &mut flags);
         Pass {
-            attention: bits(&attention),
+            attention,
             flags,
             st: key_st.merged(&rows_st).merged(&tail_st),
-            cycles: score_stream(m, m.len()) + tail_cycles,
+            cycles: m.score_cycles(m.len()) + tail_cycles,
         }
     }
 
     /// One indexed hop, from the chain: the probe's candidates scored,
     /// then either the candidate softmax scattered over the slots or the
     /// exact pass on fallback.
-    fn chain_indexed(m: &MemModule, key: &[f32]) -> Pass {
+    fn chain_indexed(m: &MemModule, key: &[Fixed]) -> Pass {
         if m.is_empty() {
             return empty_pass();
         }
         let mut key_st = NumericStatus::default();
-        let key_q = quantize(key, &mut key_st);
+        let key_q = requant(key, &mut key_st);
         let mut probe_st = NumericStatus::default();
         let idx = m.index().expect("built");
         let (cands, probe_cycles, probe_stressed) = idx.probe(&key_q, &mut probe_st);
@@ -1172,7 +1281,7 @@ mod tests {
         let best = scores_f.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let worst = scores_f.iter().copied().fold(f32::INFINITY, f32::min);
         let st = key_st.merged(&probe_st).merged(&rows_st);
-        let front = probe_cycles + score_stream(m, cands.len());
+        let front = probe_cycles + m.score_cycles(cands.len());
         if probe_stressed || cands.is_empty() || best - worst <= idx.config().band {
             let exact = chain_address(m, key);
             return Pass {
@@ -1181,15 +1290,15 @@ mod tests {
                 ..exact
             };
         }
-        let (cand_att, tail_st, tail_cycles) = tail(m, &scores, &mut cand_flags);
-        let mut attention = vec![0.0; m.len()];
+        let (cand_att, tail_st, tail_cycles) = tail(m, scores, &mut cand_flags);
+        let mut attention = vec![Fixed::ZERO; m.len()];
         let mut flags = vec![false; m.len()];
         for ((&slot, &w), &f) in cands.iter().zip(&cand_att).zip(&cand_flags) {
             attention[slot] = w;
             flags[slot] = f;
         }
         Pass {
-            attention: bits(&attention),
+            attention,
             flags,
             st: st.merged(&tail_st),
             cycles: front + tail_cycles,
@@ -1197,16 +1306,19 @@ mod tests {
     }
 
     /// A soft read, from the chain over each stored content column.
-    fn chain_read(m: &MemModule, attention: &[f32]) -> (Vec<u32>, NumericStatus, Cycles) {
+    fn chain_read(m: &MemModule, attention: &[Fixed]) -> (Vec<Fixed>, NumericStatus, Cycles) {
         let mut st = NumericStatus::default();
-        let att_q = quantize(attention, &mut st);
-        let out: Vec<f32> = (0..m.embed_dim)
+        let att_q = requant(attention, &mut st);
+        let out: Vec<Fixed> = (0..m.embed_dim)
             .map(|j| {
-                let column = att_q.iter().zip(&m.rows_c).map(|(a, row)| (*a, row[j]));
-                fixed::dot_tracked_pairs(column, &mut st).to_f32()
+                let column = att_q
+                    .iter()
+                    .enumerate()
+                    .map(|(i, a)| (*a, m.content[i * m.embed_dim + j]));
+                fixed::dot_tracked_pairs(column, &mut st)
             })
             .collect();
-        (bits(&out), st, score_stream(m, m.len()))
+        (out, st, m.score_cycles(m.len()))
     }
 
     proptest! {
@@ -1214,8 +1326,9 @@ mod tests {
 
         /// The four addressing passes and both soft reads equal the
         /// in-order chain over the stored words, pushed through the same
-        /// softmax tail, in attention bits, flags, cycles and status, on
-        /// rows that saturate and rows that do not.
+        /// softmax tail, in attention words, flags, cycles and status, on
+        /// rows that saturate and rows that do not, with keys and attention
+        /// words beyond `2^24` and on the rails.
         #[test]
         fn mem_passes_match_the_in_order_chain(
             (e, rows, (keys, atts), (k, nprobe, band)) in (1usize..=6, 0usize..=8)
@@ -1223,7 +1336,7 @@ mod tests {
                     (
                         Just(e),
                         vec((stress_vec(e), stress_vec(e)), l),
-                        (vec(stress_vec(e), 1..=3), vec(stress_vec(l), 1..=3)),
+                        (vec(stress_words(e), 1..=3), vec(stress_words(l), 1..=3)),
                         (1usize..=4, 0usize..4, 0usize..3),
                     )
                 })
@@ -1236,29 +1349,30 @@ mod tests {
             for (key, want) in keys.iter().zip(&want) {
                 let mut att = Vec::new();
                 let mut st = NumericStatus::default();
-                let cycles = m.address_into_tracked(key, &mut att, &mut st);
+                let cycles = m.address_words_tracked(key, &mut att, &mut st);
                 prop_assert_eq!(
-                    (bits(&att), st, cycles),
-                    (want.attention.clone(), want.st, want.cycles)
+                    (&att, st, cycles),
+                    (&want.attention, want.st, want.cycles)
                 );
                 let mut flags = Vec::new();
                 let mut st = NumericStatus::default();
                 let cycles = m.address_flagged_into_tracked(key, &mut att, &mut st, &mut flags);
-                let got = Pass { attention: bits(&att), flags, st, cycles };
+                let got = Pass { attention: att, flags, st, cycles };
                 prop_assert_eq!(&got, want);
             }
+            let key_refs: Vec<&[Fixed]> = keys.iter().map(Vec::as_slice).collect();
             let mut batch_att = Vec::new();
             let mut batch_st = vec![NumericStatus::default(); keys.len()];
             let mut batch_flags = Vec::new();
             let batch_cycles = m.address_batch_flagged_into_tracked(
-                &keys,
+                &key_refs,
                 &mut batch_att,
                 &mut batch_st,
                 &mut batch_flags,
             );
             for (q, want) in want.iter().enumerate() {
                 let got = Pass {
-                    attention: bits(&batch_att[q]),
+                    attention: batch_att[q].clone(),
                     flags: batch_flags[q].clone(),
                     st: batch_st[q],
                     cycles: batch_cycles[q],
@@ -1275,20 +1389,21 @@ mod tests {
                 let mut flags = Vec::new();
                 let (cycles, _) =
                     mi.address_indexed_flagged_into_tracked(key, &mut att, &mut st, &mut flags);
-                let got = Pass { attention: bits(&att), flags, st, cycles };
+                let got = Pass { attention: att, flags, st, cycles };
                 prop_assert_eq!(got, chain_indexed(&mi, key));
             }
 
+            let att_refs: Vec<&[Fixed]> = atts.iter().map(Vec::as_slice).collect();
             let mut reads = Vec::new();
             let mut read_sts = vec![NumericStatus::default(); atts.len()];
-            let read_cycles = m.read_batch_into_tracked(&atts, &mut reads, &mut read_sts);
+            let read_cycles = m.read_batch_into_tracked(&att_refs, &mut reads, &mut read_sts);
             for (q, attention) in atts.iter().enumerate() {
                 let want = chain_read(&m, attention);
                 let mut out = Vec::new();
                 let mut st = NumericStatus::default();
-                let cycles = m.read_into_tracked(attention, &mut out, &mut st);
-                prop_assert_eq!(&(bits(&out), st, cycles), &want);
-                prop_assert_eq!((bits(&reads[q]), read_sts[q], read_cycles[q]), want);
+                let cycles = m.read_words_tracked(attention, &mut out, &mut st);
+                prop_assert_eq!(&(out, st, cycles), &want);
+                prop_assert_eq!((reads[q].clone(), read_sts[q], read_cycles[q]), want);
             }
         }
     }

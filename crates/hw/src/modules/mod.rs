@@ -13,6 +13,7 @@ mod read;
 
 pub use control::{decode_stream, encode_sample_stream, ControlModule, HostWord, StreamError};
 pub use input_write::InputWriteModule;
+pub(crate) use mem::attention_peak;
 pub use mem::MemModule;
 pub use output::{OutputModule, OutputResult};
 pub use read::ReadModule;

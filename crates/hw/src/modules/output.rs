@@ -120,11 +120,51 @@ impl OutputModule {
     /// Panics if `h` width differs from `E`.
     pub fn search(&self, h: &[f32]) -> OutputResult {
         assert_eq!(h.len(), self.w_o.cols(), "hidden width");
-        let per_dot = self.row_cycles;
-        let epilogue = self.tree.depth() + 2;
-        let band = Fixed::from_f32(self.guard.band.max(0.0));
-        let h_q = Operand::new(h);
+        self.search_operand(&Operand::new(h))
+    }
 
+    /// [`OutputModule::search`] for the READ module's output words, each
+    /// re-quantized once per search ([`Operand::from_words`]): equal to the
+    /// `f32` search fed the words' `to_f32`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` width differs from `E`.
+    pub fn search_words(&self, h: &[Fixed]) -> OutputResult {
+        assert_eq!(h.len(), self.w_o.cols(), "hidden width");
+        self.search_operand(&Operand::from_words(h))
+    }
+
+    fn result(&self, label: usize, comparisons: usize, speculated: bool) -> OutputResult {
+        OutputResult {
+            label,
+            comparisons,
+            speculated,
+            cycles: Cycles::new(comparisons as u64 * self.row_cycles + self.tree.depth() + 2),
+            vetoes: 0,
+            numeric: NumericStatus::default(),
+        }
+    }
+
+    /// The search over a quantized hidden state. The exhaustive search
+    /// sweeps every class row in one matvec; a thresholding plan probes
+    /// row by row, each logit with its own register for the exit guard.
+    fn search_operand(&self, h_q: &Operand) -> OutputResult {
+        let Some(plan) = &self.plan else {
+            let mut numeric = NumericStatus::default();
+            let (mut best, mut best_z) = (0usize, Fixed::MIN);
+            self.w_o.matvec_tracked(h_q, &mut numeric, |class, z| {
+                if z > best_z {
+                    best_z = z;
+                    best = class;
+                }
+            });
+            return OutputResult {
+                numeric,
+                ..self.result(best, self.w_o.rows(), false)
+            };
+        };
+        let band = Fixed::from_f32(self.guard.band.max(0.0));
         let mut best = 0usize;
         let mut best_z = Fixed::MIN;
         let mut comparisons = 0usize;
@@ -133,88 +173,65 @@ impl OutputModule {
         // Whether any logit probed so far landed within the guard band of
         // its own threshold while carrying a flag.
         let mut band_flagged = false;
-
-        match &self.plan {
-            Some(plan) => {
-                for &(class, theta) in plan {
-                    let mut logit_st = NumericStatus::default();
-                    let z = self.w_o.dot_tracked(class, &h_q, &mut logit_st);
-                    comparisons += 1;
-                    numeric.merge(&logit_st);
-                    if let Some(t) = theta {
-                        if logit_st.stressed() && z.saturating_sub(t).abs() <= band {
-                            band_flagged = true;
-                        }
-                        if z > t {
-                            if self.guard.vetoes(&logit_st, band_flagged) {
-                                // Saturated speculative exit: veto it and
-                                // let the sequential search continue.
-                                vetoes += 1;
-                            } else {
-                                return OutputResult {
-                                    label: class,
-                                    comparisons,
-                                    speculated: true,
-                                    cycles: Cycles::new(comparisons as u64 * per_dot + epilogue),
-                                    vetoes,
-                                    numeric,
-                                };
-                            }
-                        }
-                    }
-                    if z > best_z {
-                        best_z = z;
-                        best = class;
+        for &(class, theta) in plan {
+            let mut logit_st = NumericStatus::default();
+            let z = self.w_o.dot_tracked(class, h_q, &mut logit_st);
+            comparisons += 1;
+            numeric.merge(&logit_st);
+            if let Some(t) = theta {
+                if logit_st.stressed() && z.saturating_sub(t).abs() <= band {
+                    band_flagged = true;
+                }
+                if z > t {
+                    if self.guard.vetoes(&logit_st, band_flagged) {
+                        // Saturated speculative exit: veto it and let the
+                        // sequential search continue.
+                        vetoes += 1;
+                    } else {
+                        return OutputResult {
+                            vetoes,
+                            numeric,
+                            ..self.result(class, comparisons, true)
+                        };
                     }
                 }
             }
-            None => {
-                for class in 0..self.w_o.rows() {
-                    let z = self.w_o.dot_tracked(class, &h_q, &mut numeric);
-                    comparisons += 1;
-                    if z > best_z {
-                        best_z = z;
-                        best = class;
-                    }
-                }
+            if z > best_z {
+                best_z = z;
+                best = class;
             }
         }
         OutputResult {
-            label: best,
-            comparisons,
-            speculated: false,
-            cycles: Cycles::new(comparisons as u64 * per_dot + epilogue),
             vetoes,
             numeric,
+            ..self.result(best, comparisons, false)
         }
     }
 
     /// Batched search for hidden states of queries sharing a fused compute
     /// phase. Without thresholding every query evaluates every class, so
     /// the class rows stream out of BRAM once for the whole group; each
-    /// `(query, class)` dot product is the exact [`OutputModule::search`]
-    /// computation, so every result is bit-identical to the per-query
-    /// call. With a thresholding plan the searches retire at different
-    /// rows and are delegated to per-query [`OutputModule::search`] (no
-    /// stream sharing is claimed — see
+    /// `(query, class)` dot product is the exact
+    /// [`OutputModule::search_words`] computation, so every result is
+    /// bit-identical to the per-query call. With a thresholding plan the
+    /// searches retire at different rows and are delegated to per-query
+    /// searches (no stream sharing is claimed — see
     /// [`OutputModule::row_stream_cycles`]).
     ///
     /// # Panics
     ///
     /// Panics if any hidden width differs from `E`.
-    pub fn search_batch(&self, hs: &[&[f32]]) -> Vec<OutputResult> {
+    pub fn search_batch(&self, hs: &[&[Fixed]]) -> Vec<OutputResult> {
         if self.plan.is_some() {
-            return hs.iter().map(|h| self.search(h)).collect();
+            return hs.iter().map(|h| self.search_words(h)).collect();
         }
         let ops: Vec<Operand> = hs
             .iter()
             .map(|h| {
                 assert_eq!(h.len(), self.w_o.cols(), "hidden width");
-                Operand::new(h)
+                Operand::from_words(h)
             })
             .collect();
-        let per_dot = self.row_cycles;
-        let epilogue = self.tree.depth() + 2;
         let mut best = vec![0usize; hs.len()];
         let mut best_z = vec![Fixed::MIN; hs.len()];
         let mut numeric = vec![NumericStatus::default(); hs.len()];
@@ -227,15 +244,10 @@ impl OutputModule {
                 }
             }
         }
-        let comparisons = self.w_o.rows();
         (0..hs.len())
             .map(|q| OutputResult {
-                label: best[q],
-                comparisons,
-                speculated: false,
-                cycles: Cycles::new(comparisons as u64 * per_dot + epilogue),
-                vetoes: 0,
                 numeric: numeric[q],
+                ..self.result(best[q], self.w_o.rows(), false)
             })
             .collect()
     }
@@ -390,7 +402,11 @@ mod tests {
         let hs: Vec<Vec<f32>> = (0..3)
             .map(|q| (0..4).map(|j| ((q * 4 + j) as f32 * 0.31).sin()).collect())
             .collect();
-        let refs: Vec<&[f32]> = hs.iter().map(Vec::as_slice).collect();
+        let words: Vec<Vec<Fixed>> = hs
+            .iter()
+            .map(|h| h.iter().map(|&x| Fixed::from_f32(x)).collect())
+            .collect();
+        let refs: Vec<&[Fixed]> = words.iter().map(Vec::as_slice).collect();
         let batch = m.search_batch(&refs);
         assert_eq!(batch.len(), 3);
         for (h, got) in hs.iter().zip(&batch) {

@@ -104,12 +104,8 @@ impl ReadModule {
     }
 
     /// [`ReadModule::step`] with the output written into a caller-owned
-    /// buffer whose capacity is reused across hops. After warm-up the
-    /// linear controller — the paper's datapath — allocates one buffer per
-    /// step, the quantized key, whatever `E` is. The GRU variant also
-    /// builds its quantized operands and gate temporaries, and its σ/tanh
-    /// unit allocates per element. Values and cycle counts are identical to
-    /// [`ReadModule::step`].
+    /// buffer whose capacity is reused across hops. Values and cycle counts
+    /// are identical to [`ReadModule::step`].
     ///
     /// # Panics
     ///
@@ -119,9 +115,9 @@ impl ReadModule {
     }
 
     /// [`ReadModule::step_into`] with numeric-event accounting across the
-    /// matvecs, the combine adder and (for the gated controller) the σ/tanh
-    /// unit and gate combines. Values and cycle counts are identical to the
-    /// untracked step.
+    /// operand quantizers, the matvecs, the combine adder and (for the
+    /// gated controller) the σ/tanh unit and gate combines. Values and
+    /// cycle counts are identical to the untracked step.
     ///
     /// # Panics
     ///
@@ -133,97 +129,124 @@ impl ReadModule {
         h: &mut Vec<f32>,
         st: &mut NumericStatus,
     ) -> Cycles {
-        let e = self.embed_dim();
-        assert_eq!(r.len(), e, "read vector width");
-        assert_eq!(k.len(), e, "key width");
+        self.check_widths(r.len(), k.len());
+        let mut words = Vec::new();
+        let cycles = self.step_core(&Operand::new(r), &Operand::new(k), &mut words, st);
         h.clear();
-        h.reserve(e);
+        h.extend(words.iter().map(|w| w.to_f32()));
+        cycles
+    }
+
+    /// [`ReadModule::step_into_tracked`] on words: the read vector from MEM
+    /// and the key, each re-quantized once per step
+    /// ([`Operand::from_words`]), with the output left as words for the
+    /// next hop's key and the OUTPUT search. Equal to the `f32` entry fed
+    /// the words' `to_f32`. After warm-up the linear controller — the
+    /// paper's datapath — allocates nothing unless an operand word lies
+    /// beyond `2^24`. The GRU variant builds its gate temporaries, and its
+    /// σ/tanh unit allocates per element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` or `k` width differs from `E`.
+    pub fn step_words_tracked(
+        &self,
+        r: &[Fixed],
+        k: &[Fixed],
+        h: &mut Vec<Fixed>,
+        st: &mut NumericStatus,
+    ) -> Cycles {
+        self.check_widths(r.len(), k.len());
+        self.step_core(&Operand::from_words(r), &Operand::from_words(k), h, st)
+    }
+
+    fn check_widths(&self, r: usize, k: usize) {
+        assert_eq!(r, self.embed_dim, "read vector width");
+        assert_eq!(k, self.embed_dim, "key width");
+    }
+
+    /// One step over quantized operands. Each operand's quantizer register
+    /// is merged once per use of its words, as converting the `f32` vector
+    /// at every use recorded it.
+    fn step_core(
+        &self,
+        r: &Operand,
+        k: &Operand,
+        h: &mut Vec<Fixed>,
+        st: &mut NumericStatus,
+    ) -> Cycles {
+        let e = self.embed_dim();
         match &self.controller {
             ControllerHw::Linear { w_r } => {
                 let per_dot = (e.div_ceil(self.tree.width())) as u64;
-                let k_q = Operand::new(k);
-                for (row, &rv) in r.iter().enumerate() {
-                    let wk = w_r.dot_tracked(row, &k_q, st);
-                    let sum = Fixed::from_f32_tracked(rv, st).add_tracked(wk, st);
-                    h.push(sum.to_f32());
+                h.clear();
+                h.resize(e, Fixed::ZERO);
+                w_r.matvec_tracked(k, st, |row, wk| h[row] = wk);
+                // h = r + W_r k: each read word is converted once.
+                st.merge(r.status());
+                for (hv, rv) in h.iter_mut().zip(r.words()) {
+                    *hv = rv.add_tracked(*hv, st);
                 }
                 Cycles::new(e as u64 * per_dot + self.tree.depth() + 2)
             }
-            ControllerHw::Gru { gates, sigmoid } => {
-                let (out, cycles) = self.gru_step(gates, sigmoid, r, k, st);
-                h.extend_from_slice(&out);
-                cycles
-            }
+            ControllerHw::Gru { gates, sigmoid } => self.gru_step(gates, sigmoid, r, k, h, st),
         }
     }
 
-    /// Fixed-point GRU step.
+    /// Fixed-point GRU step. The gate pre-activations `W x + U y` are
+    /// summed in `f32`, as the σ/tanh unit takes them.
     fn gru_step(
         &self,
         gates: &[WeightStore; 6],
         sigmoid: &SigmoidUnit,
-        r: &[f32],
-        k: &[f32],
+        r: &Operand,
+        k: &Operand,
+        h: &mut Vec<Fixed>,
         st: &mut NumericStatus,
-    ) -> (Vec<f32>, Cycles) {
+    ) -> Cycles {
         let e = self.embed_dim();
         let per_dot = (e.div_ceil(self.tree.width())) as u64;
         let matvec_cycles = Cycles::new(e as u64 * per_dot + self.tree.depth() + 1);
         let mut total = Cycles::ZERO;
         let [w_z, u_z, w_g, u_g, w_h, u_h] = gates;
-        let (r_q, k_q) = (Operand::new(r), Operand::new(k));
 
-        fn matvec(m: &WeightStore, x: &Operand, st: &mut NumericStatus) -> Vec<f32> {
-            (0..m.rows())
-                .map(|row| m.dot_tracked(row, x, st).to_f32())
-                .collect()
-        }
-        // Gate pre-activations: a = W r + U k (the add overlaps the tree).
-        let az: Vec<f32> = matvec(w_z, &r_q, st)
-            .iter()
-            .zip(matvec(u_z, &k_q, st))
-            .map(|(a, b)| a + b)
-            .collect();
-        total += matvec_cycles * 2;
-        let ag: Vec<f32> = matvec(w_g, &r_q, st)
-            .iter()
-            .zip(matvec(u_g, &k_q, st))
-            .map(|(a, b)| a + b)
-            .collect();
-        total += matvec_cycles * 2;
+        // a = W x + U y, the add overlapping the tree.
+        let gate =
+            |w: &WeightStore, x: &Operand, u: &WeightStore, y: &Operand, st: &mut NumericStatus| {
+                let mut a = vec![0.0f32; e];
+                w.matvec_tracked(x, st, |row, z| a[row] = z.to_f32());
+                u.matvec_tracked(y, st, |row, z| a[row] += z.to_f32());
+                a
+            };
+        let az = gate(w_z, r, u_z, k, st);
+        let ag = gate(w_g, r, u_g, k, st);
+        total += matvec_cycles * 4;
         let (z, zc) = sigmoid.sigmoid_batch_tracked(&az, st);
         let (g, gc) = sigmoid.sigmoid_batch_tracked(&ag, st);
         total += zc + gc;
 
-        let gk: Vec<f32> = g
+        // The key's words meet two elementwise combines below.
+        st.merge_times(k.status(), 2);
+        let gk: Vec<Fixed> = g
             .iter()
-            .zip(k)
-            .map(|(gv, &kv)| gv.mul_tracked(Fixed::from_f32_tracked(kv, st), st).to_f32())
+            .zip(k.words())
+            .map(|(gv, kv)| gv.mul_tracked(*kv, st))
             .collect();
         total += Cycles::new(1); // elementwise, E parallel lanes
-        let ah: Vec<f32> = matvec(w_h, &r_q, st)
-            .iter()
-            .zip(matvec(u_h, &Operand::new(&gk), st))
-            .map(|(a, b)| a + b)
-            .collect();
+        let ah = gate(w_h, r, u_h, &Operand::from_words(&gk), st);
         total += matvec_cycles * 2;
         let (ht, hc) = sigmoid.tanh_batch_tracked(&ah, st);
         total += hc;
 
-        let h: Vec<f32> = z
-            .iter()
-            .zip(k)
-            .zip(ht)
-            .map(|((zv, &kv), hv)| {
-                Fixed::ONE
-                    .sub_tracked(*zv, st)
-                    .mul_tracked(Fixed::from_f32_tracked(kv, st), st)
-                    .add_tracked(zv.mul_tracked(hv, st), st)
-                    .to_f32()
-            })
-            .collect();
+        h.clear();
+        h.extend(z.iter().zip(k.words()).zip(ht).map(|((zv, kv), hv)| {
+            Fixed::ONE
+                .sub_tracked(*zv, st)
+                .mul_tracked(*kv, st)
+                .add_tracked(zv.mul_tracked(hv, st), st)
+        }));
         total += Cycles::new(2);
-        (h, total)
+        total
     }
 }
 

@@ -1,6 +1,7 @@
 //! Stress strategies shared by the unit tests of the MEM datapath and by
 //! `tests/proptests.rs`, which includes this file with `#[path]`.
 
+use mann_linalg::Fixed;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -35,4 +36,43 @@ pub fn stress_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
         vec(stress_value(), len),
     )
         .prop_map(|(tame, small, stress)| if tame { small } else { stress })
+}
+
+/// Q16.16 words for the word-path equivalence tests: ordinary values, any
+/// raw word (almost all beyond `2^24`, where `to_f32` rounds), the rails,
+/// and the edges of the range `f32` holds exactly.
+pub fn stress_word() -> impl Strategy<Value = Fixed> {
+    const EDGES: [i32; 8] = [
+        i32::MAX,
+        i32::MIN,
+        i32::MAX - 1,
+        i32::MIN + 1,
+        1 << 24,
+        -(1 << 24),
+        (1 << 24) + 1,
+        -(1 << 24) - 1,
+    ];
+    (0usize..20, -(4i32 << 16)..(4 << 16), any::<i32>()).prop_map(|(pick, small, raw)| {
+        Fixed::from_raw(match pick {
+            0..=7 => small,
+            8..=11 => raw,
+            _ => EDGES[pick - 12],
+        })
+    })
+}
+
+/// `len` words, either all tame (`|x| < 4`) or all from [`stress_word`].
+pub fn stress_words(len: usize) -> impl Strategy<Value = Vec<Fixed>> {
+    (
+        any::<bool>(),
+        vec(-(4i32 << 16)..(4 << 16), len),
+        vec(stress_word(), len),
+    )
+        .prop_map(|(tame, small, stress)| {
+            if tame {
+                small.into_iter().map(Fixed::from_raw).collect()
+            } else {
+                stress
+            }
+        })
 }

@@ -5,7 +5,8 @@
 //! [`WeightStore`] is that BRAM image: the READ controller weights and the
 //! OUTPUT rows multiply stored words directly instead of re-quantizing the
 //! `f32` weights on every access, and an [`Operand`] quantizes the vector
-//! side once per pass instead of once per row.
+//! side once per pass instead of once per row: from `f32`, or from the
+//! words another module hands over ([`Operand::from_words`]).
 //!
 //! Results are bit-identical to [`AdderTree::fixed_dot_tracked`] over the
 //! original `f32` rows, numeric counters included. Re-quantizing a stored
@@ -14,7 +15,9 @@
 //! positive rail) are latched per row at load and replayed, together with
 //! the operand's events, each time the row is evaluated.
 //! [`NumericStatus::merge`] is a field-wise sum, so replaying a latched
-//! register equals recording its events one by one.
+//! register equals recording its events one by one. A pass over every row
+//! ([`WeightStore::matvec_tracked`]) therefore merges the rows' registers
+//! as one sum and the operand's register times the row count.
 //!
 //! Each row also keeps its `Σ|w|` from load, and each operand its `max|x|`
 //! from quantization, so every dot product is certified before its loop
@@ -22,6 +25,8 @@
 //! certificate fails.
 //!
 //! [`AdderTree::fixed_dot_tracked`]: crate::adder_tree::AdderTree::fixed_dot_tracked
+
+use std::borrow::Cow;
 
 use mann_linalg::{fixed, Fixed, Matrix, NumericStatus};
 
@@ -32,6 +37,9 @@ use mann_linalg::{fixed, Fixed, Matrix, NumericStatus};
 pub struct WeightStore {
     words: Vec<Fixed>,
     row_status: Vec<NumericStatus>,
+    /// Every row's latched register merged: what a pass over all rows
+    /// replays.
+    status_sum: NumericStatus,
     row_abs_sum: Vec<u64>,
     cols: usize,
 }
@@ -44,16 +52,19 @@ impl WeightStore {
         let mut words = Vec::with_capacity(m.rows() * m.cols());
         let mut row_status = Vec::with_capacity(m.rows());
         let mut row_abs_sum = Vec::with_capacity(m.rows());
+        let mut status_sum = NumericStatus::default();
         for row in m.iter_rows() {
             let mut st = NumericStatus::default();
             let start = words.len();
             words.extend(row.iter().map(|&x| Fixed::from_f32_tracked(x, &mut st)));
             row_status.push(st);
+            status_sum.merge(&st);
             row_abs_sum.push(fixed::abs_sum(&words[start..]));
         }
         Self {
             words,
             row_status,
+            status_sum,
             row_abs_sum,
             cols: m.cols(),
         }
@@ -67,6 +78,10 @@ impl WeightStore {
     /// Number of columns (the operand width).
     pub fn cols(&self) -> usize {
         self.cols
+    }
+
+    fn row(&self, r: usize) -> &[Fixed] {
+        &self.words[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Dot product of row `r` with operand `x`, equal to the in-order
@@ -87,8 +102,33 @@ impl WeightStore {
     pub fn dot_tracked(&self, r: usize, x: &Operand, st: &mut NumericStatus) -> Fixed {
         st.merge(&self.row_status[r]);
         st.merge(&x.status);
-        let row = &self.words[r * self.cols..(r + 1) * self.cols];
-        fixed::dot_certified(row, &x.words, self.row_abs_sum[r], x.abs_max, st)
+        fixed::dot_certified(self.row(r), &x.words, self.row_abs_sum[r], x.abs_max, st)
+    }
+
+    /// Every row's [`WeightStore::dot_tracked`] with `x`, handed to `out`
+    /// as `(row, value)` in row order, with the same values and the same
+    /// merged `st`. The registers are merged once per pass, not per row:
+    /// the rows' latched registers as one sum taken at load, and the
+    /// operand's register times the row count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operand width differs from [`WeightStore::cols`].
+    pub fn matvec_tracked(
+        &self,
+        x: &Operand,
+        st: &mut NumericStatus,
+        mut out: impl FnMut(usize, Fixed),
+    ) {
+        assert_eq!(x.words.len(), self.cols, "dot operand length mismatch");
+        st.merge(&self.status_sum);
+        st.merge_times(&x.status, self.rows() as u64);
+        for r in 0..self.rows() {
+            out(
+                r,
+                fixed::dot_certified(self.row(r), &x.words, self.row_abs_sum[r], x.abs_max, st),
+            );
+        }
     }
 }
 
@@ -96,13 +136,13 @@ impl WeightStore {
 /// quantization records and its `max|x|`, the operand's magnitude in the
 /// certificate of [`fixed::dot_certified`].
 #[derive(Debug)]
-pub struct Operand {
-    words: Vec<Fixed>,
+pub struct Operand<'a> {
+    words: Cow<'a, [Fixed]>,
     status: NumericStatus,
     abs_max: u64,
 }
 
-impl Operand {
+impl Operand<'static> {
     /// Quantizes `x` through [`Fixed::from_f32_tracked`] and takes the
     /// words' `max|x|`, once for every row the operand meets.
     pub fn new(x: &[f32]) -> Self {
@@ -113,10 +153,38 @@ impl Operand {
             .collect();
         let abs_max = fixed::abs_max(&words);
         Self {
+            words: Cow::Owned(words),
+            status,
+            abs_max,
+        }
+    }
+}
+
+impl<'a> Operand<'a> {
+    /// The operand of a word vector another module handed over: each word
+    /// through [`Fixed::requant`], where the `f32` hand-off quantized it, so
+    /// the operand equals [`Operand::new`] of `x`'s `to_f32` in words,
+    /// status and `max|x|`. Borrows `x` when no word changes.
+    pub fn from_words(x: &'a [Fixed]) -> Self {
+        let mut status = NumericStatus::default();
+        let words = fixed::requant_all(x, &mut status);
+        let abs_max = fixed::abs_max(&words);
+        Self {
             words,
             status,
             abs_max,
         }
+    }
+
+    /// The quantized words.
+    pub fn words(&self) -> &[Fixed] {
+        &self.words
+    }
+
+    /// The events quantizing the operand recorded, which each row it meets
+    /// replays.
+    pub fn status(&self) -> &NumericStatus {
+        &self.status
     }
 }
 

@@ -3,7 +3,9 @@
 
 use mann_babi::EncodedSample;
 use mann_hw::adder_tree::AdderTree;
-use mann_hw::modules::{decode_stream, encode_sample_stream, OutputModule, ReadModule};
+use mann_hw::modules::{
+    decode_stream, encode_sample_stream, InputWriteModule, MemModule, OutputModule, ReadModule,
+};
 use mann_hw::sigmoid_unit::SigmoidUnit;
 use mann_hw::weight_store::{Operand, WeightStore};
 use mann_hw::{
@@ -11,17 +13,17 @@ use mann_hw::{
 };
 use mann_ith::threshold::ClassThreshold;
 use mann_ith::{ExitGuard, HopPrune, Kernel, ThresholdingModel};
-use mann_linalg::{Fixed, Matrix, NumericStatus};
+use mann_linalg::{fixed, Fixed, Matrix, NumericStatus};
 use memn2n::{ControllerKind, GruParams, ModelConfig, Params, TrainedModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-// Only `stress_value` is used here; the MEM unit tests use the rest.
+// `stress_vec` is used by the MEM unit tests only.
 #[allow(dead_code)]
 #[path = "../src/test_support.rs"]
 mod test_support;
-use test_support::stress_value;
+use test_support::{stress_value, stress_word, stress_words};
 
 /// A random tiny model + sample pair (untrained weights — equivalence must
 /// hold regardless of training).
@@ -478,6 +480,10 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+fn quantized(v: &[f32]) -> Vec<Fixed> {
+    v.iter().map(|&x| Fixed::from_f32(x)).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -564,16 +570,356 @@ proptest! {
         };
         let probed = OutputModule::new(q.w_o.clone(), &dp).with_thresholding(&never_fires, true);
         let hs: Vec<&[f32]> = hs.iter().map(|h| &h[..e]).collect();
-        let batch = module.search_batch(&hs);
-        for (h, batched) in hs.iter().zip(&batch) {
+        let words: Vec<Vec<Fixed>> = hs.iter().map(|h| quantized(h)).collect();
+        let word_refs: Vec<&[Fixed]> = words.iter().map(Vec::as_slice).collect();
+        let batch = module.search_batch(&word_refs);
+        for ((h, w), batched) in hs.iter().zip(&words).zip(&batch) {
             let (label, numeric) = oracle_search(&q.w_o, h);
             let single = module.search(h);
             prop_assert_eq!(single.label, label);
             prop_assert_eq!(single.comparisons, classes);
             prop_assert_eq!(single.numeric, numeric);
-            prop_assert_eq!(batched, &single);
+            prop_assert_eq!(batched, &module.search_words(w));
             let via_plan = probed.search(h);
             prop_assert_eq!((via_plan.label, via_plan.numeric), (label, numeric));
         }
+    }
+}
+
+/// The `f32` a word hands over, and the words the `f32` entries quantize it
+/// back to.
+fn to_f32(v: &[Fixed]) -> Vec<f32> {
+    v.iter().map(|w| w.to_f32()).collect()
+}
+
+/// An attention's weights as `f32` bits, as the `f32` entries return them.
+fn attention_bits(att: &[Fixed]) -> Vec<u32> {
+    bits(&to_f32(att))
+}
+
+#[test]
+fn requant_is_pinned_at_the_exact_range_and_the_rails() {
+    let exact = 1 << 24;
+    for raw in [0, 1, -1, exact, -exact, exact - 1, -exact + 1] {
+        let mut st = NumericStatus::default();
+        assert_eq!(Fixed::from_raw(raw).requant(&mut st), Fixed::from_raw(raw));
+        assert!(st.is_clean(), "{raw}");
+    }
+    // Past 2^24 a word rounds to 24 significant bits: 2^24 + 1 ties to the
+    // even 2^24, 2^24 + 3 to 2^24 + 4.
+    for (raw, want) in [
+        (exact + 1, exact),
+        (-exact - 1, -exact),
+        (exact + 3, exact + 4),
+        (i32::MIN, i32::MIN),
+    ] {
+        let mut st = NumericStatus::default();
+        assert_eq!(Fixed::from_raw(raw).requant(&mut st), Fixed::from_raw(want));
+        assert!(st.is_clean(), "{raw}");
+    }
+    // `i32::MAX` rounds up to 2^31 in `f32` and clips back.
+    let mut st = NumericStatus::default();
+    assert_eq!(Fixed::MAX.requant(&mut st), Fixed::MAX);
+    assert_eq!(
+        st,
+        NumericStatus {
+            quant_clamp: 1,
+            ..NumericStatus::default()
+        }
+    );
+}
+
+#[test]
+fn embedding_certificate_edge_is_exact() {
+    assert!(fixed::sum_certifies(1, i32::MAX as u64));
+    assert!(!fixed::sum_certifies(1, i32::MAX as u64 + 1));
+    assert!(!fixed::sum_certifies(2, 1 << 30));
+    assert!(fixed::sum_certifies(2, (1 << 30) - 1));
+    assert!(!fixed::sum_certifies(usize::MAX, u64::MAX));
+    // Word 0 holds the rail, word 1 holds 2^30 (16384.0) in every row.
+    let mut emb = Matrix::zeros(3, 2);
+    for r in 0..3 {
+        emb[(r, 0)] = f32::MAX;
+        emb[(r, 1)] = 16384.0;
+    }
+    let module = InputWriteModule::new(emb.clone(), emb);
+    let chain = |words: &[usize], st: &mut NumericStatus| -> Vec<Fixed> {
+        let col = |w: usize| {
+            if w == 0 {
+                Fixed::MAX
+            } else {
+                Fixed::from_raw(1 << 30)
+            }
+        };
+        (0..3)
+            .map(|_| {
+                words
+                    .iter()
+                    .fold(Fixed::ZERO, |acc, &w| acc.add_tracked(col(w), st))
+            })
+            .collect()
+    };
+    // One rail word: a bound of exactly `i32::MAX`, summed by plain adds.
+    // Two 2^30 words: one past it, the chain saturates each element.
+    for (words, saturations) in [(vec![0], 0), (vec![1], 0), (vec![1, 1], 3), (vec![0, 1], 3)] {
+        let mut want_st = NumericStatus::default();
+        let want = chain(&words, &mut want_st);
+        assert_eq!(want_st.add_sat, saturations);
+        let (mut a, mut c) = (vec![Fixed::ONE; 3], vec![Fixed::ONE; 3]);
+        let mut st = NumericStatus::default();
+        module.embed_sentence_tracked(&words, &mut a, &mut c, &mut st);
+        assert_eq!((&a, &c), (&want, &want), "{words:?}");
+        assert_eq!(st.add_sat, 2 * saturations, "{words:?}");
+        let mut key = Vec::new();
+        let mut st = NumericStatus::default();
+        module.embed_question_tracked(&words, &mut key, &mut st);
+        assert_eq!((key, st), (want, want_st), "{words:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Fixed::requant` is the round trip through `f32`, value and events,
+    /// on every word.
+    #[test]
+    fn requant_is_the_f32_round_trip(raw in any::<i32>(), w in stress_word()) {
+        for w in [Fixed::from_raw(raw), w] {
+            let (mut got, mut want) = (NumericStatus::default(), NumericStatus::default());
+            prop_assert_eq!(w.requant(&mut got), Fixed::from_f32_tracked(w.to_f32(), &mut want));
+            prop_assert_eq!(got, want);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every word entry of MEM equals its `f32` entry fed the words'
+    /// `to_f32`, in attention and read bits, cycles and every counter: the
+    /// write port, plain, flagged, batched and indexed addressing, and the
+    /// single and batched soft reads, over keys and attention words beyond
+    /// `2^24` and on the rails.
+    #[test]
+    fn mem_word_entries_match_f32_entries(
+        (e, rows, (keys, atts), (k, nprobe, band)) in (1usize..=6, 0usize..=6)
+            .prop_flat_map(|(e, l)| {
+                (
+                    Just(e),
+                    proptest::collection::vec((stress_words(e), stress_words(e)), l),
+                    (
+                        proptest::collection::vec(stress_words(e), 1..=3),
+                        proptest::collection::vec(stress_words(l), 1..=3),
+                    ),
+                    (1usize..=4, 0usize..4, 0usize..2),
+                )
+            })
+    ) {
+        // The write port: words in place of their `to_f32`.
+        let mut m = MemModule::new(e, &DatapathConfig::default());
+        let mut from_words = MemModule::new(e, &DatapathConfig::default());
+        let (mut st, mut word_st) = (NumericStatus::default(), NumericStatus::default());
+        for (a, c) in &rows {
+            m.write_tracked(to_f32(a), to_f32(c), &mut st);
+            from_words.write_embedded_tracked(&mut word_st, |to_a, to_c, _| {
+                to_a.copy_from_slice(a);
+                to_c.copy_from_slice(c);
+            });
+        }
+        prop_assert_eq!(from_words.raw_words(), m.raw_words());
+        prop_assert_eq!(word_st, st);
+
+        let mut want = Vec::new();
+        for key in &keys {
+            let mut att = Vec::new();
+            let mut st = NumericStatus::default();
+            let cycles = m.address_into_tracked(&to_f32(key), &mut att, &mut st);
+            want.push((bits(&att), st, cycles));
+            let mut words = Vec::new();
+            let mut word_st = NumericStatus::default();
+            let word_cycles = m.address_words_tracked(key, &mut words, &mut word_st);
+            prop_assert_eq!((attention_bits(&words), word_st, word_cycles), want.last().cloned().unwrap());
+            let mut flags = Vec::new();
+            let mut flag_st = NumericStatus::default();
+            let flag_cycles = m.address_flagged_into_tracked(key, &mut words, &mut flag_st, &mut flags);
+            prop_assert_eq!((attention_bits(&words), flag_st, flag_cycles), want.last().cloned().unwrap());
+            prop_assert_eq!(flags.len(), m.len());
+        }
+        let key_refs: Vec<&[Fixed]> = keys.iter().map(Vec::as_slice).collect();
+        let mut batch = Vec::new();
+        let mut batch_st = vec![NumericStatus::default(); keys.len()];
+        let mut flags = Vec::new();
+        let batch_cycles = m.address_batch_flagged_into_tracked(&key_refs, &mut batch, &mut batch_st, &mut flags);
+        for (q, want) in want.iter().enumerate() {
+            prop_assert_eq!(&(attention_bits(&batch[q]), batch_st[q], batch_cycles[q]), want);
+        }
+
+        // A one-centroid index probes every slot, so its attention is the
+        // exact pass's whether or not the hop falls back.
+        let mut mi = m.clone();
+        mi.build_index(
+            MemIndexConfig::with_params(1, 1, [0.0, 1.0e9][band]),
+            &mut NumericStatus::default(),
+        );
+        for (key, want) in keys.iter().zip(&want) {
+            let mut att = Vec::new();
+            let mut flags = Vec::new();
+            mi.address_indexed_flagged_into_tracked(key, &mut att, &mut NumericStatus::default(), &mut flags);
+            prop_assert_eq!(&attention_bits(&att), &want.0);
+        }
+        // Any index: a fallback hop records the key's quantizer twice, once
+        // for the probe and once for the rescan, like the `f32` key did.
+        let mut mi = m.clone();
+        mi.build_index(
+            MemIndexConfig::with_params(k, nprobe % k + 1, 0.0),
+            &mut NumericStatus::default(),
+        );
+        for key in &keys {
+            let mut key_st = NumericStatus::default();
+            for w in key {
+                let _ = Fixed::from_f32_tracked(w.to_f32(), &mut key_st);
+            }
+            let mut att = Vec::new();
+            let mut st = NumericStatus::default();
+            let mut flags = Vec::new();
+            let (_, hop) = mi.address_indexed_flagged_into_tracked(key, &mut att, &mut st, &mut flags);
+            let copies = if m.is_empty() { 0 } else if hop.fallback { 2 } else { 1 };
+            prop_assert!(st.quant_clamp >= copies * key_st.quant_clamp);
+        }
+
+        let att_refs: Vec<&[Fixed]> = atts.iter().map(Vec::as_slice).collect();
+        let mut reads = Vec::new();
+        let mut read_sts = vec![NumericStatus::default(); atts.len()];
+        let read_cycles = m.read_batch_into_tracked(&att_refs, &mut reads, &mut read_sts);
+        for (q, attention) in atts.iter().enumerate() {
+            let mut out = Vec::new();
+            let mut st = NumericStatus::default();
+            let cycles = m.read_into_tracked(&to_f32(attention), &mut out, &mut st);
+            let want = (bits(&out), st, cycles);
+            let mut words = Vec::new();
+            let mut word_st = NumericStatus::default();
+            let word_cycles = m.read_words_tracked(attention, &mut words, &mut word_st);
+            prop_assert_eq!(&(bits(&to_f32(&words)), word_st, word_cycles), &want);
+            prop_assert_eq!((bits(&to_f32(&reads[q])), read_sts[q], read_cycles[q]), want);
+        }
+    }
+
+    /// The READ step on words (linear and GRU) equals the `f32` step fed
+    /// the words' `to_f32`, and the OUTPUT search on words (exhaustive,
+    /// batched, and under a thresholding plan) equals the `f32` search, in
+    /// every output bit and every counter.
+    #[test]
+    fn read_and_output_word_entries_match_f32_entries(
+        gru in any::<bool>(),
+        e in 1usize..7,
+        classes in 1usize..9,
+        values in proptest::collection::vec(stress_value(), 1..48),
+        r in stress_words(6),
+        k in stress_words(6),
+        thetas in proptest::collection::vec(proptest::option::of(-4.0f32..4.0), 8),
+    ) {
+        let controller = if gru { ControllerKind::Gru } else { ControllerKind::Linear };
+        let q = stressed_params(controller, e, classes, &values, 16);
+        let (r, k) = (&r[..e], &k[..e]);
+        let dp = DatapathConfig::default();
+        let module = match &q.gru {
+            Some(g) => ReadModule::new_gru(g.clone(), &dp),
+            None => ReadModule::new(q.w_r.clone(), &dp),
+        };
+        let mut h = Vec::new();
+        let mut st = NumericStatus::default();
+        let cycles = module.step_into_tracked(&to_f32(r), &to_f32(k), &mut h, &mut st);
+        let mut words = Vec::new();
+        let mut word_st = NumericStatus::default();
+        let word_cycles = module.step_words_tracked(r, k, &mut words, &mut word_st);
+        prop_assert_eq!((bits(&to_f32(&words)), word_st, word_cycles), (bits(&h), st, cycles));
+
+        let plan = ThresholdingModel {
+            thresholds: thetas[..classes].iter().map(|&theta| ClassThreshold { theta }).collect(),
+            order: (0..classes).rev().collect(),
+            silhouettes: vec![0.0; classes],
+            rho: 1.0,
+            kernel: Kernel::Epanechnikov,
+        };
+        let exhaustive = OutputModule::new(q.w_o.clone(), &dp);
+        let thresholded = OutputModule::new(q.w_o.clone(), &dp).with_thresholding(&plan, true);
+        for hidden in [r, k, &words] {
+            for search in [&exhaustive, &thresholded] {
+                let want = search.search(&to_f32(hidden));
+                prop_assert_eq!(search.search_words(hidden), want);
+                prop_assert_eq!(search.search_batch(&[hidden, k]), vec![want, search.search_words(k)]);
+            }
+        }
+    }
+
+    /// `Accelerator::run`, on words from the question embedding to the
+    /// OUTPUT search, equals the pipeline the `f32` entries compose: each
+    /// sentence embedded and written through `MemModule::write_tracked`,
+    /// each hop's key, attention and read vector handed over as `f32`,
+    /// then the `f32` search. Answers, every phase's cycles, every
+    /// module's register and the stored story words agree, on models
+    /// scaled until the words leave `2^24` and reach the rails.
+    #[test]
+    fn accelerator_words_match_the_f32_pipeline(
+        seed in 0u64..200,
+        scale in (0usize..4).prop_map(|i| [1.0f32, 300.0, 3.0e4, 3.4e38][i]),
+        gru in any::<bool>(),
+    ) {
+        let (mut model, sample) = random_case(seed, 12, 6, 2);
+        if gru {
+            model.params = Params::init(
+                ModelConfig { controller: ControllerKind::Gru, ..model.params.config },
+                12,
+                &mut StdRng::seed_from_u64(seed),
+            );
+        }
+        for m in [&mut model.params.w_emb_a, &mut model.params.w_emb_c] {
+            m.scale_in_place(scale);
+        }
+        let accel = Accelerator::new(model.clone(), AccelConfig::default());
+        let run = accel.run(&sample);
+
+        let dp = DatapathConfig::default();
+        let q = quantize_params_tracked(&model.params, dp.frac_bits, &mut NumericStatus::default());
+        let input = InputWriteModule::new(q.w_emb_a.clone(), q.content_embedding().clone());
+        let read = match &q.gru {
+            Some(g) => ReadModule::new_gru(g.clone(), &dp),
+            None => ReadModule::new(q.w_r.clone(), &dp),
+        };
+        let output = OutputModule::new(q.w_o.clone(), &dp);
+        let mut write = NumericStatus::default();
+        let mut mem = MemModule::new(6, &dp);
+        let mut write_cycles = 0;
+        for sent in &sample.sentences {
+            let (mut a, mut c) = (vec![Fixed::ZERO; 6], vec![Fixed::ZERO; 6]);
+            write_cycles += input.embed_sentence_tracked(sent, &mut a, &mut c, &mut write).get();
+            mem.write_tracked(to_f32(&a), to_f32(&c), &mut write);
+        }
+        prop_assert_eq!(accel.write_story(&sample).quantized_rows(), mem.raw_words());
+        let mut q_emb = Vec::new();
+        let qc = input.embed_question_tracked(&sample.question, &mut q_emb, &mut write);
+        let mut key = to_f32(&q_emb);
+        let (mut mem_st, mut ctl_st) = (NumericStatus::default(), NumericStatus::default());
+        let (mut addressing, mut reading, mut controller) = (0, 0, 0);
+        for _ in 0..2 {
+            let mut att = Vec::new();
+            addressing += mem.address_into_tracked(&key, &mut att, &mut mem_st).get();
+            let mut r = Vec::new();
+            reading += mem.read_into_tracked(&att, &mut r, &mut mem_st).get();
+            let mut h = Vec::new();
+            controller += read.step_into_tracked(&r, &key, &mut h, &mut ctl_st).get();
+            key = h;
+        }
+        let out = output.search(&key);
+        prop_assert_eq!(run.answer, out.label);
+        prop_assert_eq!(
+            (run.phases.write.get(), run.phases.addressing.get(), run.phases.read.get()),
+            (write_cycles + qc.get(), addressing, reading)
+        );
+        prop_assert_eq!((run.phases.controller.get(), run.phases.output), (controller, out.cycles));
+        prop_assert_eq!(
+            (run.numeric.write, run.numeric.mem, run.numeric.controller, run.numeric.output),
+            (write, mem_st, ctl_st, out.numeric)
+        );
     }
 }

@@ -7,6 +7,8 @@
 //! `i32`; other fractional widths are available through [`Fixed::from_f32_q`]
 //! for the width-ablation experiment.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::numeric::NumericStatus;
@@ -189,6 +191,22 @@ impl Fixed {
         Self::from_f32_q_tracked(x, DEFAULT_FRAC_BITS, st)
     }
 
+    /// The word after a round trip through `f32`:
+    /// `Fixed::from_f32_tracked(self.to_f32(), st)`, value and events. It
+    /// marks the quantization point where one module handed the next an
+    /// `f32`. A word of magnitude at most `2^24` converts to `f32` exactly
+    /// and comes back unchanged with no event, so only a larger word takes
+    /// the conversion: it rounds to 24 significant bits, and `i32::MAX`,
+    /// which rounds up to `2^31`, clips back with a `quant_clamp`.
+    #[inline]
+    pub fn requant(self, st: &mut NumericStatus) -> Self {
+        if self.raw.unsigned_abs() <= EXACT_IN_F32 {
+            self
+        } else {
+            Self::from_f32_tracked(self.to_f32(), st)
+        }
+    }
+
     /// [`Fixed::saturating_add`] with numeric-event accounting.
     #[inline]
     pub fn add_tracked(self, rhs: Self, st: &mut NumericStatus) -> Self {
@@ -266,6 +284,9 @@ impl Fixed {
 
 /// `2^31`, the first magnitude past `i32::MAX`.
 const I32_SPAN: f64 = 2_147_483_648.0;
+
+/// `2^24`: every raw word up to this magnitude converts to `f32` exactly.
+const EXACT_IN_F32: u32 = 1 << 24;
 
 /// `x` moved half a unit away from zero, so that truncating the result
 /// rounds `x` half away from zero as [`f64::round`] does, without the libm
@@ -413,6 +434,37 @@ pub fn abs_max(words: &[Fixed]) -> u64 {
         .iter()
         .fold((0i32, 0i32), |(lo, hi), w| (lo.min(w.raw), hi.max(w.raw)));
     u64::from(lo.unsigned_abs().max(hi.unsigned_abs()))
+}
+
+/// `words` through [`Fixed::requant`], borrowed when every word passes
+/// unchanged: one vectorized `max|w|` decides, so a vector that never left
+/// the exact range costs no copy and no per-word test.
+#[inline]
+pub fn requant_all<'a>(words: &'a [Fixed], st: &mut NumericStatus) -> Cow<'a, [Fixed]> {
+    if abs_max(words) <= u64::from(EXACT_IN_F32) {
+        Cow::Borrowed(words)
+    } else {
+        Cow::Owned(words.iter().map(|w| w.requant(st)).collect())
+    }
+}
+
+/// [`requant_all`] in place.
+#[inline]
+pub fn requant_in_place(words: &mut [Fixed], st: &mut NumericStatus) {
+    if abs_max(words) > u64::from(EXACT_IN_F32) {
+        for w in words {
+            *w = w.requant(st);
+        }
+    }
+}
+
+/// The certificate of a sum of `terms` words of magnitude at most
+/// `abs_max`: when `terms · abs_max ≤ i32::MAX`, no partial sum of the
+/// in-order saturating chain leaves `i32`, so plain adds give its value and
+/// it records no event. The product saturates instead of wrapping.
+#[inline]
+pub fn sum_certifies(terms: usize, abs_max: u64) -> bool {
+    (terms as u64).saturating_mul(abs_max) <= i32::MAX as u64
 }
 
 /// The certificate of [`dot_certified`] for `n` products:

@@ -66,6 +66,21 @@ impl NumericStatus {
         self.nan_boundary = self.nan_boundary.saturating_add(other.nan_boundary);
     }
 
+    /// Folds `other` into this register `n` times, in one step: every
+    /// counter is non-negative, so `n` saturating merges equal one
+    /// saturating add of `n` times each counter.
+    #[inline]
+    pub fn merge_times(&mut self, other: &NumericStatus, n: u64) {
+        self.merge(&NumericStatus {
+            add_sat: other.add_sat.saturating_mul(n),
+            sub_sat: other.sub_sat.saturating_mul(n),
+            mul_sat: other.mul_sat.saturating_mul(n),
+            div_zero: other.div_zero.saturating_mul(n),
+            quant_clamp: other.quant_clamp.saturating_mul(n),
+            nan_boundary: other.nan_boundary.saturating_mul(n),
+        });
+    }
+
     /// The merged form of two registers, by value.
     #[inline]
     pub fn merged(mut self, other: &NumericStatus) -> NumericStatus {
@@ -141,6 +156,28 @@ mod tests {
             ..NumericStatus::default()
         });
         assert_eq!(a.add_sat, u64::MAX);
+    }
+
+    #[test]
+    fn merge_times_equals_repeated_merges() {
+        let other = NumericStatus {
+            add_sat: 3,
+            mul_sat: u64::MAX / 2,
+            quant_clamp: 1,
+            ..NumericStatus::default()
+        };
+        for n in [0u64, 1, 2, 5] {
+            let mut once = NumericStatus {
+                sub_sat: 7,
+                ..NumericStatus::default()
+            };
+            let mut repeated = once;
+            once.merge_times(&other, n);
+            for _ in 0..n {
+                repeated.merge(&other);
+            }
+            assert_eq!(once, repeated, "n = {n}");
+        }
     }
 
     #[test]
