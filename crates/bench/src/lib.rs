@@ -1,12 +1,9 @@
 //! Benchmark harnesses for the reproduction.
 //!
-//! * Binaries (`src/bin/`) regenerate the paper's tables and figures:
-//!   `table1`, `fig2b`, `fig3`, `fig4`, `ablation`. Each accepts
-//!   `--tasks N`, `--train N`, `--test N` and `--seed N` to trade fidelity
-//!   for runtime (defaults reproduce the full 20-task suite).
-//! * Criterion benches (`benches/`) measure the component kernels: the
-//!   softmax/attention datapath, MIPS strategies, the cycle-level modules,
-//!   and the end-to-end simulator.
+//! The binaries (`src/bin/`) regenerate the paper's tables and figures:
+//! `table1`, `fig2b`, `fig3`, `fig4`, `ablation`. Each accepts `--tasks N`,
+//! `--train N`, `--test N` and `--seed N` to trade fidelity for runtime
+//! (defaults reproduce the full 20-task suite).
 
 use mann_babi::TaskId;
 use mann_core::SuiteConfig;

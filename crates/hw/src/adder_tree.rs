@@ -38,14 +38,8 @@ impl AdderTree {
     }
 
     /// Reduces `values`, returning the fixed-point sum and the cycles the
-    /// reduction occupied the tree.
-    pub fn reduce(&self, values: &[Fixed]) -> (Fixed, Cycles) {
-        self.reduce_tracked(values, &mut NumericStatus::default())
-    }
-
-    /// [`AdderTree::reduce`] with numeric-event accounting: accumulator
-    /// saturations are recorded in `st`. The sum is bit-identical to the
-    /// untracked reduction.
+    /// reduction occupied the tree. Accumulator saturations are recorded
+    /// in `st`.
     pub fn reduce_tracked(&self, values: &[Fixed], st: &mut NumericStatus) -> (Fixed, Cycles) {
         let mut acc = Fixed::ZERO;
         for v in values {
@@ -65,17 +59,10 @@ impl AdderTree {
 
     /// Dot product of two `f32` slices through the fixed-point datapath:
     /// quantize, multiply (one DSP cycle per issue, overlapped), reduce.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn fixed_dot(&self, a: &[f32], b: &[f32]) -> (Fixed, Cycles) {
-        self.fixed_dot_tracked(a, b, &mut NumericStatus::default())
-    }
-
-    /// [`AdderTree::fixed_dot`] with numeric-event accounting: quantizer
-    /// clamps, product saturations and accumulator saturations are recorded
-    /// in `st`. The sum is bit-identical to the untracked dot.
+    /// Quantizer clamps, product saturations and accumulator saturations
+    /// are recorded in `st`. The datapath quantizes its weights once, at
+    /// load; this per-access form is the oracle its equivalence tests
+    /// compare against.
     ///
     /// # Panics
     ///
@@ -127,7 +114,7 @@ mod tests {
             .iter()
             .map(|&x| Fixed::from_f32(x))
             .collect();
-        let (sum, cycles) = tree.reduce(&vals);
+        let (sum, cycles) = tree.reduce_tracked(&vals, &mut NumericStatus::default());
         assert!((sum.to_f32() - 15.0).abs() < 1e-3);
         // 5 operands over width 4 → 2 issues + depth 2.
         assert_eq!(cycles.get(), 2 + 2);
@@ -136,7 +123,7 @@ mod tests {
     #[test]
     fn empty_reduction_is_free_zero() {
         let tree = AdderTree::default();
-        let (sum, cycles) = tree.reduce(&[]);
+        let (sum, cycles) = tree.reduce_tracked(&[], &mut NumericStatus::default());
         assert_eq!(sum, Fixed::ZERO);
         assert_eq!(cycles, Cycles::ZERO);
     }
@@ -153,7 +140,7 @@ mod tests {
         let tree = AdderTree::default();
         let a = [0.5f32, -1.0, 2.0];
         let b = [2.0f32, 3.0, 0.25];
-        let (sum, cycles) = tree.fixed_dot(&a, &b);
+        let (sum, cycles) = tree.fixed_dot_tracked(&a, &b, &mut NumericStatus::default());
         assert!((sum.to_f32() - (1.0 - 3.0 + 0.5)).abs() < 1e-3);
         assert!(cycles.get() > 0);
     }

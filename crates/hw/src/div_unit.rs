@@ -31,14 +31,8 @@ impl DivUnit {
     }
 
     /// Divides each numerator by `denom`, returning quotients and total
-    /// occupancy (`n * latency`, sequential).
-    pub fn div_batch(&self, numerators: &[Fixed], denom: Fixed) -> (Vec<Fixed>, Cycles) {
-        self.div_batch_tracked(numerators, denom, &mut NumericStatus::default())
-    }
-
-    /// [`DivUnit::div_batch`] with numeric-event accounting: zero divisors
-    /// and clipped quotients are recorded in `st`. The quotients are
-    /// bit-identical to the untracked batch.
+    /// occupancy (`n * latency`, sequential). Zero divisors and clipped
+    /// quotients are recorded in `st`.
     pub fn div_batch_tracked(
         &self,
         numerators: &[Fixed],
@@ -84,7 +78,8 @@ mod tests {
             .iter()
             .map(|&x| Fixed::from_f32(x))
             .collect();
-        let (out, _) = d.div_batch(&nums, Fixed::from_f32(2.0));
+        let (out, _) =
+            d.div_batch_tracked(&nums, Fixed::from_f32(2.0), &mut NumericStatus::default());
         let expect = [0.5f32, 1.0, 1.5];
         for (o, e) in out.iter().zip(expect) {
             assert!((o.to_f32() - e).abs() < 1e-3);
@@ -95,14 +90,15 @@ mod tests {
     fn occupancy_is_sequential() {
         let d = DivUnit::new(10);
         let nums = vec![Fixed::ONE; 7];
-        let (_, c) = d.div_batch(&nums, Fixed::ONE);
+        let (_, c) = d.div_batch_tracked(&nums, Fixed::ONE, &mut NumericStatus::default());
         assert_eq!(c.get(), 70);
     }
 
     #[test]
     fn divide_by_zero_saturates_not_panics() {
         let d = DivUnit::default();
-        let (out, _) = d.div_batch(&[Fixed::ONE], Fixed::ZERO);
+        let (out, _) =
+            d.div_batch_tracked(&[Fixed::ONE], Fixed::ZERO, &mut NumericStatus::default());
         assert_eq!(out[0], Fixed::MAX);
     }
 

@@ -43,14 +43,8 @@ impl ExpUnit {
 
     /// Evaluates `exp(x)` for a batch of shifted scores (all `≤ 0`),
     /// returning fixed-point results and the occupancy of the pipeline:
-    /// `n + latency` cycles for `n` inputs at II = 1.
-    pub fn eval_batch(&self, xs: &[f32]) -> (Vec<Fixed>, Cycles) {
-        self.eval_batch_tracked(xs, &mut NumericStatus::default())
-    }
-
-    /// [`ExpUnit::eval_batch`] with numeric-event accounting: non-finite or
+    /// `n + latency` cycles for `n` inputs at II = 1. Non-finite or
     /// out-of-range operands at the output quantizer are recorded in `st`.
-    /// The results are bit-identical to the untracked batch.
     pub fn eval_batch_tracked(&self, xs: &[f32], st: &mut NumericStatus) -> (Vec<Fixed>, Cycles) {
         let out = xs.iter().map(|&x| self.eval_tracked(x, st)).collect();
         (out, self.batch_cycles(xs.len()))
@@ -89,7 +83,7 @@ mod tests {
     fn batch_matches_lut_pointwise() {
         let unit = ExpUnit::default();
         let xs = [-0.5f32, -1.0, -2.0, 0.0];
-        let (out, _) = unit.eval_batch(&xs);
+        let (out, _) = unit.eval_batch_tracked(&xs, &mut NumericStatus::default());
         for (o, &x) in out.iter().zip(&xs) {
             assert!((o.to_f32() - unit.lut().eval(x)).abs() < 1e-3);
         }
@@ -98,9 +92,9 @@ mod tests {
     #[test]
     fn occupancy_is_n_plus_latency() {
         let unit = ExpUnit::default();
-        let (_, c) = unit.eval_batch(&[-1.0; 10]);
+        let (_, c) = unit.eval_batch_tracked(&[-1.0; 10], &mut NumericStatus::default());
         assert_eq!(c.get(), 10 + unit.latency());
-        let (_, empty) = unit.eval_batch(&[]);
+        let (_, empty) = unit.eval_batch_tracked(&[], &mut NumericStatus::default());
         assert_eq!(empty, Cycles::ZERO);
     }
 
@@ -108,7 +102,7 @@ mod tests {
     fn outputs_stay_in_unit_interval() {
         let unit = ExpUnit::default();
         let xs: Vec<f32> = (0..50).map(|i| -(i as f32) * 0.3).collect();
-        let (out, _) = unit.eval_batch(&xs);
+        let (out, _) = unit.eval_batch_tracked(&xs, &mut NumericStatus::default());
         for o in out {
             let v = o.to_f32();
             assert!((0.0..=1.0).contains(&v), "{v}");

@@ -219,10 +219,15 @@ pub struct IndexedHopStats {
 #[derive(Debug, Clone)]
 pub struct MemIndex {
     config: MemIndexConfig,
-    centroids: Vec<Vec<Fixed>>,
+    /// The stored centroids, row-major, `embed_dim` words each.
+    centroids: Vec<Fixed>,
+    embed_dim: usize,
     /// `max|w|` over every stored centroid word, taken at build.
     centroid_abs_max: u64,
-    members: Vec<Vec<usize>>,
+    /// Every slot, grouped by centroid, ascending within each group.
+    members: Vec<usize>,
+    /// Centroid `c`'s group is `members[member_starts[c]..member_starts[c + 1]]`.
+    member_starts: Vec<usize>,
     build_cycles: u64,
     per_dot: u64,
     tree_depth: u64,
@@ -232,109 +237,127 @@ pub struct MemIndex {
 const BUILD_ROUNDS: usize = 2;
 
 impl MemIndex {
-    /// Builds the index over `rows` (the story's quantized address rows,
-    /// in slot order). Quantizer events from storing the centroids land in
-    /// `st`, merged into the story's write register like every other BRAM
-    /// write.
+    /// Builds the index over `rows`, the story's address table: its
+    /// quantized rows of `embed_dim` words each, row-major in slot order.
+    /// The build reads the table in place, converting each word to `f32`
+    /// where it is used, and allocates a fixed number of buffers whatever
+    /// the story length. Quantizer events from storing the centroids land
+    /// in `st`, merged into the story's write register like every other
+    /// BRAM write.
     ///
     /// # Panics
     ///
-    /// Panics unless `config.enabled` (a disabled config must never build).
-    pub fn build<'a>(
-        rows: impl ExactSizeIterator<Item = &'a [Fixed]>,
+    /// Panics unless `config.enabled` (a disabled config must never build),
+    /// or if `embed_dim` is 0.
+    pub fn build(
+        rows: &[Fixed],
         config: MemIndexConfig,
         tree: &AdderTree,
         embed_dim: usize,
         st: &mut NumericStatus,
     ) -> Self {
         assert!(config.enabled, "building an index from a disabled config");
-        let l = rows.len();
-        let per_dot = embed_dim.div_ceil(tree.width()) as u64;
-        let depth = tree.depth();
+        let e = embed_dim;
+        let l = rows.len() / e;
+        let mut index = MemIndex {
+            config,
+            centroids: Vec::new(),
+            embed_dim,
+            centroid_abs_max: 0,
+            members: Vec::new(),
+            member_starts: Vec::new(),
+            build_cycles: 0,
+            per_dot: e.div_ceil(tree.width()) as u64,
+            tree_depth: tree.depth(),
+        };
         if l == 0 {
-            return MemIndex {
-                config,
-                centroids: Vec::new(),
-                centroid_abs_max: 0,
-                members: Vec::new(),
-                build_cycles: 0,
-                per_dot,
-                tree_depth: depth,
-            };
+            return index;
         }
         let k_eff = config.k.min(l);
-        let rows_f: Vec<Vec<f32>> = rows
-            .map(|r| r.iter().map(|x| x.to_f32()).collect())
-            .collect();
+        let row = |i: usize| &rows[i * e..(i + 1) * e];
         // Deterministic init: evenly spaced story rows.
-        let mut centroids_f: Vec<Vec<f32>> =
-            (0..k_eff).map(|i| rows_f[i * l / k_eff].clone()).collect();
-        let assign = |centroids_f: &[Vec<f32>]| -> Vec<usize> {
-            rows_f
-                .iter()
-                .map(|row| {
-                    let mut best = 0usize;
-                    let mut best_d = f32::INFINITY;
-                    for (c, cent) in centroids_f.iter().enumerate() {
-                        let d: f32 = row.iter().zip(cent).map(|(a, b)| (a - b) * (a - b)).sum();
-                        // Strict `<` ties toward the lower centroid index.
-                        if d < best_d {
-                            best = c;
-                            best_d = d;
-                        }
+        let mut centroids_f = Vec::with_capacity(k_eff * e);
+        for c in 0..k_eff {
+            centroids_f.extend(row(c * l / k_eff).iter().map(|x| x.to_f32()));
+        }
+        let assign = |centroids_f: &[f32], assignment: &mut [usize]| {
+            for (i, slot) in assignment.iter_mut().enumerate() {
+                let mut best = 0usize;
+                let mut best_d = f32::INFINITY;
+                for (c, cent) in centroids_f.chunks_exact(e).enumerate() {
+                    let d: f32 = row(i)
+                        .iter()
+                        .zip(cent)
+                        .map(|(a, b)| {
+                            let d = a.to_f32() - b;
+                            d * d
+                        })
+                        .sum();
+                    // Strict `<` ties toward the lower centroid index.
+                    if d < best_d {
+                        best = c;
+                        best_d = d;
                     }
-                    best
-                })
-                .collect()
+                }
+                *slot = best;
+            }
         };
+        let mut assignment = vec![0usize; l];
+        let mut counts = vec![0usize; k_eff];
         for _ in 0..BUILD_ROUNDS {
-            let assignment = assign(&centroids_f);
-            let mut sums = vec![vec![0.0f32; embed_dim]; k_eff];
-            let mut counts = vec![0usize; k_eff];
-            for (row, &c) in rows_f.iter().zip(&assignment) {
+            assign(&centroids_f, &mut assignment);
+            counts.fill(0);
+            for &c in &assignment {
                 counts[c] += 1;
-                for (s, x) in sums[c].iter_mut().zip(row) {
-                    *s += x;
-                }
             }
-            for (c, (sum, &count)) in sums.iter().zip(&counts).enumerate() {
+            // Each non-empty cluster's centroid becomes its members' mean;
+            // empty clusters keep their previous centroid.
+            for (cent, &count) in centroids_f.chunks_exact_mut(e).zip(&counts) {
                 if count > 0 {
-                    // Empty clusters keep their previous centroid.
-                    centroids_f[c] = sum.iter().map(|s| s / count as f32).collect();
+                    cent.fill(0.0);
+                }
+            }
+            for (i, &c) in assignment.iter().enumerate() {
+                for (s, x) in centroids_f[c * e..(c + 1) * e].iter_mut().zip(row(i)) {
+                    *s += x.to_f32();
+                }
+            }
+            for (cent, &count) in centroids_f.chunks_exact_mut(e).zip(&counts) {
+                if count > 0 {
+                    cent.iter_mut().for_each(|s| *s /= count as f32);
                 }
             }
         }
-        let assignment = assign(&centroids_f);
-        let mut members = vec![Vec::new(); k_eff];
-        for (slot, &c) in assignment.iter().enumerate() {
-            members[c].push(slot); // ascending by construction
+        assign(&centroids_f, &mut assignment);
+        index.members.reserve_exact(l);
+        index.member_starts.reserve_exact(k_eff + 1);
+        index.member_starts.push(0);
+        for c in 0..k_eff {
+            index
+                .members
+                .extend((0..l).filter(|&slot| assignment[slot] == c));
+            index.member_starts.push(index.members.len());
         }
-        let centroids: Vec<Vec<Fixed>> = centroids_f
+        index.centroids = centroids_f
             .iter()
-            .map(|c| c.iter().map(|&x| Fixed::from_f32_tracked(x, st)).collect())
+            .map(|&x| Fixed::from_f32_tracked(x, st))
             .collect();
-        let centroid_abs_max = centroids
-            .iter()
-            .map(|c| fixed::abs_max(c))
-            .max()
-            .unwrap_or(0);
+        index.centroid_abs_max = fixed::abs_max(&index.centroids);
         // Build cost, charged to the story-upload phase: each of the
         // `BUILD_ROUNDS + 1` assignment sweeps scores every row against
         // every centroid through the adder tree; each update sweep
         // re-accumulates every row once; storing the centroids takes one
         // BRAM write slot each.
+        let (per_dot, depth) = (index.per_dot, index.tree_depth);
         let sweeps = (BUILD_ROUNDS as u64 + 1) * (l as u64 * k_eff as u64 * per_dot + depth + 1);
         let updates = BUILD_ROUNDS as u64 * (l as u64 * per_dot + depth + 1);
-        let build_cycles = sweeps + updates + k_eff as u64;
-        MemIndex {
-            config,
-            centroids,
-            centroid_abs_max,
-            members,
-            build_cycles,
-            per_dot,
-            tree_depth: depth,
-        }
+        index.build_cycles = sweeps + updates + k_eff as u64;
+        index
+    }
+
+    /// The slots of centroid `c`, ascending.
+    fn members(&self, c: usize) -> &[usize] {
+        &self.members[self.member_starts[c]..self.member_starts[c + 1]]
     }
 
     /// The generating configuration.
@@ -344,7 +367,7 @@ impl MemIndex {
 
     /// Number of centroids actually built (`min(k, L)`).
     pub fn centroid_count(&self) -> usize {
-        self.centroids.len()
+        self.centroids.len() / self.embed_dim
     }
 
     /// Cycles the build charged to the story-upload phase.
@@ -365,14 +388,14 @@ impl MemIndex {
     ///
     /// Panics if the key width differs from the centroid width.
     pub fn probe(&self, key_q: &[Fixed], st: &mut NumericStatus) -> (Vec<usize>, Cycles, bool) {
-        let k_eff = self.centroids.len();
+        let k_eff = self.centroid_count();
         if k_eff == 0 {
             return (Vec::new(), Cycles::ZERO, false);
         }
         let mut probe_st = NumericStatus::default();
         let key_sum = fixed::abs_sum(key_q);
         let mut scores: Vec<Fixed> = Vec::with_capacity(k_eff);
-        for cent in &self.centroids {
+        for cent in self.centroids.chunks_exact(self.embed_dim) {
             scores.push(fixed::dot_certified(
                 cent,
                 key_q,
@@ -387,7 +410,7 @@ impl MemIndex {
         order.sort_by(|&a, &b| scores[b].cmp(&scores[a]).then(a.cmp(&b)));
         let mut candidates: Vec<usize> = order[..nprobe]
             .iter()
-            .flat_map(|&c| self.members[c].iter().copied())
+            .flat_map(|&c| self.members(c).iter().copied())
             .collect();
         candidates.sort_unstable();
         // Centroid scores through the tree, top-nprobe selection compares,
@@ -410,13 +433,10 @@ mod tests {
     use super::*;
     use crate::DatapathConfig;
 
-    fn rows(l: usize, e: usize) -> Vec<Vec<Fixed>> {
-        (0..l)
-            .map(|i| {
-                (0..e)
-                    .map(|j| Fixed::from_f32(((i * 7 + j) as f32 * 0.13).sin()))
-                    .collect()
-            })
+    /// An address table of `l` rows of `e` words.
+    fn rows(l: usize, e: usize) -> Vec<Fixed> {
+        (0..l * e)
+            .map(|n| Fixed::from_f32(((n / e * 7 + n % e) as f32 * 0.13).sin()))
             .collect()
     }
 
@@ -480,14 +500,14 @@ mod tests {
         let r = rows(50, 8);
         let mut st = NumericStatus::default();
         let idx = MemIndex::build(
-            r.iter().map(Vec::as_slice),
+            &r,
             MemIndexConfig::with_params(8, 2, 0.0),
             &tree(),
             8,
             &mut st,
         );
         assert_eq!(idx.centroid_count(), 8);
-        let mut all: Vec<usize> = idx.members.iter().flatten().copied().collect();
+        let mut all = idx.members.clone();
         all.sort_unstable();
         assert_eq!(all, (0..50).collect::<Vec<_>>());
         assert!(idx.build_cycles() > 0);
@@ -498,7 +518,7 @@ mod tests {
         let r = rows(3, 8);
         let mut st = NumericStatus::default();
         let idx = MemIndex::build(
-            r.iter().map(Vec::as_slice),
+            &r,
             MemIndexConfig::with_params(64, 8, 0.0),
             &tree(),
             8,
@@ -512,7 +532,7 @@ mod tests {
         let r = rows(40, 8);
         let mut st = NumericStatus::default();
         let idx = MemIndex::build(
-            r.iter().map(Vec::as_slice),
+            &r,
             MemIndexConfig::with_params(8, 3, 0.0),
             &tree(),
             8,
@@ -533,8 +553,8 @@ mod tests {
         let r = rows(30, 8);
         let mut st = NumericStatus::default();
         let cfg = MemIndexConfig::with_params(6, 2, 0.0);
-        let a = MemIndex::build(r.iter().map(Vec::as_slice), cfg, &tree(), 8, &mut st);
-        let b = MemIndex::build(r.iter().map(Vec::as_slice), cfg, &tree(), 8, &mut st);
+        let a = MemIndex::build(&r, cfg, &tree(), 8, &mut st);
+        let b = MemIndex::build(&r, cfg, &tree(), 8, &mut st);
         let key: Vec<Fixed> = (0..8).map(|j| Fixed::from_f32(j as f32 * 0.1)).collect();
         let mut s1 = NumericStatus::default();
         let mut s2 = NumericStatus::default();
@@ -545,12 +565,10 @@ mod tests {
     #[test]
     fn saturated_probe_reports_stress() {
         let e = 4;
-        let r: Vec<Vec<Fixed>> = (0..4)
-            .map(|_| (0..e).map(|_| Fixed::from_f32(30000.0)).collect())
-            .collect();
+        let r = vec![Fixed::from_f32(30000.0); 4 * e];
         let mut st = NumericStatus::default();
         let idx = MemIndex::build(
-            r.iter().map(Vec::as_slice),
+            &r,
             MemIndexConfig::with_params(2, 1, 0.0),
             &tree(),
             e,
@@ -567,22 +585,12 @@ mod tests {
     #[should_panic(expected = "disabled")]
     fn building_from_a_disabled_config_panics() {
         let mut st = NumericStatus::default();
-        let _ = MemIndex::build(
-            rows(4, 8).iter().map(Vec::as_slice),
-            MemIndexConfig::default(),
-            &tree(),
-            8,
-            &mut st,
-        );
+        let _ = MemIndex::build(&rows(4, 8), MemIndexConfig::default(), &tree(), 8, &mut st);
     }
 
-    use crate::test_support::stress_vec;
+    use crate::test_support::{quantized, stress_vec};
     use proptest::collection::vec;
     use proptest::prelude::*;
-
-    fn quantized(v: &[f32]) -> Vec<Fixed> {
-        v.iter().map(|&x| Fixed::from_f32(x)).collect()
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
@@ -597,11 +605,11 @@ mod tests {
                 (Just(e), vec(stress_vec(e), l), stress_vec(e), (1usize..=5, 0usize..5))
             })
         ) {
-            let rows: Vec<Vec<Fixed>> = rows.iter().map(|r| quantized(r)).collect();
+            let rows: Vec<Fixed> = rows.iter().flat_map(|r| quantized(r)).collect();
             let key = quantized(&key);
             let cfg = MemIndexConfig::with_params(k, nprobe % k + 1, 0.0);
             let idx = MemIndex::build(
-                rows.iter().map(Vec::as_slice),
+                &rows,
                 cfg,
                 &tree(),
                 e,
@@ -610,14 +618,14 @@ mod tests {
             let mut want_st = NumericStatus::default();
             let scores: Vec<Fixed> = idx
                 .centroids
-                .iter()
+                .chunks_exact(e)
                 .map(|c| fixed::dot_tracked(c, &key, &mut want_st))
                 .collect();
             let mut order: Vec<usize> = (0..scores.len()).collect();
             order.sort_by(|&a, &b| scores[b].cmp(&scores[a]).then(a.cmp(&b)));
             let mut want: Vec<usize> = order[..cfg.nprobe.min(scores.len())]
                 .iter()
-                .flat_map(|&c| idx.members[c].iter().copied())
+                .flat_map(|&c| idx.members(c).iter().copied())
                 .collect();
             want.sort_unstable();
             let k_eff = scores.len() as u64;

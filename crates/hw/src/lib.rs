@@ -74,7 +74,7 @@ pub use fault::{
 };
 pub use index::{IndexCounters, IndexedHopStats, MemIndex, MemIndexConfig, MemIndexError};
 pub use pcie::{LinkArbiter, LinkGrant, PcieLink};
-pub use quantize::{quantize_params, quantize_params_tracked};
+pub use quantize::quantize_params_tracked;
 pub use resource::{ResourceEstimate, VCU107_BUDGET};
 pub use story::{
     story_digest, Admission, CacheStats, LruSet, StoryCache, StoryCacheEnvError,

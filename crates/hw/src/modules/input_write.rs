@@ -32,32 +32,20 @@ pub struct InputWriteModule {
 
 impl InputWriteModule {
     /// Creates the module over pre-quantized embedding weights
-    /// (`E x V` each).
+    /// (`E x V` each), converting them into the column store.
     ///
     /// # Panics
     ///
     /// Panics if the two weights disagree in shape.
     pub fn new(w_emb_a: Matrix, w_emb_c: Matrix) -> Self {
-        Self::new_tracked(w_emb_a, w_emb_c, &mut NumericStatus::default())
-    }
-
-    /// [`InputWriteModule::new`] with numeric-event accounting at the BRAM
-    /// load boundary: weights clipped (or non-finite) while being quantized
-    /// into the column store are recorded in `st`. Stored columns are
-    /// bit-identical to the untracked construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two weights disagree in shape.
-    pub fn new_tracked(w_emb_a: Matrix, w_emb_c: Matrix, st: &mut NumericStatus) -> Self {
         assert_eq!(w_emb_a.shape(), w_emb_c.shape(), "embedding shape mismatch");
         let embed_dim = w_emb_a.rows();
         let vocab = w_emb_a.cols();
-        let mut columnize = |m: &Matrix| {
+        let columnize = |m: &Matrix| {
             let mut cols = Vec::with_capacity(embed_dim * vocab);
             for w in 0..vocab {
                 for r in 0..embed_dim {
-                    cols.push(Fixed::from_f32_tracked(m[(r, w)], st));
+                    cols.push(Fixed::from_f32(m[(r, w)]));
                 }
             }
             cols
@@ -79,26 +67,13 @@ impl InputWriteModule {
         self.embed_dim
     }
 
-    /// Embeds one sentence into its address and content vectors.
+    /// Embeds one sentence into caller-owned address and content rows,
+    /// such as the next slot of the MEM tables, with numeric-event
+    /// accounting in the sentence accumulators.
     ///
     /// Timing: both accumulators run in parallel (independent BRAMs), one
     /// word per cycle at II = 1, plus two cycles to flush the accumulator
     /// into the memory row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a word index is out of vocabulary range.
-    pub fn embed_sentence(&self, words: &[usize]) -> (Vec<Fixed>, Vec<Fixed>, Cycles) {
-        let mut a = vec![Fixed::ZERO; self.embed_dim];
-        let mut c = vec![Fixed::ZERO; self.embed_dim];
-        let cycles =
-            self.embed_sentence_tracked(words, &mut a, &mut c, &mut NumericStatus::default());
-        (a, c, cycles)
-    }
-
-    /// [`InputWriteModule::embed_sentence`] into caller-owned rows, such as
-    /// the next slot of the MEM tables, with numeric-event accounting in
-    /// the sentence accumulators.
     ///
     /// # Panics
     ///
@@ -117,15 +92,12 @@ impl InputWriteModule {
     }
 
     /// Embeds the question through the address embedding (`emb_q` in
-    /// Fig 1) — the first read key of Eq 3.
-    pub fn embed_question(&self, words: &[usize]) -> (Vec<Fixed>, Cycles) {
-        let mut q = Vec::new();
-        let cycles = self.embed_question_tracked(words, &mut q, &mut NumericStatus::default());
-        (q, cycles)
-    }
-
-    /// [`InputWriteModule::embed_question`] into a caller-owned key whose
+    /// Fig 1) — the first read key of Eq 3 — into a caller-owned key whose
     /// capacity is reused, with numeric-event accounting.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a word index is out of vocabulary range.
     pub fn embed_question_tracked(
         &self,
         words: &[usize],
@@ -185,10 +157,18 @@ mod tests {
         InputWriteModule::new(a, c)
     }
 
+    /// Embeds one sentence: its address and content rows and the cycles.
+    fn embedded(m: &InputWriteModule, words: &[usize]) -> (Vec<Fixed>, Vec<Fixed>, Cycles) {
+        let mut a = vec![Fixed::ZERO; m.embed_dim()];
+        let mut c = vec![Fixed::ZERO; m.embed_dim()];
+        let cycles = m.embed_sentence_tracked(words, &mut a, &mut c, &mut NumericStatus::default());
+        (a, c, cycles)
+    }
+
     #[test]
     fn embedding_sums_columns() {
         let m = module();
-        let (a, c, _) = m.embed_sentence(&[1, 3]);
+        let (a, c, _) = embedded(&m, &[1, 3]);
         // Column 1 + column 3 of each weight.
         for r in 0..3 {
             let expect_a = (r * 5 + 1) as f32 * 0.25 + (r * 5 + 3) as f32 * 0.25;
@@ -201,8 +181,8 @@ mod tests {
     #[test]
     fn repeated_words_accumulate() {
         let m = module();
-        let (a1, _, _) = m.embed_sentence(&[2]);
-        let (a2, _, _) = m.embed_sentence(&[2, 2]);
+        let (a1, _, _) = embedded(&m, &[2]);
+        let (a2, _, _) = embedded(&m, &[2, 2]);
         for (x1, x2) in a1.iter().zip(&a2) {
             assert!((x2.to_f32() - 2.0 * x1.to_f32()).abs() < 1e-3);
         }
@@ -211,8 +191,8 @@ mod tests {
     #[test]
     fn cycles_scale_with_word_count() {
         let m = module();
-        let (_, _, c3) = m.embed_sentence(&[0, 1, 2]);
-        let (_, _, c1) = m.embed_sentence(&[0]);
+        let (_, _, c3) = embedded(&m, &[0, 1, 2]);
+        let (_, _, c1) = embedded(&m, &[0]);
         assert_eq!(c3.get(), 5);
         assert_eq!(c1.get(), 3);
     }
@@ -220,14 +200,15 @@ mod tests {
     #[test]
     fn question_uses_address_embedding() {
         let m = module();
-        let (q, _) = m.embed_question(&[4]);
-        let (a, _, _) = m.embed_sentence(&[4]);
+        let mut q = Vec::new();
+        m.embed_question_tracked(&[4], &mut q, &mut NumericStatus::default());
+        let (a, _, _) = embedded(&m, &[4]);
         assert_eq!(q, a);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_word_panics() {
-        let _ = module().embed_sentence(&[5]);
+        let _ = embedded(&module(), &[5]);
     }
 }

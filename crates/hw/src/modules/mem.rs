@@ -12,16 +12,13 @@
 //! words, once, so addressing and reads multiply stored words directly.
 //! Keys, attention and read vectors cross the module boundary as words
 //! too; each pass re-quantizes its operand once ([`Fixed::requant`], the
-//! identity below `2^24`) where the `f32` hand-off quantized it. The `f32`
-//! entries ([`MemModule::write`], [`MemModule::address_into_tracked`],
-//! [`MemModule::read_into_tracked`]) quantize and call the same cores.
+//! identity below `2^24`) where an `f32` hand-off would have quantized it.
 //! Every score and soft-read element goes through the certified MAC entry
-//! [`fixed::dot_certified`], which equals the in-order chain of
-//! [`AdderTree::fixed_dot`] over the original `f32` rows, so results are
-//! bit-identical to the unquantized-storage formulation. The write port
-//! keeps one `max|w|` per memory for the story; each pass takes its key's
-//! or attention's `Σ|x|` once, and the two certify every dot product of
-//! the pass.
+//! [`fixed::dot_certified`], which equals the in-order chain
+//! [`fixed::dot_tracked`] over the stored words. The write port keeps one
+//! `max|w|` per memory for the story; each pass takes its key's or
+//! attention's `Σ|x|` once, and the two certify every dot product of the
+//! pass.
 
 use std::borrow::Cow;
 
@@ -33,11 +30,6 @@ use crate::div_unit::DivUnit;
 use crate::exp_unit::ExpUnit;
 use crate::index::{IndexedHopStats, MemIndex, MemIndexConfig};
 use crate::{Cycles, DatapathConfig};
-
-/// Quantizes an `f32` key or attention vector, as the `f32` entries do.
-fn quantize(x: &[f32], st: &mut NumericStatus) -> Vec<Fixed> {
-    x.iter().map(|&v| Fixed::from_f32_tracked(v, st)).collect()
-}
 
 /// The last slot holding the largest attention weight, and that weight as
 /// `f32` (slot 0 and −∞ when empty): what hop pruning tests and the signal
@@ -137,77 +129,30 @@ impl MemModule {
             .collect()
     }
 
-    /// The write port's core: appends one zeroed row to each memory, lets
-    /// `fill` write the stored words, and folds them into each memory's
-    /// `max|w|`, the stored side of every certified score and soft-read
-    /// element ([`fixed::dot_certified`]): one word per memory, not one
-    /// per row or column.
-    fn store<R>(&mut self, fill: impl FnOnce(&mut [Fixed], &mut [Fixed]) -> R) -> R {
-        let start = self.addr.len();
-        self.addr.resize(start + self.embed_dim, Fixed::ZERO);
-        self.content.resize(start + self.embed_dim, Fixed::ZERO);
-        let out = fill(&mut self.addr[start..], &mut self.content[start..]);
-        self.addr_abs_max = self.addr_abs_max.max(fixed::abs_max(&self.addr[start..]));
-        self.content_abs_max = self
-            .content_abs_max
-            .max(fixed::abs_max(&self.content[start..]));
-        self.len += 1;
-        out
-    }
-
-    /// Writes one embedded sentence into the next slot of both memories
-    /// (performed by the write path while streaming). The rows are
-    /// quantized here, once, as the BRAM write port would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a row width differs from `embed_dim`.
-    pub fn write(&mut self, addr_row: Vec<f32>, content_row: Vec<f32>) {
-        self.write_tracked(addr_row, content_row, &mut NumericStatus::default());
-    }
-
-    /// [`MemModule::write`] with numeric-event accounting at the BRAM write
-    /// port's quantizer. Stored rows are bit-identical to the untracked
-    /// write.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a row width differs from `embed_dim`.
-    pub fn write_tracked(
-        &mut self,
-        addr_row: Vec<f32>,
-        content_row: Vec<f32>,
-        st: &mut NumericStatus,
-    ) {
-        assert_eq!(addr_row.len(), self.embed_dim, "address row width");
-        assert_eq!(content_row.len(), self.embed_dim, "content row width");
-        self.store(|a, c| {
-            for (w, &x) in a.iter_mut().zip(&addr_row) {
-                *w = Fixed::from_f32_tracked(x, st);
-            }
-            for (w, &x) in c.iter_mut().zip(&content_row) {
-                *w = Fixed::from_f32_tracked(x, st);
-            }
-        });
-    }
-
     /// Writes one sentence from its embedding words: `embed` fills the
     /// zeroed address and content rows of the next slot in place (the
-    /// INPUT & WRITE sums), and the port re-quantizes them
-    /// ([`Fixed::requant`], where the `f32` port quantized). Equal to
-    /// [`MemModule::write_tracked`] of the words' `to_f32`, in stored
-    /// words and events. Returns what `embed` returns.
+    /// INPUT & WRITE sums), and the BRAM write port re-quantizes them
+    /// ([`Fixed::requant`]), recording its events in `st`. The port folds
+    /// the stored words into each memory's `max|w|`, the stored side of
+    /// every certified score and soft-read element
+    /// ([`fixed::dot_certified`]): one word per memory, not one per row or
+    /// column. Returns what `embed` returns.
     pub fn write_embedded_tracked<R>(
         &mut self,
         st: &mut NumericStatus,
         embed: impl FnOnce(&mut [Fixed], &mut [Fixed], &mut NumericStatus) -> R,
     ) -> R {
-        self.store(|a, c| {
-            let out = embed(a, c, st);
-            fixed::requant_in_place(a, st);
-            fixed::requant_in_place(c, st);
-            out
-        })
+        let start = self.addr.len();
+        self.addr.resize(start + self.embed_dim, Fixed::ZERO);
+        self.content.resize(start + self.embed_dim, Fixed::ZERO);
+        let (a, c) = (&mut self.addr[start..], &mut self.content[start..]);
+        let out = embed(a, c, st);
+        fixed::requant_in_place(a, st);
+        fixed::requant_in_place(c, st);
+        self.addr_abs_max = self.addr_abs_max.max(fixed::abs_max(a));
+        self.content_abs_max = self.content_abs_max.max(fixed::abs_max(c));
+        self.len += 1;
+        out
     }
 
     /// Score of address row `row` against a quantized key whose `Σ|k|` is
@@ -232,57 +177,13 @@ impl MemModule {
         Cycles::new(rows as u64 * self.slots_per_row() + self.tree.depth() + 1)
     }
 
-    /// Content-based addressing (Eq 1): returns the attention weights and
-    /// the cycles of the score/softmax pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key width differs from the stored rows' width.
-    pub fn address(&self, key: &[f32]) -> (Vec<f32>, Cycles) {
-        let mut attention = Vec::new();
-        let cycles = self.address_into(key, &mut attention);
-        (attention, cycles)
-    }
-
-    /// [`MemModule::address`] with the attention written into a caller-owned
-    /// buffer whose capacity is reused across hops. Values and cycle counts
-    /// are identical to [`MemModule::address`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key width differs from the stored rows' width.
-    pub fn address_into(&self, key: &[f32], attention: &mut Vec<f32>) -> Cycles {
-        self.address_into_tracked(key, attention, &mut NumericStatus::default())
-    }
-
-    /// [`MemModule::address_into`] with numeric-event accounting across the
-    /// key quantizer, the score MACs, the max-shift subtractor, the exp
-    /// pipeline, the denominator tree and the divider. Attention values and
-    /// cycle counts are identical to the untracked pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key width differs from the stored rows' width.
-    pub fn address_into_tracked(
-        &self,
-        key: &[f32],
-        attention: &mut Vec<f32>,
-        st: &mut NumericStatus,
-    ) -> Cycles {
-        attention.clear();
-        if self.is_empty() {
-            return Cycles::ZERO;
-        }
-        let mut words = Vec::new();
-        let cycles = self.address_core(&quantize(key, st), &mut words, st);
-        attention.extend(words.iter().map(|w| w.to_f32()));
-        cycles
-    }
-
-    /// [`MemModule::address_into_tracked`] for a key of words, such as the
-    /// question embedding or the READ output: the key is re-quantized
-    /// once per pass ([`Fixed::requant`]), and the pass equals the `f32`
-    /// entry fed the words' `to_f32`.
+    /// Content-based addressing (Eq 1) of a key of words, such as the
+    /// question embedding or the READ output: the key is re-quantized once
+    /// per pass ([`Fixed::requant`]), scored against every stored address
+    /// row, and normalized by the softmax pipeline into `attention`.
+    /// Numeric events of the key quantizer, the score MACs, the max-shift
+    /// subtractor, the exp pipeline, the denominator tree and the divider
+    /// land in `st`. Returns the cycles of the score/softmax pipeline.
     ///
     /// # Panics
     ///
@@ -297,22 +198,11 @@ impl MemModule {
         if self.is_empty() {
             return Cycles::ZERO;
         }
-        self.address_core(&fixed::requant_all(key, st), attention, st)
-    }
-
-    /// The exact addressing pass over a quantized key, `L > 0`.
-    fn address_core(
-        &self,
-        key_q: &[Fixed],
-        attention: &mut Vec<Fixed>,
-        st: &mut NumericStatus,
-    ) -> Cycles {
-        let key_sum = fixed::abs_sum(key_q);
-        attention.clear();
+        let key_q = fixed::requant_all(key, st);
+        let key_sum = fixed::abs_sum(&key_q);
         attention.reserve(self.len);
         for i in 0..self.len {
-            let score = self.score(i, key_q, key_sum, st);
-            attention.push(score);
+            attention.push(self.score(i, &key_q, key_sum, st));
         }
         self.score_cycles(self.len) + self.softmax_tail(attention, st)
     }
@@ -444,12 +334,21 @@ impl MemModule {
     }
 
     /// The softmax pipeline tail shared by every addressing variant, in
-    /// place over the pass's scores in `words`: running max,
-    /// fixed-point shift shadow, exp LUT, adder-tree denominator,
-    /// sequential divider, and the all-flushed uniform fallback. The
-    /// shift and the exp input stay `f32`, as the LUT takes them.
+    /// place over the pass's scores in `words`: the numerators and their
+    /// denominator ([`MemModule::softmax_numerators`]), then the
+    /// sequential divider.
     fn softmax_tail(&self, words: &mut [Fixed], st: &mut NumericStatus) -> Cycles {
-        let n = words.len();
+        let (denom, cycles) = self.softmax_numerators(words, st);
+        cycles + self.div.div_in_place_tracked(words, denom, st)
+    }
+
+    /// Running max, fixed-point shift shadow, exp LUT and adder-tree
+    /// denominator, in place over the scores in `words`: returns the
+    /// denominator and the cycles. The shift and the exp input stay `f32`,
+    /// as the LUT takes them. The largest score shifts to exactly `0.0`,
+    /// which the LUT maps to `1.0`, and no numerator is negative, so the
+    /// denominator of a non-empty pass is at least [`Fixed::ONE`].
+    fn softmax_numerators(&self, words: &mut [Fixed], st: &mut NumericStatus) -> (Fixed, Cycles) {
         // Stable softmax: running max costs nothing extra (register compare
         // overlapped with the score pass). `to_f32` is monotone, so the
         // word maximum is the `f32` one.
@@ -464,60 +363,17 @@ impl MemModule {
         for w in words.iter_mut() {
             *w = self.exp.eval_tracked(w.to_f32() - max, st);
         }
-        let exp_cycles = self.exp.batch_cycles(n);
-
+        let exp_cycles = self.exp.batch_cycles(words.len());
         // Denominator via the adder tree.
         let (denom, sum_cycles) = self.tree.reduce_tracked(words, st);
-
-        // Sequential normalization.
-        let div_cycles = self.div.div_in_place_tracked(words, denom, st);
-        if denom.is_zero() {
-            // Divider guard: all-flushed exponents fall back to uniform.
-            words.fill(Fixed::from_f32(1.0 / n as f32));
-        }
-        exp_cycles + sum_cycles + div_cycles
+        (denom, exp_cycles + sum_cycles)
     }
 
-    /// Soft read (Eq 5): weighted sum of content rows.
-    pub fn read(&self, attention: &[f32]) -> (Vec<f32>, Cycles) {
-        let mut out = Vec::new();
-        let cycles = self.read_into(attention, &mut out);
-        (out, cycles)
-    }
-
-    /// [`MemModule::read`] with the read vector written into a caller-owned
-    /// buffer whose capacity is reused across hops. Per output element the
-    /// fixed-point accumulation visits the rows in the same order as
-    /// [`MemModule::read`], so results are identical.
-    pub fn read_into(&self, attention: &[f32], out: &mut Vec<f32>) -> Cycles {
-        self.read_into_tracked(attention, out, &mut NumericStatus::default())
-    }
-
-    /// [`MemModule::read_into`] with numeric-event accounting across the
-    /// attention quantizer and the weighted-sum MACs. Values and cycle
-    /// counts are identical to the untracked read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the attention length differs from the occupied slots.
-    pub fn read_into_tracked(
-        &self,
-        attention: &[f32],
-        out: &mut Vec<f32>,
-        st: &mut NumericStatus,
-    ) -> Cycles {
-        assert_eq!(attention.len(), self.len, "attention length");
-        let mut words = Vec::new();
-        let cycles = self.read_core(&quantize(attention, st), &mut words, st);
-        out.clear();
-        out.extend(words.iter().map(|w| w.to_f32()));
-        cycles
-    }
-
-    /// [`MemModule::read_into_tracked`] for attention words: the weights
-    /// are re-quantized once per read ([`Fixed::requant`]), and the read
-    /// vector stays words for the READ module. Equal to the `f32` entry fed
-    /// the words' `to_f32`.
+    /// Soft read (Eq 5): the weighted sum of the content rows under
+    /// attention words, which are re-quantized once per read
+    /// ([`Fixed::requant`]). The read vector stays words for the READ
+    /// module. Numeric events of the attention quantizer and the
+    /// weighted-sum MACs land in `st`.
     ///
     /// # Panics
     ///
@@ -529,14 +385,10 @@ impl MemModule {
         st: &mut NumericStatus,
     ) -> Cycles {
         assert_eq!(attention.len(), self.len, "attention length");
-        self.read_core(&fixed::requant_all(attention, st), out, st)
-    }
-
-    /// The soft read of quantized attention weights.
-    fn read_core(&self, att_q: &[Fixed], out: &mut Vec<Fixed>, st: &mut NumericStatus) -> Cycles {
-        let att_sum = fixed::abs_sum(att_q);
+        let att_q = fixed::requant_all(attention, st);
+        let att_sum = fixed::abs_sum(&att_q);
         out.clear();
-        out.extend((0..self.embed_dim).map(|j| self.column_dot(att_q, att_sum, j, st)));
+        out.extend((0..self.embed_dim).map(|j| self.column_dot(&att_q, att_sum, j, st)));
         self.read_cycles()
     }
 
@@ -625,8 +477,7 @@ impl MemModule {
     ///
     /// Panics if `config` is disabled.
     pub fn build_index(&mut self, config: MemIndexConfig, st: &mut NumericStatus) -> Cycles {
-        let rows = (0..self.len).map(|i| self.addr_row(i));
-        let idx = MemIndex::build(rows, config, &self.tree, self.embed_dim, st);
+        let idx = MemIndex::build(&self.addr, config, &self.tree, self.embed_dim, st);
         let cycles = Cycles::new(idx.build_cycles());
         self.index = Some(idx);
         cycles
@@ -639,7 +490,7 @@ impl MemModule {
 
     /// Cycle cost of one exact addressing pass over all `L` occupied slots
     /// — the counterfactual the indexed path's `cycles_saved` accounting
-    /// compares against. Matches [`MemModule::address_into_tracked`]'s
+    /// compares against. Matches [`MemModule::address_words_tracked`]'s
     /// count term by term: score stream, exp pipeline occupancy,
     /// denominator reduce, and the sequential divider.
     pub fn exact_addressing_cycles(&self) -> u64 {
@@ -821,49 +672,44 @@ impl MemModule {
         };
         (cycles, stats, union)
     }
-
-    /// The stored (quantized) address row `i`, dequantized — for
-    /// cross-checking against reference computations.
-    pub fn addr_row_f32(&self, i: usize) -> Vec<f32> {
-        self.addr_row(i).iter().map(|x| x.to_f32()).collect()
-    }
-
-    /// The stored (quantized) content row `i`, dequantized.
-    pub fn content_row_f32(&self, i: usize) -> Vec<f32> {
-        self.content[i * self.embed_dim..(i + 1) * self.embed_dim]
-            .iter()
-            .map(|x| x.to_f32())
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::test_support::{quantized, write_f32_rows};
+
     fn filled(l: usize, e: usize) -> MemModule {
         let mut m = MemModule::new(e, &DatapathConfig::default());
         for i in 0..l {
             let row_a: Vec<f32> = (0..e).map(|j| ((i + j) as f32 * 0.1).sin()).collect();
             let row_c: Vec<f32> = (0..e).map(|j| ((i * j) as f32 * 0.1).cos()).collect();
-            m.write(row_a, row_c);
+            write_f32_rows(&mut m, &row_a, &row_c, &mut NumericStatus::default());
         }
         m
     }
 
-    fn words(v: &[f32]) -> Vec<Fixed> {
-        v.iter().map(|&x| Fixed::from_f32(x)).collect()
+    /// One addressing pass of an `f32` key: the attention and the cycles.
+    fn attention_of(m: &MemModule, key: &[f32]) -> (Vec<Fixed>, Cycles) {
+        let mut attention = Vec::new();
+        let cycles = m.address_words_tracked(
+            &quantized(key),
+            &mut attention,
+            &mut NumericStatus::default(),
+        );
+        (attention, cycles)
     }
 
     #[test]
     fn attention_is_a_distribution() {
         let m = filled(6, 8);
         let key: Vec<f32> = (0..8).map(|i| (i as f32 * 0.3).cos()).collect();
-        let (a, cycles) = m.address(&key);
+        let (a, cycles) = attention_of(&m, &key);
         assert_eq!(a.len(), 6);
-        let sum: f32 = a.iter().sum();
+        let sum: f32 = a.iter().map(|w| w.to_f32()).sum();
         assert!((sum - 1.0).abs() < 1e-2, "{sum}");
-        assert!(a.iter().all(|&x| x >= 0.0));
+        assert!(a.iter().all(|&x| x >= Fixed::ZERO));
         assert!(cycles.get() > 0);
     }
 
@@ -871,16 +717,22 @@ mod tests {
     fn attention_matches_float_softmax_closely() {
         let m = filled(5, 8);
         let key: Vec<f32> = vec![0.5; 8];
-        let (a, _) = m.address(&key);
+        let (a, _) = attention_of(&m, &key);
         // Reference float computation over the stored rows.
         let scores: Vec<f32> = (0..5)
-            .map(|i| m.addr_row_f32(i).iter().zip(&key).map(|(x, y)| x * y).sum())
+            .map(|i| {
+                m.addr_row(i)
+                    .iter()
+                    .zip(&key)
+                    .map(|(x, y)| x.to_f32() * y)
+                    .sum()
+            })
             .collect();
         let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let exps: Vec<f32> = scores.iter().map(|s| (s - max).exp()).collect();
         let z: f32 = exps.iter().sum();
         for (hw, sw) in a.iter().zip(exps.iter().map(|e| e / z)) {
-            assert!((hw - sw).abs() < 5e-3, "{hw} vs {sw}");
+            assert!((hw.to_f32() - sw).abs() < 5e-3, "{hw} vs {sw}");
         }
     }
 
@@ -894,13 +746,13 @@ mod tests {
             .collect();
         let mut m = MemModule::new(e, &DatapathConfig::default());
         for r in &rows {
-            m.write(r.clone(), r.clone());
+            write_f32_rows(&mut m, r, r, &mut NumericStatus::default());
         }
         let key: Vec<f32> = (0..e).map(|j| (j as f32 * 0.4).cos()).collect();
         let tree = AdderTree::new(DatapathConfig::default().tree_width);
-        let key_q = words(&key);
+        let key_q = quantized(&key);
         for (i, r) in rows.iter().enumerate() {
-            let (expect, _) = tree.fixed_dot(r, &key);
+            let (expect, _) = tree.fixed_dot_tracked(r, &key, &mut NumericStatus::default());
             let mut acc = Fixed::ZERO;
             for (x, y) in m.addr_row(i).iter().zip(&key_q) {
                 acc += *x * *y;
@@ -912,11 +764,10 @@ mod tests {
     #[test]
     fn read_is_attention_weighted_sum() {
         let m = filled(3, 4);
-        let attention = vec![1.0, 0.0, 0.0];
-        let (r, _) = m.read(&attention);
-        for (x, y) in r.iter().zip(&m.content_row_f32(0)) {
-            assert!((x - y).abs() < 1e-3);
-        }
+        let attention = quantized(&[1.0, 0.0, 0.0]);
+        let mut r = Vec::new();
+        m.read_words_tracked(&attention, &mut r, &mut NumericStatus::default());
+        assert_eq!(r, m.content[..4]);
     }
 
     #[test]
@@ -926,7 +777,7 @@ mod tests {
         m.reset();
         assert!(m.is_empty());
         assert!(m.raw_words().is_empty());
-        let (a, c) = (m.address(&[0.0; 4]).0, m.address(&[0.0; 4]).1);
+        let (a, c) = attention_of(&m, &[0.0; 4]);
         assert!(a.is_empty());
         assert_eq!(c, Cycles::ZERO);
     }
@@ -934,8 +785,8 @@ mod tests {
     #[test]
     fn addressing_cycles_grow_with_memory_size() {
         let key = vec![0.1f32; 8];
-        let small = filled(4, 8).address(&key).1;
-        let large = filled(16, 8).address(&key).1;
+        let small = attention_of(&filled(4, 8), &key).1;
+        let large = attention_of(&filled(16, 8), &key).1;
         assert!(large > small);
     }
 
@@ -946,23 +797,53 @@ mod tests {
         // motivation for calling softmax costly.
         let m = filled(10, 32);
         let key = vec![0.1f32; 32];
-        let (_, total) = m.address(&key);
+        let (_, total) = attention_of(&m, &key);
         let div_only = 10 * DatapathConfig::default().div_latency;
         assert!(total.get() > div_only, "{total} vs divider {div_only}");
         assert!(div_only as f64 / total.get() as f64 > 0.3);
     }
 
     #[test]
-    #[should_panic(expected = "width")]
+    #[should_panic(expected = "length mismatch")]
     fn wrong_row_width_panics() {
-        let mut m = MemModule::new(4, &DatapathConfig::default());
-        m.write(vec![0.0; 3], vec![0.0; 4]);
+        // A key must be as wide as the stored rows.
+        let _ = attention_of(&filled(2, 4), &[0.0; 3]);
+    }
+
+    /// Whatever the scores, the divider never sees zero: the largest
+    /// score's numerator is exactly `1.0`, so the denominator is at least
+    /// [`Fixed::ONE`] and the tail records no `div_zero`.
+    fn assert_denominator_is_at_least_one(scores: &[Fixed]) {
+        let m = MemModule::new(1, &DatapathConfig::default());
+        let mut words = scores.to_vec();
+        let (denom, _) = m.softmax_numerators(&mut words, &mut NumericStatus::default());
+        assert!(denom >= Fixed::ONE, "denominator {denom} for {scores:?}");
+        let mut words = scores.to_vec();
+        let mut st = NumericStatus::default();
+        m.softmax_tail(&mut words, &mut st);
+        assert_eq!(st.div_zero, 0, "{scores:?}");
+    }
+
+    #[test]
+    fn softmax_denominator_is_at_least_one() {
+        let below_lut = Fixed::from_f32(-16.5);
+        for scores in [
+            vec![Fixed::from_f32(-3.25)],
+            vec![Fixed::from_f32(0.75); 6],
+            vec![Fixed::MIN, Fixed::MAX, Fixed::MIN, Fixed::MAX],
+            // Every score but the max shifts below the LUT's -16 and
+            // flushes to zero.
+            vec![below_lut, Fixed::ZERO, below_lut, Fixed::from_f32(-40.0)],
+            vec![Fixed::MIN, Fixed::ZERO],
+        ] {
+            assert_denominator_is_at_least_one(&scores);
+        }
     }
 
     #[test]
     fn flagged_addressing_matches_plain_addressing() {
         let m = filled(7, 8);
-        let key = words(&(0..8).map(|i| (i as f32 * 0.7).sin()).collect::<Vec<_>>());
+        let key = quantized(&(0..8).map(|i| (i as f32 * 0.7).sin()).collect::<Vec<_>>());
         let mut plain = Vec::new();
         let mut plain_st = NumericStatus::default();
         let plain_cycles = m.address_words_tracked(&key, &mut plain, &mut plain_st);
@@ -984,9 +865,10 @@ mod tests {
         let e = 4;
         let mut m = MemModule::new(e, &DatapathConfig::default());
         // Row 0 saturates its score MACs at Q16.16 scale; row 1 stays tame.
-        m.write(vec![30000.0; e], vec![0.1; e]);
-        m.write(vec![0.1; e], vec![0.1; e]);
-        let key = words(&[30000.0; 4]);
+        let mut st = NumericStatus::default();
+        write_f32_rows(&mut m, &[30000.0; 4], &[0.1; 4], &mut st);
+        write_f32_rows(&mut m, &[0.1; 4], &[0.1; 4], &mut st);
+        let key = quantized(&[30000.0; 4]);
         let mut att = Vec::new();
         let mut st = NumericStatus::default();
         let mut flags = Vec::new();
@@ -1000,7 +882,7 @@ mod tests {
         let m = filled(6, 8);
         let keys: Vec<Vec<Fixed>> = (0..4)
             .map(|q| {
-                words(
+                quantized(
                     &(0..8)
                         .map(|i| ((q * 8 + i) as f32 * 0.23).sin())
                         .collect::<Vec<_>>(),
@@ -1044,7 +926,7 @@ mod tests {
     fn exact_addressing_cycles_matches_the_exact_pass() {
         let m = filled(14, 8);
         let key: Vec<f32> = (0..8).map(|i| (i as f32 * 0.7).sin()).collect();
-        let (_, cycles) = m.address(&key);
+        let (_, cycles) = attention_of(&m, &key);
         assert_eq!(m.exact_addressing_cycles(), cycles.get());
         assert_eq!(
             MemModule::new(8, &DatapathConfig::default()).exact_addressing_cycles(),
@@ -1077,7 +959,7 @@ mod tests {
         // k = nprobe = 1: every slot survives the probe, so the candidate
         // softmax sees the same scores in the same order as the full scan.
         let m = indexed(6, 8, 1, 1, 0.0);
-        let key = words(&(0..8).map(|i| (i as f32 * 0.3).cos()).collect::<Vec<_>>());
+        let key = quantized(&(0..8).map(|i| (i as f32 * 0.3).cos()).collect::<Vec<_>>());
         let (exact, exact_flags, _, exact_cycles) = exact_flagged(&m, &key);
         let mut att = Vec::new();
         let mut st = NumericStatus::default();
@@ -1094,7 +976,7 @@ mod tests {
     #[test]
     fn indexed_addressing_skips_slots_and_partitions_counters() {
         let m = indexed(24, 8, 8, 1, 0.0);
-        let key = words(&(0..8).map(|i| (i as f32 * 0.3).cos()).collect::<Vec<_>>());
+        let key = quantized(&(0..8).map(|i| (i as f32 * 0.3).cos()).collect::<Vec<_>>());
         let mut att = Vec::new();
         let mut st = NumericStatus::default();
         let mut flags = Vec::new();
@@ -1120,7 +1002,7 @@ mod tests {
     #[test]
     fn wide_band_forces_fallback_and_matches_exact() {
         let m = indexed(10, 8, 4, 1, 1.0e9);
-        let key = words(&(0..8).map(|i| (i as f32 * 0.5).sin()).collect::<Vec<_>>());
+        let key = quantized(&(0..8).map(|i| (i as f32 * 0.5).sin()).collect::<Vec<_>>());
         let (exact, exact_flags, _, exact_cycles) = exact_flagged(&m, &key);
         let mut att = Vec::new();
         let mut st = NumericStatus::default();
@@ -1139,7 +1021,7 @@ mod tests {
         let m = indexed(20, 8, 5, 2, 0.0);
         let keys: Vec<Vec<Fixed>> = (0..3)
             .map(|q| {
-                words(
+                quantized(
                     &(0..8)
                         .map(|i| ((q * 8 + i) as f32 * 0.23).sin())
                         .collect::<Vec<_>>(),
@@ -1342,8 +1224,8 @@ mod tests {
                 })
         ) {
             let mut m = MemModule::new(e, &DatapathConfig::default());
-            for (a, c) in rows {
-                m.write(a, c);
+            for (a, c) in &rows {
+                write_f32_rows(&mut m, a, c, &mut NumericStatus::default());
             }
             let want: Vec<Pass> = keys.iter().map(|key| chain_address(&m, key)).collect();
             for (key, want) in keys.iter().zip(&want) {
@@ -1387,8 +1269,14 @@ mod tests {
                 let mut att = Vec::new();
                 let mut st = NumericStatus::default();
                 let mut flags = Vec::new();
-                let (cycles, _) =
+                let (cycles, hop) =
                     mi.address_indexed_flagged_into_tracked(key, &mut att, &mut st, &mut flags);
+                // A fallback hop records the key's quantizer twice, for the
+                // probe and for the rescan.
+                let mut key_st = NumericStatus::default();
+                requant(key, &mut key_st);
+                let copies = if m.is_empty() { 0 } else if hop.fallback { 2 } else { 1 };
+                prop_assert!(st.quant_clamp >= copies * key_st.quant_clamp);
                 let got = Pass { attention: att, flags, st, cycles };
                 prop_assert_eq!(got, chain_indexed(&mi, key));
             }
@@ -1405,6 +1293,15 @@ mod tests {
                 prop_assert_eq!(&(out, st, cycles), &want);
                 prop_assert_eq!((reads[q].clone(), read_sts[q], read_cycles[q]), want);
             }
+        }
+
+        /// The divider guard has nothing to catch on any score vector of
+        /// the stress mix.
+        #[test]
+        fn softmax_denominator_holds_on_stress_words(
+            scores in (1usize..=12).prop_flat_map(stress_words)
+        ) {
+            assert_denominator_is_at_least_one(&scores);
         }
     }
 }

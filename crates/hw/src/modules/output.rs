@@ -113,28 +113,6 @@ impl OutputModule {
         self.row_cycles - 1
     }
 
-    /// Runs the search for hidden state `h`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` width differs from `E`.
-    pub fn search(&self, h: &[f32]) -> OutputResult {
-        assert_eq!(h.len(), self.w_o.cols(), "hidden width");
-        self.search_operand(&Operand::new(h))
-    }
-
-    /// [`OutputModule::search`] for the READ module's output words, each
-    /// re-quantized once per search ([`Operand::from_words`]): equal to the
-    /// `f32` search fed the words' `to_f32`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` width differs from `E`.
-    pub fn search_words(&self, h: &[Fixed]) -> OutputResult {
-        assert_eq!(h.len(), self.w_o.cols(), "hidden width");
-        self.search_operand(&Operand::from_words(h))
-    }
-
     fn result(&self, label: usize, comparisons: usize, speculated: bool) -> OutputResult {
         OutputResult {
             label,
@@ -146,14 +124,22 @@ impl OutputModule {
         }
     }
 
-    /// The search over a quantized hidden state. The exhaustive search
-    /// sweeps every class row in one matvec; a thresholding plan probes
-    /// row by row, each logit with its own register for the exit guard.
-    fn search_operand(&self, h_q: &Operand) -> OutputResult {
+    /// Runs the search for the READ module's output words `h`, each
+    /// re-quantized once per search ([`Operand::from_words`]). The
+    /// exhaustive search sweeps every class row in one matvec; a
+    /// thresholding plan probes row by row, each logit with its own
+    /// register for the exit guard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `h` width differs from `E`.
+    pub fn search_words(&self, h: &[Fixed]) -> OutputResult {
+        assert_eq!(h.len(), self.w_o.cols(), "hidden width");
+        let h_q = Operand::from_words(h);
         let Some(plan) = &self.plan else {
             let mut numeric = NumericStatus::default();
             let (mut best, mut best_z) = (0usize, Fixed::MIN);
-            self.w_o.matvec_tracked(h_q, &mut numeric, |class, z| {
+            self.w_o.matvec_tracked(&h_q, &mut numeric, |class, z| {
                 if z > best_z {
                     best_z = z;
                     best = class;
@@ -175,7 +161,7 @@ impl OutputModule {
         let mut band_flagged = false;
         for &(class, theta) in plan {
             let mut logit_st = NumericStatus::default();
-            let z = self.w_o.dot_tracked(class, h_q, &mut logit_st);
+            let z = self.w_o.dot_tracked(class, &h_q, &mut logit_st);
             comparisons += 1;
             numeric.merge(&logit_st);
             if let Some(t) = theta {
@@ -256,6 +242,7 @@ impl OutputModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::quantized;
     use mann_ith::threshold::ClassThreshold;
     use mann_ith::Kernel;
 
@@ -287,7 +274,7 @@ mod tests {
     #[test]
     fn exhaustive_search_finds_argmax() {
         let m = OutputModule::new(w_o(), &DatapathConfig::default());
-        let r = m.search(&[1.0, 1.0, 1.0, 1.0]);
+        let r = m.search_words(&quantized(&[1.0, 1.0, 1.0, 1.0]));
         assert_eq!(r.label, 3);
         assert_eq!(r.comparisons, 5);
         assert!(!r.speculated);
@@ -299,7 +286,7 @@ mod tests {
             &ith(vec![None, None, None, Some(2.0), None], vec![3, 0, 1, 2, 4]),
             true,
         );
-        let r = m.search(&[1.0, 1.0, 1.0, 1.0]); // z_3 = 4 > 2
+        let r = m.search_words(&quantized(&[1.0, 1.0, 1.0, 1.0])); // z_3 = 4 > 2
         assert_eq!(r.label, 3);
         assert_eq!(r.comparisons, 1);
         assert!(r.speculated);
@@ -309,7 +296,7 @@ mod tests {
     fn miss_falls_back_to_exact_argmax() {
         let m = OutputModule::new(w_o(), &DatapathConfig::default())
             .with_thresholding(&ith(vec![Some(100.0); 5], (0..5).collect()), true);
-        let r = m.search(&[1.0, 1.0, 1.0, 1.0]);
+        let r = m.search_words(&quantized(&[1.0, 1.0, 1.0, 1.0]));
         assert_eq!(r.label, 3);
         assert_eq!(r.comparisons, 5);
         assert!(!r.speculated);
@@ -318,10 +305,10 @@ mod tests {
     #[test]
     fn cycles_track_comparisons() {
         let m = OutputModule::new(w_o(), &DatapathConfig::default());
-        let full = m.search(&[1.0; 4]);
+        let full = m.search_words(&quantized(&[1.0; 4]));
         let m_early = OutputModule::new(w_o(), &DatapathConfig::default())
             .with_thresholding(&ith(vec![Some(-100.0); 5], (0..5).collect()), true);
-        let early = m_early.search(&[1.0; 4]);
+        let early = m_early.search_words(&quantized(&[1.0; 4]));
         assert!(early.cycles < full.cycles);
         assert_eq!(early.comparisons, 1);
     }
@@ -333,11 +320,11 @@ mod tests {
         let model = ith(thetas, vec![4, 0, 1, 2, 3]);
         let ordered = OutputModule::new(w_o(), &DatapathConfig::default())
             .with_thresholding(&model, true)
-            .search(&[1.0; 4]);
+            .search_words(&quantized(&[1.0; 4]));
         assert_eq!(ordered.comparisons, 1);
         let unordered = OutputModule::new(w_o(), &DatapathConfig::default())
             .with_thresholding(&model, false)
-            .search(&[1.0; 4]);
+            .search_words(&quantized(&[1.0; 4]));
         assert_eq!(unordered.comparisons, 5);
         assert_eq!(unordered.label, 4);
     }
@@ -375,20 +362,20 @@ mod tests {
         let model = ith(vec![Some(1000.0), None, None], vec![0, 1, 2]);
         let dp = DatapathConfig::default();
 
-        let exact = OutputModule::new(saturating_w_o(), &dp).search(&h);
+        let exact = OutputModule::new(saturating_w_o(), &dp).search_words(&quantized(&h));
         assert_eq!(exact.label, 2, "exhaustive argmax");
 
         let unguarded = OutputModule::new(saturating_w_o(), &dp)
             .with_thresholding(&model, true)
             .with_guard(ExitGuard::off())
-            .search(&h);
+            .search_words(&quantized(&h));
         assert_eq!(unguarded.label, 0, "saturated early exit fires unguarded");
         assert!(unguarded.speculated);
         assert_eq!(unguarded.vetoes, 0);
 
         let guarded = OutputModule::new(saturating_w_o(), &dp)
             .with_thresholding(&model, true)
-            .search(&h);
+            .search_words(&quantized(&h));
         assert_eq!(guarded.label, exact.label, "guard restores the answer");
         assert!(!guarded.speculated);
         assert_eq!(guarded.vetoes, 1);
@@ -402,15 +389,12 @@ mod tests {
         let hs: Vec<Vec<f32>> = (0..3)
             .map(|q| (0..4).map(|j| ((q * 4 + j) as f32 * 0.31).sin()).collect())
             .collect();
-        let words: Vec<Vec<Fixed>> = hs
-            .iter()
-            .map(|h| h.iter().map(|&x| Fixed::from_f32(x)).collect())
-            .collect();
+        let words: Vec<Vec<Fixed>> = hs.iter().map(|h| quantized(h)).collect();
         let refs: Vec<&[Fixed]> = words.iter().map(Vec::as_slice).collect();
         let batch = m.search_batch(&refs);
         assert_eq!(batch.len(), 3);
-        for (h, got) in hs.iter().zip(&batch) {
-            assert_eq!(got, &m.search(h));
+        for (h, got) in words.iter().zip(&batch) {
+            assert_eq!(got, &m.search_words(h));
         }
         assert!(m.search_batch(&[]).is_empty());
         // With thresholding the batch delegates per query and still agrees.
@@ -419,8 +403,8 @@ mod tests {
             true,
         );
         assert!(t.is_thresholded());
-        for (h, got) in hs.iter().zip(t.search_batch(&refs)) {
-            assert_eq!(got, t.search(h));
+        for (h, got) in words.iter().zip(t.search_batch(&refs)) {
+            assert_eq!(got, t.search_words(h));
         }
         // One shared stream slot fewer than the per-row occupancy.
         assert_eq!(
@@ -438,11 +422,11 @@ mod tests {
         let dp = DatapathConfig::default();
         let guarded = OutputModule::new(w_o(), &dp)
             .with_thresholding(&model, true)
-            .search(&h);
+            .search_words(&quantized(&h));
         let unguarded = OutputModule::new(w_o(), &dp)
             .with_thresholding(&model, true)
             .with_guard(ExitGuard::off())
-            .search(&h);
+            .search_words(&quantized(&h));
         assert_eq!(guarded, unguarded);
         assert!(guarded.numeric.is_clean());
         assert_eq!(guarded.vetoes, 0);

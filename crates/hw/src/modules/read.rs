@@ -82,69 +82,23 @@ impl ReadModule {
         self.embed_dim
     }
 
-    /// Whether the gated controller is loaded.
-    pub fn is_gated(&self) -> bool {
-        matches!(self.controller, ControllerHw::Gru { .. })
-    }
-
-    /// One controller step: Eq 4 (`h = r + W_r k`) or the GRU recurrence.
+    /// One controller step on words: Eq 4 (`h = r + W_r k`) or the GRU
+    /// recurrence, over the read vector from MEM and the key, each
+    /// re-quantized once per step ([`Operand::from_words`]). The output
+    /// stays words for the next hop's key and the OUTPUT search. Numeric
+    /// events of the operand quantizers, the matvecs, the combine adder
+    /// and (for the gated controller) the σ/tanh unit and gate combines
+    /// land in `st`.
     ///
     /// Timing (linear): `E` pipelined row dot products plus the elementwise
     /// add. Timing (GRU): six matvecs, two sigmoid batches, one tanh batch,
     /// and the elementwise combines — the gating tax the paper's linear
     /// controller avoids.
     ///
-    /// # Panics
-    ///
-    /// Panics if `r` or `k` width differs from `E`.
-    pub fn step(&self, r: &[f32], k: &[f32]) -> (Vec<f32>, Cycles) {
-        let mut h = Vec::new();
-        let cycles = self.step_into(r, k, &mut h);
-        (h, cycles)
-    }
-
-    /// [`ReadModule::step`] with the output written into a caller-owned
-    /// buffer whose capacity is reused across hops. Values and cycle counts
-    /// are identical to [`ReadModule::step`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` or `k` width differs from `E`.
-    pub fn step_into(&self, r: &[f32], k: &[f32], h: &mut Vec<f32>) -> Cycles {
-        self.step_into_tracked(r, k, h, &mut NumericStatus::default())
-    }
-
-    /// [`ReadModule::step_into`] with numeric-event accounting across the
-    /// operand quantizers, the matvecs, the combine adder and (for the
-    /// gated controller) the σ/tanh unit and gate combines. Values and
-    /// cycle counts are identical to the untracked step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` or `k` width differs from `E`.
-    pub fn step_into_tracked(
-        &self,
-        r: &[f32],
-        k: &[f32],
-        h: &mut Vec<f32>,
-        st: &mut NumericStatus,
-    ) -> Cycles {
-        self.check_widths(r.len(), k.len());
-        let mut words = Vec::new();
-        let cycles = self.step_core(&Operand::new(r), &Operand::new(k), &mut words, st);
-        h.clear();
-        h.extend(words.iter().map(|w| w.to_f32()));
-        cycles
-    }
-
-    /// [`ReadModule::step_into_tracked`] on words: the read vector from MEM
-    /// and the key, each re-quantized once per step
-    /// ([`Operand::from_words`]), with the output left as words for the
-    /// next hop's key and the OUTPUT search. Equal to the `f32` entry fed
-    /// the words' `to_f32`. After warm-up the linear controller — the
-    /// paper's datapath — allocates nothing unless an operand word lies
-    /// beyond `2^24`. The GRU variant builds its gate temporaries, and its
-    /// σ/tanh unit allocates per element.
+    /// After warm-up the linear controller — the paper's datapath —
+    /// allocates nothing unless an operand word lies beyond `2^24`. The GRU
+    /// variant builds its gate temporaries, and its σ/tanh unit allocates
+    /// per element.
     ///
     /// # Panics
     ///
@@ -156,32 +110,18 @@ impl ReadModule {
         h: &mut Vec<Fixed>,
         st: &mut NumericStatus,
     ) -> Cycles {
-        self.check_widths(r.len(), k.len());
-        self.step_core(&Operand::from_words(r), &Operand::from_words(k), h, st)
-    }
-
-    fn check_widths(&self, r: usize, k: usize) {
-        assert_eq!(r, self.embed_dim, "read vector width");
-        assert_eq!(k, self.embed_dim, "key width");
-    }
-
-    /// One step over quantized operands. Each operand's quantizer register
-    /// is merged once per use of its words, as converting the `f32` vector
-    /// at every use recorded it.
-    fn step_core(
-        &self,
-        r: &Operand,
-        k: &Operand,
-        h: &mut Vec<Fixed>,
-        st: &mut NumericStatus,
-    ) -> Cycles {
         let e = self.embed_dim();
+        assert_eq!(r.len(), e, "read vector width");
+        assert_eq!(k.len(), e, "key width");
+        // Each operand's quantizer register is merged once per use of its
+        // words, as quantizing the operand at every use would record it.
+        let (r, k) = (Operand::from_words(r), Operand::from_words(k));
         match &self.controller {
             ControllerHw::Linear { w_r } => {
                 let per_dot = (e.div_ceil(self.tree.width())) as u64;
                 h.clear();
                 h.resize(e, Fixed::ZERO);
-                w_r.matvec_tracked(k, st, |row, wk| h[row] = wk);
+                w_r.matvec_tracked(&k, st, |row, wk| h[row] = wk);
                 // h = r + W_r k: each read word is converted once.
                 st.merge(r.status());
                 for (hv, rv) in h.iter_mut().zip(r.words()) {
@@ -189,7 +129,7 @@ impl ReadModule {
                 }
                 Cycles::new(e as u64 * per_dot + self.tree.depth() + 2)
             }
-            ControllerHw::Gru { gates, sigmoid } => self.gru_step(gates, sigmoid, r, k, h, st),
+            ControllerHw::Gru { gates, sigmoid } => self.gru_step(gates, sigmoid, &r, &k, h, st),
         }
     }
 
@@ -253,6 +193,7 @@ impl ReadModule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::quantized;
 
     fn module(e: usize) -> ReadModule {
         let mut w = Matrix::zeros(e, e);
@@ -264,22 +205,30 @@ mod tests {
         ReadModule::new(w, &DatapathConfig::default())
     }
 
+    /// One step on `f32` operands, quantized: the output and the cycles.
+    fn controller_out(m: &ReadModule, r: &[f32], k: &[f32]) -> (Vec<Fixed>, Cycles) {
+        let mut h = Vec::new();
+        let (r, k) = (quantized(r), quantized(k));
+        let cycles = m.step_words_tracked(&r, &k, &mut h, &mut NumericStatus::default());
+        (h, cycles)
+    }
+
     #[test]
     fn identity_like_controller() {
         let m = module(4);
         let r = vec![1.0, 2.0, 3.0, 4.0];
         let k = vec![2.0, 2.0, 2.0, 2.0];
-        let (h, _) = m.step(&r, &k);
+        let (h, _) = controller_out(&m, &r, &k);
         // h = r + 0.5 * k.
-        for (i, &x) in h.iter().enumerate() {
-            assert!((x - (r[i] + 1.0)).abs() < 1e-3);
+        for (i, x) in h.iter().enumerate() {
+            assert!((x.to_f32() - (r[i] + 1.0)).abs() < 1e-3);
         }
     }
 
     #[test]
     fn cycles_scale_quadratically_with_dim() {
-        let small = module(8).step(&[0.0; 8], &[0.0; 8]).1;
-        let large = module(32).step(&[0.0; 32], &[0.0; 32]).1;
+        let small = controller_out(&module(8), &[0.0; 8], &[0.0; 8]).1;
+        let large = controller_out(&module(32), &[0.0; 32], &[0.0; 32]).1;
         assert!(large.get() > small.get() * 4, "{large} vs {small}");
     }
 
@@ -293,6 +242,6 @@ mod tests {
     #[should_panic(expected = "width")]
     fn wrong_operand_width_panics() {
         let m = module(4);
-        let _ = m.step(&[0.0; 3], &[0.0; 4]);
+        let _ = controller_out(&m, &[0.0; 3], &[0.0; 4]);
     }
 }

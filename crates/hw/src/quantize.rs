@@ -5,19 +5,8 @@ use memn2n::Params;
 
 /// Returns a copy of `params` with every weight pushed through the
 /// `frac_bits` fixed-point grid — the numeric effect of loading the trained
-/// model into the accelerator's BRAM.
-///
-/// # Panics
-///
-/// Panics if `frac_bits` is 0 or greater than 30.
-pub fn quantize_params(params: &Params, frac_bits: u32) -> Params {
-    quantize_params_tracked(params, frac_bits, &mut NumericStatus::default())
-}
-
-/// [`quantize_params`] with numeric-event accounting at the model-load
-/// boundary: weights clipped by the fixed-point grid (or non-finite on
-/// arrival) are recorded in `st`. The returned parameters are bit-identical
-/// to the untracked quantization.
+/// model into the accelerator's BRAM. Weights clipped by the grid (or
+/// non-finite on arrival) are recorded in `st`.
 ///
 /// # Panics
 ///
@@ -66,7 +55,7 @@ mod tests {
     #[test]
     fn q16_16_is_nearly_lossless_for_small_weights() {
         let p = params();
-        let q = quantize_params(&p, 16);
+        let q = quantize_params_tracked(&p, 16, &mut NumericStatus::default());
         for (a, b) in p.w_o.as_slice().iter().zip(q.w_o.as_slice()) {
             assert!((a - b).abs() <= 1.0 / 65536.0);
         }
@@ -83,23 +72,35 @@ mod tests {
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0, f32::max)
         };
-        let e16 = err(&quantize_params(&p, 16));
-        let e8 = err(&quantize_params(&p, 8));
-        let e4 = err(&quantize_params(&p, 4));
+        let e16 = err(&quantize_params_tracked(
+            &p,
+            16,
+            &mut NumericStatus::default(),
+        ));
+        let e8 = err(&quantize_params_tracked(
+            &p,
+            8,
+            &mut NumericStatus::default(),
+        ));
+        let e4 = err(&quantize_params_tracked(
+            &p,
+            4,
+            &mut NumericStatus::default(),
+        ));
         assert!(e16 <= e8 && e8 <= e4, "{e16} {e8} {e4}");
     }
 
     #[test]
     fn quantization_is_idempotent() {
         let p = params();
-        let q1 = quantize_params(&p, 8);
-        let q2 = quantize_params(&q1, 8);
+        let q1 = quantize_params_tracked(&p, 8, &mut NumericStatus::default());
+        let q2 = quantize_params_tracked(&q1, 8, &mut NumericStatus::default());
         assert_eq!(q1, q2);
     }
 
     #[test]
     #[should_panic(expected = "frac_bits")]
     fn invalid_width_rejected() {
-        let _ = quantize_params(&params(), 0);
+        let _ = quantize_params_tracked(&params(), 0, &mut NumericStatus::default());
     }
 }

@@ -31,14 +31,8 @@ impl SigmoidUnit {
 
     /// Evaluates `σ(x)` for a batch, returning fixed-point results and the
     /// occupancy: `n + exp_latency` (pipelined lookups) plus `n` sequential
-    /// divides.
-    pub fn sigmoid_batch(&self, xs: &[f32]) -> (Vec<Fixed>, Cycles) {
-        self.sigmoid_batch_tracked(xs, &mut NumericStatus::default())
-    }
-
-    /// [`SigmoidUnit::sigmoid_batch`] with numeric-event accounting across
-    /// the exp lookup, the `1 + e` adder and the divider. Results are
-    /// bit-identical to the untracked batch.
+    /// divides. Numeric events of the exp lookup, the `1 + e` adder and the
+    /// divider are recorded in `st`.
     pub fn sigmoid_batch_tracked(
         &self,
         xs: &[f32],
@@ -62,12 +56,8 @@ impl SigmoidUnit {
         (out, exp_cycles + div_cycles)
     }
 
-    /// Evaluates `tanh(x)` via `2σ(2x) - 1`.
-    pub fn tanh_batch(&self, xs: &[f32]) -> (Vec<Fixed>, Cycles) {
-        self.tanh_batch_tracked(xs, &mut NumericStatus::default())
-    }
-
-    /// [`SigmoidUnit::tanh_batch`] with numeric-event accounting.
+    /// Evaluates `tanh(x)` via `2σ(2x) - 1`, with numeric-event accounting
+    /// as [`SigmoidUnit::sigmoid_batch_tracked`].
     pub fn tanh_batch_tracked(&self, xs: &[f32], st: &mut NumericStatus) -> (Vec<Fixed>, Cycles) {
         let doubled: Vec<f32> = xs.iter().map(|&x| 2.0 * x).collect();
         let (sig, cycles) = self.sigmoid_batch_tracked(&doubled, st);
@@ -93,7 +83,7 @@ mod tests {
     fn sigmoid_matches_reference() {
         let u = unit();
         let xs = [-4.0f32, -1.0, -0.25, 0.0, 0.25, 1.0, 4.0];
-        let (out, _) = u.sigmoid_batch(&xs);
+        let (out, _) = u.sigmoid_batch_tracked(&xs, &mut NumericStatus::default());
         for (o, &x) in out.iter().zip(&xs) {
             let expect = sigmoid(x);
             assert!(
@@ -108,7 +98,7 @@ mod tests {
     fn tanh_matches_reference() {
         let u = unit();
         let xs = [-3.0f32, -0.5, 0.0, 0.5, 3.0];
-        let (out, _) = u.tanh_batch(&xs);
+        let (out, _) = u.tanh_batch_tracked(&xs, &mut NumericStatus::default());
         for (o, &x) in out.iter().zip(&xs) {
             assert!(
                 (o.to_f32() - x.tanh()).abs() < 1e-2,
@@ -122,10 +112,10 @@ mod tests {
     #[test]
     fn occupancy_includes_sequential_divides() {
         let u = unit();
-        let (_, c) = u.sigmoid_batch(&[0.5; 8]);
+        let (_, c) = u.sigmoid_batch_tracked(&[0.5; 8], &mut NumericStatus::default());
         let dp = DatapathConfig::default();
         assert!(c.get() >= 8 * dp.div_latency);
-        let (_, empty) = u.sigmoid_batch(&[]);
+        let (_, empty) = u.sigmoid_batch_tracked(&[], &mut NumericStatus::default());
         assert_eq!(empty, Cycles::ZERO);
     }
 
@@ -133,9 +123,9 @@ mod tests {
     fn outputs_stay_in_valid_ranges() {
         let u = unit();
         let xs: Vec<f32> = (-40..=40).map(|i| i as f32 * 0.25).collect();
-        let (sig, _) = u.sigmoid_batch(&xs);
+        let (sig, _) = u.sigmoid_batch_tracked(&xs, &mut NumericStatus::default());
         assert!(sig.iter().all(|s| (0.0..=1.0).contains(&s.to_f32())));
-        let (th, _) = u.tanh_batch(&xs);
+        let (th, _) = u.tanh_batch_tracked(&xs, &mut NumericStatus::default());
         assert!(th.iter().all(|t| (-1.01..=1.01).contains(&t.to_f32())));
     }
 }

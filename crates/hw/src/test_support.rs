@@ -1,9 +1,37 @@
-//! Stress strategies shared by the unit tests of the MEM datapath and by
-//! `tests/proptests.rs`, which includes this file with `#[path]`.
+//! Stress strategies and `f32` hand-offs shared by the unit tests of the
+//! MEM datapath and by `tests/proptests.rs`, which includes this file with
+//! `#[path]` (and imports `mann_hw::modules` at its root, so
+//! `crate::modules` resolves in both).
 
-use mann_linalg::Fixed;
+use mann_linalg::{Fixed, NumericStatus};
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+use crate::modules::MemModule;
+
+/// Words of `f32` values, each through [`Fixed::from_f32`]: the quantizer
+/// an `f32` hand-off between two modules met. On a value that is some
+/// word's `to_f32`, as every hand-off value is, a word entry fed these
+/// words equals quantizing the `f32` at the entry, in value and events,
+/// because the entry's [`Fixed::requant`] is that quantizer.
+pub fn quantized(v: &[f32]) -> Vec<Fixed> {
+    v.iter().map(|&x| Fixed::from_f32(x)).collect()
+}
+
+/// Writes one sentence's `f32` address and content rows into the next MEM
+/// slot: [`quantized`], then stored through the word write port, which
+/// records its events in `st`. Re-quantizing a quantized word moves no
+/// value, so the stored words are the rows' quantized words.
+///
+/// # Panics
+///
+/// Panics if a row's width differs from the memory's.
+pub fn write_f32_rows(m: &mut MemModule, addr: &[f32], content: &[f32], st: &mut NumericStatus) {
+    m.write_embedded_tracked(st, |a, c, _| {
+        a.copy_from_slice(&quantized(addr));
+        c.copy_from_slice(&quantized(content));
+    });
+}
 
 /// Weights and operands for the quantized-store equivalence tests: mostly
 /// ordinary values, plus non-finite and out-of-range ones. Through the load

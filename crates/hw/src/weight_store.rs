@@ -4,9 +4,9 @@
 //! words, and streams them through the adder trees (Fig 1). A
 //! [`WeightStore`] is that BRAM image: the READ controller weights and the
 //! OUTPUT rows multiply stored words directly instead of re-quantizing the
-//! `f32` weights on every access, and an [`Operand`] quantizes the vector
-//! side once per pass instead of once per row: from `f32`, or from the
-//! words another module hands over ([`Operand::from_words`]).
+//! `f32` weights on every access, and an [`Operand`] re-quantizes the
+//! words another module hands over once per pass instead of once per row
+//! ([`Operand::from_words`]).
 //!
 //! Results are bit-identical to [`AdderTree::fixed_dot_tracked`] over the
 //! original `f32` rows, numeric counters included. Re-quantizing a stored
@@ -142,29 +142,11 @@ pub struct Operand<'a> {
     abs_max: u64,
 }
 
-impl Operand<'static> {
-    /// Quantizes `x` through [`Fixed::from_f32_tracked`] and takes the
-    /// words' `max|x|`, once for every row the operand meets.
-    pub fn new(x: &[f32]) -> Self {
-        let mut status = NumericStatus::default();
-        let words: Vec<Fixed> = x
-            .iter()
-            .map(|&v| Fixed::from_f32_tracked(v, &mut status))
-            .collect();
-        let abs_max = fixed::abs_max(&words);
-        Self {
-            words: Cow::Owned(words),
-            status,
-            abs_max,
-        }
-    }
-}
-
 impl<'a> Operand<'a> {
     /// The operand of a word vector another module handed over: each word
-    /// through [`Fixed::requant`], where the `f32` hand-off quantized it, so
-    /// the operand equals [`Operand::new`] of `x`'s `to_f32` in words,
-    /// status and `max|x|`. Borrows `x` when no word changes.
+    /// through [`Fixed::requant`], which equals quantizing its `to_f32` in
+    /// value and events, and the words' `max|x|`, once for every row the
+    /// operand meets. Borrows `x` when no word changes.
     pub fn from_words(x: &'a [Fixed]) -> Self {
         let mut status = NumericStatus::default();
         let words = fixed::requant_all(x, &mut status);
@@ -196,21 +178,21 @@ mod tests {
     #[test]
     fn rail_weight_replays_its_clamp_on_every_access() {
         // `Fixed::MAX.to_f32()` rounds up to 32768.0, which clips again
-        // each time it is re-quantized.
+        // each time it is re-quantized: as a weight and as an operand word.
         let rail = Fixed::MAX.to_f32();
         let m = Matrix::from_rows(vec![vec![rail, 1.0], vec![0.5, -0.25]]).unwrap();
         let store = WeightStore::new(&m);
-        let x = Operand::new(&[f32::NAN, 2.0]);
+        let words = [Fixed::MAX, Fixed::from_f32(2.0)];
+        let x = Operand::from_words(&words);
         let tree = AdderTree::default();
         for r in 0..2 {
             let mut got = NumericStatus::default();
             let mut want = NumericStatus::default();
             let z = store.dot_tracked(r, &x, &mut got);
-            let (expect, _) = tree.fixed_dot_tracked(m.row(r), &[f32::NAN, 2.0], &mut want);
+            let (expect, _) = tree.fixed_dot_tracked(m.row(r), &[rail, 2.0], &mut want);
             assert_eq!(z, expect);
             assert_eq!(got, want);
-            assert_eq!(got.quant_clamp, u64::from(r == 0));
-            assert_eq!(got.nan_boundary, 1);
+            assert_eq!(got.quant_clamp, 1 + u64::from(r == 0));
         }
     }
 
@@ -218,6 +200,7 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn operand_width_is_checked() {
         let store = WeightStore::new(&Matrix::zeros(2, 3));
-        store.dot_tracked(0, &Operand::new(&[1.0; 2]), &mut NumericStatus::default());
+        let x = Operand::from_words(&[Fixed::ONE; 2]);
+        store.dot_tracked(0, &x, &mut NumericStatus::default());
     }
 }

@@ -6,16 +6,17 @@
 //! per-dot-product temporaries, no per-hop operand copies, and no
 //! per-query MEM module or exp LUT. `Accelerator::write_story` allocates
 //! the two memory tables of the story, each sized once, and nothing per
-//! sentence, and no exp LUT copy. A warm `train_step` allocates nothing at
-//! all. Unlike host time, an allocation count is deterministic, so it
-//! guards the hot paths exactly.
+//! sentence, and no exp LUT copy; with the candidate index armed, its
+//! build adds a fixed number of buffers, again none per sentence. A warm
+//! `train_step` allocates nothing at all. Unlike host time, an allocation
+//! count is deterministic, so it guards the hot paths exactly.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
 use mann_babi::{DatasetBuilder, EncodedSample, TaskId};
-use mann_hw::{AccelConfig, Accelerator};
+use mann_hw::{AccelConfig, Accelerator, MemIndexConfig};
 use mann_ith::threshold::ClassThreshold;
 use mann_ith::{Kernel, ThresholdingModel};
 use memn2n::{
@@ -68,8 +69,13 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 
 /// An accelerator for an `E`-wide model with `classes` output rows,
 /// optionally behind a thresholding plan that never fires (so every class
-/// row is still evaluated).
-fn accelerator(embed_dim: usize, classes: usize, thresholded: bool) -> Accelerator {
+/// row is still evaluated), with the given candidate index.
+fn accelerator(
+    embed_dim: usize,
+    classes: usize,
+    thresholded: bool,
+    mem_index: MemIndexConfig,
+) -> Accelerator {
     let params = Params::init(
         ModelConfig {
             embed_dim,
@@ -96,6 +102,7 @@ fn accelerator(embed_dim: usize, classes: usize, thresholded: bool) -> Accelerat
         model,
         AccelConfig {
             ith,
+            mem_index,
             ..AccelConfig::default()
         },
     )
@@ -115,7 +122,7 @@ fn sample(sentences: usize) -> EncodedSample {
 /// `classes` output rows over a story of `sentences` sentences, optionally
 /// behind a thresholding plan that never fires.
 fn query_allocations(embed_dim: usize, classes: usize, sentences: usize, thresholded: bool) -> u64 {
-    let accel = accelerator(embed_dim, classes, thresholded);
+    let accel = accelerator(embed_dim, classes, thresholded, MemIndexConfig::default());
     let sample = sample(sentences);
     let story = accel.write_story(&sample);
     black_box(accel.answer_query(&story, &sample));
@@ -154,9 +161,9 @@ fn answer_query_allocations_do_not_grow_with_width_classes_or_story() {
 }
 
 /// Allocations of one warm `write_story` of a `sentences`-sentence story
-/// on an `E`-wide model.
-fn story_allocations(embed_dim: usize, sentences: usize) -> u64 {
-    let accel = accelerator(embed_dim, 8, false);
+/// on an `E`-wide model with the given candidate index.
+fn story_allocations(embed_dim: usize, sentences: usize, mem_index: MemIndexConfig) -> u64 {
+    let accel = accelerator(embed_dim, 8, false, mem_index);
     let sample = sample(sentences);
     black_box(accel.write_story(&sample));
     allocations_during(|| {
@@ -175,11 +182,30 @@ fn write_story_allocations_are_a_pinned_constant() {
     for embed_dim in [4, 48] {
         for sentences in [1, 2, 5, 40] {
             assert_eq!(
-                story_allocations(embed_dim, sentences),
+                story_allocations(embed_dim, sentences, MemIndexConfig::default()),
                 STORY_ALLOCATIONS,
                 "E = {embed_dim}, sentences = {sentences}"
             );
         }
+    }
+}
+
+/// Allocations of a warm story with the candidate index armed: the two
+/// tables, plus the index build's working buffers (the `f32` centroids,
+/// the slot assignment and the cluster counts) and the index it keeps (the
+/// stored centroids, the member slots and their group starts). The build
+/// clusters the stored address rows in place, so neither depends on the
+/// sentence count; a copy of each row would add one per sentence.
+const INDEXED_STORY_ALLOCATIONS: u64 = STORY_ALLOCATIONS + 6;
+
+#[test]
+fn indexed_write_story_allocations_are_a_pinned_constant() {
+    for sentences in [4, 8, 16, 40] {
+        assert_eq!(
+            story_allocations(16, sentences, MemIndexConfig::with_params(4, 2, 0.0)),
+            INDEXED_STORY_ALLOCATIONS,
+            "sentences = {sentences}"
+        );
     }
 }
 

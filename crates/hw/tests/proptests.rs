@@ -3,8 +3,10 @@
 
 use mann_babi::EncodedSample;
 use mann_hw::adder_tree::AdderTree;
+// `modules` itself too: `test_support` names `crate::modules::MemModule`.
 use mann_hw::modules::{
-    decode_stream, encode_sample_stream, InputWriteModule, MemModule, OutputModule, ReadModule,
+    self, decode_stream, encode_sample_stream, InputWriteModule, MemModule, OutputModule,
+    ReadModule,
 };
 use mann_hw::sigmoid_unit::SigmoidUnit;
 use mann_hw::weight_store::{Operand, WeightStore};
@@ -23,7 +25,7 @@ use rand::SeedableRng;
 #[allow(dead_code)]
 #[path = "../src/test_support.rs"]
 mod test_support;
-use test_support::{stress_value, stress_word, stress_words};
+use test_support::{quantized, stress_value, stress_word, stress_words, write_f32_rows};
 
 /// A random tiny model + sample pair (untrained weights — equivalence must
 /// hold regardless of training).
@@ -164,14 +166,15 @@ proptest! {
             kernel: Kernel::Epanechnikov,
         };
         let dp = DatapathConfig::default();
+        let h = quantized(&h);
         let guarded = OutputModule::new(w_o.clone(), &dp)
             .with_thresholding(&ith, true)
             .with_guard(ExitGuard::with_band(band))
-            .search(&h);
+            .search_words(&h);
         let unguarded = OutputModule::new(w_o, &dp)
             .with_thresholding(&ith, true)
             .with_guard(ExitGuard::off())
-            .search(&h);
+            .search_words(&h);
         prop_assert!(guarded.numeric.is_clean());
         prop_assert_eq!(guarded, unguarded);
     }
@@ -409,20 +412,20 @@ fn stressed_params(
 
 /// The linear READ step with every dot product through
 /// `AdderTree::fixed_dot_tracked`, which re-quantizes per access.
-fn oracle_linear_step(w_r: &Matrix, r: &[f32], k: &[f32], st: &mut NumericStatus) -> Vec<f32> {
+fn oracle_linear_step(w_r: &Matrix, r: &[f32], k: &[f32], st: &mut NumericStatus) -> Vec<Fixed> {
     let tree = AdderTree::default();
     w_r.iter_rows()
         .zip(r)
         .map(|(row, &rv)| {
             let (wk, _) = tree.fixed_dot_tracked(row, k, st);
-            Fixed::from_f32_tracked(rv, st).add_tracked(wk, st).to_f32()
+            Fixed::from_f32_tracked(rv, st).add_tracked(wk, st)
         })
         .collect()
 }
 
 /// The GRU READ step with every dot product through
 /// `AdderTree::fixed_dot_tracked`.
-fn oracle_gru_step(g: &GruParams, r: &[f32], k: &[f32], st: &mut NumericStatus) -> Vec<f32> {
+fn oracle_gru_step(g: &GruParams, r: &[f32], k: &[f32], st: &mut NumericStatus) -> Vec<Fixed> {
     let tree = AdderTree::default();
     let sigmoid = SigmoidUnit::new(&DatapathConfig::default());
     let gate = |w: &Matrix, u: &Matrix, x_u: &[f32], st: &mut NumericStatus| -> Vec<f32> {
@@ -455,7 +458,6 @@ fn oracle_gru_step(g: &GruParams, r: &[f32], k: &[f32], st: &mut NumericStatus) 
                 .sub_tracked(*zv, st)
                 .mul_tracked(Fixed::from_f32_tracked(kv, st), st)
                 .add_tracked(zv.mul_tracked(hv, st), st)
-                .to_f32()
         })
         .collect()
 }
@@ -476,53 +478,53 @@ fn oracle_search(w_o: &Matrix, h: &[f32]) -> (usize, NumericStatus) {
     (best, st)
 }
 
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-fn quantized(v: &[f32]) -> Vec<Fixed> {
-    v.iter().map(|&x| Fixed::from_f32(x)).collect()
+/// The `f32` a word hands over: each word's `to_f32`.
+fn to_f32(v: &[Fixed]) -> Vec<f32> {
+    v.iter().map(|w| w.to_f32()).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every row of a quantized store dots to the value and numeric status
-    /// of the per-access `fixed_dot_tracked` over the stored `f32` row.
+    /// Every row of a quantized store dots an operand of words to the value
+    /// and numeric status of the per-access `fixed_dot_tracked` over the
+    /// stored `f32` row and the words' `to_f32`, on words beyond `2^24`
+    /// and on the rails.
     #[test]
     fn weight_store_dot_matches_fixed_dot(
         e in 1usize..7,
         classes in 1usize..9,
         frac_bits in frac_bits(),
         values in proptest::collection::vec(stress_value(), 1..48),
-        x in proptest::collection::vec(stress_value(), 6),
+        x in stress_words(6),
     ) {
         let q = stressed_params(ControllerKind::Linear, e, classes, &values, frac_bits);
         let x = &x[..e];
-        let operand = Operand::new(x);
+        let operand = Operand::from_words(x);
         for m in [&q.w_r, &q.w_o] {
             let store = WeightStore::new(m);
             for (r, row) in m.iter_rows().enumerate() {
                 let mut got = NumericStatus::default();
                 let mut want = NumericStatus::default();
                 let z = store.dot_tracked(r, &operand, &mut got);
-                let (expect, _) = AdderTree::default().fixed_dot_tracked(row, x, &mut want);
+                let (expect, _) = AdderTree::default().fixed_dot_tracked(row, &to_f32(x), &mut want);
                 prop_assert_eq!(z, expect);
                 prop_assert_eq!(got, want);
             }
         }
     }
 
-    /// Linear and GRU controller steps equal the per-access dot-product
-    /// loop in every output bit and every numeric counter.
+    /// Linear and GRU controller steps on words equal the per-access
+    /// dot-product loop fed the words' `to_f32`, in every output word and
+    /// every numeric counter.
     #[test]
     fn read_step_matches_fixed_dot_loop(
         gru in any::<bool>(),
         e in 1usize..7,
         frac_bits in frac_bits(),
         values in proptest::collection::vec(stress_value(), 1..48),
-        r in proptest::collection::vec(stress_value(), 6),
-        k in proptest::collection::vec(stress_value(), 6),
+        r in stress_words(6),
+        k in stress_words(6),
     ) {
         let controller = if gru { ControllerKind::Gru } else { ControllerKind::Linear };
         let q = stressed_params(controller, e, 3, &values, frac_bits);
@@ -532,69 +534,64 @@ proptest! {
         let (module, expect) = match &q.gru {
             Some(g) => (
                 ReadModule::new_gru(g.clone(), &dp),
-                oracle_gru_step(g, r, k, &mut want),
+                oracle_gru_step(g, &to_f32(r), &to_f32(k), &mut want),
             ),
             None => (
                 ReadModule::new(q.w_r.clone(), &dp),
-                oracle_linear_step(&q.w_r, r, k, &mut want),
+                oracle_linear_step(&q.w_r, &to_f32(r), &to_f32(k), &mut want),
             ),
         };
         let mut h = Vec::new();
         let mut got = NumericStatus::default();
-        module.step_into_tracked(r, k, &mut h, &mut got);
-        prop_assert_eq!(bits(&h), bits(&expect));
+        module.step_words_tracked(r, k, &mut h, &mut got);
+        prop_assert_eq!(h, expect);
         prop_assert_eq!(got, want);
     }
 
-    /// The exhaustive OUTPUT search, alone and batched, equals an argmax
-    /// over per-access dot products, numeric status included. So does a
-    /// thresholded search whose plan never fires, which accumulates through
-    /// the per-logit registers the exit guard reads.
+    /// The exhaustive OUTPUT search on words, alone and batched, equals an
+    /// argmax over per-access dot products fed the words' `to_f32`, numeric
+    /// status included. So does a thresholded search whose plan never
+    /// fires, which accumulates through the per-logit registers the exit
+    /// guard reads. Under a plan that may fire, the batched search equals
+    /// the per-query searches.
     #[test]
     fn output_search_matches_fixed_dot_loop(
         e in 1usize..7,
         classes in 1usize..9,
         frac_bits in frac_bits(),
         values in proptest::collection::vec(stress_value(), 1..48),
-        hs in proptest::collection::vec(proptest::collection::vec(stress_value(), 6), 1..4),
+        hs in proptest::collection::vec(stress_words(6), 1..4),
+        thetas in proptest::collection::vec(proptest::option::of(-4.0f32..4.0), 8),
     ) {
         let q = stressed_params(ControllerKind::Linear, e, classes, &values, frac_bits);
         let dp = DatapathConfig::default();
         let module = OutputModule::new(q.w_o.clone(), &dp);
-        let never_fires = ThresholdingModel {
-            thresholds: vec![ClassThreshold { theta: None }; classes],
-            order: (0..classes).collect(),
+        let plan = |thetas: &[Option<f32>], order: Vec<usize>| ThresholdingModel {
+            thresholds: thetas.iter().map(|&theta| ClassThreshold { theta }).collect(),
+            order,
             silhouettes: vec![0.0; classes],
             rho: 1.0,
             kernel: Kernel::Epanechnikov,
         };
+        let never_fires = plan(&vec![None; classes], (0..classes).collect());
         let probed = OutputModule::new(q.w_o.clone(), &dp).with_thresholding(&never_fires, true);
-        let hs: Vec<&[f32]> = hs.iter().map(|h| &h[..e]).collect();
-        let words: Vec<Vec<Fixed>> = hs.iter().map(|h| quantized(h)).collect();
-        let word_refs: Vec<&[Fixed]> = words.iter().map(Vec::as_slice).collect();
-        let batch = module.search_batch(&word_refs);
-        for ((h, w), batched) in hs.iter().zip(&words).zip(&batch) {
-            let (label, numeric) = oracle_search(&q.w_o, h);
-            let single = module.search(h);
+        let may_fire = plan(&thetas[..classes], (0..classes).rev().collect());
+        let thresholded = OutputModule::new(q.w_o.clone(), &dp).with_thresholding(&may_fire, true);
+        let hs: Vec<&[Fixed]> = hs.iter().map(|h| &h[..e]).collect();
+        let batch = module.search_batch(&hs);
+        for (h, batched) in hs.iter().zip(&batch) {
+            let (label, numeric) = oracle_search(&q.w_o, &to_f32(h));
+            let single = module.search_words(h);
             prop_assert_eq!(single.label, label);
             prop_assert_eq!(single.comparisons, classes);
             prop_assert_eq!(single.numeric, numeric);
-            prop_assert_eq!(batched, &module.search_words(w));
-            let via_plan = probed.search(h);
+            prop_assert_eq!(batched, &single);
+            let via_plan = probed.search_words(h);
             prop_assert_eq!((via_plan.label, via_plan.numeric), (label, numeric));
         }
+        let per_query: Vec<_> = hs.iter().map(|h| thresholded.search_words(h)).collect();
+        prop_assert_eq!(thresholded.search_batch(&hs), per_query);
     }
-}
-
-/// The `f32` a word hands over, and the words the `f32` entries quantize it
-/// back to.
-fn to_f32(v: &[Fixed]) -> Vec<f32> {
-    v.iter().map(|w| w.to_f32()).collect()
-}
-
-/// An attention's weights as `f32` bits, as the `f32` entries return them.
-fn attention_bits(att: &[Fixed]) -> Vec<u32> {
-    bits(&to_f32(att))
 }
 
 #[test]
@@ -695,170 +692,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Every word entry of MEM equals its `f32` entry fed the words'
-    /// `to_f32`, in attention and read bits, cycles and every counter: the
-    /// write port, plain, flagged, batched and indexed addressing, and the
-    /// single and batched soft reads, over keys and attention words beyond
-    /// `2^24` and on the rails.
-    #[test]
-    fn mem_word_entries_match_f32_entries(
-        (e, rows, (keys, atts), (k, nprobe, band)) in (1usize..=6, 0usize..=6)
-            .prop_flat_map(|(e, l)| {
-                (
-                    Just(e),
-                    proptest::collection::vec((stress_words(e), stress_words(e)), l),
-                    (
-                        proptest::collection::vec(stress_words(e), 1..=3),
-                        proptest::collection::vec(stress_words(l), 1..=3),
-                    ),
-                    (1usize..=4, 0usize..4, 0usize..2),
-                )
-            })
-    ) {
-        // The write port: words in place of their `to_f32`.
-        let mut m = MemModule::new(e, &DatapathConfig::default());
-        let mut from_words = MemModule::new(e, &DatapathConfig::default());
-        let (mut st, mut word_st) = (NumericStatus::default(), NumericStatus::default());
-        for (a, c) in &rows {
-            m.write_tracked(to_f32(a), to_f32(c), &mut st);
-            from_words.write_embedded_tracked(&mut word_st, |to_a, to_c, _| {
-                to_a.copy_from_slice(a);
-                to_c.copy_from_slice(c);
-            });
-        }
-        prop_assert_eq!(from_words.raw_words(), m.raw_words());
-        prop_assert_eq!(word_st, st);
-
-        let mut want = Vec::new();
-        for key in &keys {
-            let mut att = Vec::new();
-            let mut st = NumericStatus::default();
-            let cycles = m.address_into_tracked(&to_f32(key), &mut att, &mut st);
-            want.push((bits(&att), st, cycles));
-            let mut words = Vec::new();
-            let mut word_st = NumericStatus::default();
-            let word_cycles = m.address_words_tracked(key, &mut words, &mut word_st);
-            prop_assert_eq!((attention_bits(&words), word_st, word_cycles), want.last().cloned().unwrap());
-            let mut flags = Vec::new();
-            let mut flag_st = NumericStatus::default();
-            let flag_cycles = m.address_flagged_into_tracked(key, &mut words, &mut flag_st, &mut flags);
-            prop_assert_eq!((attention_bits(&words), flag_st, flag_cycles), want.last().cloned().unwrap());
-            prop_assert_eq!(flags.len(), m.len());
-        }
-        let key_refs: Vec<&[Fixed]> = keys.iter().map(Vec::as_slice).collect();
-        let mut batch = Vec::new();
-        let mut batch_st = vec![NumericStatus::default(); keys.len()];
-        let mut flags = Vec::new();
-        let batch_cycles = m.address_batch_flagged_into_tracked(&key_refs, &mut batch, &mut batch_st, &mut flags);
-        for (q, want) in want.iter().enumerate() {
-            prop_assert_eq!(&(attention_bits(&batch[q]), batch_st[q], batch_cycles[q]), want);
-        }
-
-        // A one-centroid index probes every slot, so its attention is the
-        // exact pass's whether or not the hop falls back.
-        let mut mi = m.clone();
-        mi.build_index(
-            MemIndexConfig::with_params(1, 1, [0.0, 1.0e9][band]),
-            &mut NumericStatus::default(),
-        );
-        for (key, want) in keys.iter().zip(&want) {
-            let mut att = Vec::new();
-            let mut flags = Vec::new();
-            mi.address_indexed_flagged_into_tracked(key, &mut att, &mut NumericStatus::default(), &mut flags);
-            prop_assert_eq!(&attention_bits(&att), &want.0);
-        }
-        // Any index: a fallback hop records the key's quantizer twice, once
-        // for the probe and once for the rescan, like the `f32` key did.
-        let mut mi = m.clone();
-        mi.build_index(
-            MemIndexConfig::with_params(k, nprobe % k + 1, 0.0),
-            &mut NumericStatus::default(),
-        );
-        for key in &keys {
-            let mut key_st = NumericStatus::default();
-            for w in key {
-                let _ = Fixed::from_f32_tracked(w.to_f32(), &mut key_st);
-            }
-            let mut att = Vec::new();
-            let mut st = NumericStatus::default();
-            let mut flags = Vec::new();
-            let (_, hop) = mi.address_indexed_flagged_into_tracked(key, &mut att, &mut st, &mut flags);
-            let copies = if m.is_empty() { 0 } else if hop.fallback { 2 } else { 1 };
-            prop_assert!(st.quant_clamp >= copies * key_st.quant_clamp);
-        }
-
-        let att_refs: Vec<&[Fixed]> = atts.iter().map(Vec::as_slice).collect();
-        let mut reads = Vec::new();
-        let mut read_sts = vec![NumericStatus::default(); atts.len()];
-        let read_cycles = m.read_batch_into_tracked(&att_refs, &mut reads, &mut read_sts);
-        for (q, attention) in atts.iter().enumerate() {
-            let mut out = Vec::new();
-            let mut st = NumericStatus::default();
-            let cycles = m.read_into_tracked(&to_f32(attention), &mut out, &mut st);
-            let want = (bits(&out), st, cycles);
-            let mut words = Vec::new();
-            let mut word_st = NumericStatus::default();
-            let word_cycles = m.read_words_tracked(attention, &mut words, &mut word_st);
-            prop_assert_eq!(&(bits(&to_f32(&words)), word_st, word_cycles), &want);
-            prop_assert_eq!((bits(&to_f32(&reads[q])), read_sts[q], read_cycles[q]), want);
-        }
-    }
-
-    /// The READ step on words (linear and GRU) equals the `f32` step fed
-    /// the words' `to_f32`, and the OUTPUT search on words (exhaustive,
-    /// batched, and under a thresholding plan) equals the `f32` search, in
-    /// every output bit and every counter.
-    #[test]
-    fn read_and_output_word_entries_match_f32_entries(
-        gru in any::<bool>(),
-        e in 1usize..7,
-        classes in 1usize..9,
-        values in proptest::collection::vec(stress_value(), 1..48),
-        r in stress_words(6),
-        k in stress_words(6),
-        thetas in proptest::collection::vec(proptest::option::of(-4.0f32..4.0), 8),
-    ) {
-        let controller = if gru { ControllerKind::Gru } else { ControllerKind::Linear };
-        let q = stressed_params(controller, e, classes, &values, 16);
-        let (r, k) = (&r[..e], &k[..e]);
-        let dp = DatapathConfig::default();
-        let module = match &q.gru {
-            Some(g) => ReadModule::new_gru(g.clone(), &dp),
-            None => ReadModule::new(q.w_r.clone(), &dp),
-        };
-        let mut h = Vec::new();
-        let mut st = NumericStatus::default();
-        let cycles = module.step_into_tracked(&to_f32(r), &to_f32(k), &mut h, &mut st);
-        let mut words = Vec::new();
-        let mut word_st = NumericStatus::default();
-        let word_cycles = module.step_words_tracked(r, k, &mut words, &mut word_st);
-        prop_assert_eq!((bits(&to_f32(&words)), word_st, word_cycles), (bits(&h), st, cycles));
-
-        let plan = ThresholdingModel {
-            thresholds: thetas[..classes].iter().map(|&theta| ClassThreshold { theta }).collect(),
-            order: (0..classes).rev().collect(),
-            silhouettes: vec![0.0; classes],
-            rho: 1.0,
-            kernel: Kernel::Epanechnikov,
-        };
-        let exhaustive = OutputModule::new(q.w_o.clone(), &dp);
-        let thresholded = OutputModule::new(q.w_o.clone(), &dp).with_thresholding(&plan, true);
-        for hidden in [r, k, &words] {
-            for search in [&exhaustive, &thresholded] {
-                let want = search.search(&to_f32(hidden));
-                prop_assert_eq!(search.search_words(hidden), want);
-                prop_assert_eq!(search.search_batch(&[hidden, k]), vec![want, search.search_words(k)]);
-            }
-        }
-    }
-
     /// `Accelerator::run`, on words from the question embedding to the
-    /// OUTPUT search, equals the pipeline the `f32` entries compose: each
-    /// sentence embedded and written through `MemModule::write_tracked`,
-    /// each hop's key, attention and read vector handed over as `f32`,
-    /// then the `f32` search. Answers, every phase's cycles, every
-    /// module's register and the stored story words agree, on models
-    /// scaled until the words leave `2^24` and reach the rails.
+    /// OUTPUT search, equals the pipeline of `f32` hand-offs: each module's
+    /// word entry fed `quantized` of the words the previous module handed
+    /// over as `to_f32` — each sentence's embedded rows written through
+    /// `write_f32_rows`, each hop's key, attention and read vector, then
+    /// the search. Answers, every phase's cycles, every module's register
+    /// and the stored story words agree, on models scaled until the words
+    /// leave `2^24` and reach the rails.
     #[test]
     fn accelerator_words_match_the_f32_pipeline(
         seed in 0u64..200,
@@ -887,30 +728,30 @@ proptest! {
             None => ReadModule::new(q.w_r.clone(), &dp),
         };
         let output = OutputModule::new(q.w_o.clone(), &dp);
+        let handoff = |v: &[Fixed]| quantized(&to_f32(v));
         let mut write = NumericStatus::default();
         let mut mem = MemModule::new(6, &dp);
         let mut write_cycles = 0;
         for sent in &sample.sentences {
             let (mut a, mut c) = (vec![Fixed::ZERO; 6], vec![Fixed::ZERO; 6]);
             write_cycles += input.embed_sentence_tracked(sent, &mut a, &mut c, &mut write).get();
-            mem.write_tracked(to_f32(&a), to_f32(&c), &mut write);
+            write_f32_rows(&mut mem, &to_f32(&a), &to_f32(&c), &mut write);
         }
         prop_assert_eq!(accel.write_story(&sample).quantized_rows(), mem.raw_words());
-        let mut q_emb = Vec::new();
-        let qc = input.embed_question_tracked(&sample.question, &mut q_emb, &mut write);
-        let mut key = to_f32(&q_emb);
+        let mut key = Vec::new();
+        let qc = input.embed_question_tracked(&sample.question, &mut key, &mut write);
         let (mut mem_st, mut ctl_st) = (NumericStatus::default(), NumericStatus::default());
         let (mut addressing, mut reading, mut controller) = (0, 0, 0);
+        let (mut att, mut r, mut h) = (Vec::new(), Vec::new(), Vec::new());
         for _ in 0..2 {
-            let mut att = Vec::new();
-            addressing += mem.address_into_tracked(&key, &mut att, &mut mem_st).get();
-            let mut r = Vec::new();
-            reading += mem.read_into_tracked(&att, &mut r, &mut mem_st).get();
-            let mut h = Vec::new();
-            controller += read.step_into_tracked(&r, &key, &mut h, &mut ctl_st).get();
-            key = h;
+            addressing += mem.address_words_tracked(&handoff(&key), &mut att, &mut mem_st).get();
+            reading += mem.read_words_tracked(&handoff(&att), &mut r, &mut mem_st).get();
+            controller += read
+                .step_words_tracked(&handoff(&r), &handoff(&key), &mut h, &mut ctl_st)
+                .get();
+            key = h.clone();
         }
-        let out = output.search(&key);
+        let out = output.search_words(&handoff(&key));
         prop_assert_eq!(run.answer, out.label);
         prop_assert_eq!(
             (run.phases.write.get(), run.phases.addressing.get(), run.phases.read.get()),
