@@ -33,6 +33,8 @@
 //! assert!(!s.answer.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod encode;
 pub mod io;
 pub mod tasks;

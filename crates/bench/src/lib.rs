@@ -5,6 +5,8 @@
 //! `--train N`, `--test N` and `--seed N` to trade fidelity for runtime
 //! (defaults reproduce the full 20-task suite).
 
+#![forbid(unsafe_code)]
+
 use mann_babi::TaskId;
 use mann_core::SuiteConfig;
 

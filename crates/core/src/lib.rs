@@ -26,6 +26,8 @@
 //! println!("{}", table.render());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod parallel;
 pub mod persist;

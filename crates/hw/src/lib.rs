@@ -38,6 +38,8 @@
 //! assert!(run.cycles.get() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adder_tree;
 pub mod clock;
 pub mod div_unit;

@@ -13,9 +13,11 @@
 //! Keys, attention and read vectors cross the module boundary as words
 //! too; each pass re-quantizes its operand once ([`Fixed::requant`], the
 //! identity below `2^24`) where an `f32` hand-off would have quantized it.
-//! Every score and soft-read element goes through the certified MAC entry
+//! Every score goes through the certified MAC entry
 //! [`fixed::dot_certified`], which equals the in-order chain
-//! [`fixed::dot_tracked`] over the stored words. The write port keeps one
+//! [`fixed::dot_tracked`] over the stored words, and every soft read
+//! through its row-sweeping twin [`fixed::weighted_rows_certified`], which
+//! equals that chain down each content column. The write port keeps one
 //! `max|w|` per memory for the story; each pass takes its key's or
 //! attention's `Σ|x|` once, and the two certify every dot product of the
 //! pass.
@@ -134,9 +136,9 @@ impl MemModule {
     /// INPUT & WRITE sums), and the BRAM write port re-quantizes them
     /// ([`Fixed::requant`]), recording its events in `st`. The port folds
     /// the stored words into each memory's `max|w|`, the stored side of
-    /// every certified score and soft-read element
-    /// ([`fixed::dot_certified`]): one word per memory, not one per row or
-    /// column. Returns what `embed` returns.
+    /// every certified score and soft read ([`fixed::dot_certified`],
+    /// [`fixed::weighted_rows_certified`]): one word per memory, not one per
+    /// row or column. Returns what `embed` returns.
     pub fn write_embedded_tracked<R>(
         &mut self,
         st: &mut NumericStatus,
@@ -372,8 +374,11 @@ impl MemModule {
     /// Soft read (Eq 5): the weighted sum of the content rows under
     /// attention words, which are re-quantized once per read
     /// ([`Fixed::requant`]). The read vector stays words for the READ
-    /// module. Numeric events of the attention quantizer and the
-    /// weighted-sum MACs land in `st`.
+    /// module. Each of its words is the certified chain down one content
+    /// column ([`fixed::weighted_rows_certified`], from the attention's
+    /// `Σ|a|` and the content memory's `max|w|`), which sweeps the
+    /// row-major table row by row. Numeric events of the attention
+    /// quantizer and the weighted-sum MACs land in `st`.
     ///
     /// # Panics
     ///
@@ -386,9 +391,15 @@ impl MemModule {
     ) -> Cycles {
         assert_eq!(attention.len(), self.len, "attention length");
         let att_q = fixed::requant_all(attention, st);
-        let att_sum = fixed::abs_sum(&att_q);
-        out.clear();
-        out.extend((0..self.embed_dim).map(|j| self.column_dot(&att_q, att_sum, j, st)));
+        out.resize(self.embed_dim, Fixed::ZERO);
+        fixed::weighted_rows_certified(
+            &att_q,
+            &self.content,
+            fixed::abs_sum(&att_q),
+            self.content_abs_max,
+            out,
+            st,
+        );
         self.read_cycles()
     }
 
@@ -396,13 +407,10 @@ impl MemModule {
         self.score_cycles(self.len)
     }
 
-    /// Batched soft read for queries sharing this story: each content
-    /// column is streamed once and accumulated against every query's
-    /// attention weights while resident. Per `(query, element)` pair the
-    /// accumulation visits the rows in the same order as
+    /// Batched soft read for queries sharing this story: each query's
     /// [`MemModule::read_words_tracked`], so outputs, cycles and status
-    /// registers are bit-identical to the per-query call. Returned cycles
-    /// are the standalone per-query counts (see
+    /// registers are the per-query call's. Returned cycles are the
+    /// standalone per-query counts (see
     /// [`MemModule::address_batch_flagged_into_tracked`] for the fusion
     /// accounting).
     ///
@@ -418,38 +426,12 @@ impl MemModule {
     ) -> Vec<Cycles> {
         assert_eq!(attentions.len(), sts.len(), "one status register per query");
         outs.resize_with(attentions.len(), Vec::new);
-        let atts_q: Vec<(Cow<[Fixed]>, u64)> = attentions
+        attentions
             .iter()
+            .zip(outs.iter_mut())
             .zip(sts.iter_mut())
-            .map(|(attention, st)| {
-                assert_eq!(attention.len(), self.len, "attention length");
-                let att_q = fixed::requant_all(attention, st);
-                let att_sum = fixed::abs_sum(&att_q);
-                (att_q, att_sum)
-            })
-            .collect();
-        for out in outs.iter_mut() {
-            out.clear();
-        }
-        for j in 0..self.embed_dim {
-            for (q, (att_q, att_sum)) in atts_q.iter().enumerate() {
-                outs[q].push(self.column_dot(att_q, *att_sum, j, &mut sts[q]));
-            }
-        }
-        vec![self.read_cycles(); attentions.len()]
-    }
-
-    /// Output element `j` of a soft read: the weighted sum of content
-    /// column `j` over the stored rows, in row order, through the
-    /// certified MAC entry, from the attention's `Σ|a|` and the content
-    /// memory's `max|w|`. The rows stay row-major, as
-    /// [`MemModule::raw_words`] persists them.
-    fn column_dot(&self, att_q: &[Fixed], att_sum: u64, j: usize, st: &mut NumericStatus) -> Fixed {
-        let column = att_q
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (*a, self.content[i * self.embed_dim + j]));
-        fixed::dot_certified_pairs(column, att_sum, self.content_abs_max, st)
+            .map(|((attention, out), st)| self.read_words_tracked(attention, out, st))
+            .collect()
     }
 
     /// Per-hop row-stream issue slots a fused same-story query shares with

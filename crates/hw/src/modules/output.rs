@@ -127,8 +127,9 @@ impl OutputModule {
     /// Runs the search for the READ module's output words `h`, each
     /// re-quantized once per search ([`Operand::from_words`]). The
     /// exhaustive search sweeps every class row in one matvec; a
-    /// thresholding plan probes row by row, each logit with its own
-    /// register for the exit guard.
+    /// thresholding plan probes row by row, and the exit guard reads each
+    /// logit's flag: whether the operand's register, the row's latched
+    /// register or the sum itself holds an event.
     ///
     /// # Panics
     ///
@@ -151,34 +152,38 @@ impl OutputModule {
             };
         };
         let band = Fixed::from_f32(self.guard.band.max(0.0));
+        let operand_flagged = h_q.status().stressed();
         let mut best = 0usize;
         let mut best_z = Fixed::MIN;
         let mut comparisons = 0usize;
         let mut vetoes = 0usize;
+        // The probed rows' registers and sums; the operand's register is
+        // merged once per probed row when the search retires.
         let mut numeric = NumericStatus::default();
         // Whether any logit probed so far landed within the guard band of
         // its own threshold while carrying a flag.
         let mut band_flagged = false;
+        let mut speculated = false;
         for &(class, theta) in plan {
-            let mut logit_st = NumericStatus::default();
-            let z = self.w_o.dot_tracked(class, &h_q, &mut logit_st);
+            // `numeric` starts clean and one search records far fewer than
+            // `u64::MAX` events, so its total grows exactly when the row's
+            // register or the sum holds one.
+            let events = numeric.total();
+            let z = self.w_o.dot_row_tracked(class, &h_q, &mut numeric);
+            let flagged = operand_flagged || numeric.total() > events;
             comparisons += 1;
-            numeric.merge(&logit_st);
             if let Some(t) = theta {
-                if logit_st.stressed() && z.saturating_sub(t).abs() <= band {
+                if flagged && z.saturating_sub(t).abs() <= band {
                     band_flagged = true;
                 }
                 if z > t {
-                    if self.guard.vetoes(&logit_st, band_flagged) {
+                    if self.guard.vetoes(flagged, band_flagged) {
                         // Saturated speculative exit: veto it and let the
                         // sequential search continue.
                         vetoes += 1;
                     } else {
-                        return OutputResult {
-                            vetoes,
-                            numeric,
-                            ..self.result(class, comparisons, true)
-                        };
+                        (best, speculated) = (class, true);
+                        break;
                     }
                 }
             }
@@ -187,10 +192,11 @@ impl OutputModule {
                 best = class;
             }
         }
+        numeric.merge_times(h_q.status(), comparisons as u64);
         OutputResult {
             vetoes,
             numeric,
-            ..self.result(best, comparisons, false)
+            ..self.result(best, comparisons, speculated)
         }
     }
 
@@ -381,6 +387,40 @@ mod tests {
         assert_eq!(guarded.vetoes, 1);
         assert_eq!(guarded.comparisons, 3);
         assert!(guarded.numeric.mul_sat > 0, "flag recorded");
+    }
+
+    /// An operand word on the positive rail re-quantizes with a clamp,
+    /// which flags every logit of the search although no sum saturates:
+    /// the guard vetoes the exit, and the operand's clamp counts once per
+    /// probed row.
+    #[test]
+    fn guard_vetoes_an_exit_on_a_clamped_operand() {
+        let mut w = Matrix::zeros(2, 2);
+        w[(0, 0)] = 1e-3;
+        w[(1, 0)] = 2e-3;
+        let model = ith(vec![Some(1.0), None], vec![0, 1]);
+        let dp = DatapathConfig::default();
+        // z_0 ≈ 32768 · 0.001 clears θ_0 = 1; z_1 is the larger logit.
+        let h = [Fixed::MAX, Fixed::ZERO];
+        let guarded = OutputModule::new(w.clone(), &dp)
+            .with_thresholding(&model, true)
+            .search_words(&h);
+        assert_eq!(
+            (guarded.label, guarded.comparisons, guarded.speculated),
+            (1, 2, false)
+        );
+        assert_eq!(guarded.vetoes, 1);
+        assert_eq!(guarded.numeric.quant_clamp, 2);
+        assert_eq!(guarded.numeric.total(), 2);
+        let unguarded = OutputModule::new(w, &dp)
+            .with_thresholding(&model, true)
+            .with_guard(ExitGuard::off())
+            .search_words(&h);
+        assert_eq!(
+            (unguarded.label, unguarded.comparisons, unguarded.speculated),
+            (0, 1, true)
+        );
+        assert_eq!(unguarded.numeric.quant_clamp, 1);
     }
 
     #[test]

@@ -100,8 +100,19 @@ impl WeightStore {
     ///
     /// [`AdderTree::fixed_dot_tracked`]: crate::adder_tree::AdderTree::fixed_dot_tracked
     pub fn dot_tracked(&self, r: usize, x: &Operand, st: &mut NumericStatus) -> Fixed {
-        st.merge(&self.row_status[r]);
         st.merge(&x.status);
+        self.dot_row_tracked(r, x, st)
+    }
+
+    /// [`WeightStore::dot_tracked`] without the operand's register, for a
+    /// caller that evaluates rows one at a time and merges that register
+    /// once for all of them ([`NumericStatus::merge_times`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`WeightStore::dot_tracked`].
+    pub fn dot_row_tracked(&self, r: usize, x: &Operand, st: &mut NumericStatus) -> Fixed {
+        st.merge(&self.row_status[r]);
         fixed::dot_certified(self.row(r), &x.words, self.row_abs_sum[r], x.abs_max, st)
     }
 

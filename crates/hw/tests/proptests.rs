@@ -478,6 +478,47 @@ fn oracle_search(w_o: &Matrix, h: &[f32]) -> (usize, NumericStatus) {
     (best, st)
 }
 
+/// The thresholded OUTPUT search over `fixed_dot_tracked`, each logit with
+/// its own register: Algorithm 1 probing `plan` in order, the exit guard
+/// reading the winning logit's register and the band flags. Returns the
+/// label, comparisons, whether a threshold fired, the vetoes and the
+/// merged status.
+fn oracle_thresholded(
+    w_o: &Matrix,
+    h: &[f32],
+    plan: &[(usize, Option<f32>)],
+    guard: ExitGuard,
+) -> (usize, usize, bool, usize, NumericStatus) {
+    let tree = AdderTree::default();
+    let band = Fixed::from_f32(guard.band.max(0.0));
+    let mut numeric = NumericStatus::default();
+    let (mut best, mut best_z) = (0, Fixed::MIN);
+    let (mut comparisons, mut vetoes, mut band_flagged) = (0, 0, false);
+    for &(class, theta) in plan {
+        let mut logit_st = NumericStatus::default();
+        let (z, _) = tree.fixed_dot_tracked(w_o.row(class), h, &mut logit_st);
+        comparisons += 1;
+        numeric.merge(&logit_st);
+        if let Some(t) = theta.map(Fixed::from_f32) {
+            if logit_st.stressed() && z.saturating_sub(t).abs() <= band {
+                band_flagged = true;
+            }
+            if z > t {
+                if guard.vetoes(logit_st.stressed(), band_flagged) {
+                    vetoes += 1;
+                } else {
+                    return (class, comparisons, true, vetoes, numeric);
+                }
+            }
+        }
+        if z > best_z {
+            best_z = z;
+            best = class;
+        }
+    }
+    (best, comparisons, false, vetoes, numeric)
+}
+
 /// The `f32` a word hands over: each word's `to_f32`.
 fn to_f32(v: &[Fixed]) -> Vec<f32> {
     v.iter().map(|w| w.to_f32()).collect()
@@ -551,9 +592,11 @@ proptest! {
     /// The exhaustive OUTPUT search on words, alone and batched, equals an
     /// argmax over per-access dot products fed the words' `to_f32`, numeric
     /// status included. So does a thresholded search whose plan never
-    /// fires, which accumulates through the per-logit registers the exit
-    /// guard reads. Under a plan that may fire, the batched search equals
-    /// the per-query searches.
+    /// fires, which probes row by row. Under a plan that may fire, the
+    /// search equals Algorithm 1 over the same dot products with a register
+    /// per logit for the exit guard, in every field but the cycles, with
+    /// the guard off, at a zero band and at a band of 1; the batched search
+    /// equals the per-query searches.
     #[test]
     fn output_search_matches_fixed_dot_loop(
         e in 1usize..7,
@@ -591,6 +634,20 @@ proptest! {
         }
         let per_query: Vec<_> = hs.iter().map(|h| thresholded.search_words(h)).collect();
         prop_assert_eq!(thresholded.search_batch(&hs), per_query);
+        let order: Vec<(usize, Option<f32>)> =
+            (0..classes).rev().map(|c| (c, thetas[c])).collect();
+        for guard in [ExitGuard::off(), ExitGuard::default(), ExitGuard::with_band(1.0)] {
+            let guarded = OutputModule::new(q.w_o.clone(), &dp)
+                .with_thresholding(&may_fire, true)
+                .with_guard(guard);
+            for h in &hs {
+                let got = guarded.search_words(h);
+                prop_assert_eq!(
+                    (got.label, got.comparisons, got.speculated, got.vetoes, got.numeric),
+                    oracle_thresholded(&q.w_o, &to_f32(h), &order, guard)
+                );
+            }
+        }
     }
 }
 

@@ -8,11 +8,10 @@
 //! band-adjacent logit computed so far carried one — and lets the sequential
 //! MIPS continue to the exact argmax.
 //!
-//! The guard only consults per-logit [`NumericStatus`] registers; it never
-//! changes a logit's value, so on a flag-free inference a guarded search is
-//! bit-identical to an unguarded one.
+//! The guard only consults whether each logit's computation recorded a
+//! numeric event; it never changes a logit's value, so on a flag-free
+//! inference a guarded search is bit-identical to an unguarded one.
 
-use mann_linalg::NumericStatus;
 use serde::{Deserialize, Serialize};
 
 /// Configuration for the saturation-aware early-exit veto.
@@ -55,11 +54,12 @@ impl ExitGuard {
 
     /// Whether a firing early exit must be vetoed.
     ///
-    /// `winning` is the status register of the winning logit's own
-    /// computation; `band_flagged` reports whether any logit probed so far
-    /// landed within the guard band of its threshold while flagged.
-    pub fn vetoes(&self, winning: &NumericStatus, band_flagged: bool) -> bool {
-        self.enabled && (winning.stressed() || (self.band > 0.0 && band_flagged))
+    /// `winning_flagged` reports whether the winning logit's own
+    /// computation recorded any numeric event; `band_flagged` reports
+    /// whether any logit probed so far landed within the guard band of its
+    /// threshold while flagged.
+    pub fn vetoes(&self, winning_flagged: bool, band_flagged: bool) -> bool {
+        self.enabled && (winning_flagged || (self.band > 0.0 && band_flagged))
     }
 }
 
@@ -67,32 +67,25 @@ impl ExitGuard {
 mod tests {
     use super::*;
 
-    fn flagged() -> NumericStatus {
-        NumericStatus {
-            mul_sat: 1,
-            ..NumericStatus::default()
-        }
-    }
-
     #[test]
     fn default_guard_vetoes_flagged_winner_only() {
         let g = ExitGuard::default();
-        assert!(g.vetoes(&flagged(), false));
-        assert!(!g.vetoes(&NumericStatus::CLEAN, false));
+        assert!(g.vetoes(true, false));
+        assert!(!g.vetoes(false, false));
         // Zero band: band-adjacent flags alone do not veto.
-        assert!(!g.vetoes(&NumericStatus::CLEAN, true));
+        assert!(!g.vetoes(false, true));
     }
 
     #[test]
     fn banded_guard_vetoes_adjacent_flags() {
         let g = ExitGuard::with_band(0.5);
-        assert!(g.vetoes(&NumericStatus::CLEAN, true));
-        assert!(!g.vetoes(&NumericStatus::CLEAN, false));
+        assert!(g.vetoes(false, true));
+        assert!(!g.vetoes(false, false));
     }
 
     #[test]
     fn disabled_guard_never_vetoes() {
         let g = ExitGuard::off();
-        assert!(!g.vetoes(&flagged(), true));
+        assert!(!g.vetoes(true, true));
     }
 }

@@ -45,6 +45,8 @@
 //! assert!(fast.comparisons <= exact.comparisons);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod baselines;
 pub mod calibrate;
 pub mod guard;

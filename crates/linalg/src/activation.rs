@@ -100,26 +100,6 @@ impl Default for ExpLut {
     }
 }
 
-/// Numerically stable softmax computed through a LUT exponential — the exact
-/// arithmetic sequence the MEM module performs (max, shifted exp, running
-/// sum, one divide per element).
-///
-/// Returns an empty vector for empty input.
-pub fn softmax_lut(xs: &[f32], lut: &ExpLut) -> Vec<f32> {
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let m = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = xs.iter().map(|&x| lut.eval(x - m)).collect();
-    let z: f32 = exps.iter().sum();
-    if z == 0.0 {
-        // All inputs flushed to zero: fall back to uniform, as a hardware
-        // divider guard would.
-        return vec![1.0 / xs.len() as f32; xs.len()];
-    }
-    exps.into_iter().map(|e| e / z).collect()
-}
-
 /// Exact logistic sigmoid (reference implementations and tests).
 pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
@@ -160,34 +140,6 @@ mod tests {
         let large = ExpLut::new(1024, -8.0).max_abs_error(8);
         assert!(large < small, "{large} !< {small}");
         assert!(large < 1e-4);
-    }
-
-    #[test]
-    fn softmax_lut_close_to_exact() {
-        let lut = ExpLut::default();
-        let xs = [1.0f32, 2.0, 0.5, -1.0];
-        let approx = softmax_lut(&xs, &lut);
-        let m = 2.0f32;
-        let exact: Vec<f32> = {
-            let e: Vec<f32> = xs.iter().map(|x| (x - m).exp()).collect();
-            let z: f32 = e.iter().sum();
-            e.into_iter().map(|v| v / z).collect()
-        };
-        for (a, b) in approx.iter().zip(&exact) {
-            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
-        }
-        let sum: f32 = approx.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn softmax_lut_uniform_fallback_when_all_flush() {
-        // One huge spike: every other element flushes, the spike keeps 1.0.
-        let lut = ExpLut::new(32, -2.0);
-        let out = softmax_lut(&[100.0, 0.0, 0.0], &lut);
-        assert!((out[0] - 1.0).abs() < 1e-6);
-        // Degenerate: empty input.
-        assert!(softmax_lut(&[], &lut).is_empty());
     }
 
     #[test]

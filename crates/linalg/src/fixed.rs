@@ -366,32 +366,15 @@ impl std::fmt::Display for Fixed {
     }
 }
 
-/// A fixed-point dot product over `f32` slices, quantizing each operand on
-/// the way in — the MAC-chain the MEM and OUTPUT modules execute.
-///
-/// The accumulator is a `Fixed` (32-bit with saturation), so long dot
-/// products can saturate exactly as the hardware accumulator would.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn fixed_dot(a: &[f32], b: &[f32]) -> Fixed {
-    assert_eq!(a.len(), b.len(), "fixed_dot length mismatch");
-    let mut acc = Fixed::ZERO;
-    for (&x, &y) in a.iter().zip(b) {
-        acc += Fixed::from_f32(x) * Fixed::from_f32(y);
-    }
-    acc
-}
-
 /// The multiply-accumulate chain of a stored-word dot product:
 /// `acc = acc.add_tracked(a[i].mul_tracked(b[i], st), st)` from
 /// [`Fixed::ZERO`], in order, recording each product and accumulator
 /// saturation in `st`.
 ///
 /// This is the datapath's definition of a dot product. Production code
-/// reaches it through [`dot_certified`], which runs it whenever its
-/// certificate fails; tests use it as the oracle.
+/// reaches it through [`dot_certified`] and [`weighted_rows_certified`],
+/// which run it whenever their certificate fails; tests use it as the
+/// oracle.
 ///
 /// # Panics
 ///
@@ -485,10 +468,11 @@ fn certifies(abs_sum: u64, abs_max: u64, n: usize) -> bool {
 /// product has `|p_i| ≤ ⌊|a_i·b_i| / 2^16⌋ + 1`, so every partial sum is
 /// at most `Σ|p_i| ≤ ⌊Σ|a_i·b_i| / 2^16⌋ + n`, and
 /// `Σ|a_i·b_i| ≤ abs_sum·abs_max`. The chain then records no event, so
-/// the result is the plain `i64` sum of `(a_i·b_i) >> 16` and `st` is
-/// left untouched. Otherwise the chain runs unchanged. Either way the
-/// value and `st` equal [`dot_tracked`]'s, provided the magnitudes really
-/// bound the operands.
+/// the result is the plain integer sum of `(a_i·b_i) >> 16`, taken by the
+/// AVX2 kernel when the CPU has it and by the scalar loop otherwise, and
+/// `st` is left untouched. Otherwise the chain runs unchanged. Either way
+/// the value and `st` equal [`dot_tracked`]'s, provided the magnitudes
+/// really bound the operands.
 ///
 /// # Panics
 ///
@@ -502,38 +486,184 @@ pub fn dot_certified(
     st: &mut NumericStatus,
 ) -> Fixed {
     assert_eq!(a.len(), b.len(), "dot operand length mismatch");
-    dot_certified_pairs(
-        a.iter().copied().zip(b.iter().copied()),
-        abs_sum,
-        abs_max,
-        st,
-    )
+    if !certifies(abs_sum, abs_max, a.len()) {
+        return dot_tracked(a, b, st);
+    }
+    Fixed {
+        raw: certified_dot(a, b),
+    }
 }
 
-/// [`dot_certified`] over a sequence of operand pairs of known length,
-/// such as a column of row-major storage; the fallback is
-/// [`dot_tracked_pairs`].
+/// The weighted sum of the rows of a row-major `table`,
+/// `out[j] = Σ_i weights[i]·table[i][j]`, each word [`dot_tracked_pairs`]
+/// down column `j` in row order, certified as in [`dot_certified`] by
+/// magnitudes that bound every column's dot product with the weights: the
+/// weights' `Σ|w|` and the table's `max|t|` do. The table has
+/// `weights.len()` rows of `out.len()` words.
+///
+/// A certified table is summed by the AVX2 kernel, which sweeps the rows
+/// into `out` in the order they are stored, when the CPU has AVX2, and by
+/// the scalar loop down each column otherwise. Every word of `out` is one
+/// certified column sum, so either order of its terms gives its value,
+/// and `st` is left untouched. An uncertified table runs the chain down
+/// each column in row order. Either way every word of `out` is written,
+/// and the words and `st` are those of [`dot_tracked_pairs`] down each
+/// column.
+///
+/// # Panics
+///
+/// Panics if `table` is not `weights.len()` rows of `out.len()` words.
 #[inline]
-pub fn dot_certified_pairs(
-    pairs: impl ExactSizeIterator<Item = (Fixed, Fixed)>,
+pub fn weighted_rows_certified(
+    weights: &[Fixed],
+    table: &[Fixed],
     abs_sum: u64,
     abs_max: u64,
+    out: &mut [Fixed],
     st: &mut NumericStatus,
-) -> Fixed {
-    if !certifies(abs_sum, abs_max, pairs.len()) {
-        return dot_tracked_pairs(pairs, st);
+) {
+    let width = out.len();
+    assert_eq!(
+        weights.len().checked_mul(width),
+        Some(table.len()),
+        "table shape mismatch"
+    );
+    if certifies(abs_sum, abs_max, weights.len()) {
+        certified_rows(weights, table, out);
+    } else {
+        for (j, o) in out.iter_mut().enumerate() {
+            let column = table.iter().skip(j).step_by(width).copied();
+            *o = dot_tracked_pairs(weights.iter().copied().zip(column), st);
+        }
     }
+}
+
+/// The value of a certified [`dot_certified`]: the AVX2 kernel when this
+/// CPU has AVX2, the scalar loop otherwise. Dispatched on every call.
+#[inline]
+fn certified_dot(a: &[Fixed], b: &[Fixed]) -> i32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(avx2) = avx2::Avx2::detect() {
+        return avx2.dot(a, b);
+    }
+    dot_scalar(a.iter().zip(b))
+}
+
+/// The words of a certified [`weighted_rows_certified`]: the AVX2 row
+/// sweep when this CPU has AVX2, the scalar column walk otherwise.
+/// Dispatched on every call.
+#[inline]
+fn certified_rows(weights: &[Fixed], table: &[Fixed], out: &mut [Fixed]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(avx2) = avx2::Avx2::detect() {
+        avx2.rows(weights, table, out);
+        return;
+    }
+    rows_scalar(weights, table, out);
+}
+
+/// The scalar loop of a certified sum: the `i64` sum of
+/// `(a_i·b_i) >> 16`, which the certificate keeps inside `i32`. It runs on
+/// CPUs without AVX2 and is the oracle of the AVX2 kernels.
+#[inline]
+fn dot_scalar<'a>(pairs: impl Iterator<Item = (&'a Fixed, &'a Fixed)>) -> i32 {
     let sum: i64 = pairs
         .map(|(x, y)| (i64::from(x.raw) * i64::from(y.raw)) >> DEFAULT_FRAC_BITS)
         .sum();
-    // The certificate bounds every partial sum, the last included, by
-    // `i32::MAX`.
-    Fixed { raw: sum as i32 }
+    sum as i32
+}
+
+/// The scalar form of a certified [`weighted_rows_certified`]: each word
+/// of `out` the [`dot_scalar`] of one column, walked down the rows.
+fn rows_scalar(weights: &[Fixed], table: &[Fixed], out: &mut [Fixed]) {
+    let width = out.len();
+    for (j, o) in out.iter_mut().enumerate() {
+        o.raw = dot_scalar(weights.iter().zip(table.iter().skip(j).step_by(width)));
+    }
+}
+
+/// The AVX2 kernels of the certified sums, behind a token that only a CPU
+/// with AVX2 yields.
+///
+/// The baseline x86-64 target has no signed 32 × 32 → 64 vector multiply
+/// and no 64-bit arithmetic shift, so the scalar loop stays scalar there.
+/// AVX2 has the multiply (`vpmuldq`) but still no such shift, so each term
+/// is taken with a logical shift and the terms are summed wrapping. That
+/// is exact: the logical and the arithmetic shift of a product agree in
+/// their low 48 bits, a wrapping sum's low 32 bits depend only on its
+/// terms' low 32 bits, and the certificate keeps the true sum inside
+/// `i32`, which its low 32 bits then give. The same holds for each word of
+/// a row sweep, which is one certified column sum accumulated wrapping in
+/// `i32`.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{Fixed, DEFAULT_FRAC_BITS};
+
+    /// Proof that this CPU has AVX2: only [`Avx2::detect`] builds one.
+    #[derive(Clone, Copy)]
+    pub(super) struct Avx2(());
+
+    #[allow(unsafe_code)]
+    impl Avx2 {
+        /// The token, when this CPU has AVX2. `std` caches the CPUID
+        /// result, so a call costs one load and a branch.
+        #[inline]
+        pub(super) fn detect() -> Option<Self> {
+            std::arch::is_x86_feature_detected!("avx2").then_some(Self(()))
+        }
+
+        /// The certified dot product's value, from the AVX2 kernel.
+        #[inline]
+        pub(super) fn dot(self, a: &[Fixed], b: &[Fixed]) -> i32 {
+            // SAFETY: `dot_avx2` needs AVX2, and `self` exists only where
+            // `Avx2::detect` found AVX2 on this CPU.
+            unsafe { dot_avx2(a, b) }
+        }
+
+        /// The certified row sweep, from the AVX2 kernel.
+        #[inline]
+        pub(super) fn rows(self, weights: &[Fixed], table: &[Fixed], out: &mut [Fixed]) {
+            // SAFETY: `rows_avx2` needs AVX2, and `self` exists only where
+            // `Avx2::detect` found AVX2 on this CPU.
+            unsafe { rows_avx2(weights, table, out) }
+        }
+    }
+
+    /// `(x·y) >> 16` with a logical shift: the arithmetic shift's low 48
+    /// bits.
+    #[inline(always)]
+    fn term(x: Fixed, y: Fixed) -> u64 {
+        (i64::from(x.raw) * i64::from(y.raw)) as u64 >> DEFAULT_FRAC_BITS
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn dot_avx2(a: &[Fixed], b: &[Fixed]) -> i32 {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| term(*x, *y))
+            .fold(0u64, u64::wrapping_add) as i32
+    }
+
+    /// Zeroes `out`, then adds each row's terms into it.
+    #[target_feature(enable = "avx2")]
+    fn rows_avx2(weights: &[Fixed], table: &[Fixed], out: &mut [Fixed]) {
+        out.fill(Fixed::ZERO);
+        if out.is_empty() {
+            return;
+        }
+        for (w, row) in weights.iter().zip(table.chunks_exact(out.len())) {
+            for (o, t) in out.iter_mut().zip(row) {
+                o.raw = o.raw.wrapping_add(term(*w, *t) as i32);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn roundtrip_small_values() {
@@ -595,14 +725,6 @@ mod tests {
         let e8 = (Fixed::quantize_f32(x, 8) - x).abs();
         let e4 = (Fixed::quantize_f32(x, 4) - x).abs();
         assert!(e16 <= e8 && e8 <= e4, "{e16} {e8} {e4}");
-    }
-
-    #[test]
-    fn fixed_dot_matches_float_dot() {
-        let a = [0.5f32, -1.25, 2.0, 0.75];
-        let b = [1.0f32, 0.5, -0.25, 4.0];
-        let exact: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        assert!((fixed_dot(&a, &b).to_f32() - exact).abs() < 1e-3);
     }
 
     #[test]
@@ -773,19 +895,181 @@ mod tests {
         // Saturated magnitudes fail the certificate instead of wrapping.
         assert!(!certifies(u64::MAX, u64::MAX, usize::MAX));
         assert!(certifies(0, u64::MAX, 0));
+
+        // Negative products at exactly the edge, at lengths that leave
+        // every vector tail: `Σ|a| = 2^16` and `max|b| = i32::MAX − n`, so
+        // `⌊Σ|a|·max|b| / 2^16⌋ + n = i32::MAX`, and `|a_0·b_0|` nears
+        // `2^47`. The second column of the table negates the first, so its
+        // products are positive.
+        for n in [1usize, 3, 4, 5, 8, 50] {
+            let mut a = vec![Fixed::from_raw(-1); n];
+            a[0] = Fixed::from_raw(n as i32 - 1 - (1 << 16));
+            let edge = i32::MAX - n as i32;
+            for (max_b, at_edge) in [(edge, true), (edge + 1, false)] {
+                let b = vec![Fixed::from_raw(max_b); n];
+                assert_eq!(certifies(abs_sum(&a), abs_max(&b), n), at_edge);
+                let (mut got, mut want) = (dirty, dirty);
+                let value = dot_tracked(&a, &b, &mut want);
+                assert_eq!(certified(&a, &b, &mut got), value, "n = {n}");
+                assert_eq!(got, want);
+                let table: Vec<Fixed> = b.iter().flat_map(|&w| [w, -w]).collect();
+                let (mut got, mut want) = (dirty, dirty);
+                let columns = column_chains(&a, &table, 2, &mut want);
+                let mut out = [Fixed::MAX; 2];
+                let (sum, max) = (abs_sum(&a), abs_max(&table));
+                weighted_rows_certified(&a, &table, sum, max, &mut out, &mut got);
+                assert_eq!((out.as_slice(), got), (columns.as_slice(), want));
+                if at_edge {
+                    assert_eq!(want, dirty);
+                    assert!(value.raw() < -(1 << 30), "{value} is not near the edge");
+                    for dot in kernel_dots(&a, &b) {
+                        assert_eq!(dot, value.raw(), "n = {n}");
+                    }
+                    for rows in kernel_rows(&a, &table, 2) {
+                        assert_eq!(rows, columns, "n = {n}");
+                    }
+                }
+            }
+        }
+        // A table past the edge runs each column's chain, which saturates.
+        let mut got = dirty;
+        let mut out = [Fixed::ZERO; 2];
+        let table = [Fixed::MAX, Fixed::MIN, Fixed::MAX, Fixed::ONE];
+        let ones = [Fixed::ONE; 2];
+        let (sum, max) = (abs_sum(&ones), abs_max(&table));
+        assert!(!certifies(sum, max, 2));
+        weighted_rows_certified(&ones, &table, sum, max, &mut out, &mut got);
+        assert_eq!(out, [Fixed::MAX, Fixed::MIN + Fixed::ONE]);
+        assert_eq!(
+            got,
+            NumericStatus {
+                add_sat: dirty.add_sat + 1,
+                ..dirty
+            }
+        );
     }
 
-    proptest::proptest! {
+    /// The certified dot product's value from every kernel, each called
+    /// directly: the scalar loop, then the AVX2 kernel when this CPU has
+    /// AVX2.
+    fn kernel_dots(a: &[Fixed], b: &[Fixed]) -> Vec<i32> {
+        let mut dots = vec![dot_scalar(a.iter().zip(b))];
+        #[cfg(target_arch = "x86_64")]
+        dots.extend(avx2::Avx2::detect().map(|avx2| avx2.dot(a, b)));
+        dots
+    }
+
+    /// A certified row sweep's words from every kernel, as
+    /// [`kernel_dots`], each into an `out` of stale words.
+    fn kernel_rows(weights: &[Fixed], table: &[Fixed], width: usize) -> Vec<Vec<Fixed>> {
+        let mut out = vec![Fixed::MAX; width];
+        rows_scalar(weights, table, &mut out);
+        let mut all = vec![out];
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2) = avx2::Avx2::detect() {
+            let mut out = vec![Fixed::MAX; width];
+            avx2.rows(weights, table, &mut out);
+            all.push(out);
+        }
+        all
+    }
+
+    /// The chain down each column of a row-major table of `width` words a
+    /// row, in row order: the soft-read entry's oracle.
+    fn column_chains(
+        weights: &[Fixed],
+        table: &[Fixed],
+        width: usize,
+        st: &mut NumericStatus,
+    ) -> Vec<Fixed> {
+        (0..width)
+            .map(|j| {
+                let column = (0..weights.len()).map(|i| (weights[i], table[i * width + j]));
+                dot_tracked_pairs(column, st)
+            })
+            .collect()
+    }
+
+    /// Raw words of magnitude below `2^bits`; at 32 bits any `i32`, with
+    /// the rails drawn often.
+    fn banded_words(bits: u32, len: usize) -> impl Strategy<Value = Vec<Fixed>> {
+        let raw = (any::<i32>(), 0u32..8).prop_map(move |(raw, pick)| match (bits, pick) {
+            (32, 0) => i32::MIN,
+            (32, 1) => i32::MAX,
+            (32, _) => raw,
+            _ => raw % (1 << bits),
+        });
+        vec(raw, len).prop_map(|raw| raw.into_iter().map(Fixed::from_raw).collect())
+    }
+
+    /// Each operand's band. A certified sum may pair words of `2^8` with
+    /// words of `2^31`, whose products reach `2^39`.
+    const BANDS: [u32; 4] = [8, 16, 24, 32];
+
+    proptest! {
+        /// Wherever the certificate holds, every kernel of a certified dot
+        /// product, called directly, gives the chain's value, and the chain
+        /// records no event. Each prefix of 0 to 80 words is checked, so
+        /// every vector tail appears.
+        #[test]
+        fn dot_kernels_are_the_certified_chain(
+            (a, b) in (0usize..4, 0usize..4).prop_flat_map(|(x, y)| {
+                (banded_words(BANDS[x], 80), banded_words(BANDS[y], 80))
+            })
+        ) {
+            for n in 0..=80 {
+                let (a, b) = (&a[..n], &b[..n]);
+                if certifies(abs_sum(a), abs_max(b), n) {
+                    let mut st = NumericStatus::default();
+                    let value = dot_tracked(a, b, &mut st);
+                    prop_assert!(st.is_clean());
+                    for dot in kernel_dots(a, b) {
+                        prop_assert_eq!(dot, value.raw(), "{} words", n);
+                    }
+                }
+            }
+        }
+
+        /// The soft-read entry equals the chain down each column in every
+        /// word and in the register, certified or not, on tables of 0 to
+        /// 20 rows and 0 to 60 columns; where the certificate holds, so
+        /// does every kernel called directly.
+        #[test]
+        fn weighted_rows_are_the_column_chains(
+            (weights, table, width) in (0usize..4, 0usize..4, 0usize..=20, 0usize..=60)
+                .prop_flat_map(|(x, y, rows, width)| {
+                    (banded_words(BANDS[x], rows), banded_words(BANDS[y], rows * width), Just(width))
+                })
+        ) {
+            let dirty = NumericStatus {
+                add_sat: 3,
+                mul_sat: 5,
+                ..NumericStatus::default()
+            };
+            let mut want_st = dirty;
+            let want = column_chains(&weights, &table, width, &mut want_st);
+            let (sum, max) = (abs_sum(&weights), abs_max(&table));
+            let mut out = vec![Fixed::MAX; width];
+            let mut st = dirty;
+            weighted_rows_certified(&weights, &table, sum, max, &mut out, &mut st);
+            prop_assert_eq!((&out, st), (&want, want_st));
+            if certifies(sum, max, weights.len()) {
+                for rows in kernel_rows(&weights, &table, width) {
+                    prop_assert_eq!(&rows, &want);
+                }
+            }
+        }
+
         /// The libm-free rounding equals `f64::round` on every quantizer
         /// input, an `f32` bit pattern scaled by `2^frac` for each width
         /// the quantizer accepts, and the conversion equals the libm
         /// reference in value and events.
         #[test]
-        fn rounding_matches_libm(bits in proptest::prelude::any::<u32>(), frac in 0u32..=30) {
+        fn rounding_matches_libm(bits in any::<u32>(), frac in 0u32..=30) {
             let x = f32::from_bits(bits);
             let scaled = f64::from(x) * (1i64 << frac) as f64;
-            proptest::prop_assert!(same_rounding(scaled), "{}", scaled);
-            proptest::prop_assert!(same_conversion(x, frac), "{} at {} bits", x, frac);
+            prop_assert!(same_rounding(scaled), "{}", scaled);
+            prop_assert!(same_conversion(x, frac), "{} at {} bits", x, frac);
         }
     }
 }

@@ -33,6 +33,8 @@
 //!
 //! [`memn2n`]: https://docs.rs/memn2n
 
+#![deny(unsafe_code)]
+
 pub mod activation;
 pub mod fixed;
 pub mod init;

@@ -2,11 +2,11 @@
 //! bit-identical to the untracked ops on every input, the status register
 //! merge is associative and commutative, and the event counters fire exactly
 //! when the untracked op would have saturated or clamped. The MAC kernel
-//! and its certified entry equal the in-order tracked chain in value and in
-//! every counter.
+//! and its certified entries equal the in-order tracked chain in value and
+//! in every counter.
 
 use mann_linalg::fixed::{
-    abs_max, abs_sum, dot_certified, dot_certified_pairs, dot_tracked, dot_tracked_pairs,
+    abs_max, abs_sum, dot_certified, dot_tracked, dot_tracked_pairs, weighted_rows_certified,
 };
 use mann_linalg::{Fixed, NumericStatus};
 use proptest::prelude::*;
@@ -59,8 +59,8 @@ proptest! {
     /// untracked chain's, and it adds one `mul_sat` per product and one
     /// `add_sat` per partial sum that leaves `i32` to a register that
     /// already holds events. The pair form, fed the operands swapped,
-    /// agrees, and so does the certified entry in both forms, with its
-    /// magnitudes taken from either operand.
+    /// agrees, and so do the certified entry and the soft-read entry on a
+    /// one-column table, with their magnitudes taken from either operand.
     #[test]
     fn dot_kernel_is_the_saturating_chain((a, b) in banded_operands()) {
         let dirty = NumericStatus {
@@ -91,8 +91,9 @@ proptest! {
             prop_assert_eq!(dot_certified(&a, &b, sum, max, &mut got), expect);
             prop_assert_eq!(got, want);
             let mut got = dirty;
-            let pairs = b.iter().copied().zip(a.iter().copied());
-            prop_assert_eq!(dot_certified_pairs(pairs, sum, max, &mut got), expect);
+            let mut out = [Fixed::MAX];
+            weighted_rows_certified(&b, &a, sum, max, &mut out, &mut got);
+            prop_assert_eq!(out[0], expect);
             prop_assert_eq!(got, want);
         }
     }

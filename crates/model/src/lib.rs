@@ -35,6 +35,8 @@
 //! assert!(report.final_train_accuracy >= 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod backward;
 pub mod flops;
 pub mod forward;

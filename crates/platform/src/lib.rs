@@ -24,6 +24,8 @@
 //! `speedup² x power-ratio`. [`metrics::flops_per_kj`] implements exactly
 //! this definition and the identity is property-tested.
 
+#![forbid(unsafe_code)]
+
 pub mod calibration;
 pub mod cpu;
 pub mod fpga;

@@ -52,6 +52,8 @@
 //! [`ServeReport::answers_digest`]) are invariant across instance counts
 //! and scheduler policies.
 
+#![forbid(unsafe_code)]
+
 mod cluster;
 mod faults;
 mod membership;

@@ -20,6 +20,8 @@
 //!   and the replayable [`snapshot::StoreState`] fold.
 //! - [`crc32`] — the IEEE CRC-32 every frame is protected by.
 
+#![forbid(unsafe_code)]
+
 pub mod crc32;
 pub mod record;
 pub mod snapshot;

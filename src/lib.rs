@@ -25,6 +25,8 @@
 //! assert_eq!(data.train.len(), 5);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use mann_babi as babi;
 pub use mann_core as core;
 pub use mann_hw as hw;
