@@ -21,10 +21,9 @@
 //! `--fault-plan <path|spec>` runs a deterministic fault campaign: either
 //! a JSON file or an inline `key=value,...` spec such as
 //! `corrupt=0.05,retries=4,crashes=2,cooldown-us=300,watchdog-us=400,seus=3,seed=7`.
-//! `--watchdog <us>` and `--max-retries <n>` (0–20) override those two
-//! knobs of whatever plan is loaded. The campaign is seeded and simulated-time
-//! deterministic: the same plan prints byte-identical reports at any
-//! `MANN_THREADS` and under either engine.
+//! The campaign is seeded and simulated-time deterministic: the same plan
+//! prints byte-identical reports at any `MANN_THREADS` and under either
+//! engine.
 //!
 //! `--numeric-policy ignore|flag|failover` (default: `MANN_NUMERIC_POLICY`
 //! or ignore) selects the numeric-health response: `flag` publishes the
@@ -61,10 +60,11 @@
 //! journaled to a checksummed write-ahead log under the directory, with
 //! `--snapshot-every <n>` (or `snap=n` in the spec) rotating segments
 //! and compacting every n records. With `node-kills=1` in the fault
-//! plan, one seeded shard is fail-stopped mid-campaign (torn WAL tail
-//! and all) and recovered by replay — the recovered report is asserted
-//! byte-identical to the no-crash run. A cluster journals each shard
-//! under `<dir>/shard-<s>/`. Malformed specs, for the flag
+//! plan, one seeded shard is killed mid-journal (torn WAL tail and all)
+//! and recovered by replay; the serve itself is untouched, so every
+//! report section but `durability` matches the no-kill run (the recovery
+//! tests pin this). A cluster journals each shard under
+//! `<dir>/shard-<s>/`. Malformed specs, for the flag
 //! and `MANN_WAL` alike, are hard errors; so is `node-kills` without a
 //! WAL or `--snapshot-every` without `--wal-dir`. The WAL only adds a
 //! `durability` report section: all other bytes match the non-durable
@@ -92,11 +92,13 @@
 //! cache, a shard's live queue depth reaching the retune threshold halves
 //! its routing weight (a weight-1 shard keeps its keys), and the
 //! hot-key splitter fans one pathological story across its replica set.
-//! `--hot-key-threshold <n>` overrides that one knob of whatever plan is
-//! loaded. Plans that reference a shard index ≥ K, or any membership
-//! flag on a 1-shard/1-replica run, are hard errors. The campaign adds a
+//! Plans that reference a shard index ≥ K, or any membership flag on a
+//! 1-shard/1-replica run, are hard errors. The campaign adds a
 //! `membership` report section; an empty plan leaves every report byte
 //! unchanged.
+//!
+//! A flag that neither this binary nor the shared harness knows, such as
+//! a misspelt `--fault-plna`, is a usage error (exit status 2).
 //!
 //! The serve is a pure function of `(suite, trace, config)`: rerunning
 //! with the same flags — at any `MANN_THREADS` — prints byte-identical
@@ -175,8 +177,19 @@ fn parse_weights(spec: &str) -> Result<Vec<u32>, String> {
         .collect()
 }
 
+/// `value` parsed as `T`, or a usage error naming `flag` and what it
+/// takes.
+fn parsed<T: std::str::FromStr>(flag: &str, value: String, takes: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("invalid {flag} {value:?}: expected {takes}"))
+}
+
 impl ServeArgs {
-    fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+    /// Parses the flags the shared harness left over
+    /// ([`HarnessArgs::parse_known`]); a flag this binary does not know
+    /// either is an error, never a silent no-op.
+    fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = Self {
             instances: 2,
             policy: SchedulePolicy::ShortestQueue,
@@ -192,205 +205,116 @@ impl ServeArgs {
             // env values are hard errors — a typo must not silently serve
             // with the default.
             story_cache: StoryCache::capacity_from_env()
-                .unwrap_or_else(|e| usage_bail(e))
+                .map_err(|e| e.to_string())?
                 .unwrap_or(DEFAULT_STORY_CACHE),
             story_pool: 0,
-            engine: EngineMode::from_env().unwrap_or_else(|e| usage_bail(e)),
+            engine: EngineMode::from_env().map_err(|e| e.to_string())?,
             faults: FaultConfig::none(),
-            numeric_policy: NumericPolicy::from_env().unwrap_or_else(|e| usage_bail(e)),
+            numeric_policy: NumericPolicy::from_env().map_err(|e| e.to_string())?,
             embed_scale: 1.0,
             batch_window: 0,
-            hop_prune: HopPrune::from_env().unwrap_or_else(|e| usage_bail(e)),
-            mem_index: MemIndexConfig::from_env().unwrap_or_else(|e| usage_bail(e)),
+            hop_prune: HopPrune::from_env().map_err(|e| e.to_string())?,
+            mem_index: MemIndexConfig::from_env().map_err(|e| e.to_string())?,
             link_gbps: None,
             link_latency_us: None,
             shards: 1,
             replication: 1,
             weights: Vec::new(),
             membership: MembershipPlan::none(),
-            wal: WalConfig::from_env().unwrap_or_else(|e| usage_bail(e)),
+            wal: WalConfig::from_env().map_err(|e| e.to_string())?,
         };
         let mut snapshot_every: Option<u64> = None;
-        let mut hot_key_threshold: Option<u64> = None;
-        let mut watchdog_us: Option<f64> = None;
-        let mut max_retries: Option<u32> = None;
         let mut it = args.into_iter();
         while let Some(key) = it.next() {
-            let mut grab = |name: &str| -> String {
-                it.next().unwrap_or_else(|| panic!("usage: {name} <value>"))
-            };
-            let num = |name: &str, v: String| -> u64 {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("usage: {name} <number>"))
-            };
-            match key.as_str() {
-                "--instances" => out.instances = num("--instances", grab("--instances")) as usize,
+            let flag = key.as_str();
+            let mut value = || it.next().ok_or_else(|| format!("usage: {flag} <value>"));
+            match flag {
+                "--instances" => out.instances = parsed(flag, value()?, "a count")?,
                 "--policy" => {
-                    let v = grab("--policy");
-                    out.policy = SchedulePolicy::parse(&v)
-                        .unwrap_or_else(|| panic!("usage: --policy rr|sq|affinity"));
+                    out.policy =
+                        SchedulePolicy::parse(&value()?).ok_or("usage: --policy rr|sq|affinity")?;
                 }
-                "--requests" => out.requests = num("--requests", grab("--requests")) as usize,
-                "--queue" => out.queue = num("--queue", grab("--queue")) as usize,
-                "--batch" => out.batch = num("--batch", grab("--batch")) as usize,
-                "--inflight" => out.inflight = num("--inflight", grab("--inflight")) as usize,
-                "--rate-us" => {
-                    let v = grab("--rate-us");
-                    out.rate_us = v
-                        .parse()
-                        .unwrap_or_else(|_| panic!("usage: --rate-us <microseconds>"));
-                }
-                "--trace-seed" => out.trace_seed = num("--trace-seed", grab("--trace-seed")),
+                "--requests" => out.requests = parsed(flag, value()?, "a count")?,
+                "--queue" => out.queue = parsed(flag, value()?, "a count")?,
+                "--batch" => out.batch = parsed(flag, value()?, "a count")?,
+                "--inflight" => out.inflight = parsed(flag, value()?, "a count")?,
+                "--rate-us" => out.rate_us = parsed(flag, value()?, "microseconds")?,
+                "--trace-seed" => out.trace_seed = parsed(flag, value()?, "a seed")?,
                 "--ith" => out.ith = true,
-                "--story-cache" => {
-                    out.story_cache = num("--story-cache", grab("--story-cache")) as usize;
-                }
-                "--pool" => out.story_pool = num("--pool", grab("--pool")) as usize,
+                "--story-cache" => out.story_cache = parsed(flag, value()?, "a count")?,
+                "--pool" => out.story_pool = parsed(flag, value()?, "a count")?,
                 "--engine" => {
-                    let v = grab("--engine");
-                    out.engine = EngineMode::parse(&v).unwrap_or_else(|e| usage_bail(e));
+                    out.engine = EngineMode::parse(&value()?).map_err(|e| e.to_string())?;
                 }
                 "--fault-plan" => {
-                    let v = grab("--fault-plan");
-                    out.faults = FaultConfig::from_arg(&v).unwrap_or_else(|e| usage_bail(e));
-                }
-                "--watchdog" => {
-                    let v = grab("--watchdog");
-                    watchdog_us = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| usage_bail("usage: --watchdog <microseconds>")),
-                    );
-                }
-                "--max-retries" => {
-                    let v = grab("--max-retries");
-                    max_retries = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| panic!("usage: --max-retries <number>")),
-                    );
+                    out.faults = FaultConfig::from_arg(&value()?).map_err(|e| e.to_string())?;
                 }
                 "--numeric-policy" => {
-                    let v = grab("--numeric-policy");
-                    out.numeric_policy = NumericPolicy::parse(&v).unwrap_or_else(|e| usage_bail(e));
+                    out.numeric_policy =
+                        NumericPolicy::parse(&value()?).map_err(|e| e.to_string())?;
                 }
-                "--embed-scale" => {
-                    let v = grab("--embed-scale");
-                    out.embed_scale = v
-                        .parse()
-                        .unwrap_or_else(|_| usage_bail("usage: --embed-scale <factor>"));
-                }
+                "--embed-scale" => out.embed_scale = parsed(flag, value()?, "a factor")?,
                 "--batch-window" => {
-                    let v = grab("--batch-window");
-                    out.batch_window = v.parse().unwrap_or_else(|_| {
-                        usage_bail(format!(
-                            "invalid --batch-window {v:?}: expected a request count (0 disables)"
-                        ))
-                    });
+                    out.batch_window = parsed(flag, value()?, "a request count (0 disables)")?;
                 }
                 "--hop-prune" => {
-                    let v = grab("--hop-prune");
-                    out.hop_prune = HopPrune::parse(&v).unwrap_or_else(|e| usage_bail(e));
+                    out.hop_prune = HopPrune::parse(&value()?).map_err(|e| e.to_string())?;
                 }
                 "--mem-index" => {
-                    let v = grab("--mem-index");
-                    out.mem_index = MemIndexConfig::parse(&v).unwrap_or_else(|e| usage_bail(e));
+                    out.mem_index = MemIndexConfig::parse(&value()?).map_err(|e| e.to_string())?;
                 }
-                "--link-gbps" => {
-                    let v = grab("--link-gbps");
-                    out.link_gbps = Some(v.parse().unwrap_or_else(|_| {
-                        usage_bail(format!("invalid --link-gbps {v:?}: expected GB/s"))
-                    }));
-                }
-                "--wal-dir" => {
-                    let v = grab("--wal-dir");
-                    // The flag takes a bare directory or a full MANN_WAL
-                    // spec (`dir,snap=N,...`); either way it replaces the
-                    // env-derived config wholesale so flags win cleanly.
-                    out.wal = WalConfig::parse(&v).unwrap_or_else(|e| usage_bail(e));
-                }
-                "--snapshot-every" => {
-                    let v = grab("--snapshot-every");
-                    snapshot_every = Some(v.parse().unwrap_or_else(|_| {
-                        usage_bail(format!(
-                            "invalid --snapshot-every {v:?}: expected a record count (0 disables)"
-                        ))
-                    }));
-                }
-                "--shards" => out.shards = num("--shards", grab("--shards")) as usize,
-                "--replication" => {
-                    out.replication = num("--replication", grab("--replication")) as usize;
-                }
-                "--weights" => {
-                    let v = grab("--weights");
-                    out.weights = parse_weights(&v).unwrap_or_else(|e| usage_bail(e));
-                }
-                "--membership-plan" => {
-                    let v = grab("--membership-plan");
-                    out.membership = MembershipPlan::from_arg(&v).unwrap_or_else(|e| usage_bail(e));
-                }
-                "--hot-key-threshold" => {
-                    hot_key_threshold =
-                        Some(num("--hot-key-threshold", grab("--hot-key-threshold")));
-                }
+                "--link-gbps" => out.link_gbps = Some(parsed(flag, value()?, "GB/s")?),
                 "--link-latency-us" => {
-                    let v = grab("--link-latency-us");
-                    out.link_latency_us = Some(v.parse().unwrap_or_else(|_| {
-                        usage_bail(format!(
-                            "invalid --link-latency-us {v:?}: expected microseconds"
-                        ))
-                    }));
+                    out.link_latency_us = Some(parsed(flag, value()?, "microseconds")?);
                 }
-                _ => {} // shared HarnessArgs flags
+                // The flag takes a bare directory or a full MANN_WAL spec
+                // (`dir,snap=N,...`); either way it replaces the
+                // env-derived config wholesale so flags win cleanly.
+                "--wal-dir" => out.wal = WalConfig::parse(&value()?).map_err(|e| e.to_string())?,
+                "--snapshot-every" => {
+                    snapshot_every = Some(parsed(flag, value()?, "a record count (0 disables)")?);
+                }
+                "--shards" => out.shards = parsed(flag, value()?, "a count")?,
+                "--replication" => out.replication = parsed(flag, value()?, "a count")?,
+                "--weights" => out.weights = parse_weights(&value()?)?,
+                "--membership-plan" => {
+                    out.membership =
+                        MembershipPlan::from_arg(&value()?).map_err(|e| e.to_string())?;
+                }
+                _ => return Err(format!("unknown flag {flag:?}")),
             }
         }
         if let Some(n) = snapshot_every {
             if !out.wal.enabled {
-                usage_bail(
-                    "--snapshot-every requires the write-ahead log (--wal-dir or MANN_WAL): \
-                     there is no journal to compact",
+                return Err(
+                    "--snapshot-every requires the write-ahead log (--wal-dir or \
+                            MANN_WAL): there is no journal to compact"
+                        .into(),
                 );
             }
             out.wal.snapshot_every = n;
         }
-        if let Some(n) = hot_key_threshold {
-            out.membership.hot_key_threshold = n;
-            if let Err(e) = out.membership.validate() {
-                usage_bail(e);
-            }
-        }
-        let clustered = out.shards > 1 || out.replication > 1;
-        if !clustered {
+        if out.shards <= 1 && out.replication <= 1 {
             // These knobs only exist at the cluster layer; accepting them
             // on a single-node run would silently serve without them.
             if !out.membership.is_empty() {
-                usage_bail(
-                    "--membership-plan / --hot-key-threshold need a cluster \
-                     (--shards > 1): a single node has no membership to change",
+                return Err(
+                    "--membership-plan needs a cluster (--shards > 1): a single \
+                            node has no membership to change"
+                        .into(),
                 );
             }
             if !out.weights.is_empty() {
-                usage_bail("--weights needs a cluster (--shards > 1)");
+                return Err("--weights needs a cluster (--shards > 1)".into());
             }
         }
-        if let Some(us) = watchdog_us {
-            out.faults.watchdog_s = us * 1e-6;
-        }
-        if let Some(r) = max_retries {
-            out.faults.max_retries = r;
-        }
-        if let Err(e) = out.faults.validate() {
-            usage_bail(e);
-        }
-        if let Err(e) = out.wal.validate() {
-            usage_bail(e);
-        }
-        out
+        Ok(out)
     }
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = HarnessArgs::parse(argv.clone());
-    let serve_args = ServeArgs::parse(argv);
+    let (args, rest) = HarnessArgs::parse_known(std::env::args().skip(1));
+    let serve_args = ServeArgs::parse(rest).unwrap_or_else(|e| usage_bail(e));
 
     eprintln!(
         "[serve] training {} tasks ({} train / {} test, seed {}) ...",
@@ -511,7 +435,6 @@ fn main() {
             weights: serve_args.weights,
             membership: serve_args.membership,
             base: config,
-            ..ClusterConfig::default()
         };
         if let Err(e) = cluster_config.validate() {
             usage_bail(e);
@@ -570,9 +493,48 @@ fn main() {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<ServeArgs, String> {
+        let (_, rest) = HarnessArgs::parse_known(args.iter().map(|a| (*a).to_owned()));
+        ServeArgs::parse(rest)
+    }
+
+    /// A flag neither parser knows is an error, not a silent no-op; the
+    /// harness flags and their values pass through.
     #[test]
-    #[should_panic(expected = "usage: --max-retries <number>")]
-    fn a_retry_budget_beyond_u32_is_a_usage_error() {
-        let _ = ServeArgs::parse(["--max-retries", "4294967296"].map(String::from));
+    fn unknown_flags_are_usage_errors() {
+        let typo = parse(&[
+            "--tasks",
+            "1",
+            "--train",
+            "20",
+            "--requests",
+            "16",
+            "--fault-plna",
+            "seed=7,crashes=2,watchdog-us=300",
+            "--shard",
+            "4",
+        ]);
+        let err = typo.err().expect("a misspelt flag is an error");
+        assert!(err.contains("--fault-plna"), "{err}");
+        for removed in ["--watchdog", "--max-retries", "--hot-key-threshold"] {
+            assert!(parse(&[removed, "300"]).is_err(), "{removed} is gone");
+        }
+        let ok = parse(&[
+            "--tasks",
+            "1",
+            "--seed",
+            "3",
+            "--joint",
+            "--requests",
+            "16",
+            "--fault-plan",
+            "seed=7,crashes=2,watchdog-us=300",
+            "--shards",
+            "4",
+            "--ith",
+        ])
+        .expect("known flags parse");
+        assert_eq!((ok.requests, ok.shards, ok.faults.crashes), (16, 4, 2));
+        assert!(ok.ith);
     }
 }

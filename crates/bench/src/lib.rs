@@ -56,7 +56,18 @@ impl HarnessArgs {
     /// Panics with a usage message when a value is missing or unparsable,
     /// or when `--tasks` is outside 1–20.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
+        Self::parse_known(args).0
+    }
+
+    /// [`HarnessArgs::parse`], also returning, in order, every argument
+    /// it does not know, for a binary that reads its own flags from them.
+    ///
+    /// # Panics
+    ///
+    /// As [`HarnessArgs::parse`].
+    pub fn parse_known<I: IntoIterator<Item = String>>(args: I) -> (Self, Vec<String>) {
         let mut out = Self::default();
+        let mut rest = Vec::new();
         let mut it = args.into_iter();
         while let Some(key) = it.next() {
             let mut grab = |name: &str| -> u64 {
@@ -74,7 +85,7 @@ impl HarnessArgs {
                     out.story_sentences = grab("--story-sentences") as usize;
                 }
                 "--joint" => out.joint = true,
-                _ => {}
+                _ => rest.push(key),
             }
         }
         assert!(
@@ -82,7 +93,7 @@ impl HarnessArgs {
             "usage: --tasks <1-20>, got {}",
             out.tasks
         );
-        out
+        (out, rest)
     }
 
     /// Converts the arguments into a suite configuration (quick model
@@ -135,7 +146,7 @@ mod tests {
 
     #[test]
     fn parse_reads_known_flags_and_ignores_others() {
-        let a = HarnessArgs::parse(
+        let (a, rest) = HarnessArgs::parse_known(
             [
                 "--tasks",
                 "3",
@@ -146,11 +157,14 @@ mod tests {
                 "7",
                 "--story-sentences",
                 "500",
+                "--pool",
+                "4",
                 "--joint",
             ]
             .iter()
             .map(|s| (*s).to_owned()),
         );
+        assert_eq!(rest, ["--zzz", "--pool", "4"]);
         assert_eq!(a.tasks, 3);
         assert_eq!(a.train, 50);
         assert_eq!(a.reps, 7);

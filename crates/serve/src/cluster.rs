@@ -36,11 +36,11 @@ use std::collections::HashMap;
 
 use mann_core::report::{fnum, percent, TextTable};
 use mann_core::TaskSuite;
-use mann_hw::{fault_mix, shard_fault_seed, Accelerator, PcieLink, PhaseCycles, SimTime};
+use mann_hw::{fault_mix, Accelerator, PcieLink, PhaseCycles, SimTime};
 use mann_store::WalRecord;
 use serde::Serialize;
 
-use crate::faults::{FaultConfig, FaultReport};
+use crate::faults::{FaultPlan, FaultReport};
 use crate::membership::{
     MembershipEpoch, MembershipEventKind, MembershipPlan, MembershipReport, MembershipView,
 };
@@ -167,12 +167,9 @@ pub struct ClusterConfig {
     pub replication: usize,
     /// Relative routing weight per shard; empty = uniform.
     pub weights: Vec<u32>,
-    /// Per-shard fault-campaign overrides (targeted campaigns / tests);
-    /// `None` entries fall back to `base.faults`. Empty = all from base.
-    /// At K > 1 every shard's plan seed — overridden or not — is re-mixed
-    /// through [`shard_fault_seed`] to keep plans seed-pure per shard.
-    pub shard_faults: Vec<Option<FaultConfig>>,
-    /// The serve stack every shard runs.
+    /// The serve stack every shard runs. At K > 1 each shard re-mixes
+    /// the fault seed through [`mann_hw::shard_fault_seed`], so the plan
+    /// a shard injects is seed-pure per shard.
     pub base: ServeConfig,
     /// Live-membership campaign: scheduled drains/failures/joins, weight
     /// re-tuning, and the hot-key splitter. The default (empty) plan
@@ -187,7 +184,6 @@ impl Default for ClusterConfig {
             shards: 1,
             replication: 1,
             weights: Vec::new(),
-            shard_faults: Vec::new(),
             base: ServeConfig::default(),
             membership: MembershipPlan::none(),
         }
@@ -227,17 +223,7 @@ impl ClusterConfig {
                 "shard {shard} weight {w} out of range 1..{MAX_WEIGHT}"
             ));
         }
-        if !self.shard_faults.is_empty() && self.shard_faults.len() != self.shards {
-            return Err(format!(
-                "{} fault overrides for {} shards",
-                self.shard_faults.len(),
-                self.shards
-            ));
-        }
         self.base.validate()?;
-        for f in self.shard_faults.iter().flatten() {
-            f.validate().map_err(|e| e.to_string())?;
-        }
         self.membership
             .validate_for(self.shards)
             .map_err(|e| e.to_string())?;
@@ -544,12 +530,13 @@ pub struct ClusterOutcome {
 
 /// A sharded cluster over one trained suite.
 ///
-/// Construction is cheap; each [`Cluster::serve`] builds its shard
-/// [`Server`]s on the fly (they borrow the suite) and advances them on one
-/// timeline until every request is completed, rejected, or shed.
+/// Every shard runs the one [`Server`] built from
+/// [`ClusterConfig::base`]; each [`Cluster::serve`] advances one event
+/// loop per shard on one timeline until every request is completed,
+/// rejected, or shed.
 #[derive(Debug)]
 pub struct Cluster<'a> {
-    suite: &'a TaskSuite,
+    server: Server<'a>,
     router: ShardRouter,
     config: ClusterConfig,
 }
@@ -570,7 +557,7 @@ impl<'a> Cluster<'a> {
             ShardRouter::with_weights(config.weights.clone())
         };
         Self {
-            suite,
+            server: Server::new(suite, config.base.clone()),
             router,
             config,
         }
@@ -584,20 +571,6 @@ impl<'a> Cluster<'a> {
     /// The frontend router.
     pub fn router(&self) -> &ShardRouter {
         &self.router
-    }
-
-    /// The [`ServeConfig`] shard `shard` runs.
-    fn shard_config(&self, shard: usize) -> ServeConfig {
-        let mut cfg = self.config.base.clone();
-        if self.config.shards > 1 {
-            if let Some(Some(f)) = self.config.shard_faults.get(shard) {
-                cfg.faults = f.clone();
-            }
-            // Seed-pure per shard: the plan a shard injects never depends
-            // on shard count, stepping order, or what the other shards did.
-            cfg.faults.seed = shard_fault_seed(cfg.faults.seed, shard as u64);
-        }
-        cfg
     }
 
     /// Serves a trace across the cluster.
@@ -639,43 +612,25 @@ impl<'a> Cluster<'a> {
             "order must be a permutation of 0..{k}"
         );
         let plan = &self.config.membership;
-        let servers: Vec<Server<'_>> = (0..k)
-            .map(|s| Server::new(self.suite, self.shard_config(s)))
-            .collect();
-        // Shard configs differ only in their fault campaigns, so the
-        // shards share one numeric phase; only aggressive-ITH runs differ,
-        // by degrade margin, so a shard overriding it with a margin of its
-        // own gets a phase of its own.
-        let margin = |server: &Server<'_>| {
-            let f = &server.config().faults;
-            (f.degrade_depth > 0).then_some(f.degrade_margin.to_bits())
-        };
-        let mut nums: Vec<(Option<u32>, NumericPhase)> = Vec::new();
-        for server in &servers {
-            let m = margin(server);
-            if m.is_some() && nums.iter().all(|n| n.0 != m) {
-                nums.push((m, server.numeric_phase(trace)));
-            }
-        }
-        if nums.is_empty() {
-            nums.push((None, servers[0].numeric_phase(trace)));
-        }
-        let num = &nums[0].1;
-        let span = trace.span();
-        let mut states: Vec<ServeState<'_, '_>> = servers
-            .iter()
-            .enumerate()
-            .map(|(s, server)| {
-                let own = nums.iter().find(|n| n.0 == margin(server));
+        let base = &self.config.base;
+        let num = &self.server.numeric_phase(trace);
+        let mut states: Vec<ServeState<'_, '_>> = (0..k)
+            .map(|s| {
+                let event = plan.event(s);
                 // A shard's crash and SEU plan spans its time in the
                 // fleet: up to its drain or fail-stop, else the trace.
-                let leave = plan.fail_time(s).or_else(|| plan.drain_time(s));
+                let leave = event.filter(|e| e.kind.is_leave()).map(|e| e.at());
+                let horizon = leave.unwrap_or(trace.span());
+                let faults = FaultPlan::for_shard(&base.faults, s, k, horizon, base.instances);
+                let fail_stop = event
+                    .filter(|e| e.kind == MembershipEventKind::Fail)
+                    .map(|e| e.at());
                 ServeState::new(
-                    server,
+                    &self.server,
                     trace,
-                    own.map_or(num, |n| &n.1),
-                    leave.unwrap_or(span),
-                    plan.fail_time(s),
+                    num,
+                    faults,
+                    fail_stop,
                     self.config.replication,
                 )
             })
@@ -785,9 +740,11 @@ impl<'a> Cluster<'a> {
             retunes: routing.retunes.len() as u64,
             hot_keys: routing.hot.len() as u64,
             split_requests: routing.split_requests,
-            stranded_exports: (0..routing.exports.len())
-                .filter(|&s| plan.fail_time(s).is_some())
-                .map(|s| routing.exports[s])
+            stranded_exports: plan
+                .events
+                .iter()
+                .filter(|e| e.kind == MembershipEventKind::Fail)
+                .map(|e| routing.exports[e.shard])
                 .sum(),
             unroutable_shed: routing.unroutable.len() as u64,
             ..MembershipReport::default()
@@ -828,8 +785,7 @@ impl<'a> Cluster<'a> {
                 if routing.view.resolve(key, e.at()).is_empty() {
                     continue; // nowhere live to hand the story to
                 }
-                let r = &trace.requests[g];
-                let sample = &self.suite.tasks[r.task_idx].test_set[r.sample_idx];
+                let sample = self.server.sample_of(&trace.requests[g]);
                 let bytes = PcieLink::input_bytes(Accelerator::input_words(sample));
                 let s = base.pcie.transfer_time_s(bytes);
                 m.stories_moved += 1;
@@ -1252,13 +1208,6 @@ mod tests {
             plan_out_of_range.validate().is_err(),
             "membership events must reference shards < K"
         );
-        let bad_overrides = ClusterConfig {
-            shards: 3,
-            replication: 1,
-            shard_faults: vec![None],
-            ..ClusterConfig::default()
-        };
-        assert!(bad_overrides.validate().is_err());
         let zero = ClusterConfig {
             shards: 0,
             ..ClusterConfig::default()

@@ -17,8 +17,15 @@
 //! failover to a healthy replica, degraded-ITH admission under overload,
 //! and scrub-and-reupload of poisoned resident stories. The outcome is
 //! summarized in a [`FaultReport`] embedded in the serve report.
+//!
+//! Every way an instance or a shard stops comes from one of two plans,
+//! read by the one grammar here ([`PlanError`]): this module's seeded
+//! classes, whose draws all live here (crashes, SEUs, and the node kill
+//! the durable store applies to a finished journal), and the scheduled
+//! fail, drain and join events of a
+//! [`MembershipPlan`](crate::MembershipPlan).
 
-use mann_hw::{fault_coin, SimTime};
+use mann_hw::{fault_coin, fault_mix, shard_fault_seed, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -27,51 +34,173 @@ use mann_core::report::{fnum, TextTable};
 
 use crate::report::{mean, ReportSection};
 
-/// Everything that can go wrong reading or validating a fault plan.
+/// Everything that can go wrong reading or validating a fault or
+/// membership plan. `plan` names which of the two it was.
 #[derive(Debug, thiserror::Error)]
-pub enum FaultPlanError {
+pub enum PlanError {
     /// The plan file could not be read.
-    #[error("cannot read fault plan {path}: {source}")]
+    #[error("cannot read {plan} plan {path}: {source}")]
     Io {
+        /// `fault` or `membership`.
+        plan: &'static str,
         /// Path of the unreadable plan.
         path: String,
         /// The underlying I/O error.
         source: std::io::Error,
     },
     /// The plan file was not valid JSON of the expected shape.
-    #[error("cannot parse fault plan {path}: {source}")]
+    #[error("cannot parse {plan} plan {path}: {source}")]
     Parse {
+        /// `fault` or `membership`.
+        plan: &'static str,
         /// Path of the malformed plan.
         path: String,
         /// The underlying JSON error.
         source: serde_json::Error,
     },
     /// A field value is out of range or inconsistent.
-    #[error("invalid fault plan: {field} {reason}")]
+    #[error("invalid {plan} plan: {field} {reason}")]
     Invalid {
+        /// `fault` or `membership`.
+        plan: &'static str,
         /// The offending field.
         field: &'static str,
         /// Why it was rejected.
         reason: String,
     },
     /// An inline `key=value` spec used an unknown key.
-    #[error(
-        "unknown fault-plan key {key:?}: expected one of seed, corrupt, retries, \
-         backoff-us, crashes, cooldown-us, watchdog-us, seus, degrade-depth, degrade-margin, \
-         node-kills"
-    )]
+    #[error("unknown {plan}-plan key {key:?}: expected one of {keys}")]
     UnknownKey {
+        /// `fault` or `membership`.
+        plan: &'static str,
         /// The unrecognized key.
         key: String,
+        /// The keys the plan knows.
+        keys: &'static str,
     },
     /// An inline `key=value` spec had an unparseable value.
-    #[error("bad value {value:?} for fault-plan key {key}")]
+    #[error("bad value {value:?} for {plan}-plan key {key}{syntax}")]
     BadValue {
+        /// `fault` or `membership`.
+        plan: &'static str,
         /// The key whose value failed to parse.
         key: String,
         /// The rejected value text.
         value: String,
+        /// What the plan's values look like, if it says.
+        syntax: &'static str,
     },
+}
+
+/// One plan's part of the plan grammar: its name, inline keys, JSON
+/// fields and validation. [`read_spec`], [`read_arg`] and [`read_json`]
+/// are the rest, shared by [`FaultConfig`] and
+/// [`MembershipPlan`](crate::MembershipPlan).
+pub(crate) trait Plan: Default + Deserialize {
+    /// The plan's name in errors.
+    const NAME: &'static str;
+    /// The inline keys, listed by the unknown-key error.
+    const KEYS: &'static str;
+    /// Appended to the bad-value error.
+    const SYNTAX: &'static str = "";
+
+    /// Sets inline key `key` from its value text.
+    fn set_key(&mut self, key: &str, value: &str) -> Result<(), KeyError>;
+
+    /// Sets JSON field `field`; `Ok(false)` when the plan has no such field.
+    fn set_field(
+        &mut self,
+        field: &str,
+        value: &serde_json::Value,
+    ) -> Result<bool, serde_json::Error>;
+
+    /// Checks ranges and cross-field consistency.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlanError::Invalid`] naming the first bad field.
+    fn validate(&self) -> Result<(), PlanError>;
+}
+
+/// Why [`Plan::set_key`] refused a `key=value` pair.
+pub(crate) enum KeyError {
+    Unknown,
+    BadValue,
+}
+
+/// An inline value parsed as `T`, or a bad value.
+pub(crate) fn parsed<T: std::str::FromStr>(value: &str) -> Result<T, KeyError> {
+    value.parse().map_err(|_| KeyError::BadValue)
+}
+
+/// Parses and validates an inline `key=value[,key=value...]` spec.
+/// Omitted keys keep their defaults.
+pub(crate) fn read_spec<P: Plan>(spec: &str) -> Result<P, PlanError> {
+    let mut out = P::default();
+    for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
+        let bad = |key: &str, value: &str| PlanError::BadValue {
+            plan: P::NAME,
+            key: key.to_owned(),
+            value: value.to_owned(),
+            syntax: P::SYNTAX,
+        };
+        let Some((key, value)) = part.split_once('=') else {
+            return Err(bad(part.trim(), ""));
+        };
+        let (key, value) = (key.trim(), value.trim());
+        out.set_key(key, value).map_err(|e| match e {
+            KeyError::Unknown => PlanError::UnknownKey {
+                plan: P::NAME,
+                key: key.to_owned(),
+                keys: P::KEYS,
+            },
+            KeyError::BadValue => bad(key, value),
+        })?;
+    }
+    out.validate()?;
+    Ok(out)
+}
+
+/// Reads and validates a plan from an inline spec (an argument holding
+/// `=`) or else from the JSON file at that path.
+pub(crate) fn read_arg<P: Plan>(arg: &str) -> Result<P, PlanError> {
+    if arg.contains('=') {
+        return read_spec(arg);
+    }
+    let text = std::fs::read_to_string(arg).map_err(|source| PlanError::Io {
+        plan: P::NAME,
+        path: arg.to_owned(),
+        source,
+    })?;
+    let plan: P = serde_json::from_str(&text).map_err(|source| PlanError::Parse {
+        plan: P::NAME,
+        path: arg.to_owned(),
+        source,
+    })?;
+    plan.validate()?;
+    Ok(plan)
+}
+
+/// A plan from a JSON object, unvalidated. Omitted fields keep their
+/// defaults, so a plan file says only what it changes.
+pub(crate) fn read_json<P: Plan>(v: &serde_json::Value) -> Result<P, serde_json::Error> {
+    let serde_json::Value::Object(pairs) = v else {
+        return Err(serde_json::Error::msg(format!(
+            "expected {}-plan object, got {}",
+            P::NAME,
+            v.kind()
+        )));
+    };
+    let mut out = P::default();
+    for (field, val) in pairs {
+        if !out.set_field(field, val)? {
+            return Err(serde_json::Error::msg(format!(
+                "unknown {}-plan field `{field}`",
+                P::NAME
+            )));
+        }
+    }
+    Ok(out)
 }
 
 /// Declarative description of one fault campaign.
@@ -110,16 +239,16 @@ pub struct FaultConfig {
     /// How far degraded mode lowers every calibrated ITH threshold
     /// (earlier early-exit: cheaper, less accurate).
     pub degrade_margin: f32,
-    /// Host-level fail-stop kills: whole serving nodes (shards) terminated
-    /// mid-campaign and recovered by WAL replay. Unlike every other class
-    /// this is not an event-loop fault — the simulated serve itself is
-    /// untouched (so it stays out of [`FaultConfig::is_active`]); the
-    /// durable-store driver kills the journaling process instead and must
-    /// be enabled (`wal`) for the class to be usable. Contrast with a
+    /// Host-level fail-stop kills: a whole serving node (shard) killed
+    /// mid-journal and recovered by WAL replay. Unlike every other class
+    /// this is not an event-loop fault: the simulated serve is untouched
+    /// (so it stays out of [`FaultConfig::is_active`]), and the durable
+    /// store kills the journaling process around it, so the class needs
+    /// the WAL. The victim shard and its kill point are drawn here, from
+    /// the base seed, beside the other classes' streams. Contrast with a
     /// membership-plan `fail` event ([`crate::MembershipPlan`]), which
     /// fail-stops a shard *inside* the simulated timeline at a scheduled
-    /// instant — stranding its in-flight work for live re-routing —
-    /// rather than killing the journaling process around it.
+    /// instant, stranding its in-flight work for live re-routing.
     pub node_kills: u32,
 }
 
@@ -141,63 +270,61 @@ impl Default for FaultConfig {
     }
 }
 
-// Hand-written so that partial plan files work: every omitted field keeps
-// its default, which lets a plan say only `{"crashes": 2, "watchdog-us"...}`
-// without restating the whole struct. (The derived deserializer treats a
-// missing field as an error.)
 impl Deserialize for FaultConfig {
     fn from_value(v: &serde_json::Value) -> Result<Self, serde_json::Error> {
-        let serde_json::Value::Object(pairs) = v else {
-            return Err(serde_json::Error::msg(format!(
-                "expected fault-config object, got {}",
-                v.kind()
-            )));
-        };
-        let mut out = Self::default();
-        for (key, val) in pairs {
-            match key.as_str() {
-                "seed" => out.seed = Deserialize::from_value(val)?,
-                "link_corrupt_prob" => out.link_corrupt_prob = Deserialize::from_value(val)?,
-                "max_retries" => out.max_retries = Deserialize::from_value(val)?,
-                "backoff_base_s" => out.backoff_base_s = Deserialize::from_value(val)?,
-                "crashes" => out.crashes = Deserialize::from_value(val)?,
-                "crash_cooldown_s" => out.crash_cooldown_s = Deserialize::from_value(val)?,
-                "watchdog_s" => out.watchdog_s = Deserialize::from_value(val)?,
-                "seus" => out.seus = Deserialize::from_value(val)?,
-                "degrade_depth" => out.degrade_depth = Deserialize::from_value(val)?,
-                "degrade_margin" => out.degrade_margin = Deserialize::from_value(val)?,
-                "node_kills" => out.node_kills = Deserialize::from_value(val)?,
-                other => {
-                    return Err(serde_json::Error::msg(format!(
-                        "unknown fault-config field `{other}`"
-                    )))
-                }
-            }
-        }
-        Ok(out)
+        read_json(v)
     }
 }
 
-impl FaultConfig {
-    /// A campaign that injects nothing.
-    pub fn none() -> Self {
-        Self::default()
+impl Plan for FaultConfig {
+    const NAME: &'static str = "fault";
+    const KEYS: &'static str = "seed, corrupt, retries, backoff-us, crashes, cooldown-us, \
+                                watchdog-us, seus, degrade-depth, degrade-margin, node-kills";
+
+    fn set_key(&mut self, key: &str, value: &str) -> Result<(), KeyError> {
+        match key {
+            "seed" => self.seed = parsed(value)?,
+            "corrupt" => self.link_corrupt_prob = parsed(value)?,
+            "retries" => self.max_retries = parsed(value)?,
+            "backoff-us" => self.backoff_base_s = parsed::<f64>(value)? * 1e-6,
+            "crashes" => self.crashes = parsed(value)?,
+            "cooldown-us" => self.crash_cooldown_s = parsed::<f64>(value)? * 1e-6,
+            "watchdog-us" => self.watchdog_s = parsed::<f64>(value)? * 1e-6,
+            "seus" => self.seus = parsed(value)?,
+            "degrade-depth" => self.degrade_depth = parsed(value)?,
+            "degrade-margin" => self.degrade_margin = parsed(value)?,
+            "node-kills" => self.node_kills = parsed(value)?,
+            _ => return Err(KeyError::Unknown),
+        }
+        Ok(())
     }
 
-    /// Whether this campaign injects any fault at all. An inactive config
-    /// leaves the serve path untouched (byte-identical reports).
-    pub fn is_active(&self) -> bool {
-        self.link_corrupt_prob > 0.0 || self.crashes > 0 || self.seus > 0 || self.degrade_depth > 0
+    fn set_field(&mut self, field: &str, v: &serde_json::Value) -> Result<bool, serde_json::Error> {
+        match field {
+            "seed" => self.seed = Deserialize::from_value(v)?,
+            "link_corrupt_prob" => self.link_corrupt_prob = Deserialize::from_value(v)?,
+            "max_retries" => self.max_retries = Deserialize::from_value(v)?,
+            "backoff_base_s" => self.backoff_base_s = Deserialize::from_value(v)?,
+            "crashes" => self.crashes = Deserialize::from_value(v)?,
+            "crash_cooldown_s" => self.crash_cooldown_s = Deserialize::from_value(v)?,
+            "watchdog_s" => self.watchdog_s = Deserialize::from_value(v)?,
+            "seus" => self.seus = Deserialize::from_value(v)?,
+            "degrade_depth" => self.degrade_depth = Deserialize::from_value(v)?,
+            "degrade_margin" => self.degrade_margin = Deserialize::from_value(v)?,
+            "node_kills" => self.node_kills = Deserialize::from_value(v)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
-    /// Checks ranges and cross-field consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultPlanError::Invalid`] naming the first bad field.
-    pub fn validate(&self) -> Result<(), FaultPlanError> {
-        let bad =
-            |field: &'static str, reason: String| Err(FaultPlanError::Invalid { field, reason });
+    fn validate(&self) -> Result<(), PlanError> {
+        let bad = |field: &'static str, reason: String| {
+            Err(PlanError::Invalid {
+                plan: Self::NAME,
+                field,
+                reason,
+            })
+        };
         if !(self.link_corrupt_prob.is_finite() && (0.0..=1.0).contains(&self.link_corrupt_prob)) {
             return bad(
                 "link_corrupt_prob",
@@ -251,28 +378,22 @@ impl FaultConfig {
         }
         Ok(())
     }
+}
 
-    /// Loads a plan from a JSON file. Omitted fields keep their defaults.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultPlanError`] on unreadable files, malformed JSON, or
-    /// out-of-range fields.
-    pub fn load(path: &str) -> Result<Self, FaultPlanError> {
-        let text = std::fs::read_to_string(path).map_err(|source| FaultPlanError::Io {
-            path: path.to_owned(),
-            source,
-        })?;
-        let config: Self = serde_json::from_str(&text).map_err(|source| FaultPlanError::Parse {
-            path: path.to_owned(),
-            source,
-        })?;
-        config.validate()?;
-        Ok(config)
+impl FaultConfig {
+    /// A campaign that injects nothing.
+    pub fn none() -> Self {
+        Self::default()
     }
 
-    /// Parses an inline `key=value[,key=value...]` spec, e.g.
-    /// `corrupt=0.05,retries=4,crashes=2,watchdog-us=400,seed=7`.
+    /// Whether this campaign injects any fault at all. An inactive config
+    /// leaves the serve path untouched (byte-identical reports).
+    pub fn is_active(&self) -> bool {
+        self.link_corrupt_prob > 0.0 || self.crashes > 0 || self.seus > 0 || self.degrade_depth > 0
+    }
+
+    /// Parses and validates an inline `key=value[,key=value...]` spec,
+    /// e.g. `corrupt=0.05,retries=4,crashes=2,watchdog-us=400,seed=7`.
     ///
     /// Keys: `seed`, `corrupt`, `retries`, `backoff-us`, `crashes`,
     /// `cooldown-us`, `watchdog-us`, `seus`, `degrade-depth`,
@@ -280,62 +401,44 @@ impl FaultConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`FaultPlanError`] on unknown keys, unparseable values, or
+    /// Returns [`PlanError`] on unknown keys, unparseable values, or
     /// out-of-range fields.
-    pub fn parse_spec(spec: &str) -> Result<Self, FaultPlanError> {
-        let mut out = Self::default();
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| FaultPlanError::BadValue {
-                    key: part.trim().to_owned(),
-                    value: String::new(),
-                })?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad = || FaultPlanError::BadValue {
-                key: key.to_owned(),
-                value: value.to_owned(),
-            };
-            match key {
-                "seed" => out.seed = value.parse().map_err(|_| bad())?,
-                "corrupt" => out.link_corrupt_prob = value.parse().map_err(|_| bad())?,
-                "retries" => out.max_retries = value.parse().map_err(|_| bad())?,
-                "backoff-us" => {
-                    out.backoff_base_s = value.parse::<f64>().map_err(|_| bad())? * 1e-6;
-                }
-                "crashes" => out.crashes = value.parse().map_err(|_| bad())?,
-                "cooldown-us" => {
-                    out.crash_cooldown_s = value.parse::<f64>().map_err(|_| bad())? * 1e-6;
-                }
-                "watchdog-us" => {
-                    out.watchdog_s = value.parse::<f64>().map_err(|_| bad())? * 1e-6;
-                }
-                "seus" => out.seus = value.parse().map_err(|_| bad())?,
-                "degrade-depth" => out.degrade_depth = value.parse().map_err(|_| bad())?,
-                "degrade-margin" => out.degrade_margin = value.parse().map_err(|_| bad())?,
-                "node-kills" => out.node_kills = value.parse().map_err(|_| bad())?,
-                _ => {
-                    return Err(FaultPlanError::UnknownKey {
-                        key: key.to_owned(),
-                    })
-                }
-            }
-        }
-        out.validate()?;
-        Ok(out)
+    pub fn parse_spec(spec: &str) -> Result<Self, PlanError> {
+        read_spec(spec)
     }
 
-    /// Loads from either an inline spec (contains `=`) or a JSON file path.
+    /// Reads and validates an inline spec (an argument holding `=`) or
+    /// else the JSON plan file at that path, whose omitted fields keep
+    /// their defaults.
     ///
     /// # Errors
     ///
-    /// Propagates [`FaultPlanError`] from whichever form was detected.
-    pub fn from_arg(arg: &str) -> Result<Self, FaultPlanError> {
-        if arg.contains('=') {
-            Self::parse_spec(arg)
-        } else {
-            Self::load(arg)
+    /// Returns [`PlanError`] on unreadable files, malformed JSON or
+    /// specs, or out-of-range fields.
+    pub fn from_arg(arg: &str) -> Result<Self, PlanError> {
+        read_arg(arg)
+    }
+
+    /// The node kill drawn over one journal per shard (`journal_lens`):
+    /// the victim shard and the index into its journal at which it dies,
+    /// in the journal's middle half so the campaign is mid-flight. Drawn
+    /// from the base seed, never a shard's re-mixed one, so every shard
+    /// agrees on the victim. `None` without `node_kills`, or when the
+    /// victim journaled fewer than two records.
+    pub(crate) fn node_kill(&self, journal_lens: &[usize]) -> Option<(usize, usize)> {
+        if self.node_kills == 0 {
+            return None;
         }
+        let stream = self.seed ^ STREAM_KILL;
+        let victim = (fault_mix(stream, 0, 0) % journal_lens.len() as u64) as usize;
+        let len = journal_lens[victim];
+        if len < 2 {
+            return None;
+        }
+        let quarter = len / 4;
+        let span = (len - 2 * quarter).max(1) as u64;
+        let roll = fault_mix(stream, 1, len as u64) % span;
+        Some((victim, (quarter + roll as usize).min(len - 1)))
     }
 }
 
@@ -359,6 +462,7 @@ pub struct FaultPlan {
 const STREAM_LINK: u64 = 0x6c69_6e6b;
 const STREAM_CRASH: u64 = 0x0063_7261_7368;
 const STREAM_SEU: u64 = 0x0073_6575;
+const STREAM_KILL: u64 = 0x0000_6b69_6c6c;
 
 impl FaultPlan {
     /// Materializes `config` over a trace of `span` with `instances`
@@ -366,12 +470,12 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`FaultPlanError::Invalid`] on a bad config.
+    /// Returns [`PlanError::Invalid`] on a bad config.
     pub fn materialize(
         config: &FaultConfig,
         span: SimTime,
         instances: usize,
-    ) -> Result<Self, FaultPlanError> {
+    ) -> Result<Self, PlanError> {
         config.validate()?;
         assert!(instances > 0, "fault plan needs at least one instance");
         // Degenerate single-request traces have span 0; give the uniform
@@ -401,6 +505,35 @@ impl FaultPlan {
             crash_events,
             seu_events,
         })
+    }
+
+    /// The crash and SEU plan of shard `shard` of `shards` over
+    /// `[0, horizon]`, or `None` when `config` injects nothing. At K > 1
+    /// the seed is re-mixed per shard ([`shard_fault_seed`]), so what a
+    /// shard injects never depends on the shard count or the order shards
+    /// step in; a standalone node (K = 1) runs `config` as it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid config (`ServeConfig::validate` rejects it
+    /// first).
+    pub(crate) fn for_shard(
+        config: &FaultConfig,
+        shard: usize,
+        shards: usize,
+        horizon: SimTime,
+        instances: usize,
+    ) -> Option<Self> {
+        if !config.is_active() {
+            return None;
+        }
+        let mut config = config.clone();
+        if shards > 1 {
+            config.seed = shard_fault_seed(config.seed, shard as u64);
+        }
+        let plan = Self::materialize(&config, horizon, instances)
+            .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
+        Some(plan)
     }
 
     /// The campaign description this plan was materialized from.
@@ -613,14 +746,14 @@ mod tests {
         };
         assert!(matches!(
             c.validate(),
-            Err(FaultPlanError::Invalid { field, .. }) if field == "link_corrupt_prob"
+            Err(PlanError::Invalid { field, .. }) if field == "link_corrupt_prob"
         ));
         c.link_corrupt_prob = 0.0;
         c.crashes = 1;
         c.watchdog_s = 0.0;
         assert!(matches!(
             c.validate(),
-            Err(FaultPlanError::Invalid { field, .. }) if field == "watchdog_s"
+            Err(PlanError::Invalid { field, .. }) if field == "watchdog_s"
         ));
         c.watchdog_s = 100e-6;
         c.validate().expect("crashes with watchdog valid");
@@ -629,7 +762,7 @@ mod tests {
         c.max_retries = 21;
         assert!(matches!(
             c.validate(),
-            Err(FaultPlanError::Invalid { field, .. }) if field == "max_retries"
+            Err(PlanError::Invalid { field, .. }) if field == "max_retries"
         ));
     }
 
@@ -651,12 +784,17 @@ mod tests {
         assert!(c.is_active());
         assert!(matches!(
             FaultConfig::parse_spec("corupt=0.1"),
-            Err(FaultPlanError::UnknownKey { .. })
+            Err(PlanError::UnknownKey { .. })
         ));
-        assert!(matches!(
-            FaultConfig::parse_spec("corrupt=lots"),
-            Err(FaultPlanError::BadValue { .. })
-        ));
+        for spec in ["corrupt=lots", "retries=4294967296", "seed"] {
+            assert!(
+                matches!(
+                    FaultConfig::parse_spec(spec),
+                    Err(PlanError::BadValue { .. })
+                ),
+                "{spec} must be a bad value"
+            );
+        }
     }
 
     #[test]
@@ -705,6 +843,27 @@ mod tests {
         )
         .expect("plan");
         assert_ne!(a.crash_events(), other.crash_events());
+    }
+
+    #[test]
+    fn node_kill_is_seed_pure_and_picks_one_victim() {
+        let c = FaultConfig {
+            seed: 7,
+            node_kills: 1,
+            ..FaultConfig::default()
+        };
+        let (victim, at) = c.node_kill(&[100; 4]).expect("a kill");
+        assert!(victim < 4);
+        assert_eq!(c.node_kill(&[100; 4]), Some((victim, at)));
+        assert!((25..100).contains(&at), "mid-campaign kill point, got {at}");
+        // The victim is drawn before its journal length is read.
+        let mut lens = [7; 4];
+        lens[victim] = 100;
+        assert_eq!(c.node_kill(&lens), Some((victim, at)));
+        lens[victim] = 1;
+        assert_eq!(c.node_kill(&lens), None, "a one-record journal is not cut");
+        let off = FaultConfig { node_kills: 0, ..c };
+        assert_eq!(off.node_kill(&[100; 4]), None);
     }
 
     #[test]

@@ -68,11 +68,10 @@ mod trace;
 pub use cluster::{
     Cluster, ClusterConfig, ClusterFailover, ClusterOutcome, ClusterReport, ShardRouter,
 };
-pub use faults::{FaultConfig, FaultPlan, FaultPlanError, FaultReport};
+pub use faults::{FaultConfig, FaultPlan, FaultReport, PlanError};
 pub use mann_ith::{HopPrune, HopPruneError};
 pub use membership::{
-    MembershipEpoch, MembershipEvent, MembershipEventKind, MembershipPlan, MembershipPlanError,
-    MembershipReport,
+    MembershipEpoch, MembershipEvent, MembershipEventKind, MembershipPlan, MembershipReport,
 };
 pub use numeric::{NumericHealth, NumericPolicy, NumericPolicyError};
 pub use report::{

@@ -3,16 +3,15 @@
 //! PR 7's cluster froze its membership for a whole campaign — a shard
 //! that died stayed dead, a shard that ran hot stayed hot. This module
 //! makes the shard set a first-class *timeline*: a seed-pure
-//! [`MembershipPlan`] (JSON or inline `key=value`, validated exactly like
-//! [`FaultConfig`](crate::FaultConfig)) schedules
+//! [`MembershipPlan`] (JSON or inline `key=value`, read by the plan
+//! grammar [`FaultConfig`](crate::FaultConfig) uses) schedules
 //!
 //! * **drains** — a shard stops accepting new work at time T, finishes
 //!   what it already holds, and hands its resident stories to their next
 //!   live replica as real re-uploads through the link model;
 //! * **failures** — fail-stop at T: everything unfinished on the shard is
 //!   stranded and re-routed through [`ShardRouter::route_live`], and when
-//!   the write-ahead log is armed the shard's journal is cut at T and
-//!   recovered by replay;
+//!   the write-ahead log is armed the shard's journal simply ends at T;
 //! * **joins** — a cold shard enters the rendezvous at T with an empty
 //!   story cache and pays its own warm-up;
 //! * **weight re-tunes** — the first time a shard's live host-queue depth
@@ -43,53 +42,8 @@ use serde::{Deserialize, Serialize};
 use mann_core::report::{fnum, TextTable};
 
 use crate::cluster::ShardRouter;
+use crate::faults::{parsed, read_arg, read_json, read_spec, KeyError, Plan, PlanError};
 use crate::report::ReportSection;
-
-/// Everything that can go wrong reading or validating a membership plan.
-#[derive(Debug, thiserror::Error)]
-pub enum MembershipPlanError {
-    /// The plan file could not be read.
-    #[error("cannot read membership plan {path}: {source}")]
-    Io {
-        /// Path of the unreadable plan.
-        path: String,
-        /// The underlying I/O error.
-        source: std::io::Error,
-    },
-    /// The plan file was not valid JSON of the expected shape.
-    #[error("cannot parse membership plan {path}: {source}")]
-    Parse {
-        /// Path of the malformed plan.
-        path: String,
-        /// The underlying JSON error.
-        source: serde_json::Error,
-    },
-    /// A field value is out of range or inconsistent.
-    #[error("invalid membership plan: {field} {reason}")]
-    Invalid {
-        /// The offending field.
-        field: &'static str,
-        /// Why it was rejected.
-        reason: String,
-    },
-    /// An inline `key=value` spec used an unknown key.
-    #[error(
-        "unknown membership-plan key {key:?}: expected one of drain, fail, join, \
-         retune-threshold, retune-factor, hot-key"
-    )]
-    UnknownKey {
-        /// The unrecognized key.
-        key: String,
-    },
-    /// An inline `key=value` spec had an unparseable value.
-    #[error("bad value {value:?} for membership-plan key {key} (events take `shard@us`)")]
-    BadValue {
-        /// The key whose value failed to parse.
-        key: String,
-        /// The rejected value text.
-        value: String,
-    },
-}
 
 /// What happens to a shard at its scheduled instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -217,57 +171,55 @@ impl Default for MembershipPlan {
     }
 }
 
-// Hand-written so that partial plan files work: every omitted field keeps
-// its default, which lets a plan say only `{"events": [...]}` without
-// restating the whole struct.
 impl Deserialize for MembershipPlan {
     fn from_value(v: &serde_json::Value) -> Result<Self, serde_json::Error> {
-        let serde_json::Value::Object(pairs) = v else {
-            return Err(serde_json::Error::msg(format!(
-                "expected membership-plan object, got {}",
-                v.kind()
-            )));
-        };
-        let mut out = Self::default();
-        for (key, val) in pairs {
-            match key.as_str() {
-                "events" => out.events = Deserialize::from_value(val)?,
-                "retune_threshold" => out.retune_threshold = Deserialize::from_value(val)?,
-                "retune_factor" => out.retune_factor = Deserialize::from_value(val)?,
-                "hot_key_threshold" => out.hot_key_threshold = Deserialize::from_value(val)?,
-                other => {
-                    return Err(serde_json::Error::msg(format!(
-                        "unknown membership-plan field `{other}`"
-                    )))
-                }
-            }
-        }
-        Ok(out)
+        read_json(v)
     }
 }
 
-impl MembershipPlan {
-    /// A plan that schedules nothing.
-    pub fn none() -> Self {
-        Self::default()
+impl Plan for MembershipPlan {
+    const NAME: &'static str = "membership";
+    const KEYS: &'static str = "drain, fail, join, retune-threshold, retune-factor, hot-key";
+    const SYNTAX: &'static str = " (events take `shard@us`)";
+
+    fn set_key(&mut self, key: &str, value: &str) -> Result<(), KeyError> {
+        match key {
+            "drain" | "fail" | "join" => {
+                let (shard, at_us) = value.split_once('@').ok_or(KeyError::BadValue)?;
+                self.events.push(MembershipEvent {
+                    kind: MembershipEventKind::parse(key).expect("matched above"),
+                    shard: parsed(shard.trim())?,
+                    at_s: parsed::<f64>(at_us.trim())? * 1e-6,
+                });
+            }
+            "retune-threshold" => self.retune_threshold = parsed(value)?,
+            "retune-factor" => self.retune_factor = parsed(value)?,
+            "hot-key" => self.hot_key_threshold = parsed(value)?,
+            _ => return Err(KeyError::Unknown),
+        }
+        Ok(())
     }
 
-    /// Whether this plan changes anything at all. An empty plan leaves
-    /// the cluster serve path byte-identical to before the membership
-    /// layer existed.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.retune_threshold == 0.0 && self.hot_key_threshold == 0
+    fn set_field(&mut self, field: &str, v: &serde_json::Value) -> Result<bool, serde_json::Error> {
+        match field {
+            "events" => self.events = Deserialize::from_value(v)?,
+            "retune_threshold" => self.retune_threshold = Deserialize::from_value(v)?,
+            "retune_factor" => self.retune_factor = Deserialize::from_value(v)?,
+            "hot_key_threshold" => self.hot_key_threshold = Deserialize::from_value(v)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// Checks shape-level validity (everything that does not need the
     /// shard count; see [`MembershipPlan::validate_for`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MembershipPlanError::Invalid`] naming the first bad field.
-    pub fn validate(&self) -> Result<(), MembershipPlanError> {
+    fn validate(&self) -> Result<(), PlanError> {
         let bad = |field: &'static str, reason: String| {
-            Err(MembershipPlanError::Invalid { field, reason })
+            Err(PlanError::Invalid {
+                plan: Self::NAME,
+                field,
+                reason,
+            })
         };
         for e in &self.events {
             // An instant that rounds to 0 ps would fail-stop a shard
@@ -318,6 +270,20 @@ impl MembershipPlan {
         }
         Ok(())
     }
+}
+
+impl MembershipPlan {
+    /// A plan that schedules nothing.
+    pub fn none() -> Self {
+        Self::default()
+    }
+
+    /// Whether this plan changes anything at all. An empty plan leaves
+    /// the cluster serve path byte-identical to before the membership
+    /// layer existed.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty() && self.retune_threshold == 0.0 && self.hot_key_threshold == 0
+    }
 
     /// Checks the plan against a concrete shard count: every referenced
     /// shard index must exist, and a non-empty plan needs at least two
@@ -326,11 +292,12 @@ impl MembershipPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`MembershipPlanError::Invalid`] naming the first bad field.
-    pub fn validate_for(&self, shards: usize) -> Result<(), MembershipPlanError> {
+    /// Returns [`PlanError::Invalid`] naming the first bad field.
+    pub fn validate_for(&self, shards: usize) -> Result<(), PlanError> {
         self.validate()?;
         if let Some(e) = self.events.iter().find(|e| e.shard >= shards) {
-            return Err(MembershipPlanError::Invalid {
+            return Err(PlanError::Invalid {
+                plan: Self::NAME,
                 field: "events",
                 reason: format!(
                     "{} references shard {} but the cluster has only {} shard(s) \
@@ -340,7 +307,8 @@ impl MembershipPlan {
             });
         }
         if !self.is_empty() && shards < 2 {
-            return Err(MembershipPlanError::Invalid {
+            return Err(PlanError::Invalid {
+                plan: Self::NAME,
                 field: "events",
                 reason: "a live-membership plan needs at least 2 shards; at K=1 the \
                          cluster layer is inert"
@@ -350,28 +318,8 @@ impl MembershipPlan {
         Ok(())
     }
 
-    /// Loads a plan from a JSON file. Omitted fields keep their defaults.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MembershipPlanError`] on unreadable files, malformed
-    /// JSON, or out-of-range fields.
-    pub fn load(path: &str) -> Result<Self, MembershipPlanError> {
-        let text = std::fs::read_to_string(path).map_err(|source| MembershipPlanError::Io {
-            path: path.to_owned(),
-            source,
-        })?;
-        let plan: Self =
-            serde_json::from_str(&text).map_err(|source| MembershipPlanError::Parse {
-                path: path.to_owned(),
-                source,
-            })?;
-        plan.validate()?;
-        Ok(plan)
-    }
-
-    /// Parses an inline `key=value[,key=value...]` spec, e.g.
-    /// `drain=1@1500,fail=2@2600,join=3@700,hot-key=10,retune-threshold=0.05`.
+    /// Parses and validates an inline `key=value[,key=value...]` spec,
+    /// e.g. `drain=1@1500,fail=2@2600,join=3@700,hot-key=10,retune-threshold=0.05`.
     ///
     /// Event keys (`drain`, `fail`, `join`) take `shard@microseconds` and
     /// may repeat (for different shards); `retune-threshold` is a queue
@@ -380,74 +328,27 @@ impl MembershipPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`MembershipPlanError`] on unknown keys, unparseable
-    /// values, or out-of-range fields.
-    pub fn parse_spec(spec: &str) -> Result<Self, MembershipPlanError> {
-        let mut out = Self::default();
-        for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) =
-                part.split_once('=')
-                    .ok_or_else(|| MembershipPlanError::BadValue {
-                        key: part.trim().to_owned(),
-                        value: String::new(),
-                    })?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad = || MembershipPlanError::BadValue {
-                key: key.to_owned(),
-                value: value.to_owned(),
-            };
-            match key {
-                "drain" | "fail" | "join" => {
-                    let (shard, at_us) = value.split_once('@').ok_or_else(bad)?;
-                    out.events.push(MembershipEvent {
-                        kind: MembershipEventKind::parse(key).expect("matched above"),
-                        shard: shard.trim().parse().map_err(|_| bad())?,
-                        at_s: at_us.trim().parse::<f64>().map_err(|_| bad())? * 1e-6,
-                    });
-                }
-                "retune-threshold" => {
-                    out.retune_threshold = value.parse().map_err(|_| bad())?;
-                }
-                "retune-factor" => out.retune_factor = value.parse().map_err(|_| bad())?,
-                "hot-key" => out.hot_key_threshold = value.parse().map_err(|_| bad())?,
-                _ => {
-                    return Err(MembershipPlanError::UnknownKey {
-                        key: key.to_owned(),
-                    })
-                }
-            }
-        }
-        out.validate()?;
-        Ok(out)
+    /// Returns [`PlanError`] on unknown keys, unparseable values, or
+    /// out-of-range fields.
+    pub fn parse_spec(spec: &str) -> Result<Self, PlanError> {
+        read_spec(spec)
     }
 
-    /// Loads from either an inline spec (contains `=`) or a JSON file path.
+    /// Reads and validates an inline spec (an argument holding `=`) or
+    /// else the JSON plan file at that path, whose omitted fields keep
+    /// their defaults.
     ///
     /// # Errors
     ///
-    /// Propagates [`MembershipPlanError`] from whichever form was detected.
-    pub fn from_arg(arg: &str) -> Result<Self, MembershipPlanError> {
-        if arg.contains('=') {
-            Self::parse_spec(arg)
-        } else {
-            Self::load(arg)
-        }
+    /// Returns [`PlanError`] on unreadable files, malformed JSON or
+    /// specs, or out-of-range fields.
+    pub fn from_arg(arg: &str) -> Result<Self, PlanError> {
+        read_arg(arg)
     }
 
-    /// The fail-stop instant of `shard`, if the plan fails it.
-    pub fn fail_time(&self, shard: usize) -> Option<SimTime> {
-        self.events
-            .iter()
-            .find(|e| e.shard == shard && e.kind == MembershipEventKind::Fail)
-            .map(MembershipEvent::at)
-    }
-
-    /// The drain instant of `shard`, if the plan drains it.
-    pub fn drain_time(&self, shard: usize) -> Option<SimTime> {
-        self.events
-            .iter()
-            .find(|e| e.shard == shard && e.kind == MembershipEventKind::Drain)
-            .map(MembershipEvent::at)
+    /// The one lifecycle event the plan schedules for `shard`, if any.
+    pub(crate) fn event(&self, shard: usize) -> Option<MembershipEvent> {
+        self.events.iter().find(|e| e.shard == shard).copied()
     }
 
     /// The routing keys whose request count reaches the hot-key
@@ -737,31 +638,31 @@ mod tests {
     fn bad_specs_are_hard_errors() {
         assert!(matches!(
             MembershipPlan::parse_spec("drain=1"),
-            Err(MembershipPlanError::BadValue { .. })
+            Err(PlanError::BadValue { .. })
         ));
         assert!(matches!(
             MembershipPlan::parse_spec("evict=1@100"),
-            Err(MembershipPlanError::UnknownKey { .. })
+            Err(PlanError::UnknownKey { .. })
         ));
         assert!(matches!(
             MembershipPlan::parse_spec("drain=1@0"),
-            Err(MembershipPlanError::Invalid { .. })
+            Err(PlanError::Invalid { .. })
         ));
         assert!(matches!(
             MembershipPlan::parse_spec("drain=1@100,fail=1@200"),
-            Err(MembershipPlanError::Invalid { .. })
+            Err(PlanError::Invalid { .. })
         ));
         assert!(matches!(
             MembershipPlan::parse_spec("hot-key=1"),
-            Err(MembershipPlanError::Invalid { .. })
+            Err(PlanError::Invalid { .. })
         ));
         assert!(matches!(
             MembershipPlan::parse_spec("retune-threshold=0.5,retune-factor=1"),
-            Err(MembershipPlanError::Invalid { .. })
+            Err(PlanError::Invalid { .. })
         ));
         assert!(matches!(
             MembershipPlan::parse_spec("retune-threshold=1.5"),
-            Err(MembershipPlanError::Invalid { .. })
+            Err(PlanError::Invalid { .. })
         ));
     }
 
@@ -772,7 +673,7 @@ mod tests {
             assert!(
                 matches!(
                     MembershipPlan::parse_spec(spec),
-                    Err(MembershipPlanError::Invalid { .. })
+                    Err(PlanError::Invalid { .. })
                 ),
                 "{spec} must be rejected"
             );
@@ -789,16 +690,10 @@ mod tests {
     #[test]
     fn validate_for_rejects_out_of_range_shards_and_k1() {
         let p = MembershipPlan::parse_spec("fail=4@100").expect("shape-valid");
-        assert!(matches!(
-            p.validate_for(4),
-            Err(MembershipPlanError::Invalid { .. })
-        ));
+        assert!(matches!(p.validate_for(4), Err(PlanError::Invalid { .. })));
         p.validate_for(5).expect("shard 4 exists at K=5");
         let p = MembershipPlan::parse_spec("hot-key=8").expect("shape-valid");
-        assert!(matches!(
-            p.validate_for(1),
-            Err(MembershipPlanError::Invalid { .. })
-        ));
+        assert!(matches!(p.validate_for(1), Err(PlanError::Invalid { .. })));
     }
 
     #[test]

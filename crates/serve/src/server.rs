@@ -53,7 +53,7 @@ use mann_ith::{HopPrune, ThresholdingModel};
 use mann_store::WalRecord;
 use serde::{Deserialize, Serialize};
 
-use crate::faults::{FaultConfig, FaultPlan, FaultReport};
+use crate::faults::{FaultConfig, FaultPlan, FaultReport, Plan};
 use crate::numeric::{NumericHealth, NumericPolicy};
 use crate::report::{
     answers_digest, mean, BatchReport, CacheReport, HopPruneReport, IndexReport, InstanceReport,
@@ -701,7 +701,7 @@ impl<'a> Server<'a> {
         per_instance * self.config.instances as f64
     }
 
-    fn sample_of(&self, req: &Request) -> &mann_babi::EncodedSample {
+    pub(crate) fn sample_of(&self, req: &Request) -> &mann_babi::EncodedSample {
         &self.suite.tasks[req.task_idx].test_set[req.sample_idx]
     }
 
@@ -798,7 +798,9 @@ impl<'a> Server<'a> {
     /// Panics if a request references a task or sample outside the suite.
     pub fn serve(&self, trace: &ArrivalTrace) -> ServeOutcome {
         let num = self.numeric_phase(trace);
-        let mut node = ServeState::new(self, trace, &num, trace.span(), None, 1);
+        let config = &self.config;
+        let faults = FaultPlan::for_shard(&config.faults, 0, 1, trace.span(), config.instances);
+        let mut node = ServeState::new(self, trace, &num, faults, None, 1);
         node.flights.reserve_exact(trace.requests.len());
         // Arrivals stream beside the heap in `(arrival, index)` order (a
         // stable sort), each before the events at its instant.
@@ -964,13 +966,14 @@ pub(crate) struct ServeState<'s, 'a> {
 }
 
 impl<'s, 'a> ServeState<'s, 'a> {
-    /// A node with nothing arrived yet. Its crash and SEU plan spans
-    /// `[0, horizon]`; a standalone node has no fail-stop and 1 replica.
+    /// A node with nothing arrived yet, running the crash and SEU plan
+    /// `faults` (`None` injects nothing); a standalone node has no
+    /// fail-stop and 1 replica.
     pub(crate) fn new(
         server: &'s Server<'a>,
         trace: &'s ArrivalTrace,
         num: &'s NumericPhase,
-        horizon: SimTime,
+        faults: Option<FaultPlan>,
         fail_stop: Option<SimTime>,
         replicas: usize,
     ) -> Self {
@@ -1011,9 +1014,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
         // campaign consumes exactly the same sequence numbers as no
         // campaign at all (byte-identity with the fault layer compiled
         // in).
-        if config.faults.is_active() {
-            let plan = FaultPlan::materialize(&config.faults, horizon, instances)
-                .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
+        if let Some(plan) = faults {
             for (k, &(t, _)) in plan.crash_events().iter().enumerate() {
                 state.schedule(t, Event::Crash(k));
             }
@@ -2570,7 +2571,9 @@ mod tests {
                 },
             );
             let num = server.numeric_phase(&t);
-            let state = ServeState::new(&server, &t, &num, t.span(), None, 1);
+            let c = server.config();
+            let plan = FaultPlan::for_shard(&c.faults, 0, 1, t.span(), c.instances);
+            let state = ServeState::new(&server, &t, &num, plan, None, 1);
             let mut events: Vec<(SimTime, &str, usize)> = state
                 .heap
                 .iter()

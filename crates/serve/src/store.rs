@@ -11,16 +11,16 @@
 //!   and completion to a checksummed segmented WAL, rotating and
 //!   snapshotting every [`WalConfig::snapshot_every`] records, and
 //!   garbage-collecting segments a snapshot covers.
-//! * With `node_kills` armed ([`crate::FaultConfig::node_kills`]), a
-//!   seed-chosen victim shard is fail-stopped mid-journal: the append path
-//!   is cut at a deterministic kill point and a torn half-frame is left on
-//!   disk, exactly as a process death mid-`write` would. Recovery then
-//!   proves the durability story end to end — the strict open must detect
-//!   the tear, the lenient open truncates it, the replayed
-//!   [`StoreState`] fold must equal an independent reference fold of the
-//!   journal prefix, and the node re-serves its trace (purity makes the
-//!   re-run byte-identical, which the driver asserts via the answers
-//!   digest) before appending the remainder in a fresh segment.
+//! * With `node_kills` armed ([`crate::FaultConfig::node_kills`]), the
+//!   victim shard and kill point the fault plan draws are applied to the
+//!   finished journal: the append path is cut there and a torn half-frame
+//!   is left on disk, exactly as a process death mid-`write` would.
+//!   Recovery then proves the durability story end to end — the strict
+//!   open must detect the tear, the lenient open truncates it, the
+//!   replayed [`StoreState`] fold must equal an independent reference
+//!   fold of the journal prefix, and every recovered completion must
+//!   agree with the journal — before the remainder of the pure serve's
+//!   own records lands in a fresh segment.
 //!
 //! Every step is accounted in a [`DurabilityReport`]; the `durability`
 //! key is omitted from JSON whenever the WAL is off, so all pre-existing
@@ -44,7 +44,6 @@ use std::path::{Path, PathBuf};
 
 use mann_core::persist::PersistError;
 use mann_core::report::{fnum, TextTable};
-use mann_hw::fault_mix;
 use mann_store::{
     gc, recover_dir, replay_dir, write_snapshot, StoreError, StoreState, WalRecord, WalStats,
     WalWriter, KIND_COMPLETION, KIND_STORY,
@@ -55,11 +54,6 @@ use crate::cluster::{Cluster, ClusterOutcome};
 use crate::report::{mean, ReportSection};
 use crate::server::{ServeOutcome, Server};
 use crate::trace::ArrivalTrace;
-
-/// Domain-separation stream for node-kill selection (ASCII "kill"):
-/// victim shard and kill point share [`fault_mix`] with the fault layer
-/// but never its link/crash/SEU streams.
-const STREAM_KILL: u64 = 0x0000_6b69_6c6c;
 
 /// Write-ahead-log configuration, carried inside
 /// [`crate::ServeConfig::wal`]. Disabled by default; when disabled the
@@ -406,39 +400,6 @@ impl ReportSection for DurabilityReport {
     }
 }
 
-/// The seed-pure kill plan shared by the single-node and cluster drivers.
-#[derive(Debug, Clone, Copy)]
-struct KillPlan {
-    /// Kills armed (`FaultConfig::node_kills` from the *base* config; the
-    /// per-shard re-mixed fault seeds must not move the victim).
-    node_kills: u32,
-    /// The base fault seed.
-    seed: u64,
-    /// Shard count the victim is drawn from.
-    shards: u64,
-    /// This journal's shard index.
-    shard: usize,
-}
-
-impl KillPlan {
-    /// The journal index at which this shard dies, if it does. Kills
-    /// strike only the one seed-chosen victim shard, landing in the middle
-    /// half of its journal so the campaign is genuinely mid-flight.
-    fn kill_at(&self, journal_len: usize) -> Option<usize> {
-        if self.node_kills == 0 || journal_len < 2 {
-            return None;
-        }
-        let victim = fault_mix(self.seed ^ STREAM_KILL, 0, 0) % self.shards;
-        if self.shard as u64 != victim {
-            return None;
-        }
-        let quarter = journal_len / 4;
-        let span = (journal_len - 2 * quarter).max(1) as u64;
-        let roll = fault_mix(self.seed ^ STREAM_KILL, 1, journal_len as u64) % span;
-        Some((quarter + roll as usize).min(journal_len - 1))
-    }
-}
-
 /// Appends `records` to a fresh segment under `dir`, rotating, cutting a
 /// snapshot, and compacting every `snapshot_every` records. Returns the
 /// writer unsealed so the caller decides between a clean seal
@@ -482,15 +443,18 @@ fn absorb_stats(dr: &mut DurabilityReport, stats: WalStats) {
     dr.segments += stats.segments;
 }
 
-/// Persists one node's journal, optionally killing the node at
-/// `kill_at` and recovering.
-fn run_journal(
+/// Persists one node's journal under `dir`, killing the node at journal
+/// index `kill_at` and recovering it, if given.
+fn persist(
     dir: &Path,
     cfg: &WalConfig,
     records: &[WalRecord],
     kill_at: Option<usize>,
-    dr: &mut DurabilityReport,
-) -> Result<(), StoreError> {
+) -> Result<DurabilityReport, StoreError> {
+    let mut dr = DurabilityReport {
+        enabled: true,
+        ..DurabilityReport::default()
+    };
     for rec in records {
         match rec.kind {
             KIND_STORY => dr.story_records += 1,
@@ -498,23 +462,29 @@ fn run_journal(
             _ => dr.evict_records += 1,
         }
     }
-    let fsyncs_before = dr.fsyncs;
     let mut state = StoreState::default();
     let mut since_snap = 0u64;
 
     let Some(kp) = kill_at else {
-        let w = append_stream(dir, cfg, records, &mut state, &mut since_snap, dr)?;
-        absorb_stats(dr, w.finish()?);
-        dr.fsync_s += (dr.fsyncs - fsyncs_before) as f64 * cfg.fsync_us * 1e-6;
-        return Ok(());
+        let w = append_stream(dir, cfg, records, &mut state, &mut since_snap, &mut dr)?;
+        absorb_stats(&mut dr, w.finish()?);
+        dr.fsync_s = dr.fsyncs as f64 * cfg.fsync_us * 1e-6;
+        return Ok(dr);
     };
 
     // ----- fail-stop: cut the journal mid-append ------------------------
-    let w = append_stream(dir, cfg, &records[..kp], &mut state, &mut since_snap, dr)?;
+    let w = append_stream(
+        dir,
+        cfg,
+        &records[..kp],
+        &mut state,
+        &mut since_snap,
+        &mut dr,
+    )?;
     // The frame the node was writing when it died: half of it reaches the
     // platter, exactly the torn tail a strict open must refuse.
     let frame = mann_store::frame_record(&records[kp]);
-    absorb_stats(dr, w.abandon_torn(&frame[..frame.len() / 2])?);
+    absorb_stats(&mut dr, w.abandon_torn(&frame[..frame.len() / 2])?);
     dr.node_kills += 1;
 
     // ----- recovery -----------------------------------------------------
@@ -553,9 +523,8 @@ fn run_journal(
         )));
     }
 
-    // Consistency: every durable completion must agree with the re-served
-    // run's journal (the caller has already re-served and asserted the
-    // answers digest; here the *records* are cross-checked).
+    // Consistency: every durable completion must agree with the journal
+    // the pure serve collected, whose remainder is appended below.
     let full: HashMap<u64, u32> = records
         .iter()
         .filter(|r| r.kind == KIND_COMPLETION)
@@ -564,7 +533,7 @@ fn run_journal(
     for c in recovered.completions() {
         if full.get(&c.id) != Some(&c.answer) {
             return Err(StoreError::Recovery(format!(
-                "recovered completion {} (answer {}) contradicts the re-served journal",
+                "recovered completion {} (answer {}) contradicts the served journal",
                 c.id, c.answer
             )));
         }
@@ -576,40 +545,16 @@ fn run_journal(
 
     // ----- resume: the remainder lands in a fresh segment ---------------
     let mut state = recovered;
-    let w = append_stream(dir, cfg, &records[kp..], &mut state, &mut since_snap, dr)?;
-    absorb_stats(dr, w.finish()?);
-    dr.fsync_s += (dr.fsyncs - fsyncs_before) as f64 * cfg.fsync_us * 1e-6;
-    Ok(())
-}
-
-/// Persists one node's journal under `dir`, killing and recovering it
-/// when `plan` makes it the victim; `reserve` re-runs the pure serve and
-/// returns the node's answers digest, which must equal `digest`.
-fn persist(
-    dir: &Path,
-    cfg: &WalConfig,
-    records: &[WalRecord],
-    plan: KillPlan,
-    digest: &str,
-    reserve: impl FnOnce() -> String,
-) -> Result<DurabilityReport, PersistError> {
-    let mut dr = DurabilityReport {
-        enabled: true,
-        ..DurabilityReport::default()
-    };
-    let kill_at = plan.kill_at(records.len());
-    if kill_at.is_some() {
-        // The serve is a pure function, so the re-run is byte-identical to
-        // the killed run — assert it rather than assume it.
-        let re = reserve();
-        if re != digest {
-            return Err(StoreError::Recovery(format!(
-                "re-served answers digest {re} diverges from the killed run's {digest}"
-            ))
-            .into());
-        }
-    }
-    run_journal(dir, cfg, records, kill_at, &mut dr)?;
+    let w = append_stream(
+        dir,
+        cfg,
+        &records[kp..],
+        &mut state,
+        &mut since_snap,
+        &mut dr,
+    )?;
+    absorb_stats(&mut dr, w.finish()?);
+    dr.fsync_s = dr.fsyncs as f64 * cfg.fsync_us * 1e-6;
     Ok(dr)
 }
 
@@ -633,19 +578,12 @@ pub fn serve_durable(
     if !cfg.wal.enabled {
         return Ok(out);
     }
-    let plan = KillPlan {
-        node_kills: cfg.faults.node_kills,
-        seed: cfg.faults.seed,
-        shards: 1,
-        shard: 0,
-    };
+    let kill_at = cfg.faults.node_kill(&[out.wal_records.len()]);
     out.report.durability = persist(
         Path::new(&cfg.wal.dir),
         &cfg.wal,
         &out.wal_records,
-        plan,
-        &out.report.answers_digest,
-        || server.serve(trace).report.answers_digest,
+        kill_at.map(|(_, at)| at),
     )?;
     Ok(out)
 }
@@ -653,9 +591,9 @@ pub fn serve_durable(
 /// Serves a trace across a cluster with the write-ahead log armed: the
 /// pure cluster serve runs once, then every shard's journal is persisted
 /// into its own `shard-<s>` directory under the base [`WalConfig::dir`],
-/// and the `node_kills` victim shard (chosen seed-purely from the *base*
-/// fault seed, so per-shard seed re-mixing never moves it) is killed
-/// mid-journal and recovered.
+/// and the `node_kills` victim shard (drawn from the *base* fault seed,
+/// so per-shard seed re-mixing never moves it) is killed mid-journal and
+/// recovered.
 ///
 /// # Errors
 ///
@@ -671,26 +609,15 @@ pub fn serve_cluster_durable(
     if !wal.enabled {
         return Ok(out);
     }
+    let lens: Vec<usize> = journals.iter().map(Vec::len).collect();
+    let kill = config.base.faults.node_kill(&lens);
     let root = PathBuf::from(&wal.dir);
     for (shard, records) in journals.iter().enumerate() {
-        let plan = KillPlan {
-            node_kills: config.base.faults.node_kills,
-            seed: config.base.faults.seed,
-            shards: config.shards as u64,
-            shard,
-        };
-        let report = &mut out.report.per_shard[shard];
-        report.durability = persist(
-            &root.join(format!("shard-{shard}")),
-            wal,
-            records,
-            plan,
-            &report.answers_digest,
-            || {
-                let (re, _) = cluster.serve_journaled(trace, &order);
-                re.report.per_shard[shard].answers_digest.clone()
-            },
-        )?;
+        let kill_at = kill
+            .filter(|&(victim, _)| victim == shard)
+            .map(|(_, at)| at);
+        out.report.per_shard[shard].durability =
+            persist(&root.join(format!("shard-{shard}")), wal, records, kill_at)?;
     }
     let r = &mut out.report;
     r.durability = DurabilityReport::merge(r.per_shard.iter().map(|s| &s.durability));
@@ -775,35 +702,6 @@ mod tests {
             ..WalConfig::default()
         };
         assert!(orphan_snap.validate().is_err(), "snapshots without a WAL");
-    }
-
-    #[test]
-    fn kill_plan_is_seed_pure_and_picks_one_victim() {
-        let plan = KillPlan {
-            node_kills: 1,
-            seed: 7,
-            shards: 4,
-            shard: 0,
-        };
-        let victim = (0..4)
-            .filter(|&s| KillPlan { shard: s, ..plan }.kill_at(100).is_some())
-            .collect::<Vec<_>>();
-        assert_eq!(victim.len(), 1, "exactly one victim shard");
-        let v = victim[0];
-        let kp = KillPlan { shard: v, ..plan }
-            .kill_at(100)
-            .expect("kill point");
-        assert_eq!(KillPlan { shard: v, ..plan }.kill_at(100), Some(kp));
-        assert!((25..100).contains(&kp), "mid-campaign kill point, got {kp}");
-        assert_eq!(
-            KillPlan {
-                node_kills: 0,
-                shard: v,
-                ..plan
-            }
-            .kill_at(100),
-            None
-        );
     }
 
     #[test]

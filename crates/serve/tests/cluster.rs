@@ -225,44 +225,27 @@ fn bad_shard_order_is_rejected() {
     let _ = cluster.serve_in_order(&t, &[0, 0]);
 }
 
-/// Arms an instance-crash plan on exactly one shard (the one owning the
-/// most primaries, so the campaign has traffic to strand) and proves the
-/// cross-shard failover contract end to end.
+/// Arms an instance-crash plan on every shard, as the cluster golden and
+/// `cluster_churn` do, and proves the cross-shard failover contract end
+/// to end.
 #[test]
 fn cross_shard_failover_rescues_stranded_requests() {
     let t = trace(144, 41, 4);
-    let shards = 3;
-    let probe = Cluster::new(
-        suite(),
-        ClusterConfig {
-            shards,
-            replication: 2,
-            base: base_config(),
-            ..ClusterConfig::default()
-        },
-    );
-    // Route the trace once to find the busiest shard — the victim.
-    let mut owned = vec![0usize; shards];
-    for r in &t.requests {
-        owned[probe.router().primary(probe_key(r))] += 1;
-    }
-    let victim = (0..shards).max_by_key(|&s| owned[s]).unwrap();
-
-    let mut shard_faults = vec![None; shards];
-    shard_faults[victim] = Some(FaultConfig {
-        seed: 13,
-        crashes: 5,
-        crash_cooldown_s: 900e-6,
-        watchdog_s: 200e-6,
-        ..FaultConfig::none()
-    });
     let out = Cluster::new(
         suite(),
         ClusterConfig {
-            shards,
+            shards: 3,
             replication: 2,
-            shard_faults,
-            base: base_config(),
+            base: ServeConfig {
+                faults: FaultConfig {
+                    seed: 13,
+                    crashes: 5,
+                    crash_cooldown_s: 900e-6,
+                    watchdog_s: 200e-6,
+                    ..FaultConfig::none()
+                },
+                ..base_config()
+            },
             ..ClusterConfig::default()
         },
     )
@@ -276,19 +259,11 @@ fn cross_shard_failover_rescues_stranded_requests() {
     assert!(fo.replay_link_bytes > 0, "replicas must pay the re-upload");
     assert!(fo.mean_failover_latency_s > 0.0);
 
-    // Every affected request completed on a replica shard — and only the
-    // victim's shard report shows crashes.
+    // Every affected request completed on a replica shard.
     let completed_ids: HashSet<u64> = out.completions.iter().map(|c| c.request.id).collect();
     assert_eq!(fo.lost, 0, "every stranded request must complete");
     for id in &out.failovers {
         assert!(completed_ids.contains(id), "failover {id} never completed");
-    }
-    for (s, r) in out.report.per_shard.iter().enumerate() {
-        if s == victim {
-            assert!(r.fault.crashes > 0, "victim shard never crashed");
-        } else {
-            assert_eq!(r.fault.crashes, 0, "shard {s} crashed without a plan");
-        }
     }
     // MTTR of the instance crashes is accounted in the merged FaultReport.
     assert!(out.report.fault.enabled);
@@ -314,13 +289,6 @@ fn cross_shard_failover_rescues_stranded_requests() {
         out.report.completed + out.report.rejected + out.report.shed,
         t.len()
     );
-}
-
-/// The routing key a request hashes under — mirrors the cluster's
-/// affinity unit (story digest mixed with the task index).
-fn probe_key(r: &mann_serve::Request) -> u64 {
-    let sample = &suite().tasks[r.task_idx].test_set[r.sample_idx];
-    mann_hw::story_digest(sample) ^ (r.task_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
 /// Fleet percentiles come from the pooled samples: the report's latency

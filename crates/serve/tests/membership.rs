@@ -33,6 +33,7 @@ use mann_serve::{
     serve_cluster_durable, ArrivalTrace, Cluster, ClusterConfig, ClusterOutcome, EngineMode,
     MembershipPlan, SchedulePolicy, ServeConfig, ShardRouter, TraceConfig, WalConfig,
 };
+use mann_store::replay_dir;
 use serde::Serialize;
 
 fn suite() -> &'static TaskSuite {
@@ -257,14 +258,17 @@ fn all_replicas_down_requests_shed_with_their_own_counter() {
 }
 
 /// Contract 5: a membership `fail` composes with the WAL — the journal
-/// simply ends at the cut, recovery has nothing to repair, and answers
-/// match the non-durable campaign exactly.
+/// simply ends at the cut, recovery has nothing to repair (a strict
+/// replay of the failed shard's directory finds no torn tail and no
+/// record stamped after the cut), and answers match the non-durable
+/// campaign exactly.
 #[test]
 fn membership_failure_composes_with_the_wal() {
     let t = trace(64, 11, 4);
     let dir = std::env::temp_dir().join("mann_serve_membership_wal");
     let _ = std::fs::remove_dir_all(&dir);
     let plan = MembershipPlan::parse_spec("fail=1@1500").expect("valid spec");
+    let cut = plan.events[0].at().ps();
     let durable_cfg = ClusterConfig {
         shards: 2,
         replication: 2,
@@ -297,6 +301,18 @@ fn membership_failure_composes_with_the_wal() {
     );
     assert_eq!(durable.completions.len(), plain.completions.len());
     assert!(durable.report.durability.enabled);
+    let replay = replay_dir(&dir.join("shard-1")).expect("the cut journal replays strictly");
+    assert!(
+        !replay.records.is_empty(),
+        "shard 1 journaled before its cut"
+    );
+    for r in &replay.records {
+        assert!(
+            r.stamp_ps <= cut,
+            "record stamped {} ps after the cut",
+            r.stamp_ps
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -367,7 +383,6 @@ fn a_retune_moves_keys_and_routes_later_arrivals_by_the_divided_weights() {
             membership: MembershipPlan::parse_spec("retune-threshold=0.02,retune-factor=2")
                 .expect("valid spec"),
             base: base_config(),
-            ..ClusterConfig::default()
         },
     )
     .serve(&t);
