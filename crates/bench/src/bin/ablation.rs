@@ -32,7 +32,7 @@ fn build_cached(cfg: &mann_core::SuiteConfig) -> TaskSuite {
 }
 
 fn main() {
-    let mut args = HarnessArgs::parse(std::env::args().skip(1));
+    let mut args = HarnessArgs::from_cli("ablation");
     if args.tasks == HarnessArgs::default().tasks {
         args.tasks = 3; // ablations don't need the full suite by default
         args.train = 400;

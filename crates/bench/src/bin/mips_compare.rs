@@ -25,7 +25,7 @@ struct Row {
 }
 
 fn main() {
-    let mut args = HarnessArgs::parse(std::env::args().skip(1));
+    let mut args = HarnessArgs::from_cli("mips_compare");
     if args.tasks == HarnessArgs::default().tasks {
         args.tasks = 3;
         args.train = 400;

@@ -106,20 +106,14 @@
 //! `--instances` and `--policy` because scheduling never changes an
 //! answer.
 
-use mann_bench::HarnessArgs;
+use mann_bench::{parsed, usage_bail, HarnessArgs};
 use mann_core::write_json_report;
-use mann_hw::{MemIndexConfig, StoryCache, DEFAULT_STORY_CACHE};
+use mann_hw::{story_cache_capacity_from_env, MemIndexConfig, DEFAULT_STORY_CACHE};
 use mann_serve::{
     serve_cluster_durable, serve_durable, ArrivalTrace, Cluster, ClusterConfig, EngineMode,
     FaultConfig, HopPrune, MembershipPlan, NumericPolicy, SchedulePolicy, ServeConfig, Server,
     TraceConfig, WalConfig,
 };
-
-/// Prints a CLI-usage error and exits with status 2.
-fn usage_bail(msg: impl std::fmt::Display) -> ! {
-    eprintln!("[serve] {msg}");
-    std::process::exit(2);
-}
 
 struct ServeArgs {
     instances: usize,
@@ -177,14 +171,6 @@ fn parse_weights(spec: &str) -> Result<Vec<u32>, String> {
         .collect()
 }
 
-/// `value` parsed as `T`, or a usage error naming `flag` and what it
-/// takes.
-fn parsed<T: std::str::FromStr>(flag: &str, value: String, takes: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("invalid {flag} {value:?}: expected {takes}"))
-}
-
 impl ServeArgs {
     /// Parses the flags the shared harness left over
     /// ([`HarnessArgs::parse_known`]); a flag this binary does not know
@@ -204,7 +190,7 @@ impl ServeArgs {
             // without touching every invocation; flags still win. Invalid
             // env values are hard errors — a typo must not silently serve
             // with the default.
-            story_cache: StoryCache::capacity_from_env()
+            story_cache: story_cache_capacity_from_env()
                 .map_err(|e| e.to_string())?
                 .unwrap_or(DEFAULT_STORY_CACHE),
             story_pool: 0,
@@ -313,8 +299,9 @@ impl ServeArgs {
 }
 
 fn main() {
-    let (args, rest) = HarnessArgs::parse_known(std::env::args().skip(1));
-    let serve_args = ServeArgs::parse(rest).unwrap_or_else(|e| usage_bail(e));
+    let (args, rest) = HarnessArgs::parse_known(std::env::args().skip(1))
+        .unwrap_or_else(|e| usage_bail("serve", e));
+    let serve_args = ServeArgs::parse(rest).unwrap_or_else(|e| usage_bail("serve", e));
 
     eprintln!(
         "[serve] training {} tasks ({} train / {} test, seed {}) ...",
@@ -370,7 +357,7 @@ fn main() {
         ..ServeConfig::default()
     };
     if let Err(e) = config.validate() {
-        usage_bail(e);
+        usage_bail("serve", e);
     }
     eprintln!(
         "[serve] {} requests (mean inter-arrival {} us, trace seed {}, story pool {}) over \
@@ -437,7 +424,7 @@ fn main() {
             base: config,
         };
         if let Err(e) = cluster_config.validate() {
-            usage_bail(e);
+            usage_bail("serve", e);
         }
         eprintln!(
             "[serve] cluster of {} shard(s), replication {} (rendezvous story routing)",
@@ -454,7 +441,8 @@ fn main() {
             );
         }
         let cluster = Cluster::new(&suite, cluster_config);
-        let outcome = serve_cluster_durable(&cluster, &trace).unwrap_or_else(|e| usage_bail(e));
+        let outcome =
+            serve_cluster_durable(&cluster, &trace).unwrap_or_else(|e| usage_bail("serve", e));
         println!(
             "Served {} requests across {} shard(s) x {} instance(s), replication {}, policy {}",
             trace.len(),
@@ -473,7 +461,7 @@ fn main() {
     }
 
     let server = Server::new(&suite, config);
-    let outcome = serve_durable(&server, &trace).unwrap_or_else(|e| usage_bail(e));
+    let outcome = serve_durable(&server, &trace).unwrap_or_else(|e| usage_bail("serve", e));
     println!(
         "Served {} requests across {} instance(s), policy {}",
         trace.len(),
@@ -494,7 +482,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<ServeArgs, String> {
-        let (_, rest) = HarnessArgs::parse_known(args.iter().map(|a| (*a).to_owned()));
+        let (_, rest) = HarnessArgs::parse_known(args.iter().map(|a| (*a).to_owned()))?;
         ServeArgs::parse(rest)
     }
 

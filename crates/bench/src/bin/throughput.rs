@@ -16,7 +16,7 @@ use mann_core::report::{fnum, ratio, TextTable};
 use mann_hw::{double_buffered_time_s, AccelConfig, Accelerator, ClockDomain, InferenceRun};
 
 fn main() {
-    let mut args = HarnessArgs::parse(std::env::args().skip(1));
+    let mut args = HarnessArgs::from_cli("throughput");
     if args.tasks == HarnessArgs::default().tasks {
         args.tasks = 4;
         args.train = 300;

@@ -7,28 +7,48 @@
 //! ```
 
 use mann_babi::TaskId;
-use mann_bench::HarnessArgs;
+use mann_bench::{parsed, usage_bail, HarnessArgs, HARNESS_FLAGS};
 use mann_core::{ModelBundle, SuiteConfig, TaskSuite};
 
-fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let args = HarnessArgs::parse(raw.clone());
-    let mut task_no = 1usize;
-    let mut out = "model.json".to_owned();
-    let mut it = raw.iter();
-    while let Some(k) = it.next() {
-        match k.as_str() {
+/// The task to train and where to write its bundle.
+#[derive(Debug, PartialEq)]
+struct TrainArgs {
+    task: TaskId,
+    out: String,
+}
+
+/// Reads `--task` and `--out` from the arguments the shared harness left
+/// over ([`HarnessArgs::parse_known`]); any other flag is an error.
+fn parse_train_args<I: IntoIterator<Item = String>>(rest: I) -> Result<TrainArgs, String> {
+    let mut out = TrainArgs {
+        task: TaskId::SingleSupportingFact,
+        out: "model.json".to_owned(),
+    };
+    let mut it = rest.into_iter();
+    while let Some(key) = it.next() {
+        let flag = key.as_str();
+        let mut value = || it.next().ok_or_else(|| format!("usage: {flag} <value>"));
+        match flag {
             "--task" => {
-                task_no = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--task <1-20>")
+                let n: usize = parsed(flag, value()?, "a task number 1-20")?;
+                out.task = TaskId::from_number(n)
+                    .ok_or_else(|| format!("usage: --task <1-20>, got {n}"))?;
             }
-            "--out" => out = it.next().expect("--out <path>").clone(),
-            _ => {}
+            "--out" => out.out = value()?,
+            _ => {
+                return Err(format!(
+                    "unknown flag {flag:?} (flags: --task <1-20> --out <path> {HARNESS_FLAGS})"
+                ))
+            }
         }
     }
-    let task = TaskId::from_number(task_no).expect("task number in 1..=20");
+    Ok(out)
+}
+
+fn main() {
+    let (args, rest) = HarnessArgs::parse_known(std::env::args().skip(1))
+        .unwrap_or_else(|e| usage_bail("train", e));
+    let TrainArgs { task, out } = parse_train_args(rest).unwrap_or_else(|e| usage_bail("train", e));
     let cfg = SuiteConfig {
         tasks: vec![task],
         ..args.suite_config()
@@ -48,4 +68,33 @@ fn main() {
     let bundle = ModelBundle::from_trained_task(trained);
     bundle.save(&out).expect("write bundle");
     println!("model bundle written to {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<TrainArgs, String> {
+        let (_, rest) = HarnessArgs::parse_known(args.iter().map(|a| (*a).to_owned()))?;
+        parse_train_args(rest)
+    }
+
+    #[test]
+    fn task_and_out_are_read_and_everything_else_is_rejected() {
+        let ok = parse(&["--task", "3", "--train", "20", "--out", "m.json"]).unwrap();
+        assert_eq!(ok.task, TaskId::from_number(3).unwrap());
+        assert_eq!(ok.out, "m.json");
+        assert_eq!(parse(&[]).unwrap().out, "model.json");
+        let err = parse(&["--taks", "3"]).unwrap_err();
+        assert!(err.starts_with("unknown flag \"--taks\""), "{err}");
+        assert_eq!(
+            parse(&["--task", "abc"]),
+            Err("invalid --task \"abc\": expected a task number 1-20".to_owned())
+        );
+        assert_eq!(
+            parse(&["--task", "21"]),
+            Err("usage: --task <1-20>, got 21".to_owned())
+        );
+        assert_eq!(parse(&["--out"]), Err("usage: --out <value>".to_owned()));
+    }
 }

@@ -3,12 +3,37 @@
 //! The binaries (`src/bin/`) regenerate the paper's tables and figures:
 //! `table1`, `fig2b`, `fig3`, `fig4`, `ablation`. Each accepts `--tasks N`,
 //! `--train N`, `--test N` and `--seed N` to trade fidelity for runtime
-//! (defaults reproduce the full 20-task suite).
+//! (defaults reproduce the full 20-task suite). A flag a binary does not
+//! know, a missing or malformed value, and `--tasks` outside 1–20 are
+//! usage errors: the binary prints the message and exits with status 2.
 
 #![forbid(unsafe_code)]
 
 use mann_babi::TaskId;
 use mann_core::SuiteConfig;
+
+/// The flags [`HarnessArgs`] reads, as a usage line.
+pub const HARNESS_FLAGS: &str =
+    "--tasks <1-20> --train <n> --test <n> --seed <n> --reps <n> --story-sentences <n> --joint";
+
+/// Prints a command-line usage error as `[bin] msg` and exits with
+/// status 2.
+pub fn usage_bail(bin: &str, msg: impl std::fmt::Display) -> ! {
+    eprintln!("[{bin}] {msg}");
+    std::process::exit(2);
+}
+
+/// `value` parsed as `T`, or a usage error naming `flag` and what it
+/// takes.
+///
+/// # Errors
+///
+/// Returns the usage message when `value` does not parse.
+pub fn parsed<T: std::str::FromStr>(flag: &str, value: String, takes: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("invalid {flag} {value:?}: expected {takes}"))
+}
 
 /// Parsed command-line options shared by the reproduction binaries.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,52 +73,61 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `--key value` pairs from an iterator of arguments
-    /// (unknown keys are ignored so binaries can add their own).
+    /// Parses `--key value` pairs from an iterator of arguments. A flag
+    /// outside [`HARNESS_FLAGS`] is an error, never a silent no-op.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message when a value is missing or unparsable,
-    /// or when `--tasks` is outside 1–20.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
-        Self::parse_known(args).0
+    /// Returns a usage message for an unknown flag, a missing or malformed
+    /// value, or `--tasks` outside 1–20.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
+        let (out, rest) = Self::parse_known(args)?;
+        match rest.first() {
+            None => Ok(out),
+            Some(flag) => Err(format!("unknown flag {flag:?} (flags: {HARNESS_FLAGS})")),
+        }
     }
 
     /// [`HarnessArgs::parse`], also returning, in order, every argument
-    /// it does not know, for a binary that reads its own flags from them.
+    /// it does not know, for a binary that reads its own flags from them
+    /// (and rejects what it does not know either).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// As [`HarnessArgs::parse`].
-    pub fn parse_known<I: IntoIterator<Item = String>>(args: I) -> (Self, Vec<String>) {
+    /// Returns a usage message for a missing or malformed value of a
+    /// harness flag, or `--tasks` outside 1–20.
+    pub fn parse_known<I: IntoIterator<Item = String>>(
+        args: I,
+    ) -> Result<(Self, Vec<String>), String> {
         let mut out = Self::default();
         let mut rest = Vec::new();
         let mut it = args.into_iter();
         while let Some(key) = it.next() {
-            let mut grab = |name: &str| -> u64 {
-                it.next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("usage: {name} <number>"))
-            };
-            match key.as_str() {
-                "--tasks" => out.tasks = grab("--tasks") as usize,
-                "--train" => out.train = grab("--train") as usize,
-                "--test" => out.test = grab("--test") as usize,
-                "--seed" => out.seed = grab("--seed"),
-                "--reps" => out.reps = grab("--reps"),
+            let flag = key.as_str();
+            let mut value = || it.next().ok_or_else(|| format!("usage: {flag} <value>"));
+            match flag {
+                "--tasks" => out.tasks = parsed(flag, value()?, "1-20")?,
+                "--train" => out.train = parsed(flag, value()?, "a count")?,
+                "--test" => out.test = parsed(flag, value()?, "a count")?,
+                "--seed" => out.seed = parsed(flag, value()?, "a seed")?,
+                "--reps" => out.reps = parsed(flag, value()?, "a count")?,
                 "--story-sentences" => {
-                    out.story_sentences = grab("--story-sentences") as usize;
+                    out.story_sentences = parsed(flag, value()?, "a sentence count")?;
                 }
                 "--joint" => out.joint = true,
                 _ => rest.push(key),
             }
         }
-        assert!(
-            (1..=20).contains(&out.tasks),
-            "usage: --tasks <1-20>, got {}",
-            out.tasks
-        );
-        (out, rest)
+        if !(1..=20).contains(&out.tasks) {
+            return Err(format!("usage: --tasks <1-20>, got {}", out.tasks));
+        }
+        Ok((out, rest))
+    }
+
+    /// The process arguments through [`HarnessArgs::parse`]; a usage error
+    /// exits with status 2 ([`usage_bail`]), prefixed with `bin`.
+    pub fn from_cli(bin: &str) -> Self {
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage_bail(bin, e))
     }
 
     /// Converts the arguments into a suite configuration (quick model
@@ -144,26 +178,27 @@ impl HarnessArgs {
 mod tests {
     use super::*;
 
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| (*s).to_owned()).collect()
+    }
+
     #[test]
     fn parse_reads_known_flags_and_ignores_others() {
-        let (a, rest) = HarnessArgs::parse_known(
-            [
-                "--tasks",
-                "3",
-                "--zzz",
-                "--train",
-                "50",
-                "--reps",
-                "7",
-                "--story-sentences",
-                "500",
-                "--pool",
-                "4",
-                "--joint",
-            ]
-            .iter()
-            .map(|s| (*s).to_owned()),
-        );
+        let (a, rest) = HarnessArgs::parse_known(args(&[
+            "--tasks",
+            "3",
+            "--zzz",
+            "--train",
+            "50",
+            "--reps",
+            "7",
+            "--story-sentences",
+            "500",
+            "--pool",
+            "4",
+            "--joint",
+        ]))
+        .unwrap();
         assert_eq!(rest, ["--zzz", "--pool", "4"]);
         assert_eq!(a.tasks, 3);
         assert_eq!(a.train, 50);
@@ -174,15 +209,43 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "usage: --tasks <1-20>, got 0")]
-    fn zero_tasks_are_rejected() {
-        HarnessArgs::parse(["--tasks", "0"].iter().map(|s| (*s).to_owned()));
+    fn parse_rejects_unknown_flags() {
+        let err = HarnessArgs::parse(args(&["--taks", "1", "--train", "20"])).unwrap_err();
+        assert!(err.starts_with("unknown flag \"--taks\""), "{err}");
+        let ok = HarnessArgs::parse(args(&["--tasks", "1", "--train", "20", "--joint"])).unwrap();
+        assert_eq!((ok.tasks, ok.train, ok.joint), (1, 20, true));
     }
 
     #[test]
-    #[should_panic(expected = "usage: --tasks <1-20>, got 21")]
+    fn zero_tasks_are_rejected() {
+        assert_eq!(
+            HarnessArgs::parse(args(&["--tasks", "0"])),
+            Err("usage: --tasks <1-20>, got 0".to_owned())
+        );
+    }
+
+    #[test]
     fn more_than_twenty_tasks_are_rejected() {
-        HarnessArgs::parse(["--tasks", "21"].iter().map(|s| (*s).to_owned()));
+        assert_eq!(
+            HarnessArgs::parse(args(&["--tasks", "21"])),
+            Err("usage: --tasks <1-20>, got 21".to_owned())
+        );
+    }
+
+    #[test]
+    fn malformed_and_missing_values_are_usage_errors() {
+        assert_eq!(
+            HarnessArgs::parse(args(&["--tasks", "abc"])),
+            Err("invalid --tasks \"abc\": expected 1-20".to_owned())
+        );
+        assert_eq!(
+            HarnessArgs::parse_known(args(&["--seed", "-1", "--pool", "2"])),
+            Err("invalid --seed \"-1\": expected a seed".to_owned())
+        );
+        assert_eq!(
+            HarnessArgs::parse(args(&["--train"])),
+            Err("usage: --train <value>".to_owned())
+        );
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! streams a story through CONTROL and INPUT & WRITE into the MEM module's
 //! address/content memories, producing a [`ResidentStory`]; and
 //! [`Accelerator::answer_query`] runs the recurrent read and output search
-//! against a resident story. [`Accelerator::run`] composes the two — one
+//! against a resident story, one question at a time, as the paper's
+//! streaming dataflow does. [`Accelerator::run`] composes the two — one
 //! upload, one write, one query — and is cycle-for-cycle identical to the
-//! pre-split monolithic pipeline. [`Accelerator::run_cached`] consults a
-//! [`StoryCache`] first: a hit skips the INPUT & WRITE cycles and the PCIe
+//! pre-split monolithic pipeline; [`Accelerator::compose_uncached`]
+//! rebuilds that run from the two phases. Which stories stay resident is
+//! the serving layer's decision (an [`LruSet`](crate::LruSet) per
+//! instance): a resident story skips the INPUT & WRITE cycles and the PCIe
 //! story upload entirely, paying only the question stream.
 
 use mann_babi::EncodedSample;
@@ -20,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use crate::index::{IndexCounters, MemIndexConfig};
 use crate::modules::{attention_peak, InputWriteModule, MemModule, OutputModule, ReadModule};
 use crate::quantize::quantize_params_tracked;
-use crate::story::{story_digest, StoryCache};
+use crate::story::story_digest;
 use crate::trace::SignalTrace;
 use crate::{ClockDomain, Cycles, DatapathConfig, PcieLink, PowerModel};
 
@@ -414,205 +417,6 @@ impl Accelerator {
         self.query_traced(story, sample, None, false)
     }
 
-    /// Answers a batch of queries against one resident story with the
-    /// batched MEM/OUTPUT kernels: each address/content/output row is
-    /// streamed from BRAM once per hop and scored against every live query
-    /// while resident, instead of once per query.
-    ///
-    /// Every returned run is bit-identical to [`Accelerator::answer_query`]
-    /// on the same sample — answers, cycles, phases and numeric registers
-    /// keep their standalone accounting, so downstream digests and phase
-    /// totals are invariant under batching. The second return value is the
-    /// fused savings: the story- and output-stream cycles the batch shares
-    /// instead of re-spending, i.e.
-    /// `mem_stream_per_hop * (Σ hops_q − max hops_q) + (Σ out_q − max out_q)`.
-    pub fn query_batch(
-        &self,
-        story: &ResidentStory,
-        samples: &[&EncodedSample],
-    ) -> (Vec<InferenceRun>, u64) {
-        let n = samples.len();
-        if n == 0 {
-            return (Vec::new(), 0);
-        }
-        let mem = &story.mem;
-        let prune = self.config.hop_prune;
-        let mut phases = vec![PhaseCycles::default(); n];
-        let mut numeric = vec![
-            NumericReport {
-                load: self.load_status,
-                write: story.numeric,
-                ..NumericReport::default()
-            };
-            n
-        ];
-        // Question embeddings (per query — the write path is not story
-        // bound, so there is nothing to share).
-        let mut keys: Vec<Vec<Fixed>> = vec![Vec::new(); n];
-        for (q, sample) in samples.iter().enumerate() {
-            phases[q].control += Cycles::new(2 + sample.question.len() as u64);
-            phases[q].write += self.input_write.embed_question_tracked(
-                &sample.question,
-                &mut keys[q],
-                &mut numeric[q].write,
-            );
-        }
-        let mut hiddens = vec![vec![Fixed::ZERO; self.embed_dim]; n];
-        let mut hops_executed = vec![0usize; n];
-        let mut hops_saved = vec![0usize; n];
-        let mut prune_vetoes = vec![0usize; n];
-        let use_index = self.config.mem_index.enabled && mem.index().is_some();
-        let mut index = vec![IndexCounters::default(); n];
-        // Queries still running; pruned queries drop out between hops.
-        let mut active: Vec<usize> = (0..n).collect();
-        let mut attentions: Vec<Vec<Fixed>> = Vec::new();
-        let mut reads: Vec<Vec<Fixed>> = Vec::new();
-        let mut flags: Vec<Vec<bool>> = Vec::new();
-        let mut saved_stream = 0u64;
-        for hop in 0..self.hops {
-            if active.is_empty() {
-                break;
-            }
-            let batch_keys: Vec<&[Fixed]> = active.iter().map(|&q| keys[q].as_slice()).collect();
-            let mut sts: Vec<NumericStatus> = active.iter().map(|&q| numeric[q].mem).collect();
-            let acs = if use_index {
-                let exact = mem.exact_addressing_cycles();
-                let (acs, stats, union) = mem.address_indexed_batch_flagged_into_tracked(
-                    &batch_keys,
-                    &mut attentions,
-                    &mut sts,
-                    &mut flags,
-                );
-                // Fused address stream: the batch fetches the *union* of
-                // the queries' candidate rows once instead of each query's
-                // own scan; the soft-read stream still touches every slot
-                // and is shared in full. With every hop falling back this
-                // reduces exactly to the unindexed sharing formula.
-                let scanned_sum: u64 = stats.iter().map(|s| s.scanned).sum();
-                saved_stream += (scanned_sum - union) * mem.slots_per_row()
-                    + (active.len() as u64 - 1) * mem.len() as u64 * mem.slots_per_row();
-                for (i, &q) in active.iter().enumerate() {
-                    index[q].scanned_slots += stats[i].scanned;
-                    index[q].skipped_slots += stats[i].skipped;
-                    index[q].fallbacks += u64::from(stats[i].fallback);
-                    index[q].cycles_saved += exact.saturating_sub(acs[i].get());
-                }
-                acs
-            } else {
-                // Each hop the batch shares one story stream; every live
-                // query beyond the first saves the full per-hop row stream.
-                saved_stream += mem.stream_cycles_per_hop() * (active.len() as u64 - 1);
-                mem.address_batch_flagged_into_tracked(
-                    &batch_keys,
-                    &mut attentions,
-                    &mut sts,
-                    &mut flags,
-                )
-            };
-            let weights: Vec<&[Fixed]> = attentions.iter().map(Vec::as_slice).collect();
-            let rcs = mem.read_batch_into_tracked(&weights, &mut reads, &mut sts);
-            for (i, &q) in active.iter().enumerate() {
-                numeric[q].mem = sts[i];
-                phases[q].addressing += acs[i];
-                phases[q].read += rcs[i];
-                let cc = self.read.step_words_tracked(
-                    &reads[i],
-                    &keys[q],
-                    &mut hiddens[q],
-                    &mut numeric[q].controller,
-                );
-                phases[q].controller += cc;
-                std::mem::swap(&mut keys[q], &mut hiddens[q]);
-                hops_executed[q] += 1;
-            }
-            if prune.enabled && hop + 1 < self.hops {
-                let mut still = Vec::with_capacity(active.len());
-                for (i, &q) in active.iter().enumerate() {
-                    let (argmax, max_w) = attention_peak(&attentions[i]);
-                    if prune.fires(max_w) {
-                        if flags[i].get(argmax).copied().unwrap_or(false) {
-                            prune_vetoes[q] += 1;
-                            still.push(q);
-                        } else {
-                            hops_saved[q] = self.hops - hop - 1;
-                        }
-                    } else {
-                        still.push(q);
-                    }
-                }
-                active = still;
-            }
-        }
-        // OUTPUT search over every final controller state, sharing the
-        // weight stream (delegates per query under thresholding).
-        let finals: Vec<&[Fixed]> = (0..n)
-            .map(|q| {
-                if self.hops == 0 {
-                    hiddens[q].as_slice()
-                } else {
-                    keys[q].as_slice()
-                }
-            })
-            .collect();
-        let outs = self.output.search_batch(&finals);
-        if !self.output.is_thresholded() {
-            // One shared weight stream for the whole batch: comparisons are
-            // identical across un-thresholded queries, so the saving is the
-            // full stream for every query beyond the first.
-            let streams: Vec<u64> = outs
-                .iter()
-                .map(|o| o.comparisons as u64 * self.output.row_stream_cycles())
-                .collect();
-            let max = streams.iter().copied().max().unwrap_or(0);
-            saved_stream += streams.iter().sum::<u64>() - max;
-        }
-        let runs = samples
-            .iter()
-            .enumerate()
-            .map(|(q, sample)| {
-                let out = &outs[q];
-                let mut phases = phases[q];
-                phases.output = out.cycles;
-                let mut numeric = numeric[q];
-                numeric.output = out.numeric;
-                let cycles = phases.total();
-                let compute_s = self.config.clock.seconds(cycles);
-                let interface_s = self.config.pcie.inference_time_s(sample.question.len());
-                let flops = count_inference_with_output_rows(
-                    &self.model.params.config,
-                    self.model.params.vocab_size,
-                    sample,
-                    out.comparisons,
-                );
-                InferenceRun {
-                    answer: out.label,
-                    speculated: out.speculated,
-                    comparisons: out.comparisons,
-                    phases,
-                    cycles,
-                    compute_s,
-                    interface_s,
-                    total_s: compute_s + interface_s,
-                    flops,
-                    cache_hit: true,
-                    vetoes: out.vetoes,
-                    hops_executed: hops_executed[q],
-                    hops_saved: hops_saved[q],
-                    prune_vetoes: prune_vetoes[q],
-                    mem_stream_per_hop: mem.stream_cycles_per_hop(),
-                    out_stream_cycles: if self.output.is_thresholded() {
-                        0
-                    } else {
-                        out.comparisons as u64 * self.output.row_stream_cycles()
-                    },
-                    numeric,
-                    index: index[q],
-                }
-            })
-            .collect();
-        (runs, saved_stream)
-    }
-
     /// Runs one inference, returning full timing/energy accounting.
     pub fn run(&self, sample: &EncodedSample) -> InferenceRun {
         self.run_traced(sample, None)
@@ -621,45 +425,6 @@ impl Accelerator {
     /// Runs one inference while recording phase signals into `trace`.
     pub fn run_with_trace(&self, sample: &EncodedSample, trace: &mut SignalTrace) -> InferenceRun {
         self.run_traced(sample, Some(trace))
-    }
-
-    /// Runs one inference through `cache`: a resident story answers the
-    /// query directly; a miss writes the story, runs the full pipeline and
-    /// makes the story resident. Miss runs are identical to
-    /// [`Accelerator::run`].
-    pub fn run_cached(&self, sample: &EncodedSample, cache: &mut StoryCache) -> InferenceRun {
-        self.run_cached_traced(sample, cache, None)
-    }
-
-    /// [`Accelerator::run_cached`] with signal tracing; the trace gains a
-    /// `story_cache_hit` flag alongside the usual phase signals.
-    pub fn run_cached_with_trace(
-        &self,
-        sample: &EncodedSample,
-        cache: &mut StoryCache,
-        trace: &mut SignalTrace,
-    ) -> InferenceRun {
-        self.run_cached_traced(sample, cache, Some(trace))
-    }
-
-    fn run_cached_traced(
-        &self,
-        sample: &EncodedSample,
-        cache: &mut StoryCache,
-        mut trace: Option<&mut SignalTrace>,
-    ) -> InferenceRun {
-        let digest = story_digest(sample);
-        if let Some(t) = trace.as_deref_mut() {
-            let sig = t.add_signal("story_cache_hit", 1);
-            t.record(sig, 0, u64::from(cache.contains(digest)));
-        }
-        if let Some(story) = cache.lookup(digest) {
-            return self.query_traced(story, sample, trace, false);
-        }
-        let story = self.write_story(sample);
-        let run = self.query_traced(&story, sample, trace, true);
-        cache.insert(story);
-        run
     }
 
     /// Rebuilds the uncached (miss) accounting from a resident story and
@@ -1040,44 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_runs_hit_after_first_write() {
-        let (model, _, test) = trained();
-        let accel = Accelerator::new(model, AccelConfig::default());
-        let mut cache = StoryCache::new(4);
-        let first = accel.run_cached(&test[0], &mut cache);
-        assert!(!first.cache_hit);
-        assert_eq!(first, accel.run(&test[0]));
-        let second = accel.run_cached(&test[0], &mut cache);
-        assert!(second.cache_hit);
-        assert_eq!(second.answer, first.answer);
-        assert!(second.cycles < first.cycles);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-        // A zero-capacity cache never hits and reproduces `run` exactly.
-        let mut off = StoryCache::new(0);
-        for s in test.iter().take(4) {
-            assert_eq!(accel.run_cached(s, &mut off), accel.run(s));
-        }
-        assert_eq!(off.stats().hits, 0);
-    }
-
-    #[test]
-    fn cached_trace_records_hit_flag() {
-        let (model, _, test) = trained();
-        let accel = Accelerator::new(model, AccelConfig::default());
-        let mut cache = StoryCache::new(2);
-        let mut miss_trace = SignalTrace::new();
-        let _ = accel.run_cached_with_trace(&test[0], &mut cache, &mut miss_trace);
-        let mut hit_trace = SignalTrace::new();
-        let run = accel.run_cached_with_trace(&test[0], &mut cache, &mut hit_trace);
-        assert!(run.cache_hit);
-        for (vcd, flag) in [(miss_trace.to_vcd(), "0!"), (hit_trace.to_vcd(), "1!")] {
-            assert!(vcd.contains("story_cache_hit"));
-            assert!(vcd.contains(flag), "missing {flag}");
-        }
-    }
-
-    #[test]
     fn frequency_scaling_is_sublinear_end_to_end() {
         let (model, _, test) = trained();
         let run_at = |mhz: f64| {
@@ -1191,16 +918,16 @@ mod tests {
     fn numeric_reports_are_clean_and_path_invariant_at_babi_scale() {
         let (model, _, test) = trained();
         let accel = Accelerator::new(model, AccelConfig::default());
-        let mut cache = StoryCache::new(4);
         for s in test.iter().take(6) {
             let full = accel.run(s);
             assert!(!full.numeric.stressed(), "bAbI-scale run recorded events");
             assert_eq!(full.vetoes, 0);
-            // Miss-form, hit-form and composed runs report identical health.
-            let miss = accel.run_cached(s, &mut cache);
-            let hit = accel.run_cached(s, &mut cache);
-            assert!(hit.cache_hit && !miss.cache_hit);
-            assert_eq!(miss.numeric, full.numeric);
+            // Monolithic, hit-form and composed runs report identical health.
+            let story = accel.write_story(s);
+            let hit = accel.answer_query(&story, s);
+            let composed = accel.compose_uncached(&story, &hit, s);
+            assert!(hit.cache_hit && !composed.cache_hit);
+            assert_eq!(composed.numeric, full.numeric);
             assert_eq!(hit.numeric, full.numeric);
         }
     }
@@ -1288,46 +1015,6 @@ mod tests {
         assert_eq!(run.hops_executed, 2);
     }
 
-    #[test]
-    fn batched_queries_match_per_query_runs() {
-        let (model, train, test) = trained();
-        let ith = mann_ith::ThresholdingCalibrator::new()
-            .rho(1.0)
-            .calibrate(&model, &train);
-        let configs = [
-            AccelConfig::default(),
-            pruned_config(0.2),
-            AccelConfig::with_thresholding(ClockDomain::default(), ith.clone()),
-            AccelConfig {
-                hop_prune: HopPrune::with_threshold(0.2),
-                ..AccelConfig::with_thresholding(ClockDomain::default(), ith)
-            },
-        ];
-        for config in configs {
-            let accel = Accelerator::new(model.clone(), config);
-            let story = accel.write_story(&test[0]);
-            let batch: Vec<&EncodedSample> = test.iter().take(5).collect();
-            let (runs, saved) = accel.query_batch(&story, &batch);
-            assert_eq!(runs.len(), batch.len());
-            for (run, s) in runs.iter().zip(&batch) {
-                assert_eq!(run, &accel.answer_query(&story, s));
-            }
-            // Fused savings follow the stream-sharing formula over the
-            // per-run attribution fields.
-            let hops: Vec<u64> = runs.iter().map(|r| r.hops_executed as u64).collect();
-            let outs: Vec<u64> = runs.iter().map(|r| r.out_stream_cycles).collect();
-            let expect = runs[0].mem_stream_per_hop
-                * (hops.iter().sum::<u64>() - hops.iter().copied().max().unwrap())
-                + (outs.iter().sum::<u64>() - outs.iter().copied().max().unwrap());
-            assert_eq!(saved, expect);
-            // Degenerate batches: empty, and a group of one saves nothing.
-            assert_eq!(accel.query_batch(&story, &[]), (Vec::new(), 0));
-            let (single, s0) = accel.query_batch(&story, &batch[..1]);
-            assert_eq!(s0, 0);
-            assert_eq!(single[0], runs[0]);
-        }
-    }
-
     fn indexed_config(k: usize, nprobe: usize, band: f32) -> AccelConfig {
         AccelConfig {
             mem_index: MemIndexConfig::with_params(k, nprobe, band),
@@ -1407,26 +1094,6 @@ mod tests {
             assert_eq!(hit.index.build_cycles, 0, "hit form never pays the build");
             let composed = accel.compose_uncached(&story, &hit, s);
             assert_eq!(composed, full);
-        }
-    }
-
-    #[test]
-    fn indexed_batched_queries_match_per_query_runs() {
-        let (model, _, test) = trained();
-        for config in [indexed_config(4, 1, 0.0), indexed_config(4, 1, 1.0e9)] {
-            let accel = Accelerator::new(model.clone(), config);
-            let story = accel.write_story(&test[0]);
-            let batch: Vec<&EncodedSample> = test.iter().take(5).collect();
-            let (runs, saved) = accel.query_batch(&story, &batch);
-            for (run, s) in runs.iter().zip(&batch) {
-                assert_eq!(run, &accel.answer_query(&story, s));
-            }
-            assert!(saved > 0, "read-stream sharing must survive indexing");
-            let (single, s0) = accel.query_batch(&story, &batch[..1]);
-            assert_eq!(single[0], runs[0]);
-            // A group of one shares nothing on the read stream, and its
-            // address stream is exactly its own scan.
-            assert_eq!(s0, 0);
         }
     }
 

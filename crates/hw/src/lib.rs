@@ -79,6 +79,6 @@ pub use pcie::{LinkArbiter, LinkGrant, PcieLink};
 pub use quantize::quantize_params_tracked;
 pub use resource::{ResourceEstimate, VCU107_BUDGET};
 pub use story::{
-    story_digest, Admission, CacheStats, LruSet, StoryCache, StoryCacheEnvError,
+    story_cache_capacity_from_env, story_digest, Admission, CacheStats, LruSet, StoryCacheEnvError,
     DEFAULT_STORY_CACHE,
 };

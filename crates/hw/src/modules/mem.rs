@@ -22,8 +22,6 @@
 //! attention's `Σ|x|` once, and the two certify every dot product of the
 //! pass.
 
-use std::borrow::Cow;
-
 use mann_linalg::activation::ExpLut;
 use mann_linalg::{fixed, Fixed, NumericStatus};
 
@@ -262,79 +260,6 @@ impl MemModule {
         self.score_cycles(self.len) + tail_cycles
     }
 
-    /// Batched content-based addressing for queries sharing this story,
-    /// with the per-row numeric provenance of
-    /// [`MemModule::address_flagged_into_tracked`] for every query: each
-    /// address row is fetched once and scored against every key while
-    /// resident, instead of one full row stream per query. Per `(query,
-    /// row)` pair the MAC order — and the per-query softmax tail — are
-    /// exactly those of the per-query pass, so every attention vector,
-    /// flag, cycle count and status register is bit-identical to it.
-    /// Returned cycles are the *standalone* per-query counts; the sharing
-    /// the fused stream saves is accounted by the caller (see
-    /// `Accelerator::query_batch`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` and `sts` lengths differ, or a key's width differs
-    /// from the stored rows' width.
-    pub fn address_batch_flagged_into_tracked(
-        &self,
-        keys: &[&[Fixed]],
-        attentions: &mut Vec<Vec<Fixed>>,
-        sts: &mut [NumericStatus],
-        flags: &mut Vec<Vec<bool>>,
-    ) -> Vec<Cycles> {
-        assert_eq!(keys.len(), sts.len(), "one status register per query");
-        attentions.resize_with(keys.len(), Vec::new);
-        attentions.iter_mut().for_each(Vec::clear);
-        flags.resize_with(keys.len(), Vec::new);
-        flags.iter_mut().for_each(Vec::clear);
-        if self.is_empty() {
-            return vec![Cycles::ZERO; keys.len()];
-        }
-        let mut key_sts = vec![NumericStatus::default(); keys.len()];
-        let keys_q: Vec<(Cow<[Fixed]>, u64)> = keys
-            .iter()
-            .zip(key_sts.iter_mut())
-            .map(|(key, st)| {
-                let key_q = fixed::requant_all(key, st);
-                let key_sum = fixed::abs_sum(&key_q);
-                (key_q, key_sum)
-            })
-            .collect();
-        let mut rows_sts = vec![NumericStatus::default(); keys.len()];
-        for (attention, flags) in attentions.iter_mut().zip(flags.iter_mut()) {
-            attention.reserve(self.len);
-            flags.reserve(self.len);
-        }
-        // Shared story stream: each address row is fetched once and scored
-        // against every key while resident.
-        for i in 0..self.len {
-            for (q, (key_q, key_sum)) in keys_q.iter().enumerate() {
-                let mut row_st = NumericStatus::default();
-                let score = self.score(i, key_q, *key_sum, &mut row_st);
-                flags[q].push(key_sts[q].stressed() || row_st.stressed());
-                rows_sts[q].merge(&row_st);
-                attentions[q].push(score);
-            }
-        }
-        let score_cycles = self.score_cycles(self.len);
-        (0..keys.len())
-            .map(|q| {
-                let mut tail_st = NumericStatus::default();
-                let tail_cycles = self.softmax_tail(&mut attentions[q], &mut tail_st);
-                if tail_st.stressed() {
-                    flags[q].fill(true);
-                }
-                sts[q].merge(&key_sts[q]);
-                sts[q].merge(&rows_sts[q]);
-                sts[q].merge(&tail_st);
-                score_cycles + tail_cycles
-            })
-            .collect()
-    }
-
     /// The softmax pipeline tail shared by every addressing variant, in
     /// place over the pass's scores in `words`: the numerators and their
     /// denominator ([`MemModule::softmax_numerators`]), then the
@@ -407,33 +332,6 @@ impl MemModule {
         self.score_cycles(self.len)
     }
 
-    /// Batched soft read for queries sharing this story: each query's
-    /// [`MemModule::read_words_tracked`], so outputs, cycles and status
-    /// registers are the per-query call's. Returned cycles are the
-    /// standalone per-query counts (see
-    /// [`MemModule::address_batch_flagged_into_tracked`] for the fusion
-    /// accounting).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attentions` and `sts` lengths differ, or any attention
-    /// length differs from the occupied slots.
-    pub fn read_batch_into_tracked(
-        &self,
-        attentions: &[&[Fixed]],
-        outs: &mut Vec<Vec<Fixed>>,
-        sts: &mut [NumericStatus],
-    ) -> Vec<Cycles> {
-        assert_eq!(attentions.len(), sts.len(), "one status register per query");
-        outs.resize_with(attentions.len(), Vec::new);
-        attentions
-            .iter()
-            .zip(outs.iter_mut())
-            .zip(sts.iter_mut())
-            .map(|((attention, out), st)| self.read_words_tracked(attention, out, st))
-            .collect()
-    }
-
     /// Per-hop row-stream issue slots a fused same-story query shares with
     /// the batch leader: the address-score stream plus the soft-read
     /// stream, `L * ceil(E / width)` slots each. Pipeline latencies (tree
@@ -443,9 +341,8 @@ impl MemModule {
     }
 
     /// Issue slots one stored row occupies on the score (or read) stream:
-    /// `ceil(E / width)` — the unit of the candidate-index savings
-    /// accounting.
-    pub fn slots_per_row(&self) -> u64 {
+    /// `ceil(E / width)`.
+    fn slots_per_row(&self) -> u64 {
         self.embed_dim.div_ceil(self.tree.width()) as u64
     }
 
@@ -487,19 +384,29 @@ impl MemModule {
         score + exp + reduce + div
     }
 
-    /// One indexed addressing hop: probe the candidate index, score only
-    /// the surviving candidates exactly, and fall back to the full scan
-    /// when the margin is too tight or the probe arithmetic saturated.
-    /// Returns the hop's cycles, its counter slice, and the scanned slot
-    /// set (`None` when the hop fell back and streamed every slot) for the
-    /// batch union accounting.
-    fn indexed_hop_core(
+    /// Indexed content-based addressing with per-row numeric provenance:
+    /// the sub-linear counterpart of
+    /// [`MemModule::address_flagged_into_tracked`]. Requires
+    /// [`MemModule::build_index`] to have run for the current story. The
+    /// hop probes the candidate index, scores only the surviving candidates
+    /// exactly, and falls back to the full scan when the margin is too
+    /// tight or the probe arithmetic saturated. Skipped slots get attention
+    /// exactly zero and a clean flag; a fallback hop is bit-identical to
+    /// the exact pass (attention, flags) with the probe and candidate-scan
+    /// overhead added to its cycles. Returns the hop's cycles and its
+    /// counter slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no index is built, or the key width differs from the
+    /// stored rows' width.
+    pub fn address_indexed_flagged_into_tracked(
         &self,
         key: &[Fixed],
         attention: &mut Vec<Fixed>,
         st: &mut NumericStatus,
         flags: &mut Vec<bool>,
-    ) -> (Cycles, IndexedHopStats, Option<Vec<usize>>) {
+    ) -> (Cycles, IndexedHopStats) {
         let idx = self
             .index
             .as_ref()
@@ -513,7 +420,7 @@ impl MemModule {
                 skipped: 0,
                 fallback: false,
             };
-            return (Cycles::ZERO, stats, Some(Vec::new()));
+            return (Cycles::ZERO, stats);
         }
         let band = idx.config().band;
         let mut key_st = NumericStatus::default();
@@ -556,7 +463,7 @@ impl MemModule {
                 skipped: 0,
                 fallback: true,
             };
-            return (probe_cycles + score_cycles + exact_cycles, stats, None);
+            return (probe_cycles + score_cycles + exact_cycles, stats);
         }
         let mut tail_st = NumericStatus::default();
         let tail_cycles = self.softmax_tail(&mut cand, &mut tail_st);
@@ -575,84 +482,7 @@ impl MemModule {
             skipped: (l - c) as u64,
             fallback: false,
         };
-        (
-            probe_cycles + score_cycles + tail_cycles,
-            stats,
-            Some(candidates),
-        )
-    }
-
-    /// Indexed content-based addressing with per-row numeric provenance:
-    /// the sub-linear counterpart of
-    /// [`MemModule::address_flagged_into_tracked`]. Requires
-    /// [`MemModule::build_index`] to have run for the current story.
-    /// Skipped slots get attention exactly zero and a clean flag; a
-    /// fallback hop is bit-identical to the exact pass (attention, flags)
-    /// with the probe and candidate-scan overhead added to its cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no index is built, or the key width differs from the
-    /// stored rows' width.
-    pub fn address_indexed_flagged_into_tracked(
-        &self,
-        key: &[Fixed],
-        attention: &mut Vec<Fixed>,
-        st: &mut NumericStatus,
-        flags: &mut Vec<bool>,
-    ) -> (Cycles, IndexedHopStats) {
-        let (cycles, stats, _) = self.indexed_hop_core(key, attention, st, flags);
-        (cycles, stats)
-    }
-
-    /// Batched indexed addressing for queries sharing this story: each
-    /// query runs the exact per-query indexed hop (results are
-    /// bit-identical to [`MemModule::address_indexed_flagged_into_tracked`]
-    /// by construction), and the fused stream fetches the *union* of the
-    /// queries' candidate rows once. Returns the standalone per-query
-    /// cycles, per-query stats, and the union's slot count (`L` when any
-    /// query fell back to the full scan) for the caller's stream-sharing
-    /// accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` and `sts` lengths differ, no index is built, or a
-    /// key's width differs from the stored rows' width.
-    pub fn address_indexed_batch_flagged_into_tracked(
-        &self,
-        keys: &[&[Fixed]],
-        attentions: &mut Vec<Vec<Fixed>>,
-        sts: &mut [NumericStatus],
-        flags: &mut Vec<Vec<bool>>,
-    ) -> (Vec<Cycles>, Vec<IndexedHopStats>, u64) {
-        assert_eq!(keys.len(), sts.len(), "one status register per query");
-        attentions.resize_with(keys.len(), Vec::new);
-        flags.resize_with(keys.len(), Vec::new);
-        let l = self.len;
-        let mut scanned_union = vec![false; l];
-        let mut any_fallback = false;
-        let mut cycles = Vec::with_capacity(keys.len());
-        let mut stats = Vec::with_capacity(keys.len());
-        for (q, key) in keys.iter().enumerate() {
-            let (cy, hop, scanned) =
-                self.indexed_hop_core(key, &mut attentions[q], &mut sts[q], &mut flags[q]);
-            cycles.push(cy);
-            stats.push(hop);
-            match scanned {
-                None => any_fallback = true,
-                Some(slots) => {
-                    for slot in slots {
-                        scanned_union[slot] = true;
-                    }
-                }
-            }
-        }
-        let union = if any_fallback {
-            l as u64
-        } else {
-            scanned_union.iter().filter(|&&b| b).count() as u64
-        };
-        (cycles, stats, union)
+        (probe_cycles + score_cycles + tail_cycles, stats)
     }
 }
 
@@ -860,51 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_addressing_and_read_match_per_query() {
-        let m = filled(6, 8);
-        let keys: Vec<Vec<Fixed>> = (0..4)
-            .map(|q| {
-                quantized(
-                    &(0..8)
-                        .map(|i| ((q * 8 + i) as f32 * 0.23).sin())
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        let key_refs: Vec<&[Fixed]> = keys.iter().map(Vec::as_slice).collect();
-        let mut atts = Vec::new();
-        let mut sts = vec![NumericStatus::default(); keys.len()];
-        let mut flags = Vec::new();
-        let cycles =
-            m.address_batch_flagged_into_tracked(&key_refs, &mut atts, &mut sts, &mut flags);
-        let mut reads = Vec::new();
-        let mut read_sts = vec![NumericStatus::default(); keys.len()];
-        let weights: Vec<&[Fixed]> = atts.iter().map(Vec::as_slice).collect();
-        let read_cycles = m.read_batch_into_tracked(&weights, &mut reads, &mut read_sts);
-        for (q, key) in keys.iter().enumerate() {
-            let mut att = Vec::new();
-            let mut st = NumericStatus::default();
-            assert_eq!(cycles[q], m.address_words_tracked(key, &mut att, &mut st));
-            assert_eq!(atts[q], att);
-            assert_eq!(sts[q], st);
-            let mut out = Vec::new();
-            let mut rst = NumericStatus::default();
-            assert_eq!(
-                read_cycles[q],
-                m.read_words_tracked(&att, &mut out, &mut rst)
-            );
-            assert_eq!(reads[q], out);
-            assert_eq!(read_sts[q], rst);
-        }
-        // Empty batches are fine.
-        let mut none = Vec::new();
-        assert!(m
-            .address_batch_flagged_into_tracked(&[], &mut none, &mut [], &mut flags)
-            .is_empty());
-        assert!(none.is_empty());
-    }
-
-    #[test]
     fn exact_addressing_cycles_matches_the_exact_pass() {
         let m = filled(14, 8);
         let key: Vec<f32> = (0..8).map(|i| (i as f32 * 0.7).sin()).collect();
@@ -996,46 +781,6 @@ mod tests {
         assert_eq!(att, exact, "fallback must be bit-identical to the scan");
         assert_eq!(flags, exact_flags);
         assert!(cycles > exact_cycles, "fallback pays probe + rescan");
-    }
-
-    #[test]
-    fn batched_indexed_addressing_matches_solo() {
-        let m = indexed(20, 8, 5, 2, 0.0);
-        let keys: Vec<Vec<Fixed>> = (0..3)
-            .map(|q| {
-                quantized(
-                    &(0..8)
-                        .map(|i| ((q * 8 + i) as f32 * 0.23).sin())
-                        .collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        let key_refs: Vec<&[Fixed]> = keys.iter().map(Vec::as_slice).collect();
-        let mut atts = Vec::new();
-        let mut sts = vec![NumericStatus::default(); keys.len()];
-        let mut flags = Vec::new();
-        let (cycles, stats, union) = m
-            .address_indexed_batch_flagged_into_tracked(&key_refs, &mut atts, &mut sts, &mut flags);
-        let mut sum_scanned = 0;
-        for (q, key) in keys.iter().enumerate() {
-            let mut att = Vec::new();
-            let mut st = NumericStatus::default();
-            let mut f = Vec::new();
-            let (cy, hop) = m.address_indexed_flagged_into_tracked(key, &mut att, &mut st, &mut f);
-            assert_eq!(atts[q], att);
-            assert_eq!(sts[q], st);
-            assert_eq!(flags[q], f);
-            assert_eq!(cycles[q], cy);
-            assert_eq!(stats[q], hop);
-            sum_scanned += hop.scanned;
-        }
-        assert!(union <= 20);
-        assert!(union <= sum_scanned, "union cannot exceed the scan total");
-        assert!(stats.iter().all(|s| union >= s.scanned));
-        // Empty batches are fine.
-        let (none, no_stats, u) =
-            m.address_indexed_batch_flagged_into_tracked(&[], &mut atts, &mut [], &mut flags);
-        assert!(none.is_empty() && no_stats.is_empty() && u == 0);
     }
 
     #[test]
@@ -1188,7 +933,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The four addressing passes and both soft reads equal the
+        /// The three addressing passes and the soft read equal the
         /// in-order chain over the stored words, pushed through the same
         /// softmax tail, in attention words, flags, cycles and status, on
         /// rows that saturate and rows that do not, with keys and attention
@@ -1209,8 +954,8 @@ mod tests {
             for (a, c) in &rows {
                 write_f32_rows(&mut m, a, c, &mut NumericStatus::default());
             }
-            let want: Vec<Pass> = keys.iter().map(|key| chain_address(&m, key)).collect();
-            for (key, want) in keys.iter().zip(&want) {
+            for key in &keys {
+                let want = chain_address(&m, key);
                 let mut att = Vec::new();
                 let mut st = NumericStatus::default();
                 let cycles = m.address_words_tracked(key, &mut att, &mut st);
@@ -1222,26 +967,7 @@ mod tests {
                 let mut st = NumericStatus::default();
                 let cycles = m.address_flagged_into_tracked(key, &mut att, &mut st, &mut flags);
                 let got = Pass { attention: att, flags, st, cycles };
-                prop_assert_eq!(&got, want);
-            }
-            let key_refs: Vec<&[Fixed]> = keys.iter().map(Vec::as_slice).collect();
-            let mut batch_att = Vec::new();
-            let mut batch_st = vec![NumericStatus::default(); keys.len()];
-            let mut batch_flags = Vec::new();
-            let batch_cycles = m.address_batch_flagged_into_tracked(
-                &key_refs,
-                &mut batch_att,
-                &mut batch_st,
-                &mut batch_flags,
-            );
-            for (q, want) in want.iter().enumerate() {
-                let got = Pass {
-                    attention: batch_att[q].clone(),
-                    flags: batch_flags[q].clone(),
-                    st: batch_st[q],
-                    cycles: batch_cycles[q],
-                };
-                prop_assert_eq!(&got, want);
+                prop_assert_eq!(got, want);
             }
 
             let mut mi = m.clone();
@@ -1263,17 +989,11 @@ mod tests {
                 prop_assert_eq!(got, chain_indexed(&mi, key));
             }
 
-            let att_refs: Vec<&[Fixed]> = atts.iter().map(Vec::as_slice).collect();
-            let mut reads = Vec::new();
-            let mut read_sts = vec![NumericStatus::default(); atts.len()];
-            let read_cycles = m.read_batch_into_tracked(&att_refs, &mut reads, &mut read_sts);
-            for (q, attention) in atts.iter().enumerate() {
-                let want = chain_read(&m, attention);
+            for attention in &atts {
                 let mut out = Vec::new();
                 let mut st = NumericStatus::default();
                 let cycles = m.read_words_tracked(attention, &mut out, &mut st);
-                prop_assert_eq!(&(out, st, cycles), &want);
-                prop_assert_eq!((reads[q].clone(), read_sts[q], read_cycles[q]), want);
+                prop_assert_eq!((out, st, cycles), chain_read(&m, attention));
             }
         }
 

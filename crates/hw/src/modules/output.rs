@@ -199,50 +199,6 @@ impl OutputModule {
             ..self.result(best, comparisons, speculated)
         }
     }
-
-    /// Batched search for hidden states of queries sharing a fused compute
-    /// phase. Without thresholding every query evaluates every class, so
-    /// the class rows stream out of BRAM once for the whole group; each
-    /// `(query, class)` dot product is the exact
-    /// [`OutputModule::search_words`] computation, so every result is
-    /// bit-identical to the per-query call. With a thresholding plan the
-    /// searches retire at different rows and are delegated to per-query
-    /// searches (no stream sharing is claimed — see
-    /// [`OutputModule::row_stream_cycles`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any hidden width differs from `E`.
-    pub fn search_batch(&self, hs: &[&[Fixed]]) -> Vec<OutputResult> {
-        if self.plan.is_some() {
-            return hs.iter().map(|h| self.search_words(h)).collect();
-        }
-        let ops: Vec<Operand> = hs
-            .iter()
-            .map(|h| {
-                assert_eq!(h.len(), self.w_o.cols(), "hidden width");
-                Operand::from_words(h)
-            })
-            .collect();
-        let mut best = vec![0usize; hs.len()];
-        let mut best_z = vec![Fixed::MIN; hs.len()];
-        let mut numeric = vec![NumericStatus::default(); hs.len()];
-        for class in 0..self.w_o.rows() {
-            for (q, h_q) in ops.iter().enumerate() {
-                let z = self.w_o.dot_tracked(class, h_q, &mut numeric[q]);
-                if z > best_z[q] {
-                    best_z[q] = z;
-                    best[q] = class;
-                }
-            }
-        }
-        (0..hs.len())
-            .map(|q| OutputResult {
-                numeric: numeric[q],
-                ..self.result(best[q], self.w_o.rows(), false)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -317,6 +273,11 @@ mod tests {
         let early = m_early.search_words(&quantized(&[1.0; 4]));
         assert!(early.cycles < full.cycles);
         assert_eq!(early.comparisons, 1);
+        // One shared stream slot fewer than the per-row occupancy.
+        assert_eq!(
+            m.row_stream_cycles() + 1,
+            4usize.div_ceil(DatapathConfig::default().output_lanes) as u64 + 1
+        );
     }
 
     #[test]
@@ -421,36 +382,6 @@ mod tests {
             (0, 1, true)
         );
         assert_eq!(unguarded.numeric.quant_clamp, 1);
-    }
-
-    #[test]
-    fn batched_search_matches_per_query() {
-        let m = OutputModule::new(w_o(), &DatapathConfig::default());
-        let hs: Vec<Vec<f32>> = (0..3)
-            .map(|q| (0..4).map(|j| ((q * 4 + j) as f32 * 0.31).sin()).collect())
-            .collect();
-        let words: Vec<Vec<Fixed>> = hs.iter().map(|h| quantized(h)).collect();
-        let refs: Vec<&[Fixed]> = words.iter().map(Vec::as_slice).collect();
-        let batch = m.search_batch(&refs);
-        assert_eq!(batch.len(), 3);
-        for (h, got) in words.iter().zip(&batch) {
-            assert_eq!(got, &m.search_words(h));
-        }
-        assert!(m.search_batch(&[]).is_empty());
-        // With thresholding the batch delegates per query and still agrees.
-        let t = OutputModule::new(w_o(), &DatapathConfig::default()).with_thresholding(
-            &ith(vec![None, None, None, Some(2.0), None], vec![3, 0, 1, 2, 4]),
-            true,
-        );
-        assert!(t.is_thresholded());
-        for (h, got) in words.iter().zip(t.search_batch(&refs)) {
-            assert_eq!(got, t.search_words(h));
-        }
-        // One shared stream slot fewer than the per-row occupancy.
-        assert_eq!(
-            m.row_stream_cycles() + 1,
-            4usize.div_ceil(DatapathConfig::default().output_lanes) as u64 + 1
-        );
     }
 
     /// With no saturation anywhere, the guard is invisible: guarded and

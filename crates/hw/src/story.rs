@@ -1,13 +1,13 @@
-//! Content-addressed story residency: digests, the LRU residency model,
-//! and the bounded [`StoryCache`] of populated memories.
+//! Content-addressed story residency: digests and the LRU residency model.
 //!
 //! The paper's MEM module writes a story into address/content memory once
 //! and then answers queries against it (Fig 1). A served trace with many
 //! questions over the same story — the bAbI access pattern — therefore
 //! re-pays the INPUT & WRITE phase and the PCIe story upload for work the
-//! on-chip memories already hold. `StoryCache` models keeping the last `K`
-//! written stories resident per accelerator instance: a hit skips the
-//! write-phase cycles and ships only the question over the link.
+//! on-chip memories already hold. The serving layer keeps an [`LruSet`] of
+//! story digests per accelerator instance, modelling the last `K` written
+//! stories held resident: a hit skips the write-phase cycles and ships only
+//! the question over the link.
 //!
 //! Capacity models on-chip memory: one resident story occupies `2 * L * E`
 //! fixed-point words of BRAM (address + content rows), so a bounded LRU of
@@ -17,8 +17,6 @@
 
 use mann_babi::EncodedSample;
 use serde::{Deserialize, Serialize};
-
-use crate::accel::ResidentStory;
 
 /// Default resident-story capacity per instance (see `MANN_STORY_CACHE`).
 pub const DEFAULT_STORY_CACHE: usize = 16;
@@ -30,6 +28,26 @@ pub const DEFAULT_STORY_CACHE: usize = 16;
 pub struct StoryCacheEnvError {
     /// The rejected input.
     pub value: String,
+}
+
+/// Resident-story capacity from the `MANN_STORY_CACHE` environment
+/// variable: `Ok(None)` when unset, `Ok(Some(n))` when set to a story
+/// count. An unparseable value is an error, not a silent fallback —
+/// `MANN_STORY_CACHE=sixteen` should fail loudly rather than quietly serve
+/// with the default capacity.
+///
+/// # Errors
+///
+/// Returns [`StoryCacheEnvError`] when the variable is set but not a
+/// non-negative integer.
+pub fn story_cache_capacity_from_env() -> Result<Option<usize>, StoryCacheEnvError> {
+    match std::env::var("MANN_STORY_CACHE") {
+        Err(_) => Ok(None),
+        Ok(v) => match v.parse() {
+            Ok(n) => Ok(Some(n)),
+            Err(_) => Err(StoryCacheEnvError { value: v }),
+        },
+    }
 }
 
 /// FNV-1a digest of a sample's *story* (sentence shapes and word indices;
@@ -102,8 +120,8 @@ pub struct Admission {
 
 /// A bounded LRU set of story keys — the digest-only residency model the
 /// serving layer keeps per instance (the payloads live in the precomputed
-/// [`ResidentStory`] table, so instances only track *which* stories they
-/// hold).
+/// [`ResidentStory`](crate::ResidentStory) table, so instances only track
+/// *which* stories they hold).
 ///
 /// Keys are ordered least- to most-recently used in a `Vec`; capacities are
 /// small (on-chip memory holds a handful of stories), so the `O(capacity)`
@@ -234,129 +252,6 @@ impl LruSet {
             evicted,
             scrubbed: false,
         }
-    }
-}
-
-/// A bounded LRU of populated [`ResidentStory`] payloads, keyed by
-/// [`story_digest`] — what one standalone accelerator instance holds in
-/// its on-chip memories.
-#[derive(Debug, Clone, Default)]
-pub struct StoryCache {
-    capacity: usize,
-    // LRU order: index 0 is least recently used.
-    entries: Vec<ResidentStory>,
-    stats: CacheStats,
-}
-
-impl StoryCache {
-    /// An empty cache holding at most `capacity` stories (0 disables
-    /// caching).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            entries: Vec::with_capacity(capacity),
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Capacity override from the `MANN_STORY_CACHE` environment variable:
-    /// `Ok(None)` when unset, `Ok(Some(n))` when set to a story count.
-    /// An unparseable value is an error, not a silent fallback —
-    /// `MANN_STORY_CACHE=sixteen` should fail loudly rather than quietly
-    /// serve with the default capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoryCacheEnvError`] when the variable is set but not a
-    /// non-negative integer.
-    pub fn capacity_from_env() -> Result<Option<usize>, StoryCacheEnvError> {
-        match std::env::var("MANN_STORY_CACHE") {
-            Err(_) => Ok(None),
-            Ok(v) => match v.parse() {
-                Ok(n) => Ok(Some(n)),
-                Err(_) => Err(StoryCacheEnvError { value: v }),
-            },
-        }
-    }
-
-    /// Capacity from the `MANN_STORY_CACHE` environment variable, falling
-    /// back to [`DEFAULT_STORY_CACHE`] when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoryCacheEnvError`] when the variable is set but
-    /// unparseable.
-    pub fn from_env() -> Result<Self, StoryCacheEnvError> {
-        Ok(Self::new(
-            Self::capacity_from_env()?.unwrap_or(DEFAULT_STORY_CACHE),
-        ))
-    }
-
-    /// Maximum resident stories.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Currently resident stories.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no stories are resident.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Accumulated hit/miss/eviction counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Whether `digest` is resident (does not touch recency or stats).
-    pub fn contains(&self, digest: u64) -> bool {
-        self.entries.iter().any(|e| e.digest() == digest)
-    }
-
-    /// Drops every resident story; counters are kept.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Looks up `digest`, refreshing it to most-recently-used on a hit.
-    /// Counts a hit or a miss.
-    pub fn lookup(&mut self, digest: u64) -> Option<&ResidentStory> {
-        match self.entries.iter().position(|e| e.digest() == digest) {
-            Some(pos) => {
-                self.stats.hits += 1;
-                let entry = self.entries.remove(pos);
-                self.entries.push(entry);
-                Some(self.entries.last().expect("just pushed"))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts `story` as most-recently-used, evicting the LRU story when
-    /// full. A story already resident under the same digest is replaced
-    /// without counting an eviction. No-op at capacity 0.
-    pub fn insert(&mut self, story: ResidentStory) {
-        if self.capacity == 0 {
-            return;
-        }
-        if let Some(pos) = self
-            .entries
-            .iter()
-            .position(|e| e.digest() == story.digest())
-        {
-            self.entries.remove(pos);
-        } else if self.entries.len() == self.capacity {
-            self.stats.evictions += 1;
-            self.entries.remove(0);
-        }
-        self.entries.push(story);
     }
 }
 

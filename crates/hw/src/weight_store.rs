@@ -85,12 +85,14 @@ impl WeightStore {
     }
 
     /// Dot product of row `r` with operand `x`, equal to the in-order
-    /// chain [`AdderTree::fixed_dot_tracked`] accumulates. The row's
-    /// latched re-quantization events and the operand's quantizer events
-    /// are merged into `st`. Then [`fixed::dot_certified`] sums the row in
-    /// one integer pass when the row's `Σ|w|` and the operand's `max|x|`
-    /// certify that the chain cannot saturate, and otherwise runs the
-    /// chain [`fixed::dot_tracked`], which records its product and
+    /// chain [`AdderTree::fixed_dot_tracked`] accumulates once the
+    /// operand's register ([`Operand::status`]) is merged too, which the
+    /// caller does once for every row it evaluates
+    /// ([`NumericStatus::merge_times`]). The row's latched re-quantization
+    /// events are merged into `st`. Then [`fixed::dot_certified`] sums the
+    /// row in one integer pass when the row's `Σ|w|` and the operand's
+    /// `max|x|` certify that the chain cannot saturate, and otherwise runs
+    /// the chain [`fixed::dot_tracked`], which records its product and
     /// accumulator saturations.
     ///
     /// # Panics
@@ -99,28 +101,17 @@ impl WeightStore {
     /// [`WeightStore::cols`].
     ///
     /// [`AdderTree::fixed_dot_tracked`]: crate::adder_tree::AdderTree::fixed_dot_tracked
-    pub fn dot_tracked(&self, r: usize, x: &Operand, st: &mut NumericStatus) -> Fixed {
-        st.merge(&x.status);
-        self.dot_row_tracked(r, x, st)
-    }
-
-    /// [`WeightStore::dot_tracked`] without the operand's register, for a
-    /// caller that evaluates rows one at a time and merges that register
-    /// once for all of them ([`NumericStatus::merge_times`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`WeightStore::dot_tracked`].
     pub fn dot_row_tracked(&self, r: usize, x: &Operand, st: &mut NumericStatus) -> Fixed {
         st.merge(&self.row_status[r]);
         fixed::dot_certified(self.row(r), &x.words, self.row_abs_sum[r], x.abs_max, st)
     }
 
-    /// Every row's [`WeightStore::dot_tracked`] with `x`, handed to `out`
-    /// as `(row, value)` in row order, with the same values and the same
-    /// merged `st`. The registers are merged once per pass, not per row:
-    /// the rows' latched registers as one sum taken at load, and the
-    /// operand's register times the row count.
+    /// Every row's [`WeightStore::dot_row_tracked`] with `x`, handed to
+    /// `out` as `(row, value)` in row order, with the same values, and the
+    /// merged `st` of those calls plus the operand's register once per row.
+    /// The registers are merged once per pass, not per row: the rows'
+    /// latched registers as one sum taken at load, and the operand's
+    /// register times the row count.
     ///
     /// # Panics
     ///
@@ -197,9 +188,11 @@ mod tests {
         let x = Operand::from_words(&words);
         let tree = AdderTree::default();
         for r in 0..2 {
+            // The operand's register, merged once for the row by hand.
             let mut got = NumericStatus::default();
+            got.merge(x.status());
             let mut want = NumericStatus::default();
-            let z = store.dot_tracked(r, &x, &mut got);
+            let z = store.dot_row_tracked(r, &x, &mut got);
             let (expect, _) = tree.fixed_dot_tracked(m.row(r), &[rail, 2.0], &mut want);
             assert_eq!(z, expect);
             assert_eq!(got, want);
@@ -212,6 +205,6 @@ mod tests {
     fn operand_width_is_checked() {
         let store = WeightStore::new(&Matrix::zeros(2, 3));
         let x = Operand::from_words(&[Fixed::ONE; 2]);
-        store.dot_tracked(0, &x, &mut NumericStatus::default());
+        store.dot_row_tracked(0, &x, &mut NumericStatus::default());
     }
 }

@@ -4,7 +4,8 @@
 //! buffers per query, independent of the embedding width `E`, of the
 //! class count and of the story length: no per-row, per-column or
 //! per-dot-product temporaries, no per-hop operand copies, and no
-//! per-query MEM module or exp LUT. `Accelerator::write_story` allocates
+//! per-query MEM module or exp LUT; with the candidate index armed, the
+//! count is pinned per story length. `Accelerator::write_story` allocates
 //! the two memory tables of the story, each sized once, and nothing per
 //! sentence, and no exp LUT copy; with the candidate index armed, its
 //! build adds a fixed number of buffers, again none per sentence. A warm
@@ -120,9 +121,16 @@ fn sample(sentences: usize) -> EncodedSample {
 
 /// Allocations of one warmed-up hit-form query on an `E`-wide model with
 /// `classes` output rows over a story of `sentences` sentences, optionally
-/// behind a thresholding plan that never fires.
-fn query_allocations(embed_dim: usize, classes: usize, sentences: usize, thresholded: bool) -> u64 {
-    let accel = accelerator(embed_dim, classes, thresholded, MemIndexConfig::default());
+/// behind a thresholding plan that never fires, with the given candidate
+/// index.
+fn query_allocations(
+    embed_dim: usize,
+    classes: usize,
+    sentences: usize,
+    thresholded: bool,
+    mem_index: MemIndexConfig,
+) -> u64 {
+    let accel = accelerator(embed_dim, classes, thresholded, mem_index);
     let sample = sample(sentences);
     let story = accel.write_story(&sample);
     black_box(accel.answer_query(&story, &sample));
@@ -141,7 +149,7 @@ const QUERY_ALLOCATION_CEILING: u64 = 4;
 #[test]
 fn answer_query_allocations_do_not_grow_with_width_classes_or_story() {
     for thresholded in [false, true] {
-        let base = query_allocations(4, 8, 3, thresholded);
+        let base = query_allocations(4, 8, 3, thresholded, MemIndexConfig::default());
         assert!(
             base <= QUERY_ALLOCATION_CEILING,
             "{base} allocations per query, ceiling {QUERY_ALLOCATION_CEILING} \
@@ -150,13 +158,49 @@ fn answer_query_allocations_do_not_grow_with_width_classes_or_story() {
         for sentences in [1, 3, 40] {
             for (embed_dim, classes) in [(4, 8), (32, 8), (4, 64), (48, 96)] {
                 assert_eq!(
-                    query_allocations(embed_dim, classes, sentences, thresholded),
+                    query_allocations(
+                        embed_dim,
+                        classes,
+                        sentences,
+                        thresholded,
+                        MemIndexConfig::default()
+                    ),
                     base,
                     "E = {embed_dim}, classes = {classes}, sentences = {sentences}, \
                      thresholded = {thresholded}"
                 );
             }
         }
+    }
+}
+
+/// Allocations of one warm indexed query (`k = 4`, `nprobe = 2`, zero
+/// band, `E = 16`, 3 hops) per story length. Each hop allocates the
+/// probe's centroid scores, its centroid order and its candidate list, and
+/// the candidates' scores and flags: 15 over the three hops, beside the
+/// key, controller output, attention and read vector of every query and
+/// the flags buffer. The candidate list, gathered from the two probed
+/// clusters' members, grows once on a hop whose second cluster overflows
+/// the list's first allocation: two of the three hops from 8 sentences on.
+/// Nothing else depends on the story length, so a per-candidate or per-hop
+/// copy would add to the count.
+const INDEXED_QUERY_ALLOCATIONS: [(usize, u64); 5] =
+    [(4, 20), (8, 22), (16, 22), (40, 22), (160, 22)];
+
+#[test]
+fn indexed_answer_query_allocations_are_pinned() {
+    for (sentences, budget) in INDEXED_QUERY_ALLOCATIONS {
+        assert_eq!(
+            query_allocations(
+                16,
+                8,
+                sentences,
+                false,
+                MemIndexConfig::with_params(4, 2, 0.0)
+            ),
+            budget,
+            "sentences = {sentences}"
+        );
     }
 }
 

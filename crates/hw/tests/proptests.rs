@@ -344,33 +344,6 @@ proptest! {
         prop_assert!(run.index.fallbacks <= run.hops_executed as u64);
         prop_assert!(run.index.build_cycles > 0);
     }
-
-    /// Batched shared-story querying is bit-identical to querying one at a
-    /// time, for any group size and any pruning threshold.
-    #[test]
-    fn batched_queries_are_bit_identical(seed in 0u64..60, threshold in 0.05f32..1.0) {
-        let (model, sample) = random_case(seed, 15, 8, 2);
-        // Same story, three different questions.
-        let mut q2 = sample.clone();
-        q2.question.rotate_left(1);
-        q2.question.push(1);
-        let mut q3 = sample.clone();
-        q3.question = vec![2, 3];
-        let accel = Accelerator::new(
-            model,
-            AccelConfig {
-                hop_prune: HopPrune::with_threshold(threshold),
-                ..AccelConfig::default()
-            },
-        );
-        let story = accel.write_story(&sample);
-        let batch = [&sample, &q2, &q3];
-        let (runs, _) = accel.query_batch(&story, &batch);
-        prop_assert_eq!(runs.len(), batch.len());
-        for (run, s) in runs.iter().zip(batch) {
-            prop_assert_eq!(run, &accel.answer_query(&story, s));
-        }
-    }
 }
 
 /// The datapath widths the load quantizer is exercised at.
@@ -527,10 +500,10 @@ fn to_f32(v: &[Fixed]) -> Vec<f32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every row of a quantized store dots an operand of words to the value
-    /// and numeric status of the per-access `fixed_dot_tracked` over the
-    /// stored `f32` row and the words' `to_f32`, on words beyond `2^24`
-    /// and on the rails.
+    /// Every row of a quantized store dots an operand of words, with the
+    /// operand's register merged once, to the value and numeric status of
+    /// the per-access `fixed_dot_tracked` over the stored `f32` row and the
+    /// words' `to_f32`, on words beyond `2^24` and on the rails.
     #[test]
     fn weight_store_dot_matches_fixed_dot(
         e in 1usize..7,
@@ -546,8 +519,9 @@ proptest! {
             let store = WeightStore::new(m);
             for (r, row) in m.iter_rows().enumerate() {
                 let mut got = NumericStatus::default();
+                got.merge(operand.status());
                 let mut want = NumericStatus::default();
-                let z = store.dot_tracked(r, &operand, &mut got);
+                let z = store.dot_row_tracked(r, &operand, &mut got);
                 let (expect, _) = AdderTree::default().fixed_dot_tracked(row, &to_f32(x), &mut want);
                 prop_assert_eq!(z, expect);
                 prop_assert_eq!(got, want);
@@ -589,14 +563,13 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// The exhaustive OUTPUT search on words, alone and batched, equals an
-    /// argmax over per-access dot products fed the words' `to_f32`, numeric
-    /// status included. So does a thresholded search whose plan never
-    /// fires, which probes row by row. Under a plan that may fire, the
-    /// search equals Algorithm 1 over the same dot products with a register
-    /// per logit for the exit guard, in every field but the cycles, with
-    /// the guard off, at a zero band and at a band of 1; the batched search
-    /// equals the per-query searches.
+    /// The exhaustive OUTPUT search on words equals an argmax over
+    /// per-access dot products fed the words' `to_f32`, numeric status
+    /// included. So does a thresholded search whose plan never fires, which
+    /// probes row by row. Under a plan that may fire, the search equals
+    /// Algorithm 1 over the same dot products with a register per logit for
+    /// the exit guard, in every field but the cycles, with the guard off,
+    /// at a zero band and at a band of 1.
     #[test]
     fn output_search_matches_fixed_dot_loop(
         e in 1usize..7,
@@ -619,21 +592,16 @@ proptest! {
         let never_fires = plan(&vec![None; classes], (0..classes).collect());
         let probed = OutputModule::new(q.w_o.clone(), &dp).with_thresholding(&never_fires, true);
         let may_fire = plan(&thetas[..classes], (0..classes).rev().collect());
-        let thresholded = OutputModule::new(q.w_o.clone(), &dp).with_thresholding(&may_fire, true);
         let hs: Vec<&[Fixed]> = hs.iter().map(|h| &h[..e]).collect();
-        let batch = module.search_batch(&hs);
-        for (h, batched) in hs.iter().zip(&batch) {
+        for h in &hs {
             let (label, numeric) = oracle_search(&q.w_o, &to_f32(h));
             let single = module.search_words(h);
             prop_assert_eq!(single.label, label);
             prop_assert_eq!(single.comparisons, classes);
             prop_assert_eq!(single.numeric, numeric);
-            prop_assert_eq!(batched, &single);
             let via_plan = probed.search_words(h);
             prop_assert_eq!((via_plan.label, via_plan.numeric), (label, numeric));
         }
-        let per_query: Vec<_> = hs.iter().map(|h| thresholded.search_words(h)).collect();
-        prop_assert_eq!(thresholded.search_batch(&hs), per_query);
         let order: Vec<(usize, Option<f32>)> =
             (0..classes).rev().map(|c| (c, thetas[c])).collect();
         for guard in [ExitGuard::off(), ExitGuard::default(), ExitGuard::with_band(1.0)] {

@@ -210,81 +210,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Batched matrix-vector product: `self * keys[q]` for every query,
-    /// written into `outs[q]` (resized, capacity reused).
-    ///
-    /// This is the shared-story multi-query kernel: the matrix streams
-    /// through memory once per 8-row block while every key reuses the
-    /// block from L1, instead of `keys.len()` full passes over the matrix.
-    /// Per `(key, row)` pair the reduction keeps the exact left-to-right
-    /// summation order of [`Matrix::matvec_into`], so each output vector
-    /// is bit-identical to the per-query call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when any key's length differs from `cols`.
-    #[inline]
-    pub fn matvec_batch_into(
-        &self,
-        keys: &[Vector],
-        outs: &mut Vec<Vector>,
-    ) -> Result<(), ShapeError> {
-        for key in keys {
-            if key.len() != self.cols {
-                return Err(ShapeError::new(
-                    "matvec_batch",
-                    self.shape(),
-                    (key.len(), 1),
-                ));
-            }
-        }
-        outs.resize_with(keys.len(), Vector::default);
-        for out in outs.iter_mut() {
-            out.resize_zeroed(self.rows);
-        }
-        let cols = self.cols;
-        let mut blocks = self.data.chunks_exact(8 * cols.max(1));
-        let mut r = 0;
-        if cols > 0 {
-            for block in blocks.by_ref() {
-                let (r0, tail) = block.split_at(cols);
-                let (r1, tail) = tail.split_at(cols);
-                let (r2, tail) = tail.split_at(cols);
-                let (r3, tail) = tail.split_at(cols);
-                let (r4, tail) = tail.split_at(cols);
-                let (r5, tail) = tail.split_at(cols);
-                let (r6, r7) = tail.split_at(cols);
-                for (key, out) in keys.iter().zip(outs.iter_mut()) {
-                    let xs = key.as_slice();
-                    let mut acc = [0.0f32; 8];
-                    for (k, &xk) in xs.iter().enumerate() {
-                        acc[0] += r0[k] * xk;
-                        acc[1] += r1[k] * xk;
-                        acc[2] += r2[k] * xk;
-                        acc[3] += r3[k] * xk;
-                        acc[4] += r4[k] * xk;
-                        acc[5] += r5[k] * xk;
-                        acc[6] += r6[k] * xk;
-                        acc[7] += r7[k] * xk;
-                    }
-                    out.as_mut_slice()[r..r + 8].copy_from_slice(&acc);
-                }
-                r += 8;
-            }
-        }
-        for row in blocks.remainder().chunks_exact(cols.max(1)) {
-            for (key, out) in keys.iter().zip(outs.iter_mut()) {
-                out.as_mut_slice()[r] = row
-                    .iter()
-                    .zip(key.as_slice())
-                    .map(|(a, b)| a * b)
-                    .sum::<f32>();
-            }
-            r += 1;
-        }
-        Ok(())
-    }
-
     /// Transposed matrix-vector product `self^T * x`.
     ///
     /// # Errors

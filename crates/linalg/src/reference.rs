@@ -18,12 +18,6 @@ pub fn matvec(m: &Matrix, x: &Vector) -> Vector {
         .collect()
 }
 
-/// Naive batched matrix-vector product: one independent [`matvec`] per
-/// key, in key order — the per-query loop the batched kernel fuses.
-pub fn matvec_batch(m: &Matrix, keys: &[Vector]) -> Vec<Vector> {
-    keys.iter().map(|k| matvec(m, k)).collect()
-}
-
 /// Naive numerically stable softmax: max-shift, exponentiate, normalize —
 /// the same operation order as [`Vector::softmax`].
 pub fn softmax(x: &Vector) -> Vector {
@@ -34,11 +28,6 @@ pub fn softmax(x: &Vector) -> Vector {
     let exps: Vec<f32> = x.iter().map(|&v| (v - m).exp()).collect();
     let z: f32 = exps.iter().sum();
     exps.into_iter().map(|e| e / z).collect()
-}
-
-/// Naive batched softmax: one independent [`softmax`] per row.
-pub fn softmax_batch(rows: &[Vector]) -> Vec<Vector> {
-    rows.iter().map(softmax).collect()
 }
 
 /// Naive transposed matrix-vector product: row-outer scalar accumulation

@@ -354,18 +354,6 @@ impl Vector {
         }
     }
 
-    /// Batched softmax: applies [`Vector::softmax_into`] to each input
-    /// independently, in input order, reusing the output buffers — the
-    /// batched MEM path normalizes every query's score row of a shared
-    /// story in one call. Each output is bit-identical to the per-query
-    /// [`Vector::softmax_into`].
-    pub fn softmax_batch_into(inputs: &[Self], outs: &mut Vec<Self>) {
-        outs.resize_with(inputs.len(), Self::default);
-        for (out, x) in outs.iter_mut().zip(inputs) {
-            out.softmax_into(x);
-        }
-    }
-
     /// Fused dot + AXPY over slices: returns `probe · src` while performing
     /// `acc += scale * src` in the same pass — one traversal of `src`
     /// instead of two on the backward soft-read path (Eq 5: `da_i` and

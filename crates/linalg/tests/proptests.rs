@@ -187,40 +187,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_matvec_matches_per_query_loops(rows in 1usize..40, cols in 1usize..40, batch in 0usize..9, seed in 0u64..1024, zeros in any::<bool>()) {
-        let m = filled_matrix(rows, cols, seed, false);
-        let keys: Vec<Vector> = (0..batch)
-            .map(|q| filled_vector(cols, seed ^ (0x1000 + q as u64), zeros))
-            .collect();
-        // Reuse dirty output buffers of the wrong length: the kernel must
-        // resize and still match both the naive oracle and the per-query
-        // optimized kernel bit for bit.
-        let mut outs: Vec<Vector> = (0..batch.saturating_sub(1))
-            .map(|q| filled_vector(rows + 2, seed ^ (0x2000 + q as u64), false))
-            .collect();
-        m.matvec_batch_into(&keys, &mut outs).unwrap();
-        prop_assert_eq!(&outs, &reference::matvec_batch(&m, &keys));
-        for (key, out) in keys.iter().zip(&outs) {
-            prop_assert_eq!(out, &m.matvec(key).unwrap());
-        }
-    }
-
-    #[test]
-    fn batched_softmax_matches_per_row(batch in 0usize..8, len in 1usize..32, seed in 0u64..1024) {
-        let inputs: Vec<Vector> = (0..batch)
-            .map(|q| filled_vector(len, seed ^ (0x3000 + q as u64), false))
-            .collect();
-        let mut outs: Vec<Vector> = vec![filled_vector(3, seed, false); batch.saturating_sub(1)];
-        Vector::softmax_batch_into(&inputs, &mut outs);
-        prop_assert_eq!(&outs, &reference::softmax_batch(&inputs));
-        for (x, out) in inputs.iter().zip(&outs) {
-            let mut want = Vector::default();
-            want.softmax_into(x);
-            prop_assert_eq!(out, &want);
-        }
-    }
-
-    #[test]
     fn dot_and_axpy_matches_separate_ops(len in 1usize..64, seed in 0u64..1024, scale in -2.0f32..2.0) {
         let probe = filled_vector(len, seed, false);
         let src = filled_vector(len, seed ^ 0x11, false);

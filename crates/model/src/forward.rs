@@ -239,133 +239,6 @@ pub fn forward_into(
         .expect("output width");
 }
 
-/// Forward passes for a batch of queries that share one story, with the
-/// batched kernels: the story is embedded once, and each hop's addressing
-/// and the output layer run as one multi-query matmul
-/// ([`Matrix::matvec_batch_into`]) instead of one matvec per query.
-///
-/// Every returned trace is bit-identical to [`forward`] on the same sample
-/// — the batched kernels preserve the per-query accumulation order exactly.
-///
-/// # Panics
-///
-/// Panics if any word index is outside the vocabulary, and (debug builds)
-/// if the samples do not all share `samples[0]`'s story sentences.
-pub fn forward_batch(params: &Params, samples: &[&EncodedSample]) -> Vec<ForwardTrace> {
-    let n = samples.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let e = params.config.embed_dim;
-    let first = samples[0];
-    debug_assert!(
-        samples.iter().all(|s| s.sentences == first.sentences),
-        "forward_batch requires a shared story"
-    );
-    let l = first.sentences.len();
-    let hops = params.config.hops;
-    let w_a = &params.w_emb_a;
-    let w_c = params.content_embedding();
-    let mut scratch = ForwardScratch::default();
-
-    // Eq 2 once for the whole batch: the story is shared.
-    let mut mem_a = Matrix::zeros(l, e);
-    let mut mem_c = Matrix::zeros(l, e);
-    for (i, sent) in first.sentences.iter().enumerate() {
-        w_a.sum_cols_into(sent, &mut scratch.emb);
-        mem_a.row_mut(i).copy_from_slice(scratch.emb.as_slice());
-        w_c.sum_cols_into(sent, &mut scratch.emb);
-        mem_c.row_mut(i).copy_from_slice(scratch.emb.as_slice());
-    }
-
-    let mut traces: Vec<ForwardTrace> = samples
-        .iter()
-        .map(|s| {
-            let mut t = ForwardTrace {
-                mem_a: mem_a.clone(),
-                mem_c: mem_c.clone(),
-                ..ForwardTrace::default()
-            };
-            w_a.sum_cols_into(&s.question, &mut t.q_emb);
-            resize_hop_list(&mut t.keys, hops);
-            resize_hop_list(&mut t.scores, hops);
-            resize_hop_list(&mut t.attention, hops);
-            resize_hop_list(&mut t.reads, hops);
-            resize_hop_list(&mut t.hiddens, hops);
-            t.gru = params.gru.as_ref().map(|_| {
-                let mut traces = Vec::new();
-                resize_hop_list(&mut traces, hops);
-                traces
-            });
-            t.keys[0].copy_from(&t.q_emb); // Eq 3
-            t
-        })
-        .collect();
-
-    let mut batch_in: Vec<Vector> = Vec::new();
-    let mut batch_scores: Vec<Vector> = Vec::new();
-    let mut batch_att: Vec<Vector> = Vec::new();
-    for t in 0..hops {
-        // Eq 1 for all live queries in one pass over the address memory.
-        batch_in.clear();
-        batch_in.extend(traces.iter().map(|tr| tr.keys[t].clone()));
-        mem_a
-            .matvec_batch_into(&batch_in, &mut batch_scores)
-            .expect("key matches memory width");
-        Vector::softmax_batch_into(&batch_scores, &mut batch_att);
-        for (q, tr) in traces.iter_mut().enumerate() {
-            let ForwardTrace {
-                keys,
-                scores,
-                attention,
-                reads,
-                hiddens,
-                gru,
-                ..
-            } = tr;
-            scores[t].copy_from(&batch_scores[q]);
-            attention[t].copy_from(&batch_att[q]);
-            // Eq 5: soft read.
-            mem_c
-                .matvec_transposed_into(&attention[t], &mut reads[t])
-                .expect("attention matches rows");
-            // Controller: Eq 4 (linear) or the gated variant.
-            match (&params.gru, &mut *gru) {
-                (Some(gru_params), Some(gtraces)) => {
-                    let (h, k) = (&mut hiddens[t], &keys[t]);
-                    gru_step_into(gru_params, &reads[t], k, h, &mut gtraces[t], &mut scratch);
-                }
-                _ => {
-                    params
-                        .w_r
-                        .matvec_into(&keys[t], &mut scratch.wk)
-                        .expect("controller width");
-                    hiddens[t]
-                        .add_into(&reads[t], &scratch.wk)
-                        .expect("same embed dim");
-                }
-            }
-            if t + 1 < hops {
-                keys[t + 1].copy_from(&hiddens[t]); // Eq 3
-            }
-        }
-    }
-
-    // Eq 6 as one multi-query pass over the output weights — the `V x E`
-    // matmul that dominates the NLP-scale forward pass.
-    batch_in.clear();
-    batch_in.extend(traces.iter().map(|tr| tr.final_hidden().clone()));
-    let mut batch_logits: Vec<Vector> = Vec::new();
-    params
-        .w_o
-        .matvec_batch_into(&batch_in, &mut batch_logits)
-        .expect("output width");
-    for (tr, logits) in traces.iter_mut().zip(&batch_logits) {
-        tr.logits.copy_from(logits);
-    }
-    traces
-}
-
 /// Runs the forward pass only up to the controller output `h^T`, skipping
 /// the output layer — Step 4 of Algorithm 1 computes logits lazily from this
 /// vector.
@@ -491,33 +364,6 @@ mod tests {
             let z = output_logit(&p, t.final_hidden(), i);
             assert!((z - t.logits[i]).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn batched_forward_matches_per_sample_forward() {
-        let (p, s) = tiny();
-        // Same story, different questions.
-        let mut s2 = s.clone();
-        s2.question = vec![3, 7];
-        let mut s3 = s.clone();
-        s3.question = vec![11];
-        let batch = [&s, &s2, &s3];
-        let traces = forward_batch(&p, &batch);
-        assert_eq!(traces.len(), 3);
-        for (tr, sample) in traces.iter().zip(&batch) {
-            assert_eq!(tr, &forward(&p, sample));
-        }
-        // GRU controller takes the gated path.
-        let mut gp = p.clone();
-        gp.config.controller = crate::ControllerKind::Gru;
-        let gp = Params::init(gp.config, 12, &mut StdRng::seed_from_u64(9));
-        assert!(gp.gru.is_some());
-        for (tr, sample) in forward_batch(&gp, &batch).iter().zip(&batch) {
-            assert_eq!(tr, &forward(&gp, sample));
-        }
-        // Degenerate batches.
-        assert!(forward_batch(&p, &[]).is_empty());
-        assert_eq!(forward_batch(&p, &[&s])[0], forward(&p, &s));
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod workspace;
 
 pub use backward::{backward, backward_into, BackwardScratch, Gradients};
 pub use config::{ControllerKind, ModelConfig};
-pub use forward::{forward, forward_batch, forward_into, ForwardScratch, ForwardTrace};
+pub use forward::{forward, forward_into, ForwardScratch, ForwardTrace};
 pub use params::{GruParams, Params};
 pub use trainer::{train_step, TrainConfig, TrainReport, TrainedModel, Trainer};
 pub use workspace::Workspace;
