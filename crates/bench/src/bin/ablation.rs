@@ -32,12 +32,14 @@ fn build_cached(cfg: &mann_core::SuiteConfig) -> TaskSuite {
 }
 
 fn main() {
-    let mut args = HarnessArgs::from_cli("ablation");
-    if args.tasks == HarnessArgs::default().tasks {
-        args.tasks = 3; // ablations don't need the full suite by default
-        args.train = 400;
-        args.test = 50;
+    // Ablations don't need the full suite by default.
+    let args = HarnessArgs {
+        tasks: 3,
+        train: 400,
+        test: 50,
+        ..HarnessArgs::default()
     }
+    .parse_cli("ablation");
     let mut cfg = args.suite_config();
     cfg.tasks = vec![
         TaskId::SingleSupportingFact,

@@ -11,7 +11,7 @@ use mann_core::experiments::fig2b;
 use mann_core::TaskSuite;
 
 fn main() {
-    let args = HarnessArgs::from_cli("fig2b");
+    let args = HarnessArgs::default().parse_cli("fig2b");
     let mut cfg = args.suite_config();
     cfg.tasks.truncate(1); // one task suffices for the distribution view
     eprintln!(

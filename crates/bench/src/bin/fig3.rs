@@ -10,7 +10,7 @@ use mann_bench::HarnessArgs;
 use mann_core::experiments::fig3;
 
 fn main() {
-    let args = HarnessArgs::from_cli("fig3");
+    let args = HarnessArgs::default().parse_cli("fig3");
     eprintln!(
         "[fig3] training {} tasks ({} train / {} test, seed {}) ...",
         args.tasks, args.train, args.test, args.seed

@@ -10,7 +10,7 @@ use mann_bench::HarnessArgs;
 use mann_core::experiments::fig4;
 
 fn main() {
-    let args = HarnessArgs::from_cli("fig4");
+    let args = HarnessArgs::default().parse_cli("fig4");
     eprintln!(
         "[fig4] training {} tasks ({} train / {} test, seed {}) ...",
         args.tasks, args.train, args.test, args.seed

@@ -25,12 +25,13 @@ struct Row {
 }
 
 fn main() {
-    let mut args = HarnessArgs::from_cli("mips_compare");
-    if args.tasks == HarnessArgs::default().tasks {
-        args.tasks = 3;
-        args.train = 400;
-        args.test = 50;
+    let args = HarnessArgs {
+        tasks: 3,
+        train: 400,
+        test: 50,
+        ..HarnessArgs::default()
     }
+    .parse_cli("mips_compare");
     let mut cfg = args.suite_config();
     cfg.tasks = vec![
         TaskId::SingleSupportingFact,

@@ -299,7 +299,8 @@ impl ServeArgs {
 }
 
 fn main() {
-    let (args, rest) = HarnessArgs::parse_known(std::env::args().skip(1))
+    let (args, rest) = HarnessArgs::default()
+        .parse_known(std::env::args().skip(1))
         .unwrap_or_else(|e| usage_bail("serve", e));
     let serve_args = ServeArgs::parse(rest).unwrap_or_else(|e| usage_bail("serve", e));
 
@@ -482,7 +483,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<ServeArgs, String> {
-        let (_, rest) = HarnessArgs::parse_known(args.iter().map(|a| (*a).to_owned()))?;
+        let (_, rest) = HarnessArgs::default().parse_known(args.iter().map(|a| (*a).to_owned()))?;
         ServeArgs::parse(rest)
     }
 

@@ -11,7 +11,7 @@ use mann_bench::HarnessArgs;
 use mann_core::experiments::table1;
 
 fn main() {
-    let args = HarnessArgs::from_cli("table1");
+    let args = HarnessArgs::default().parse_cli("table1");
     eprintln!(
         "[table1] training {} tasks ({} train / {} test, seed {}) ...",
         args.tasks, args.train, args.test, args.seed

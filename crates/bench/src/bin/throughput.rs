@@ -16,12 +16,13 @@ use mann_core::report::{fnum, ratio, TextTable};
 use mann_hw::{double_buffered_time_s, AccelConfig, Accelerator, ClockDomain, InferenceRun};
 
 fn main() {
-    let mut args = HarnessArgs::from_cli("throughput");
-    if args.tasks == HarnessArgs::default().tasks {
-        args.tasks = 4;
-        args.train = 300;
-        args.test = 40;
+    let args = HarnessArgs {
+        tasks: 4,
+        train: 300,
+        test: 40,
+        ..HarnessArgs::default()
     }
+    .parse_cli("throughput");
     eprintln!("[throughput] training {} tasks ...", args.tasks);
     let suite = args.build_suite();
 

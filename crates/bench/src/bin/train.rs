@@ -46,7 +46,8 @@ fn parse_train_args<I: IntoIterator<Item = String>>(rest: I) -> Result<TrainArgs
 }
 
 fn main() {
-    let (args, rest) = HarnessArgs::parse_known(std::env::args().skip(1))
+    let (args, rest) = HarnessArgs::default()
+        .parse_known(std::env::args().skip(1))
         .unwrap_or_else(|e| usage_bail("train", e));
     let TrainArgs { task, out } = parse_train_args(rest).unwrap_or_else(|e| usage_bail("train", e));
     let cfg = SuiteConfig {
@@ -75,7 +76,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<TrainArgs, String> {
-        let (_, rest) = HarnessArgs::parse_known(args.iter().map(|a| (*a).to_owned()))?;
+        let (_, rest) = HarnessArgs::default().parse_known(args.iter().map(|a| (*a).to_owned()))?;
         parse_train_args(rest)
     }
 

@@ -58,7 +58,9 @@ pub struct HarnessArgs {
 }
 
 impl Default for HarnessArgs {
-    /// Paper-scale defaults: all 20 tasks, 1000/100 splits, 100 reps.
+    /// Paper-scale defaults: all 20 tasks, 1000/100 splits, 100 reps. A
+    /// binary that runs a reduced suite unless told otherwise parses over
+    /// its own defaults instead ([`HarnessArgs::parse`]).
     fn default() -> Self {
         Self {
             tasks: 20,
@@ -73,15 +75,17 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `--key value` pairs from an iterator of arguments. A flag
-    /// outside [`HARNESS_FLAGS`] is an error, never a silent no-op.
+    /// Parses `--key value` pairs from an iterator of arguments over the
+    /// defaults `self`: a flag given replaces its default, whatever value
+    /// it holds. A flag outside [`HARNESS_FLAGS`] is an error, never a
+    /// silent no-op.
     ///
     /// # Errors
     ///
     /// Returns a usage message for an unknown flag, a missing or malformed
     /// value, or `--tasks` outside 1–20.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let (out, rest) = Self::parse_known(args)?;
+    pub fn parse<I: IntoIterator<Item = String>>(self, args: I) -> Result<Self, String> {
+        let (out, rest) = self.parse_known(args)?;
         match rest.first() {
             None => Ok(out),
             Some(flag) => Err(format!("unknown flag {flag:?} (flags: {HARNESS_FLAGS})")),
@@ -97,9 +101,10 @@ impl HarnessArgs {
     /// Returns a usage message for a missing or malformed value of a
     /// harness flag, or `--tasks` outside 1–20.
     pub fn parse_known<I: IntoIterator<Item = String>>(
+        self,
         args: I,
     ) -> Result<(Self, Vec<String>), String> {
-        let mut out = Self::default();
+        let mut out = self;
         let mut rest = Vec::new();
         let mut it = args.into_iter();
         while let Some(key) = it.next() {
@@ -124,10 +129,12 @@ impl HarnessArgs {
         Ok((out, rest))
     }
 
-    /// The process arguments through [`HarnessArgs::parse`]; a usage error
-    /// exits with status 2 ([`usage_bail`]), prefixed with `bin`.
-    pub fn from_cli(bin: &str) -> Self {
-        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| usage_bail(bin, e))
+    /// The process arguments through [`HarnessArgs::parse`] over the
+    /// defaults `self`; a usage error exits with status 2
+    /// ([`usage_bail`]), prefixed with `bin`.
+    pub fn parse_cli(self, bin: &str) -> Self {
+        self.parse(std::env::args().skip(1))
+            .unwrap_or_else(|e| usage_bail(bin, e))
     }
 
     /// Converts the arguments into a suite configuration (quick model
@@ -184,21 +191,22 @@ mod tests {
 
     #[test]
     fn parse_reads_known_flags_and_ignores_others() {
-        let (a, rest) = HarnessArgs::parse_known(args(&[
-            "--tasks",
-            "3",
-            "--zzz",
-            "--train",
-            "50",
-            "--reps",
-            "7",
-            "--story-sentences",
-            "500",
-            "--pool",
-            "4",
-            "--joint",
-        ]))
-        .unwrap();
+        let (a, rest) = HarnessArgs::default()
+            .parse_known(args(&[
+                "--tasks",
+                "3",
+                "--zzz",
+                "--train",
+                "50",
+                "--reps",
+                "7",
+                "--story-sentences",
+                "500",
+                "--pool",
+                "4",
+                "--joint",
+            ]))
+            .unwrap();
         assert_eq!(rest, ["--zzz", "--pool", "4"]);
         assert_eq!(a.tasks, 3);
         assert_eq!(a.train, 50);
@@ -210,16 +218,35 @@ mod tests {
 
     #[test]
     fn parse_rejects_unknown_flags() {
-        let err = HarnessArgs::parse(args(&["--taks", "1", "--train", "20"])).unwrap_err();
+        let parse = |a: &[&str]| HarnessArgs::default().parse(args(a));
+        let err = parse(&["--taks", "1", "--train", "20"]).unwrap_err();
         assert!(err.starts_with("unknown flag \"--taks\""), "{err}");
-        let ok = HarnessArgs::parse(args(&["--tasks", "1", "--train", "20", "--joint"])).unwrap();
+        let ok = parse(&["--tasks", "1", "--train", "20", "--joint"]).unwrap();
         assert_eq!((ok.tasks, ok.train, ok.joint), (1, 20, true));
+    }
+
+    #[test]
+    fn explicit_flags_override_reduced_defaults() {
+        let reduced = HarnessArgs {
+            tasks: 4,
+            train: 300,
+            test: 40,
+            ..HarnessArgs::default()
+        };
+        let explicit = reduced
+            .clone()
+            .parse(args(&["--tasks", "20", "--train", "7", "--test", "2"]))
+            .unwrap();
+        assert_eq!((explicit.tasks, explicit.train, explicit.test), (20, 7, 2));
+        let partial = reduced.clone().parse(args(&["--train", "7"])).unwrap();
+        assert_eq!((partial.tasks, partial.train, partial.test), (4, 7, 40));
+        assert_eq!(reduced.clone().parse(Vec::new()), Ok(reduced));
     }
 
     #[test]
     fn zero_tasks_are_rejected() {
         assert_eq!(
-            HarnessArgs::parse(args(&["--tasks", "0"])),
+            HarnessArgs::default().parse(args(&["--tasks", "0"])),
             Err("usage: --tasks <1-20>, got 0".to_owned())
         );
     }
@@ -227,7 +254,7 @@ mod tests {
     #[test]
     fn more_than_twenty_tasks_are_rejected() {
         assert_eq!(
-            HarnessArgs::parse(args(&["--tasks", "21"])),
+            HarnessArgs::default().parse(args(&["--tasks", "21"])),
             Err("usage: --tasks <1-20>, got 21".to_owned())
         );
     }
@@ -235,15 +262,15 @@ mod tests {
     #[test]
     fn malformed_and_missing_values_are_usage_errors() {
         assert_eq!(
-            HarnessArgs::parse(args(&["--tasks", "abc"])),
+            HarnessArgs::default().parse(args(&["--tasks", "abc"])),
             Err("invalid --tasks \"abc\": expected 1-20".to_owned())
         );
         assert_eq!(
-            HarnessArgs::parse_known(args(&["--seed", "-1", "--pool", "2"])),
+            HarnessArgs::default().parse_known(args(&["--seed", "-1", "--pool", "2"])),
             Err("invalid --seed \"-1\": expected a seed".to_owned())
         );
         assert_eq!(
-            HarnessArgs::parse(args(&["--train"])),
+            HarnessArgs::default().parse(args(&["--train"])),
             Err("usage: --train <value>".to_owned())
         );
     }

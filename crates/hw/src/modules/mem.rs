@@ -147,10 +147,13 @@ impl MemModule {
         self.content.resize(start + self.embed_dim, Fixed::ZERO);
         let (a, c) = (&mut self.addr[start..], &mut self.content[start..]);
         let out = embed(a, c, st);
-        fixed::requant_in_place(a, st);
-        fixed::requant_in_place(c, st);
-        self.addr_abs_max = self.addr_abs_max.max(fixed::abs_max(a));
-        self.content_abs_max = self.content_abs_max.max(fixed::abs_max(c));
+        // One scan per row takes both the requant test and its `max|w|`.
+        let (a_max, c_max) = (
+            fixed::requant_in_place(a, st).abs_max,
+            fixed::requant_in_place(c, st).abs_max,
+        );
+        self.addr_abs_max = self.addr_abs_max.max(a_max);
+        self.content_abs_max = self.content_abs_max.max(c_max);
         self.len += 1;
         out
     }
@@ -198,11 +201,10 @@ impl MemModule {
         if self.is_empty() {
             return Cycles::ZERO;
         }
-        let key_q = fixed::requant_all(key, st);
-        let key_sum = fixed::abs_sum(&key_q);
+        let (key_q, key_m) = fixed::requant_all(key, st);
         attention.reserve(self.len);
         for i in 0..self.len {
-            attention.push(self.score(i, &key_q, key_sum, st));
+            attention.push(self.score(i, &key_q, key_m.abs_sum, st));
         }
         self.score_cycles(self.len) + self.softmax_tail(attention, st)
     }
@@ -236,14 +238,13 @@ impl MemModule {
             return Cycles::ZERO;
         }
         let mut key_st = NumericStatus::default();
-        let key_q = fixed::requant_all(key, &mut key_st);
-        let key_sum = fixed::abs_sum(&key_q);
+        let (key_q, key_m) = fixed::requant_all(key, &mut key_st);
         let mut rows_st = NumericStatus::default();
         attention.reserve(self.len);
         flags.reserve(self.len);
         for i in 0..self.len {
             let mut row_st = NumericStatus::default();
-            let score = self.score(i, &key_q, key_sum, &mut row_st);
+            let score = self.score(i, &key_q, key_m.abs_sum, &mut row_st);
             flags.push(key_st.stressed() || row_st.stressed());
             rows_st.merge(&row_st);
             attention.push(score);
@@ -315,12 +316,12 @@ impl MemModule {
         st: &mut NumericStatus,
     ) -> Cycles {
         assert_eq!(attention.len(), self.len, "attention length");
-        let att_q = fixed::requant_all(attention, st);
+        let (att_q, att_m) = fixed::requant_all(attention, st);
         out.resize(self.embed_dim, Fixed::ZERO);
         fixed::weighted_rows_certified(
             &att_q,
             &self.content,
-            fixed::abs_sum(&att_q),
+            att_m.abs_sum,
             self.content_abs_max,
             out,
             st,
@@ -424,8 +425,7 @@ impl MemModule {
         }
         let band = idx.config().band;
         let mut key_st = NumericStatus::default();
-        let key_q = fixed::requant_all(key, &mut key_st);
-        let key_sum = fixed::abs_sum(&key_q);
+        let (key_q, key_m) = fixed::requant_all(key, &mut key_st);
         let mut probe_st = NumericStatus::default();
         let (candidates, probe_cycles, probe_stressed) = idx.probe(&key_q, &mut probe_st);
         // Exact scoring over the surviving candidates: the same per-row MAC
@@ -436,7 +436,7 @@ impl MemModule {
         let mut cand = Vec::with_capacity(c);
         for &slot in &candidates {
             let mut row_st = NumericStatus::default();
-            let score = self.score(slot, &key_q, key_sum, &mut row_st);
+            let score = self.score(slot, &key_q, key_m.abs_sum, &mut row_st);
             cand_flags.push(key_st.stressed() || row_st.stressed());
             rows_st.merge(&row_st);
             cand.push(score);

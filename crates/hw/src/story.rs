@@ -50,23 +50,52 @@ pub fn story_cache_capacity_from_env() -> Result<Option<usize>, StoryCacheEnvErr
     }
 }
 
+/// The FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The FNV-1a prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^n` (wrapping) for `n` from 0 to 8.
+const FNV_PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut n = 1;
+    while n < 9 {
+        powers[n] = powers[n - 1].wrapping_mul(FNV_PRIME);
+        n += 1;
+    }
+    powers
+};
+
+/// `hash` after FNV-1a absorbs the 8 little-endian bytes of `v`. A zero
+/// byte leaves the xor as it is, so it only multiplies by the prime: the
+/// bytes up to the highest nonzero one are absorbed one by one and the zero
+/// bytes above it in one multiply by a power of the prime, which gives the
+/// byte-wise loop's value.
+#[inline]
+fn fnv1a_absorb(mut hash: u64, mut v: u64) -> u64 {
+    let bytes = 8 - v.leading_zeros() as usize / 8;
+    for _ in 0..bytes {
+        hash ^= v & 0xff;
+        hash = hash.wrapping_mul(FNV_PRIME);
+        v >>= 8;
+    }
+    hash.wrapping_mul(FNV_PRIME_POWERS[8 - bytes])
+}
+
 /// FNV-1a digest of a sample's *story* (sentence shapes and word indices;
-/// the question is deliberately excluded). Two samples with the same story
-/// but different questions collide on purpose — that is the reuse the
-/// cache exploits.
+/// the question is deliberately excluded), over the 8 little-endian bytes
+/// of each value: the sentence count, then each sentence's length and word
+/// indices. Two samples with the same story but different questions
+/// collide on purpose — that is the reuse the cache exploits. Cache keys,
+/// WAL records and rendezvous routing all derive from it, so a test pins
+/// its value.
 pub fn story_digest(sample: &EncodedSample) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut absorb = |v: u64| {
-        for byte in v.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    absorb(sample.sentences.len() as u64);
+    let mut hash = fnv1a_absorb(FNV_OFFSET, sample.sentences.len() as u64);
     for sent in &sample.sentences {
-        absorb(sent.len() as u64);
+        hash = fnv1a_absorb(hash, sent.len() as u64);
         for &w in sent {
-            absorb(w as u64);
+            hash = fnv1a_absorb(hash, w as u64);
         }
     }
     hash
@@ -258,12 +287,90 @@ impl LruSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn sample(sentences: Vec<Vec<usize>>, question: Vec<usize>) -> EncodedSample {
         EncodedSample {
             sentences,
             question,
             answer: 0,
+        }
+    }
+
+    /// The byte-wise FNV-1a loop over the story: the oracle of the folded
+    /// digest.
+    fn story_digest_bytewise(sample: &EncodedSample) -> u64 {
+        let mut hash = FNV_OFFSET;
+        let mut absorb = |v: u64| {
+            for byte in v.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(FNV_PRIME);
+            }
+        };
+        absorb(sample.sentences.len() as u64);
+        for sent in &sample.sentences {
+            absorb(sent.len() as u64);
+            for &w in sent {
+                absorb(w as u64);
+            }
+        }
+        hash
+    }
+
+    /// A value of `bytes` significant bytes (0 when `bytes` is 0), its
+    /// lower bytes drawn from `low`.
+    fn of_width(bytes: u32, low: u64) -> u64 {
+        match bytes {
+            0 => 0,
+            8 => low | 1 << 63,
+            b => (low & ((1 << (8 * b)) - 1)) | 1 << (8 * b - 1),
+        }
+    }
+
+    #[test]
+    fn digest_is_pinned() {
+        // A change to this value moves every cache key, WAL record and
+        // rendezvous route.
+        let story = sample(
+            vec![
+                vec![3, 14, 15],
+                vec![92, 65],
+                vec![],
+                vec![358, 97_932, usize::MAX],
+            ],
+            vec![2],
+        );
+        assert_eq!(story_digest(&story), 0x954a_a4d7_bd95_e486);
+        assert_eq!(story_digest_bytewise(&story), 0x954a_a4d7_bd95_e486);
+        assert_eq!(story_digest(&sample(vec![], vec![])), 0xa8c7_f832_281a_39c5);
+    }
+
+    proptest! {
+        /// The folded digest equals the byte-wise loop on stories with
+        /// empty sentences or none, and word indices of every byte width up
+        /// to `usize::MAX`; so does one absorb of any value of every width,
+        /// which covers the sentence counts and lengths too.
+        #[test]
+        fn folded_digest_is_the_bytewise_loop(
+            sentences in vec(vec((0u32..=8, any::<u64>()), 0..12), 0..8),
+            hash in any::<u64>(),
+            values in vec((0u32..=8, any::<u64>()), 0..32),
+        ) {
+            let sentences = sentences
+                .into_iter()
+                .map(|sent| sent.into_iter().map(|(b, low)| of_width(b, low) as usize).collect())
+                .collect();
+            let story = sample(sentences, Vec::new());
+            prop_assert_eq!(story_digest(&story), story_digest_bytewise(&story));
+            for (b, low) in values {
+                let v = of_width(b, low);
+                let mut want = hash;
+                for byte in v.to_le_bytes() {
+                    want = (want ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+                }
+                prop_assert_eq!(fnv1a_absorb(hash, v), want, "{:#x}", v);
+            }
         }
     }
 

@@ -19,10 +19,12 @@
 //! ([`WeightStore::matvec_tracked`]) therefore merges the rows' registers
 //! as one sum and the operand's register times the row count.
 //!
-//! Each row also keeps its `Σ|w|` from load, and each operand its `max|x|`
-//! from quantization, so every dot product is certified before its loop
-//! ([`fixed::dot_certified`]) and runs the saturating chain only when the
-//! certificate fails.
+//! The store keeps one `Σ|w|` bound from load, the largest of its rows',
+//! and each operand its `max|x|` from quantization, so every dot product is
+//! certified before its loop and runs the saturating chain only when the
+//! certificate fails. A pass checks the certificate once and sums every row
+//! in one call ([`fixed::matvec_certified`]); a single row goes through
+//! [`fixed::dot_certified`].
 //!
 //! [`AdderTree::fixed_dot_tracked`]: crate::adder_tree::AdderTree::fixed_dot_tracked
 
@@ -30,9 +32,15 @@ use std::borrow::Cow;
 
 use mann_linalg::{fixed, Fixed, Matrix, NumericStatus};
 
+/// Rows a [`WeightStore::matvec_tracked`] pass sums per call, into a stack
+/// buffer: a pass over at most this many rows, READ's `E × E` at the
+/// paper's `E = 50` among them, is one call.
+const PASS_ROWS: usize = 128;
+
 /// A row-major weight matrix stored as Q16.16 words, with the numeric
-/// events re-quantizing each row would record and each row's `Σ|w|`, the
-/// stored side's magnitude in the certificate of [`fixed::dot_certified`].
+/// events re-quantizing each row would record and the largest row `Σ|w|`,
+/// the stored side's magnitude in the certificates of
+/// [`fixed::matvec_certified`] and [`fixed::dot_certified`].
 #[derive(Debug, Clone)]
 pub struct WeightStore {
     words: Vec<Fixed>,
@@ -40,32 +48,35 @@ pub struct WeightStore {
     /// Every row's latched register merged: what a pass over all rows
     /// replays.
     status_sum: NumericStatus,
-    row_abs_sum: Vec<u64>,
+    /// The largest row `Σ|w|`, which bounds every row's: one bound serves
+    /// every pass and every row, since any valid bound gives the chain's
+    /// value.
+    abs_sum: u64,
     cols: usize,
 }
 
 impl WeightStore {
     /// Quantizes `m` into the store, one [`Fixed::from_f32_tracked`] call
     /// per weight — the conversion a per-access datapath repeats on every
-    /// MAC — and takes each stored row's `Σ|w|`.
+    /// MAC — and takes the largest stored row's `Σ|w|`.
     pub fn new(m: &Matrix) -> Self {
         let mut words = Vec::with_capacity(m.rows() * m.cols());
         let mut row_status = Vec::with_capacity(m.rows());
-        let mut row_abs_sum = Vec::with_capacity(m.rows());
         let mut status_sum = NumericStatus::default();
+        let mut abs_sum = 0;
         for row in m.iter_rows() {
             let mut st = NumericStatus::default();
             let start = words.len();
             words.extend(row.iter().map(|&x| Fixed::from_f32_tracked(x, &mut st)));
             row_status.push(st);
             status_sum.merge(&st);
-            row_abs_sum.push(fixed::abs_sum(&words[start..]));
+            abs_sum = fixed::abs_sum(&words[start..]).max(abs_sum);
         }
         Self {
             words,
             row_status,
             status_sum,
-            row_abs_sum,
+            abs_sum,
             cols: m.cols(),
         }
     }
@@ -90,10 +101,10 @@ impl WeightStore {
     /// caller does once for every row it evaluates
     /// ([`NumericStatus::merge_times`]). The row's latched re-quantization
     /// events are merged into `st`. Then [`fixed::dot_certified`] sums the
-    /// row in one integer pass when the row's `Σ|w|` and the operand's
-    /// `max|x|` certify that the chain cannot saturate, and otherwise runs
-    /// the chain [`fixed::dot_tracked`], which records its product and
-    /// accumulator saturations.
+    /// row in one integer pass when the store's `Σ|w|` bound and the
+    /// operand's `max|x|` certify that the chain cannot saturate, and
+    /// otherwise runs the chain [`fixed::dot_tracked`], which records its
+    /// product and accumulator saturations.
     ///
     /// # Panics
     ///
@@ -103,7 +114,7 @@ impl WeightStore {
     /// [`AdderTree::fixed_dot_tracked`]: crate::adder_tree::AdderTree::fixed_dot_tracked
     pub fn dot_row_tracked(&self, r: usize, x: &Operand, st: &mut NumericStatus) -> Fixed {
         st.merge(&self.row_status[r]);
-        fixed::dot_certified(self.row(r), &x.words, self.row_abs_sum[r], x.abs_max, st)
+        fixed::dot_certified(self.row(r), &x.words, self.abs_sum, x.abs_max, st)
     }
 
     /// Every row's [`WeightStore::dot_row_tracked`] with `x`, handed to
@@ -111,7 +122,9 @@ impl WeightStore {
     /// merged `st` of those calls plus the operand's register once per row.
     /// The registers are merged once per pass, not per row: the rows'
     /// latched registers as one sum taken at load, and the operand's
-    /// register times the row count.
+    /// register times the row count. The rows are summed by
+    /// [`fixed::matvec_certified`], 128 at a time into a stack buffer, so
+    /// the pass allocates nothing.
     ///
     /// # Panics
     ///
@@ -125,11 +138,14 @@ impl WeightStore {
         assert_eq!(x.words.len(), self.cols, "dot operand length mismatch");
         st.merge(&self.status_sum);
         st.merge_times(&x.status, self.rows() as u64);
-        for r in 0..self.rows() {
-            out(
-                r,
-                fixed::dot_certified(self.row(r), &x.words, self.row_abs_sum[r], x.abs_max, st),
-            );
+        let mut chunk = [Fixed::ZERO; PASS_ROWS];
+        for start in (0..self.rows()).step_by(PASS_ROWS) {
+            let values = &mut chunk[..PASS_ROWS.min(self.rows() - start)];
+            let table = &self.words[start * self.cols..][..values.len() * self.cols];
+            fixed::matvec_certified(table, &x.words, self.abs_sum, x.abs_max, values, st);
+            for (i, &z) in values.iter().enumerate() {
+                out(start + i, z);
+            }
         }
     }
 }
@@ -148,15 +164,15 @@ impl<'a> Operand<'a> {
     /// The operand of a word vector another module handed over: each word
     /// through [`Fixed::requant`], which equals quantizing its `to_f32` in
     /// value and events, and the words' `max|x|`, once for every row the
-    /// operand meets. Borrows `x` when no word changes.
+    /// operand meets. One scan takes both the requant test and `max|x|`.
+    /// Borrows `x` when no word changes.
     pub fn from_words(x: &'a [Fixed]) -> Self {
         let mut status = NumericStatus::default();
-        let words = fixed::requant_all(x, &mut status);
-        let abs_max = fixed::abs_max(&words);
+        let (words, magnitudes) = fixed::requant_all(x, &mut status);
         Self {
             words,
             status,
-            abs_max,
+            abs_max: magnitudes.abs_max,
         }
     }
 

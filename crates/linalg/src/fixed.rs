@@ -34,6 +34,8 @@ pub const DEFAULT_FRAC_BITS: u32 = 16;
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
+// A slice of words is a slice of `i32`, which the AVX2 kernels load.
+#[repr(transparent)]
 pub struct Fixed {
     raw: i32,
 }
@@ -396,49 +398,85 @@ pub fn dot_tracked_pairs(
     })
 }
 
+/// `Σ|w|` and `max|w|` over one operand's raw words, from one scan: the
+/// magnitudes the two sides of a [`dot_certified`] product bring.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Magnitudes {
+    /// `Σ|w|`, saturating instead of wrapping.
+    pub abs_sum: u64,
+    /// `max|w|`, 0 when empty.
+    pub abs_max: u64,
+}
+
+impl Magnitudes {
+    /// Both magnitudes of `words`, from one scan: the AVX2 kernel when this
+    /// CPU has AVX2, the scalar loop otherwise.
+    #[inline]
+    pub fn of(words: &[Fixed]) -> Self {
+        // Fewer than 2^32 terms of at most 2^31 each sum below 2^63, so only
+        // the chunk totals need the saturating add.
+        words
+            .chunks(u32::MAX as usize)
+            .fold(Self::default(), |m, chunk| {
+                let (abs_sum, abs_max) = chunk_magnitudes(chunk);
+                Self {
+                    abs_sum: m.abs_sum.saturating_add(abs_sum),
+                    abs_max: m.abs_max.max(abs_max),
+                }
+            })
+    }
+
+    /// Whether every word passes [`Fixed::requant`] unchanged.
+    #[inline]
+    fn requant_exact(self) -> bool {
+        self.abs_max <= u64::from(EXACT_IN_F32)
+    }
+}
+
 /// `Σ|w|` over the raw words: the magnitude one side of a
 /// [`dot_certified`] product brings. Saturates instead of wrapping.
 #[inline]
 pub fn abs_sum(words: &[Fixed]) -> u64 {
-    // Fewer than 2^32 terms of at most 2^31 each sum below 2^63, so only
-    // the chunk totals need the saturating add.
-    words.chunks(u32::MAX as usize).fold(0u64, |s, chunk| {
-        let chunk_sum: u64 = chunk.iter().map(|w| u64::from(w.raw.unsigned_abs())).sum();
-        s.saturating_add(chunk_sum)
-    })
+    Magnitudes::of(words).abs_sum
 }
 
 /// `max|w|` over the raw words (0 when empty): the magnitude the other
 /// side of a [`dot_certified`] product brings.
 #[inline]
 pub fn abs_max(words: &[Fixed]) -> u64 {
-    // The extremes in `i32`, a fold the compiler vectorizes.
-    let (lo, hi) = words
-        .iter()
-        .fold((0i32, 0i32), |(lo, hi), w| (lo.min(w.raw), hi.max(w.raw)));
-    u64::from(lo.unsigned_abs().max(hi.unsigned_abs()))
+    Magnitudes::of(words).abs_max
 }
 
-/// `words` through [`Fixed::requant`], borrowed when every word passes
-/// unchanged: one vectorized `max|w|` decides, so a vector that never left
-/// the exact range costs no copy and no per-word test.
+/// `words` through [`Fixed::requant`], with the [`Magnitudes`] of the
+/// result. Borrowed when every word passes unchanged: the scan that takes
+/// the magnitudes decides, so a vector that never left the exact range
+/// costs one scan, no copy and no per-word test.
 #[inline]
-pub fn requant_all<'a>(words: &'a [Fixed], st: &mut NumericStatus) -> Cow<'a, [Fixed]> {
-    if abs_max(words) <= u64::from(EXACT_IN_F32) {
-        Cow::Borrowed(words)
+pub fn requant_all<'a>(
+    words: &'a [Fixed],
+    st: &mut NumericStatus,
+) -> (Cow<'a, [Fixed]>, Magnitudes) {
+    let m = Magnitudes::of(words);
+    if m.requant_exact() {
+        (Cow::Borrowed(words), m)
     } else {
-        Cow::Owned(words.iter().map(|w| w.requant(st)).collect())
+        let words: Vec<Fixed> = words.iter().map(|w| w.requant(st)).collect();
+        let m = Magnitudes::of(&words);
+        (Cow::Owned(words), m)
     }
 }
 
 /// [`requant_all`] in place.
 #[inline]
-pub fn requant_in_place(words: &mut [Fixed], st: &mut NumericStatus) {
-    if abs_max(words) > u64::from(EXACT_IN_F32) {
-        for w in words {
-            *w = w.requant(st);
-        }
+pub fn requant_in_place(words: &mut [Fixed], st: &mut NumericStatus) -> Magnitudes {
+    let m = Magnitudes::of(words);
+    if m.requant_exact() {
+        return m;
     }
+    for w in words.iter_mut() {
+        *w = w.requant(st);
+    }
+    Magnitudes::of(words)
 }
 
 /// The certificate of a sum of `terms` words of magnitude at most
@@ -491,6 +529,50 @@ pub fn dot_certified(
     }
     Fixed {
         raw: certified_dot(a, b),
+    }
+}
+
+/// [`dot_certified`] of every row of a row-major `table` with one operand
+/// `x`, the pass form: `out[r]` is row `r`'s dot product. `abs_sum` and
+/// `abs_max` certify the pass when they bound every row's product as they
+/// would bound one [`dot_certified`]: each row's `Σ|w|` at most `abs_sum`
+/// and `x`'s `max|x|` at most `abs_max`, or `x`'s `Σ|x|` and the table's
+/// `max|w|`.
+///
+/// The certificate is checked once per pass. A certified pass makes one
+/// call into the AVX2 kernel, which sweeps every row against the operand,
+/// when the CPU has AVX2, and runs the scalar loop on each row otherwise;
+/// `st` is left untouched. A pass that does not certify runs the chain on
+/// each row in row order, although some rows might certify on their own:
+/// any valid bound gives the chain's value. Either way every word of `out`
+/// is written, and the words and `st` are those of [`dot_tracked`] on each
+/// row in order.
+///
+/// # Panics
+///
+/// Panics if `table` is not `out.len()` rows of `x.len()` words.
+#[inline]
+pub fn matvec_certified(
+    table: &[Fixed],
+    x: &[Fixed],
+    abs_sum: u64,
+    abs_max: u64,
+    out: &mut [Fixed],
+    st: &mut NumericStatus,
+) {
+    assert_eq!(
+        out.len().checked_mul(x.len()),
+        Some(table.len()),
+        "table shape mismatch"
+    );
+    if x.is_empty() {
+        out.fill(Fixed::ZERO);
+    } else if certifies(abs_sum, abs_max, x.len()) {
+        certified_matvec(table, x, out);
+    } else {
+        for (o, row) in out.iter_mut().zip(table.chunks_exact(x.len())) {
+            *o = dot_tracked(row, x, st);
+        }
     }
 }
 
@@ -549,6 +631,41 @@ fn certified_dot(a: &[Fixed], b: &[Fixed]) -> i32 {
     dot_scalar(a.iter().zip(b))
 }
 
+/// `(Σ|w|, max|w|)` of fewer than `2^32` words: the AVX2 kernel when this
+/// CPU has AVX2, the scalar loop otherwise.
+#[inline]
+fn chunk_magnitudes(words: &[Fixed]) -> (u64, u64) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(avx2) = avx2::Avx2::detect() {
+        return avx2.magnitudes(words);
+    }
+    magnitudes_scalar(words)
+}
+
+/// The scalar loop of [`chunk_magnitudes`], and the oracle of its AVX2
+/// kernel.
+#[inline]
+fn magnitudes_scalar(words: &[Fixed]) -> (u64, u64) {
+    let (sum, max) = words.iter().fold((0u64, 0u32), |(sum, max), w| {
+        let abs = w.raw.unsigned_abs();
+        (sum + u64::from(abs), max.max(abs))
+    });
+    (sum, u64::from(max))
+}
+
+/// The words of a certified [`matvec_certified`] over a nonempty operand:
+/// the AVX2 pass kernel when this CPU has AVX2, the scalar loop on each row
+/// otherwise. Dispatched once per pass.
+#[inline]
+fn certified_matvec(table: &[Fixed], x: &[Fixed], out: &mut [Fixed]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(avx2) = avx2::Avx2::detect() {
+        avx2.matvec(table, x, out);
+        return;
+    }
+    matvec_scalar(table, x, out);
+}
+
 /// The words of a certified [`weighted_rows_certified`]: the AVX2 row
 /// sweep when this CPU has AVX2, the scalar column walk otherwise.
 /// Dispatched on every call.
@@ -573,6 +690,14 @@ fn dot_scalar<'a>(pairs: impl Iterator<Item = (&'a Fixed, &'a Fixed)>) -> i32 {
     sum as i32
 }
 
+/// The scalar form of a certified [`matvec_certified`] over a nonempty
+/// operand: each word of `out` the [`dot_scalar`] of one row.
+fn matvec_scalar(table: &[Fixed], x: &[Fixed], out: &mut [Fixed]) {
+    for (o, row) in out.iter_mut().zip(table.chunks_exact(x.len())) {
+        o.raw = dot_scalar(row.iter().zip(x));
+    }
+}
+
 /// The scalar form of a certified [`weighted_rows_certified`]: each word
 /// of `out` the [`dot_scalar`] of one column, walked down the rows.
 fn rows_scalar(weights: &[Fixed], table: &[Fixed], out: &mut [Fixed]) {
@@ -594,16 +719,26 @@ fn rows_scalar(weights: &[Fixed], table: &[Fixed], out: &mut [Fixed]) {
 /// terms' low 32 bits, and the certificate keeps the true sum inside
 /// `i32`, which its low 32 bits then give. The same holds for each word of
 /// a row sweep, which is one certified column sum accumulated wrapping in
-/// `i32`.
+/// `i32`, and for each word of a matvec pass, whose `u64` lanes and
+/// operand segments add wrapping.
 #[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
 mod avx2 {
+    use std::arch::x86_64::{
+        __m128i, __m256i, _mm256_abs_epi32, _mm256_add_epi64, _mm256_and_si256,
+        _mm256_castsi256_si128, _mm256_cmpgt_epi32, _mm256_extracti128_si256, _mm256_loadu_si256,
+        _mm256_maskload_epi32, _mm256_max_epu32, _mm256_mul_epi32, _mm256_set1_epi32,
+        _mm256_set1_epi64x, _mm256_setr_epi32, _mm256_setzero_si256, _mm256_srli_epi64,
+        _mm_add_epi64, _mm_cvtsi128_si32, _mm_cvtsi128_si64, _mm_max_epu32, _mm_shuffle_epi32,
+        _mm_unpackhi_epi64,
+    };
+
     use super::{Fixed, DEFAULT_FRAC_BITS};
 
     /// Proof that this CPU has AVX2: only [`Avx2::detect`] builds one.
     #[derive(Clone, Copy)]
     pub(super) struct Avx2(());
 
-    #[allow(unsafe_code)]
     impl Avx2 {
         /// The token, when this CPU has AVX2. `std` caches the CPUID
         /// result, so a call costs one load and a branch.
@@ -626,6 +761,24 @@ mod avx2 {
             // SAFETY: `rows_avx2` needs AVX2, and `self` exists only where
             // `Avx2::detect` found AVX2 on this CPU.
             unsafe { rows_avx2(weights, table, out) }
+        }
+
+        /// The certified matvec pass over a nonempty operand, from the AVX2
+        /// kernel.
+        #[inline]
+        pub(super) fn matvec(self, table: &[Fixed], x: &[Fixed], out: &mut [Fixed]) {
+            // SAFETY: `matvec_avx2` needs AVX2, and `self` exists only where
+            // `Avx2::detect` found AVX2 on this CPU.
+            unsafe { matvec_avx2(table, x, out) }
+        }
+
+        /// `(Σ|w|, max|w|)` of fewer than `2^32` words, from the AVX2
+        /// kernel.
+        #[inline]
+        pub(super) fn magnitudes(self, words: &[Fixed]) -> (u64, u64) {
+            // SAFETY: `magnitudes_avx2` needs AVX2, and `self` exists only
+            // where `Avx2::detect` found AVX2 on this CPU.
+            unsafe { magnitudes_avx2(words) }
         }
     }
 
@@ -656,6 +809,138 @@ mod avx2 {
                 o.raw = o.raw.wrapping_add(term(*w, *t) as i32);
             }
         }
+    }
+
+    /// Operand blocks of 8 words a pass splits at a time.
+    const SEGMENT_BLOCKS: usize = 8;
+    /// Operand words a pass splits at a time.
+    const SEGMENT: usize = 8 * SEGMENT_BLOCKS;
+
+    /// Each row's terms summed into its word of `out`, one operand segment
+    /// at a time. Each segment is split once into `vpmuldq` lanes, which
+    /// multiply the low `i32` of each 64-bit lane: each 8-word block's even
+    /// words as loaded, and its odd words shifted down into the low halves.
+    /// Then each row of the segment is swept with 8-word loads and summed
+    /// with one horizontal sum. A last block of fewer than 8 words is
+    /// loaded through a lane mask ([`load_tail`]), which zeroes the lanes
+    /// past it, in the operand and in every row.
+    #[target_feature(enable = "avx2")]
+    fn matvec_avx2(table: &[Fixed], x: &[Fixed], out: &mut [Fixed]) {
+        let mut even = [_mm256_setzero_si256(); SEGMENT_BLOCKS];
+        let mut odd = [_mm256_setzero_si256(); SEGMENT_BLOCKS];
+        for (s, segment) in x.chunks(SEGMENT).enumerate() {
+            let (blocks, tail) = segment.as_chunks::<8>();
+            for (b, block) in blocks.iter().enumerate() {
+                (even[b], odd[b]) = split(load(block));
+            }
+            if !tail.is_empty() {
+                (even[blocks.len()], odd[blocks.len()]) = split(load_tail(tail));
+            }
+            for (r, o) in out.iter_mut().enumerate() {
+                let row = &table[r * x.len() + s * SEGMENT..][..segment.len()];
+                let sum = row_sum(row, &even, &odd);
+                o.raw = if s == 0 { sum } else { o.raw.wrapping_add(sum) };
+            }
+        }
+    }
+
+    /// A block's even words in place and its odd words shifted down.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn split(block: __m256i) -> (__m256i, __m256i) {
+        (block, _mm256_srli_epi64::<32>(block))
+    }
+
+    /// The low 32 bits of the wrapping sum of a row's terms against the
+    /// split operand segment of its width.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn row_sum(row: &[Fixed], even: &[__m256i], odd: &[__m256i]) -> i32 {
+        let (blocks, tail) = row.as_chunks::<8>();
+        let mut acc = _mm256_setzero_si256();
+        for ((block, e), o) in blocks.iter().zip(even).zip(odd) {
+            acc = add_terms(acc, load(block), *e, *o);
+        }
+        if !tail.is_empty() {
+            let b = blocks.len();
+            acc = add_terms(acc, load_tail(tail), even[b], odd[b]);
+        }
+        _mm_cvtsi128_si64(lane_sum(acc)) as i32
+    }
+
+    /// `acc` plus the 8 terms of one block, each `(w·x) >> 16` with a
+    /// logical shift, two to each 64-bit lane: the even words' products and
+    /// the odd words'.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn add_terms(acc: __m256i, row: __m256i, even: __m256i, odd: __m256i) -> __m256i {
+        const SHIFT: i32 = DEFAULT_FRAC_BITS as i32;
+        let even = _mm256_mul_epi32(row, even);
+        let odd = _mm256_mul_epi32(_mm256_srli_epi64::<32>(row), odd);
+        let acc = _mm256_add_epi64(acc, _mm256_srli_epi64::<SHIFT>(even));
+        _mm256_add_epi64(acc, _mm256_srli_epi64::<SHIFT>(odd))
+    }
+
+    /// The wrapping sum of the four 64-bit lanes, in the low lane.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn lane_sum(v: __m256i) -> __m128i {
+        let half = _mm_add_epi64(_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+        _mm_add_epi64(half, _mm_unpackhi_epi64(half, half))
+    }
+
+    /// `(Σ|w|, max|w|)` of fewer than `2^32` words: each word's `|w|` as
+    /// an unsigned `i32` (`vpabsd` maps `i32::MIN` to `2^31`), its maximum
+    /// kept unsigned, and its even and odd words summed in 64-bit lanes,
+    /// which stay below `2^61`.
+    #[target_feature(enable = "avx2")]
+    fn magnitudes_avx2(words: &[Fixed]) -> (u64, u64) {
+        let (blocks, tail) = words.as_chunks::<8>();
+        let low = _mm256_set1_epi64x(0xffff_ffff);
+        let mut sum = _mm256_setzero_si256();
+        let mut max = _mm256_setzero_si256();
+        let mut absorb = |block: __m256i| {
+            let abs = _mm256_abs_epi32(block);
+            max = _mm256_max_epu32(max, abs);
+            sum = _mm256_add_epi64(sum, _mm256_and_si256(abs, low));
+            sum = _mm256_add_epi64(sum, _mm256_srli_epi64::<32>(abs));
+        };
+        for block in blocks {
+            absorb(load(block));
+        }
+        if !tail.is_empty() {
+            absorb(load_tail(tail));
+        }
+        let half = _mm_max_epu32(
+            _mm256_castsi256_si128(max),
+            _mm256_extracti128_si256::<1>(max),
+        );
+        let half = _mm_max_epu32(half, _mm_shuffle_epi32::<0b01_00_11_10>(half));
+        let half = _mm_max_epu32(half, _mm_shuffle_epi32::<0b10_11_00_01>(half));
+        let max = _mm_cvtsi128_si32(half) as u32;
+        (_mm_cvtsi128_si64(lane_sum(sum)) as u64, u64::from(max))
+    }
+
+    /// A block of 8 words.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn load(block: &[Fixed; 8]) -> __m256i {
+        // SAFETY: `block` is 8 transparent `i32` words, the 32 bytes the
+        // unaligned load reads.
+        unsafe { _mm256_loadu_si256(block.as_ptr().cast()) }
+    }
+
+    /// The first 8 words of `tail`, or all of them with the lanes past
+    /// them zeroed.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn load_tail(tail: &[Fixed]) -> __m256i {
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(tail.len().min(8) as i32), lanes);
+        // SAFETY: `Fixed` is a transparent `i32`, and the mask selects the
+        // first `min(tail.len(), 8)` lanes, so only words of `tail` are
+        // read; `vpmaskmovd` touches no masked-out lane.
+        unsafe { _mm256_maskload_epi32(tail.as_ptr().cast(), mask) }
     }
 }
 
@@ -919,6 +1204,22 @@ mod tests {
                 let (sum, max) = (abs_sum(&a), abs_max(&table));
                 weighted_rows_certified(&a, &table, sum, max, &mut out, &mut got);
                 assert_eq!((out.as_slice(), got), (columns.as_slice(), want));
+                // A store of two rows, its largest `a`, at the pass
+                // certificate and one past it: past it the first row, whose
+                // `Σ|w| = n`, would certify on its own, and the pass runs
+                // the chain on both rows.
+                let store: Vec<Fixed> = vec![Fixed::epsilon(); n]
+                    .into_iter()
+                    .chain(a.clone())
+                    .collect();
+                let store_sum = abs_sum(&store[..n]).max(abs_sum(&a));
+                assert_eq!(certifies(store_sum, abs_max(&b), n), at_edge);
+                assert!(certifies(abs_sum(&store[..n]), abs_max(&b), n));
+                let (mut got, mut want) = (dirty, dirty);
+                let chains = row_chains(&store, &b, &mut want);
+                let mut out = [Fixed::MIN; 2];
+                matvec_certified(&store, &b, store_sum, abs_max(&b), &mut out, &mut got);
+                assert_eq!((out.as_slice(), got), (chains.as_slice(), want), "n = {n}");
                 if at_edge {
                     assert_eq!(want, dirty);
                     assert!(value.raw() < -(1 << 30), "{value} is not near the edge");
@@ -927,6 +1228,9 @@ mod tests {
                     }
                     for rows in kernel_rows(&a, &table, 2) {
                         assert_eq!(rows, columns, "n = {n}");
+                    }
+                    for pass in kernel_matvecs(&store, &b, 2) {
+                        assert_eq!(pass, chains, "n = {n}");
                     }
                 }
             }
@@ -972,6 +1276,65 @@ mod tests {
             all.push(out);
         }
         all
+    }
+
+    /// A certified pass's words from every kernel, as [`kernel_dots`], each
+    /// into an `out` of stale words: none when the operand is empty, which
+    /// [`matvec_certified`] answers before it dispatches.
+    fn kernel_matvecs(table: &[Fixed], x: &[Fixed], rows: usize) -> Vec<Vec<Fixed>> {
+        if x.is_empty() {
+            return Vec::new();
+        }
+        let mut out = vec![Fixed::MAX; rows];
+        matvec_scalar(table, x, &mut out);
+        let mut all = vec![out];
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2) = avx2::Avx2::detect() {
+            let mut out = vec![Fixed::MIN; rows];
+            avx2.matvec(table, x, &mut out);
+            all.push(out);
+        }
+        all
+    }
+
+    /// The chain on each row of a row-major table of `x.len()` words a row,
+    /// in row order: the pass entry's oracle.
+    fn row_chains(table: &[Fixed], x: &[Fixed], st: &mut NumericStatus) -> Vec<Fixed> {
+        let rows = table.len().checked_div(x.len()).unwrap_or(0);
+        (0..rows)
+            .map(|r| dot_tracked(&table[r * x.len()..][..x.len()], x, st))
+            .collect()
+    }
+
+    /// The largest row `Σ|w|` of a table of `width` words a row: the
+    /// stored side's magnitude in a pass certificate.
+    fn row_abs_sum_max(table: &[Fixed], width: usize) -> u64 {
+        table.chunks(width.max(1)).map(abs_sum).max().unwrap_or(0)
+    }
+
+    #[test]
+    fn matvec_kernels_sweep_operand_segments() {
+        // Operands wider than one split segment of 64 words, with and
+        // without a tail, summed across segments.
+        // Stored words below 2^23 against operand words below 2^8 certify
+        // at every width here.
+        let mut seed = 0x2545_f491_u32;
+        let mut word = |bits: u32| {
+            seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            Fixed::from_raw((seed >> (32 - bits)) as i32 - (1 << (bits - 1)))
+        };
+        for width in [63usize, 64, 65, 127, 128, 129, 136, 300] {
+            let x: Vec<Fixed> = (0..width).map(|_| word(9)).collect();
+            let table: Vec<Fixed> = (0..3 * width).map(|_| word(24)).collect();
+            let (sum, max) = (row_abs_sum_max(&table, width), abs_max(&x));
+            assert!(certifies(sum, max, width), "width {width}");
+            let mut st = NumericStatus::default();
+            let want = row_chains(&table, &x, &mut st);
+            assert!(st.is_clean());
+            for pass in kernel_matvecs(&table, &x, 3) {
+                assert_eq!(pass, want, "width {width}");
+            }
+        }
     }
 
     /// The chain down each column of a row-major table of `width` words a
@@ -1058,6 +1421,73 @@ mod tests {
                     prop_assert_eq!(&rows, &want);
                 }
             }
+        }
+
+        /// The pass entry equals the chain on each row in every word and in
+        /// the register, certified or not, with the store's magnitudes (the
+        /// largest row `Σ|w|` and the operand's `max|x|`) and with the
+        /// operand's `Σ|x|` and the table's `max|w|`, on tables of 0 to 70
+        /// rows and 0 to 80 columns, so that every 8-word tail appears;
+        /// where the certificate holds, so does every kernel called
+        /// directly.
+        #[test]
+        fn matvec_is_the_row_chains(
+            (x, table, rows) in (0usize..4, 0usize..4, 0usize..=70, 0usize..=80)
+                .prop_flat_map(|(a, b, rows, width)| {
+                    (banded_words(BANDS[a], width), banded_words(BANDS[b], rows * width), Just(rows))
+                })
+        ) {
+            let dirty = NumericStatus {
+                add_sat: 3,
+                mul_sat: 5,
+                ..NumericStatus::default()
+            };
+            let mut want_st = dirty;
+            let want = row_chains(&table, &x, &mut want_st);
+            prop_assert_eq!(want.len(), if x.is_empty() { 0 } else { rows });
+            let want = if x.is_empty() { vec![Fixed::ZERO; rows] } else { want };
+            let store = (row_abs_sum_max(&table, x.len()), abs_max(&x));
+            for (sum, max) in [store, (abs_sum(&x), abs_max(&table))] {
+                let mut out = vec![Fixed::MAX; rows];
+                let mut st = dirty;
+                matvec_certified(&table, &x, sum, max, &mut out, &mut st);
+                prop_assert_eq!((&out, st), (&want, want_st));
+                if certifies(sum, max, x.len()) {
+                    for pass in kernel_matvecs(&table, &x, rows) {
+                        prop_assert_eq!(&pass, &want);
+                    }
+                }
+            }
+        }
+
+        /// Every magnitude kernel, called directly, gives the `Σ|w|` and
+        /// `max|w|` of a plain walk over the words, `|i32::MIN| = 2^31`
+        /// included, on every prefix of 0 to 80 words; and the requant
+        /// entries return the magnitudes of the words they leave, changed
+        /// or not, with the words and events of [`Fixed::requant`].
+        #[test]
+        fn magnitudes_are_one_scan(words in (0usize..4).prop_flat_map(|b| banded_words(BANDS[b], 80))) {
+            for n in 0..=80 {
+                let words = &words[..n];
+                let sum = words.iter().map(|w| u64::from(w.raw().unsigned_abs())).sum::<u64>();
+                let max = words.iter().map(|w| u64::from(w.raw().unsigned_abs())).max();
+                let want = Magnitudes { abs_sum: sum, abs_max: max.unwrap_or(0) };
+                prop_assert_eq!(Magnitudes::of(words), want);
+                prop_assert_eq!(magnitudes_scalar(words), (want.abs_sum, want.abs_max));
+                #[cfg(target_arch = "x86_64")]
+                if let Some(avx2) = avx2::Avx2::detect() {
+                    prop_assert_eq!(avx2.magnitudes(words), (want.abs_sum, want.abs_max));
+                }
+            }
+            let mut want_st = NumericStatus::default();
+            let want: Vec<Fixed> = words.iter().map(|w| w.requant(&mut want_st)).collect();
+            let mut st = NumericStatus::default();
+            let (got, m) = requant_all(&words, &mut st);
+            prop_assert_eq!((&*got, st, m), (want.as_slice(), want_st, Magnitudes::of(&want)));
+            let mut in_place = words.clone();
+            let mut st = NumericStatus::default();
+            let m = requant_in_place(&mut in_place, &mut st);
+            prop_assert_eq!((in_place, st, m), (want.clone(), want_st, Magnitudes::of(&want)));
         }
 
         /// The libm-free rounding equals `f64::round` on every quantizer
