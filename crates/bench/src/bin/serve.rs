@@ -12,51 +12,53 @@
 //!     --instances 4 --policy affinity --pool 4 --story-cache 8
 //! ```
 //!
-//! `--story-cache` (default: `MANN_STORY_CACHE` or 16, 0 disables) sizes
-//! each instance's resident-story cache; `--pool N` concentrates the trace
-//! on each task's first N stories; `--engine serial|parallel` (default:
-//! `MANN_SERVE_ENGINE` or parallel) picks the numeric-phase engine — both
-//! produce byte-identical reports.
+//! Every serve setting enters through these flags, each writing one field
+//! of the library's [`TraceConfig`] or [`ClusterConfig`]; a flag left out
+//! keeps that config's default. `MANN_THREADS` sizes the numeric phase's
+//! worker pool and moves no byte.
+//!
+//! `--story-cache` (default 16, 0 disables) sizes each instance's
+//! resident-story cache; `--pool N` concentrates the trace on each task's
+//! first N stories.
 //!
 //! `--fault-plan <path|spec>` runs a deterministic fault campaign: either
 //! a JSON file or an inline `key=value,...` spec such as
 //! `corrupt=0.05,retries=4,crashes=2,cooldown-us=300,watchdog-us=400,seus=3,seed=7`.
 //! The campaign is seeded and simulated-time deterministic: the same plan
-//! prints byte-identical reports at any `MANN_THREADS` and under either
-//! engine.
+//! prints byte-identical reports at any `MANN_THREADS`.
 //!
-//! `--numeric-policy ignore|flag|failover` (default: `MANN_NUMERIC_POLICY`
-//! or ignore) selects the numeric-health response: `flag` publishes the
-//! saturation/veto accounting in the report, `failover` additionally
-//! re-answers stressed completions on the `f32` reference datapath at
-//! accounted cycle/energy cost. `--embed-scale <factor>` multiplies the
-//! trained embedding matrices before quantization — a stress campaign
-//! knob that drives the fixed-point datapath into saturation.
+//! `--numeric-policy ignore|flag|failover` (default ignore) selects the
+//! numeric-health response: `flag` publishes the saturation/veto
+//! accounting in the report, `failover` additionally re-answers stressed
+//! completions on the `f32` reference datapath at accounted cycle/energy
+//! cost. `--embed-scale <factor>` (finite)
+//! multiplies the trained embedding matrices before quantization — a
+//! stress campaign knob that drives the fixed-point datapath into
+//! saturation.
 //!
 //! `--batch-window <n>` (default 0, off) fuses up to `n` queued requests
 //! that share a resident story into one compute group per instance,
 //! paying the shared memory/output streams once. `--hop-prune
-//! <threshold|off>` (default: `MANN_HOP_PRUNE` or off) skips remaining
-//! hops once the max attention weight reaches the threshold, with a
-//! saturation veto on the winning weight. Malformed values for either
-//! flag — or for `MANN_HOP_PRUNE` — are hard errors. `--link-gbps` and
-//! `--link-latency-us` override the PCIe model (fusion needs the link to
-//! outrun the fabric, which the default 65 us/transfer link never does).
+//! <threshold|off>` (default off) skips remaining hops once the max
+//! attention weight reaches the threshold, with a saturation veto on the
+//! winning weight. Malformed values for either flag are hard errors.
+//! `--link-gbps` (positive) and `--link-latency-us` (non-negative)
+//! override the PCIe model (fusion needs the link to outrun the fabric,
+//! which the default 65 us/transfer link never does).
 //!
-//! `--mem-index k,nprobe,band` (default: `MANN_MEM_INDEX` or off) arms the
-//! IVF candidate index in front of every instance's MEM module: each
-//! addressing hop probes the `nprobe` nearest of `k` centroids and
-//! exact-scores only the surviving candidate slots, falling back to the
-//! full scan whenever the best candidate is within `band` of the worst
-//! retained one. `--mem-index off` disables it explicitly; malformed specs
-//! (k < 1, nprobe outside 1..=k, negative or non-finite band) are hard
-//! errors, for the flag and the env var alike. Pair it with
-//! `--story-sentences <n>` (0 = task defaults), which pins every
-//! generated story to exactly `n` sentences — the index pays off only
-//! once stories are long enough that exact addressing dominates.
+//! `--mem-index k,nprobe,band` (default off) arms the IVF candidate index
+//! in front of every instance's MEM module: each addressing hop probes
+//! the `nprobe` nearest of `k` centroids and exact-scores only the
+//! surviving candidate slots, falling back to the full scan whenever the
+//! best candidate is within `band` of the worst retained one.
+//! `--mem-index off` disables it explicitly; malformed specs (k < 1,
+//! nprobe outside 1..=k, negative or non-finite band) are hard errors.
+//! Pair it with `--story-sentences <n>` (0 = task defaults), which pins
+//! every generated story to exactly `n` sentences — the index pays off
+//! only once stories are long enough that exact addressing dominates.
 //!
-//! `--wal-dir <dir|spec>` (default: `MANN_WAL` or off) arms the durable
-//! story store: every admitted story, eviction and completion is
+//! `--wal-dir <dir|spec>` (default off) arms the durable story store:
+//! every admitted story, eviction and completion is
 //! journaled to a checksummed write-ahead log under the directory, with
 //! `--snapshot-every <n>` (or `snap=n` in the spec) rotating segments
 //! and compacting every n records. With `node-kills=1` in the fault
@@ -64,11 +66,10 @@
 //! and recovered by replay; the serve itself is untouched, so every
 //! report section but `durability` matches the no-kill run (the recovery
 //! tests pin this). A cluster journals each shard under
-//! `<dir>/shard-<s>/`. Malformed specs, for the flag
-//! and `MANN_WAL` alike, are hard errors; so is `node-kills` without a
-//! WAL or `--snapshot-every` without `--wal-dir`. The WAL only adds a
-//! `durability` report section: all other bytes match the non-durable
-//! run exactly.
+//! `<dir>/shard-<s>/`. Malformed specs are hard errors; so is
+//! `node-kills` without a WAL or `--snapshot-every` without `--wal-dir`.
+//! The WAL only adds a `durability` report section: all other bytes
+//! match the non-durable run exactly.
 //!
 //! `--shards K` (default 1) serves the trace on a story-sharded cluster:
 //! a rendezvous-hash router places each story on one of K shard nodes,
@@ -98,7 +99,10 @@
 //! unchanged.
 //!
 //! A flag that neither this binary nor the shared harness knows, such as
-//! a misspelt `--fault-plna`, is a usage error (exit status 2).
+//! a misspelt `--fault-plna`, is a usage error (exit status 2), and so is
+//! a value out of range, such as `--rate-us 0`, `--link-gbps 0`,
+//! `--embed-scale nan` or `--instances 0`: each is rejected with a
+//! one-line message before any training.
 //!
 //! The serve is a pure function of `(suite, trace, config)`: rerunning
 //! with the same flags — at any `MANN_THREADS` — prints byte-identical
@@ -108,39 +112,19 @@
 
 use mann_bench::{parsed, usage_bail, HarnessArgs};
 use mann_core::write_json_report;
-use mann_hw::{story_cache_capacity_from_env, MemIndexConfig, DEFAULT_STORY_CACHE};
+use mann_hw::MemIndexConfig;
 use mann_serve::{
-    serve_cluster_durable, serve_durable, ArrivalTrace, Cluster, ClusterConfig, EngineMode,
-    FaultConfig, HopPrune, MembershipPlan, NumericPolicy, SchedulePolicy, ServeConfig, Server,
-    TraceConfig, WalConfig,
+    serve_cluster_durable, serve_durable, ArrivalTrace, Cluster, ClusterConfig, FaultConfig,
+    HopPrune, MembershipPlan, NumericPolicy, SchedulePolicy, Server, TraceConfig, WalConfig,
 };
 
+/// What the flags configure: the traffic, the serve stack (a single node
+/// unless `--shards` asks for a cluster) and the numeric stress factor.
+#[derive(Debug)]
 struct ServeArgs {
-    instances: usize,
-    policy: SchedulePolicy,
-    requests: usize,
-    queue: usize,
-    batch: usize,
-    inflight: usize,
-    rate_us: f64,
-    trace_seed: u64,
-    ith: bool,
-    story_cache: usize,
-    story_pool: usize,
-    engine: EngineMode,
-    faults: FaultConfig,
-    numeric_policy: NumericPolicy,
+    trace: TraceConfig,
+    cluster: ClusterConfig,
     embed_scale: f32,
-    batch_window: usize,
-    hop_prune: HopPrune,
-    mem_index: MemIndexConfig,
-    link_gbps: Option<f64>,
-    link_latency_us: Option<f64>,
-    shards: usize,
-    replication: usize,
-    weights: Vec<u32>,
-    membership: MembershipPlan,
-    wal: WalConfig,
 }
 
 /// Parses a `--weights` list: one routing weight per shard, each a
@@ -173,128 +157,122 @@ fn parse_weights(spec: &str) -> Result<Vec<u32>, String> {
 
 impl ServeArgs {
     /// Parses the flags the shared harness left over
-    /// ([`HarnessArgs::parse_known`]); a flag this binary does not know
-    /// either is an error, never a silent no-op.
+    /// ([`HarnessArgs::parse_known`]) and validates the configs they
+    /// build; a flag this binary does not know either is an error, never
+    /// a silent no-op.
     fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut out = Self {
-            instances: 2,
-            policy: SchedulePolicy::ShortestQueue,
-            requests: 256,
-            queue: 64,
-            batch: 4,
-            inflight: 2,
-            rate_us: 200.0,
-            trace_seed: 0,
-            ith: false,
-            // Env defaults so a whole experiment sweep can be reconfigured
-            // without touching every invocation; flags still win. Invalid
-            // env values are hard errors — a typo must not silently serve
-            // with the default.
-            story_cache: story_cache_capacity_from_env()
-                .map_err(|e| e.to_string())?
-                .unwrap_or(DEFAULT_STORY_CACHE),
-            story_pool: 0,
-            engine: EngineMode::from_env().map_err(|e| e.to_string())?,
-            faults: FaultConfig::none(),
-            numeric_policy: NumericPolicy::from_env().map_err(|e| e.to_string())?,
-            embed_scale: 1.0,
-            batch_window: 0,
-            hop_prune: HopPrune::from_env().map_err(|e| e.to_string())?,
-            mem_index: MemIndexConfig::from_env().map_err(|e| e.to_string())?,
-            link_gbps: None,
-            link_latency_us: None,
-            shards: 1,
-            replication: 1,
-            weights: Vec::new(),
-            membership: MembershipPlan::none(),
-            wal: WalConfig::from_env().map_err(|e| e.to_string())?,
-        };
+        let mut trace = TraceConfig::default();
+        let mut cluster = ClusterConfig::default();
+        let mut embed_scale: f32 = 1.0;
         let mut snapshot_every: Option<u64> = None;
+        let node = &mut cluster.base;
         let mut it = args.into_iter();
         while let Some(key) = it.next() {
             let flag = key.as_str();
             let mut value = || it.next().ok_or_else(|| format!("usage: {flag} <value>"));
             match flag {
-                "--instances" => out.instances = parsed(flag, value()?, "a count")?,
+                "--instances" => node.instances = parsed(flag, value()?, "a count")?,
                 "--policy" => {
-                    out.policy =
+                    node.policy =
                         SchedulePolicy::parse(&value()?).ok_or("usage: --policy rr|sq|affinity")?;
                 }
-                "--requests" => out.requests = parsed(flag, value()?, "a count")?,
-                "--queue" => out.queue = parsed(flag, value()?, "a count")?,
-                "--batch" => out.batch = parsed(flag, value()?, "a count")?,
-                "--inflight" => out.inflight = parsed(flag, value()?, "a count")?,
-                "--rate-us" => out.rate_us = parsed(flag, value()?, "microseconds")?,
-                "--trace-seed" => out.trace_seed = parsed(flag, value()?, "a seed")?,
-                "--ith" => out.ith = true,
-                "--story-cache" => out.story_cache = parsed(flag, value()?, "a count")?,
-                "--pool" => out.story_pool = parsed(flag, value()?, "a count")?,
-                "--engine" => {
-                    out.engine = EngineMode::parse(&value()?).map_err(|e| e.to_string())?;
+                "--requests" => trace.requests = parsed(flag, value()?, "a count")?,
+                "--queue" => node.queue_capacity = parsed(flag, value()?, "a count")?,
+                "--batch" => node.upload_batch = parsed(flag, value()?, "a count")?,
+                "--inflight" => node.inflight_limit = parsed(flag, value()?, "a count")?,
+                "--rate-us" => {
+                    let us: f64 = parsed(flag, value()?, "microseconds")?;
+                    if us <= 0.0 || !us.is_finite() {
+                        return Err(format!(
+                            "invalid --rate-us {us}: the mean inter-arrival time must be \
+                             positive and finite"
+                        ));
+                    }
+                    trace.mean_interarrival_s = us * 1e-6;
                 }
+                "--trace-seed" => trace.seed = parsed(flag, value()?, "a seed")?,
+                "--ith" => node.use_ith = true,
+                "--story-cache" => node.story_cache = parsed(flag, value()?, "a count")?,
+                "--pool" => trace.story_pool = parsed(flag, value()?, "a count")?,
                 "--fault-plan" => {
-                    out.faults = FaultConfig::from_arg(&value()?).map_err(|e| e.to_string())?;
+                    node.faults = FaultConfig::from_arg(&value()?).map_err(|e| e.to_string())?;
                 }
                 "--numeric-policy" => {
-                    out.numeric_policy =
+                    node.numeric_policy =
                         NumericPolicy::parse(&value()?).map_err(|e| e.to_string())?;
                 }
-                "--embed-scale" => out.embed_scale = parsed(flag, value()?, "a factor")?,
+                "--embed-scale" => {
+                    embed_scale = parsed(flag, value()?, "a factor")?;
+                    if !embed_scale.is_finite() {
+                        return Err(format!(
+                            "invalid --embed-scale {embed_scale}: the factor must be finite"
+                        ));
+                    }
+                }
                 "--batch-window" => {
-                    out.batch_window = parsed(flag, value()?, "a request count (0 disables)")?;
+                    node.batch_window = parsed(flag, value()?, "a request count (0 disables)")?;
                 }
                 "--hop-prune" => {
-                    out.hop_prune = HopPrune::parse(&value()?).map_err(|e| e.to_string())?;
+                    node.hop_prune = HopPrune::parse(&value()?).map_err(|e| e.to_string())?;
                 }
                 "--mem-index" => {
-                    out.mem_index = MemIndexConfig::parse(&value()?).map_err(|e| e.to_string())?;
+                    node.mem_index = MemIndexConfig::parse(&value()?).map_err(|e| e.to_string())?;
                 }
-                "--link-gbps" => out.link_gbps = Some(parsed(flag, value()?, "GB/s")?),
+                "--link-gbps" => {
+                    let gbps: f64 = parsed(flag, value()?, "GB/s")?;
+                    node.pcie.bandwidth_bytes_per_s = gbps * 1e9;
+                }
                 "--link-latency-us" => {
-                    out.link_latency_us = Some(parsed(flag, value()?, "microseconds")?);
+                    let us: f64 = parsed(flag, value()?, "microseconds")?;
+                    node.pcie.latency_per_transfer_s = us * 1e-6;
                 }
-                // The flag takes a bare directory or a full MANN_WAL spec
-                // (`dir,snap=N,...`); either way it replaces the
-                // env-derived config wholesale so flags win cleanly.
-                "--wal-dir" => out.wal = WalConfig::parse(&value()?).map_err(|e| e.to_string())?,
+                // A bare directory or a full spec (`dir,snap=N,...`).
+                "--wal-dir" => {
+                    node.wal = WalConfig::parse(&value()?).map_err(|e| e.to_string())?;
+                }
                 "--snapshot-every" => {
                     snapshot_every = Some(parsed(flag, value()?, "a record count (0 disables)")?);
                 }
-                "--shards" => out.shards = parsed(flag, value()?, "a count")?,
-                "--replication" => out.replication = parsed(flag, value()?, "a count")?,
-                "--weights" => out.weights = parse_weights(&value()?)?,
+                "--shards" => cluster.shards = parsed(flag, value()?, "a count")?,
+                "--replication" => cluster.replication = parsed(flag, value()?, "a count")?,
+                "--weights" => cluster.weights = parse_weights(&value()?)?,
                 "--membership-plan" => {
-                    out.membership =
+                    cluster.membership =
                         MembershipPlan::from_arg(&value()?).map_err(|e| e.to_string())?;
                 }
                 _ => return Err(format!("unknown flag {flag:?}")),
             }
         }
         if let Some(n) = snapshot_every {
-            if !out.wal.enabled {
+            if !node.wal.enabled {
                 return Err(
-                    "--snapshot-every requires the write-ahead log (--wal-dir or \
-                            MANN_WAL): there is no journal to compact"
+                    "--snapshot-every requires the write-ahead log (--wal-dir): there is \
+                     no journal to compact"
                         .into(),
                 );
             }
-            out.wal.snapshot_every = n;
+            node.wal.snapshot_every = n;
         }
-        if out.shards <= 1 && out.replication <= 1 {
+        if cluster.shards <= 1 {
             // These knobs only exist at the cluster layer; accepting them
             // on a single-node run would silently serve without them.
-            if !out.membership.is_empty() {
+            if !cluster.membership.is_empty() {
                 return Err(
                     "--membership-plan needs a cluster (--shards > 1): a single \
                             node has no membership to change"
                         .into(),
                 );
             }
-            if !out.weights.is_empty() {
+            if !cluster.weights.is_empty() {
                 return Err("--weights needs a cluster (--shards > 1)".into());
             }
         }
-        Ok(out)
+        cluster.validate()?;
+        Ok(Self {
+            trace,
+            cluster,
+            embed_scale,
+        })
     }
 }
 
@@ -302,7 +280,11 @@ fn main() {
     let (args, rest) = HarnessArgs::default()
         .parse_known(std::env::args().skip(1))
         .unwrap_or_else(|e| usage_bail("serve", e));
-    let serve_args = ServeArgs::parse(rest).unwrap_or_else(|e| usage_bail("serve", e));
+    let ServeArgs {
+        trace: traffic,
+        cluster: config,
+        embed_scale,
+    } = ServeArgs::parse(rest).unwrap_or_else(|e| usage_bail("serve", e));
 
     eprintln!(
         "[serve] training {} tasks ({} train / {} test, seed {}) ...",
@@ -310,12 +292,9 @@ fn main() {
     );
     let start = std::time::Instant::now();
     let mut suite = args.build_suite();
-    if serve_args.embed_scale != 1.0 {
-        eprintln!(
-            "[serve] scaling embedding matrices by {} (numeric stress campaign)",
-            serve_args.embed_scale
-        );
-        suite = suite.with_embedding_scale(serve_args.embed_scale);
+    if embed_scale != 1.0 {
+        eprintln!("[serve] scaling embedding matrices by {embed_scale} (numeric stress campaign)");
+        suite = suite.with_embedding_scale(embed_scale);
     }
     eprintln!(
         "[serve] suite trained in {:.1}s, mean test accuracy {:.1}%",
@@ -323,116 +302,68 @@ fn main() {
         suite.mean_accuracy() * 100.0
     );
 
-    let trace = ArrivalTrace::generate(
-        &TraceConfig {
-            requests: serve_args.requests,
-            seed: serve_args.trace_seed,
-            mean_interarrival_s: serve_args.rate_us * 1e-6,
-            story_pool: serve_args.story_pool,
-        },
-        &suite,
-    );
-    let mut pcie = ServeConfig::default().pcie;
-    if let Some(g) = serve_args.link_gbps {
-        pcie.bandwidth_bytes_per_s = g * 1e9;
-    }
-    if let Some(us) = serve_args.link_latency_us {
-        pcie.latency_per_transfer_s = us * 1e-6;
-    }
-    let config = ServeConfig {
-        pcie,
-        instances: serve_args.instances,
-        queue_capacity: serve_args.queue,
-        inflight_limit: serve_args.inflight,
-        upload_batch: serve_args.batch,
-        policy: serve_args.policy,
-        use_ith: serve_args.ith,
-        story_cache: serve_args.story_cache,
-        engine: serve_args.engine,
-        faults: serve_args.faults,
-        numeric_policy: serve_args.numeric_policy,
-        batch_window: serve_args.batch_window,
-        hop_prune: serve_args.hop_prune,
-        mem_index: serve_args.mem_index,
-        wal: serve_args.wal,
-        ..ServeConfig::default()
-    };
-    if let Err(e) = config.validate() {
-        usage_bail("serve", e);
-    }
+    let trace = ArrivalTrace::generate(&traffic, &suite);
+    let node = &config.base;
     eprintln!(
-        "[serve] {} requests (mean inter-arrival {} us, trace seed {}, story pool {}) over \
-         {} instance(s), policy {}, queue {}, upload batch {}, ith {}, story cache {}, \
-         engine {}",
+        "[serve] {} requests (mean inter-arrival {} s, trace seed {}, story pool {}) over \
+         {} instance(s), policy {}, queue {}, upload batch {}, ith {}, story cache {}",
         trace.len(),
-        serve_args.rate_us,
-        serve_args.trace_seed,
-        serve_args.story_pool,
-        config.instances,
-        config.policy,
-        config.queue_capacity,
-        config.upload_batch,
-        config.use_ith,
-        config.story_cache,
-        config.engine,
+        traffic.mean_interarrival_s,
+        traffic.seed,
+        traffic.story_pool,
+        node.instances,
+        node.policy,
+        node.queue_capacity,
+        node.upload_batch,
+        node.use_ith,
+        node.story_cache,
     );
-    if config.numeric_policy != NumericPolicy::Ignore {
-        eprintln!("[serve] numeric policy {}", config.numeric_policy);
+    if node.numeric_policy != NumericPolicy::Ignore {
+        eprintln!("[serve] numeric policy {}", node.numeric_policy);
     }
-    if config.batch_window > 1 {
+    if node.batch_window > 1 {
         eprintln!(
             "[serve] same-story batch fusion on (window {})",
-            config.batch_window
+            node.batch_window
         );
     }
-    if config.hop_prune.enabled {
-        eprintln!("[serve] adaptive hop pruning on ({})", config.hop_prune);
+    if node.hop_prune.enabled {
+        eprintln!("[serve] adaptive hop pruning on ({})", node.hop_prune);
     }
-    if config.mem_index.enabled {
-        eprintln!("[serve] candidate index armed ({})", config.mem_index);
+    if node.mem_index.enabled {
+        eprintln!("[serve] candidate index armed ({})", node.mem_index);
     }
-    if config.wal.enabled {
+    if node.wal.enabled {
         // stderr only: stdout must stay byte-diffable across WAL dirs.
         eprintln!(
             "[serve] write-ahead log on (dir {}, snapshot every {}, fsync batch {}, \
              node kills {})",
-            config.wal.dir,
-            config.wal.snapshot_every,
-            config.wal.fsync_batch,
-            config.faults.node_kills,
+            node.wal.dir, node.wal.snapshot_every, node.wal.fsync_batch, node.faults.node_kills,
         );
     }
-    if config.faults.is_active() {
+    if node.faults.is_active() {
         eprintln!(
             "[serve] fault campaign active (seed {}): corrupt {} / retries {}, crashes {}, \
              watchdog {} us, seus {}, degrade depth {}",
-            config.faults.seed,
-            config.faults.link_corrupt_prob,
-            config.faults.max_retries,
-            config.faults.crashes,
-            config.faults.watchdog_s * 1e6,
-            config.faults.seus,
-            config.faults.degrade_depth,
+            node.faults.seed,
+            node.faults.link_corrupt_prob,
+            node.faults.max_retries,
+            node.faults.crashes,
+            node.faults.watchdog_s * 1e6,
+            node.faults.seus,
+            node.faults.degrade_depth,
         );
     }
 
-    if serve_args.shards > 1 || serve_args.replication > 1 {
-        let cluster_config = ClusterConfig {
-            shards: serve_args.shards,
-            replication: serve_args.replication,
-            weights: serve_args.weights,
-            membership: serve_args.membership,
-            base: config,
-        };
-        if let Err(e) = cluster_config.validate() {
-            usage_bail("serve", e);
-        }
+    // Validation holds replication to the shard count, so one shard is
+    // the single-node path.
+    if config.shards > 1 {
         eprintln!(
             "[serve] cluster of {} shard(s), replication {} (rendezvous story routing)",
-            cluster_config.shards, cluster_config.replication
+            config.shards, config.replication
         );
-        if !cluster_config.membership.is_empty() {
-            let m = &cluster_config.membership;
+        if !config.membership.is_empty() {
+            let m = &config.membership;
             eprintln!(
                 "[serve] membership campaign active: {} event(s), retune threshold {}, \
                  hot-key threshold {}",
@@ -441,16 +372,17 @@ fn main() {
                 m.hot_key_threshold,
             );
         }
-        let cluster = Cluster::new(&suite, cluster_config);
+        let cluster = Cluster::new(&suite, config);
         let outcome =
             serve_cluster_durable(&cluster, &trace).unwrap_or_else(|e| usage_bail("serve", e));
+        let node = &cluster.config().base;
         println!(
             "Served {} requests across {} shard(s) x {} instance(s), replication {}, policy {}",
             trace.len(),
             outcome.report.shards,
-            serve_args.instances,
+            node.instances,
             outcome.report.replication,
-            serve_args.policy
+            node.policy
         );
         println!("{}", outcome.report.render());
         let path = "target/experiments/serve_cluster_report.json";
@@ -461,7 +393,7 @@ fn main() {
         return;
     }
 
-    let server = Server::new(&suite, config);
+    let server = Server::new(&suite, config.base);
     let outcome = serve_durable(&server, &trace).unwrap_or_else(|e| usage_bail("serve", e));
     println!(
         "Served {} requests across {} instance(s), policy {}",
@@ -503,9 +435,14 @@ mod tests {
             "--shard",
             "4",
         ]);
-        let err = typo.err().expect("a misspelt flag is an error");
+        let err = typo.expect_err("a misspelt flag is an error");
         assert!(err.contains("--fault-plna"), "{err}");
-        for removed in ["--watchdog", "--max-retries", "--hot-key-threshold"] {
+        for removed in [
+            "--watchdog",
+            "--max-retries",
+            "--hot-key-threshold",
+            "--engine",
+        ] {
             assert!(parse(&[removed, "300"]).is_err(), "{removed} is gone");
         }
         let ok = parse(&[
@@ -523,7 +460,57 @@ mod tests {
             "--ith",
         ])
         .expect("known flags parse");
-        assert_eq!((ok.requests, ok.shards, ok.faults.crashes), (16, 4, 2));
-        assert!(ok.ith);
+        assert_eq!(
+            (
+                ok.trace.requests,
+                ok.cluster.shards,
+                ok.cluster.base.faults.crashes
+            ),
+            (16, 4, 2)
+        );
+        assert!(ok.cluster.base.use_ith);
+    }
+
+    /// No flag leaves every setting at its library default: the CLI keeps
+    /// no defaults of its own.
+    #[test]
+    fn no_flags_parse_to_the_library_defaults() {
+        let args = parse(&[]).expect("no flags parse");
+        assert_eq!(args.trace, TraceConfig::default());
+        assert_eq!(args.cluster, ClusterConfig::default());
+        assert_eq!(args.embed_scale, 1.0);
+    }
+
+    /// An out-of-range value is a one-line usage error at parse time, so
+    /// the binary exits before it trains; the link flags write the link
+    /// model in its own units.
+    #[test]
+    fn out_of_range_values_are_usage_errors() {
+        for bad in [
+            ["--rate-us", "0"],
+            ["--rate-us", "-5"],
+            ["--rate-us", "nan"],
+            ["--link-gbps", "0"],
+            ["--link-gbps", "-1"],
+            ["--link-latency-us", "-1"],
+            ["--link-latency-us", "nan"],
+            ["--embed-scale", "nan"],
+            ["--instances", "0"],
+        ] {
+            let err = parse(&bad).expect_err("an out-of-range value is an error");
+            assert!(!err.is_empty() && !err.contains('\n'), "{bad:?}: {err:?}");
+        }
+        let ok = parse(&[
+            "--rate-us",
+            "40",
+            "--link-gbps",
+            "2",
+            "--link-latency-us",
+            "0",
+        ])
+        .expect("in-range values parse");
+        assert_eq!(ok.trace.mean_interarrival_s, 40.0 * 1e-6);
+        assert_eq!(ok.cluster.base.pcie.bandwidth_bytes_per_s, 2e9);
+        assert_eq!(ok.cluster.base.pcie.latency_per_transfer_s, 0.0);
     }
 }

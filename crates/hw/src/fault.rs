@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 /// were drawn before it, so an event loop asking "does transfer `a` corrupt
 /// on attempt `b`?" gets the same answer regardless of event interleaving
 /// — the property that keeps fault campaigns byte-identical across thread
-/// counts and engine modes.
+/// counts.
 pub fn fault_mix(seed: u64, a: u64, b: u64) -> u64 {
     let mut z =
         seed ^ a.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ b.wrapping_mul(0xbf58_476d_1ce4_e5b9);

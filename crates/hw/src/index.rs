@@ -63,7 +63,7 @@ impl Default for MemIndexConfig {
     }
 }
 
-/// A malformed mem-index spec (CLI flag or `MANN_MEM_INDEX`). Invalid
+/// A malformed mem-index spec (the serve CLI's `--mem-index`). Invalid
 /// values are rejected rather than silently falling back to the default.
 #[derive(Debug, Clone, PartialEq, thiserror::Error)]
 #[error(
@@ -126,20 +126,6 @@ impl MemIndexConfig {
             return Err(err());
         }
         Ok(Self::with_params(k, nprobe, band))
-    }
-
-    /// Config from the `MANN_MEM_INDEX` environment variable, falling back
-    /// to the default (off) when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemIndexError`] when the variable is set to a malformed
-    /// value.
-    pub fn from_env() -> Result<Self, MemIndexError> {
-        match std::env::var("MANN_MEM_INDEX") {
-            Err(_) => Ok(Self::default()),
-            Ok(v) => Self::parse(&v),
-        }
     }
 }
 
@@ -375,25 +361,30 @@ impl MemIndex {
         self.build_cycles
     }
 
-    /// Probes the index with an already-quantized key: scores every
-    /// centroid with the certified fixed-point MAC entry (the key's `Σ|k|`
-    /// against the centroids' `max|w|`), keeps the `nprobe`
-    /// best by dot product (ties toward the lower centroid index), and
-    /// returns `(candidates, cycles, probe_stressed)` — the union of the
-    /// selected members in ascending slot order, the walk's cycle cost,
-    /// and whether the centroid arithmetic recorded any numeric event
-    /// (which the caller must treat as a fallback signal).
+    /// Probes the index with an already-quantized key whose `Σ|k|` is
+    /// `key_sum` (the caller's scan of the key): scores every centroid
+    /// with the certified fixed-point MAC entry (`key_sum` against the
+    /// centroids' `max|w|`), keeps the `nprobe` best by dot product (ties
+    /// toward the lower centroid index), and returns `(candidates, cycles,
+    /// probe_stressed)` — the union of the selected members in ascending
+    /// slot order, the walk's cycle cost, and whether the centroid
+    /// arithmetic recorded any numeric event (which the caller must treat
+    /// as a fallback signal).
     ///
     /// # Panics
     ///
     /// Panics if the key width differs from the centroid width.
-    pub fn probe(&self, key_q: &[Fixed], st: &mut NumericStatus) -> (Vec<usize>, Cycles, bool) {
+    pub fn probe(
+        &self,
+        key_q: &[Fixed],
+        key_sum: u64,
+        st: &mut NumericStatus,
+    ) -> (Vec<usize>, Cycles, bool) {
         let k_eff = self.centroid_count();
         if k_eff == 0 {
             return (Vec::new(), Cycles::ZERO, false);
         }
         let mut probe_st = NumericStatus::default();
-        let key_sum = fixed::abs_sum(key_q);
         let mut scores: Vec<Fixed> = Vec::with_capacity(k_eff);
         for cent in self.centroids.chunks_exact(self.embed_dim) {
             scores.push(fixed::dot_certified(
@@ -487,15 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn env_round_trip() {
-        // Unset: default. (Set/invalid paths are covered through `parse`;
-        // mutating the process environment races other tests.)
-        if std::env::var("MANN_MEM_INDEX").is_err() {
-            assert_eq!(MemIndexConfig::from_env(), Ok(MemIndexConfig::default()));
-        }
-    }
-
-    #[test]
     fn members_partition_the_slots() {
         let r = rows(50, 8);
         let mut st = NumericStatus::default();
@@ -541,7 +523,7 @@ mod tests {
         let key: Vec<Fixed> = (0..8)
             .map(|j| Fixed::from_f32((j as f32 * 0.3).cos()))
             .collect();
-        let (cands, cycles, stressed) = idx.probe(&key, &mut st);
+        let (cands, cycles, stressed) = idx.probe(&key, fixed::abs_sum(&key), &mut st);
         assert!(!stressed);
         assert!(!cands.is_empty() && cands.len() < 40);
         assert!(cands.windows(2).all(|w| w[0] < w[1]), "sorted, unique");
@@ -558,7 +540,11 @@ mod tests {
         let key: Vec<Fixed> = (0..8).map(|j| Fixed::from_f32(j as f32 * 0.1)).collect();
         let mut s1 = NumericStatus::default();
         let mut s2 = NumericStatus::default();
-        assert_eq!(a.probe(&key, &mut s1), b.probe(&key, &mut s2));
+        let key_sum = fixed::abs_sum(&key);
+        assert_eq!(
+            a.probe(&key, key_sum, &mut s1),
+            b.probe(&key, key_sum, &mut s2)
+        );
         assert_eq!(s1, s2);
     }
 
@@ -576,7 +562,7 @@ mod tests {
         );
         let key: Vec<Fixed> = (0..e).map(|_| Fixed::from_f32(30000.0)).collect();
         let mut pst = NumericStatus::default();
-        let (_, _, stressed) = idx.probe(&key, &mut pst);
+        let (_, _, stressed) = idx.probe(&key, fixed::abs_sum(&key), &mut pst);
         assert!(stressed, "saturating centroid MACs must flag the probe");
         assert!(pst.stressed());
     }
@@ -636,7 +622,7 @@ mod tests {
                 Cycles::new(k_eff * idx.per_dot + depth + 1 + k_eff + want.len() as u64)
             };
             let mut st = NumericStatus::default();
-            let got = idx.probe(&key, &mut st);
+            let got = idx.probe(&key, fixed::abs_sum(&key), &mut st);
             prop_assert_eq!(got, (want, want_cycles, want_st.stressed()));
             prop_assert_eq!(st, want_st);
         }

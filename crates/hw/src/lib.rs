@@ -78,7 +78,4 @@ pub use index::{IndexCounters, IndexedHopStats, MemIndex, MemIndexConfig, MemInd
 pub use pcie::{LinkArbiter, LinkGrant, PcieLink};
 pub use quantize::quantize_params_tracked;
 pub use resource::{ResourceEstimate, VCU107_BUDGET};
-pub use story::{
-    story_cache_capacity_from_env, story_digest, Admission, CacheStats, LruSet, StoryCacheEnvError,
-    DEFAULT_STORY_CACHE,
-};
+pub use story::{story_digest, Admission, CacheStats, LruSet};

@@ -427,7 +427,8 @@ impl MemModule {
         let mut key_st = NumericStatus::default();
         let (key_q, key_m) = fixed::requant_all(key, &mut key_st);
         let mut probe_st = NumericStatus::default();
-        let (candidates, probe_cycles, probe_stressed) = idx.probe(&key_q, &mut probe_st);
+        let (candidates, probe_cycles, probe_stressed) =
+            idx.probe(&key_q, key_m.abs_sum, &mut probe_st);
         // Exact scoring over the surviving candidates: the same per-row MAC
         // chain as the full scan, restricted to the candidate rows.
         let c = candidates.len();
@@ -884,7 +885,8 @@ mod tests {
         let key_q = requant(key, &mut key_st);
         let mut probe_st = NumericStatus::default();
         let idx = m.index().expect("built");
-        let (cands, probe_cycles, probe_stressed) = idx.probe(&key_q, &mut probe_st);
+        let (cands, probe_cycles, probe_stressed) =
+            idx.probe(&key_q, fixed::abs_sum(&key_q), &mut probe_st);
         let (scores, mut cand_flags, rows_st) = chain_scores(m, &key_q, &key_st, &cands);
         let scores_f: Vec<f32> = scores.iter().map(|s| s.to_f32()).collect();
         let best = scores_f.iter().copied().fold(f32::NEG_INFINITY, f32::max);

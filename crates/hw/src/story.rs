@@ -18,38 +18,6 @@
 use mann_babi::EncodedSample;
 use serde::{Deserialize, Serialize};
 
-/// Default resident-story capacity per instance (see `MANN_STORY_CACHE`).
-pub const DEFAULT_STORY_CACHE: usize = 16;
-
-/// An unusable `MANN_STORY_CACHE` value: set, but not a non-negative
-/// integer story count (`0` disables caching).
-#[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
-#[error("invalid MANN_STORY_CACHE value {value:?}: expected a non-negative integer story count (0 disables caching)")]
-pub struct StoryCacheEnvError {
-    /// The rejected input.
-    pub value: String,
-}
-
-/// Resident-story capacity from the `MANN_STORY_CACHE` environment
-/// variable: `Ok(None)` when unset, `Ok(Some(n))` when set to a story
-/// count. An unparseable value is an error, not a silent fallback —
-/// `MANN_STORY_CACHE=sixteen` should fail loudly rather than quietly serve
-/// with the default capacity.
-///
-/// # Errors
-///
-/// Returns [`StoryCacheEnvError`] when the variable is set but not a
-/// non-negative integer.
-pub fn story_cache_capacity_from_env() -> Result<Option<usize>, StoryCacheEnvError> {
-    match std::env::var("MANN_STORY_CACHE") {
-        Err(_) => Ok(None),
-        Ok(v) => match v.parse() {
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(StoryCacheEnvError { value: v }),
-        },
-    }
-}
-
 /// The FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 

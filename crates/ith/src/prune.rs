@@ -45,7 +45,7 @@ impl Default for HopPrune {
     }
 }
 
-/// A malformed hop-prune spec (CLI flag or `MANN_HOP_PRUNE`). Invalid
+/// A malformed hop-prune spec (the serve CLI's `--hop-prune`). Invalid
 /// values are rejected rather than silently falling back to the default.
 #[derive(Debug, Clone, PartialEq, thiserror::Error)]
 #[error("invalid hop-prune threshold {value:?}: expected `off` or a number in (0, 1]")]
@@ -87,20 +87,6 @@ impl HopPrune {
             _ => Err(HopPruneError {
                 value: s.to_owned(),
             }),
-        }
-    }
-
-    /// Criterion from the `MANN_HOP_PRUNE` environment variable, falling
-    /// back to the default (off) when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HopPruneError`] when the variable is set to a malformed
-    /// value.
-    pub fn from_env() -> Result<Self, HopPruneError> {
-        match std::env::var("MANN_HOP_PRUNE") {
-            Err(_) => Ok(Self::default()),
-            Ok(v) => Self::parse(&v),
         }
     }
 
@@ -151,15 +137,6 @@ mod tests {
         for bad in ["", "of", "O.9", "0", "-0.5", "1.5", "NaN", "inf", "0.9x"] {
             let err = HopPrune::parse(bad).unwrap_err();
             assert!(err.to_string().contains(bad) || bad.is_empty(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn env_round_trip() {
-        // Unset: default. (Set/invalid paths are covered through `parse`;
-        // mutating the process environment races other tests.)
-        if std::env::var("MANN_HOP_PRUNE").is_err() {
-            assert_eq!(HopPrune::from_env(), Ok(HopPrune::default()));
         }
     }
 

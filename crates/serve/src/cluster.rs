@@ -25,8 +25,8 @@
 //!   the order they are stepped in;
 //! * at one simulated instant the timeline runs arrivals, then shard
 //!   events, then hand-offs in request-id order, so [`ClusterReport`]
-//!   bytes are identical across `MANN_THREADS`, engine modes, and the
-//!   order shards are stepped in (pinned by tests and a golden).
+//!   bytes are identical across worker counts and the order shards are
+//!   stepped in (pinned by tests and a golden).
 //!
 //! At K=1/R=1 the layer is *inert*: the report serializes and renders as
 //! the single shard's [`ServeReport`], byte-identical to the single-node

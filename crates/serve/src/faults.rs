@@ -10,7 +10,7 @@
 //! flips — derives from counter-mode hashes ([`mann_hw::fault_mix`]) or a
 //! dedicated `StdRng` stream, never from wall-clock state or event-loop
 //! interleaving. That is what makes a fault campaign byte-identical
-//! across `MANN_THREADS` settings and across the serial/parallel engines.
+//! across worker counts.
 //!
 //! Recovery is the serving engine's job ([`crate::Server::serve`]): CRC
 //! retransmission with bounded exponential backoff, watchdog-driven

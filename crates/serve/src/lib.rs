@@ -34,8 +34,8 @@
 //! replication factor R re-dispatches crash-stranded requests to the
 //! story's replica shard at real re-upload cost. A [`ClusterReport`]
 //! merges the per-shard reports (percentiles ranked over pooled samples,
-//! never averaged) and is byte-identical across engines, thread counts
-//! and shard-iteration order; at K=1/R=1 it reduces byte-identically to
+//! never averaged) and is byte-identical across worker counts and
+//! shard-iteration order; at K=1/R=1 it reduces byte-identically to
 //! the single-node [`ServeReport`]. A [`MembershipPlan`] makes the shard
 //! set itself a timeline — scheduled joins, drains and fail-stops,
 //! queue-pressure weight retuning and hot-key splitting — resolved
@@ -80,7 +80,7 @@ pub use report::{
 };
 pub use request::{Completion, Rejection, Request, RequestTimestamps};
 pub use scheduler::{InstanceView, SchedulePolicy, Scheduler};
-pub use server::{EngineMode, EngineModeError, ServeConfig, ServeOutcome, Server};
+pub use server::{ServeConfig, ServeOutcome, Server};
 pub use store::{serve_cluster_durable, serve_durable, DurabilityReport, WalConfig, WalSpecError};
 pub use trace::{ArrivalTrace, TraceConfig};
 

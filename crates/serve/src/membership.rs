@@ -379,8 +379,7 @@ impl MembershipPlan {
 /// Pure in `(plan, weights, retunes so far)`. The cluster timeline appends
 /// a retune epoch at the instant it fires and resolves each request when
 /// it arrives, in an order fixed at every instant, which keeps routing
-/// byte-identical across engines, thread counts and shard stepping
-/// order.
+/// byte-identical across worker counts and shard stepping order.
 #[derive(Debug, Clone)]
 pub(crate) struct MembershipView {
     replicas: usize,

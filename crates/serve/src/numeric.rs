@@ -17,8 +17,8 @@
 //!
 //! The policy is applied per completion, after the event loop, as a pure
 //! function of each completion's numeric report — so the resulting
-//! [`NumericHealth`] is byte-identical across `MANN_THREADS` settings,
-//! serial/parallel engines, and cache hit/miss paths.
+//! [`NumericHealth`] is byte-identical across worker counts and cache
+//! hit/miss paths.
 
 use mann_core::report::TextTable;
 use mann_linalg::NumericStatus;
@@ -39,9 +39,9 @@ pub enum NumericPolicy {
     Failover,
 }
 
-/// An unrecognized numeric-policy name (CLI flag or
-/// `MANN_NUMERIC_POLICY`). Invalid values are rejected rather than
-/// silently falling back to the default.
+/// An unrecognized numeric-policy name (the serve CLI's
+/// `--numeric-policy`). Invalid values are rejected rather than silently
+/// falling back to the default.
 #[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
 #[error("invalid numeric policy {value:?}: expected one of `ignore`, `flag`, `failover`")]
 pub struct NumericPolicyError {
@@ -64,20 +64,6 @@ impl NumericPolicy {
             _ => Err(NumericPolicyError {
                 value: s.to_owned(),
             }),
-        }
-    }
-
-    /// Policy from the `MANN_NUMERIC_POLICY` environment variable,
-    /// falling back to the default (ignore) when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NumericPolicyError`] when the variable is set to an
-    /// unrecognized value.
-    pub fn from_env() -> Result<Self, NumericPolicyError> {
-        match std::env::var("MANN_NUMERIC_POLICY") {
-            Err(_) => Ok(Self::default()),
-            Ok(v) => Self::parse(&v),
         }
     }
 }

@@ -122,7 +122,7 @@ pub struct InstanceReport {
 /// Aggregate story-cache effectiveness across every instance.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct CacheReport {
-    /// Resident stories each instance can hold (`MANN_STORY_CACHE`;
+    /// Resident stories each instance can hold (`--story-cache`;
     /// 0 = caching off).
     pub capacity: usize,
     /// Distinct `(task, story)` pairs in the trace.

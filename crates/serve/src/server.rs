@@ -12,9 +12,9 @@
 //!    ([`Accelerator::write_story`]), however many questions the trace asks
 //!    about it.
 //! 2. **Query simulation.** Every distinct query's pipeline runs against
-//!    its resident story ([`Accelerator::answer_query`]) — on the worker
-//!    pool in the parallel engine, inline in the serial engine. Results
-//!    are accumulated in request order either way.
+//!    its resident story ([`Accelerator::answer_query`]) on the worker
+//!    pool ([`ServeConfig::workers`]; one worker is a plain map). Results
+//!    are accumulated in request order at any width.
 //! 3. **Event loop.** A sequential merge on integer-picosecond
 //!    [`SimTime`] with a submission-order tie-break replays the arrival
 //!    stream beside a heap of in-flight link, compute and fault events.
@@ -33,8 +33,8 @@
 //! * **Thread independence.** The numeric phase is index-ordered and
 //!   `MANN_THREADS`-invariant, and the event loop is sequential with a
 //!   total order on `(time, seq)` — so the whole serve replays
-//!   byte-identically for any worker count, and the parallel engine's
-//!   [`ServeReport`] equals the serial engine's bit for bit.
+//!   byte-identically for any worker count: a one-worker [`ServeReport`]
+//!   equals a many-worker one bit for bit.
 //! * **Orchestration purity.** Answers, cycle counts and comparisons come
 //!   from the same split pipeline a standalone [`Accelerator::run`] would
 //!   execute; a cache hit changes *when and where* a story is written,
@@ -47,7 +47,6 @@ use mann_core::{TaskSuite, TrainedTask};
 use mann_hw::{
     story_digest, AccelConfig, Accelerator, Admission, ClockDomain, Cycles, InferenceRun,
     LinkArbiter, LruSet, MemIndexConfig, PcieLink, PowerModel, ResidentStory, SimTime,
-    DEFAULT_STORY_CACHE,
 };
 use mann_ith::{HopPrune, ThresholdingModel};
 use mann_store::WalRecord;
@@ -64,71 +63,6 @@ use crate::scheduler::{InstanceView, Scheduler};
 use crate::store::{DurabilityReport, WalConfig};
 use crate::trace::ArrivalTrace;
 use crate::SchedulePolicy;
-
-/// How the numeric phase of a serve executes. Both engines produce
-/// byte-identical [`ServeReport`]s; the parallel engine exists to use the
-/// worker pool, the serial engine to prove it changes nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum EngineMode {
-    /// Single-threaded reference: stories and queries simulate inline, in
-    /// request order.
-    Serial,
-    /// Stories and queries simulate on the `MANN_THREADS` worker pool,
-    /// claimed in any order, accumulated in request order.
-    #[default]
-    Parallel,
-}
-
-/// An unrecognized engine name (CLI flag or `MANN_SERVE_ENGINE`). Invalid
-/// values are rejected rather than silently falling back to the default —
-/// `MANN_SERVE_ENGINE=paralel` should fail loudly, not quietly serve with
-/// the default engine.
-#[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
-#[error("invalid engine mode {value:?}: expected one of `serial`, `parallel`")]
-pub struct EngineModeError {
-    /// The rejected input.
-    pub value: String,
-}
-
-impl EngineMode {
-    /// Parses a CLI-style engine name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineModeError`] for anything but `serial`/`parallel`.
-    pub fn parse(s: &str) -> Result<Self, EngineModeError> {
-        match s {
-            "serial" => Ok(Self::Serial),
-            "parallel" => Ok(Self::Parallel),
-            _ => Err(EngineModeError {
-                value: s.to_owned(),
-            }),
-        }
-    }
-
-    /// Engine from the `MANN_SERVE_ENGINE` environment variable, falling
-    /// back to the default (parallel) when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineModeError`] when the variable is set to an
-    /// unrecognized value.
-    pub fn from_env() -> Result<Self, EngineModeError> {
-        match std::env::var("MANN_SERVE_ENGINE") {
-            Err(_) => Ok(Self::default()),
-            Ok(v) => Self::parse(&v),
-        }
-    }
-}
-
-impl std::fmt::Display for EngineMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Serial => write!(f, "serial"),
-            Self::Parallel => write!(f, "parallel"),
-        }
-    }
-}
 
 /// Serving-layer configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -147,8 +81,11 @@ pub struct ServeConfig {
     pub story_cache: usize,
     /// Instance-selection policy.
     pub policy: SchedulePolicy,
-    /// Numeric-phase execution engine.
-    pub engine: EngineMode,
+    /// Worker threads of the numeric phase: 0 (the default) sizes the
+    /// pool by [`mann_core::parallel::worker_threads`], so by
+    /// `MANN_THREADS`; `n ≥ 1` pins `n`. Results are the same bytes at
+    /// any width.
+    pub workers: usize,
     /// Fabric clock of every instance.
     pub clock: ClockDomain,
     /// Shared host-link model.
@@ -190,9 +127,9 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             inflight_limit: 2,
             upload_batch: 4,
-            story_cache: DEFAULT_STORY_CACHE,
+            story_cache: 16,
             policy: SchedulePolicy::default(),
-            engine: EngineMode::default(),
+            workers: 0,
             clock: ClockDomain::default(),
             pcie: PcieLink::default(),
             power: PowerModel::default(),
@@ -227,11 +164,25 @@ impl ServeConfig {
         if self.upload_batch == 0 {
             return Err("upload batch must be positive".into());
         }
+        let (bandwidth, latency) = (
+            self.pcie.bandwidth_bytes_per_s,
+            self.pcie.latency_per_transfer_s,
+        );
+        if bandwidth <= 0.0 || !bandwidth.is_finite() {
+            return Err(format!(
+                "link bandwidth {bandwidth} B/s must be positive and finite"
+            ));
+        }
+        if latency < 0.0 || !latency.is_finite() {
+            return Err(format!(
+                "link latency {latency} s per transfer must be finite and non-negative"
+            ));
+        }
         self.faults.validate().map_err(|e| e.to_string())?;
         self.wal.validate()?;
         if self.faults.node_kills > 0 && !self.wal.enabled {
             return Err(
-                "node_kills require the write-ahead log (set `wal`, --wal-dir, or MANN_WAL): \
+                "node_kills require the write-ahead log (set `wal`, or pass --wal-dir): \
                  a killed node can only be recovered by replaying its journal"
                     .into(),
             );
@@ -396,10 +347,9 @@ struct QueryRuns {
     hit: Vec<InferenceRun>,
 }
 
-/// The numeric work of a serve, shared by both engines and by the shards
-/// of a cluster: every distinct story and every distinct query simulated
-/// once, indexed per request (its position in the trace) through its
-/// query.
+/// The numeric work of a serve, shared by the shards of a cluster: every
+/// distinct story and every distinct query simulated once, indexed per
+/// request (its position in the trace) through its query.
 pub(crate) struct NumericPhase {
     /// One entry per distinct `(task, story)` pair, in first-seen order.
     stories: Vec<ResidentStory>,
@@ -613,8 +563,8 @@ impl Journal {
     /// The journal with `completions` appended — after the numeric policy
     /// has settled the final answers, so replaying the WAL reproduces
     /// exactly what was served — in canonical order, which makes it a
-    /// pure function of (suite, trace, config), independent of engine and
-    /// threads.
+    /// pure function of (suite, trace, config), independent of the worker
+    /// count.
     fn finish(mut self, completions: &[Completion]) -> Vec<WalRecord> {
         for c in completions {
             self.records.push(WalRecord::completion(
@@ -706,8 +656,8 @@ impl<'a> Server<'a> {
     }
 
     /// Simulates every distinct story once and every distinct query once,
-    /// per the configured engine. Output is index-ordered and
-    /// engine-invariant.
+    /// on the configured worker count. Output is index-ordered and
+    /// width-invariant.
     pub(crate) fn numeric_phase(&self, trace: &ArrivalTrace) -> NumericPhase {
         let n = trace.requests.len();
         // Group requests by (task, sample), then each distinct query by
@@ -742,9 +692,9 @@ impl<'a> Server<'a> {
             query_of.push(query);
         }
 
-        let workers = match self.config.engine {
-            EngineMode::Serial => 1,
-            EngineMode::Parallel => mann_core::parallel::worker_threads(n),
+        let workers = match self.config.workers {
+            0 => mann_core::parallel::worker_threads(n),
+            pinned => pinned,
         };
         let stories: Vec<ResidentStory> =
             mann_core::parallel::parallel_map_indexed(story_req.len(), workers, |s| {
@@ -780,7 +730,7 @@ impl<'a> Server<'a> {
         NumericPhase {
             exact: simulate(&self.accels),
             // Degraded (aggressive-ITH) runs go through the same dedup, so
-            // the phase stays engine- and thread-invariant.
+            // the phase stays width-invariant.
             degraded: (!self.deg_accels.is_empty()).then(|| simulate(&self.deg_accels)),
             stories,
             query_of,
@@ -822,7 +772,7 @@ impl<'a> Server<'a> {
     /// Applies the configured [`NumericPolicy`] to the assembled
     /// completions — after the event loop, as a pure per-completion
     /// function of each run's numeric report, so the outcome is invariant
-    /// across engines, thread counts and hit/miss paths.
+    /// across worker counts and hit/miss paths.
     ///
     /// Under [`NumericPolicy::Failover`], a stressed completion's answer
     /// is replaced by the `f32` reference model's prediction and the
@@ -1829,21 +1779,47 @@ mod tests {
     }
 
     #[test]
+    fn links_need_a_positive_bandwidth_and_a_finite_latency() {
+        let with_link = |bandwidth_bytes_per_s, latency_per_transfer_s| ServeConfig {
+            pcie: PcieLink {
+                bandwidth_bytes_per_s,
+                latency_per_transfer_s,
+            },
+            ..ServeConfig::default()
+        };
+        for (bandwidth, latency) in [
+            (0.0, 65e-6),
+            (-1e9, 65e-6),
+            (f64::NAN, 65e-6),
+            (f64::INFINITY, 65e-6),
+            (1.5e9, -1e-6),
+            (1.5e9, f64::NAN),
+            (1.5e9, f64::INFINITY),
+        ] {
+            let err = with_link(bandwidth, latency)
+                .validate()
+                .expect_err("an unusable link is rejected");
+            assert!(err.starts_with("link "), "{bandwidth}, {latency}: {err}");
+        }
+        assert_eq!(with_link(1.5e9, 0.0).validate(), Ok(()));
+    }
+
+    #[test]
     fn serial_and_parallel_engines_agree_bit_for_bit() {
         let s = suite();
         let t = trace(&s, 48);
-        let serve_with = |engine| {
+        let serve_with = |workers| {
             let server = Server::new(
                 &s,
                 ServeConfig {
-                    engine,
+                    workers,
                     ..ServeConfig::default()
                 },
             );
             server.serve(&t)
         };
-        let serial = serve_with(EngineMode::Serial);
-        let parallel = serve_with(EngineMode::Parallel);
+        let serial = serve_with(1);
+        let parallel = serve_with(0);
         assert_eq!(serial, parallel);
         assert_eq!(
             serde_json::to_string(&serial.report).unwrap(),
@@ -2169,11 +2145,11 @@ mod tests {
     fn numeric_health_is_engine_invariant_under_stress() {
         let s = suite().with_embedding_scale(f32::MAX);
         let t = trace(&s, 24);
-        let serve_with = |engine| {
+        let serve_with = |workers| {
             Server::new(
                 &s,
                 ServeConfig {
-                    engine,
+                    workers,
                     use_ith: true,
                     numeric_policy: NumericPolicy::Failover,
                     ..ServeConfig::default()
@@ -2181,8 +2157,8 @@ mod tests {
             )
             .serve(&t)
         };
-        let serial = serve_with(EngineMode::Serial);
-        let parallel = serve_with(EngineMode::Parallel);
+        let serial = serve_with(1);
+        let parallel = serve_with(0);
         assert_eq!(serial, parallel);
         assert_eq!(
             serde_json::to_string(&serial.report).unwrap(),
@@ -2319,19 +2295,19 @@ mod tests {
     fn batched_and_pruned_serve_is_engine_invariant() {
         let s = suite();
         let t = reuse_trace(&s);
-        let serve_with = |engine| {
+        let serve_with = |workers| {
             Server::new(
                 &s,
                 ServeConfig {
-                    engine,
+                    workers,
                     hop_prune: HopPrune::with_threshold(0.5),
                     ..batched_config(4)
                 },
             )
             .serve(&t)
         };
-        let serial = serve_with(EngineMode::Serial);
-        let parallel = serve_with(EngineMode::Parallel);
+        let serial = serve_with(1);
+        let parallel = serve_with(0);
         assert_eq!(serial, parallel);
         assert_eq!(
             serde_json::to_string(&serial.report).unwrap(),
@@ -2387,19 +2363,19 @@ mod tests {
     fn indexed_serve_is_engine_invariant_and_publishes_counters() {
         let s = suite();
         let t = trace(&s, 32);
-        let serve_with = |engine| {
+        let serve_with = |workers| {
             Server::new(
                 &s,
                 ServeConfig {
-                    engine,
+                    workers,
                     mem_index: MemIndexConfig::with_params(4, 2, 0.0),
                     ..ServeConfig::default()
                 },
             )
             .serve(&t)
         };
-        let serial = serve_with(EngineMode::Serial);
-        let parallel = serve_with(EngineMode::Parallel);
+        let serial = serve_with(1);
+        let parallel = serve_with(0);
         assert_eq!(serial, parallel);
         assert_eq!(
             serde_json::to_string(&serial.report).unwrap(),

@@ -92,15 +92,14 @@ impl Default for WalConfig {
     }
 }
 
-/// An unparseable `MANN_WAL` value (or CLI-equivalent spec). Invalid
-/// values are rejected at startup rather than silently serving without
-/// durability — `MANN_WAL=/tmp/wal,snap=abc` must fail loudly, exactly
-/// like `MANN_SERVE_ENGINE`/`MANN_MEM_INDEX`.
+/// An unparseable write-ahead-log spec (the serve CLI's `--wal-dir`).
+/// Invalid values are rejected at startup rather than silently serving
+/// without durability — `--wal-dir /tmp/wal,snap=abc` must fail loudly.
 #[derive(Debug, Clone, PartialEq, Eq, thiserror::Error)]
 pub enum WalSpecError {
     /// The spec does not match `<dir>[,key=value]...`.
     #[error(
-        "invalid MANN_WAL spec {value:?}: expected `off` or `<dir>[,snap=N][,fsync-batch=N][,fsync-us=F][,replay-us=F]`"
+        "invalid --wal-dir spec {value:?}: expected `off` or `<dir>[,snap=N][,fsync-batch=N][,fsync-us=F][,replay-us=F]`"
     )]
     BadShape {
         /// The rejected input.
@@ -108,14 +107,14 @@ pub enum WalSpecError {
     },
     /// An option key that is not recognized.
     #[error(
-        "unknown MANN_WAL option {option:?}: expected one of `snap`, `fsync-batch`, `fsync-us`, `replay-us`"
+        "unknown --wal-dir option {option:?}: expected one of `snap`, `fsync-batch`, `fsync-us`, `replay-us`"
     )]
     UnknownOption {
         /// The rejected key.
         option: String,
     },
     /// An option value that does not parse or is out of range.
-    #[error("invalid MANN_WAL value {value:?} for `{option}`: {reason}")]
+    #[error("invalid --wal-dir value {value:?} for `{option}`: {reason}")]
     BadValue {
         /// The option the value belongs to.
         option: String,
@@ -127,7 +126,7 @@ pub enum WalSpecError {
 }
 
 impl WalConfig {
-    /// Parses a CLI/env spec: `off` (or empty, or `0`) disables the
+    /// Parses a CLI spec: `off` (or empty, or `0`) disables the
     /// journal; otherwise `<dir>[,snap=N][,fsync-batch=N][,fsync-us=F]
     /// [,replay-us=F]` enables it.
     ///
@@ -202,20 +201,6 @@ impl WalConfig {
             }
         }
         Ok(cfg)
-    }
-
-    /// Configuration from the `MANN_WAL` environment variable, falling
-    /// back to the default (disabled) when unset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WalSpecError`] when the variable is set to a malformed
-    /// value.
-    pub fn from_env() -> Result<Self, WalSpecError> {
-        match std::env::var("MANN_WAL") {
-            Err(_) => Ok(Self::default()),
-            Ok(v) => Self::parse(&v),
-        }
     }
 
     /// Checks structural validity (called from

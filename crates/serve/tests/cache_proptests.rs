@@ -1,4 +1,4 @@
-//! Property tests for the story cache and the parallel serve engine.
+//! Property tests for the story cache and the numeric phase's worker pool.
 //!
 //! Two invariants hold for *any* trace and serve configuration:
 //!
@@ -7,16 +7,15 @@
 //!    same MEM/READ/CONTROLLER/OUTPUT phase cycles as the cache-off serve
 //!    of the same trace — only the CONTROL/WRITE phases and the PCIe
 //!    upload may shrink, and never grow.
-//! 2. The engine is a pure implementation detail: the serial and parallel
-//!    numeric phases produce byte-identical `ServeReport` JSON.
+//! 2. The worker count is a pure implementation detail: a numeric phase
+//!    on any number of workers produces byte-identical `ServeReport` JSON.
 
 use std::sync::OnceLock;
 
 use mann_babi::TaskId;
 use mann_core::{SuiteConfig, TaskSuite};
 use mann_serve::{
-    ArrivalTrace, Completion, EngineMode, SchedulePolicy, ServeConfig, ServeOutcome, Server,
-    TraceConfig,
+    ArrivalTrace, Completion, SchedulePolicy, ServeConfig, ServeOutcome, Server, TraceConfig,
 };
 use proptest::prelude::*;
 
@@ -124,8 +123,8 @@ proptest! {
         prop_assert_eq!(cold.report.cache.hits, 0);
     }
 
-    /// Serial and parallel engines serialize to identical report bytes on
-    /// any trace/config pair.
+    /// Any worker count serializes to the one-worker report bytes on any
+    /// trace/config pair.
     #[test]
     fn engines_are_byte_identical(
         trace_seed in 0u64..1000,
@@ -136,6 +135,7 @@ proptest! {
         cache in 0usize..6,
         queue in 8usize..64,
         pick in any::<u8>(),
+        workers in 0usize..4,
     ) {
         let t = ArrivalTrace::generate(
             &TraceConfig {
@@ -153,12 +153,12 @@ proptest! {
             policy: policy(pick),
             ..ServeConfig::default()
         };
-        let parallel = serve(&t, ServeConfig { engine: EngineMode::Parallel, ..base.clone() });
-        let serial = serve(&t, ServeConfig { engine: EngineMode::Serial, ..base });
-        prop_assert_eq!(&serial, &parallel);
+        let pooled = serve(&t, ServeConfig { workers, ..base.clone() });
+        let serial = serve(&t, ServeConfig { workers: 1, ..base });
+        prop_assert_eq!(&serial, &pooled);
         prop_assert_eq!(
             serde_json::to_string(&serial.report).expect("serializable report"),
-            serde_json::to_string(&parallel.report).expect("serializable report"),
+            serde_json::to_string(&pooled.report).expect("serializable report"),
         );
     }
 }

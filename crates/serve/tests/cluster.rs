@@ -3,8 +3,8 @@
 //!
 //! The cluster layer's contract:
 //!
-//! 1. A [`ClusterReport`] is byte-identical across `MANN_THREADS`
-//!    settings, serial/parallel engines, and shard-iteration order.
+//! 1. A [`ClusterReport`] is byte-identical across worker counts and
+//!    shard-iteration order.
 //! 2. At K=1/R=1 the layer is inert: outcome and report bytes equal the
 //!    single-node [`Server`] path exactly.
 //! 3. With R ≥ 2, a request stranded by an instance crash completes on
@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 use mann_babi::TaskId;
 use mann_core::{SuiteConfig, TaskSuite};
 use mann_serve::{
-    ArrivalTrace, Cluster, ClusterConfig, EngineMode, FaultConfig, LatencySummary, MembershipPlan,
+    ArrivalTrace, Cluster, ClusterConfig, FaultConfig, LatencySummary, MembershipPlan,
     SchedulePolicy, ServeConfig, Server, TraceConfig,
 };
 use serde::Serialize;
@@ -88,29 +88,21 @@ fn cluster_report_is_engine_and_thread_invariant() {
         },
         ..ClusterConfig::default()
     };
-    let serial_config = ClusterConfig {
-        base: ServeConfig {
-            engine: EngineMode::Serial,
-            ..config.base.clone()
-        },
-        ..config.clone()
-    };
-    std::env::remove_var("MANN_THREADS");
     let auto = report_bytes(&Cluster::new(suite(), config.clone()), &t);
-    for width in ["1", "4"] {
-        std::env::set_var("MANN_THREADS", width);
+    for workers in [1, 4] {
+        let pinned = ClusterConfig {
+            base: ServeConfig {
+                workers,
+                ..config.base.clone()
+            },
+            ..config.clone()
+        };
         assert_eq!(
-            report_bytes(&Cluster::new(suite(), config.clone()), &t),
+            report_bytes(&Cluster::new(suite(), pinned), &t),
             auto,
-            "cluster bytes changed with MANN_THREADS={width}"
-        );
-        assert_eq!(
-            report_bytes(&Cluster::new(suite(), serial_config.clone()), &t),
-            auto,
-            "serial engine diverged at width {width}"
+            "cluster bytes changed on {workers} workers"
         );
     }
-    std::env::remove_var("MANN_THREADS");
 }
 
 #[test]

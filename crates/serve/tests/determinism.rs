@@ -12,8 +12,7 @@ use mann_babi::TaskId;
 use mann_core::{SuiteConfig, TaskSuite};
 use mann_hw::{AccelConfig, Accelerator};
 use mann_serve::{
-    ArrivalTrace, EngineMode, FaultConfig, SchedulePolicy, ServeConfig, ServeOutcome, Server,
-    TraceConfig,
+    ArrivalTrace, FaultConfig, SchedulePolicy, ServeConfig, ServeOutcome, Server, TraceConfig,
 };
 
 fn suite() -> TaskSuite {
@@ -166,44 +165,28 @@ fn served_runs_equal_standalone_accelerator_runs() {
 fn reports_are_byte_identical_across_worker_pool_widths_and_engines() {
     let s = suite();
     let t = trace(&s);
-    let server = Server::new(
-        &s,
-        ServeConfig {
-            instances: 2,
-            ..ServeConfig::default()
-        },
-    );
-    let serial_server = Server::new(
-        &s,
-        ServeConfig {
-            instances: 2,
-            engine: EngineMode::Serial,
-            ..ServeConfig::default()
-        },
-    );
-    std::env::remove_var("MANN_THREADS");
-    let auto = server.serve(&t);
+    let serve_on = |workers| {
+        Server::new(
+            &s,
+            ServeConfig {
+                instances: 2,
+                workers,
+                ..ServeConfig::default()
+            },
+        )
+        .serve(&t)
+    };
+    let auto = serve_on(0);
     let auto_json = serde_json::to_string(&auto.report).expect("serializable report");
-    for width in ["1", "3", "17"] {
-        std::env::set_var("MANN_THREADS", width);
-        let pinned = server.serve(&t);
-        assert_eq!(pinned, auto, "outcome changed with MANN_THREADS={width}");
+    for workers in [1, 3, 17] {
+        let pinned = serve_on(workers);
+        assert_eq!(pinned, auto, "outcome changed on {workers} workers");
         assert_eq!(
             serde_json::to_string(&pinned.report).expect("serializable report"),
             auto_json,
-            "report bytes changed with MANN_THREADS={width}"
-        );
-        // The serial engine ignores the pool entirely and must still match
-        // the parallel engine bit for bit.
-        let serial = serial_server.serve(&t);
-        assert_eq!(serial, auto, "serial engine diverged at width {width}");
-        assert_eq!(
-            serde_json::to_string(&serial.report).expect("serializable report"),
-            auto_json,
-            "serial report bytes diverged at width {width}"
+            "report bytes changed on {workers} workers"
         );
     }
-    std::env::remove_var("MANN_THREADS");
 }
 
 #[test]

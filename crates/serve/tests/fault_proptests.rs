@@ -15,10 +15,10 @@
 //!    outcome is byte-identical to a serve with no campaign at all.
 //!
 //! The conservation tests sample the other levers alongside the campaign
-//! — batch window, hop pruning, the IVF index, WAL collection, the engine,
-//! and a fail-stopped cluster shard — because each was proven alone when
-//! it landed. Every case is re-served on the other engine and with WAL
-//! collection toggled, and must reproduce the same bytes.
+//! — batch window, hop pruning, the IVF index, WAL collection, the worker
+//! count, and a fail-stopped cluster shard — because each was proven alone
+//! when it landed. Every case is re-served on another worker count and
+//! with WAL collection toggled, and must reproduce the same bytes.
 
 use std::sync::OnceLock;
 
@@ -26,9 +26,9 @@ use mann_babi::TaskId;
 use mann_core::{SuiteConfig, TaskSuite};
 use mann_hw::MemIndexConfig;
 use mann_serve::{
-    ArrivalTrace, Cluster, ClusterConfig, Completion, EngineMode, FaultConfig, HopPrune,
-    MembershipPlan, Rejection, Request, SchedulePolicy, ServeConfig, ServeOutcome, ServeReport,
-    Server, TraceConfig, WalConfig,
+    ArrivalTrace, Cluster, ClusterConfig, Completion, FaultConfig, HopPrune, MembershipPlan,
+    Rejection, Request, SchedulePolicy, ServeConfig, ServeOutcome, ServeReport, Server,
+    TraceConfig, WalConfig,
 };
 use proptest::prelude::*;
 
@@ -65,11 +65,13 @@ fn policy(pick: u8) -> SchedulePolicy {
     }
 }
 
-fn engine(serial: bool) -> EngineMode {
-    if serial {
-        EngineMode::Serial
+/// A worker count other than `workers`: the one-worker reference, or the
+/// default pool when `workers` is already one.
+fn other_width(workers: usize) -> usize {
+    if workers == 1 {
+        0
     } else {
-        EngineMode::Parallel
+        1
     }
 }
 
@@ -180,11 +182,11 @@ proptest! {
 
     /// Under an arbitrary combination of levers — a fault campaign
     /// (corruption + crashes + SEUs + overload degradation), a batch
-    /// window, hop pruning, the IVF index, WAL collection and either
-    /// engine — completions, sheds and rejections partition the trace by
+    /// window, hop pruning, the IVF index, WAL collection and any worker
+    /// count — completions, sheds and rejections partition the trace by
     /// id; the fault ledger matches the outcome vectors; every timeline is
     /// monotone; the instances' completions sum to the report's; neither
-    /// WAL collection nor the engine changes a byte; and with no lossy
+    /// WAL collection nor the worker count changes a byte; and with no lossy
     /// lever armed every answer is the standalone accelerator's.
     #[test]
     fn every_request_is_answered_once_or_shed(
@@ -208,7 +210,7 @@ proptest! {
         prune in any::<bool>(),
         index in any::<bool>(),
         wal in any::<bool>(),
-        serial in any::<bool>(),
+        workers in 0usize..4,
     ) {
         let t = trace(trace_seed, requests, rate_us, pool);
         let config = ServeConfig {
@@ -216,7 +218,7 @@ proptest! {
             queue_capacity: queue,
             story_cache: cache,
             policy: policy(pick),
-            engine: engine(serial),
+            workers,
             faults: FaultConfig {
                 seed: fault_seed,
                 link_corrupt_prob: f64::from(corrupt_pct) / 100.0,
@@ -268,8 +270,8 @@ proptest! {
             check_answers(&out.completions);
         }
 
-        // The engine changes nothing, WAL collection only adds records.
-        let other = serve(&t, ServeConfig { engine: engine(!serial), ..config.clone() });
+        // The worker count changes nothing, WAL collection only adds records.
+        let other = serve(&t, ServeConfig { workers: other_width(workers), ..config.clone() });
         prop_assert_eq!(&other, &out);
         prop_assert_eq!(report_bytes(&other.report), report_bytes(&out.report));
         let toggled = serve(&t, ServeConfig { wal: wal_collection(!wal), ..config });
@@ -279,7 +281,7 @@ proptest! {
 
     /// The same laws on a K=2/R=2 cluster whose shard 1 fail-stops at a
     /// sampled instant, with instance crashes, a batch window, WAL
-    /// collection and either engine on top: the stranded requests are
+    /// collection and any worker count on top: the stranded requests are
     /// exported and re-served by the replica, and the outcome still
     /// partitions the trace with every answer the accelerator's.
     #[test]
@@ -295,7 +297,7 @@ proptest! {
         fail_us in 100u64..4000,
         batch_window in 0usize..5,
         wal in any::<bool>(),
-        serial in any::<bool>(),
+        workers in 0usize..4,
     ) {
         let t = trace(trace_seed, requests, rate_us, pool);
         let config = ClusterConfig {
@@ -308,7 +310,7 @@ proptest! {
                 queue_capacity: 64,
                 story_cache: cache,
                 policy: policy(pick),
-                engine: engine(serial),
+                workers,
                 faults: FaultConfig {
                     seed: fault_seed,
                     crashes,
@@ -336,7 +338,7 @@ proptest! {
         let other = Cluster::new(
             suite(),
             ClusterConfig {
-                base: ServeConfig { engine: engine(!serial), ..config.base.clone() },
+                base: ServeConfig { workers: other_width(workers), ..config.base.clone() },
                 ..config.clone()
             },
         )

@@ -7,10 +7,9 @@
 //!    still partition the trace by id, exactly once each — a drained or
 //!    failed shard's work lands on a live replica, never on the floor
 //!    and never twice.
-//! 2. The campaign report is byte-identical across `MANN_THREADS`,
-//!    serial/parallel engines, and shard-iteration order: liveness is
-//!    resolved against the plan's timeline, never against event-loop
-//!    state.
+//! 2. The campaign report is byte-identical across worker counts and
+//!    shard-iteration order: liveness is resolved against the plan's
+//!    timeline, never against event-loop state.
 //! 3. An empty plan is invisible: no `membership` key in the JSON, no
 //!    membership table in the render, bytes equal to a plain cluster.
 //! 4. When every replica of a key is down, requests are shed through the
@@ -30,8 +29,8 @@ use mann_babi::TaskId;
 use mann_core::{SuiteConfig, TaskSuite};
 use mann_hw::SimTime;
 use mann_serve::{
-    serve_cluster_durable, ArrivalTrace, Cluster, ClusterConfig, ClusterOutcome, EngineMode,
-    MembershipPlan, SchedulePolicy, ServeConfig, ShardRouter, TraceConfig, WalConfig,
+    serve_cluster_durable, ArrivalTrace, Cluster, ClusterConfig, ClusterOutcome, MembershipPlan,
+    SchedulePolicy, ServeConfig, ShardRouter, TraceConfig, WalConfig,
 };
 use mann_store::replay_dir;
 use serde::Serialize;
@@ -145,36 +144,28 @@ fn churn_campaign_loses_and_double_counts_nothing() {
 fn churn_report_is_engine_thread_and_order_invariant() {
     let t = trace(96, 17, 5);
     let config = churn_config();
-    let serial_config = ClusterConfig {
-        base: ServeConfig {
-            engine: EngineMode::Serial,
-            ..config.base.clone()
-        },
-        ..config.clone()
-    };
-    let bytes = |cfg: &ClusterConfig| {
-        Cluster::new(suite(), cfg.clone())
+    let bytes = |workers| {
+        let pinned = ClusterConfig {
+            base: ServeConfig {
+                workers,
+                ..config.base.clone()
+            },
+            ..config.clone()
+        };
+        Cluster::new(suite(), pinned)
             .serve(&t)
             .report
             .to_value()
             .print()
     };
-    std::env::remove_var("MANN_THREADS");
-    let auto = bytes(&config);
-    for width in ["1", "4"] {
-        std::env::set_var("MANN_THREADS", width);
+    let auto = bytes(0);
+    for workers in [1, 4] {
         assert_eq!(
-            bytes(&config),
+            bytes(workers),
             auto,
-            "churn bytes changed with MANN_THREADS={width}"
-        );
-        assert_eq!(
-            bytes(&serial_config),
-            auto,
-            "serial engine diverged at width {width}"
+            "churn bytes changed on {workers} workers"
         );
     }
-    std::env::remove_var("MANN_THREADS");
 
     let cluster = Cluster::new(suite(), config);
     let identity = cluster.serve_in_order(&t, &[0, 1, 2, 3]);

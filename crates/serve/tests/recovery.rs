@@ -3,8 +3,8 @@
 //! Four contracts hold end to end:
 //!
 //! 1. Journaling is pure: the `wal_records` a serve emits are a function
-//!    of `(suite, trace, config)` alone — byte-identical across engines
-//!    and thread counts, and collecting them never perturbs the report.
+//!    of `(suite, trace, config)` alone — byte-identical across worker
+//!    counts, and collecting them never perturbs the report.
 //! 2. Zero-WAL configs are invisible: a report serialized without the
 //!    WAL carries no `durability` key, and a durable run's report minus
 //!    its durability section is byte-identical to the non-durable run.
@@ -21,8 +21,8 @@ use std::sync::OnceLock;
 use mann_babi::TaskId;
 use mann_core::{SuiteConfig, TaskSuite};
 use mann_serve::{
-    serve_durable, ArrivalTrace, EngineMode, FaultConfig, SchedulePolicy, ServeConfig, Server,
-    TraceConfig, WalConfig,
+    serve_durable, ArrivalTrace, FaultConfig, SchedulePolicy, ServeConfig, Server, TraceConfig,
+    WalConfig,
 };
 use mann_store::{replay_dir, StoreState, KIND_COMPLETION, KIND_STORY};
 use serde::Serialize;
@@ -86,7 +86,7 @@ fn durable_config(dir: &std::path::Path, snapshot_every: u64, node_kills: u32) -
     }
 }
 
-/// Contract 1: the journal a serve emits is engine-invariant and
+/// Contract 1: the journal a serve emits is width-invariant and
 /// canonically ordered, and story records carry the quantized rows that
 /// a replay needs to rebuild residency.
 #[test]
@@ -97,7 +97,7 @@ fn journal_is_engine_invariant_and_canonical() {
     let serial = Server::new(
         suite(),
         ServeConfig {
-            engine: EngineMode::Serial,
+            workers: 1,
             ..durable_config(&dir, 0, 0)
         },
     )
@@ -109,12 +109,12 @@ fn journal_is_engine_invariant_and_canonical() {
     );
     assert_eq!(
         parallel.wal_records, serial.wal_records,
-        "serial and parallel engines must journal identical records"
+        "one worker and the default pool must journal identical records"
     );
     assert_eq!(
         parallel.report.to_value().print(),
         serial.report.to_value().print(),
-        "journaling must not break engine invariance of the report"
+        "journaling must not break width invariance of the report"
     );
 
     let mut sorted = parallel.wal_records.clone();

@@ -28,7 +28,7 @@ use mann_accel::core::experiments::{fig3, fig4, table1};
 use mann_accel::core::{SuiteConfig, TaskSuite};
 use mann_accel::hw::{AccelConfig, Accelerator, MemIndexConfig};
 use mann_accel::serve::{
-    serve_cluster_durable, ArrivalTrace, Cluster, ClusterConfig, EngineMode, FaultConfig, HopPrune,
+    serve_cluster_durable, ArrivalTrace, Cluster, ClusterConfig, FaultConfig, HopPrune,
     MembershipPlan, NumericPolicy, SchedulePolicy, ServeConfig, Server, TraceConfig, WalConfig,
 };
 use serde::json::Value;
@@ -275,11 +275,11 @@ fn serve_affinity_report_is_pinned() {
     };
     let out = Server::new(s, config.clone()).serve(&trace);
 
-    // The serial engine reproduces the parallel engine's cache decisions.
+    // One worker reproduces the default pool's cache decisions.
     let serial = Server::new(
         s,
         ServeConfig {
-            engine: EngineMode::Serial,
+            workers: 1,
             ..config
         },
     )
@@ -296,8 +296,8 @@ fn serve_affinity_report_is_pinned() {
 /// A seeded fault campaign over a repeated-story trace: link corruption
 /// with bounded retries, instance crashes with watchdog failover, SEU
 /// scrubbing of resident stories, and overload degradation. Pins the full
-/// report — including every recovery counter — and checks that the serial
-/// engine reproduces the parallel engine's bytes under faults.
+/// report — including every recovery counter — and checks that one
+/// worker reproduces the default pool's bytes under faults.
 #[test]
 fn serve_fault_campaign_is_pinned() {
     let s = suite();
@@ -342,12 +342,12 @@ fn serve_fault_campaign_is_pinned() {
     assert!(fault.scrubs > 0, "campaign must scrub");
     assert!(fault.degraded > 0, "campaign must degrade");
 
-    // Engine invariance holds under faults too: the serial engine's report
-    // is byte-identical.
+    // Width invariance holds under faults too: the one-worker report is
+    // byte-identical.
     let serial = Server::new(
         s,
         ServeConfig {
-            engine: EngineMode::Serial,
+            workers: 1,
             ..config
         },
     )
@@ -355,7 +355,7 @@ fn serve_fault_campaign_is_pinned() {
     assert_eq!(
         serial.report.to_value().print(),
         out.report.to_value().print(),
-        "serial and parallel engines diverged under faults"
+        "one worker and the default pool diverged under faults"
     );
     let text = out.report.render();
     assert_eq!(serial.report.render(), text);
@@ -371,8 +371,8 @@ fn serve_fault_campaign_is_pinned() {
 /// stranded requests fail over cross-shard to their story's replica, and
 /// the merged `ClusterReport` — pooled latency percentiles, summed fault
 /// sections, per-shard breakdown — is pinned byte for byte. Also asserts
-/// the two reduction laws: serial == parallel bytes, and a K=1/R=1
-/// cluster serializes byte-identically to the single-node report.
+/// the two reduction laws: one worker == the default pool's bytes, and a
+/// K=1/R=1 cluster serializes byte-identically to the single-node report.
 #[test]
 fn serve_cluster_campaign_is_pinned() {
     let s = suite();
@@ -417,12 +417,12 @@ fn serve_cluster_campaign_is_pinned() {
         "cluster outcome must partition the trace"
     );
 
-    // Engine invariance holds for the merged report too.
+    // Width invariance holds for the merged report too.
     let serial = Cluster::new(
         s,
         ClusterConfig {
             base: ServeConfig {
-                engine: EngineMode::Serial,
+                workers: 1,
                 ..config.base.clone()
             },
             ..config.clone()
@@ -432,7 +432,7 @@ fn serve_cluster_campaign_is_pinned() {
     assert_eq!(
         serial.report.to_value().print(),
         out.report.to_value().print(),
-        "serial and parallel engines diverged on the cluster report"
+        "one worker and the default pool diverged on the cluster report"
     );
     let text = out.report.render();
     assert_eq!(serial.report.render(), text);
@@ -530,12 +530,12 @@ fn serve_membership_campaign_is_pinned() {
         "churned cluster outcome must partition the trace"
     );
 
-    // Engine invariance holds with the membership layer live.
+    // Width invariance holds with the membership layer live.
     let serial = Cluster::new(
         s,
         ClusterConfig {
             base: ServeConfig {
-                engine: EngineMode::Serial,
+                workers: 1,
                 ..config.base.clone()
             },
             ..config.clone()
@@ -545,7 +545,7 @@ fn serve_membership_campaign_is_pinned() {
     assert_eq!(
         serial.report.to_value().print(),
         out.report.to_value().print(),
-        "serial and parallel engines diverged on the membership report"
+        "one worker and the default pool diverged on the membership report"
     );
     let text = out.report.render();
     assert_eq!(serial.report.render(), text);
@@ -563,9 +563,10 @@ fn serve_membership_campaign_is_pinned() {
 /// frame on disk), and recovery replays snapshot + segments onto a fresh
 /// stack before re-dispatching the in-flight remainder. Pins the merged
 /// report — durability section included — byte for byte, and asserts the
-/// three determinism laws in-test: serial == parallel bytes, bytes are
-/// independent of the WAL directory, and the recovered report minus its
-/// durability section is byte-identical to the no-crash, no-WAL run.
+/// three determinism laws in-test: one worker == the default pool's
+/// bytes, bytes are independent of the WAL directory, and the recovered
+/// report minus its durability section is byte-identical to the no-crash,
+/// no-WAL run.
 #[test]
 fn serve_recovery_campaign_is_pinned() {
     let s = suite();
@@ -585,7 +586,7 @@ fn serve_recovery_campaign_is_pinned() {
         let _ = std::fs::remove_dir_all(&dir);
         dir
     };
-    let config_for = |dir: std::path::PathBuf, engine: EngineMode| ClusterConfig {
+    let config_for = |dir: std::path::PathBuf, workers| ClusterConfig {
         shards: 2,
         replication: 1,
         base: ServeConfig {
@@ -593,7 +594,7 @@ fn serve_recovery_campaign_is_pinned() {
             queue_capacity: 128,
             story_cache: 4,
             policy: SchedulePolicy::StoryAffinity,
-            engine,
+            workers,
             faults: FaultConfig {
                 seed: 9,
                 node_kills: 1,
@@ -610,7 +611,7 @@ fn serve_recovery_campaign_is_pinned() {
         ..ClusterConfig::default()
     };
 
-    let cluster = Cluster::new(s, config_for(wal_root("parallel"), EngineMode::Parallel));
+    let cluster = Cluster::new(s, config_for(wal_root("parallel"), 0));
     let out = serve_cluster_durable(&cluster, &trace).expect("durable cluster serve");
     let d = &out.report.durability;
     assert!(d.enabled, "durability section must be published");
@@ -624,14 +625,14 @@ fn serve_recovery_campaign_is_pinned() {
         "cluster outcome must partition the trace"
     );
 
-    // Determinism law 1: the serial engine, on its own fresh WAL root,
-    // reproduces the parallel report — durability bytes included.
-    let serial_cluster = Cluster::new(s, config_for(wal_root("serial"), EngineMode::Serial));
+    // Determinism law 1: one worker, on its own fresh WAL root,
+    // reproduces the default pool's report — durability bytes included.
+    let serial_cluster = Cluster::new(s, config_for(wal_root("serial"), 1));
     let serial = serve_cluster_durable(&serial_cluster, &trace).expect("serial durable serve");
     assert_eq!(
         serial.report.to_value().print(),
         out.report.to_value().print(),
-        "serial and parallel engines diverged on the recovered cluster report"
+        "one worker and the default pool diverged on the recovered cluster report"
     );
     let text = out.report.render();
     assert_eq!(serial.report.render(), text);
@@ -640,7 +641,7 @@ fn serve_recovery_campaign_is_pinned() {
     // Determinism law 2: the crash campaign is journal-level — stripped
     // of its durability section, the recovered report is byte-identical
     // to a plain run with no WAL and no kill.
-    let mut plain_config = config_for(wal_root("unused"), EngineMode::Parallel);
+    let mut plain_config = config_for(wal_root("unused"), 0);
     plain_config.base.faults.node_kills = 0;
     plain_config.base.wal = WalConfig::default();
     let plain = Cluster::new(s, plain_config).serve(&trace);
@@ -670,8 +671,8 @@ fn stressed_suite() -> &'static TaskSuite {
 /// embeddings flag every completion, the ITH exit guard vetoes saturated
 /// early exits, and each stressed answer is re-served by the `f32`
 /// reference at accounted cycle/energy cost. Pins the full report —
-/// including every `NumericHealth` counter — and checks that the serial
-/// engine reproduces the parallel engine's bytes under stress.
+/// including every `NumericHealth` counter — and checks that one worker
+/// reproduces the default pool's bytes under stress.
 #[test]
 fn serve_numeric_campaign_is_pinned() {
     let s = stressed_suite();
@@ -715,12 +716,12 @@ fn serve_numeric_campaign_is_pinned() {
     // property tests at the linalg level).
     assert_eq!(h.div_zero, 0);
 
-    // Engine invariance holds under numeric stress too: the serial
-    // engine's report is byte-identical.
+    // Width invariance holds under numeric stress too: the one-worker
+    // report is byte-identical.
     let serial = Server::new(
         s,
         ServeConfig {
-            engine: EngineMode::Serial,
+            workers: 1,
             ..config
         },
     )
@@ -728,7 +729,7 @@ fn serve_numeric_campaign_is_pinned() {
     assert_eq!(
         serial.report.to_value().print(),
         out.report.to_value().print(),
-        "serial and parallel engines diverged under numeric stress"
+        "one worker and the default pool diverged under numeric stress"
     );
     let text = out.report.render();
     assert_eq!(serial.report.render(), text);
@@ -740,8 +741,8 @@ fn serve_numeric_campaign_is_pinned() {
 /// The compute-dedup campaign: a story-reuse burst served with same-story
 /// batch fusion (window 4) and adaptive hop pruning enabled. Pins the full
 /// report — fused-group histogram, deduplicated stream cycles, hop-prune
-/// savings — and checks that the serial engine reproduces the parallel
-/// engine's bytes and that pruning moves at most 1% of argmax answers off
+/// savings — and checks that one worker reproduces the default pool's
+/// bytes and that pruning moves at most 1% of argmax answers off
 /// the full-hop oracle.
 #[test]
 fn serve_batched_pruned_campaign_is_pinned() {
@@ -779,12 +780,12 @@ fn serve_batched_pruned_campaign_is_pinned() {
     assert!(prune.enabled && prune.hops_saved > 0, "no hops pruned");
     assert!(prune.cycles_saved > 0, "pruning saved no cycles");
 
-    // Engine invariance holds with both levers armed: the serial engine's
+    // Width invariance holds with both levers armed: the one-worker
     // report is byte-identical.
     let serial = Server::new(
         s,
         ServeConfig {
-            engine: EngineMode::Serial,
+            workers: 1,
             ..config.clone()
         },
     )
@@ -792,7 +793,7 @@ fn serve_batched_pruned_campaign_is_pinned() {
     assert_eq!(
         serial.report.to_value().print(),
         out.report.to_value().print(),
-        "serial and parallel engines diverged with batching + pruning"
+        "one worker and the default pool diverged with batching + pruning"
     );
     let text = out.report.render();
     assert_eq!(serial.report.render(), text);
@@ -856,9 +857,9 @@ fn index_suite() -> &'static TaskSuite {
 /// The sub-linear addressing campaign: 500-sentence resident stories
 /// served with the IVF candidate index armed. Pins the full report —
 /// aggregated `IndexReport` counters included — and checks the index
-/// laws: serial == parallel bytes, every counter (scan, skip, fallback,
-/// build, savings) engaged, and >= 99% argmax agreement against an
-/// exact-scan oracle server on the same trace.
+/// laws: one worker == the default pool's bytes, every counter (scan,
+/// skip, fallback, build, savings) engaged, and >= 99% argmax agreement
+/// against an exact-scan oracle server on the same trace.
 #[test]
 fn serve_index_campaign_is_pinned() {
     let s = index_suite();
@@ -891,12 +892,12 @@ fn serve_index_campaign_is_pinned() {
         "index must save addressing cycles"
     );
 
-    // Engine invariance holds with the index armed: the serial engine's
-    // report is byte-identical.
+    // Width invariance holds with the index armed: the one-worker report
+    // is byte-identical.
     let serial = Server::new(
         s,
         ServeConfig {
-            engine: EngineMode::Serial,
+            workers: 1,
             ..config.clone()
         },
     )
@@ -904,7 +905,7 @@ fn serve_index_campaign_is_pinned() {
     assert_eq!(
         serial.report.to_value().print(),
         out.report.to_value().print(),
-        "serial and parallel engines diverged with the index armed"
+        "one worker and the default pool diverged with the index armed"
     );
     let text = out.report.render();
     assert_eq!(serial.report.render(), text);
