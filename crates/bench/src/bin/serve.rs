@@ -101,8 +101,9 @@
 //! A flag that neither this binary nor the shared harness knows, such as
 //! a misspelt `--fault-plna`, is a usage error (exit status 2), and so is
 //! a value out of range, such as `--rate-us 0`, `--link-gbps 0`,
-//! `--embed-scale nan` or `--instances 0`: each is rejected with a
-//! one-line message before any training.
+//! `--embed-scale nan`, `--instances 0` or a duration past the simulated
+//! clock's 2^64 ps (`--rate-us 1e300`, `--link-latency-us 1e300`): each
+//! is rejected with a one-line message before any training.
 //!
 //! The serve is a pure function of `(suite, trace, config)`: rerunning
 //! with the same flags — at any `MANN_THREADS` — prints byte-identical
@@ -112,7 +113,7 @@
 
 use mann_bench::{parsed, usage_bail, HarnessArgs};
 use mann_core::write_json_report;
-use mann_hw::MemIndexConfig;
+use mann_hw::{MemIndexConfig, SimTime};
 use mann_serve::{
     serve_cluster_durable, serve_durable, ArrivalTrace, Cluster, ClusterConfig, FaultConfig,
     HopPrune, MembershipPlan, NumericPolicy, SchedulePolicy, Server, TraceConfig, WalConfig,
@@ -182,10 +183,10 @@ impl ServeArgs {
                 "--inflight" => node.inflight_limit = parsed(flag, value()?, "a count")?,
                 "--rate-us" => {
                     let us: f64 = parsed(flag, value()?, "microseconds")?;
-                    if us <= 0.0 || !us.is_finite() {
+                    if us <= 0.0 || SimTime::try_from_s(us * 1e-6).is_none() {
                         return Err(format!(
                             "invalid --rate-us {us}: the mean inter-arrival time must be \
-                             positive and finite"
+                             positive and under 2^64 ps"
                         ));
                     }
                     trace.mean_interarrival_s = us * 1e-6;
@@ -375,7 +376,7 @@ fn main() {
         let cluster = Cluster::new(&suite, config);
         let outcome =
             serve_cluster_durable(&cluster, &trace).unwrap_or_else(|e| usage_bail("serve", e));
-        let node = &cluster.config().base;
+        let node = cluster.server().config();
         println!(
             "Served {} requests across {} shard(s) x {} instance(s), replication {}, policy {}",
             trace.len(),
@@ -490,10 +491,13 @@ mod tests {
             ["--rate-us", "0"],
             ["--rate-us", "-5"],
             ["--rate-us", "nan"],
+            ["--rate-us", "1e300"],
             ["--link-gbps", "0"],
             ["--link-gbps", "-1"],
+            ["--link-gbps", "1e-300"],
             ["--link-latency-us", "-1"],
             ["--link-latency-us", "nan"],
+            ["--link-latency-us", "1e300"],
             ["--embed-scale", "nan"],
             ["--instances", "0"],
         ] {

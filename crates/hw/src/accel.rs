@@ -23,7 +23,6 @@ use serde::{Deserialize, Serialize};
 use crate::index::{IndexCounters, MemIndexConfig};
 use crate::modules::{attention_peak, InputWriteModule, MemModule, OutputModule, ReadModule};
 use crate::quantize::quantize_params_tracked;
-use crate::story::story_digest;
 use crate::trace::SignalTrace;
 use crate::{ClockDomain, Cycles, DatapathConfig, PcieLink, PowerModel};
 
@@ -234,17 +233,11 @@ pub struct ResidentStory {
     mem: MemModule,
     phases: PhaseCycles,
     story_words: usize,
-    digest: u64,
     numeric: NumericStatus,
     index_build: Cycles,
 }
 
 impl ResidentStory {
-    /// Content digest the story is cached under ([`story_digest`]).
-    pub fn digest(&self) -> u64 {
-        self.digest
-    }
-
     /// CONTROL + INPUT & WRITE cycles spent writing the story.
     pub fn phases(&self) -> PhaseCycles {
         self.phases
@@ -402,7 +395,6 @@ impl Accelerator {
             mem,
             phases,
             story_words,
-            digest: story_digest(sample),
             numeric,
             index_build,
         }

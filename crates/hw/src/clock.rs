@@ -75,7 +75,9 @@ impl From<u64> for Cycles {
 /// accumulated rounding; an integer picosecond timebase keeps every
 /// comparison exact, so a discrete-event schedule replays byte-identically.
 /// One picosecond resolves every paper clock (a 100 MHz cycle is 10⁴ ps)
-/// and `u64` picoseconds span ~213 simulated days.
+/// and `u64` picoseconds span ~213 simulated days. A duration past that
+/// range is an error, never a clamp: [`SimTime::from_s`] rejects it and
+/// addition panics on overflow.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
@@ -93,17 +95,25 @@ impl SimTime {
         Self(ps)
     }
 
+    /// Converts from seconds, rounding to the nearest picosecond; `None`
+    /// when `seconds` is negative, not finite, or rounds to 2^64 ps or
+    /// more.
+    pub fn try_from_s(seconds: f64) -> Option<Self> {
+        let ps = (seconds * Self::PS_PER_S).round();
+        // `u64::MAX as f64` is 2^64; a NaN fails the first comparison.
+        (seconds >= 0.0 && ps < u64::MAX as f64).then_some(Self(ps as u64))
+    }
+
     /// Converts from seconds, rounding to the nearest picosecond.
     ///
     /// # Panics
     ///
-    /// Panics if `seconds` is negative or not finite.
+    /// Panics if `seconds` is negative, not finite, or rounds to 2^64 ps
+    /// or more ([`SimTime::try_from_s`]).
     pub fn from_s(seconds: f64) -> Self {
-        assert!(
-            seconds.is_finite() && seconds >= 0.0,
-            "SimTime needs a finite non-negative duration, got {seconds}"
-        );
-        Self((seconds * Self::PS_PER_S).round() as u64)
+        Self::try_from_s(seconds).unwrap_or_else(|| {
+            panic!("SimTime needs a finite non-negative duration under 2^64 ps, got {seconds} s")
+        })
     }
 
     /// The raw picosecond count.
@@ -124,14 +134,21 @@ impl SimTime {
 
 impl std::ops::Add for SimTime {
     type Output = SimTime;
+    /// # Panics
+    ///
+    /// Panics if the sum reaches 2^64 ps, in release builds too.
     fn add(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(
+            self.0
+                .checked_add(rhs.0)
+                .expect("SimTime overflow past 2^64 ps"),
+        )
     }
 }
 
 impl std::ops::AddAssign for SimTime {
     fn add_assign(&mut self, rhs: SimTime) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -283,5 +300,29 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_sim_time_rejected() {
         let _ = SimTime::from_s(-1.0);
+    }
+
+    #[test]
+    fn durations_past_the_clock_range_are_none() {
+        // 2^64 ps is about 1.8e7 s.
+        let last = SimTime::try_from_s(1.8e7).expect("1.8e7 s fits");
+        assert_eq!(last.ps(), 18_000_000_000_000_000_000);
+        for s in [1.85e7, 1e300, f64::INFINITY, f64::NAN, -1e-20] {
+            assert_eq!(SimTime::try_from_s(s), None, "{s}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "under 2^64 ps")]
+    fn sim_time_past_the_range_rejected() {
+        let _ = SimTime::from_s(1e300);
+    }
+
+    #[test]
+    #[should_panic(expected = "SimTime overflow")]
+    fn sim_time_addition_overflow_panics() {
+        let _: SimTime = [SimTime::from_ps(u64::MAX), SimTime::from_ps(1)]
+            .into_iter()
+            .sum();
     }
 }

@@ -5,7 +5,7 @@
 //! questions over the same story — the bAbI access pattern — therefore
 //! re-pays the INPUT & WRITE phase and the PCIe story upload for work the
 //! on-chip memories already hold. The serving layer keeps an [`LruSet`] of
-//! story digests per accelerator instance, modelling the last `K` written
+//! story keys per accelerator instance, modelling the last `K` written
 //! stories held resident: a hit skips the write-phase cycles and ships only
 //! the question over the link.
 //!
@@ -55,9 +55,9 @@ fn fnv1a_absorb(mut hash: u64, mut v: u64) -> u64 {
 /// the question is deliberately excluded), over the 8 little-endian bytes
 /// of each value: the sentence count, then each sentence's length and word
 /// indices. Two samples with the same story but different questions
-/// collide on purpose — that is the reuse the cache exploits. Cache keys,
-/// WAL records and rendezvous routing all derive from it, so a test pins
-/// its value.
+/// collide on purpose — that is the reuse the cache exploits. The serve's
+/// story identity, WAL records and rendezvous routing all derive from it,
+/// so a test pins its value.
 pub fn story_digest(sample: &EncodedSample) -> u64 {
     let mut hash = fnv1a_absorb(FNV_OFFSET, sample.sentences.len() as u64);
     for sent in &sample.sentences {
@@ -106,7 +106,8 @@ impl std::ops::AddAssign for CacheStats {
 pub struct Admission {
     /// Whether the key was already resident (and clean).
     pub hit: bool,
-    /// The key evicted to make room, if any.
+    /// The key evicted to make room, if any: in the serve, the index of
+    /// the evicted story, which names its digest and task.
     pub evicted: Option<u64>,
     /// Whether the key was resident but poisoned by an SEU: the digest
     /// check caught the corruption, so the admit counts as a miss (the
@@ -115,10 +116,11 @@ pub struct Admission {
     pub scrubbed: bool,
 }
 
-/// A bounded LRU set of story keys — the digest-only residency model the
-/// serving layer keeps per instance (the payloads live in the precomputed
-/// [`ResidentStory`](crate::ResidentStory) table, so instances only track
-/// *which* stories they hold).
+/// A bounded LRU set of story keys — the residency model the serving
+/// layer keeps per instance. The serve's keys are story indices into its
+/// precomputed table of written stories
+/// ([`ResidentStory`](crate::ResidentStory)s), so instances only track
+/// *which* stories they hold.
 ///
 /// Keys are ordered least- to most-recently used in a `Vec`; capacities are
 /// small (on-chip memory holds a handful of stories), so the `O(capacity)`

@@ -17,8 +17,9 @@
 //!
 //! A cluster serve is a pure function of `(suite, trace, config)`:
 //!
-//! * routing is rendezvous hashing over `story_digest`
-//!   ([`mann_hw::fault_mix`] under a routing salt) against the live
+//! * routing is rendezvous hashing over each story's key, its
+//!   `story_digest` with the task mixed in ([`mann_hw::fault_mix`] under
+//!   a routing salt), against the live
 //!   membership view, each request routed when it arrives;
 //! * each shard's fault plan derives from [`mann_hw::shard_fault_seed`],
 //!   so what shard `s` injects is independent of how many shards exist or
@@ -31,8 +32,6 @@
 //! At K=1/R=1 the layer is *inert*: the report serializes and renders as
 //! the single shard's [`ServeReport`], byte-identical to the single-node
 //! path.
-
-use std::collections::HashMap;
 
 use mann_core::report::{fnum, percent, TextTable};
 use mann_core::TaskSuite;
@@ -538,7 +537,8 @@ pub struct ClusterOutcome {
 pub struct Cluster<'a> {
     server: Server<'a>,
     router: ShardRouter,
-    config: ClusterConfig,
+    replication: usize,
+    membership: MembershipPlan,
 }
 
 impl<'a> Cluster<'a> {
@@ -554,18 +554,20 @@ impl<'a> Cluster<'a> {
         let router = if config.weights.is_empty() {
             ShardRouter::new(config.shards)
         } else {
-            ShardRouter::with_weights(config.weights.clone())
+            ShardRouter::with_weights(config.weights)
         };
         Self {
-            server: Server::new(suite, config.base.clone()),
+            server: Server::new(suite, config.base),
             router,
-            config,
+            replication: config.replication,
+            membership: config.membership,
         }
     }
 
-    /// The cluster configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
+    /// The server every shard runs, holding the per-shard
+    /// [`ServeConfig`].
+    pub fn server(&self) -> &Server<'a> {
+        &self.server
     }
 
     /// The frontend router.
@@ -575,7 +577,7 @@ impl<'a> Cluster<'a> {
 
     /// Serves a trace across the cluster.
     pub fn serve(&self, trace: &ArrivalTrace) -> ClusterOutcome {
-        let order: Vec<usize> = (0..self.config.shards).collect();
+        let order: Vec<usize> = (0..self.router.shards()).collect();
         self.serve_in_order(trace, &order)
     }
 
@@ -604,15 +606,15 @@ impl<'a> Cluster<'a> {
         trace: &ArrivalTrace,
         order: &[usize],
     ) -> (ClusterOutcome, Vec<Vec<WalRecord>>) {
-        let k = self.config.shards;
+        let k = self.router.shards();
         let mut sorted = order.to_vec();
         sorted.sort_unstable();
         assert!(
             sorted.iter().copied().eq(0..k),
             "order must be a permutation of 0..{k}"
         );
-        let plan = &self.config.membership;
-        let base = &self.config.base;
+        let plan = &self.membership;
+        let base = self.server.config();
         let num = &self.server.numeric_phase(trace);
         let mut states: Vec<ServeState<'_, '_>> = (0..k)
             .map(|s| {
@@ -631,22 +633,18 @@ impl<'a> Cluster<'a> {
                     num,
                     faults,
                     fail_stop,
-                    self.config.replication,
+                    self.replication,
                 )
             })
             .collect();
 
         let mut routing = Routing {
-            view: MembershipView::new(
-                plan,
-                self.router.weights().to_vec(),
-                self.config.replication,
-            ),
-            hot: plan.hot_keys((0..trace.len()).map(|g| num.key(g))),
-            hot_rank: HashMap::new(),
+            view: MembershipView::new(plan, self.router.weights().to_vec(), self.replication),
+            hot: plan.hot_keys(num.stories.len(), (0..trace.len()).map(|g| num.story_id(g))),
+            hot_rank: vec![0; num.stories.len()],
             split_requests: 0,
             retune_depth: (plan.retune_threshold > 0.0).then(|| {
-                let capacity = self.config.base.queue_capacity as f64;
+                let capacity = base.queue_capacity as f64;
                 ((plan.retune_threshold * capacity).ceil() as usize).max(1)
             }),
             retune_factor: plan.retune_factor,
@@ -727,7 +725,7 @@ impl<'a> Cluster<'a> {
         routing: &Routing<'_>,
         states: &[ServeState<'_, '_>],
     ) -> MembershipReport {
-        let plan = &self.config.membership;
+        let plan = &self.membership;
         if plan.is_empty() {
             return MembershipReport::default();
         }
@@ -738,7 +736,7 @@ impl<'a> Cluster<'a> {
             failures: count(MembershipEventKind::Fail),
             joins: count(MembershipEventKind::Join),
             retunes: routing.retunes.len() as u64,
-            hot_keys: routing.hot.len() as u64,
+            hot_keys: routing.hot.iter().filter(|&&hot| hot).count() as u64,
             split_requests: routing.split_requests,
             stranded_exports: plan
                 .events
@@ -757,7 +755,8 @@ impl<'a> Cluster<'a> {
         // same precedent as fault-retry link time). The hand-off is a
         // background copy: it costs bytes/cycles/energy but never blocks
         // the destination's serve timeline.
-        let base = &self.config.base;
+        let base = self.server.config();
+        let stories = &routing.num.stories;
         let cache_slots = base.instances * base.story_cache;
         for e in plan
             .events
@@ -766,16 +765,17 @@ impl<'a> Cluster<'a> {
         {
             // Last drain instant per distinct story, with a
             // representative request for sizing the re-upload.
-            let mut last_drained: HashMap<u64, (SimTime, usize)> = HashMap::new();
+            let mut last_drained: Vec<Option<(SimTime, usize)>> = vec![None; stories.len()];
             for (g, end) in states[e.shard].drained() {
-                let entry = last_drained.entry(routing.num.key(g)).or_insert((end, g));
-                if end > entry.0 {
-                    *entry = (end, g);
+                let last = &mut last_drained[routing.num.story_id(g)];
+                if last.is_none_or(|(t, _)| end > t) {
+                    *last = Some((end, g));
                 }
             }
             let mut resident: Vec<(u64, SimTime, usize)> = last_drained
-                .into_iter()
-                .map(|(k, (t, g))| (k, t, g))
+                .iter()
+                .zip(stories)
+                .filter_map(|(last, story)| last.map(|(t, g)| (story.key, t, g)))
                 .collect();
             // Most recently used first (the LRU survivors), key ascending
             // on ties so the hand-off set is deterministic.
@@ -797,13 +797,12 @@ impl<'a> Cluster<'a> {
         }
 
         // Moved-key timeline: at every membership boundary (lifecycle
-        // event or weight re-tune), count the distinct trace keys whose
+        // event or weight re-tune), count the trace's story keys whose
         // live primary differs across the instant — measured on the real
         // router, the same measurement the moved-key-bound proptest
         // makes. The per-leave mean fraction is the live form of the
         // rendezvous bound: each removal relocates <= 1/K + eps of keys.
-        let tracked = routing.num.distinct_keys();
-        m.tracked_keys = tracked.len() as u64;
+        m.tracked_keys = stories.len() as u64;
         let mut boundaries: Vec<(SimTime, String, usize, bool)> = plan
             .events
             .iter()
@@ -821,9 +820,9 @@ impl<'a> Cluster<'a> {
         for (at, kind, shard, is_leave) in boundaries {
             let before = SimTime::from_ps(at.ps() - 1);
             let view = &routing.view;
-            let moved = tracked
+            let moved = stories
                 .iter()
-                .filter(|&&key| view.primary(key, before) != view.primary(key, at))
+                .filter(|s| view.primary(s.key, before) != view.primary(s.key, at))
                 .count() as u64;
             m.moved_keys += moved;
             if is_leave {
@@ -838,8 +837,8 @@ impl<'a> Cluster<'a> {
             });
         }
         m.epochs = 1 + m.timeline.len();
-        m.moved_key_fraction = if leaves > 0 && !tracked.is_empty() {
-            leave_moved as f64 / (tracked.len() as f64 * leaves as f64)
+        m.moved_key_fraction = if leaves > 0 && !stories.is_empty() {
+            leave_moved as f64 / (stories.len() as f64 * leaves as f64)
         } else {
             0.0
         };
@@ -858,7 +857,7 @@ impl<'a> Cluster<'a> {
         replay_link_bytes: u64,
         membership: MembershipReport,
     ) -> ClusterOutcome {
-        let k = self.config.shards;
+        let k = self.router.shards();
         let (mut failover_ids, unroutable) = (routing.failovers, routing.unroutable);
         let mut failover = ClusterFailover {
             exports: failover_ids.len() as u64,
@@ -953,7 +952,7 @@ impl<'a> Cluster<'a> {
         };
         let mut fault = FaultReport::merge(per_shard.iter().map(|r| &r.fault));
         if fault.enabled {
-            fault.plan_seed = self.config.base.faults.seed;
+            fault.plan_seed = self.server.config().faults.seed;
         }
         let done = completions.len();
         let correct = completions.iter().filter(|c| c.correct).count();
@@ -963,7 +962,7 @@ impl<'a> Cluster<'a> {
             .sum();
         let report = ClusterReport {
             shards: k,
-            replication: self.config.replication,
+            replication: self.replication,
             requests: trace.requests.len(),
             completed: done,
             rejected: rejections.len(),
@@ -1020,14 +1019,14 @@ impl<'a> Cluster<'a> {
 /// The routing state of one cluster serve: the live membership view, the
 /// hot-key splitter and the online retune trigger.
 struct Routing<'n> {
-    /// Every request's routing key, by trace index.
+    /// Every request's story and routing key, by trace index.
     num: &'n NumericPhase,
     /// The live membership view, retunes fired so far applied.
     view: MembershipView,
-    /// Routing keys the hot-key detector split, ascending.
-    hot: Vec<u64>,
-    /// Each hot key's requests routed so far.
-    hot_rank: HashMap<u64, usize>,
+    /// Per story: whether the hot-key detector split its traffic.
+    hot: Vec<bool>,
+    /// Per story: its requests routed so far, while hot.
+    hot_rank: Vec<usize>,
     split_requests: u64,
     /// Host-queue depth at which a shard's weight is retuned; `None` when
     /// retuning is off.
@@ -1048,19 +1047,18 @@ impl Routing<'_> {
     /// primary, or for a hot key the next link of its live replica chain
     /// by per-key arrival rank. `None` when no shard of its chain is live.
     fn route(&mut self, g: usize, t: SimTime) -> Option<usize> {
-        let key = self.num.key(g);
-        let chain = self.view.resolve(key, t);
+        let chain = self.view.resolve(self.num.key(g), t);
         if chain.is_empty() {
             self.unroutable.push(g);
             return None;
         }
-        if self.hot.binary_search(&key).is_err() {
+        let story = self.num.story_id(g);
+        if !self.hot[story] {
             return Some(chain[0]);
         }
         self.split_requests += 1;
-        let rank = self.hot_rank.entry(key).or_insert(0);
-        *rank += 1;
-        Some(chain[(*rank - 1) % chain.len()])
+        self.hot_rank[story] += 1;
+        Some(chain[(self.hot_rank[story] - 1) % chain.len()])
     }
 
     /// The shard a request handed back by `from` goes to: the `hop`-th

@@ -344,23 +344,14 @@ impl Plan for FaultConfig {
                 format!("must be at most 20, got {}", self.max_retries),
             );
         }
-        if !(self.backoff_base_s.is_finite() && self.backoff_base_s >= 0.0) {
-            return bad(
-                "backoff_base_s",
-                format!("must be finite and >= 0, got {}", self.backoff_base_s),
-            );
-        }
-        if !(self.crash_cooldown_s.is_finite() && self.crash_cooldown_s >= 0.0) {
-            return bad(
-                "crash_cooldown_s",
-                format!("must be finite and >= 0, got {}", self.crash_cooldown_s),
-            );
-        }
-        if !(self.watchdog_s.is_finite() && self.watchdog_s >= 0.0) {
-            return bad(
-                "watchdog_s",
-                format!("must be finite and >= 0, got {}", self.watchdog_s),
-            );
+        for (field, s) in [
+            ("backoff_base_s", self.backoff_base_s),
+            ("crash_cooldown_s", self.crash_cooldown_s),
+            ("watchdog_s", self.watchdog_s),
+        ] {
+            if SimTime::try_from_s(s).is_none() {
+                return bad(field, format!("must be >= 0 and under 2^64 ps, got {s}"));
+            }
         }
         if self.crashes > 0 && self.watchdog_s <= 0.0 {
             return bad(
@@ -757,6 +748,12 @@ mod tests {
         ));
         c.watchdog_s = 100e-6;
         c.validate().expect("crashes with watchdog valid");
+        c.crash_cooldown_s = 1e300;
+        assert!(matches!(
+            c.validate(),
+            Err(PlanError::Invalid { field, .. }) if field == "crash_cooldown_s"
+        ));
+        c.crash_cooldown_s = 100e-6;
         c.max_retries = 20;
         c.validate().expect("the full retry budget is valid");
         c.max_retries = 21;

@@ -224,11 +224,12 @@ impl Plan for MembershipPlan {
         for e in &self.events {
             // An instant that rounds to 0 ps would fail-stop a shard
             // before it serves anything.
-            if !(e.at_s.is_finite() && e.at_s > 0.0) || e.at() == SimTime::ZERO {
+            if SimTime::try_from_s(e.at_s).is_none_or(|t| t == SimTime::ZERO) {
                 return bad(
                     "events",
                     format!(
-                        "{} of shard {} must be at a finite instant of at least 1 ps, got {} s",
+                        "{} of shard {} must be at an instant from 1 ps to under 2^64 ps, \
+                         got {} s",
                         e.kind, e.shard, e.at_s
                     ),
                 );
@@ -351,24 +352,22 @@ impl MembershipPlan {
         self.events.iter().find(|e| e.shard == shard).copied()
     }
 
-    /// The routing keys whose request count reaches the hot-key
-    /// threshold, sorted ascending (deterministic whatever the count-map
-    /// iteration order).
-    pub(crate) fn hot_keys(&self, keys: impl Iterator<Item = u64>) -> Vec<u64> {
-        if self.hot_key_threshold == 0 {
-            return Vec::new();
+    /// Per story of `stories`, whether its request count reaches the
+    /// hot-key threshold, given each request's story index.
+    pub(crate) fn hot_keys(
+        &self,
+        stories: usize,
+        story_of: impl Iterator<Item = usize>,
+    ) -> Vec<bool> {
+        let mut counts = vec![0u64; stories];
+        for s in story_of {
+            counts[s] += 1;
         }
-        let mut counts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-        for k in keys {
-            *counts.entry(k).or_insert(0) += 1;
-        }
-        let mut hot: Vec<u64> = counts
+        let threshold = self.hot_key_threshold;
+        counts
             .into_iter()
-            .filter(|&(_, n)| n >= self.hot_key_threshold)
-            .map(|(k, _)| k)
-            .collect();
-        hot.sort_unstable();
-        hot
+            .map(|n| threshold > 0 && n >= threshold)
+            .collect()
     }
 }
 
@@ -681,6 +680,11 @@ mod tests {
             serde_json::from_str(r#"{"events": [{"kind": "fail", "shard": 1, "at_s": 1e-13}]}"#)
                 .expect("shape-valid JSON");
         assert!(p.validate().is_err());
+        // Past the clock's range is an error too, not a panic.
+        assert!(matches!(
+            MembershipPlan::parse_spec("drain=1@1e300"),
+            Err(PlanError::Invalid { .. })
+        ));
         // One picosecond is the first servable instant.
         let p = MembershipPlan::parse_spec("fail=1@0.000001").expect("1 ps is valid");
         assert_eq!(p.events[0].at(), SimTime::from_ps(1));
@@ -756,10 +760,14 @@ mod tests {
     #[test]
     fn hot_keys_need_the_threshold() {
         let plan = MembershipPlan::parse_spec("hot-key=3").expect("valid");
-        let keys = [7u64, 7, 7, 9, 9, 11];
-        assert_eq!(plan.hot_keys(keys.iter().copied()), vec![7]);
-        assert!(MembershipPlan::none()
-            .hot_keys(keys.iter().copied())
-            .is_empty());
+        let stories = [0, 0, 0, 1, 1, 2];
+        assert_eq!(
+            plan.hot_keys(3, stories.iter().copied()),
+            [true, false, false]
+        );
+        assert_eq!(
+            MembershipPlan::none().hot_keys(3, stories.iter().copied()),
+            [false; 3]
+        );
     }
 }

@@ -43,10 +43,11 @@ pub struct RequestTimestamps {
     pub drain_end: SimTime,
 }
 
-/// A request's scheduling and routing key: its story digest with the task
-/// index mixed in, so equal digests of different tasks (different
-/// embeddings!) never alias. "Same story, same task" is one affinity unit
-/// for the single-node residency model and the cluster router alike.
+/// A story's routing key: its digest with the task index mixed in, so
+/// equal digests of different tasks (different embeddings!) never alias.
+/// The numeric phase computes it once per story, and only the cluster
+/// reads it: it routes, and it orders the drain hand-off's ties. Residency
+/// and every per-story table key on the story's index instead.
 pub(crate) fn request_key(story_digest: u64, task_idx: usize) -> u64 {
     story_digest ^ (task_idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }

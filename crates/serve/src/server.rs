@@ -10,7 +10,8 @@
 //!    each distinct query by `(task, story digest)`, so a story is digested
 //!    once per distinct query and written into memory exactly once
 //!    ([`Accelerator::write_story`]), however many questions the trace asks
-//!    about it.
+//!    about it. A story is then its index in the phase's per-story table,
+//!    which holds its task, digest and routing key.
 //! 2. **Query simulation.** Every distinct query's pipeline runs against
 //!    its resident story ([`Accelerator::answer_query`]) on the worker
 //!    pool ([`ServeConfig::workers`]; one worker is a plain map). Results
@@ -18,8 +19,8 @@
 //! 3. **Event loop.** A sequential merge on integer-picosecond
 //!    [`SimTime`] with a submission-order tie-break replays the arrival
 //!    stream beside a heap of in-flight link, compute and fault events.
-//!    Each instance models its story cache as an LRU of digests; whether
-//!    a dispatch hits is decided here, because it depends on which
+//!    Each instance models its story cache as an LRU of story indices;
+//!    whether a dispatch hits is decided here, because it depends on which
 //!    instance the scheduler picked.
 //!
 //! The event loop is one `ServeState` with one handler per event kind;
@@ -41,7 +42,6 @@
 //!   never what the inference computes.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::hash::Hash;
 
 use mann_core::{TaskSuite, TrainedTask};
 use mann_hw::{
@@ -168,14 +168,18 @@ impl ServeConfig {
             self.pcie.bandwidth_bytes_per_s,
             self.pcie.latency_per_transfer_s,
         );
-        if bandwidth <= 0.0 || !bandwidth.is_finite() {
+        // A byte's transfer time must fit the clock, as must the latency.
+        if !(bandwidth > 0.0 && bandwidth.is_finite())
+            || SimTime::try_from_s(1.0 / bandwidth).is_none()
+        {
             return Err(format!(
-                "link bandwidth {bandwidth} B/s must be positive and finite"
+                "link bandwidth {bandwidth} B/s must be positive, finite and move a byte \
+                 in under 2^64 ps"
             ));
         }
-        if latency < 0.0 || !latency.is_finite() {
+        if SimTime::try_from_s(latency).is_none() {
             return Err(format!(
-                "link latency {latency} s per transfer must be finite and non-negative"
+                "link latency {latency} s per transfer must be non-negative and under 2^64 ps"
             ));
         }
         self.faults.validate().map_err(|e| e.to_string())?;
@@ -347,18 +351,29 @@ struct QueryRuns {
     hit: Vec<InferenceRun>,
 }
 
+/// One distinct `(task, story digest)` pair of a trace. Its index in
+/// [`NumericPhase::stories`] is the story's one identity: instance
+/// residency, the journal and the cluster's per-story tables key on it.
+pub(crate) struct Story {
+    pub(crate) task: usize,
+    /// [`story_digest`] of the story, taken once.
+    pub(crate) digest: u64,
+    /// Routing key ([`request_key`]).
+    pub(crate) key: u64,
+    resident: ResidentStory,
+}
+
 /// The numeric work of a serve, shared by the shards of a cluster: every
 /// distinct story and every distinct query simulated once, indexed per
 /// request (its position in the trace) through its query.
 pub(crate) struct NumericPhase {
-    /// One entry per distinct `(task, story)` pair, in first-seen order.
-    stories: Vec<ResidentStory>,
+    /// One entry per distinct `(task, story digest)` pair, in first-seen
+    /// order.
+    pub(crate) stories: Vec<Story>,
     /// Query index of each request.
     query_of: Vec<usize>,
     /// Story index of each query.
     story_of: Vec<usize>,
-    /// Scheduling key of each query ([`request_key`]).
-    keys: Vec<u64>,
     /// Runs at the configured ITH setting.
     exact: QueryRuns,
     /// Aggressive-ITH runs; `None` unless the campaign enables overload
@@ -371,25 +386,13 @@ pub(crate) struct NumericPhase {
 
 impl NumericPhase {
     /// Story index of request `r`.
-    fn story_id(&self, r: usize) -> usize {
+    pub(crate) fn story_id(&self, r: usize) -> usize {
         self.story_of[self.query_of[r]]
     }
 
-    fn story(&self, r: usize) -> &ResidentStory {
-        &self.stories[self.story_id(r)]
-    }
-
-    /// Scheduling and routing key of request `r`.
+    /// Routing key of request `r`.
     pub(crate) fn key(&self, r: usize) -> u64 {
-        self.keys[self.query_of[r]]
-    }
-
-    /// Every distinct key of the trace, ascending.
-    pub(crate) fn distinct_keys(&self) -> Vec<u64> {
-        let mut keys = self.keys.clone();
-        keys.sort_unstable();
-        keys.dedup();
-        keys
+        self.stories[self.story_id(r)].key
     }
 
     /// The run a flight computes, given its latest dispatch.
@@ -412,21 +415,6 @@ impl NumericPhase {
     fn bytes(&self, r: usize, hit: bool) -> u64 {
         self.bytes[self.query_of[r]][usize::from(hit)]
     }
-}
-
-/// Index of `key` among the distinct keys seen so far; a new key records
-/// `i` as its first request.
-fn first_seen<K: Hash + Eq>(
-    ids: &mut HashMap<K, usize>,
-    firsts: &mut Vec<usize>,
-    key: K,
-    i: usize,
-) -> usize {
-    let next = firsts.len();
-    *ids.entry(key).or_insert_with(|| {
-        firsts.push(i);
-        next
-    })
 }
 
 /// How a request left the node.
@@ -519,44 +507,32 @@ impl Campaign {
 /// Durable-journal collection; built only when the WAL is armed.
 struct Journal {
     records: Vec<WalRecord>,
-    /// Evictions come back from the LRU as cache keys; this maps each key
-    /// to its (digest, task) pair. Every admitted key is a
-    /// [`request_key`] of this trace, so the map is total.
-    key_meta: HashMap<u64, (u64, u32)>,
     /// Quantized rows are identical for every request of a story —
-    /// extracted once per story id, lazily, only for journaled misses.
+    /// extracted once per story, lazily, only for journaled misses.
     rows: Vec<Option<Vec<i32>>>,
 }
 
 impl Journal {
-    fn new(trace: &ArrivalTrace, num: &NumericPhase) -> Self {
-        let key_meta = trace
-            .requests
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (num.key(i), (num.story(i).digest(), r.task_idx as u32)))
-            .collect();
-        Self {
-            records: Vec::new(),
-            key_meta,
-            rows: vec![None; num.stories.len()],
-        }
-    }
-
-    /// Journals a dispatch's eviction and, on a miss, its story write.
-    fn admit(&mut self, num: &NumericPhase, r: usize, task: usize, a: Admission, now: SimTime) {
+    /// Journals story `sid`'s admission: the eviction it forced and, on a
+    /// miss, its write. Residency keys are story indices, so an evicted
+    /// key names its story.
+    fn admit(&mut self, num: &NumericPhase, sid: usize, a: Admission, now: SimTime) {
         if let Some(k) = a.evicted {
-            let (d, t) = self.key_meta[&k];
-            self.records.push(WalRecord::evict(d, t, now.ps()));
+            let gone = &num.stories[k as usize];
+            self.records
+                .push(WalRecord::evict(gone.digest, gone.task as u32, now.ps()));
         }
         if !a.hit {
-            let sid = num.story_id(r);
+            let story = &num.stories[sid];
             let rows = self.rows[sid]
-                .get_or_insert_with(|| num.stories[sid].quantized_rows())
+                .get_or_insert_with(|| story.resident.quantized_rows())
                 .clone();
-            let digest = num.stories[sid].digest();
-            self.records
-                .push(WalRecord::story(digest, task as u32, now.ps(), rows));
+            self.records.push(WalRecord::story(
+                story.digest,
+                story.task as u32,
+                now.ps(),
+                rows,
+            ));
         }
     }
 
@@ -660,59 +636,68 @@ impl<'a> Server<'a> {
     /// width-invariant.
     pub(crate) fn numeric_phase(&self, trace: &ArrivalTrace) -> NumericPhase {
         let n = trace.requests.len();
-        // Group requests by (task, sample), then each distinct query by
-        // (task, story digest), first-seen order. Identical requests —
-        // same (task, sample) — are bit-identical inferences, so each
-        // distinct pair is digested and simulated once and shared:
-        // repeated-story traces collapse to a handful of runs.
-        let (mut story_ids, mut story_req) = (HashMap::new(), Vec::new());
-        let (mut query_ids, mut query_req) = (HashMap::new(), Vec::new());
-        let (mut story_of, mut keys) = (Vec::new(), Vec::new());
+        // Group requests by (task, sample) through a dense per-task table,
+        // then each distinct query by (task, story digest), first-seen
+        // order. Identical requests — same (task, sample) — are
+        // bit-identical inferences, so each distinct query is digested and
+        // simulated once and shared: repeated-story traces collapse to a
+        // handful of runs.
+        let tasks = &self.suite.tasks;
+        let mut query_at: Vec<Vec<Option<usize>>> =
+            tasks.iter().map(|t| vec![None; t.test_set.len()]).collect();
+        let mut story_ids = HashMap::new();
+        // First request and digest of each story.
+        let mut firsts: Vec<(usize, u64)> = Vec::new();
+        let (mut query_req, mut story_of) = (Vec::new(), Vec::new());
         let mut query_of = Vec::with_capacity(n);
         for (i, r) in trace.requests.iter().enumerate() {
             let task = r.task_idx;
-            assert!(
-                task < self.suite.tasks.len(),
-                "request {} task out of range",
-                r.id
-            );
-            assert!(
-                r.sample_idx < self.suite.tasks[task].test_set.len(),
-                "request {} sample out of range",
-                r.id
-            );
-            let query = first_seen(&mut query_ids, &mut query_req, (task, r.sample_idx), i);
-            if query == keys.len() {
+            assert!(task < tasks.len(), "request {} task out of range", r.id);
+            let query = query_at[task]
+                .get_mut(r.sample_idx)
+                .unwrap_or_else(|| panic!("request {} sample out of range", r.id));
+            query_of.push(*query.get_or_insert_with(|| {
                 // A new query: digest its story once.
                 let digest = story_digest(self.sample_of(r));
-                keys.push(request_key(digest, task));
-                let story = first_seen(&mut story_ids, &mut story_req, (task, digest), i);
-                story_of.push(story);
-            }
-            query_of.push(query);
+                let next = firsts.len();
+                story_of.push(*story_ids.entry((task, digest)).or_insert_with(|| {
+                    firsts.push((i, digest));
+                    next
+                }));
+                query_req.push(i);
+                query_req.len() - 1
+            }));
         }
 
         let workers = match self.config.workers {
             0 => mann_core::parallel::worker_threads(n),
             pinned => pinned,
         };
-        let stories: Vec<ResidentStory> =
-            mann_core::parallel::parallel_map_indexed(story_req.len(), workers, |s| {
-                let r = &trace.requests[story_req[s]];
-                self.accels[r.task_idx].write_story(self.sample_of(r))
+        let stories: Vec<Story> =
+            mann_core::parallel::parallel_map_indexed(firsts.len(), workers, |s| {
+                let (i, digest) = firsts[s];
+                let r = &trace.requests[i];
+                Story {
+                    task: r.task_idx,
+                    digest,
+                    key: request_key(digest, r.task_idx),
+                    resident: self.accels[r.task_idx].write_story(self.sample_of(r)),
+                }
             });
         let simulate = |accels: &[Accelerator]| {
             let hit: Vec<InferenceRun> =
                 mann_core::parallel::parallel_map_indexed(query_req.len(), workers, |u| {
                     let r = &trace.requests[query_req[u]];
-                    accels[r.task_idx].answer_query(&stories[story_of[u]], self.sample_of(r))
+                    let story = &stories[story_of[u]].resident;
+                    accels[r.task_idx].answer_query(story, self.sample_of(r))
                 });
             let miss = hit
                 .iter()
                 .enumerate()
                 .map(|(u, h)| {
                     let r = &trace.requests[query_req[u]];
-                    accels[r.task_idx].compose_uncached(&stories[story_of[u]], h, self.sample_of(r))
+                    let story = &stories[story_of[u]].resident;
+                    accels[r.task_idx].compose_uncached(story, h, self.sample_of(r))
                 })
                 .collect();
             QueryRuns { miss, hit }
@@ -735,7 +720,6 @@ impl<'a> Server<'a> {
             stories,
             query_of,
             story_of,
-            keys,
             bytes,
         }
     }
@@ -956,7 +940,10 @@ impl<'s, 'a> ServeState<'s, 'a> {
                 ..BatchReport::default()
             },
             campaign: None,
-            journal: config.wal.enabled.then(|| Journal::new(trace, num)),
+            journal: config.wal.enabled.then(|| Journal {
+                records: Vec::new(),
+                rows: vec![None; num.stories.len()],
+            }),
             exports: Vec::new(),
             handoff_bytes: 0,
         };
@@ -1317,7 +1304,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
     fn dispatch(&mut self, now: SimTime) {
         let limit = self.server.config.inflight_limit;
         while let Some(&head) = self.queue.front() {
-            let key = self.num.key(self.flights[head].req);
+            let story = self.num.story_id(self.flights[head].req) as u64;
             let views: Vec<InstanceView> = self
                 .insts
                 .iter()
@@ -1328,7 +1315,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
                     // (unchanged) scheduler never picks it.
                     credits: if inst.down { 0 } else { limit - inst.inflight },
                     free_at: inst.free_at,
-                    resident: res.contains(key),
+                    resident: res.contains(story),
                 })
                 .collect();
             let Some(target) = self.scheduler.pick(&views) else {
@@ -1357,11 +1344,12 @@ impl<'s, 'a> ServeState<'s, 'a> {
     fn admit(&mut self, now: SimTime, target: usize, r: usize) -> u64 {
         let num = self.num;
         let g = self.flights[r].req;
-        let admission = self.residency[target].admit(num.key(g));
+        let sid = num.story_id(g);
+        let admission = self.residency[target].admit(sid as u64);
         if let Some(j) = &mut self.journal {
-            j.admit(num, g, self.trace.requests[g].task_idx, admission, now);
+            j.admit(num, sid, admission, now);
         }
-        let story_cycles = num.story(g).phases().total().get();
+        let story_cycles = num.stories[sid].resident.phases().total().get();
         if admission.scrubbed {
             // A poisoned resident story: the digest check caught it, so
             // this dispatch pays a full re-write (miss form) to repair it.
@@ -1437,7 +1425,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
     /// per-query durations minus the deduplicated stream cycles.
     fn start_compute(&mut self, i: usize, now: SimTime) {
         let num = self.num;
-        let key = |f: &Flight| num.key(f.req);
+        let story = |f: &Flight| num.story_id(f.req);
         let inst = &mut self.insts[i];
         if !inst.computing.is_empty() {
             return;
@@ -1450,7 +1438,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
         if window > 1 {
             let mut rest = VecDeque::new();
             while let Some(q) = inst.ready.pop_front() {
-                if group.len() < window && key(&self.flights[q]) == key(&self.flights[r]) {
+                if group.len() < window && story(&self.flights[q]) == story(&self.flights[r]) {
                     group.push(q);
                 } else {
                     rest.push_back(q);
@@ -1792,9 +1780,11 @@ mod tests {
             (-1e9, 65e-6),
             (f64::NAN, 65e-6),
             (f64::INFINITY, 65e-6),
+            (1e-300, 65e-6),
             (1.5e9, -1e-6),
             (1.5e9, f64::NAN),
             (1.5e9, f64::INFINITY),
+            (1.5e9, 1e300),
         ] {
             let err = with_link(bandwidth, latency)
                 .validate()
@@ -2586,7 +2576,8 @@ mod tests {
 
     /// A repeated-story trace costs one story write per distinct story and
     /// one hit and one miss run per distinct query, in both loadouts,
-    /// however many requests repeat them.
+    /// however many requests repeat them. The story table holds each
+    /// distinct `(task, digest)` once, with its routing key.
     #[test]
     fn the_numeric_phase_simulates_each_distinct_story_and_query_once() {
         let s = suite();
@@ -2613,11 +2604,68 @@ mod tests {
         assert_eq!(queries.len(), 24);
         let num = server.numeric_phase(&t);
         assert_eq!(num.stories.len(), stories.len());
+        let table: HashSet<(usize, u64)> = num.stories.iter().map(|s| (s.task, s.digest)).collect();
+        assert_eq!(table, stories);
+        for (i, r) in t.requests.iter().enumerate() {
+            let story = &num.stories[num.story_id(i)];
+            let digest = story_digest(server.sample_of(r));
+            assert_eq!((story.task, story.digest), (r.task_idx, digest));
+            assert_eq!(story.key, request_key(digest, r.task_idx));
+            assert_eq!(num.key(i), story.key);
+        }
         let degraded = num.degraded.as_ref().expect("degradation is armed");
         for runs in [&num.exact, degraded] {
             assert_eq!(runs.hit.len(), queries.len());
             assert_eq!(runs.miss.len(), queries.len());
         }
+    }
+
+    /// With one story slot per instance, admitting a new story evicts the
+    /// story last admitted on that instance, and the evict record names
+    /// that story's `(digest, task)`.
+    #[test]
+    fn evict_records_name_the_story_last_admitted_on_the_instance() {
+        let s = suite();
+        let t = trace(&s, 64);
+        let server = Server::new(
+            &s,
+            ServeConfig {
+                story_cache: 1,
+                // The pure serve only collects the journal; it writes
+                // nothing under the directory.
+                wal: WalConfig::parse("unwritten").expect("a bare directory"),
+                ..ServeConfig::default()
+            },
+        );
+        let out = server.serve(&t);
+        // Without faults an instance admits in dispatch order, and
+        // requests dispatched at one instant leave the queue in arrival
+        // order.
+        let mut admitted: Vec<&Completion> = out.completions.iter().collect();
+        admitted.sort_by_key(|c| (c.timestamps.dispatch, c.request.arrival, c.request.id));
+        let mut resident: Vec<Option<(u64, u32)>> = vec![None; server.config().instances];
+        let mut expected = Vec::new();
+        for c in admitted {
+            let story = (
+                story_digest(server.sample_of(&c.request)),
+                c.request.task_idx as u32,
+            );
+            if let Some(last) = resident[c.instance].replace(story) {
+                if last != story {
+                    expected.push((c.timestamps.dispatch.ps(), last));
+                }
+            }
+        }
+        let mut evicts: Vec<(u64, (u64, u32))> = out
+            .wal_records
+            .iter()
+            .filter(|r| r.kind == mann_store::KIND_EVICT)
+            .map(|r| (r.stamp_ps, (r.digest, r.task)))
+            .collect();
+        expected.sort_unstable();
+        evicts.sort_unstable();
+        assert!(expected.len() > 8, "{} evictions", expected.len());
+        assert_eq!(evicts, expected);
     }
 
     #[test]

@@ -587,15 +587,15 @@ pub fn serve_cluster_durable(
     cluster: &Cluster<'_>,
     trace: &ArrivalTrace,
 ) -> Result<ClusterOutcome, PersistError> {
-    let config = cluster.config();
-    let order: Vec<usize> = (0..config.shards).collect();
+    let config = cluster.server().config();
+    let order: Vec<usize> = (0..cluster.router().shards()).collect();
     let (mut out, journals) = cluster.serve_journaled(trace, &order);
-    let wal = &config.base.wal;
+    let wal = &config.wal;
     if !wal.enabled {
         return Ok(out);
     }
     let lens: Vec<usize> = journals.iter().map(Vec::len).collect();
-    let kill = config.base.faults.node_kill(&lens);
+    let kill = config.faults.node_kill(&lens);
     let root = PathBuf::from(&wal.dir);
     for (shard, records) in journals.iter().enumerate() {
         let kill_at = kill
