@@ -78,4 +78,4 @@ pub use index::{IndexCounters, IndexedHopStats, MemIndex, MemIndexConfig, MemInd
 pub use pcie::{LinkArbiter, LinkGrant, PcieLink};
 pub use quantize::quantize_params_tracked;
 pub use resource::{ResourceEstimate, VCU107_BUDGET};
-pub use story::{story_digest, Admission, CacheStats, LruSet};
+pub use story::{fnv1a_absorb, story_digest, Admission, CacheStats, LruSet, FNV_OFFSET};

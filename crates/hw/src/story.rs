@@ -18,8 +18,8 @@
 use mann_babi::EncodedSample;
 use serde::{Deserialize, Serialize};
 
-/// The FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a offset basis: the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// The FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -39,9 +39,10 @@ const FNV_PRIME_POWERS: [u64; 9] = {
 /// byte leaves the xor as it is, so it only multiplies by the prime: the
 /// bytes up to the highest nonzero one are absorbed one by one and the zero
 /// bytes above it in one multiply by a power of the prime, which gives the
-/// byte-wise loop's value.
+/// byte-wise loop's value. [`story_digest`] and the serve's answers digest
+/// fold with it, starting from [`FNV_OFFSET`].
 #[inline]
-fn fnv1a_absorb(mut hash: u64, mut v: u64) -> u64 {
+pub fn fnv1a_absorb(mut hash: u64, mut v: u64) -> u64 {
     let bytes = 8 - v.leading_zeros() as usize / 8;
     for _ in 0..bytes {
         hash ^= v & 0xff;

@@ -353,6 +353,18 @@ impl Plan for FaultConfig {
                 return bad(field, format!("must be >= 0 and under 2^64 ps, got {s}"));
             }
         }
+        // One transfer may wait out every backoff of its retry budget.
+        let ladder = self.backoff_base_s * f64::from((1u32 << self.max_retries) - 1);
+        if SimTime::try_from_s(ladder).is_none() {
+            return bad(
+                "backoff_base_s",
+                format!(
+                    "of {} s doubled over {} retries waits {ladder} s, which must be under \
+                     2^64 ps",
+                    self.backoff_base_s, self.max_retries
+                ),
+            );
+        }
         if self.crashes > 0 && self.watchdog_s <= 0.0 {
             return bad(
                 "watchdog_s",
@@ -761,6 +773,16 @@ mod tests {
             c.validate(),
             Err(PlanError::Invalid { field, .. }) if field == "max_retries"
         ));
+        // A base that fits the clock, doubled into a ladder that does not:
+        // 1e7 s waits 7e7 s over 3 retries, past 2^64 ps (1.8e7 s).
+        c.max_retries = 3;
+        c.backoff_base_s = 1e7;
+        assert!(matches!(
+            c.validate(),
+            Err(PlanError::Invalid { field, .. }) if field == "backoff_base_s"
+        ));
+        c.max_retries = 1;
+        c.validate().expect("one retry waits the base alone");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! simulated time, exportable as JSON.
 
 use mann_core::report::{fnum, percent, percentile, TextTable};
-use mann_hw::PhaseCycles;
+use mann_hw::{fnv1a_absorb, PhaseCycles, FNV_OFFSET};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
@@ -648,20 +648,12 @@ impl ServeReport {
     }
 }
 
-/// FNV-1a digest over `(id, answer)` pairs; see
-/// [`ServeReport::answers_digest`].
+/// FNV-1a digest over the 8 little-endian bytes of each id and answer of
+/// `(id, answer)` pairs; see [`ServeReport::answers_digest`].
 pub fn answers_digest(pairs: impl IntoIterator<Item = (u64, usize)>) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut absorb = |v: u64| {
-        for byte in v.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for (id, answer) in pairs {
-        absorb(id);
-        absorb(answer as u64);
-    }
+    let hash = pairs.into_iter().fold(FNV_OFFSET, |hash, (id, answer)| {
+        fnv1a_absorb(fnv1a_absorb(hash, id), answer as u64)
+    });
     format!("{hash:016x}")
 }
 
@@ -822,5 +814,46 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 16);
+    }
+
+    /// The byte-wise FNV-1a loop over the pairs: the oracle of the folded
+    /// digest.
+    fn answers_digest_bytewise(pairs: &[(u64, usize)]) -> String {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut absorb = |v: u64| {
+            for byte in v.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for &(id, answer) in pairs {
+            absorb(id);
+            absorb(answer as u64);
+        }
+        format!("{hash:016x}")
+    }
+
+    #[test]
+    fn folded_answers_digest_is_the_bytewise_loop() {
+        // A change to these values moves every report's answers digest.
+        let wide = [(0, usize::MAX), (255, 0), (1 << 40, 1 << 20), (u64::MAX, 9)];
+        let served: Vec<(u64, usize)> = (0..1000).map(|i| (i, (i as usize * 7) % 23)).collect();
+        for (pairs, want) in [
+            (&[][..], "cbf29ce484222325"),
+            (&[(0, 3), (1, 7)][..], "a94c5e3cd17ef160"),
+            (&wide[..], "90a8899d0d02873c"),
+            (&served[..], "d8fce537fbb2fdd9"),
+        ] {
+            assert_eq!(answers_digest(pairs.iter().copied()), want);
+            assert_eq!(answers_digest_bytewise(pairs), want);
+        }
+        // Ids and answers of every byte width.
+        let pairs: Vec<(u64, usize)> = (0..1000u64)
+            .map(|i| (i << (i % 57), ((i as usize * 7) % 23) << (i % 41)))
+            .collect();
+        assert_eq!(
+            answers_digest(pairs.iter().copied()),
+            answers_digest_bytewise(&pairs)
+        );
     }
 }

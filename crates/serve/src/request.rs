@@ -1,6 +1,8 @@
 //! Request and completion records: what flows through the serving layer and
 //! what comes back out.
 
+use std::sync::Arc;
+
 use mann_hw::{InferenceRun, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -76,7 +78,7 @@ impl RequestTimestamps {
 }
 
 /// A request that made it all the way through.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Completion {
     /// The originating request.
     pub request: Request,
@@ -84,8 +86,11 @@ pub struct Completion {
     pub instance: usize,
     /// The accelerator's full per-inference accounting — identical to what
     /// a standalone [`mann_hw::Accelerator::run`] would report, because the
-    /// serving layer never touches the numeric path.
-    pub run: InferenceRun,
+    /// serving layer never touches the numeric path. Every completion of
+    /// one query in one form (story resident or written, exact or degraded)
+    /// shares one run; a precision failover gives its completion a copy of
+    /// its own with the replaced answer.
+    pub run: Arc<InferenceRun>,
     /// Lifecycle timestamps in simulated time.
     pub timestamps: RequestTimestamps,
     /// Whether the answer matched the sample's label.
@@ -133,5 +138,12 @@ mod tests {
         let mut broken = ts;
         broken.compute_start = SimTime::from_ps(120);
         assert!(!broken.is_monotone());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_completion_points_at_its_run() {
+        // One record per request: the run is shared, not inlined.
+        assert_eq!(std::mem::size_of::<Completion>(), 120);
     }
 }

@@ -42,6 +42,7 @@
 //!   never what the inference computes.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::sync::Arc;
 
 use mann_core::{TaskSuite, TrainedTask};
 use mann_hw::{
@@ -205,7 +206,7 @@ impl ServeConfig {
 }
 
 /// Everything a served trace produces.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeOutcome {
     /// Completed requests, in request-id order.
     pub completions: Vec<Completion>,
@@ -314,7 +315,7 @@ struct Inst {
     free_at: SimTime,
     ready: VecDeque<usize>,
     /// The fused compute group currently on the fabric (empty = idle;
-    /// a single entry without batching).
+    /// a single entry without batching). The buffer outlives its groups.
     computing: Vec<usize>,
     busy: SimTime,
     /// Answers drained from this instance.
@@ -343,12 +344,12 @@ impl Inst {
 }
 
 /// The runs of every distinct `(task, sample)` query on one loadout, in
-/// first-seen order.
+/// first-seen order; every completion of a query shares its run.
 struct QueryRuns {
     /// The story is written too; equals `Accelerator::run`.
-    miss: Vec<InferenceRun>,
+    miss: Vec<Arc<InferenceRun>>,
     /// The story is already resident.
-    hit: Vec<InferenceRun>,
+    hit: Vec<Arc<InferenceRun>>,
 }
 
 /// One distinct `(task, story digest)` pair of a trace. Its index in
@@ -396,7 +397,7 @@ impl NumericPhase {
     }
 
     /// The run a flight computes, given its latest dispatch.
-    fn run(&self, f: &Flight) -> &InferenceRun {
+    fn run(&self, f: &Flight) -> &Arc<InferenceRun> {
         let runs = if f.degraded {
             self.degraded
                 .as_ref()
@@ -685,11 +686,11 @@ impl<'a> Server<'a> {
                 }
             });
         let simulate = |accels: &[Accelerator]| {
-            let hit: Vec<InferenceRun> =
+            let hit: Vec<Arc<InferenceRun>> =
                 mann_core::parallel::parallel_map_indexed(query_req.len(), workers, |u| {
                     let r = &trace.requests[query_req[u]];
                     let story = &stories[story_of[u]].resident;
-                    accels[r.task_idx].answer_query(story, self.sample_of(r))
+                    Arc::new(accels[r.task_idx].answer_query(story, self.sample_of(r)))
                 });
             let miss = hit
                 .iter()
@@ -697,7 +698,7 @@ impl<'a> Server<'a> {
                 .map(|(u, h)| {
                     let r = &trace.requests[query_req[u]];
                     let story = &stories[story_of[u]].resident;
-                    accels[r.task_idx].compose_uncached(story, h, self.sample_of(r))
+                    Arc::new(accels[r.task_idx].compose_uncached(story, h, self.sample_of(r)))
                 })
                 .collect();
             QueryRuns { miss, hit }
@@ -759,12 +760,13 @@ impl<'a> Server<'a> {
     /// across worker counts and hit/miss paths.
     ///
     /// Under [`NumericPolicy::Failover`], a stressed completion's answer
-    /// is replaced by the `f32` reference model's prediction and the
-    /// re-run's compute cycles/energy are accounted in the returned
-    /// [`NumericHealth`]. SEU scrubs never reach this accounting: a
-    /// poisoned story is repaired in the event loop by re-writing the
-    /// *same* numeric-phase story, so its events are counted once here
-    /// regardless of how many scrubs the campaign forced.
+    /// is replaced by the `f32` reference model's prediction, in a copy of
+    /// the shared run that the completion owns, and the re-run's compute
+    /// cycles/energy are accounted in the returned [`NumericHealth`]. SEU
+    /// scrubs never reach this accounting: a poisoned story is repaired in
+    /// the event loop by re-writing the *same* numeric-phase story, so its
+    /// events are counted once here regardless of how many scrubs the
+    /// campaign forced.
     fn apply_numeric_policy(&self, completions: &mut [Completion]) -> NumericHealth {
         let policy = self.config.numeric_policy;
         let mut nh = NumericHealth::default();
@@ -786,7 +788,7 @@ impl<'a> Server<'a> {
                 let sample = self.sample_of(&c.request);
                 let sw = self.suite.tasks[c.request.task_idx].model.predict(sample);
                 c.failed_over = true;
-                c.run.answer = sw;
+                Arc::make_mut(&mut c.run).answer = sw;
                 c.correct = sw == sample.answer;
                 nh.failed_over += 1;
                 nh.failover_cycles += c.run.cycles.get();
@@ -876,6 +878,10 @@ pub(crate) struct ServeState<'s, 'a> {
     queue: VecDeque<usize>,
     insts: Vec<Inst>,
     residency: Vec<LruSet>,
+    /// What the scheduler sees of each instance, refilled per pick.
+    views: Vec<InstanceView>,
+    /// Emptied upload request lists, taken again by the next upload.
+    spare: Vec<Vec<usize>>,
     arb: LinkArbiter,
     /// Link jobs not yet retired, oldest first: the link is a strict FIFO
     /// with one job in flight, so the front's id is the retired count.
@@ -924,6 +930,8 @@ impl<'s, 'a> ServeState<'s, 'a> {
             queue: VecDeque::new(),
             insts: vec![Inst::default(); instances],
             residency: vec![LruSet::new(config.story_cache); instances],
+            views: Vec::with_capacity(instances),
+            spare: Vec::new(),
             arb: LinkArbiter::new(config.pcie),
             jobs: VecDeque::new(),
             retired_jobs: 0,
@@ -1097,30 +1105,34 @@ impl<'s, 'a> ServeState<'s, 'a> {
             return;
         }
         c.report.retry_exhausted += 1;
-        let shed = match self.retire(id).payload {
+        let job = self.retire(id);
+        let shed: &[usize] = match &job.payload {
             // Target alive since dispatch: these requests have no other
             // copy in flight, so they are shed.
             LinkJob::Upload {
                 instance,
                 reqs,
                 epoch,
-            } if self.insts[instance].epoch == epoch => {
-                self.insts[instance].inflight -= reqs.len();
+            } if self.insts[*instance].epoch == *epoch => {
+                self.insts[*instance].inflight -= reqs.len();
                 reqs
             }
             // Epoch mismatch: the instance crashed while this payload was
             // on the wire; its requests are already stranded and the
             // watchdog re-dispatches them.
-            LinkJob::Upload { .. } => Vec::new(),
-            LinkJob::Drain { req } => vec![req],
+            LinkJob::Upload { .. } => &[],
+            LinkJob::Drain { req } => std::slice::from_ref(req),
         };
         let c = self
             .campaign
             .as_mut()
             .expect("corruption implies a campaign");
         c.report.shed_link += shed.len() as u64;
-        for r in shed {
+        for &r in shed {
             self.flights[r].fate = Some(Fate::Shed);
+        }
+        if let LinkJob::Upload { reqs, .. } = job.payload {
+            self.recycle(reqs);
         }
         self.dispatch(now);
         self.grant(now);
@@ -1154,9 +1166,10 @@ impl<'s, 'a> ServeState<'s, 'a> {
                             c.seu.record(t0, now);
                         }
                     }
-                    self.insts[instance].ready.extend(reqs);
+                    self.insts[instance].ready.extend(&reqs);
                     ready = Some(instance);
                 }
+                self.recycle(reqs);
             }
             LinkJob::Drain { req } => {
                 let f = &mut self.flights[req];
@@ -1182,9 +1195,9 @@ impl<'s, 'a> ServeState<'s, 'a> {
             return;
         }
         debug_assert_eq!(self.insts[instance].computing.first(), Some(&req));
-        let group = std::mem::take(&mut self.insts[instance].computing);
+        let mut group = std::mem::take(&mut self.insts[instance].computing);
         self.insts[instance].inflight -= group.len();
-        for q in group {
+        for &q in &group {
             let f = &mut self.flights[q];
             f.ts.compute_end = now;
             f.computed = true;
@@ -1193,6 +1206,8 @@ impl<'s, 'a> ServeState<'s, 'a> {
             }
             self.submit(LinkJob::Drain { req: q }, PcieLink::answer_bytes(), 1);
         }
+        group.clear();
+        self.insts[instance].computing = group;
         self.start_compute(instance, now);
         self.dispatch(now);
         self.grant(now);
@@ -1305,27 +1320,27 @@ impl<'s, 'a> ServeState<'s, 'a> {
         let limit = self.server.config.inflight_limit;
         while let Some(&head) = self.queue.front() {
             let story = self.num.story_id(self.flights[head].req) as u64;
-            let views: Vec<InstanceView> = self
-                .insts
-                .iter()
-                .zip(&self.residency)
-                .map(|(inst, res)| InstanceView {
-                    inflight: inst.inflight,
-                    // A crashed instance advertises no credits, so the
-                    // (unchanged) scheduler never picks it.
-                    credits: if inst.down { 0 } else { limit - inst.inflight },
-                    free_at: inst.free_at,
-                    resident: res.contains(story),
-                })
-                .collect();
-            let Some(target) = self.scheduler.pick(&views) else {
+            self.views.clear();
+            self.views
+                .extend(self.insts.iter().zip(&self.residency).map(|(inst, res)| {
+                    InstanceView {
+                        inflight: inst.inflight,
+                        // A crashed instance advertises no credits, so the
+                        // (unchanged) scheduler never picks it.
+                        credits: if inst.down { 0 } else { limit - inst.inflight },
+                        free_at: inst.free_at,
+                        resident: res.contains(story),
+                    }
+                }));
+            let Some(target) = self.scheduler.pick(&self.views) else {
                 break;
             };
             let credits = limit - self.insts[target].inflight;
             let take = credits
                 .min(self.server.config.upload_batch)
                 .min(self.queue.len());
-            let reqs: Vec<usize> = self.queue.drain(..take).collect();
+            let mut reqs = self.spare.pop().unwrap_or_default();
+            reqs.extend(self.queue.drain(..take));
             let bytes = reqs.iter().map(|&r| self.admit(now, target, r)).sum();
             self.insts[target].inflight += take;
             let epoch = self.insts[target].epoch;
@@ -1392,6 +1407,12 @@ impl<'s, 'a> ServeState<'s, 'a> {
         self.arb.submit(id, bytes, requests);
     }
 
+    /// Keeps an upload's emptied request list for the next upload.
+    fn recycle(&mut self, mut reqs: Vec<usize>) {
+        reqs.clear();
+        self.spare.push(reqs);
+    }
+
     /// Completes the in-flight link job `id`, the oldest one, and hands it
     /// back.
     fn retire(&mut self, id: u64) -> Job {
@@ -1433,18 +1454,19 @@ impl<'s, 'a> ServeState<'s, 'a> {
         let Some(r) = inst.ready.pop_front() else {
             return;
         };
-        let mut group = vec![r];
+        // The idle instance's emptied group buffer.
+        let mut group = std::mem::take(&mut inst.computing);
+        group.push(r);
         let window = self.batch.window;
         if window > 1 {
-            let mut rest = VecDeque::new();
-            while let Some(q) = inst.ready.pop_front() {
-                if group.len() < window && story(&self.flights[q]) == story(&self.flights[r]) {
+            let flights = &self.flights;
+            inst.ready.retain(|&q| {
+                let joins = group.len() < window && story(&flights[q]) == story(&flights[r]);
+                if joins {
                     group.push(q);
-                } else {
-                    rest.push_back(q);
                 }
-            }
-            inst.ready = rest;
+                !joins
+            });
             let b = &mut self.batch;
             b.groups += 1;
             b.batched_requests += group.len() as u64;
@@ -1512,7 +1534,8 @@ impl<'s, 'a> ServeState<'s, 'a> {
         // Flights are in arrival order; outcomes follow the trace.
         let mut order: Vec<usize> = (0..self.flights.len()).collect();
         order.sort_by_key(|&i| self.flights[i].req);
-        let (mut completions, mut sheds) = (Vec::new(), Vec::new());
+        let drained = self.drained().count();
+        let (mut completions, mut sheds) = (Vec::with_capacity(drained), Vec::new());
         for i in order {
             let f = &self.flights[i];
             match f.fate.expect("every request leaves the node") {
@@ -1543,7 +1566,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
     fn completion(&self, f: &Flight) -> Completion {
         let r = &self.trace.requests[f.req];
         debug_assert!(f.ts.is_monotone(), "request {} timeline broken", r.id);
-        let run = self.num.run(f).clone();
+        let run = Arc::clone(self.num.run(f));
         let correct = run.answer == self.server.sample_of(r).answer;
         Completion {
             request: *r,
@@ -1834,7 +1857,7 @@ mod tests {
         for c in &out.completions {
             let sample = &s.tasks[c.request.task_idx].test_set[c.request.sample_idx];
             let direct = server.accelerator(c.request.task_idx).run(sample);
-            assert_eq!(c.run, direct);
+            assert_eq!(*c.run, direct);
         }
     }
 
@@ -1859,7 +1882,7 @@ mod tests {
                 assert!(c.run.phases.write < direct.phases.write);
                 assert!(c.run.interface_s < direct.interface_s);
             } else {
-                assert_eq!(c.run, direct);
+                assert_eq!(*c.run, direct);
             }
         }
     }

@@ -153,7 +153,7 @@ fn served_runs_equal_standalone_accelerator_runs() {
         let sample = &s.tasks[c.request.task_idx].test_set[c.request.sample_idx];
         let direct = standalone[c.request.task_idx].run(sample);
         assert_eq!(
-            c.run, direct,
+            *c.run, direct,
             "request {} diverged from standalone",
             c.request.id
         );
