@@ -302,6 +302,11 @@ fn main() {
         start.elapsed().as_secs_f64(),
         suite.mean_accuracy() * 100.0
     );
+    // What needs the trained suite: its largest upload must fit the clock.
+    config
+        .base
+        .validate_for(&suite)
+        .unwrap_or_else(|e| usage_bail("serve", e));
 
     let trace = ArrivalTrace::generate(&traffic, &suite);
     let node = &config.base;

@@ -112,6 +112,10 @@ pub struct LinkGrant {
 #[derive(Debug, Clone)]
 pub struct LinkArbiter {
     link: PcieLink,
+    /// One answer read-back's link time, priced once: every drain moves
+    /// the same [`PcieLink::answer_bytes`]. `None` when it does not fit the
+    /// clock.
+    drain: Option<SimTime>,
     pending: std::collections::VecDeque<(u64, u64, usize)>,
     in_flight: Option<(u64, u64, usize)>,
     free_at: SimTime,
@@ -127,6 +131,7 @@ impl LinkArbiter {
     pub fn new(link: PcieLink) -> Self {
         Self {
             link,
+            drain: SimTime::try_from_s(link.transfer_time_s(PcieLink::answer_bytes())),
             pending: std::collections::VecDeque::new(),
             in_flight: None,
             free_at: SimTime::ZERO,
@@ -167,7 +172,7 @@ impl LinkArbiter {
         }
         let (id, bytes, transfers) = self.pending.pop_front()?;
         let start = now.max(self.free_at);
-        let duration = SimTime::from_s(self.link.batched_transfer_time_s(bytes, transfers));
+        let duration = self.duration(bytes, transfers);
         let end = start + duration;
         self.in_flight = Some((id, bytes, transfers));
         self.free_at = end;
@@ -198,7 +203,7 @@ impl LinkArbiter {
             other => panic!("retransmit for job {id} but in flight is {other:?}"),
         };
         let start = resume_at.max(self.free_at);
-        let duration = SimTime::from_s(self.link.batched_transfer_time_s(bytes, transfers));
+        let duration = self.duration(bytes, transfers);
         let end = start + duration;
         self.free_at = end;
         self.busy += duration;
@@ -210,6 +215,14 @@ impl LinkArbiter {
             bytes,
             start,
             end,
+        }
+    }
+
+    /// Link time of one grant of `bytes` over `transfers` payloads.
+    fn duration(&self, bytes: u64, transfers: usize) -> SimTime {
+        match self.drain {
+            Some(drain) if bytes == PcieLink::answer_bytes() && transfers == 1 => drain,
+            _ => SimTime::from_s(self.link.batched_transfer_time_s(bytes, transfers)),
         }
     }
 
@@ -358,6 +371,32 @@ mod tests {
         let g2 = arb.try_grant(r.end).unwrap();
         assert_eq!(g2.id, 2);
         assert!(g2.start >= r.end, "FIFO order survives the retry");
+    }
+
+    /// A drain's link time, priced once per arbiter, is the same
+    /// picosecond count every other transfer of its size gets.
+    #[test]
+    fn the_priced_drain_is_the_transfer_time() {
+        for link in [
+            PcieLink::default(),
+            PcieLink {
+                bandwidth_bytes_per_s: 3.0e7,
+                latency_per_transfer_s: 1.7e-6,
+            },
+        ] {
+            let mut arb = LinkArbiter::new(link);
+            let drain = SimTime::from_s(link.transfer_time_s(PcieLink::answer_bytes()));
+            arb.submit(1, PcieLink::answer_bytes(), 1);
+            arb.submit(2, PcieLink::answer_bytes() + 1, 1);
+            let g = arb.try_grant(SimTime::ZERO).unwrap();
+            assert_eq!(g.end.saturating_sub(g.start), drain);
+            let r = arb.retransmit(1, g.end);
+            assert_eq!(r.end.saturating_sub(r.start), drain);
+            arb.complete(1);
+            let other = arb.try_grant(r.end).unwrap();
+            let nine = SimTime::from_s(link.transfer_time_s(PcieLink::answer_bytes() + 1));
+            assert_eq!(other.end.saturating_sub(other.start), nine);
+        }
     }
 
     #[test]

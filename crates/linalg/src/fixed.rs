@@ -740,11 +740,14 @@ mod avx2 {
     pub(super) struct Avx2(());
 
     impl Avx2 {
-        /// The token, when this CPU has AVX2. `std` caches the CPUID
-        /// result, so a call costs one load and a branch.
+        /// The token, when this CPU has AVX2 and the build does not force
+        /// the scalar loops (`--cfg mann_scalar_kernels`, a CI build
+        /// switch). `std` caches the CPUID result, so a call costs one load
+        /// and a branch.
         #[inline]
         pub(super) fn detect() -> Option<Self> {
-            std::arch::is_x86_feature_detected!("avx2").then_some(Self(()))
+            (!cfg!(mann_scalar_kernels) && std::arch::is_x86_feature_detected!("avx2"))
+                .then_some(Self(()))
         }
 
         /// The certified dot product's value, from the AVX2 kernel.
@@ -1250,6 +1253,18 @@ mod tests {
                 add_sat: dirty.add_sat + 1,
                 ..dirty
             }
+        );
+    }
+
+    /// `--cfg mann_scalar_kernels` leaves every certified sum on its
+    /// scalar loop, whatever the CPU has.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_scalar_switch_hides_avx2() {
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        assert_eq!(
+            avx2::Avx2::detect().is_some(),
+            avx2 && !cfg!(mann_scalar_kernels)
         );
     }
 

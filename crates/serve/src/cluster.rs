@@ -125,15 +125,33 @@ impl ShardRouter {
         replicas: usize,
         alive: impl Fn(usize) -> bool,
     ) -> Vec<usize> {
-        let mut ranked: Vec<(u64, usize)> = (0..self.weights.len())
-            .filter(|&s| alive(s))
-            .map(|s| (self.score(key, s), s))
-            .collect();
-        // Highest score wins; the shard index breaks (astronomically
-        // unlikely) score ties so the order is total.
-        ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        ranked.truncate(replicas);
-        ranked.into_iter().map(|(_, s)| s).collect()
+        let mut chain = Vec::new();
+        self.rank_live(key, replicas, alive, &mut chain);
+        chain.into_iter().map(|(_, s)| s).collect()
+    }
+
+    /// The ranking under every route: refills `chain` with
+    /// [`ShardRouter::route_live`]'s shards as `(score, shard)`, reusing
+    /// its buffer.
+    pub(crate) fn rank_live(
+        &self,
+        key: u64,
+        replicas: usize,
+        alive: impl Fn(usize) -> bool,
+        chain: &mut Vec<(u64, usize)>,
+    ) {
+        chain.clear();
+        for s in (0..self.weights.len()).filter(|&s| alive(s)) {
+            let score = self.score(key, s);
+            // Highest score wins; the shard index breaks (astronomically
+            // unlikely) score ties, so the order is total. Shards come in
+            // ascending order, so a tied shard ranks after those before it.
+            let at = chain.partition_point(|&(ranked, _)| ranked >= score);
+            if at < replicas {
+                chain.insert(at, (score, s));
+                chain.truncate(replicas);
+            }
+        }
     }
 
     /// The `replicas` highest-scoring shards for `key`, primary first.
@@ -652,6 +670,7 @@ impl<'a> Cluster<'a> {
             unroutable: Vec::new(),
             exports: vec![0; k],
             failovers: Vec::new(),
+            chain: Vec::with_capacity(self.replication + 1),
             num,
         };
         // A stable sort: ties keep trace order.
@@ -660,12 +679,15 @@ impl<'a> Cluster<'a> {
         let mut next = 0;
         // Hand-offs awaiting delivery, all due at the current instant.
         let mut handoffs: Vec<(usize, Handoff)> = Vec::new();
+        // Each shard's next event instant, refreshed whenever the timeline
+        // touches that shard and only then: nothing else moves it.
+        let mut due: Vec<Option<SimTime>> = states.iter().map(ServeState::next_event).collect();
         loop {
             let arrival = arrivals.get(next).map(|&g| trace.requests[g].arrival);
             // `min_by_key` keeps the first minimum: ties go by `order`.
             let event = order
                 .iter()
-                .filter_map(|&s| states[s].next_event().map(|t| (t, s)))
+                .filter_map(|&s| due[s].map(|t| (t, s)))
                 .min_by_key(|&(t, _)| t);
             let handoff = handoffs.first().map(|(_, h)| h.at);
             if let Some(t) = arrival
@@ -675,10 +697,12 @@ impl<'a> Cluster<'a> {
                 next += 1;
                 if let Some(s) = routing.route(g, t) {
                     states[s].arrive(t, g, 0);
+                    due[s] = states[s].next_event();
                     routing.observe(s, t, states[s].max_queue_depth);
                 }
             } else if let Some((t, s)) = event.filter(|&(e, _)| handoff.is_none_or(|h| e <= h)) {
                 states[s].step();
+                due[s] = states[s].next_event();
                 for h in states[s].exports.drain(..) {
                     routing.exports[s] += 1;
                     routing.failovers.push(trace.requests[h.req].id);
@@ -692,6 +716,7 @@ impl<'a> Cluster<'a> {
                 for (from, h) in handoffs.drain(..) {
                     if let Some(s) = routing.hand_off(h, from) {
                         states[s].arrive(h.at, h.req, h.hop + 1);
+                        due[s] = states[s].next_event();
                         routing.observe(s, h.at, states[s].max_queue_depth);
                     }
                 }
@@ -782,7 +807,7 @@ impl<'a> Cluster<'a> {
             resident.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             resident.truncate(cache_slots);
             for (key, _, g) in resident {
-                if routing.view.resolve(key, e.at()).is_empty() {
+                if routing.view.primary(key, e.at()).is_none() {
                     continue; // nowhere live to hand the story to
                 }
                 let sample = self.server.sample_of(&trace.requests[g]);
@@ -1040,6 +1065,9 @@ struct Routing<'n> {
     exports: Vec<u64>,
     /// Ids of the requests handed back, once per hand-off.
     failovers: Vec<u64>,
+    /// The replica chain last resolved, as `(score, shard)`: one buffer
+    /// reused by every route and hand-off.
+    chain: Vec<(u64, usize)>,
 }
 
 impl Routing<'_> {
@@ -1047,28 +1075,31 @@ impl Routing<'_> {
     /// primary, or for a hot key the next link of its live replica chain
     /// by per-key arrival rank. `None` when no shard of its chain is live.
     fn route(&mut self, g: usize, t: SimTime) -> Option<usize> {
-        let chain = self.view.resolve(self.num.key(g), t);
+        self.view.resolve(self.num.key(g), t, &mut self.chain);
+        let chain = &self.chain;
         if chain.is_empty() {
             self.unroutable.push(g);
             return None;
         }
         let story = self.num.story_id(g);
         if !self.hot[story] {
-            return Some(chain[0]);
+            return Some(chain[0].1);
         }
         self.split_requests += 1;
         self.hot_rank[story] += 1;
-        Some(chain[(self.hot_rank[story] - 1) % chain.len()])
+        Some(chain[(self.hot_rank[story] - 1) % chain.len()].1)
     }
 
     /// The shard a request handed back by `from` goes to: the `hop`-th
     /// live candidate of its replica chain at the hand-off instant,
     /// skipping `from`; `None` (an unroutable shed) when none is left.
     fn hand_off(&mut self, h: Handoff, from: usize) -> Option<usize> {
+        self.view
+            .resolve(self.num.key(h.req), h.at, &mut self.chain);
         let target = self
-            .view
-            .resolve(self.num.key(h.req), h.at)
-            .into_iter()
+            .chain
+            .iter()
+            .map(|&(_, s)| s)
             .filter(|&s| s != from)
             .nth(h.hop);
         if target.is_none() {
@@ -1156,6 +1187,31 @@ mod tests {
         assert!(router.route_live(42, 3, |_| false).is_empty());
         // A partial outage degrades the chain instead of panicking too.
         assert_eq!(router.route_live(42, 3, |s| s == 1), vec![1]);
+    }
+
+    /// The insertion ranking is the full ranking sorted by score, shard
+    /// index on ties, then cut to the replication factor, on every
+    /// liveness mask.
+    #[test]
+    fn rank_live_is_the_sorted_ranking() {
+        let router = ShardRouter::with_weights(vec![3, 1, 2, 5, 1]);
+        let mut chain = Vec::new();
+        for key in (0..128u64).map(|k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15)) {
+            for mask in 0..32usize {
+                let alive = |s: usize| mask & (1 << s) != 0;
+                let mut sorted: Vec<(u64, usize)> = (0..5)
+                    .filter(|&s| alive(s))
+                    .map(|s| (router.score(key, s), s))
+                    .collect();
+                sorted.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+                for replicas in 0..=5 {
+                    router.rank_live(key, replicas, alive, &mut chain);
+                    assert_eq!(chain, sorted[..replicas.min(sorted.len())]);
+                    let shards: Vec<usize> = chain.iter().map(|&(_, s)| s).collect();
+                    assert_eq!(router.route_live(key, replicas, alive), shards);
+                }
+            }
+        }
     }
 
     #[test]

@@ -425,12 +425,12 @@ impl MembershipView {
         &self.routers[idx.saturating_sub(1)]
     }
 
-    /// The live replica chain of `key` as of `t`, primary first — shorter
-    /// than the replication factor when fewer shards are live, empty when
-    /// none are.
-    pub fn resolve(&self, key: u64, t: SimTime) -> Vec<usize> {
+    /// Refills `chain` with the live replica chain of `key` as of `t`, as
+    /// `(score, shard)`, primary first — shorter than the replication
+    /// factor when fewer shards are live, empty when none are.
+    pub fn resolve(&self, key: u64, t: SimTime, chain: &mut Vec<(u64, usize)>) {
         self.router_at(t)
-            .route_live(key, self.replicas, |s| self.alive(s, t))
+            .rank_live(key, self.replicas, |s| self.alive(s, t), chain);
     }
 
     /// The live primary of `key` as of `t`, if any shard is live.
@@ -710,13 +710,15 @@ mod tests {
         assert!(view.alive(2, us(199.0)) && !view.alive(2, us(200.0)));
         assert!(!view.alive(3, us(49.0)) && view.alive(3, us(50.0)));
         // After both leaves, chains draw only from {0, 3}.
+        let mut chain = Vec::new();
         for key in 0..64u64 {
-            let chain = view.resolve(key, us(300.0));
-            assert!(!chain.is_empty() && chain.iter().all(|&s| s == 0 || s == 3));
+            view.resolve(key, us(300.0), &mut chain);
+            assert!(!chain.is_empty() && chain.iter().all(|&(_, s)| s == 0 || s == 3));
         }
         // Before the join, shard 3 is never ranked.
         for key in 0..64u64 {
-            assert!(!view.resolve(key, us(10.0)).contains(&3));
+            view.resolve(key, us(10.0), &mut chain);
+            assert!(chain.iter().all(|&(_, s)| s != 3));
         }
     }
 
@@ -725,7 +727,9 @@ mod tests {
         let plan = MembershipPlan::parse_spec("fail=0@100,fail=1@100").expect("valid plan");
         let view = MembershipView::new(&plan, vec![1; 2], 2);
         let t = SimTime::from_s(150e-6);
-        assert!(view.resolve(7, t).is_empty());
+        let mut chain = vec![(0, 0)];
+        view.resolve(7, t, &mut chain);
+        assert!(chain.is_empty());
         assert_eq!(view.primary(7, t), None);
     }
 

@@ -76,9 +76,11 @@ impl LatencySummary {
         // `total_cmp` instead of `partial_cmp(..).expect(..)`: a NaN
         // latency (impossible today, but this is the report path of last
         // resort) sorts to the end instead of panicking mid-report, and
-        // the hardened `percentile` below reads the same sorted view.
+        // the hardened `percentile` below reads the same sorted view. Its
+        // ties are bit-equal, so the unstable sort, which needs no scratch
+        // buffer, orders them as a stable one would.
         let mut sorted = latencies.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
+        sorted.sort_unstable_by(|a, b| a.total_cmp(b));
         Self {
             mean_s: sorted.iter().sum::<f64>() / sorted.len() as f64,
             p50_s: percentile(&sorted, 50.0),

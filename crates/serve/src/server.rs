@@ -18,7 +18,8 @@
 //!    are accumulated in request order at any width.
 //! 3. **Event loop.** A sequential merge on integer-picosecond
 //!    [`SimTime`] with a submission-order tie-break replays the arrival
-//!    stream beside a heap of in-flight link, compute and fault events.
+//!    stream beside a heap of in-flight link, compute and fault events and
+//!    a FIFO of watchdog ticks.
 //!    Each instance models its story cache as an LRU of story indices;
 //!    whether a dispatch hits is decided here, because it depends on which
 //!    instance the scheduler picked.
@@ -195,6 +196,34 @@ impl ServeConfig {
         Ok(())
     }
 
+    /// Checks what needs the suite: the largest upload one link grant can
+    /// carry, `min(upload_batch, inflight_limit)` payloads of the suite's
+    /// largest story-and-question stream, must fit the clock.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when that upload takes 2^64 ps or more.
+    pub fn validate_for(&self, suite: &TaskSuite) -> Result<(), String> {
+        let largest = suite
+            .tasks
+            .iter()
+            .flat_map(|t| &t.test_set)
+            .map(|s| PcieLink::input_bytes(Accelerator::input_words(s)))
+            .max()
+            .unwrap_or(0);
+        let payloads = self.upload_batch.min(self.inflight_limit);
+        let s = self
+            .pcie
+            .batched_transfer_time_s(largest * payloads as u64, payloads);
+        if SimTime::try_from_s(s).is_none() {
+            return Err(format!(
+                "link too slow: an upload of {payloads} payload(s) of {largest} B takes {s} s, \
+                 past the simulated clock's 2^64 ps"
+            ));
+        }
+        Ok(())
+    }
+
     /// Activity-dependent fabric energy of `cycles` at the configured
     /// clock, joules (static and clock power are drawn regardless).
     pub(crate) fn active_energy_j(&self, cycles: u64) -> f64 {
@@ -249,7 +278,8 @@ struct Entry {
 }
 
 /// An in-flight event. Arrivals are not events: they stream from a
-/// cursor beside the heap (`ServeState::run`).
+/// cursor beside the heap (`ServeState::run`), and watchdog ticks queue in
+/// a FIFO beside it (`ServeState::ticks`).
 enum Event {
     LinkDone(u64),
     /// `epoch` is the instance's crash epoch at compute start; a crash
@@ -347,9 +377,17 @@ impl Inst {
 /// first-seen order; every completion of a query shares its run.
 struct QueryRuns {
     /// The story is written too; equals `Accelerator::run`.
-    miss: Vec<Arc<InferenceRun>>,
+    miss: Vec<PricedRun>,
     /// The story is already resident.
-    hit: Vec<Arc<InferenceRun>>,
+    hit: Vec<PricedRun>,
+}
+
+/// One query's run in one form, with its compute time priced once at the
+/// serve's clock.
+struct PricedRun {
+    run: Arc<InferenceRun>,
+    /// [`InferenceRun::compute_time`] of `run`.
+    compute: SimTime,
 }
 
 /// One distinct `(task, story digest)` pair of a trace. Its index in
@@ -397,7 +435,7 @@ impl NumericPhase {
     }
 
     /// The run a flight computes, given its latest dispatch.
-    fn run(&self, f: &Flight) -> &Arc<InferenceRun> {
+    fn run(&self, f: &Flight) -> &PricedRun {
         let runs = if f.degraded {
             self.degraded
                 .as_ref()
@@ -481,6 +519,10 @@ impl Repairs {
 struct Campaign {
     plan: FaultPlan,
     report: FaultReport,
+    /// The plan's watchdog period (`None` when the watchdog is off) and
+    /// crash cooldown, each priced once.
+    watchdog: Option<SimTime>,
+    cooldown: SimTime,
     /// Crash instants by (instance, pre-crash epoch), for MTTR.
     crash_at: HashMap<(usize, u64), SimTime>,
     link: Repairs,
@@ -563,10 +605,12 @@ impl<'a> Server<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or the suite is empty.
+    /// Panics if the configuration is invalid, alone or for this suite
+    /// ([`ServeConfig::validate_for`]), or the suite is empty.
     pub fn new(suite: &'a TaskSuite, config: ServeConfig) -> Self {
         config
             .validate()
+            .and_then(|()| config.validate_for(suite))
             .unwrap_or_else(|e| panic!("invalid serve config: {e}"));
         assert!(!suite.tasks.is_empty(), "server needs at least one task");
         let loadout = |ith: &dyn Fn(&TrainedTask) -> Option<ThresholdingModel>| -> Vec<_> {
@@ -685,12 +729,17 @@ impl<'a> Server<'a> {
                     resident: self.accels[r.task_idx].write_story(self.sample_of(r)),
                 }
             });
+        let clock = self.config.clock;
+        let priced = |run: InferenceRun| PricedRun {
+            compute: run.compute_time(clock),
+            run: Arc::new(run),
+        };
         let simulate = |accels: &[Accelerator]| {
-            let hit: Vec<Arc<InferenceRun>> =
+            let hit: Vec<PricedRun> =
                 mann_core::parallel::parallel_map_indexed(query_req.len(), workers, |u| {
                     let r = &trace.requests[query_req[u]];
                     let story = &stories[story_of[u]].resident;
-                    Arc::new(accels[r.task_idx].answer_query(story, self.sample_of(r)))
+                    priced(accels[r.task_idx].answer_query(story, self.sample_of(r)))
                 });
             let miss = hit
                 .iter()
@@ -698,7 +747,7 @@ impl<'a> Server<'a> {
                 .map(|(u, h)| {
                     let r = &trace.requests[query_req[u]];
                     let story = &stories[story_of[u]].resident;
-                    Arc::new(accels[r.task_idx].compose_uncached(story, h, self.sample_of(r)))
+                    priced(accels[r.task_idx].compose_uncached(story, &h.run, self.sample_of(r)))
                 })
                 .collect();
             QueryRuns { miss, hit }
@@ -871,8 +920,12 @@ pub(crate) struct ServeState<'s, 'a> {
     /// Fail-stop the whole node at this instant, exporting everything not
     /// yet drained; a completion that never drained is never journaled.
     fail_stop: Option<SimTime>,
-    /// In-flight events only: link, compute, watchdog and fault events.
+    /// In-flight events only: link, compute and fault events.
     heap: BinaryHeap<Entry>,
+    /// Watchdog ticks, in `(time, seq)` order by construction: each is due
+    /// one fixed period after the instant that schedules it, and those
+    /// instants never decrease, so push order is due order.
+    ticks: VecDeque<Entry>,
     /// The next sequence number. Arrivals take none: they are not events.
     seq: u64,
     queue: VecDeque<usize>,
@@ -926,6 +979,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
             replicas,
             fail_stop,
             heap: BinaryHeap::new(),
+            ticks: VecDeque::new(),
             seq: 0,
             queue: VecDeque::new(),
             insts: vec![Inst::default(); instances],
@@ -966,7 +1020,10 @@ impl<'s, 'a> ServeState<'s, 'a> {
             for (k, &(t, _, _)) in plan.seu_events().iter().enumerate() {
                 state.schedule(t, Event::Seu(k));
             }
+            let fc = plan.config();
             state.campaign = Some(Campaign {
+                watchdog: (fc.watchdog_s > 0.0).then(|| SimTime::from_s(fc.watchdog_s)),
+                cooldown: SimTime::from_s(fc.crash_cooldown_s),
                 plan,
                 report: FaultReport::default(),
                 crash_at: HashMap::new(),
@@ -985,12 +1042,25 @@ impl<'s, 'a> ServeState<'s, 'a> {
 
     /// The instant of this node's next in-flight event.
     pub(crate) fn next_event(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        let heap = self.heap.peek().map(|e| e.time);
+        let tick = self.ticks.front().map(|e| e.time);
+        heap.into_iter().chain(tick).min()
     }
 
-    /// Handles this node's next in-flight event.
+    /// Handles this node's next in-flight event: the heap's top or the
+    /// tick FIFO's front, whichever is earlier by `(time, seq)`.
     pub(crate) fn step(&mut self) {
-        if let Some(Entry { time, event, .. }) = self.heap.pop() {
+        let key = |e: &Entry| (e.time, e.seq);
+        let tick_first = self
+            .ticks
+            .front()
+            .is_some_and(|t| self.heap.peek().is_none_or(|h| key(t) < key(h)));
+        let next = if tick_first {
+            self.ticks.pop_front()
+        } else {
+            self.heap.pop()
+        };
+        if let Some(Entry { time, event, .. }) = next {
             self.on_event(time, event);
         }
     }
@@ -1016,12 +1086,21 @@ impl<'s, 'a> ServeState<'s, 'a> {
     }
 
     fn schedule(&mut self, time: SimTime, event: Event) {
-        self.heap.push(Entry {
+        let entry = Entry {
             time,
             seq: self.seq,
             event,
-        });
+        };
         self.seq += 1;
+        if let Event::Watchdog(_) = entry.event {
+            debug_assert!(
+                self.ticks.back().is_none_or(|last| last.time <= time),
+                "watchdog ticks must be scheduled in time order"
+            );
+            self.ticks.push_back(entry);
+        } else {
+            self.heap.push(entry);
+        }
     }
 
     fn on_event(&mut self, now: SimTime, event: Event) {
@@ -1221,7 +1300,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
         }
         c.report.crashes += 1;
         c.crash_at.insert((i, self.insts[i].epoch), now);
-        let up = now + SimTime::from_s(c.plan.config().crash_cooldown_s);
+        let up = now + c.cooldown;
         // The killed compute never happened, and all resident stories are
         // lost (BRAM state is gone).
         self.insts[i].halt(now);
@@ -1242,7 +1321,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
         }
         let c = self.campaign.as_mut().expect("watchdog implies a campaign");
         c.report.watchdog_fires += 1;
-        let period = SimTime::from_s(c.plan.config().watchdog_s);
+        let period = c.watchdog.expect("a tick implies the watchdog");
         let stranded = f
             .assigned
             .filter(|&(i, epoch)| !f.computed && self.insts[i].epoch != epoch);
@@ -1290,13 +1369,14 @@ impl<'s, 'a> ServeState<'s, 'a> {
 
     /// Whole-node fail-stop: the fabric, caches and host queue vanish at
     /// the cut. Every instance halts (the killed compute never happened,
-    /// the same rule as a crash), the heap is dropped, and everything
-    /// unfinished is handed back to the cluster at the cut.
+    /// the same rule as a crash), the heap and the ticks are dropped, and
+    /// everything unfinished is handed back to the cluster at the cut.
     fn on_fail_stop(&mut self, now: SimTime) {
         for inst in &mut self.insts {
             inst.halt(now);
         }
         self.heap.clear();
+        self.ticks.clear();
         for r in 0..self.flights.len() {
             if self.flights[r].fate.is_none() {
                 self.export(now, r);
@@ -1382,13 +1462,10 @@ impl<'s, 'a> ServeState<'s, 'a> {
         f.hit = admission.hit;
         f.ts.dispatch = now;
         f.assigned = Some((target, self.insts[target].epoch));
-        let watchdog = self
-            .campaign
-            .as_ref()
-            .map_or(0.0, |c| c.plan.config().watchdog_s);
-        if watchdog > 0.0 && !f.watchdog_armed {
+        let watchdog = self.campaign.as_ref().and_then(|c| c.watchdog);
+        if let Some(period) = watchdog.filter(|_| !f.watchdog_armed) {
             f.watchdog_armed = true;
-            self.schedule(now + SimTime::from_s(watchdog), Event::Watchdog(r));
+            self.schedule(now + period, Event::Watchdog(r));
         }
         let bytes = num.bytes(g, admission.hit);
         if self.flights[r].hop > 0 {
@@ -1475,18 +1552,17 @@ impl<'s, 'a> ServeState<'s, 'a> {
             }
             b.size_histogram[group.len() - 1] += 1;
         }
-        let clock = self.server.config.clock;
         let mut total = SimTime::ZERO;
         for &q in &group {
             self.flights[q].ts.compute_start = now;
-            total += num.run(&self.flights[q]).compute_time(clock);
+            total += num.run(&self.flights[q]).compute;
         }
         let fused = if group.len() > 1 {
             self.batch.fused_groups += 1;
             // Same story => same per-hop stream cost; the batch pays
             // max(hops) streams instead of sum(hops), and one output row
             // stream instead of one per query.
-            let run = |q: usize| num.run(&self.flights[q]);
+            let run = |q: usize| &num.run(&self.flights[q]).run;
             let stream = run(r).mem_stream_per_hop;
             let hops: u64 = group.iter().map(|&q| run(q).hops_executed as u64).sum();
             let max_hops = group
@@ -1502,6 +1578,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
                 .unwrap_or(0);
             let saved = stream * (hops - max_hops) + (outs - max_out);
             self.batch.cycles_saved += saved;
+            let clock = self.server.config.clock;
             total.saturating_sub(clock.sim_time(Cycles::new(saved)))
         } else {
             total
@@ -1531,9 +1608,11 @@ impl<'s, 'a> ServeState<'s, 'a> {
             self.fail_stop.is_some() || (!self.arb.is_busy() && self.arb.pending_len() == 0),
             "link work stranded"
         );
-        // Flights are in arrival order; outcomes follow the trace.
+        // Flights are in arrival order; outcomes follow the trace. The
+        // flight index makes every key distinct, so the unstable sort, which
+        // needs no scratch buffer, is the stable one.
         let mut order: Vec<usize> = (0..self.flights.len()).collect();
-        order.sort_by_key(|&i| self.flights[i].req);
+        order.sort_unstable_by_key(|&i| (self.flights[i].req, i));
         let drained = self.drained().count();
         let (mut completions, mut sheds) = (Vec::with_capacity(drained), Vec::new());
         for i in order {
@@ -1566,7 +1645,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
     fn completion(&self, f: &Flight) -> Completion {
         let r = &self.trace.requests[f.req];
         debug_assert!(f.ts.is_monotone(), "request {} timeline broken", r.id);
-        let run = Arc::clone(self.num.run(f));
+        let run = Arc::clone(&self.num.run(f).run);
         let correct = run.answer == self.server.sample_of(r).answer;
         Completion {
             request: *r,
@@ -2689,6 +2768,46 @@ mod tests {
         evicts.sort_unstable();
         assert!(expected.len() > 8, "{} evictions", expected.len());
         assert_eq!(evicts, expected);
+    }
+
+    /// One grant carries `min(upload_batch, inflight_limit)` payloads, so a
+    /// link that moves one largest payload inside the clock but not two
+    /// rejects the default config and accepts an inflight limit of 1.
+    #[test]
+    fn a_link_too_slow_for_the_largest_upload_is_rejected() {
+        let s = suite();
+        let largest = s
+            .tasks
+            .iter()
+            .flat_map(|t| &t.test_set)
+            .map(|x| PcieLink::input_bytes(Accelerator::input_words(x)))
+            .max()
+            .expect("a nonempty suite");
+        // One payload takes 10^7 s; the clock ends at 2^64 ps ≈ 1.8·10^7 s.
+        let slow = ServeConfig {
+            pcie: PcieLink {
+                bandwidth_bytes_per_s: largest as f64 / 1e7,
+                ..PcieLink::default()
+            },
+            ..ServeConfig::default()
+        };
+        assert_eq!((slow.upload_batch, slow.inflight_limit), (4, 2));
+        assert!(slow.validate().is_ok());
+        let err = slow
+            .validate_for(&s)
+            .expect_err("two payloads pass the clock");
+        assert!(err.contains("link too slow"), "{err}");
+        let one = ServeConfig {
+            inflight_limit: 1,
+            ..slow.clone()
+        };
+        assert!(one.validate_for(&s).is_ok());
+        let panic = std::panic::catch_unwind(|| Server::new(&s, slow)).expect_err("panics");
+        let msg = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            msg.starts_with("invalid serve config: link too slow"),
+            "{msg}"
+        );
     }
 
     #[test]
