@@ -35,7 +35,7 @@
 
 use mann_core::report::{fnum, percent, TextTable};
 use mann_core::TaskSuite;
-use mann_hw::{fault_mix, Accelerator, PcieLink, PhaseCycles, SimTime};
+use mann_hw::{fault_mix, PcieLink, PhaseCycles, SimTime};
 use mann_store::WalRecord;
 use serde::Serialize;
 
@@ -788,8 +788,8 @@ impl<'a> Cluster<'a> {
             .iter()
             .filter(|e| e.kind == MembershipEventKind::Drain)
         {
-            // Last drain instant per distinct story, with a
-            // representative request for sizing the re-upload.
+            // Last drain instant per distinct story, with one of its
+            // requests, whose sample holds the story.
             let mut last_drained: Vec<Option<(SimTime, usize)>> = vec![None; stories.len()];
             for (g, end) in states[e.shard].drained() {
                 let last = &mut last_drained[routing.num.story_id(g)];
@@ -810,8 +810,9 @@ impl<'a> Cluster<'a> {
                 if routing.view.primary(key, e.at()).is_none() {
                     continue; // nowhere live to hand the story to
                 }
+                // The story alone moves: no question rides along.
                 let sample = self.server.sample_of(&trace.requests[g]);
-                let bytes = PcieLink::input_bytes(Accelerator::input_words(sample));
+                let bytes = PcieLink::input_bytes(sample.story_words());
                 let s = base.pcie.transfer_time_s(bytes);
                 m.stories_moved += 1;
                 m.handoff_bytes += bytes;
