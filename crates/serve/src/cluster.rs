@@ -670,6 +670,8 @@ impl<'a> Cluster<'a> {
             unroutable: Vec::new(),
             exports: vec![0; k],
             failovers: Vec::new(),
+            // One past the replication factor: `rank_live` inserts a shard
+            // before it cuts the chain back.
             chain: Vec::with_capacity(self.replication + 1),
             num,
         };
