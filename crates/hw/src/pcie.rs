@@ -86,7 +86,7 @@ impl PcieLink {
 /// `[start, end)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkGrant {
-    /// Caller-chosen job identifier.
+    /// The job's submission index ([`LinkArbiter::submit`]).
     pub id: u64,
     /// Payload bytes of the job.
     pub bytes: u64,
@@ -96,8 +96,18 @@ pub struct LinkGrant {
     pub end: SimTime,
 }
 
+/// One submitted job: its payload bytes, batched logical payloads, and
+/// what it carries.
+#[derive(Debug, Clone)]
+struct Job<P> {
+    bytes: u64,
+    transfers: usize,
+    payload: P,
+}
+
 /// FIFO arbitration of one shared PCIe link among many accelerator
-/// instances.
+/// instances, holding each job's payload `P` from submission to
+/// completion.
 ///
 /// Replicated instances share the single host interface, so their uploads
 /// and answer read-backs contend for it. The arbiter is a strict FIFO —
@@ -105,19 +115,24 @@ pub struct LinkGrant {
 /// never reordered (the property suite in `tests/link_proptests.rs` pins
 /// this) — which keeps the serving schedule deterministic.
 ///
-/// Protocol: [`submit`](LinkArbiter::submit) enqueues a job;
-/// [`try_grant`](LinkArbiter::try_grant) starts the head job if the link is
-/// idle, returning its grant window; [`complete`](LinkArbiter::complete)
-/// retires the in-flight job (normally at the grant's `end` event).
+/// Protocol: [`submit`](LinkArbiter::submit) enqueues a job and returns
+/// its id, its submission index; [`try_grant`](LinkArbiter::try_grant)
+/// starts the head job if the link is idle, returning its grant window
+/// and lending its payload; [`complete`](LinkArbiter::complete) retires
+/// the in-flight job (normally at the grant's `end` event) and hands its
+/// payload back.
 #[derive(Debug, Clone)]
-pub struct LinkArbiter {
+pub struct LinkArbiter<P> {
     link: PcieLink,
     /// One answer read-back's link time, priced once: every drain moves
     /// the same [`PcieLink::answer_bytes`]. `None` when it does not fit the
     /// clock.
     drain: Option<SimTime>,
-    pending: std::collections::VecDeque<(u64, u64, usize)>,
-    in_flight: Option<(u64, u64, usize)>,
+    /// Jobs submitted but not yet granted, oldest first: the front is job
+    /// `grants`, since jobs are granted in submission order.
+    pending: std::collections::VecDeque<Job<P>>,
+    /// The granted job not yet completed, job `grants - 1`.
+    in_flight: Option<Job<P>>,
     free_at: SimTime,
     busy: SimTime,
     grants: u64,
@@ -126,7 +141,7 @@ pub struct LinkArbiter {
     retry_busy: SimTime,
 }
 
-impl LinkArbiter {
+impl<P> LinkArbiter<P> {
     /// An idle arbiter over `link`.
     pub fn new(link: PcieLink) -> Self {
         Self {
@@ -143,48 +158,44 @@ impl LinkArbiter {
         }
     }
 
-    /// The arbitrated link model.
-    pub fn link(&self) -> &PcieLink {
-        &self.link
+    /// Enqueues `payload` as a job of `bytes` comprising `transfers`
+    /// batched logical payloads (1 for a plain transfer), returning the
+    /// job's id: its submission index, counting from 0.
+    pub fn submit(&mut self, payload: P, bytes: u64, transfers: usize) -> u64 {
+        self.pending.push_back(Job {
+            bytes,
+            transfers: transfers.max(1),
+            payload,
+        });
+        self.grants + self.pending.len() as u64 - 1
     }
 
-    /// Enqueues a job of `bytes` payload comprising `transfers` batched
-    /// logical payloads (1 for a plain transfer).
-    pub fn submit(&mut self, id: u64, bytes: u64, transfers: usize) {
-        self.pending.push_back((id, bytes, transfers.max(1)));
+    /// Whether no job is in flight or pending.
+    pub fn is_idle(&self) -> bool {
+        self.in_flight.is_none() && self.pending.is_empty()
     }
 
-    /// Jobs submitted but not yet granted.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether a granted job has not yet been completed.
-    pub fn is_busy(&self) -> bool {
-        self.in_flight.is_some()
-    }
-
-    /// Grants the head job if the link is idle and work is pending. The
-    /// transfer starts at `max(now, previous grant end)`.
-    pub fn try_grant(&mut self, now: SimTime) -> Option<LinkGrant> {
+    /// Grants the head job if the link is idle and work is pending, lending
+    /// its payload. The transfer starts at `max(now, previous grant end)`.
+    pub fn try_grant(&mut self, now: SimTime) -> Option<(LinkGrant, &P)> {
         if self.in_flight.is_some() {
             return None;
         }
-        let (id, bytes, transfers) = self.pending.pop_front()?;
+        let job = self.pending.pop_front()?;
         let start = now.max(self.free_at);
-        let duration = self.duration(bytes, transfers);
+        let duration = self.duration(job.bytes, job.transfers);
         let end = start + duration;
-        self.in_flight = Some((id, bytes, transfers));
+        let grant = LinkGrant {
+            id: self.grants,
+            bytes: job.bytes,
+            start,
+            end,
+        };
         self.free_at = end;
         self.busy += duration;
         self.grants += 1;
-        self.bytes_moved += bytes;
-        Some(LinkGrant {
-            id,
-            bytes,
-            start,
-            end,
-        })
+        self.bytes_moved += job.bytes;
+        Some((grant, &self.in_flight.insert(job).payload))
     }
 
     /// Re-grants the in-flight job for a CRC-triggered retransmission
@@ -196,12 +207,13 @@ impl LinkArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not the job currently holding the link.
-    pub fn retransmit(&mut self, id: u64, resume_at: SimTime) -> LinkGrant {
-        let (current, bytes, transfers) = match self.in_flight {
-            Some(job) if job.0 == id => job,
-            other => panic!("retransmit for job {id} but in flight is {other:?}"),
-        };
+    /// Panics if no job is in flight.
+    pub fn retransmit(&mut self, resume_at: SimTime) -> LinkGrant {
+        let job = self
+            .in_flight
+            .as_ref()
+            .expect("retransmit with no job in flight");
+        let (bytes, transfers) = (job.bytes, job.transfers);
         let start = resume_at.max(self.free_at);
         let duration = self.duration(bytes, transfers);
         let end = start + duration;
@@ -211,7 +223,7 @@ impl LinkArbiter {
         self.retransmits += 1;
         self.bytes_moved += bytes;
         LinkGrant {
-            id: current,
+            id: self.grants - 1,
             bytes,
             start,
             end,
@@ -226,17 +238,17 @@ impl LinkArbiter {
         }
     }
 
-    /// Retires the in-flight job.
+    /// Retires the in-flight job and hands its payload back.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not the job currently holding the link — catching
-    /// out-of-order completion bugs in the scheduler.
-    pub fn complete(&mut self, id: u64) {
-        match self.in_flight.take() {
-            Some((current, _, _)) if current == id => {}
-            other => panic!("link completion for job {id} but in flight is {other:?}"),
-        }
+    /// Panics if no job is in flight — catching a completion the scheduler
+    /// never granted.
+    pub fn complete(&mut self) -> P {
+        self.in_flight
+            .take()
+            .expect("link completion with no job in flight")
+            .payload
     }
 
     /// Total time the link has been transferring.
@@ -325,25 +337,28 @@ mod tests {
     #[test]
     fn arbiter_serves_fifo_without_overlap() {
         let mut arb = LinkArbiter::new(PcieLink::default());
-        arb.submit(1, 64, 1);
-        arb.submit(2, 128, 1);
-        arb.submit(3, 32, 1);
-        let g1 = arb.try_grant(SimTime::ZERO).unwrap();
-        assert_eq!(g1.id, 1);
+        assert!(arb.is_idle());
+        assert_eq!(arb.submit('a', 64, 1), 0);
+        assert_eq!(arb.submit('b', 128, 1), 1);
+        assert_eq!(arb.submit('c', 32, 1), 2);
+        let (g1, &p1) = arb.try_grant(SimTime::ZERO).unwrap();
+        assert_eq!((g1.id, p1), (0, 'a'));
         // Link busy: nothing else grants until completion.
         assert!(arb.try_grant(g1.start).is_none());
-        arb.complete(1);
-        let g2 = arb.try_grant(g1.end).unwrap();
-        assert_eq!(g2.id, 2);
+        assert_eq!(arb.complete(), 'a');
+        let (g2, &p2) = arb.try_grant(g1.end).unwrap();
+        assert_eq!((g2.id, p2), (1, 'b'));
         assert!(g2.start >= g1.end);
-        arb.complete(2);
-        let g3 = arb.try_grant(g2.end).unwrap();
-        assert_eq!(g3.id, 3);
-        arb.complete(3);
+        assert_eq!(arb.complete(), 'b');
+        let (g3, _) = arb.try_grant(g2.end).unwrap();
+        assert_eq!(g3.id, 2);
+        assert!(!arb.is_idle(), "job 2 holds the link");
+        assert_eq!(arb.complete(), 'c');
         assert_eq!(arb.grants(), 3);
         assert_eq!(arb.bytes_moved(), 64 + 128 + 32);
-        assert_eq!(arb.pending_len(), 0);
-        assert!(!arb.is_busy());
+        assert!(arb.is_idle());
+        // Ids keep counting across an idle link.
+        assert_eq!(arb.submit('d', 8, 1), 3);
     }
 
     #[test]
@@ -351,12 +366,12 @@ mod tests {
         let mut arb = LinkArbiter::new(PcieLink::default());
         arb.submit(1, 256, 1);
         arb.submit(2, 64, 1);
-        let g1 = arb.try_grant(SimTime::ZERO).unwrap();
+        let (g1, _) = arb.try_grant(SimTime::ZERO).unwrap();
         // Corrupted: replay after a backoff gap. The link stays held, so
-        // job 2 cannot be granted in the gap.
+        // job 1 cannot be granted in the gap.
         let backoff = SimTime::from_s(10e-6);
-        let r = arb.retransmit(1, g1.end + backoff);
-        assert_eq!(r.id, 1);
+        let r = arb.retransmit(g1.end + backoff);
+        assert_eq!(r.id, 0);
         assert_eq!(r.start, g1.end + backoff);
         assert!(arb.try_grant(r.start).is_none(), "link must stay held");
         assert_eq!(arb.retransmits(), 1);
@@ -367,9 +382,9 @@ mod tests {
         assert_eq!(arb.bytes_moved(), 2 * 256);
         // Grants counts logical jobs, not replays.
         assert_eq!(arb.grants(), 1);
-        arb.complete(1);
-        let g2 = arb.try_grant(r.end).unwrap();
-        assert_eq!(g2.id, 2);
+        assert_eq!(arb.complete(), 1);
+        let (g2, &p2) = arb.try_grant(r.end).unwrap();
+        assert_eq!((g2.id, p2), (1, 2));
         assert!(g2.start >= r.end, "FIFO order survives the retry");
     }
 
@@ -386,34 +401,38 @@ mod tests {
         ] {
             let mut arb = LinkArbiter::new(link);
             let drain = SimTime::from_s(link.transfer_time_s(PcieLink::answer_bytes()));
-            arb.submit(1, PcieLink::answer_bytes(), 1);
-            arb.submit(2, PcieLink::answer_bytes() + 1, 1);
-            let g = arb.try_grant(SimTime::ZERO).unwrap();
+            arb.submit((), PcieLink::answer_bytes(), 1);
+            arb.submit((), PcieLink::answer_bytes() + 1, 1);
+            let (g, _) = arb.try_grant(SimTime::ZERO).unwrap();
             assert_eq!(g.end.saturating_sub(g.start), drain);
-            let r = arb.retransmit(1, g.end);
+            let r = arb.retransmit(g.end);
             assert_eq!(r.end.saturating_sub(r.start), drain);
-            arb.complete(1);
-            let other = arb.try_grant(r.end).unwrap();
+            arb.complete();
+            let (other, _) = arb.try_grant(r.end).unwrap();
             let nine = SimTime::from_s(link.transfer_time_s(PcieLink::answer_bytes() + 1));
             assert_eq!(other.end.saturating_sub(other.start), nine);
         }
     }
 
+    /// A retransmission needs a job holding the link: a submitted job that
+    /// was never granted does not.
     #[test]
-    #[should_panic(expected = "in flight")]
+    #[should_panic(expected = "no job in flight")]
     fn retransmit_requires_the_holding_job() {
         let mut arb = LinkArbiter::new(PcieLink::default());
-        arb.submit(1, 64, 1);
-        let _ = arb.try_grant(SimTime::ZERO).unwrap();
-        let _ = arb.retransmit(2, SimTime::ZERO);
+        arb.submit((), 64, 1);
+        let _ = arb.retransmit(SimTime::ZERO);
     }
 
+    /// A completion needs a job in flight: completing one job twice
+    /// panics.
     #[test]
-    #[should_panic(expected = "in flight")]
+    #[should_panic(expected = "no job in flight")]
     fn arbiter_rejects_wrong_completion() {
         let mut arb = LinkArbiter::new(PcieLink::default());
-        arb.submit(1, 64, 1);
+        arb.submit((), 64, 1);
         let _ = arb.try_grant(SimTime::ZERO).unwrap();
-        arb.complete(99);
+        arb.complete();
+        arb.complete();
     }
 }

@@ -53,7 +53,8 @@ proptest! {
     /// For any schedule of submissions (nondecreasing submit times, random
     /// payloads), the arbiter grants every job exactly once, in submission
     /// order, with non-overlapping windows that never start before the job
-    /// was submitted.
+    /// was submitted; each grant lends the payload submitted under its id,
+    /// and its completion hands that payload back.
     #[test]
     fn arbiter_is_lossless_in_order_and_non_overlapping(
         jobs in proptest::collection::vec((0u64..1_000_000, 1u64..100_000), 1..40),
@@ -61,46 +62,50 @@ proptest! {
         let mut arb = LinkArbiter::new(PcieLink::default());
         // Build nondecreasing submit times from random deltas.
         let mut t = 0u64;
-        let submits: Vec<(u64, SimTime, u64)> = jobs
+        let submits: Vec<(SimTime, u64)> = jobs
             .iter()
-            .enumerate()
-            .map(|(i, &(dt, bytes))| {
+            .map(|&(dt, bytes)| {
                 t += dt;
-                (i as u64, SimTime::from_ps(t), bytes)
+                (SimTime::from_ps(t), bytes)
             })
             .collect();
         // Drive the arbiter event-style: submit everything that has arrived
-        // by `now`, then grant/complete one job at a time.
+        // by `now`, then grant/complete one job at a time. Each payload is
+        // its job's submission time and size.
         let mut grants = Vec::new();
         let mut next_submit = 0usize;
         let mut now = SimTime::ZERO;
         while grants.len() < submits.len() {
             // Submit arrivals up to `now`, plus — if the link would idle —
             // jump to the next arrival.
-            while next_submit < submits.len() && submits[next_submit].1 <= now {
-                let (id, _, bytes) = submits[next_submit];
-                arb.submit(id, bytes, 1);
+            while next_submit < submits.len() && submits[next_submit].0 <= now {
+                let (at, bytes) = submits[next_submit];
+                let id = arb.submit((at, bytes), bytes, 1);
+                prop_assert_eq!(id, next_submit as u64, "ids are submission indices");
                 next_submit += 1;
             }
             match arb.try_grant(now) {
-                Some(g) => {
+                Some((g, &lent)) => {
+                    prop_assert_eq!(lent, submits[g.id as usize], "lent another job's payload");
                     now = g.end;
-                    arb.complete(g.id);
+                    prop_assert_eq!(arb.complete(), lent, "completion returned another payload");
                     grants.push(g);
                 }
                 None => {
                     // Nothing pending: advance to the next submission.
+                    prop_assert!(arb.is_idle());
                     prop_assert!(next_submit < submits.len(), "deadlock: no work, none arriving");
-                    now = now.max(submits[next_submit].1);
+                    now = now.max(submits[next_submit].0);
                 }
             }
         }
         // Lossless: every job granted exactly once, in submission order.
+        prop_assert!(arb.is_idle());
         prop_assert_eq!(grants.len(), submits.len());
-        for (g, s) in grants.iter().zip(&submits) {
-            prop_assert_eq!(g.id, s.0);
-            prop_assert_eq!(g.bytes, s.2);
-            prop_assert!(g.start >= s.1, "grant before submission");
+        for (i, (g, s)) in grants.iter().zip(&submits).enumerate() {
+            prop_assert_eq!(g.id, i as u64);
+            prop_assert_eq!(g.bytes, s.1);
+            prop_assert!(g.start >= s.0, "grant before submission");
             prop_assert!(g.end >= g.start);
         }
         // Non-overlapping, time-ordered windows.

@@ -666,10 +666,7 @@ impl<'a> Cluster<'a> {
                 ((plan.retune_threshold * capacity).ceil() as usize).max(1)
             }),
             retune_factor: plan.retune_factor,
-            retunes: Vec::new(),
             unroutable: Vec::new(),
-            exports: vec![0; k],
-            failovers: Vec::new(),
             // One past the replication factor: `rank_live` inserts a shard
             // before it cuts the chain back.
             chain: Vec::with_capacity(self.replication + 1),
@@ -705,11 +702,7 @@ impl<'a> Cluster<'a> {
             } else if let Some((t, s)) = event.filter(|&(e, _)| handoff.is_none_or(|h| e <= h)) {
                 states[s].step();
                 due[s] = states[s].next_event();
-                for h in states[s].exports.drain(..) {
-                    routing.exports[s] += 1;
-                    routing.failovers.push(trace.requests[h.req].id);
-                    handoffs.push((s, h));
-                }
+                handoffs.extend(states[s].exports.drain(..).map(|h| (s, h)));
                 routing.observe(s, t, states[s].max_queue_depth);
             } else if !handoffs.is_empty() {
                 // After every shard event at their instant, in id order:
@@ -729,6 +722,12 @@ impl<'a> Cluster<'a> {
 
         let membership = self.membership_report(trace, &routing, &states);
         let replay_link_bytes = states.iter().map(|s| s.handoff_bytes).sum();
+        // The id of every request handed back, once per hand-off.
+        let failovers = states
+            .iter()
+            .flat_map(ServeState::exported)
+            .map(|g| trace.requests[g].id)
+            .collect();
         let mut journals = Vec::with_capacity(k);
         let outcomes: Vec<ServeOutcome> = states
             .into_iter()
@@ -738,7 +737,14 @@ impl<'a> Cluster<'a> {
                 out
             })
             .collect();
-        let out = self.aggregate(trace, outcomes, routing, replay_link_bytes, membership);
+        let out = self.aggregate(
+            trace,
+            outcomes,
+            failovers,
+            &routing.unroutable,
+            replay_link_bytes,
+            membership,
+        );
         (out, journals)
     }
 
@@ -762,14 +768,14 @@ impl<'a> Cluster<'a> {
             drains: count(MembershipEventKind::Drain),
             failures: count(MembershipEventKind::Fail),
             joins: count(MembershipEventKind::Join),
-            retunes: routing.retunes.len() as u64,
+            retunes: routing.view.retunes().len() as u64,
             hot_keys: routing.hot.iter().filter(|&&hot| hot).count() as u64,
             split_requests: routing.split_requests,
             stranded_exports: plan
                 .events
                 .iter()
                 .filter(|e| e.kind == MembershipEventKind::Fail)
-                .map(|e| routing.exports[e.shard])
+                .map(|e| states[e.shard].exported().count() as u64)
                 .sum(),
             unroutable_shed: routing.unroutable.len() as u64,
             ..MembershipReport::default()
@@ -837,7 +843,8 @@ impl<'a> Cluster<'a> {
             .map(|e| (e.at(), e.kind.to_string(), e.shard, e.kind.is_leave()))
             .chain(
                 routing
-                    .retunes
+                    .view
+                    .retunes()
                     .iter()
                     .map(|&(t, s)| (t, "retune".to_owned(), s, false)),
             )
@@ -876,17 +883,18 @@ impl<'a> Cluster<'a> {
     /// Folds the shards' outcomes, in shard order, into the cluster
     /// outcome: request-level results pooled, latency percentiles ranked
     /// over the pooled samples, and every report section merged by its
-    /// own type.
+    /// own type. `failover_ids` holds the id of each hand-off's request,
+    /// `unroutable` the trace index of each request no shard could take.
     fn aggregate(
         &self,
         trace: &ArrivalTrace,
         shards: Vec<ServeOutcome>,
-        routing: Routing<'_>,
+        mut failover_ids: Vec<u64>,
+        unroutable: &[usize],
         replay_link_bytes: u64,
         membership: MembershipReport,
     ) -> ClusterOutcome {
         let k = self.router.shards();
-        let (mut failover_ids, unroutable) = (routing.failovers, routing.unroutable);
         let mut failover = ClusterFailover {
             exports: failover_ids.len() as u64,
             replay_link_bytes,
@@ -1060,14 +1068,8 @@ struct Routing<'n> {
     /// retuning is off.
     retune_depth: Option<usize>,
     retune_factor: u32,
-    /// Weight retunes as `(instant, shard)`, in firing order.
-    retunes: Vec<(SimTime, usize)>,
     /// Trace indices of requests with no live shard to go to.
     unroutable: Vec<usize>,
-    /// Requests each shard handed back.
-    exports: Vec<u64>,
-    /// Ids of the requests handed back, once per hand-off.
-    failovers: Vec<u64>,
     /// The replica chain last resolved, as `(score, shard)`: one buffer
     /// reused by every route and hand-off.
     chain: Vec<(u64, usize)>,
@@ -1115,9 +1117,8 @@ impl Routing<'_> {
     /// queue reaches the retune depth.
     fn observe(&mut self, shard: usize, now: SimTime, depth: usize) {
         if self.retune_depth.is_some_and(|d| depth >= d)
-            && self.retunes.iter().all(|&(_, s)| s != shard)
+            && self.view.retunes().iter().all(|&(_, s)| s != shard)
         {
-            self.retunes.push((now, shard));
             self.view.retune(now, shard, self.retune_factor);
         }
     }

@@ -373,7 +373,8 @@ impl MembershipPlan {
 
 /// The live membership as a function of simulated time: per-shard
 /// liveness windows from the plan plus a weight-epoch timeline (the base
-/// router, then one re-built router per weight re-tune).
+/// router, then one re-built router per weight re-tune, which the view
+/// records as it fires).
 ///
 /// Pure in `(plan, weights, retunes so far)`. The cluster timeline appends
 /// a retune epoch at the instant it fires and resolves each request when
@@ -382,8 +383,10 @@ impl MembershipPlan {
 #[derive(Debug, Clone)]
 pub(crate) struct MembershipView {
     replicas: usize,
-    /// Weight epochs, ascending; `routers[i]` applies from `starts[i]` on.
-    starts: Vec<SimTime>,
+    /// Weight retunes as `(instant, shard)`, in firing order.
+    retunes: Vec<(SimTime, usize)>,
+    /// Weight epochs: the base router, then `routers[i + 1]` from
+    /// `retunes[i]`'s instant on.
     routers: Vec<ShardRouter>,
     /// First instant each shard is live (ZERO unless it joins later).
     alive_from: Vec<SimTime>,
@@ -407,7 +410,7 @@ impl MembershipView {
         }
         Self {
             replicas,
-            starts: vec![SimTime::ZERO],
+            retunes: Vec::new(),
             routers: vec![ShardRouter::with_weights(weights)],
             alive_from,
             dead_from,
@@ -421,8 +424,7 @@ impl MembershipView {
 
     /// The router in force at `t` (the last weight epoch at or before it).
     fn router_at(&self, t: SimTime) -> &ShardRouter {
-        let idx = self.starts.partition_point(|&s| s <= t);
-        &self.routers[idx.saturating_sub(1)]
+        &self.routers[self.retunes.partition_point(|&(at, _)| at <= t)]
     }
 
     /// Refills `chain` with the live replica chain of `key` as of `t`, as
@@ -446,11 +448,16 @@ impl MembershipView {
     /// new router epoch that compounds the earlier ones. Retunes arrive
     /// in time order.
     pub fn retune(&mut self, at: SimTime, shard: usize, factor: u32) {
-        debug_assert!(self.starts.last().is_none_or(|&s| s <= at));
+        debug_assert!(self.retunes.last().is_none_or(|&(s, _)| s <= at));
         let mut weights = self.routers.last().expect("base epoch").weights().to_vec();
         weights[shard] = (weights[shard] / factor.max(1)).max(1);
-        self.starts.push(at);
+        self.retunes.push((at, shard));
         self.routers.push(ShardRouter::with_weights(weights));
+    }
+
+    /// The weight retunes so far as `(instant, shard)`, in firing order.
+    pub fn retunes(&self) -> &[(SimTime, usize)] {
+        &self.retunes
     }
 }
 

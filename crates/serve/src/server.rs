@@ -94,10 +94,9 @@ pub struct ServeConfig {
     pub pcie: PcieLink,
     /// Per-instance power model.
     pub power: PowerModel,
-    /// Load each task's calibrated thresholds (ITH early exit).
+    /// Load each task's calibrated thresholds (ITH early exit); the
+    /// output search probes in silhouette order.
     pub use_ith: bool,
-    /// Probe output rows in silhouette order when ITH is on.
-    pub use_ordering: bool,
     /// Fault-injection campaign; [`FaultConfig::none`] (the default)
     /// injects nothing and leaves the serve path byte-identical.
     pub faults: FaultConfig,
@@ -136,7 +135,6 @@ impl Default for ServeConfig {
             pcie: PcieLink::default(),
             power: PowerModel::default(),
             use_ith: false,
-            use_ordering: true,
             faults: FaultConfig::none(),
             numeric_policy: NumericPolicy::default(),
             batch_window: 0,
@@ -286,7 +284,6 @@ enum Event {
     /// bumps the epoch so this event is recognized as stale and dropped.
     ComputeDone {
         instance: usize,
-        req: usize,
         epoch: u64,
     },
     /// Fault-campaign events (never scheduled without an active plan).
@@ -330,15 +327,6 @@ enum LinkJob {
     },
 }
 
-/// A link transfer and its retry state.
-struct Job {
-    payload: LinkJob,
-    /// Corrupted attempts retransmitted so far.
-    attempts: u32,
-    /// The first corrupted attempt, until the transfer lands (link MTTR).
-    first_fail: Option<SimTime>,
-}
-
 #[derive(Debug, Default, Clone)]
 struct Inst {
     inflight: usize,
@@ -350,7 +338,8 @@ struct Inst {
     busy: SimTime,
     /// Answers drained from this instance.
     completed: u64,
-    cache_hits: u64,
+    /// Resident stories, by story index; its hit count is the instance's.
+    cache: LruSet,
     /// Crashed and cooling down; invisible to the scheduler (0 credits).
     down: bool,
     /// Bumped on every halt; stale events carry the old value.
@@ -360,13 +349,15 @@ struct Inst {
 impl Inst {
     /// Halts the instance at `now`, by crash or node fail-stop: the busy
     /// time of the killed (never finished) compute is rolled back, FIFO'd
-    /// work is dropped, and the epoch bump voids every event in flight.
+    /// work is dropped, every resident story is lost (BRAM state is gone),
+    /// and the epoch bump voids every event in flight.
     fn halt(&mut self, now: SimTime) {
         let unfinished = self.free_at.saturating_sub(now);
         self.busy = self.busy.saturating_sub(unfinished);
         self.free_at = now;
         self.computing.clear();
         self.ready.clear();
+        self.cache.clear_resident();
         self.inflight = 0;
         self.down = true;
         self.epoch += 1;
@@ -525,16 +516,21 @@ struct Campaign {
     cooldown: SimTime,
     /// Crash instants by (instance, pre-crash epoch), for MTTR.
     crash_at: HashMap<(usize, u64), SimTime>,
+    /// Corrupted attempts of the transfer holding the link retransmitted
+    /// so far, and its first corrupted attempt until it lands (link MTTR).
+    attempts: u32,
+    first_fail: Option<SimTime>,
     link: Repairs,
     instance: Repairs,
     seu: Repairs,
 }
 
 impl Campaign {
-    fn finish(self, config: &ServeConfig, arb: &LinkArbiter) -> FaultReport {
+    fn finish(self, config: &ServeConfig, arb: &LinkArbiter<LinkJob>) -> FaultReport {
         let mut fr = self.report;
         fr.enabled = true;
         fr.plan_seed = self.plan.config().seed;
+        fr.retransmits = arb.retransmits();
         fr.retry_link_s = arb.retry_busy_time().as_s();
         fr.retry_energy_j = config
             .power
@@ -625,7 +621,7 @@ impl<'a> Server<'a> {
                             pcie: config.pcie,
                             power: config.power,
                             ith: ith(t),
-                            use_ordering: config.use_ordering,
+                            use_ordering: true,
                             hop_prune: config.hop_prune,
                             mem_index: config.mem_index,
                             ..AccelConfig::default()
@@ -930,16 +926,12 @@ pub(crate) struct ServeState<'s, 'a> {
     seq: u64,
     queue: VecDeque<usize>,
     insts: Vec<Inst>,
-    residency: Vec<LruSet>,
     /// What the scheduler sees of each instance, refilled per pick.
     views: Vec<InstanceView>,
     /// Emptied upload request lists, taken again by the next upload.
     spare: Vec<Vec<usize>>,
-    arb: LinkArbiter,
-    /// Link jobs not yet retired, oldest first: the link is a strict FIFO
-    /// with one job in flight, so the front's id is the retired count.
-    jobs: VecDeque<Job>,
-    retired_jobs: u64,
+    /// The link and every transfer on it, from submission to landing.
+    arb: LinkArbiter<LinkJob>,
     scheduler: Scheduler,
     /// One per arrival on this node, in arrival order.
     flights: Vec<Flight>,
@@ -982,13 +974,16 @@ impl<'s, 'a> ServeState<'s, 'a> {
             ticks: VecDeque::new(),
             seq: 0,
             queue: VecDeque::new(),
-            insts: vec![Inst::default(); instances],
-            residency: vec![LruSet::new(config.story_cache); instances],
+            insts: vec![
+                Inst {
+                    cache: LruSet::new(config.story_cache),
+                    ..Inst::default()
+                };
+                instances
+            ],
             views: Vec::with_capacity(instances),
             spare: Vec::new(),
             arb: LinkArbiter::new(config.pcie),
-            jobs: VecDeque::new(),
-            retired_jobs: 0,
             scheduler: Scheduler::new(config.policy),
             flights: Vec::new(),
             rejections: Vec::new(),
@@ -1027,6 +1022,8 @@ impl<'s, 'a> ServeState<'s, 'a> {
                 plan,
                 report: FaultReport::default(),
                 crash_at: HashMap::new(),
+                attempts: 0,
+                first_fail: None,
                 link: Repairs::default(),
                 instance: Repairs::default(),
                 seu: Repairs::default(),
@@ -1076,13 +1073,21 @@ impl<'s, 'a> ServeState<'s, 'a> {
         self.on_arrival(now, self.flights.len() - 1);
     }
 
+    /// The flights that left this node by `fate`, in arrival order.
+    fn left_by(&self, fate: Fate) -> impl Iterator<Item = &Flight> + '_ {
+        self.flights.iter().filter(move |f| f.fate == Some(fate))
+    }
+
     /// `(trace index, drain instant)` of every answer drained here, in
     /// arrival order.
     pub(crate) fn drained(&self) -> impl Iterator<Item = (usize, SimTime)> + '_ {
-        self.flights
-            .iter()
-            .filter(|f| f.fate == Some(Fate::Drained))
-            .map(|f| (f.req, f.ts.drain_end))
+        self.left_by(Fate::Drained).map(|f| (f.req, f.ts.drain_end))
+    }
+
+    /// Trace index of every request this node handed back to the cluster,
+    /// once per hand-off, in arrival order.
+    pub(crate) fn exported(&self) -> impl Iterator<Item = usize> + '_ {
+        self.left_by(Fate::Exported).map(|f| f.req)
     }
 
     fn schedule(&mut self, time: SimTime, event: Event) {
@@ -1106,11 +1111,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
     fn on_event(&mut self, now: SimTime, event: Event) {
         match event {
             Event::LinkDone(id) => self.on_link_done(now, id),
-            Event::ComputeDone {
-                instance,
-                req,
-                epoch,
-            } => self.on_compute_done(now, instance, req, epoch),
+            Event::ComputeDone { instance, epoch } => self.on_compute_done(now, instance, epoch),
             Event::Crash(k) => self.on_crash(now, k),
             Event::InstanceUp(i) => self.on_instance_up(now, i),
             Event::Watchdog(r) => self.on_watchdog(now, r),
@@ -1148,44 +1149,44 @@ impl<'s, 'a> ServeState<'s, 'a> {
         self.grant(now);
     }
 
+    /// Transfer `id`, the one holding the link, lands at `now`.
     fn on_link_done(&mut self, now: SimTime, id: u64) {
-        debug_assert_eq!(id, self.retired_jobs, "the link retires jobs in order");
-        let attempt = self.jobs[0].attempts;
         let corrupted = self
             .campaign
             .as_ref()
-            .is_some_and(|c| c.plan.corrupts(id, attempt));
+            .is_some_and(|c| c.plan.corrupts(id, c.attempts));
         if corrupted {
-            self.on_corruption(now, id);
+            self.on_corruption(now);
         } else {
-            self.on_delivery(now, id);
+            self.on_delivery(now);
         }
     }
 
     /// A transfer arrived corrupted (CRC failure): replay it within the
     /// retry budget, else the payload is undeliverable.
-    fn on_corruption(&mut self, now: SimTime, id: u64) {
+    fn on_corruption(&mut self, now: SimTime) {
         let c = self
             .campaign
             .as_mut()
             .expect("corruption implies a campaign");
-        let job = &mut self.jobs[0];
         c.report.link_corruptions += 1;
-        job.first_fail.get_or_insert(now);
-        let attempt = job.attempts;
+        c.first_fail.get_or_insert(now);
+        let attempt = c.attempts;
         if attempt < c.plan.config().max_retries {
             // Hold the link through backoff and replay the whole transfer.
             // Holding (rather than completing and resubmitting) keeps the
             // FIFO order of every other pending transfer intact.
-            job.attempts += 1;
-            c.report.retransmits += 1;
-            let g = self.arb.retransmit(id, now + c.plan.backoff(attempt));
-            self.schedule(g.end, Event::LinkDone(id));
+            c.attempts += 1;
+            let g = self.arb.retransmit(now + c.plan.backoff(attempt));
+            self.schedule(g.end, Event::LinkDone(g.id));
             return;
         }
         c.report.retry_exhausted += 1;
-        let job = self.retire(id);
-        let shed: &[usize] = match &job.payload {
+        // The next transfer starts with no retries behind it.
+        c.attempts = 0;
+        c.first_fail = None;
+        let job = self.arb.complete();
+        let shed: &[usize] = match &job {
             // Target alive since dispatch: these requests have no other
             // copy in flight, so they are shed.
             LinkJob::Upload {
@@ -1210,7 +1211,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
         for &r in shed {
             self.flights[r].fate = Some(Fate::Shed);
         }
-        if let LinkJob::Upload { reqs, .. } = job.payload {
+        if let LinkJob::Upload { reqs, .. } = job {
             self.recycle(reqs);
         }
         self.dispatch(now);
@@ -1219,14 +1220,15 @@ impl<'s, 'a> ServeState<'s, 'a> {
 
     /// A transfer landed intact: an upload joins its instance's FIFO, a
     /// drain completes its request.
-    fn on_delivery(&mut self, now: SimTime, id: u64) {
-        let job = self.retire(id);
-        if let Some(t0) = job.first_fail {
-            let c = self.campaign.as_mut().expect("a retry implies a campaign");
-            c.link.record(t0, now);
+    fn on_delivery(&mut self, now: SimTime) {
+        if let Some(c) = &mut self.campaign {
+            c.attempts = 0;
+            if let Some(t0) = c.first_fail.take() {
+                c.link.record(t0, now);
+            }
         }
         let mut ready = None;
-        match job.payload {
+        match self.arb.complete() {
             LinkJob::Upload {
                 instance,
                 reqs,
@@ -1267,14 +1269,14 @@ impl<'s, 'a> ServeState<'s, 'a> {
         self.grant(now);
     }
 
-    fn on_compute_done(&mut self, now: SimTime, instance: usize, req: usize, epoch: u64) {
+    fn on_compute_done(&mut self, now: SimTime, instance: usize, epoch: u64) {
         // A stale epoch means the instance crashed mid-compute; the result
         // never materialized.
         if self.insts[instance].epoch != epoch {
             return;
         }
-        debug_assert_eq!(self.insts[instance].computing.first(), Some(&req));
         let mut group = std::mem::take(&mut self.insts[instance].computing);
+        debug_assert!(!group.is_empty(), "a live compute has its group");
         self.insts[instance].inflight -= group.len();
         for &q in &group {
             let f = &mut self.flights[q];
@@ -1283,7 +1285,8 @@ impl<'s, 'a> ServeState<'s, 'a> {
             if f.hop > 0 {
                 self.handoff_bytes += PcieLink::answer_bytes();
             }
-            self.submit(LinkJob::Drain { req: q }, PcieLink::answer_bytes(), 1);
+            self.arb
+                .submit(LinkJob::Drain { req: q }, PcieLink::answer_bytes(), 1);
         }
         group.clear();
         self.insts[instance].computing = group;
@@ -1301,10 +1304,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
         c.report.crashes += 1;
         c.crash_at.insert((i, self.insts[i].epoch), now);
         let up = now + c.cooldown;
-        // The killed compute never happened, and all resident stories are
-        // lost (BRAM state is gone).
         self.insts[i].halt(now);
-        self.residency[i].clear_resident();
         self.schedule(up, Event::InstanceUp(i));
     }
 
@@ -1360,10 +1360,11 @@ impl<'s, 'a> ServeState<'s, 'a> {
         if self.insts[i].down {
             return;
         }
-        let keys = self.residency[i].keys();
+        let cache = &mut self.insts[i].cache;
+        let keys = cache.keys();
         if !keys.is_empty() {
             let key = keys[(pick % keys.len() as u64) as usize];
-            self.residency[i].poison(key);
+            cache.poison(key);
         }
     }
 
@@ -1402,15 +1403,13 @@ impl<'s, 'a> ServeState<'s, 'a> {
             let story = self.num.story_id(self.flights[head].req) as u64;
             self.views.clear();
             self.views
-                .extend(self.insts.iter().zip(&self.residency).map(|(inst, res)| {
-                    InstanceView {
-                        inflight: inst.inflight,
-                        // A crashed instance advertises no credits, so the
-                        // (unchanged) scheduler never picks it.
-                        credits: if inst.down { 0 } else { limit - inst.inflight },
-                        free_at: inst.free_at,
-                        resident: res.contains(story),
-                    }
+                .extend(self.insts.iter().map(|inst| InstanceView {
+                    inflight: inst.inflight,
+                    // A crashed instance advertises no credits, so the
+                    // (unchanged) scheduler never picks it.
+                    credits: if inst.down { 0 } else { limit - inst.inflight },
+                    free_at: inst.free_at,
+                    resident: inst.cache.contains(story),
                 }));
             let Some(target) = self.scheduler.pick(&self.views) else {
                 break;
@@ -1429,7 +1428,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
                 reqs,
                 epoch,
             };
-            self.submit(upload, bytes, take);
+            self.arb.submit(upload, bytes, take);
         }
     }
 
@@ -1440,7 +1439,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
         let num = self.num;
         let g = self.flights[r].req;
         let sid = num.story_id(g);
-        let admission = self.residency[target].admit(sid as u64);
+        let admission = self.insts[target].cache.admit(sid as u64);
         if let Some(j) = &mut self.journal {
             j.admit(num, sid, admission, now);
         }
@@ -1454,7 +1453,6 @@ impl<'s, 'a> ServeState<'s, 'a> {
             self.flights[r].seu_pending = Some(now);
         }
         if admission.hit {
-            self.insts[target].cache_hits += 1;
             self.write_cycles_saved += story_cycles;
             self.upload_bytes_saved += num.bytes(g, false) - num.bytes(g, true);
         }
@@ -1474,36 +1472,18 @@ impl<'s, 'a> ServeState<'s, 'a> {
         bytes
     }
 
-    fn submit(&mut self, payload: LinkJob, bytes: u64, requests: usize) {
-        let id = self.retired_jobs + self.jobs.len() as u64;
-        self.jobs.push_back(Job {
-            payload,
-            attempts: 0,
-            first_fail: None,
-        });
-        self.arb.submit(id, bytes, requests);
-    }
-
     /// Keeps an upload's emptied request list for the next upload.
     fn recycle(&mut self, mut reqs: Vec<usize>) {
         reqs.clear();
         self.spare.push(reqs);
     }
 
-    /// Completes the in-flight link job `id`, the oldest one, and hands it
-    /// back.
-    fn retire(&mut self, id: u64) -> Job {
-        self.arb.complete(id);
-        self.retired_jobs += 1;
-        self.jobs.pop_front().expect("a job in flight")
-    }
-
     /// Grants the head link job if the link is idle.
     fn grant(&mut self, now: SimTime) {
-        let Some(g) = self.arb.try_grant(now) else {
+        let Some((g, job)) = self.arb.try_grant(now) else {
             return;
         };
-        match &self.jobs[(g.id - self.retired_jobs) as usize].payload {
+        match job {
             LinkJob::Upload { reqs, .. } => {
                 for &r in reqs {
                     self.flights[r].ts.upload_start = g.start;
@@ -1588,14 +1568,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
         inst.busy += fused;
         inst.computing = group;
         let epoch = inst.epoch;
-        self.schedule(
-            end,
-            Event::ComputeDone {
-                instance: i,
-                req: r,
-                epoch,
-            },
-        );
+        self.schedule(end, Event::ComputeDone { instance: i, epoch });
     }
 
     /// Assembles the outcome: completions and sheds in trace order.
@@ -1605,7 +1578,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
             "event loop left work queued"
         );
         debug_assert!(
-            self.fail_stop.is_some() || (!self.arb.is_busy() && self.arb.pending_len() == 0),
+            self.fail_stop.is_some() || self.arb.is_idle(),
             "link work stranded"
         );
         // Flights are in arrival order; outcomes follow the trace. The
@@ -1693,7 +1666,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
                 InstanceReport {
                     instance: i,
                     completed: inst.completed,
-                    cache_hits: inst.cache_hits,
+                    cache_hits: inst.cache.stats().hits,
                     busy_s,
                     occupancy: share(busy_s),
                     energy_j: config.power.interval_energy_j(
@@ -1705,7 +1678,7 @@ impl<'s, 'a> ServeState<'s, 'a> {
                 }
             })
             .collect();
-        let stats = self.residency.iter().map(LruSet::stats).fold(
+        let stats = self.insts.iter().map(|inst| inst.cache.stats()).fold(
             mann_hw::CacheStats::default(),
             |mut acc, s| {
                 acc += s;

@@ -143,7 +143,7 @@ fn served_runs_equal_standalone_accelerator_runs() {
                     pcie: config.pcie,
                     power: config.power,
                     ith: None,
-                    use_ordering: config.use_ordering,
+                    use_ordering: true,
                     ..AccelConfig::default()
                 },
             )

@@ -157,7 +157,7 @@ pub fn load_latest(dir: &Path) -> Result<Option<SnapshotState>, StoreError> {
     let header = iter
         .next()
         .ok_or_else(|| corrupt("empty snapshot".to_string()))?;
-    let (covers_seq, n_stories, n_completions) = parse_header(&header).map_err(corrupt)?;
+    let (covers_seq, n_stories, n_completions) = parse_header(header).map_err(corrupt)?;
     if covers_seq != seq {
         return Err(corrupt(format!(
             "snapshot file named for segment {seq} but covers {covers_seq}"
@@ -165,7 +165,7 @@ pub fn load_latest(dir: &Path) -> Result<Option<SnapshotState>, StoreError> {
     }
     let mut records = Vec::new();
     for payload in iter {
-        records.push(WalRecord::from_bytes(&payload).map_err(corrupt)?);
+        records.push(WalRecord::from_bytes(payload).map_err(corrupt)?);
     }
     let (n_stories, n_completions) = (n_stories as usize, n_completions as usize);
     if records.len() != n_stories + n_completions {

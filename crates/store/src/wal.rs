@@ -172,56 +172,73 @@ pub fn decode_segment_bytes(
     require_seal: bool,
 ) -> Result<SegmentRead, StoreError> {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    let mut count = 0u64;
-    let mut xor = 0u64;
+    let sealed = walk_sealed(bytes, label, require_seal, |payload| {
+        match payload.first() {
+            Some(&k) if k <= KIND_EVICT => records.push(WalRecord::from_bytes(payload)?),
+            other => return Err(format!("unexpected frame tag {other:?}")),
+        }
+        Ok(())
+    })?;
+    Ok(SegmentRead { records, sealed })
+}
+
+/// Decodes a fully sealed container into its raw frame payloads (seal
+/// consumed, not returned). The snapshot loader uses this: snapshot
+/// containers hold a header frame the record decoder would reject.
+pub(crate) fn decode_segment_bytes_raw<'b>(
+    bytes: &'b [u8],
+    label: &str,
+) -> Result<Vec<&'b [u8]>, StoreError> {
+    let mut payloads = Vec::new();
+    walk_sealed(bytes, label, true, |payload| {
+        payloads.push(payload);
+        Ok(())
+    })?;
+    Ok(payloads)
+}
+
+/// The strict, seal-checked walk over one segment's frames: hands each
+/// non-seal payload to `frame` in file order, and returns whether a seal
+/// ended the segment. A seal must count and XOR the CRCs of every frame
+/// before it, and nothing may follow it.
+///
+/// # Errors
+///
+/// Damage found by [`next_frame`], a bad seal, data after the seal, or a
+/// missing seal when `require_seal` is set, as for
+/// [`decode_segment_bytes`]; a reason `frame` returns becomes
+/// [`StoreError::Corrupt`] at that frame's offset.
+fn walk_sealed<'b>(
+    bytes: &'b [u8],
+    label: &str,
+    require_seal: bool,
+    mut frame: impl FnMut(&'b [u8]) -> Result<(), String>,
+) -> Result<bool, StoreError> {
+    let (mut pos, mut count, mut xor) = (0usize, 0u64, 0u64);
     let mut sealed = false;
     while let Some((crc, payload, next)) =
         next_frame(bytes, pos).map_err(|e| e.into_store(label))?
     {
+        let corrupt = |reason: String| StoreError::Corrupt {
+            path: label.to_string(),
+            offset: pos as u64,
+            reason,
+        };
         if sealed {
-            return Err(StoreError::Corrupt {
-                path: label.to_string(),
-                offset: pos as u64,
-                reason: "data after seal frame".to_string(),
-            });
+            return Err(corrupt("data after seal frame".to_string()));
         }
-        match payload.first() {
-            Some(&KIND_SEAL) => {
-                let (seal_count, seal_xor) =
-                    parse_seal(payload).map_err(|reason| StoreError::Corrupt {
-                        path: label.to_string(),
-                        offset: pos as u64,
-                        reason,
-                    })?;
-                if seal_count != count || seal_xor != xor {
-                    return Err(StoreError::Corrupt {
-                        path: label.to_string(),
-                        offset: pos as u64,
-                        reason: format!(
-                            "seal mismatch: seal says {seal_count} frames (xor {seal_xor:#x}), segment has {count} (xor {xor:#x})"
-                        ),
-                    });
-                }
-                sealed = true;
+        if payload.first() == Some(&KIND_SEAL) {
+            let (seal_count, seal_xor) = parse_seal(payload).map_err(corrupt)?;
+            if seal_count != count || seal_xor != xor {
+                return Err(corrupt(format!(
+                    "seal mismatch: seal says {seal_count} frames (xor {seal_xor:#x}), segment has {count} (xor {xor:#x})"
+                )));
             }
-            Some(&k) if k <= KIND_EVICT => {
-                let rec = WalRecord::from_bytes(payload).map_err(|reason| StoreError::Corrupt {
-                    path: label.to_string(),
-                    offset: pos as u64,
-                    reason,
-                })?;
-                records.push(rec);
-                count += 1;
-                xor ^= u64::from(crc);
-            }
-            other => {
-                return Err(StoreError::Corrupt {
-                    path: label.to_string(),
-                    offset: pos as u64,
-                    reason: format!("unexpected frame tag {other:?}"),
-                });
-            }
+            sealed = true;
+        } else {
+            frame(payload).map_err(corrupt)?;
+            count += 1;
+            xor ^= u64::from(crc);
         }
         pos = next;
     }
@@ -232,63 +249,7 @@ pub fn decode_segment_bytes(
             reason: "missing seal frame".to_string(),
         });
     }
-    Ok(SegmentRead { records, sealed })
-}
-
-/// Decodes a fully sealed container into its raw frame payloads (seal
-/// consumed, not returned). The snapshot loader uses this: snapshot
-/// containers hold a header frame the record decoder would reject.
-pub(crate) fn decode_segment_bytes_raw(
-    bytes: &[u8],
-    label: &str,
-) -> Result<Vec<Vec<u8>>, StoreError> {
-    let mut payloads: Vec<Vec<u8>> = Vec::new();
-    let mut pos = 0usize;
-    let mut count = 0u64;
-    let mut xor = 0u64;
-    let mut sealed = false;
-    while let Some((crc, payload, next)) =
-        next_frame(bytes, pos).map_err(|e| e.into_store(label))?
-    {
-        if sealed {
-            return Err(StoreError::Corrupt {
-                path: label.to_string(),
-                offset: pos as u64,
-                reason: "data after seal frame".to_string(),
-            });
-        }
-        if payload.first() == Some(&KIND_SEAL) {
-            let (seal_count, seal_xor) =
-                parse_seal(payload).map_err(|reason| StoreError::Corrupt {
-                    path: label.to_string(),
-                    offset: pos as u64,
-                    reason,
-                })?;
-            if seal_count != count || seal_xor != xor {
-                return Err(StoreError::Corrupt {
-                    path: label.to_string(),
-                    offset: pos as u64,
-                    reason: format!(
-                        "seal mismatch: seal says {seal_count} frames (xor {seal_xor:#x}), container has {count} (xor {xor:#x})"
-                    ),
-                });
-            }
-            sealed = true;
-        } else {
-            payloads.push(payload.to_vec());
-            count += 1;
-            xor ^= u64::from(crc);
-        }
-        pos = next;
-    }
-    if !sealed {
-        return Err(StoreError::TornTail {
-            path: label.to_string(),
-            offset: bytes.len() as u64,
-            reason: "missing seal frame".to_string(),
-        });
-    }
-    Ok(payloads)
+    Ok(sealed)
 }
 
 fn parse_seal(payload: &[u8]) -> Result<(u64, u64), String> {
@@ -825,6 +786,53 @@ mod tests {
             "got {err}"
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Both strict readers run one seal check: each seal damage shape is
+    /// the same error variant at the same offset from either.
+    #[test]
+    fn strict_readers_place_each_seal_damage_alike() {
+        let all = recs(3);
+        let frames: Vec<Vec<u8>> = all.iter().map(frame_record).collect();
+        let body = frames.concat();
+        let xor = frames.iter().fold(0u64, |x, f| {
+            x ^ u64::from(u32::from_le_bytes(f[4..8].try_into().expect("4 bytes")))
+        });
+        let seal = |count| frame_payload(&seal_payload(count, xor));
+        let sealed = [body.clone(), seal(3)].concat();
+        let shapes = [
+            (
+                [sealed.clone(), frames[0].clone()].concat(),
+                "corrupt",
+                sealed.len(),
+            ),
+            ([body.clone(), seal(2)].concat(), "corrupt", body.len()),
+            (
+                [body.clone(), frame_payload(&[KIND_SEAL])].concat(),
+                "corrupt",
+                body.len(),
+            ),
+            (body.clone(), "torn", body.len()),
+        ];
+        let place = |e: StoreError| match e {
+            StoreError::TornTail { offset, .. } => ("torn", offset),
+            StoreError::Corrupt { offset, .. } => ("corrupt", offset),
+            other => panic!("not a framing error: {other}"),
+        };
+        for (bytes, kind, offset) in shapes {
+            let decoded = decode_segment_bytes(&bytes, "seg", true).expect_err("damaged");
+            let raw = decode_segment_bytes_raw(&bytes, "seg").expect_err("damaged");
+            assert_eq!(place(decoded), (kind, offset as u64));
+            assert_eq!(place(raw), (kind, offset as u64));
+        }
+        let read = decode_segment_bytes(&sealed, "seg", true).expect("sealed");
+        assert_eq!((read.records, read.sealed), (all, true));
+        assert_eq!(
+            decode_segment_bytes_raw(&sealed, "seg")
+                .expect("sealed")
+                .len(),
+            3
+        );
     }
 
     #[test]
